@@ -3,21 +3,20 @@
 //! through the structure-of-arrays `BatchEngine`.
 //!
 //! The grid is n ∈ {16, 64, 256} × k ∈ {1, 8, 32}. The k = 1 column is the
-//! baseline: a single-lane batch degenerates to the scalar engine inside
-//! `BatchEngine::run`, so the k = 8 / k = 32 rows measure exactly what the
-//! SoA round loop buys (shared classification, one sort scratch, the
-//! k-wide MSR fold) over running the same seeds one engine at a time.
+//! baseline: a one-lane pack through the same lockstep loop, so the k = 8 /
+//! k = 32 rows measure exactly what sharing the loop across lanes buys
+//! (one realization and round scratch per pack, the k-wide MSR fold) over
+//! running the same seeds one pack at a time.
 //! Throughput is *aggregate*: total rounds summed over all lanes divided
 //! by wall time, so perfect lane-sharing shows up as a multiple of the
 //! k = 1 row rather than parity with it.
 //!
-//! The **general path** — partial topologies and dynamic/lossy fabrics,
-//! which cannot use the complete-graph classification trick — gets its own
-//! rows on a reduced n ∈ {64, 256} × k ∈ {1, 32} grid: `…/ring` runs a
+//! Partial topologies and dynamic/lossy fabrics, which cannot use the
+//! complete graph's sort-once-and-merge exchange, get their own rows on a
+//! reduced n ∈ {64, 256} × k ∈ {1, 32} grid: `…/ring` runs a
 //! `Ring {{ k: 2 }}` mask and `…/churn` a seeded-churn schedule over the
 //! complete base. These guard the shared-realization batch delivery (one
-//! adjacency + one compiled fault plan per batch instead of one
-//! `SyncNetwork` per lane).
+//! adjacency + one compiled fault plan per pack instead of one per lane).
 //!
 //! A `packed_lane_occupancy` row reports the mean lane occupancy of the
 //! cross-point packing scheduler over a shape-homogeneous multi-point
@@ -38,7 +37,7 @@ use std::time::Instant;
 use criterion::{record_metric, write_json_report};
 
 use mbaa::prelude::*;
-use mbaa::{BatchEngine, BatchLane, ProtocolConfig};
+use mbaa::{BatchEngine, PackedLane, ProtocolConfig};
 use mbaa_bench::spread_inputs;
 
 /// Timed batch executions per measured point (n = 256 is ~15× costlier
@@ -51,9 +50,8 @@ fn repetitions(n: usize) -> usize {
         .map_or(base, |samples| samples.max(1))
 }
 
-/// Network variant of a measured point: the complete fast path, a static
-/// partial mask (ring), or a dynamic churned fabric. Ring and churn both
-/// exercise the general (masked-delivery) batch path.
+/// Network variant of a measured point: the complete graph, a static
+/// partial mask (ring), or a dynamic churned fabric.
 #[derive(Clone, Copy)]
 enum Variant {
     Complete,
@@ -90,21 +88,23 @@ fn measure(n: usize, k: usize, variant: Variant) {
         }),
     };
     let config = builder.build().expect("config");
-    let engine = BatchEngine::new(config);
     // Distinct seeds per lane, shared inputs: the adversary streams
     // diverge, the workload does not — the sweep-chunk shape.
-    let lanes: Vec<BatchLane> = (0..k as u64)
-        .map(|seed| BatchLane {
-            seed: seed + 1,
-            inputs: spread_inputs(n),
+    let lanes: Vec<PackedLane> = (0..k as u64)
+        .map(|seed| {
+            let mut config = config.clone();
+            config.seed = seed + 1;
+            PackedLane {
+                config,
+                inputs: spread_inputs(n),
+            }
         })
         .collect();
 
     // Warm-up: fault the pages, fill the allocator pools.
     let mut rounds_per_batch = 0usize;
     for _ in 0..2 {
-        rounds_per_batch = engine
-            .run(&lanes)
+        rounds_per_batch = BatchEngine::run_packed(&lanes)
             .into_iter()
             .map(|outcome| outcome.expect("run").rounds_executed)
             .sum();
@@ -114,8 +114,7 @@ fn measure(n: usize, k: usize, variant: Variant) {
     let start = Instant::now();
     let mut total_rounds = 0usize;
     for _ in 0..reps {
-        total_rounds += engine
-            .run(&lanes)
+        total_rounds += BatchEngine::run_packed(&lanes)
             .into_iter()
             .map(|outcome| outcome.expect("run").rounds_executed)
             .sum::<usize>();
@@ -170,7 +169,7 @@ fn main() {
             measure(n, k, Variant::Complete);
         }
     }
-    // General path: reduced grid, both a static partial mask and a
+    // Reduced grid, both a static partial mask and a
     // dynamic churned fabric.
     for &n in &[64usize, 256] {
         for &k in &[1usize, 32] {

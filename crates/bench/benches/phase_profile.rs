@@ -10,7 +10,7 @@
 //! MSR-apply regression shows up here before it shows up as a raw
 //! rounds/sec drop. A second family of rows
 //! (`phase_share/batch_ring/{n}/{phase}`) profiles the seed-batched
-//! engine's general path over a shared ring realization.
+//! engine over a shared ring realization.
 //!
 //! Because a profiler reports `enabled() == false`, the engine skips all
 //! telemetry-event assembly while it is attached: the spans measure the
@@ -24,7 +24,7 @@ use criterion::{record_metric, write_json_report};
 
 use mbaa::obs::timing::PhaseProfiler;
 use mbaa::{
-    BatchEngine, BatchLane, MobileEngine, MobileModel, Observe, ProtocolConfig, Topology, Value,
+    BatchEngine, MobileEngine, MobileModel, Observe, PackedLane, ProtocolConfig, Topology, Value,
 };
 use mbaa_bench::spread_inputs;
 
@@ -74,7 +74,7 @@ fn profile(n: usize) {
     }
 }
 
-/// The seed-batched engine's **general path** under the profiler: 8 lanes
+/// The seed-batched engine on a ring under the profiler: 8 lanes
 /// advancing in lockstep over a ring mask shared across the batch. The
 /// batch engine emits the same four phase hooks as the scalar loop
 /// (adversary planning, the masked exchange against the shared
@@ -91,16 +91,19 @@ fn profile_batch(n: usize) {
         .topology(Topology::Ring { k: 4 })
         .build()
         .expect("config");
-    let engine = BatchEngine::new(config);
-    let lanes: Vec<BatchLane> = (1..=K as u64)
-        .map(|seed| BatchLane {
-            seed,
-            inputs: spread_inputs(n),
+    let lanes: Vec<PackedLane> = (1..=K as u64)
+        .map(|seed| {
+            let mut config = config.clone();
+            config.seed = seed;
+            PackedLane {
+                config,
+                inputs: spread_inputs(n),
+            }
         })
         .collect();
     // Warm-up: fault the pages, fill the allocator pools.
     for _ in 0..2 {
-        for outcome in engine.run(&lanes) {
+        for outcome in BatchEngine::run_packed(&lanes) {
             outcome.expect("run");
         }
     }
@@ -109,7 +112,7 @@ fn profile_batch(n: usize) {
     let reps = repetitions(n).div_ceil(K);
     let mut profiler = PhaseProfiler::new();
     for _ in 0..reps {
-        for outcome in engine.run_observed(&lanes, &mut profiler) {
+        for outcome in BatchEngine::run_packed_observed(&lanes, &mut profiler) {
             outcome.expect("profiled run");
         }
     }
@@ -132,7 +135,7 @@ fn main() {
     for &n in &[16usize, 64, 256] {
         profile(n);
     }
-    // The batched general path on the reduced grid the engine_batch bench
+    // The batched ring on the reduced grid the engine_batch bench
     // uses for its ring/churn rows.
     for &n in &[64usize, 256] {
         profile_batch(n);

@@ -770,6 +770,11 @@ fn cmd_validate(args: &[String]) -> Result<(), CliError> {
             Ok(text) => match ScenarioFile::parse_str(&text) {
                 Ok(doc) => {
                     let points = doc.points();
+                    if let Some(problem) = fixed_workload_mismatch(&points) {
+                        eprintln!("{}: {problem}", path.display());
+                        failures += 1;
+                        continue;
+                    }
                     println!(
                         "{}: ok ({}, {} point(s), {} seed(s))",
                         path.display(),
@@ -796,6 +801,22 @@ fn cmd_validate(args: &[String]) -> Result<(), CliError> {
         )));
     }
     Ok(())
+}
+
+/// The first point whose `fixed` workload does not hold one value per
+/// process, described by label. Such a point parses, but every run of it
+/// would fail with a wrong-input-count error.
+fn fixed_workload_mismatch(points: &[(String, Scenario)]) -> Option<String> {
+    points
+        .iter()
+        .find_map(|(label, scenario)| match &scenario.workload {
+            Workload::Fixed { values } if values.len() != scenario.n => Some(format!(
+                "point '{label}': fixed workload holds {} values for n = {} processes",
+                values.len(),
+                scenario.n
+            )),
+            _ => None,
+        })
 }
 
 fn cmd_explain(args: &[String]) -> Result<(), CliError> {

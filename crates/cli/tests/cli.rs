@@ -131,6 +131,61 @@ fn validate_reports_line_col_and_counts_failures() {
 }
 
 #[test]
+fn fixed_workload_of_the_wrong_length_fails_cleanly() {
+    // The committed robot-gathering file holds 10 fixed positions; at
+    // n = 11 it still parses, but `validate` names the point and `run`
+    // fails it with a typed error instead of panicking.
+    let dir = scratch("fixed-arity");
+    let committed =
+        fs::read_to_string(repo_root().join("scenarios/robot-gathering.scenario.json")).unwrap();
+    let edited = committed.replacen("\"n\": 10,", "\"n\": 11,", 1);
+    assert_ne!(
+        edited, committed,
+        "the committed file no longer sets n = 10"
+    );
+    let file = dir.join("robots11.scenario.json");
+    fs::write(&file, edited).unwrap();
+
+    let validated = mbaa(&["validate", file.to_str().unwrap()], &dir);
+    assert_eq!(validated.status.code(), Some(1));
+    let err = stderr(&validated);
+    assert!(
+        err.contains("point 'robot-gathering': fixed workload holds 10 values for n = 11"),
+        "validate did not name the point: {err}"
+    );
+
+    let ran = mbaa(&["run", file.to_str().unwrap()], &dir);
+    assert_eq!(ran.status.code(), Some(1), "stderr: {}", stderr(&ran));
+    assert!(
+        stderr(&ran).contains("expected 11 initial values (one per process), got 10"),
+        "run did not report the typed error: {}",
+        stderr(&ran)
+    );
+
+    // In an n sweep only the mismatching point is named.
+    let sweep = dir.join("sweep.scenario.json");
+    fs::write(
+        &sweep,
+        r#"{
+  "format": "mbaa-scenario/1",
+  "name": "fixed-sweep",
+  "scenario": {"model": "garay", "n": 9, "f": 2, "max_rounds": 50,
+               "workload": {"fixed": {"values": [0, 1, 2, 3, 4, 5, 6, 7, 8]}}},
+  "seeds": [0],
+  "sweep": {"n": {"extra": 1}}
+}"#,
+    )
+    .unwrap();
+    let validated = mbaa(&["validate", sweep.to_str().unwrap()], &dir);
+    assert_eq!(validated.status.code(), Some(1));
+    assert!(
+        stderr(&validated).contains("point 'n=10': fixed workload holds 9 values for n = 10"),
+        "validate did not name the sweep point: {}",
+        stderr(&validated)
+    );
+}
+
+#[test]
 fn explain_shows_bound_and_points() {
     let dir = scratch("explain");
     let file = dir.join("sweep.scenario.json");

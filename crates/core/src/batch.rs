@@ -1,10 +1,10 @@
 //! The seed-batched engine: k seeds advanced in lockstep through a single
 //! round loop.
 //!
-//! A sweep evaluates the *same* [`ProtocolConfig`] under many seeds, and
-//! the scalar [`MobileEngine`] pays the full per-round machinery — fault
+//! A sweep evaluates the *same* protocol shape under many seeds, and the
+//! scalar [`MobileEngine`] pays the full per-round machinery — fault
 //! planning, outbox construction, an `n × n` exchange, and `n` sorts — once
-//! per seed per round. [`BatchEngine`] amortizes that work across a batch
+//! per seed per round. [`BatchEngine`] amortizes that work across a pack
 //! of seeds ("lanes") by advancing every lane through round `r` before any
 //! lane sees round `r + 1`.
 //!
@@ -15,93 +15,76 @@
 //! states. Per-lane control state (the adversary with its RNG stream, the
 //! convergence report, the traffic statistics) lives in one flat `Vec` of
 //! lane records. All lanes share a single round scratch — one
-//! [`RoundFaultPlan`], one outbox array, one packed delivery-row arena, one
-//! sort buffer — because the scratch is fully overwritten per lane per
-//! round; only the RNG streams and the accumulated per-lane results differ.
+//! [`RoundFaultPlan`], one send classification, one packed delivery-row
+//! arena — because the scratch is fully overwritten per lane per round;
+//! only the RNG streams and the accumulated per-lane results differ.
 //!
-//! On the **complete-topology fast path** (no schedule, clean link-fault
-//! plan — the configuration every paper table sweeps) the engine never
-//! materializes outboxes or delivery rows for well-behaved senders at all:
-//! each round classifies senders into *broadcasters* (one shared, sorted
-//! value buffer per lane-round), *silent* processes, and at most `2f`
-//! *special* senders with genuinely per-receiver outboxes. Each receiver's
-//! multiset is then the sorted common buffer merged with its few special
-//! slots, and the k-wide [`mbaa_msr::MsrFunction::apply_sorted_lanes`] folds
-//! `mean(Sel(Red(N)))` over all receivers of a lane in one pass. This
-//! replaces `n` sorts and `2 n²` slot writes per lane-round with one sort
-//! and `n` linear merges.
+//! # One round loop
 //!
-//! On the **general path** (partial topologies, schedules, link faults) the
-//! lanes of each distinct network *description* share one
-//! [`SharedRealization`]: the realized graphs, closed-neighbourhood lists,
-//! compiled fault matrices, and per-phase connectivity are built once per
-//! batch instead of once per lane, and each lane keeps only a tiny
-//! [`mbaa_net::LaneDelivery`] (its seed-keyed churn/omission draw streams
-//! and delay pipes). Each lane round classifies senders into
-//! [`LaneSend`]s — broadcasters never materialize an outbox — and the
-//! exchange collects each active receiver's values directly into packed
-//! [`DeliveryRows`], which feed the same k-wide MSR fold as the fast path.
-//! Descriptions that realize per seed ([`Topology::RandomRegular`]
-//! anywhere) fall back to one scalar network per lane inside the same
-//! lockstep loop.
+//! Every lane round runs the same four phases whatever the network:
+//!
+//! 1. the lane's adversary places its agents into the shared plan;
+//! 2. senders are classified into [`LaneSend`]s — a broadcaster hands over
+//!    one value, not `n` slots, and the ≤ 2f genuinely per-receiver senders
+//!    (adversary outboxes, Sasaki poisoned queues) are read in place from
+//!    the plan, never copied;
+//! 3. the lane's [`SharedRealization`] delivers each active receiver's
+//!    values as ascending packed [`DeliveryRows`] and accounts the traffic;
+//! 4. the k-wide [`mbaa_msr::MsrFunction::apply_sorted_lanes`] folds
+//!    `mean(Sel(Red(N)))` over all rows of the lane in one pass.
+//!
+//! The network differences live in the realization kinds: the complete
+//! graph sorts its broadcasters once and merges each receiver's few
+//! per-receiver slots into that buffer with closed-form statistics; other
+//! fixed graphs walk precomputed neighbourhood lists; schedules and link
+//! faults replay the lane's seeded churn/omission draws and delay pipes.
+//! Lanes are grouped by network description, and each group's realization
+//! is built **once** per pack — or once per lane seed for descriptions that
+//! realize per seed ([`Topology::RandomRegular`](mbaa_net::Topology)
+//! anywhere), since graph realization is deterministic in `(n, seed)`.
+//! A failing build fails exactly the lanes of its group, with the error the
+//! scalar engine raises for the same configuration.
 //!
 //! # Batch vs. scalar selection
 //!
-//! The batch path is a pure execution strategy: per-seed outcomes are
+//! The batch loop is a pure execution strategy: per-seed outcomes are
 //! **bit-identical** to running [`MobileEngine`] once per seed, for every
 //! model, adversary, topology, schedule, and link-fault plan (enforced by
-//! the `batch_engine` equivalence battery). The simulation layer
-//! (`mbaa_sim::run_experiment`) routes a point through [`BatchEngine`]
-//! whenever it has ≥ 2 seeds at [`Observe::Summary`](crate::Observe); runs
-//! that record snapshots or traces (`Observe::Snapshots` / `Full`) and
-//! single-seed batches delegate to the scalar engine lane by lane, so
-//! observability is never silently degraded. [`BatchEngine::run`] applies
-//! the same rule internally, which makes it total: any configuration can
-//! be handed to it.
+//! the `batch_engine` equivalence battery), and a single lane runs the same
+//! loop as a full pack. [`BatchEngine::run_packed`] hands a pack to the
+//! scalar engine, lane by lane, in only two cases, so the call is total:
+//! packs that record snapshots or traces (`Observe::Snapshots` / `Full` —
+//! the scalar engine is the only recorder, so observability is never
+//! silently degraded), and packs whose lanes do not share a shape.
 //!
 //! # Cross-point packing
 //!
 //! Lanes need not come from one configuration: [`PackedLane`] pairs each
 //! lane with its *own* full `ProtocolConfig` (whose `seed` field is the
-//! lane seed), and [`BatchEngine::run_packed`] advances a mixed pack in one
-//! lockstep loop as long as every lane shares the batch **shape** — same
-//! `n`, `f`, model, and observe level (checked by [`shape_compatible`]).
-//! Everything else — ε, round budget, voting function, mobility,
-//! corruption, topology, schedule, link faults — may differ per lane: the
-//! loop runs to the largest round budget and each lane consults its own
-//! configuration, so a sweep can top up a draining point's tail chunk with
-//! seeds from the next compatible point instead of running it under-full.
+//! lane seed), and a mixed pack advances in one lockstep loop as long as
+//! every lane shares the batch **shape** — same `n`, `f`, model, and
+//! observe level (checked by [`shape_compatible`]). Everything else — ε,
+//! round budget, voting function, mobility, corruption, topology, schedule,
+//! link faults — may differ per lane: the loop runs to the largest round
+//! budget and each lane consults its own configuration, so a sweep can top
+//! up a draining point's tail chunk with seeds from the next compatible
+//! point instead of running it under-full.
 
 use mbaa_adversary::{AdversaryView, MobileAdversary, RoundFaultPlan};
 use mbaa_msr::{ConvergenceReport, VotingFunction};
 use mbaa_net::{
     DeliveryRows, LaneDelivery, LaneSend, NetworkStats, NetworkTrace, Outbox, SharedRealization,
-    SyncNetwork, Topology, TopologySchedule,
 };
 use mbaa_obs::{NoopObserver, Observer, Phase, RoundEvent};
 use mbaa_types::{
     Error, FaultState, Interval, MobileModel, ProcessId, Result, Round, Value, ValueMultiset,
 };
 
-use crate::engine::{emit_run_events, fill_outbox, non_faulty_diameter, RoundScratch};
+use crate::engine::{emit_run_events, non_faulty_diameter};
 use crate::{MobileEngine, MobileRunOutcome, Observe, ProtocolConfig};
 
-/// One lane of a batch: a seed and the initial values it starts from.
-///
-/// The seed replaces [`ProtocolConfig::seed`] for this lane — it drives the
-/// lane's adversary stream and, where the topology or schedule is
-/// randomized, the lane's graph realization, exactly as it would in a
-/// scalar run of the re-seeded configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchLane {
-    /// The lane's seed.
-    pub seed: u64,
-    /// The lane's initial values (one per process).
-    pub inputs: Vec<Value>,
-}
-
-/// One lane of a cross-point pack: a full configuration (whose `seed`
-/// field is the lane seed) and the initial values it starts from. See
+/// One lane of a pack: a full configuration (whose `seed` field is the
+/// lane seed) and the initial values it starts from. See
 /// [`BatchEngine::run_packed`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedLane {
@@ -119,27 +102,13 @@ pub fn shape_compatible(a: &ProtocolConfig, b: &ProtocolConfig) -> bool {
     a.n == b.n && a.f == b.f && a.model == b.model && a.observe == b.observe
 }
 
-/// One lane's identity inside a batch run: its configuration, its seed,
-/// and its inputs. [`BatchEngine::run`] derives `k` specs from one shared
-/// configuration; [`BatchEngine::run_packed`] derives them from `k`
-/// configurations of equal shape.
-struct LaneSpec<'a> {
-    cfg: &'a ProtocolConfig,
-    seed: u64,
-    inputs: &'a [Value],
-}
-
 /// Per-lane control state: everything that is *not* shared across lanes.
 struct LaneState {
     adversary: MobileAdversary,
-    /// The lane's own scalar network — only on the general path's per-lane
-    /// fallback (seed-dependent realizations). `None` on the fast path and
-    /// on the shared-realization path, where `stats` is accounted directly.
-    network: Option<SyncNetwork>,
-    /// The lane's slice of a [`SharedRealization`]: seed-keyed draw
-    /// streams and delay pipes. `Some` exactly on the shared path.
+    /// The lane's slice of its group's [`SharedRealization`]: seed-keyed
+    /// draw streams and delay pipes. `None` only for lanes born failed.
     delivery: Option<LaneDelivery>,
-    /// Index of the lane's network-description group on the general path.
+    /// Index of the lane's network group.
     group: usize,
     stats: NetworkStats,
     validity_envelope: Option<Interval>,
@@ -150,232 +119,26 @@ struct LaneState {
     done: bool,
     /// Telemetry bookkeeping (only read when an enabled observer is
     /// attached): the previous round's diameter (contraction ratios), the
-    /// previous stats snapshot (per-round traffic deltas on the general
-    /// path), the cured-corruption count of the current round, and the
-    /// run total of corruptions.
+    /// previous stats snapshot (per-round traffic deltas), the
+    /// cured-corruption count of the current round, and the run total of
+    /// corruptions.
     prev_diameter: f64,
     prev_stats: NetworkStats,
     corrupted_last: u32,
     corruptions: u64,
 }
 
-/// One distinct network description inside a pack: the exemplar
-/// configuration that introduced it and, when the description is
-/// seed-invariant, the realization every lane of the group shares.
-struct NetGroup<'a> {
-    cfg: &'a ProtocolConfig,
-    realization: Option<SharedRealization>,
-}
-
-/// Whether two configurations describe the same network and can share one
-/// realization group on the general path.
-fn same_network_description(a: &ProtocolConfig, b: &ProtocolConfig) -> bool {
-    a.topology == b.topology
-        && a.schedule == b.schedule
-        && a.link_faults == b.link_faults
-        && a.disconnection == b.disconnection
-}
-
-/// Advances k seeds in lockstep. See the [module
-/// documentation](crate::batch) for the layout and the selection rule;
-/// per-seed results are bit-identical to the scalar [`MobileEngine`].
-#[derive(Debug)]
-pub struct BatchEngine {
-    config: ProtocolConfig,
-}
-
-impl BatchEngine {
-    /// Creates a batch engine for a validated configuration. The
-    /// configuration's own `seed` is ignored — each [`BatchLane`] carries
-    /// its own.
-    #[must_use]
-    pub fn new(config: ProtocolConfig) -> Self {
-        BatchEngine { config }
-    }
-
-    /// The configuration this engine runs (its `seed` field is unused).
-    #[must_use]
-    pub fn config(&self) -> &ProtocolConfig {
-        &self.config
-    }
-
-    /// Runs every lane to completion, returning one result per lane in
-    /// lane order. Each lane's result — outcome or error — is exactly what
-    /// a scalar [`MobileEngine`] run of the lane-seeded configuration
-    /// would produce.
-    ///
-    /// Batches below two lanes and configurations observing more than
-    /// [`Observe::Summary`] delegate to the scalar engine lane by lane
-    /// (recording per-round snapshots or traces per lane in a batched
-    /// loop would forfeit the shared scratch with no throughput win).
-    #[must_use]
-    pub fn run(&self, lanes: &[BatchLane]) -> Vec<Result<MobileRunOutcome>> {
-        self.run_observed(lanes, &mut NoopObserver)
-    }
-
-    /// [`BatchEngine::run`] with an [`Observer`] attached. Round events
-    /// from different lanes interleave round-major (the lockstep
-    /// schedule), but each seed's event subsequence is bit-identical to
-    /// the scalar engine's stream for that seed, and run-level events are
-    /// emitted in lane order at collection. The observer never influences
-    /// protocol state; outcomes are bit-identical to [`BatchEngine::run`].
-    #[must_use]
-    pub fn run_observed<O: Observer>(
-        &self,
-        lanes: &[BatchLane],
-        observer: &mut O,
-    ) -> Vec<Result<MobileRunOutcome>> {
-        if self.config.observe != Observe::Summary || lanes.len() < 2 {
-            return lanes
-                .iter()
-                .map(|lane| {
-                    MobileEngine::new(self.lane_config(lane.seed))
-                        .run_observed(&lane.inputs, observer)
-                })
-                .collect();
-        }
-        let specs: Vec<LaneSpec<'_>> = lanes
-            .iter()
-            .map(|lane| LaneSpec {
-                cfg: &self.config,
-                seed: lane.seed,
-                inputs: &lane.inputs,
-            })
-            .collect();
-        run_specs(&specs, observer)
-    }
-
-    /// Runs a **cross-point pack**: every lane carries its own
-    /// configuration (its `seed` field is the lane seed), and all lanes
-    /// advance in one lockstep loop as long as the pack shares a batch
-    /// shape (see [`shape_compatible`]). Results are returned in lane
-    /// order; each lane's result is exactly what a scalar
-    /// [`MobileEngine`] run of its configuration would produce.
-    ///
-    /// Packs below two lanes, packs observing more than
-    /// [`Observe::Summary`], and shape-incompatible packs delegate to the
-    /// scalar engine lane by lane, so the call is total.
-    #[must_use]
-    pub fn run_packed(lanes: &[PackedLane]) -> Vec<Result<MobileRunOutcome>> {
-        Self::run_packed_observed(lanes, &mut NoopObserver)
-    }
-
-    /// [`BatchEngine::run_packed`] with an [`Observer`] attached; the
-    /// event-stream guarantees of [`BatchEngine::run_observed`] apply.
-    #[must_use]
-    pub fn run_packed_observed<O: Observer>(
-        lanes: &[PackedLane],
-        observer: &mut O,
-    ) -> Vec<Result<MobileRunOutcome>> {
-        let packable = lanes.len() >= 2
-            && lanes
-                .iter()
-                .all(|lane| lane.config.observe == Observe::Summary)
-            && lanes
-                .windows(2)
-                .all(|pair| shape_compatible(&pair[0].config, &pair[1].config));
-        if !packable {
-            return lanes
-                .iter()
-                .map(|lane| {
-                    MobileEngine::new(lane.config.clone()).run_observed(&lane.inputs, observer)
-                })
-                .collect();
-        }
-        let specs: Vec<LaneSpec<'_>> = lanes
-            .iter()
-            .map(|lane| LaneSpec {
-                cfg: &lane.config,
-                seed: lane.config.seed,
-                inputs: &lane.inputs,
-            })
-            .collect();
-        run_specs(&specs, observer)
-    }
-
-    /// The lane-seeded scalar configuration: what the batch run must be
-    /// bit-identical to.
-    fn lane_config(&self, seed: u64) -> ProtocolConfig {
-        let mut config = self.config.clone();
-        config.seed = seed;
-        config
-    }
-}
-
-/// Routes a shape-homogeneous batch to the fast or the general lockstep
-/// loop: the fast path requires *every* lane to be an unmasked complete
-/// graph under a clean plan; one partial or dynamic lane sends the whole
-/// pack down the general path (which handles complete lanes identically).
-fn run_specs<O: Observer>(
-    specs: &[LaneSpec<'_>],
-    observer: &mut O,
-) -> Vec<Result<MobileRunOutcome>> {
-    let fast = specs.iter().all(|spec| {
-        spec.cfg.schedule.is_none()
-            && spec.cfg.link_faults.is_clean()
-            && matches!(spec.cfg.topology, Topology::Complete)
-    });
-    if fast {
-        run_fast(specs, observer)
-    } else {
-        run_general(specs, observer)
-    }
-}
-
-/// Builds one lane's network exactly as the scalar engine would for the
-/// lane-seeded configuration. Graph realization is deterministic in
-/// `(n, seed)`, so seed-randomized topologies must realize *per lane*,
-/// not once per group — this is the general path's fallback when
-/// [`SharedRealization::try_build`] refuses a description.
-fn lane_network(cfg: &ProtocolConfig, seed: u64) -> Result<SyncNetwork> {
-    let n = cfg.n;
-    let network = if cfg.schedule.is_none() && cfg.link_faults.is_clean() {
-        match &cfg.topology {
-            Topology::Complete => SyncNetwork::new(n),
-            partial => SyncNetwork::with_topology(partial.realize(n, seed)?),
-        }
-    } else {
-        let schedule = cfg
-            .schedule
-            .clone()
-            .unwrap_or_else(|| TopologySchedule::Static(cfg.topology.clone()));
-        SyncNetwork::with_dynamics(
-            schedule.realize(n, seed)?,
-            &cfg.link_faults,
-            cfg.disconnection,
-            seed,
-        )?
-    };
-    // The batch paths only run at Observe::Summary.
-    Ok(network.with_trace_recording(false))
-}
-
-/// Initializes the SoA state shared by both batch paths: lane-major flat
-/// `votes` / `states` arrays and one control record per lane. Lanes with
-/// the wrong input count are born `done` with their scalar error; their
-/// state slices stay untouched placeholders. On the general path
-/// (`groups` is `Some`) each lane receives either a [`LaneDelivery`] on
-/// its group's shared realization or its own fallback network.
-fn init_lanes(
-    specs: &[LaneSpec<'_>],
-    groups: Option<(&[NetGroup<'_>], &[usize])>,
-) -> (Vec<Value>, Vec<FaultState>, Vec<LaneState>) {
-    let n = specs[0].cfg.n;
-    let mut votes = vec![Value::new(0.0); specs.len() * n];
-    let states = vec![FaultState::Correct; specs.len() * n];
-    let mut lane_states = Vec::with_capacity(specs.len());
-    for (l, spec) in specs.iter().enumerate() {
-        let cfg = spec.cfg;
-        let mut ls = LaneState {
+impl LaneState {
+    fn new(cfg: &ProtocolConfig) -> Self {
+        LaneState {
             adversary: MobileAdversary::new(
                 cfg.model,
-                n,
+                cfg.n,
                 cfg.f,
                 cfg.mobility,
                 cfg.corruption,
-                spec.seed,
+                cfg.seed,
             ),
-            network: None,
             delivery: None,
             group: 0,
             stats: NetworkStats::new(),
@@ -389,43 +152,95 @@ fn init_lanes(
             prev_stats: NetworkStats::new(),
             corrupted_last: 0,
             corruptions: 0,
-        };
-        if spec.inputs.len() != n {
-            ls.error = Some(Error::WrongInputCount {
-                provided: spec.inputs.len(),
-                expected: n,
-            });
-            ls.done = true;
-        } else {
-            votes[l * n..(l + 1) * n].copy_from_slice(spec.inputs);
-            if let Some((groups, lane_group)) = groups {
-                let g = lane_group[l];
-                match &groups[g].realization {
-                    Some(shared) => {
-                        ls.delivery = Some(shared.lane(spec.seed));
-                        ls.group = g;
-                    }
-                    None => match lane_network(cfg, spec.seed) {
-                        Ok(network) => ls.network = Some(network),
-                        Err(e) => {
-                            ls.error = Some(e);
-                            ls.done = true;
-                        }
-                    },
-                }
-            }
         }
-        lane_states.push(ls);
     }
-    (votes, states, lane_states)
+
+    fn fail(&mut self, error: Error) {
+        self.error = Some(error);
+        self.done = true;
+    }
 }
 
-/// The adversary phase of one lane's round, shared by both paths: places
-/// the agents into the shared plan, applies the corruption left on cured
-/// processes, tracks fault states, and performs the first-round
-/// initialization (validity envelope, initial diameter, pre-sized report,
-/// trivial-agreement early exit). Returns `false` when the lane
-/// terminated before its send phase.
+/// One network group inside a pack: the exemplar configuration that
+/// introduced it (whose seed realized it) and the realization every lane
+/// of the group shares — or the error every lane of the group fails with.
+struct NetGroup<'a> {
+    cfg: &'a ProtocolConfig,
+    realization: Result<SharedRealization>,
+}
+
+impl NetGroup<'_> {
+    /// Whether a lane with configuration `cfg` exchanges against this
+    /// group's realization: the same network description, realized under
+    /// the same seed when the description realizes per seed.
+    fn serves(&self, cfg: &ProtocolConfig) -> bool {
+        self.cfg.topology == cfg.topology
+            && self.cfg.schedule == cfg.schedule
+            && self.cfg.link_faults == cfg.link_faults
+            && self.cfg.disconnection == cfg.disconnection
+            && (self.cfg.seed == cfg.seed
+                || !SharedRealization::realizes_per_seed(&cfg.topology, cfg.schedule.as_ref()))
+    }
+}
+
+/// Advances packs of seeds in lockstep through one round loop. See the
+/// [module documentation](crate::batch) for the layout and the selection
+/// rule; per-seed results are bit-identical to the scalar
+/// [`MobileEngine`].
+#[derive(Debug)]
+pub enum BatchEngine {}
+
+impl BatchEngine {
+    /// Runs a pack: every lane carries its own configuration (its `seed`
+    /// field is the lane seed), and all lanes advance in one lockstep loop
+    /// as long as the pack shares a batch shape (see
+    /// [`shape_compatible`]). Results are returned in lane order; each
+    /// lane's result — outcome or error — is exactly what a scalar
+    /// [`MobileEngine`] run of its configuration would produce.
+    ///
+    /// Packs observing more than [`Observe::Summary`] and
+    /// shape-incompatible packs delegate to the scalar engine lane by
+    /// lane, so the call is total.
+    #[must_use]
+    pub fn run_packed(lanes: &[PackedLane]) -> Vec<Result<MobileRunOutcome>> {
+        Self::run_packed_observed(lanes, &mut NoopObserver)
+    }
+
+    /// [`BatchEngine::run_packed`] with an [`Observer`] attached. Round
+    /// events from different lanes interleave round-major (the lockstep
+    /// schedule), but each seed's event subsequence is bit-identical to
+    /// the scalar engine's stream for that seed, and run-level events are
+    /// emitted in lane order at collection. The observer never influences
+    /// protocol state; outcomes are bit-identical to
+    /// [`BatchEngine::run_packed`].
+    #[must_use]
+    pub fn run_packed_observed<O: Observer>(
+        lanes: &[PackedLane],
+        observer: &mut O,
+    ) -> Vec<Result<MobileRunOutcome>> {
+        let batchable = lanes
+            .iter()
+            .all(|lane| lane.config.observe == Observe::Summary)
+            && lanes
+                .windows(2)
+                .all(|pair| shape_compatible(&pair[0].config, &pair[1].config));
+        if !batchable {
+            return lanes
+                .iter()
+                .map(|lane| {
+                    MobileEngine::new(lane.config.clone()).run_observed(&lane.inputs, observer)
+                })
+                .collect();
+        }
+        run_lockstep(lanes, observer)
+    }
+}
+
+/// The adversary phase of one lane's round: places the agents into the
+/// shared plan, applies the corruption left on cured processes, tracks
+/// fault states, and performs the first-round initialization (validity
+/// envelope, initial diameter, pre-sized report, trivial-agreement early
+/// exit). Returns `false` when the lane terminated before its send phase.
 #[allow(clippy::too_many_arguments)]
 fn begin_lane_round<O: Observer>(
     cfg: &ProtocolConfig,
@@ -506,48 +321,276 @@ fn begin_lane_round<O: Observer>(
     true
 }
 
-/// The diameter bookkeeping closing one lane's round, shared by both
-/// paths. Returns the round's diameter so the caller can emit the lane's
-/// telemetry event without recomputing it.
-fn finish_lane_round(
-    cfg: &ProtocolConfig,
-    ls: &mut LaneState,
-    round_idx: usize,
-    votes: &[Value],
-    states: &[FaultState],
-) -> f64 {
-    ls.rounds_executed = round_idx + 1;
-    let diameter = non_faulty_diameter(votes, states);
-    let report = ls
-        .report
-        .as_mut()
-        .expect("report initialised in first round");
-    report.record_round(diameter);
-    ls.reached = cfg.epsilon.covers_diameter(diameter);
-    if ls.reached {
-        ls.done = true;
+/// The send classification of one process, honouring the model-specific
+/// behaviour of faulty and cured senders exactly as the scalar engine's
+/// outboxes do: a non-faulty, non-cured process broadcasts its vote;
+/// cured behaviour is the model's (Garay silent, Bonnet broadcast, Sasaki
+/// poisoned queue); faulty senders use the adversary's outbox.
+fn classify_send(model: MobileModel, plan: &RoundFaultPlan, p: ProcessId, vote: Value) -> LaneSend {
+    if plan.faulty.contains(p) {
+        LaneSend::PerReceiver
+    } else if plan.cured.contains(p) {
+        match model {
+            MobileModel::Garay => LaneSend::Silent,
+            MobileModel::Bonnet => LaneSend::Broadcast(vote),
+            MobileModel::Sasaki => LaneSend::PerReceiver,
+            MobileModel::Buhrman => unreachable!("Buhrman's model has no cured senders"),
+        }
+    } else {
+        LaneSend::Broadcast(vote)
     }
-    diameter
+}
+
+/// The outbox of a [`LaneSend::PerReceiver`] sender, read in place from
+/// the round's plan: the adversary's outbox for a faulty process, the
+/// poisoned queue for a Sasaki-cured one.
+fn per_receiver_outbox(plan: &RoundFaultPlan, i: usize) -> &Outbox {
+    if plan.faulty.contains(ProcessId::new(i)) {
+        plan.faulty_outboxes[i]
+            .as_ref()
+            .expect("adversary provides an outbox for every faulty process")
+    } else {
+        plan.poisoned_outboxes[i]
+            .as_ref()
+            .expect("Sasaki adversary provides a poisoned queue for every cured process")
+    }
+}
+
+/// Initializes the SoA state: lane-major flat `votes` / `states` arrays,
+/// one control record per lane, and the pack's network groups. Lanes with
+/// the wrong input count, or whose group fails to build, are born `done`
+/// with their scalar error; their state slices stay untouched
+/// placeholders.
+fn init_lanes<'a>(
+    lanes: &'a [PackedLane],
+    n: usize,
+) -> (
+    Vec<Value>,
+    Vec<FaultState>,
+    Vec<LaneState>,
+    Vec<NetGroup<'a>>,
+) {
+    let mut votes = vec![Value::new(0.0); lanes.len() * n];
+    let states = vec![FaultState::Correct; lanes.len() * n];
+    let mut lane_states = Vec::with_capacity(lanes.len());
+    // A linear scan is fine: packs are ≤ the sweep chunk width and most
+    // hold one or two descriptions.
+    let mut groups: Vec<NetGroup<'a>> = Vec::new();
+    for (l, lane) in lanes.iter().enumerate() {
+        let cfg = &lane.config;
+        let mut ls = LaneState::new(cfg);
+        if lane.inputs.len() != n {
+            ls.fail(Error::WrongInputCount {
+                provided: lane.inputs.len(),
+                expected: n,
+            });
+            lane_states.push(ls);
+            continue;
+        }
+        votes[l * n..(l + 1) * n].copy_from_slice(&lane.inputs);
+        let g = match groups.iter().position(|group| group.serves(cfg)) {
+            Some(g) => g,
+            None => {
+                groups.push(NetGroup {
+                    cfg,
+                    realization: SharedRealization::build(
+                        n,
+                        &cfg.topology,
+                        cfg.schedule.as_ref(),
+                        &cfg.link_faults,
+                        cfg.disconnection,
+                        cfg.seed,
+                    ),
+                });
+                groups.len() - 1
+            }
+        };
+        match &groups[g].realization {
+            Ok(shared) => {
+                ls.delivery = Some(shared.lane(cfg.seed));
+                ls.group = g;
+            }
+            Err(e) => ls.fail(e.clone()),
+        }
+        lane_states.push(ls);
+    }
+    (votes, states, lane_states, groups)
+}
+
+/// The lockstep loop: round `r` of every live lane runs before round
+/// `r + 1` of any, each lane exchanging against its group's realization.
+/// Per-lane results are bit-identical to the scalar engine by
+/// construction.
+fn run_lockstep<O: Observer>(
+    lanes: &[PackedLane],
+    observer: &mut O,
+) -> Vec<Result<MobileRunOutcome>> {
+    let Some(first) = lanes.first() else {
+        return Vec::new();
+    };
+    let n = first.config.n;
+    let telemetry = observer.enabled();
+    let (mut votes, mut states, mut lane_states, mut groups) = init_lanes(lanes, n);
+    let mut plan = RoundFaultPlan::empty(n);
+    let mut received = ValueMultiset::with_capacity(n);
+    let mut sends: Vec<LaneSend> = vec![LaneSend::Silent; n];
+    let mut active: Vec<bool> = vec![false; n];
+    let mut rows = DeliveryRows::new(n);
+    let mut lane_votes: Vec<Option<Value>> = vec![None; n];
+    let max_rounds = lanes
+        .iter()
+        .map(|lane| lane.config.max_rounds)
+        .max()
+        .unwrap_or(0);
+
+    // Statically allocation-free like the scalar loop; the first-round
+    // initialization inside `begin_lane_round` carries the same waivers.
+    // mbaa: alloc-free
+    for round_idx in 0..max_rounds {
+        let mut all_done = true;
+        for (l, lane) in lanes.iter().enumerate() {
+            let cfg = &lane.config;
+            let ls = &mut lane_states[l];
+            if ls.done || round_idx >= cfg.max_rounds {
+                continue;
+            }
+            all_done = false;
+            let round = Round::new(round_idx as u64);
+            let votes_l = &mut votes[l * n..(l + 1) * n];
+            let states_l = &mut states[l * n..(l + 1) * n];
+            if !begin_lane_round(
+                cfg,
+                ls,
+                round,
+                votes_l,
+                states_l,
+                &mut plan,
+                &mut received,
+                observer,
+            ) {
+                continue;
+            }
+
+            // Send phase: classify senders. Under Buhrman's model the agent
+            // leaves its host together with the outgoing message, so the
+            // host still receives and computes this round.
+            observer.phase_start(Phase::Exchange);
+            let compute_even_if_faulty = cfg.model.agents_move_with_messages();
+            for (i, &vote) in votes_l.iter().enumerate() {
+                sends[i] = classify_send(cfg.model, &plan, ProcessId::new(i), vote);
+                active[i] = states_l[i].is_non_faulty() || compute_even_if_faulty;
+            }
+
+            // Receive phase, straight into the packed row arena. A network
+            // error (e.g. a rejected disconnected round) fails this lane
+            // exactly as it fails a scalar run — other lanes (and the
+            // shared structure) are unaffected.
+            let shared = groups[ls.group]
+                .realization
+                .as_mut()
+                .expect("live lanes belong to a realized group");
+            let delivery = ls.delivery.as_mut().expect("live lanes carry a delivery");
+            let exchanged = shared.exchange_rows(
+                delivery,
+                round,
+                &sends,
+                |i| per_receiver_outbox(&plan, i),
+                &active,
+                &mut rows,
+                &mut ls.stats,
+            );
+            observer.phase_end(Phase::Exchange);
+            if let Err(e) = exchanged {
+                ls.fail(e);
+                continue;
+            }
+
+            // Compute phase over the ascending rows: one k-wide MSR call
+            // when every row has the same width, per-row applies otherwise.
+            observer.phase_start(Phase::MsrApply);
+            if let Some(lane_len) = rows.uniform_len() {
+                cfg.function.apply_sorted_lanes(
+                    rows.flat(),
+                    lane_len,
+                    &mut lane_votes[..rows.rows()],
+                );
+            } else {
+                for (row, vote) in lane_votes[..rows.rows()].iter_mut().enumerate() {
+                    *vote = cfg.function.apply_sorted(rows.row(row));
+                }
+            }
+            for row in 0..rows.rows() {
+                if let Some(next) = lane_votes[row] {
+                    votes_l[rows.receiver(row)] = next;
+                }
+            }
+            observer.phase_end(Phase::MsrApply);
+
+            observer.phase_start(Phase::Record);
+            ls.rounds_executed = round_idx + 1;
+            let diameter = non_faulty_diameter(votes_l, states_l);
+            ls.report
+                .as_mut()
+                .expect("report initialised in first round")
+                .record_round(diameter);
+            ls.reached = cfg.epsilon.covers_diameter(diameter);
+            ls.done = ls.reached;
+            if telemetry {
+                let stats = ls.stats;
+                let width = match rows.min_len() {
+                    Some(len) => cfg.function.reduced_width(len),
+                    None => 0,
+                };
+                observer.on_round(&RoundEvent {
+                    seed: cfg.seed,
+                    round: round_idx as u64,
+                    diameter,
+                    contraction: if ls.prev_diameter > 0.0 {
+                        diameter / ls.prev_diameter
+                    } else {
+                        1.0
+                    },
+                    faulty: plan.faulty.len() as u32,
+                    cured: plan.cured.len() as u32,
+                    corrupted: ls.corrupted_last,
+                    delivered: stats.messages_delivered - ls.prev_stats.messages_delivered,
+                    omissions: stats.omissions - ls.prev_stats.omissions,
+                    link_omissions: stats.link_omissions - ls.prev_stats.link_omissions,
+                    msr_width: width as u32,
+                });
+                ls.prev_stats = stats;
+                ls.prev_diameter = diameter;
+                ls.corruptions += u64::from(ls.corrupted_last);
+            }
+            observer.phase_end(Phase::Record);
+        }
+        if all_done {
+            break;
+        }
+    }
+
+    collect(lanes, &votes, &states, lane_states, observer)
 }
 
 /// Assembles each lane's outcome exactly as the scalar engine does,
 /// emitting each lane's run-level telemetry in lane order.
 fn collect<O: Observer>(
-    specs: &[LaneSpec<'_>],
+    lanes: &[PackedLane],
     votes: &[Value],
     states: &[FaultState],
     lane_states: Vec<LaneState>,
     observer: &mut O,
 ) -> Vec<Result<MobileRunOutcome>> {
-    let n = specs[0].cfg.n;
     let telemetry = observer.enabled();
-    lane_states
-        .into_iter()
+    lanes
+        .iter()
+        .zip(lane_states)
         .enumerate()
-        .map(|(l, mut ls)| {
+        .map(|(l, (lane, mut ls))| {
             if let Some(error) = ls.error.take() {
                 return Err(error);
             }
+            let n = lane.config.n;
             let votes = &votes[l * n..(l + 1) * n];
             let states = &states[l * n..(l + 1) * n];
             let validity_envelope = ls.validity_envelope.unwrap_or_else(|| {
@@ -560,10 +603,6 @@ fn collect<O: Observer>(
                         .unwrap_or(0.0),
                 )
             });
-            let (trace, network_stats) = match ls.network {
-                Some(network) => network.into_parts(),
-                None => (NetworkTrace::new(), ls.stats),
-            };
             let outcome = MobileRunOutcome {
                 reached_agreement: ls.reached,
                 rounds_executed: ls.rounds_executed,
@@ -571,548 +610,23 @@ fn collect<O: Observer>(
                 final_states: states.to_vec(),
                 report,
                 validity_envelope,
-                epsilon: specs[l].cfg.epsilon,
+                epsilon: lane.config.epsilon,
                 configurations: Vec::new(),
-                trace,
-                network_stats,
+                trace: NetworkTrace::new(),
+                network_stats: ls.stats,
             };
             if telemetry {
-                emit_run_events(observer, specs[l].seed, &outcome, ls.corruptions);
+                emit_run_events(observer, lane.config.seed, &outcome, ls.corruptions);
             }
             Ok(outcome)
         })
         .collect()
 }
 
-/// The general batch path: every topology, schedule, and link-fault plan.
-///
-/// Lanes are grouped by network description; each group's seed-invariant
-/// structure is realized **once** into a [`SharedRealization`] and every
-/// lane of the group exchanges against it, carrying only its own draw
-/// streams and delay pipes. Broadcasting senders are classified into
-/// [`LaneSend`]s instead of materializing `n`-slot outboxes, and delivered
-/// values land directly in packed [`DeliveryRows`] feeding the k-wide MSR
-/// fold. Descriptions that realize per seed fall back to one scalar
-/// network per lane inside the same lockstep loop. Either way, per-lane
-/// results are bit-identical to the scalar engine by construction.
-fn run_general<O: Observer>(
-    specs: &[LaneSpec<'_>],
-    observer: &mut O,
-) -> Vec<Result<MobileRunOutcome>> {
-    let n = specs[0].cfg.n;
-    let k = specs.len();
-    let telemetry = observer.enabled();
-
-    // Group the pack by network description and realize each group's
-    // shared structure once. A linear scan is fine: packs are ≤ the sweep
-    // chunk width and most packs hold one or two descriptions.
-    let mut groups: Vec<NetGroup<'_>> = Vec::new();
-    let mut lane_group = vec![0usize; k];
-    for (l, spec) in specs.iter().enumerate() {
-        let g = groups
-            .iter()
-            .position(|group| same_network_description(group.cfg, spec.cfg));
-        let g = match g {
-            Some(g) => g,
-            None => {
-                groups.push(NetGroup {
-                    cfg: spec.cfg,
-                    realization: SharedRealization::try_build(
-                        n,
-                        &spec.cfg.topology,
-                        spec.cfg.schedule.as_ref(),
-                        &spec.cfg.link_faults,
-                        spec.cfg.disconnection,
-                    ),
-                });
-                groups.len() - 1
-            }
-        };
-        lane_group[l] = g;
-    }
-
-    let (mut votes, mut states, mut lane_states) = init_lanes(specs, Some((&groups, &lane_group)));
-    let RoundScratch {
-        mut plan,
-        mut outboxes,
-        mut deliveries,
-        mut received,
-    } = RoundScratch::new(n);
-    let mut sends: Vec<LaneSend> = vec![LaneSend::Silent; n];
-    let mut active: Vec<bool> = vec![false; n];
-    let mut rows = DeliveryRows::new(n);
-    let mut lane_votes: Vec<Option<Value>> = vec![None; n];
-    let max_rounds = specs.iter().map(|s| s.cfg.max_rounds).max().unwrap_or(0);
-
-    // The lockstep round loop: round r of every live lane runs before
-    // round r + 1 of any. Statically allocation-free like the scalar
-    // loop; the first-round initialization inside `begin_lane_round`
-    // carries the same waivers.
-    // mbaa: alloc-free
-    for round_idx in 0..max_rounds {
-        let mut all_done = true;
-        for l in 0..k {
-            let spec = &specs[l];
-            let cfg = spec.cfg;
-            let ls = &mut lane_states[l];
-            if ls.done || round_idx >= cfg.max_rounds {
-                continue;
-            }
-            all_done = false;
-            let round = Round::new(round_idx as u64);
-            let votes_l = &mut votes[l * n..(l + 1) * n];
-            let states_l = &mut states[l * n..(l + 1) * n];
-            if !begin_lane_round(
-                cfg,
-                ls,
-                round,
-                votes_l,
-                states_l,
-                &mut plan,
-                &mut received,
-                observer,
-            ) {
-                continue;
-            }
-            let compute_even_if_faulty = cfg.model.agents_move_with_messages();
-
-            if ls.delivery.is_some() {
-                // Shared-realization path. Send phase: classify senders —
-                // a broadcaster contributes one value, not n slots; only
-                // the ≤ 2f genuinely per-receiver senders (adversary
-                // outboxes, poisoned queues) fill their scratch outbox.
-                observer.phase_start(Phase::Exchange);
-                for (i, &vote) in votes_l.iter().enumerate() {
-                    let p = ProcessId::new(i);
-                    sends[i] = if plan.faulty.contains(p) {
-                        fill_outbox(cfg.model, &mut outboxes[i], p, &plan, votes_l);
-                        LaneSend::PerReceiver(i)
-                    } else if plan.cured.contains(p) {
-                        match cfg.model {
-                            MobileModel::Garay => LaneSend::Silent,
-                            MobileModel::Bonnet => LaneSend::Broadcast(vote),
-                            MobileModel::Sasaki => {
-                                fill_outbox(cfg.model, &mut outboxes[i], p, &plan, votes_l);
-                                LaneSend::PerReceiver(i)
-                            }
-                            MobileModel::Buhrman => {
-                                unreachable!("Buhrman's model has no cured senders")
-                            }
-                        }
-                    } else {
-                        LaneSend::Broadcast(vote)
-                    };
-                }
-                for (i, state) in states_l.iter().enumerate() {
-                    active[i] = state.is_non_faulty() || compute_even_if_faulty;
-                }
-
-                // Receive phase, straight into the packed row arena. A
-                // network error (e.g. a rejected disconnected round) fails
-                // this lane exactly as it fails a scalar run — other lanes
-                // (and the shared structure) are unaffected.
-                let shared = groups[ls.group]
-                    .realization
-                    .as_mut()
-                    .expect("shared lanes belong to a realized group");
-                let delivery = ls.delivery.as_mut().expect("shared lanes carry a delivery");
-                if let Err(e) = shared.exchange_rows(
-                    delivery,
-                    round,
-                    &sends,
-                    &outboxes,
-                    &active,
-                    &mut rows,
-                    &mut ls.stats,
-                ) {
-                    observer.phase_end(Phase::Exchange);
-                    ls.error = Some(e);
-                    ls.done = true;
-                    continue;
-                }
-                observer.phase_end(Phase::Exchange);
-
-                // Compute phase: sort each receiver's row in place (the
-                // same unstable sort the scalar multiset refill performs)
-                // and fold — one k-wide MSR call when every row has the
-                // same width, per-row applies otherwise.
-                observer.phase_start(Phase::MsrApply);
-                for row in 0..rows.rows() {
-                    rows.row_mut(row).sort_unstable();
-                }
-                if let Some(lane_len) = rows.uniform_len() {
-                    cfg.function.apply_sorted_lanes(
-                        rows.flat(),
-                        lane_len,
-                        &mut lane_votes[..rows.rows()],
-                    );
-                } else {
-                    for (row, vote) in lane_votes[..rows.rows()].iter_mut().enumerate() {
-                        *vote = cfg.function.apply_sorted(rows.row(row));
-                    }
-                }
-                for row in 0..rows.rows() {
-                    if let Some(next) = lane_votes[row] {
-                        votes_l[rows.receiver(row)] = next;
-                    }
-                }
-                observer.phase_end(Phase::MsrApply);
-
-                observer.phase_start(Phase::Record);
-                let diameter = finish_lane_round(cfg, ls, round_idx, votes_l, states_l);
-                if telemetry {
-                    let stats = ls.stats;
-                    let width = match rows.min_len() {
-                        Some(len) => cfg.function.reduced_width(len),
-                        None => 0,
-                    };
-                    observer.on_round(&RoundEvent {
-                        seed: spec.seed,
-                        round: round_idx as u64,
-                        diameter,
-                        contraction: if ls.prev_diameter > 0.0 {
-                            diameter / ls.prev_diameter
-                        } else {
-                            1.0
-                        },
-                        faulty: plan.faulty.len() as u32,
-                        cured: plan.cured.len() as u32,
-                        corrupted: ls.corrupted_last,
-                        delivered: stats.messages_delivered - ls.prev_stats.messages_delivered,
-                        omissions: stats.omissions - ls.prev_stats.omissions,
-                        link_omissions: stats.link_omissions - ls.prev_stats.link_omissions,
-                        msr_width: width as u32,
-                    });
-                    ls.prev_stats = stats;
-                    ls.prev_diameter = diameter;
-                    ls.corruptions += u64::from(ls.corrupted_last);
-                }
-                observer.phase_end(Phase::Record);
-            } else {
-                // Per-lane fallback: the lane owns a scalar network and
-                // runs the exact statement sequence of the scalar loop.
-                observer.phase_start(Phase::Exchange);
-                for (i, outbox) in outboxes.iter_mut().enumerate() {
-                    fill_outbox(cfg.model, outbox, ProcessId::new(i), &plan, votes_l);
-                }
-                let network = ls.network.as_mut().expect("fallback lanes carry a network");
-                if let Err(e) = network.exchange_into(round, &outboxes, &mut deliveries) {
-                    observer.phase_end(Phase::Exchange);
-                    ls.error = Some(e);
-                    ls.done = true;
-                    continue;
-                }
-                observer.phase_end(Phase::Exchange);
-
-                observer.phase_start(Phase::MsrApply);
-                let mut min_multiset = usize::MAX;
-                for i in 0..n {
-                    if states_l[i].is_non_faulty() || compute_even_if_faulty {
-                        received.refill(deliveries.delivered_to(ProcessId::new(i)));
-                        if telemetry {
-                            min_multiset = min_multiset.min(received.len());
-                        }
-                        if let Some(next) = cfg.function.apply_sorted(received.as_slice()) {
-                            votes_l[i] = next;
-                        }
-                    }
-                }
-                observer.phase_end(Phase::MsrApply);
-
-                observer.phase_start(Phase::Record);
-                let diameter = finish_lane_round(cfg, ls, round_idx, votes_l, states_l);
-                if telemetry {
-                    let stats = ls
-                        .network
-                        .as_ref()
-                        .expect("fallback lanes carry a network")
-                        .stats();
-                    let width = if min_multiset == usize::MAX {
-                        0
-                    } else {
-                        cfg.function.reduced_width(min_multiset)
-                    };
-                    observer.on_round(&RoundEvent {
-                        seed: spec.seed,
-                        round: round_idx as u64,
-                        diameter,
-                        contraction: if ls.prev_diameter > 0.0 {
-                            diameter / ls.prev_diameter
-                        } else {
-                            1.0
-                        },
-                        faulty: plan.faulty.len() as u32,
-                        cured: plan.cured.len() as u32,
-                        corrupted: ls.corrupted_last,
-                        delivered: stats.messages_delivered - ls.prev_stats.messages_delivered,
-                        omissions: stats.omissions - ls.prev_stats.omissions,
-                        link_omissions: stats.link_omissions - ls.prev_stats.link_omissions,
-                        msr_width: width as u32,
-                    });
-                    ls.prev_stats = stats;
-                    ls.prev_diameter = diameter;
-                    ls.corruptions += u64::from(ls.corrupted_last);
-                }
-                observer.phase_end(Phase::Record);
-            }
-        }
-        if all_done {
-            break;
-        }
-    }
-
-    collect(specs, &votes, &states, lane_states, observer)
-}
-
-/// The complete-topology fast path: no schedule, clean links. Senders
-/// classify into broadcasters (one shared sorted buffer), silent
-/// processes, and ≤ 2f "special" senders with per-receiver outboxes;
-/// each receiver's multiset is the common buffer merged with its
-/// special slots, folded by the k-wide MSR apply. No outboxes are
-/// filled and no delivery matrix exists — traffic statistics are
-/// accounted in closed form, matching the scalar network's counters
-/// exactly.
-fn run_fast<O: Observer>(
-    specs: &[LaneSpec<'_>],
-    observer: &mut O,
-) -> Vec<Result<MobileRunOutcome>> {
-    let n = specs[0].cfg.n;
-    let k = specs.len();
-    let telemetry = observer.enabled();
-    let (mut votes, mut states, mut lane_states) = init_lanes(specs, None);
-    let mut plan = RoundFaultPlan::empty(n);
-    let mut received = ValueMultiset::with_capacity(n);
-
-    // Fast-path scratch, shared across lanes and rounds. `merged` is
-    // written with index arithmetic into pre-sized rows (never grown),
-    // so the whole loop below stays free of allocating idioms.
-    let mut common: Vec<Value> = vec![Value::new(0.0); n];
-    let mut extra: Vec<Value> = vec![Value::new(0.0); n];
-    let mut specials: Vec<usize> = vec![0; n];
-    let mut merged: Vec<Value> = vec![Value::new(0.0); n * n];
-    let mut active: Vec<usize> = vec![0; n];
-    let mut row_offsets: Vec<usize> = vec![0; n];
-    let mut row_lens: Vec<usize> = vec![0; n];
-    let mut lane_votes: Vec<Option<Value>> = vec![None; n];
-    let max_rounds = specs.iter().map(|s| s.cfg.max_rounds).max().unwrap_or(0);
-
-    // The lockstep round loop (see `run_general` for the schedule);
-    // statically allocation-free, enforced by `mbaa-analyze`.
-    // mbaa: alloc-free
-    for round_idx in 0..max_rounds {
-        let mut all_done = true;
-        for l in 0..k {
-            let spec = &specs[l];
-            let cfg = spec.cfg;
-            let ls = &mut lane_states[l];
-            if ls.done || round_idx >= cfg.max_rounds {
-                continue;
-            }
-            all_done = false;
-            let round = Round::new(round_idx as u64);
-            let votes_l = &mut votes[l * n..(l + 1) * n];
-            let states_l = &mut states[l * n..(l + 1) * n];
-            if !begin_lane_round(
-                cfg,
-                ls,
-                round,
-                votes_l,
-                states_l,
-                &mut plan,
-                &mut received,
-                observer,
-            ) {
-                continue;
-            }
-            let compute_even_if_faulty = cfg.model.agents_move_with_messages();
-
-            // Send-phase classification. A non-faulty, non-cured
-            // process broadcasts its vote; cured behaviour is the
-            // model's (Garay silent, Bonnet broadcast, Sasaki poisoned
-            // queue); faulty senders use the adversary's outbox.
-            observer.phase_start(Phase::Exchange);
-            let mut common_len = 0;
-            let mut specials_len = 0;
-            for (i, &vote) in votes_l.iter().enumerate() {
-                let p = ProcessId::new(i);
-                if plan.faulty.contains(p) {
-                    specials[specials_len] = i;
-                    specials_len += 1;
-                } else if plan.cured.contains(p) {
-                    match cfg.model {
-                        MobileModel::Garay => {}
-                        MobileModel::Bonnet => {
-                            common[common_len] = vote;
-                            common_len += 1;
-                        }
-                        MobileModel::Sasaki => {
-                            specials[specials_len] = i;
-                            specials_len += 1;
-                        }
-                        MobileModel::Buhrman => {
-                            unreachable!("Buhrman's model has no cured senders")
-                        }
-                    }
-                } else {
-                    common[common_len] = vote;
-                    common_len += 1;
-                }
-            }
-            common[..common_len].sort_unstable();
-
-            // Closed-form traffic accounting: a broadcast delivers to
-            // all n receivers, a special outbox to its Some slots, and
-            // every other reachable slot is a sender omission — the
-            // unmasked complete graph has no structural drops.
-            let mut delivered = (common_len * n) as u64;
-            for &s in &specials[..specials_len] {
-                delivered += special_outbox(&plan, s)
-                    .iter()
-                    .filter(|(_, slot)| slot.is_some())
-                    .count() as u64;
-            }
-            ls.stats.rounds += 1;
-            ls.stats.messages_delivered += delivered;
-            ls.stats.omissions += (n * n) as u64 - delivered;
-            observer.phase_end(Phase::Exchange);
-
-            // Compute phase: each active receiver's multiset is the
-            // common buffer merged with its special slots, ascending —
-            // the same sorted array the scalar multiset refill
-            // produces. Rows are packed back to back in `merged`; when
-            // every row has the same width the k-wide MSR fold handles
-            // the whole lane in one call.
-            observer.phase_start(Phase::MsrApply);
-            let mut rows = 0;
-            let mut total = 0;
-            let mut uniform = true;
-            for (r, state) in states_l.iter().enumerate() {
-                if !(state.is_non_faulty() || compute_even_if_faulty) {
-                    continue;
-                }
-                let receiver = ProcessId::new(r);
-                let mut extra_len = 0;
-                for &s in &specials[..specials_len] {
-                    if let Some(v) = special_outbox(&plan, s).get(receiver) {
-                        extra[extra_len] = v;
-                        extra_len += 1;
-                    }
-                }
-                extra[..extra_len].sort_unstable();
-                merge_sorted(
-                    &common[..common_len],
-                    &extra[..extra_len],
-                    &mut merged[total..total + common_len + extra_len],
-                );
-                let row_len = common_len + extra_len;
-                if rows > 0 && row_len != row_lens[0] {
-                    uniform = false;
-                }
-                active[rows] = r;
-                row_offsets[rows] = total;
-                row_lens[rows] = row_len;
-                rows += 1;
-                total += row_len;
-            }
-            if uniform && rows > 0 {
-                cfg.function.apply_sorted_lanes(
-                    &merged[..total],
-                    row_lens[0],
-                    &mut lane_votes[..rows],
-                );
-            } else {
-                for row in 0..rows {
-                    lane_votes[row] = cfg
-                        .function
-                        .apply_sorted(&merged[row_offsets[row]..row_offsets[row] + row_lens[row]]);
-                }
-            }
-            for row in 0..rows {
-                if let Some(next) = lane_votes[row] {
-                    votes_l[active[row]] = next;
-                }
-            }
-            observer.phase_end(Phase::MsrApply);
-
-            observer.phase_start(Phase::Record);
-            let diameter = finish_lane_round(cfg, ls, round_idx, votes_l, states_l);
-            if telemetry {
-                // The closed-form accounting above already yields the
-                // per-round traffic: the unmasked complete graph has no
-                // link faults, so every non-delivered slot is a sender
-                // omission.
-                let min_row = row_lens[..rows].iter().copied().min();
-                let width = match min_row {
-                    Some(len) => cfg.function.reduced_width(len),
-                    None => 0,
-                };
-                observer.on_round(&RoundEvent {
-                    seed: spec.seed,
-                    round: round_idx as u64,
-                    diameter,
-                    contraction: if ls.prev_diameter > 0.0 {
-                        diameter / ls.prev_diameter
-                    } else {
-                        1.0
-                    },
-                    faulty: plan.faulty.len() as u32,
-                    cured: plan.cured.len() as u32,
-                    corrupted: ls.corrupted_last,
-                    delivered,
-                    omissions: (n * n) as u64 - delivered,
-                    link_omissions: 0,
-                    msr_width: width as u32,
-                });
-                ls.prev_diameter = diameter;
-                ls.corruptions += u64::from(ls.corrupted_last);
-            }
-            observer.phase_end(Phase::Record);
-        }
-        if all_done {
-            break;
-        }
-    }
-
-    collect(specs, &votes, &states, lane_states, observer)
-}
-
-/// The per-receiver outbox of a "special" sender on the fast path: the
-/// adversary's outbox for a faulty process, the poisoned queue for a
-/// Sasaki-cured one.
-fn special_outbox(plan: &RoundFaultPlan, i: usize) -> &Outbox {
-    if plan.faulty.contains(ProcessId::new(i)) {
-        plan.faulty_outboxes[i]
-            .as_ref()
-            .expect("adversary provides an outbox for every faulty process")
-    } else {
-        plan.poisoned_outboxes[i]
-            .as_ref()
-            .expect("Sasaki adversary provides a poisoned queue for every cured process")
-    }
-}
-
-/// Merges two ascending slices into `out` (exactly `a.len() + b.len()`
-/// long), preserving order — the classic two-pointer merge, allocation
-/// free.
-// mbaa: alloc-free
-fn merge_sorted(a: &[Value], b: &[Value], out: &mut [Value]) {
-    debug_assert_eq!(out.len(), a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    for slot in out.iter_mut() {
-        let take_a = j >= b.len() || (i < a.len() && a[i] <= b[j]);
-        if take_a {
-            *slot = a[i];
-            i += 1;
-        } else {
-            *slot = b[j];
-            j += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbaa_net::{Topology, TopologySchedule};
 
     fn inputs(n: usize, salt: u64) -> Vec<Value> {
         (0..n)
@@ -1120,12 +634,20 @@ mod tests {
             .collect()
     }
 
-    fn lanes(n: usize, seeds: &[u64]) -> Vec<BatchLane> {
+    /// One lane per seed of `config`, each with seed-salted inputs, at the
+    /// batch loop's `Observe::Summary` level (the builder defaults to
+    /// `Full`, which the engine hands to the scalar recorder).
+    fn pack(config: &ProtocolConfig, seeds: &[u64]) -> Vec<PackedLane> {
         seeds
             .iter()
-            .map(|&seed| BatchLane {
-                seed,
-                inputs: inputs(n, seed),
+            .map(|&seed| {
+                let mut config = config.clone();
+                config.seed = seed;
+                config.observe = Observe::Summary;
+                PackedLane {
+                    inputs: inputs(config.n, seed),
+                    config,
+                }
             })
             .collect()
     }
@@ -1134,21 +656,22 @@ mod tests {
         ProtocolConfig::builder(model, n, f)
             .epsilon(1e-4)
             .max_rounds(400)
-            .seed(999) // must be ignored: every lane carries its own seed
             .build()
             .unwrap()
     }
 
-    fn assert_matches_scalar(config: &ProtocolConfig, batch_lanes: &[BatchLane]) {
-        let engine = BatchEngine::new(config.clone());
-        let results = engine.run(batch_lanes);
-        assert_eq!(results.len(), batch_lanes.len());
-        for (lane, result) in batch_lanes.iter().zip(results) {
-            let scalar = MobileEngine::new(engine.lane_config(lane.seed)).run(&lane.inputs);
+    /// Every lane's batched result — outcome or error — equals a scalar
+    /// run of its own configuration.
+    fn assert_matches_scalar(lanes: &[PackedLane]) {
+        let results = BatchEngine::run_packed(lanes);
+        assert_eq!(results.len(), lanes.len());
+        for (lane, result) in lanes.iter().zip(results) {
+            let seed = lane.config.seed;
+            let scalar = MobileEngine::new(lane.config.clone()).run(&lane.inputs);
             match (result, scalar) {
-                (Ok(batch), Ok(scalar)) => assert_eq!(batch, scalar, "seed {}", lane.seed),
-                (Err(b), Err(s)) => assert_eq!(b.to_string(), s.to_string(), "seed {}", lane.seed),
-                (b, s) => panic!("seed {}: batch {b:?} vs scalar {s:?}", lane.seed),
+                (Ok(batch), Ok(scalar)) => assert_eq!(batch, scalar, "seed {seed}"),
+                (Err(b), Err(s)) => assert_eq!(b, s, "seed {seed}"),
+                (b, s) => panic!("seed {seed}: batch {b:?} vs scalar {s:?}"),
             }
         }
     }
@@ -1159,7 +682,7 @@ mod tests {
             let f = 2;
             let n = model.required_processes(f);
             let config = base_config(model, n, f);
-            assert_matches_scalar(&config, &lanes(n, &[1, 2, 3, 4, 5]));
+            assert_matches_scalar(&pack(&config, &[1, 2, 3, 4, 5]));
         }
     }
 
@@ -1171,16 +694,59 @@ mod tests {
             .topology(Topology::Ring { k: 2 })
             .build()
             .unwrap();
-        assert_matches_scalar(&config, &lanes(9, &[7, 8, 9]));
+        assert_matches_scalar(&pack(&config, &[7, 8, 9]));
+    }
+
+    #[test]
+    fn random_regular_lanes_realize_their_own_graphs() {
+        // One realization group per lane seed, static and as a churn base;
+        // the repeated seed shares its group.
+        let regular = ProtocolConfig::builder(MobileModel::Garay, 9, 1)
+            .epsilon(1e-3)
+            .max_rounds(300)
+            .topology(Topology::RandomRegular { degree: 4 })
+            .build()
+            .unwrap();
+        assert_matches_scalar(&pack(&regular, &[1, 2, 3, 2]));
+        let churned = ProtocolConfig::builder(MobileModel::Garay, 9, 1)
+            .epsilon(1e-3)
+            .max_rounds(300)
+            .topology_schedule(TopologySchedule::SeededChurn {
+                base: Topology::RandomRegular { degree: 6 },
+                flip_rate: 0.1,
+            })
+            .build()
+            .unwrap();
+        assert_matches_scalar(&pack(&churned, &[4, 5]));
+    }
+
+    #[test]
+    fn failing_realizations_fail_only_their_lanes_with_the_scalar_error() {
+        // 9 processes of odd degree 3 have no regular realization under
+        // any seed; the healthy ring lanes of the same pack are unaffected.
+        let ring = ProtocolConfig::builder(MobileModel::Garay, 9, 1)
+            .epsilon(1e-3)
+            .max_rounds(300)
+            .topology(Topology::Ring { k: 2 })
+            .build()
+            .unwrap();
+        let mut infeasible = ring.clone();
+        infeasible.topology = Topology::RandomRegular { degree: 3 };
+        let mut lanes = pack(&ring, &[1, 2]);
+        lanes.extend(pack(&infeasible, &[3, 4]));
+        let results = BatchEngine::run_packed(&lanes);
+        assert!(results[0].is_ok() && results[1].is_ok());
+        assert!(matches!(results[2], Err(Error::InvalidParameter(_))));
+        assert_matches_scalar(&lanes);
     }
 
     #[test]
     fn wrong_input_count_fails_only_that_lane() {
         let n = 9;
         let config = base_config(MobileModel::Garay, n, 2);
-        let mut batch_lanes = lanes(n, &[1, 2, 3]);
-        batch_lanes[1].inputs.truncate(4);
-        let results = BatchEngine::new(config).run(&batch_lanes);
+        let mut lanes = pack(&config, &[1, 2, 3]);
+        lanes[1].inputs.truncate(4);
+        let results = BatchEngine::run_packed(&lanes);
         assert!(results[0].is_ok());
         assert!(matches!(
             results[1],
@@ -1193,48 +759,44 @@ mod tests {
     }
 
     #[test]
-    fn single_lane_degenerates_to_scalar() {
-        let n = 9;
-        let config = base_config(MobileModel::Garay, n, 2);
-        assert_matches_scalar(&config, &lanes(n, &[42]));
+    fn single_lane_runs_the_batch_loop() {
+        let config = base_config(MobileModel::Garay, 9, 2);
+        assert_matches_scalar(&pack(&config, &[42]));
+        assert!(BatchEngine::run_packed(&[]).is_empty());
     }
 
     #[test]
     fn trivially_agreeing_lanes_terminate_without_rounds() {
         let n = 9;
         let config = base_config(MobileModel::Garay, n, 2);
-        let batch_lanes: Vec<BatchLane> = [1u64, 2]
-            .iter()
-            .map(|&seed| BatchLane {
-                seed,
-                inputs: vec![Value::new(0.5); n],
-            })
-            .collect();
-        let results = BatchEngine::new(config.clone()).run(&batch_lanes);
-        for result in &results {
-            let outcome = result.as_ref().unwrap();
+        let mut lanes = pack(&config, &[1, 2]);
+        for lane in &mut lanes {
+            lane.inputs = vec![Value::new(0.5); n];
+        }
+        for result in BatchEngine::run_packed(&lanes) {
+            let outcome = result.unwrap();
             assert!(outcome.reached_agreement);
             assert_eq!(outcome.rounds_executed, 0);
             assert_eq!(outcome.network_stats.rounds, 0);
         }
-        assert_matches_scalar(&config, &batch_lanes);
+        assert_matches_scalar(&lanes);
     }
 
     #[test]
     fn tight_epsilon_exhausts_the_budget_identically() {
-        let n = 9;
-        let config = ProtocolConfig::builder(MobileModel::Garay, n, 2)
+        let config = ProtocolConfig::builder(MobileModel::Garay, 9, 2)
             .epsilon(1e-300)
             .max_rounds(20)
             .build()
             .unwrap();
-        assert_matches_scalar(&config, &lanes(n, &[1, 2]));
+        assert_matches_scalar(&pack(&config, &[1, 2]));
     }
 
     #[test]
     fn packed_cross_point_lanes_match_their_own_scalar_runs() {
-        // Three shape-compatible points with different ε, budgets, and
-        // networks — one pack, per-lane outcomes bit-identical to scalar.
+        // Four shape-compatible points with different ε, budgets, and
+        // networks — one pack, per-lane outcomes (network stats included)
+        // bit-identical to scalar.
         let n = 9;
         let ring = ProtocolConfig::builder(MobileModel::Garay, n, 1)
             .epsilon(1e-3)
@@ -1256,48 +818,41 @@ mod tests {
             })
             .build()
             .unwrap();
-        let mut pack = Vec::new();
-        for (point, cfg) in [ring, complete, churn].iter().enumerate() {
-            for seed in 1..=3u64 {
-                let mut config = cfg.clone();
-                config.seed = seed + 10 * point as u64;
-                pack.push(PackedLane {
-                    inputs: inputs(n, config.seed),
-                    config,
-                });
-            }
+        let regular = ProtocolConfig::builder(MobileModel::Garay, n, 1)
+            .epsilon(1e-4)
+            .max_rounds(200)
+            .topology(Topology::RandomRegular { degree: 4 })
+            .build()
+            .unwrap();
+        let mut lanes = Vec::new();
+        for (point, cfg) in [ring, complete, churn, regular].iter().enumerate() {
+            let seeds: Vec<u64> = (1..=3u64).map(|s| s + 10 * point as u64).collect();
+            lanes.extend(pack(cfg, &seeds));
         }
-        let results = BatchEngine::run_packed(&pack);
-        assert_eq!(results.len(), pack.len());
-        for (lane, result) in pack.iter().zip(results) {
-            let scalar = MobileEngine::new(lane.config.clone())
-                .run(&lane.inputs)
-                .unwrap();
-            assert_eq!(result.unwrap(), scalar, "seed {}", lane.config.seed);
-        }
+        assert_matches_scalar(&lanes);
     }
 
     #[test]
     fn shape_incompatible_packs_fall_back_to_scalar() {
         let a = base_config(MobileModel::Garay, 9, 1);
         let b = base_config(MobileModel::Garay, 13, 2);
-        let pack = vec![
-            PackedLane {
-                config: a.clone(),
-                inputs: inputs(9, 1),
-            },
-            PackedLane {
-                config: b.clone(),
-                inputs: inputs(13, 2),
-            },
-        ];
         assert!(!shape_compatible(&a, &b));
-        let results = BatchEngine::run_packed(&pack);
-        for (lane, result) in pack.iter().zip(results) {
-            let scalar = MobileEngine::new(lane.config.clone())
-                .run(&lane.inputs)
-                .unwrap();
-            assert_eq!(result.unwrap(), scalar);
+        let mut lanes = pack(&a, &[1]);
+        lanes.extend(pack(&b, &[2]));
+        assert_matches_scalar(&lanes);
+    }
+
+    #[test]
+    fn recording_packs_delegate_to_the_scalar_recorder() {
+        let mut lanes = pack(&base_config(MobileModel::Bonnet, 11, 2), &[1, 2]);
+        for lane in &mut lanes {
+            lane.config.observe = Observe::Full;
         }
+        for result in BatchEngine::run_packed(&lanes) {
+            let outcome = result.unwrap();
+            assert_eq!(outcome.trace.len(), outcome.rounds_executed);
+            assert_eq!(outcome.configurations.len(), outcome.rounds_executed);
+        }
+        assert_matches_scalar(&lanes);
     }
 }

@@ -498,17 +498,15 @@ pub(crate) fn emit_run_events<O: Observer>(
 /// adversary's pool); `outboxes[i]` always carries sender `i` into the
 /// exchange; `deliveries` is fully overwritten by
 /// [`SyncNetwork::exchange_into`]; `received` is refilled per process.
-/// Shared between the scalar engine and the seed-batched engine in
-/// [`crate::batch`] so both loops allocate identically.
-pub(crate) struct RoundScratch {
-    pub(crate) plan: RoundFaultPlan,
-    pub(crate) outboxes: Vec<Outbox>,
-    pub(crate) deliveries: DeliveryMatrix,
-    pub(crate) received: ValueMultiset,
+struct RoundScratch {
+    plan: RoundFaultPlan,
+    outboxes: Vec<Outbox>,
+    deliveries: DeliveryMatrix,
+    received: ValueMultiset,
 }
 
 impl RoundScratch {
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         RoundScratch {
             plan: RoundFaultPlan::empty(n),
             outboxes: (0..n)
@@ -523,9 +521,9 @@ impl RoundScratch {
 /// Rewrites the reused outbox of one process for the send phase, honouring
 /// the model-specific behaviour of faulty and cured processes. In-place
 /// counterpart of the historical per-round outbox construction: slot
-/// contents are identical, nothing is allocated. Shared by the scalar and
-/// the seed-batched round loops.
-pub(crate) fn fill_outbox(
+/// contents are identical, nothing is allocated. The seed-batched loop
+/// mirrors this classification in `batch::classify_send`.
+fn fill_outbox(
     model: MobileModel,
     outbox: &mut Outbox,
     p: ProcessId,

@@ -52,7 +52,7 @@ pub mod lower_bounds;
 pub mod mapping;
 mod snapshot;
 
-pub use batch::{shape_compatible, BatchEngine, BatchLane, PackedLane};
+pub use batch::{shape_compatible, BatchEngine, PackedLane};
 pub use config::{defaults, Observe, ProtocolConfig, ProtocolConfigBuilder};
 pub use engine::{MobileEngine, MobileRunOutcome};
 pub use snapshot::{ProcessTuple, RoundSnapshot};

@@ -131,7 +131,7 @@ pub use mbaa_sim as sim;
 
 pub use mbaa_adversary::{CorruptionStrategy, MobileAdversary, MobilityStrategy};
 pub use mbaa_core::{
-    BatchEngine, BatchLane, MobileEngine, MobileRunOutcome, Observe, ProtocolConfig,
+    BatchEngine, MobileEngine, MobileRunOutcome, Observe, PackedLane, ProtocolConfig,
     ProtocolConfigBuilder, RoundSnapshot,
 };
 pub use mbaa_msr::{MedianVoting, MsrFunction, Reduction, Selection, VotingFunction};

@@ -9,27 +9,39 @@
 //! the lanes of a batch — and it is by far the most expensive to build and
 //! the only part that costs per-round allocations on the churn path.
 //!
-//! [`SharedRealization`] splits the bundle: it holds the seed-independent
-//! structure once per batch (adjacency, closed-neighbourhood lists, compiled
-//! fault matrices, per-phase connectivity) plus reusable round scratch,
-//! while each lane carries only a tiny [`LaneDelivery`] (seed, round
-//! cursor, delay pipes when the plan needs them). A lane round is served by
-//! [`SharedRealization::exchange_rows`], which classifies and accounts
-//! every slot exactly as the scalar exchange would — same statistics
-//! counters, same omission/churn draw streams, same delay buffering — but
-//! collects each active receiver's delivered values directly into packed
-//! [`DeliveryRows`] instead of an `n × n` slot matrix, skipping the
-//! quadratic outbox materialization for broadcasting senders via
-//! [`LaneSend`] classification.
+//! [`SharedRealization`] splits the bundle: it holds the structure once per
+//! batch plus reusable round scratch, while each lane carries only a tiny
+//! [`LaneDelivery`] (seed, round cursor, delay pipes when the plan needs
+//! them). A lane round is served by [`SharedRealization::exchange_rows`],
+//! which classifies and accounts every slot exactly as the scalar exchange
+//! would — same statistics counters, same omission/churn draw streams, same
+//! delay buffering — but collects each active receiver's delivered values
+//! directly into packed, ascending [`DeliveryRows`] instead of an `n × n`
+//! slot matrix, skipping the quadratic outbox materialization for
+//! broadcasting senders via [`LaneSend`] classification.
 //!
-//! Only *seed-invariant* descriptions are shareable: a
-//! [`Topology::RandomRegular`] realizes differently per lane seed, so
-//! [`SharedRealization::try_build`] refuses it (anywhere — as the static
-//! graph, a periodic phase, or a churn base) and the engine falls back to
-//! one scalar network per lane. Seeded churn *is* shareable: the base graph
-//! is realized once and the per-`(seed, round, link)` down-draws are
-//! replayed per lane against the crate-internal draw primitive, so the
-//! realized per-round graphs match the scalar path bit for bit.
+//! The realization comes in three kinds, chosen at build exactly as the
+//! scalar network lowers the same description:
+//!
+//! * **complete** — the unmasked complete graph under a clean plan. Every
+//!   receiver hears every broadcaster, so the broadcast values are sorted
+//!   once per lane round and each receiver's row is that common buffer
+//!   merged with its ≤ 2f per-receiver slots; traffic is accounted in
+//!   closed form. This replaces `n` row sorts with one sort and `n` merges.
+//! * **static** — any other fixed graph under a clean plan, walked through
+//!   precomputed closed in-neighbourhood lists.
+//! * **dynamic** — per-round graphs (periodic phases, seeded churn) and/or
+//!   per-link omissions and delays.
+//!
+//! A [`Topology::RandomRegular`] graph realizes differently per seed
+//! (anywhere — as the static graph, a periodic phase, or a churn base), so
+//! such descriptions are built once per lane seed
+//! ([`SharedRealization::realizes_per_seed`]); every other description is
+//! seed-invariant and built once per batch. Seeded churn is shared: the
+//! base graph is realized once and the per-`(seed, round, link)`
+//! down-draws are replayed per lane against the crate-internal draw
+//! primitive, so the realized per-round graphs match the scalar path bit
+//! for bit.
 
 use std::collections::VecDeque;
 
@@ -49,39 +61,44 @@ use crate::{
 /// The classification must match what
 /// [`Outbox`]es the scalar engine would build: `Broadcast(v)` stands for a
 /// `fill_broadcast(v)` outbox (every slot `Some(v)`, self included),
-/// `Silent` for a `fill_silent` one, and `PerReceiver(i)` defers to
-/// `outboxes[i]` for the few genuinely per-receiver senders (adversary
-/// outboxes, poisoned queues).
+/// `Silent` for a `fill_silent` one, and `PerReceiver` defers to the
+/// sender's own outbox for the few genuinely per-receiver senders
+/// (adversary outboxes, poisoned queues), looked up through the
+/// `outbox_of` accessor passed to [`SharedRealization::exchange_rows`].
 #[derive(Debug, Clone, Copy)]
 pub enum LaneSend {
     /// The sender broadcasts one value to every receiver (itself included).
     Broadcast(Value),
     /// The sender omits to every receiver.
     Silent,
-    /// The sender's slots come from the outbox at this index of the
-    /// `outboxes` slice passed to [`SharedRealization::exchange_rows`].
-    PerReceiver(usize),
+    /// The sender's slots come from its own outbox.
+    PerReceiver,
 }
 
 impl LaneSend {
-    /// The value this sender puts on its link to `receiver`.
+    /// The value `sender` puts on its link to `receiver`.
     #[inline]
-    fn slot(self, outboxes: &[Outbox], receiver: ProcessId) -> Option<Value> {
+    fn slot<'o>(
+        self,
+        outbox_of: &impl Fn(usize) -> &'o Outbox,
+        sender: usize,
+        receiver: ProcessId,
+    ) -> Option<Value> {
         match self {
             LaneSend::Broadcast(value) => Some(value),
             LaneSend::Silent => None,
-            LaneSend::PerReceiver(i) => outboxes[i].get(receiver),
+            LaneSend::PerReceiver => outbox_of(sender).get(receiver),
         }
     }
 }
 
 /// Packed per-receiver delivery rows of one lane round: row `i` holds the
-/// values delivered to the `i`-th *active* receiver, back to back in one
-/// flat buffer sized once at `n²`.
+/// values delivered to the `i`-th *active* receiver in ascending order,
+/// back to back in one flat buffer sized once at `n²`.
 ///
-/// Rows are collected in receiver order, each in ascending-sender order;
-/// the engine sorts each row in place and, when every row has the same
-/// width, feeds the whole flat buffer to the k-wide MSR fold in one call.
+/// Rows are collected in receiver order. When every row has the same
+/// width the engine feeds the whole flat buffer to the k-wide MSR fold in
+/// one call.
 #[derive(Debug)]
 pub struct DeliveryRows {
     merged: Vec<Value>,
@@ -114,6 +131,8 @@ impl DeliveryRows {
         self.uniform = true;
     }
 
+    /// Records `merged[start..start + len]` as the next row; the slice must
+    /// already be ascending.
     fn push_row(&mut self, receiver: usize, start: usize, len: usize) {
         if self.rows > 0 && len != self.lens[0] {
             self.uniform = false;
@@ -123,6 +142,14 @@ impl DeliveryRows {
         self.lens[self.rows] = len;
         self.rows += 1;
         self.total = start + len;
+    }
+
+    /// Sorts a row collected in ascending-sender order — the same unstable
+    /// sort, over the same input order, that the scalar multiset refill
+    /// performs — and records it.
+    fn sort_and_push_row(&mut self, receiver: usize, start: usize, len: usize) {
+        self.merged[start..start + len].sort_unstable();
+        self.push_row(receiver, start, len);
     }
 
     /// The number of active receivers collected this round.
@@ -137,16 +164,10 @@ impl DeliveryRows {
         self.receivers[row]
     }
 
-    /// The values delivered to the `row`-th active receiver.
+    /// The values delivered to the `row`-th active receiver, ascending.
     #[must_use]
     pub fn row(&self, row: usize) -> &[Value] {
         &self.merged[self.offsets[row]..self.offsets[row] + self.lens[row]]
-    }
-
-    /// Mutable form of [`DeliveryRows::row`] — the engine sorts each row in
-    /// place before applying the voting function.
-    pub fn row_mut(&mut self, row: usize) -> &mut [Value] {
-        &mut self.merged[self.offsets[row]..self.offsets[row] + self.lens[row]]
     }
 
     /// `Some(len)` when at least one row was collected and every row has
@@ -272,10 +293,23 @@ struct DynScratch {
     stack: Vec<u32>,
 }
 
+/// Reusable per-round scratch of the complete kind, shared across lanes:
+/// the sorted broadcast values, the per-receiver senders, and one
+/// receiver's slots from them.
+#[derive(Debug)]
+struct CompleteScratch {
+    common: Vec<Value>,
+    specials: Vec<usize>,
+    extra: Vec<Value>,
+}
+
 #[derive(Debug)]
 enum SharedKind {
-    /// A static graph under a clean fault plan: the closed-form static
-    /// exchange, one accounting line per receiver.
+    /// The unmasked complete graph under a clean fault plan: one sort of
+    /// the broadcasters, a merge per receiver, closed-form accounting.
+    Complete(CompleteScratch),
+    /// Any other static graph under a clean fault plan: the closed-form
+    /// static exchange, one accounting line per receiver.
     Static(StaticGraph),
     /// The dynamic path: per-round graphs and/or per-link faults.
     Dynamic {
@@ -288,27 +322,42 @@ enum SharedKind {
     },
 }
 
-/// The seed-independent structure of one network description, realized once
-/// per batch and shared by every lane. The module documentation above
-/// spells out what is shared and what stays lane-local.
+impl SharedKind {
+    /// The static kind of a fixed graph: a complete adjacency lowers onto
+    /// the complete kind, as [`SyncNetwork::with_topology`](crate::SyncNetwork::with_topology)
+    /// lowers it onto the unmasked path.
+    fn fixed(n: usize, adjacency: &Adjacency) -> Self {
+        if adjacency.is_complete() {
+            Self::complete(n)
+        } else {
+            SharedKind::Static(StaticGraph::new(adjacency))
+        }
+    }
+
+    fn complete(n: usize) -> Self {
+        SharedKind::Complete(CompleteScratch {
+            common: vec![Value::new(0.0); n],
+            specials: vec![0; n],
+            extra: vec![Value::new(0.0); n],
+        })
+    }
+}
+
+/// The seed-invariant structure of one network description — or, for a
+/// description that [realizes per seed](SharedRealization::realizes_per_seed),
+/// the structure of one lane seed — realized once and shared by every lane
+/// of its group. The module documentation above spells out what is shared
+/// and what stays lane-local.
 #[derive(Debug)]
 pub struct SharedRealization {
     n: usize,
     kind: SharedKind,
 }
 
-/// Seed-invariance of a topology description: everything but
-/// [`Topology::RandomRegular`] realizes to the same graph under every seed.
-fn topology_seed_invariant(topology: &Topology) -> bool {
-    !matches!(topology, Topology::RandomRegular { .. })
-}
-
-fn schedule_seed_invariant(schedule: &TopologySchedule) -> bool {
-    match schedule {
-        TopologySchedule::Static(topology) => topology_seed_invariant(topology),
-        TopologySchedule::Periodic { phases } => phases.iter().all(topology_seed_invariant),
-        TopologySchedule::SeededChurn { base, .. } => topology_seed_invariant(base),
-    }
+/// Seed-dependence of a topology description: only
+/// [`Topology::RandomRegular`] realizes to a different graph per seed.
+fn topology_per_seed(topology: &Topology) -> bool {
+    matches!(topology, Topology::RandomRegular { .. })
 }
 
 /// Counts the connected components of a flat link mask (diagonal set), the
@@ -337,34 +386,70 @@ fn mask_components(mask: &[bool], n: usize, visited: &mut [bool], stack: &mut Ve
     components
 }
 
+/// Merges two ascending slices into `out` (exactly `a.len() + b.len()`
+/// long), preserving order — the classic two-pointer merge, allocation
+/// free.
+// mbaa: alloc-free
+fn merge_sorted(a: &[Value], b: &[Value], out: &mut [Value]) {
+    debug_assert_eq!(out.len(), a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    for slot in out.iter_mut() {
+        let take_a = j >= b.len() || (i < a.len() && a[i] <= b[j]);
+        if take_a {
+            *slot = a[i];
+            i += 1;
+        } else {
+            *slot = b[j];
+            j += 1;
+        }
+    }
+}
+
 impl SharedRealization {
-    /// Builds the shared structure for one network description, mirroring
-    /// the lowering decisions of the scalar engine exactly: no schedule and
-    /// a clean plan realize a static graph; a schedule whose per-round
-    /// graphs cannot differ under a clean compiled plan lowers onto the
-    /// static form; everything else takes the dynamic form.
-    ///
-    /// Returns `None` when the description is not shareable — a
-    /// seed-dependent topology anywhere in it, or a description that fails
-    /// to realize or compile (the caller's per-lane fallback reproduces the
-    /// identical error per lane).
+    /// Whether the description realizes to a different structure per seed
+    /// — a [`Topology::RandomRegular`] graph as the static topology, a
+    /// periodic phase, or a churn base. Such descriptions need one
+    /// realization per lane seed; all others share one per batch.
     #[must_use]
-    pub fn try_build(
+    pub fn realizes_per_seed(topology: &Topology, schedule: Option<&TopologySchedule>) -> bool {
+        match schedule {
+            None => topology_per_seed(topology),
+            Some(TopologySchedule::Static(scheduled)) => topology_per_seed(scheduled),
+            Some(TopologySchedule::Periodic { phases }) => phases.iter().any(topology_per_seed),
+            Some(TopologySchedule::SeededChurn { base, .. }) => topology_per_seed(base),
+        }
+    }
+
+    /// Builds the structure for one network description under one seed,
+    /// mirroring the lowering decisions of the scalar engine exactly: no
+    /// schedule and a clean plan realize a fixed graph (the complete kind
+    /// for the complete graph, the static kind otherwise); a schedule whose
+    /// per-round graphs cannot differ under a clean compiled plan lowers
+    /// onto the same fixed form; everything else takes the dynamic form.
+    ///
+    /// The seed only matters for descriptions that
+    /// [realize per seed](SharedRealization::realizes_per_seed); churn and
+    /// omission draws key on each lane's own seed at exchange time.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the errors the scalar engine raises when it builds the
+    /// network for the same configuration and seed: a failed graph
+    /// realization, or a link-fault plan that does not compile.
+    pub fn build(
         n: usize,
         topology: &Topology,
         schedule: Option<&TopologySchedule>,
         link_faults: &LinkFaultPlan,
         policy: DisconnectionPolicy,
-    ) -> Option<SharedRealization> {
+        seed: u64,
+    ) -> Result<SharedRealization> {
         if schedule.is_none() && link_faults.is_clean() {
-            if !topology_seed_invariant(topology) {
-                return None;
-            }
-            let adjacency = topology.realize(n, 0).ok()?;
-            return Some(SharedRealization {
-                n,
-                kind: SharedKind::Static(StaticGraph::new(&adjacency)),
-            });
+            let kind = match topology {
+                Topology::Complete => SharedKind::complete(n),
+                partial => SharedKind::fixed(n, &partial.realize(n, seed)?),
+            };
+            return Ok(SharedRealization { n, kind });
         }
         let implied;
         let schedule = match schedule {
@@ -374,19 +459,12 @@ impl SharedRealization {
                 &implied
             }
         };
-        if !schedule_seed_invariant(schedule) {
-            return None;
-        }
-        // Seed 0 stands in for every lane seed: the invariance check above
-        // guarantees realization ignores it, and churn draws key on the
-        // lane seed at exchange time, not here.
-        let realized = schedule.realize(n, 0).ok()?;
-        let faults = link_faults.compile(n).ok()?;
+        let realized = schedule.realize(n, seed)?;
+        let faults = link_faults.compile(n)?;
         if faults.is_clean() && !realized.is_dynamic() {
-            let adjacency = realized.adjacency_at(Round::ZERO).into_owned();
-            return Some(SharedRealization {
+            return Ok(SharedRealization {
                 n,
-                kind: SharedKind::Static(StaticGraph::new(&adjacency)),
+                kind: SharedKind::fixed(n, &realized.adjacency_at(Round::ZERO)),
             });
         }
         let max_delay = faults.compiled_max_delay();
@@ -430,7 +508,7 @@ impl SharedRealization {
                 Vec::new()
             },
         };
-        Some(SharedRealization {
+        Ok(SharedRealization {
             n,
             kind: SharedKind::Dynamic {
                 graphs,
@@ -440,12 +518,6 @@ impl SharedRealization {
                 scratch,
             },
         })
-    }
-
-    /// The number of processes every lane of this realization covers.
-    #[must_use]
-    pub fn universe(&self) -> usize {
-        self.n
     }
 
     /// Creates the per-lane delivery state for one lane seed.
@@ -466,21 +538,21 @@ impl SharedRealization {
 
     /// Performs the send + receive phases of one lane's round, collecting
     /// the values delivered to every receiver whose `active` flag is set
-    /// into `rows` (ascending-sender order per row) and accounting **all**
-    /// `n²` slots into `stats` — delivered values, sender omissions,
-    /// structural non-deliveries, link omissions/delays — with the exact
-    /// counter semantics of the scalar [`SyncNetwork`](crate::SyncNetwork)
-    /// exchange for the same lane-seeded configuration.
+    /// into `rows` (ascending per row) and accounting **all** `n²` slots
+    /// into `stats` — delivered values, sender omissions, structural
+    /// non-deliveries, link omissions/delays — with the exact counter
+    /// semantics of the scalar [`SyncNetwork`](crate::SyncNetwork) exchange
+    /// for the same lane-seeded configuration.
     ///
-    /// `sends` classifies every sender; `outboxes` backs its
-    /// [`LaneSend::PerReceiver`] entries (only those indices are read).
+    /// `sends` classifies every sender; `outbox_of(s)` is read, in place,
+    /// only for senders classified [`LaneSend::PerReceiver`].
     ///
     /// # Errors
     ///
     /// Exactly as the scalar dynamic exchange: out-of-order rounds are
     /// rejected ([`Error::InvalidParameter`]) and a disconnected round
     /// under [`DisconnectionPolicy::Reject`] fails with
-    /// [`Error::DisconnectedRound`]. Static realizations never fail.
+    /// [`Error::DisconnectedRound`]. Fixed-graph realizations never fail.
     ///
     /// # Panics
     ///
@@ -490,12 +562,12 @@ impl SharedRealization {
     // statement-for-statement mirror of the scalar exchange.
     #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
     // mbaa: alloc-free
-    pub fn exchange_rows(
+    pub fn exchange_rows<'o>(
         &mut self,
         lane: &mut LaneDelivery,
         round: Round,
         sends: &[LaneSend],
-        outboxes: &[Outbox],
+        outbox_of: impl Fn(usize) -> &'o Outbox,
         active: &[bool],
         rows: &mut DeliveryRows,
         stats: &mut NetworkStats,
@@ -505,6 +577,74 @@ impl SharedRealization {
         assert_eq!(active.len(), n, "one active flag per process");
         rows.reset();
         match &mut self.kind {
+            SharedKind::Complete(CompleteScratch {
+                common,
+                specials,
+                extra,
+            }) => {
+                // Broadcasters feed one common buffer, sorted once; the
+                // ≤ 2f per-receiver senders are kept aside.
+                let mut common_len = 0;
+                let mut specials_len = 0;
+                for (s, &send) in sends.iter().enumerate() {
+                    match send {
+                        LaneSend::Broadcast(value) => {
+                            common[common_len] = value;
+                            common_len += 1;
+                        }
+                        LaneSend::Silent => {}
+                        LaneSend::PerReceiver => {
+                            specials[specials_len] = s;
+                            specials_len += 1;
+                        }
+                    }
+                }
+                common[..common_len].sort_unstable();
+                let common = &common[..common_len];
+                let specials = &specials[..specials_len];
+
+                // Closed-form traffic accounting: a broadcast delivers to
+                // all n receivers, a per-receiver outbox to its Some slots,
+                // and every other slot is a sender omission — the unmasked
+                // complete graph has no structural drops.
+                let mut delivered = (common_len * n) as u64;
+                for &s in specials {
+                    delivered += outbox_of(s)
+                        .iter()
+                        .filter(|(_, slot)| slot.is_some())
+                        .count() as u64;
+                }
+                stats.rounds += 1;
+                stats.messages_delivered += delivered;
+                stats.omissions += (n * n) as u64 - delivered;
+
+                // Each active receiver's row is the common buffer merged
+                // with its special slots — the same ascending array the
+                // scalar multiset refill produces.
+                for r in 0..n {
+                    if !active[r] {
+                        continue;
+                    }
+                    let receiver = ProcessId::new(r);
+                    let mut extra_len = 0;
+                    for &s in specials {
+                        if let Some(value) = outbox_of(s).get(receiver) {
+                            extra[extra_len] = value;
+                            extra_len += 1;
+                        }
+                    }
+                    extra[..extra_len].sort_unstable();
+                    let start = rows.total;
+                    let len = common_len + extra_len;
+                    merge_sorted(
+                        common,
+                        &extra[..extra_len],
+                        &mut rows.merged[start..start + len],
+                    );
+                    rows.push_row(r, start, len);
+                }
+                Ok(())
+            }
             SharedKind::Static(graph) => {
                 stats.rounds += 1;
                 for r in 0..n {
@@ -516,17 +656,19 @@ impl SharedRealization {
                         let start = rows.total;
                         let mut len = 0usize;
                         for &s in hood {
-                            if let Some(value) = sends[s as usize].slot(outboxes, receiver) {
+                            let s = s as usize;
+                            if let Some(value) = sends[s].slot(&outbox_of, s, receiver) {
                                 rows.merged[start + len] = value;
                                 len += 1;
                             }
                         }
                         delivered = len as u64;
-                        rows.push_row(r, start, len);
+                        rows.sort_and_push_row(r, start, len);
                     } else {
                         for &s in hood {
+                            let s = s as usize;
                             delivered +=
-                                u64::from(sends[s as usize].slot(outboxes, receiver).is_some());
+                                u64::from(sends[s].slot(&outbox_of, s, receiver).is_some());
                         }
                     }
                     stats.messages_delivered += delivered;
@@ -608,7 +750,7 @@ impl SharedRealization {
                         let mut len = 0usize;
                         let mut deliver =
                             |s: usize, rows: &mut DeliveryRows, stats: &mut NetworkStats| {
-                                match sends[s].slot(outboxes, receiver) {
+                                match sends[s].slot(&outbox_of, s, receiver) {
                                     None => stats.omissions += 1,
                                     Some(value) => {
                                         if omission_lost(
@@ -649,7 +791,7 @@ impl SharedRealization {
                             }
                         }
                         if row_active {
-                            rows.push_row(r, start, len);
+                            rows.sort_and_push_row(r, start, len);
                         }
                     }
                 } else {
@@ -672,7 +814,7 @@ impl SharedRealization {
                             let sent = if !reachable {
                                 SendOutcome::Unreachable
                             } else {
-                                match sends[s].slot(outboxes, receiver) {
+                                match sends[s].slot(&outbox_of, s, receiver) {
                                     None => SendOutcome::SenderOmitted,
                                     Some(value) => {
                                         if omission_lost(
@@ -719,7 +861,7 @@ impl SharedRealization {
                             }
                         }
                         if row_active {
-                            rows.push_row(r, start, len);
+                            rows.sort_and_push_row(r, start, len);
                         }
                     }
                 }
@@ -739,20 +881,56 @@ mod tests {
         ProcessId::new(i)
     }
 
-    fn broadcast_sends(n: usize) -> Vec<LaneSend> {
-        (0..n)
-            .map(|i| LaneSend::Broadcast(Value::new(i as f64)))
-            .collect()
+    /// A send phase with every classification: senders 0 and 2 have
+    /// genuinely per-receiver outboxes (sender 0 reaches even receivers
+    /// only, sender 2 sends a value that falls as the receiver index
+    /// rises, so the two slots arrive in either order), sender 1 is
+    /// silent, and every other sender broadcasts a value that collides
+    /// with the per-receiver slots, so rows need real merging. Returns the
+    /// classified sends and the equivalent scalar outboxes.
+    fn mixed_send_phase(n: usize) -> (Vec<LaneSend>, Vec<Outbox>) {
+        let value = |i: usize| Value::new((i % 4) as f64);
+        let sends = (0..n)
+            .map(|i| match i {
+                0 | 2 => LaneSend::PerReceiver,
+                1 => LaneSend::Silent,
+                _ => LaneSend::Broadcast(value(i)),
+            })
+            .collect();
+        let outboxes = (0..n)
+            .map(|i| match i {
+                0 => Outbox::per_receiver(
+                    pid(0),
+                    (0..n)
+                        .map(|r| (r % 2 == 0).then(|| Value::new(r as f64 / 2.0)))
+                        .collect(),
+                ),
+                1 => Outbox::silent(n, pid(1)),
+                2 => Outbox::per_receiver(
+                    pid(2),
+                    (0..n).map(|r| Some(Value::new((n - r) as f64))).collect(),
+                ),
+                _ => Outbox::broadcast(n, pid(i), value(i)),
+            })
+            .collect();
+        (sends, outboxes)
     }
 
-    fn broadcast_outboxes(n: usize) -> Vec<Outbox> {
-        (0..n)
-            .map(|i| Outbox::broadcast(n, pid(i), Value::new(i as f64)))
-            .collect()
+    fn build(
+        n: usize,
+        topology: &Topology,
+        schedule: Option<&TopologySchedule>,
+        plan: &LinkFaultPlan,
+        policy: DisconnectionPolicy,
+        seed: u64,
+    ) -> SharedRealization {
+        SharedRealization::build(n, topology, schedule, plan, policy, seed)
+            .expect("description builds")
     }
 
     /// Runs `rounds` rounds through both the scalar network and the shared
-    /// realization and asserts identical per-receiver multisets and stats.
+    /// realization and asserts identical per-receiver multisets (the
+    /// scalar rows sorted, the shared rows as delivered) and stats.
     fn assert_matches_scalar(
         topology: &Topology,
         schedule: Option<&TopologySchedule>,
@@ -771,26 +949,32 @@ mod tests {
             SyncNetwork::with_dynamics(desc.realize(n, seed).unwrap(), plan, policy, seed).unwrap()
         }
         .with_trace_recording(false);
-        let mut shared = SharedRealization::try_build(n, topology, schedule, plan, policy)
-            .expect("description is shareable");
+        let mut shared = build(n, topology, schedule, plan, policy, seed);
         let mut lane = shared.lane(seed);
         let mut rows = DeliveryRows::new(n);
         let mut stats = NetworkStats::new();
-        let sends = broadcast_sends(n);
-        let outboxes = broadcast_outboxes(n);
+        let (sends, outboxes) = mixed_send_phase(n);
         let active = vec![true; n];
         for round in 0..rounds {
             let round = Round::new(round);
             let deliveries = scalar.exchange(round, outboxes.clone()).unwrap();
             shared
                 .exchange_rows(
-                    &mut lane, round, &sends, &outboxes, &active, &mut rows, &mut stats,
+                    &mut lane,
+                    round,
+                    &sends,
+                    |s| &outboxes[s],
+                    &active,
+                    &mut rows,
+                    &mut stats,
                 )
                 .unwrap();
             assert_eq!(rows.rows(), n);
             for row in 0..rows.rows() {
                 let r = rows.receiver(row);
-                let scalar_row: Vec<Value> = deliveries[r].iter().filter_map(|(_, v)| v).collect();
+                let mut scalar_row: Vec<Value> =
+                    deliveries[r].iter().filter_map(|(_, v)| v).collect();
+                scalar_row.sort_unstable();
                 assert_eq!(rows.row(row), &scalar_row[..], "round {round} receiver {r}");
             }
         }
@@ -812,15 +996,19 @@ mod tests {
 
     #[test]
     fn complete_delivery_matches_scalar() {
-        assert_matches_scalar(
-            &Topology::Complete,
-            None,
-            &LinkFaultPlan::new(),
-            DisconnectionPolicy::Record,
-            7,
-            1,
-            4,
-        );
+        // The plain complete graph and a ring wide enough to normalize to
+        // it both take the complete kind.
+        for topology in [Topology::Complete, Topology::Ring { k: 6 }] {
+            assert_matches_scalar(
+                &topology,
+                None,
+                &LinkFaultPlan::new(),
+                DisconnectionPolicy::Record,
+                7,
+                1,
+                4,
+            );
+        }
     }
 
     #[test]
@@ -875,27 +1063,66 @@ mod tests {
     }
 
     #[test]
-    fn random_regular_is_not_shareable() {
-        assert!(SharedRealization::try_build(
-            10,
-            &Topology::RandomRegular { degree: 4 },
+    fn random_regular_realizes_per_seed() {
+        let random = Topology::RandomRegular { degree: 4 };
+        let churned = TopologySchedule::SeededChurn {
+            base: random.clone(),
+            flip_rate: 0.2,
+        };
+        let periodic = TopologySchedule::Periodic {
+            phases: vec![Topology::Complete, random.clone()],
+        };
+        assert!(SharedRealization::realizes_per_seed(&random, None));
+        assert!(SharedRealization::realizes_per_seed(
+            &Topology::Complete,
+            Some(&churned)
+        ));
+        assert!(SharedRealization::realizes_per_seed(
+            &Topology::Complete,
+            Some(&periodic)
+        ));
+        assert!(!SharedRealization::realizes_per_seed(
+            &Topology::Ring { k: 2 },
+            None
+        ));
+        // Each seed's realization replays that seed's scalar network.
+        for seed in [3, 4] {
+            assert_matches_scalar(
+                &random,
+                None,
+                &LinkFaultPlan::new(),
+                DisconnectionPolicy::Record,
+                10,
+                seed,
+                3,
+            );
+            assert_matches_scalar(
+                &Topology::Complete,
+                Some(&churned),
+                &LinkFaultPlan::new(),
+                DisconnectionPolicy::Record,
+                10,
+                seed,
+                5,
+            );
+        }
+    }
+
+    #[test]
+    fn build_fails_with_the_scalar_realization_error() {
+        // An odd degree on an odd universe has no regular realization.
+        let infeasible = Topology::RandomRegular { degree: 3 };
+        let expected = infeasible.realize(7, 1).unwrap_err();
+        let err = SharedRealization::build(
+            7,
+            &infeasible,
             None,
             &LinkFaultPlan::new(),
             DisconnectionPolicy::Record,
+            1,
         )
-        .is_none());
-        let churned = TopologySchedule::SeededChurn {
-            base: Topology::RandomRegular { degree: 4 },
-            flip_rate: 0.2,
-        };
-        assert!(SharedRealization::try_build(
-            10,
-            &Topology::Complete,
-            Some(&churned),
-            &LinkFaultPlan::new(),
-            DisconnectionPolicy::Record,
-        )
-        .is_none());
+        .unwrap_err();
+        assert_eq!(err, expected);
     }
 
     #[test]
@@ -904,23 +1131,24 @@ mod tests {
             base: Topology::Complete,
             flip_rate: 1.0,
         };
-        let mut shared = SharedRealization::try_build(
+        let mut shared = build(
             3,
             &Topology::Complete,
             Some(&schedule),
             &LinkFaultPlan::new(),
             DisconnectionPolicy::Reject,
-        )
-        .unwrap();
+            0,
+        );
         let mut lane = shared.lane(0);
         let mut rows = DeliveryRows::new(3);
         let mut stats = NetworkStats::new();
+        let (sends, outboxes) = mixed_send_phase(3);
         let err = shared
             .exchange_rows(
                 &mut lane,
                 Round::ZERO,
-                &broadcast_sends(3),
-                &broadcast_outboxes(3),
+                &sends,
+                |s| &outboxes[s],
                 &[true; 3],
                 &mut rows,
                 &mut stats,
@@ -935,23 +1163,24 @@ mod tests {
     #[test]
     fn dynamic_rounds_must_arrive_in_order() {
         let plan = LinkFaultPlan::new().delay(0, 1, 1);
-        let mut shared = SharedRealization::try_build(
+        let mut shared = build(
             3,
             &Topology::Complete,
             None,
             &plan,
             DisconnectionPolicy::Record,
-        )
-        .unwrap();
+            0,
+        );
         let mut lane = shared.lane(0);
         let mut rows = DeliveryRows::new(3);
         let mut stats = NetworkStats::new();
+        let (sends, outboxes) = mixed_send_phase(3);
         let err = shared
             .exchange_rows(
                 &mut lane,
                 Round::new(2),
-                &broadcast_sends(3),
-                &broadcast_outboxes(3),
+                &sends,
+                |s| &outboxes[s],
                 &[true; 3],
                 &mut rows,
                 &mut stats,
@@ -962,40 +1191,45 @@ mod tests {
 
     #[test]
     fn inactive_receivers_are_accounted_but_not_collected() {
-        let mut shared = SharedRealization::try_build(
-            4,
-            &Topology::Complete,
-            None,
-            &LinkFaultPlan::new(),
-            DisconnectionPolicy::Record,
-        )
-        .unwrap();
-        let mut lane = shared.lane(0);
-        let mut rows = DeliveryRows::new(4);
-        let mut stats = NetworkStats::new();
-        let mut active = vec![true; 4];
-        active[1] = false;
-        shared
-            .exchange_rows(
-                &mut lane,
-                Round::ZERO,
-                &broadcast_sends(4),
-                &broadcast_outboxes(4),
-                &active,
-                &mut rows,
-                &mut stats,
-            )
-            .unwrap();
-        assert_eq!(rows.rows(), 3);
-        assert_eq!(
-            (0..rows.rows())
-                .map(|i| rows.receiver(i))
-                .collect::<Vec<_>>(),
-            vec![0, 2, 3]
-        );
-        // All 16 slots are accounted regardless of who computes.
-        assert_eq!(stats.messages_delivered, 16);
-        assert_eq!(rows.uniform_len(), Some(4));
-        assert_eq!(rows.min_len(), Some(4));
+        for topology in [Topology::Complete, Topology::Ring { k: 1 }] {
+            let mut shared = build(
+                4,
+                &topology,
+                None,
+                &LinkFaultPlan::new(),
+                DisconnectionPolicy::Record,
+                0,
+            );
+            let mut lane = shared.lane(0);
+            let mut rows = DeliveryRows::new(4);
+            let mut stats = NetworkStats::new();
+            let (sends, outboxes) = mixed_send_phase(4);
+            let mut active = vec![true; 4];
+            active[1] = false;
+            shared
+                .exchange_rows(
+                    &mut lane,
+                    Round::ZERO,
+                    &sends,
+                    |s| &outboxes[s],
+                    &active,
+                    &mut rows,
+                    &mut stats,
+                )
+                .unwrap();
+            assert_eq!(
+                (0..rows.rows())
+                    .map(|i| rows.receiver(i))
+                    .collect::<Vec<_>>(),
+                vec![0, 2, 3],
+                "{topology}"
+            );
+            // All 16 slots are accounted regardless of who computes.
+            assert_eq!(
+                stats.messages_delivered + stats.omissions + stats.unreachable,
+                16,
+                "{topology}"
+            );
+        }
     }
 }

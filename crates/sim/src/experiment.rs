@@ -228,8 +228,8 @@ pub fn run_experiment(config: &ExperimentConfig) -> Result<ExperimentResult> {
 pub const BATCH_WIDTH: usize = 32;
 
 /// Explicitly batched form of [`run_experiment`]. Since the summary-level
-/// executors route every multi-seed point through the seed-batched
-/// [`BatchEngine`] anyway, this is the same computation under a name that
+/// executors route every point through the seed-batched [`BatchEngine`]
+/// anyway, this is the same computation under a name that
 /// documents the intent; it exists so callers can state "batch this point"
 /// without depending on the routing rule.
 ///

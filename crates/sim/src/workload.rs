@@ -40,7 +40,8 @@ pub enum Workload {
         jitter: f64,
     },
     /// Explicit per-process values (real datasets, bespoke examples). The
-    /// seed is ignored; the length must equal `n` at generation time.
+    /// seed is ignored; a run whose `n` differs from the length fails with
+    /// [`Error::WrongInputCount`](mbaa_types::Error::WrongInputCount).
     Fixed {
         /// The value of every process, in process order.
         values: Vec<Value>,
@@ -49,12 +50,13 @@ pub enum Workload {
 
 impl Workload {
     /// Generates the initial value of every process for one seeded run.
+    /// A fixed workload returns its values verbatim whatever `n` is; the
+    /// engines reject a length other than `n` with a typed error.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`, if bounds are not finite, if a clustered
-    /// workload has no centres, or if a fixed workload does not hold
-    /// exactly `n` values.
+    /// Panics if `n == 0`, if bounds are not finite, or if a clustered
+    /// workload has no centres.
     #[must_use]
     pub fn generate(&self, n: usize, seed: u64) -> Vec<Value> {
         assert!(n > 0, "workload needs at least one process");
@@ -102,15 +104,7 @@ impl Workload {
                     })
                     .collect()
             }
-            Workload::Fixed { values } => {
-                assert_eq!(
-                    values.len(),
-                    n,
-                    "fixed workload holds {} values for {n} processes",
-                    values.len()
-                );
-                values.clone()
-            }
+            Workload::Fixed { values } => values.clone(),
         }
     }
 }
@@ -199,12 +193,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fixed workload holds 2 values")]
-    fn fixed_with_wrong_arity_panics() {
+    fn fixed_with_wrong_arity_is_returned_verbatim() {
+        let values = vec![Value::new(0.0), Value::new(1.0)];
         let w = Workload::Fixed {
-            values: vec![Value::new(0.0), Value::new(1.0)],
+            values: values.clone(),
         };
-        let _ = w.generate(3, 0);
+        assert_eq!(w.generate(3, 0), values);
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Allocation-regression test: steady-state engine rounds must perform
-//! **zero heap allocations** under `Observe::Summary` on the complete
-//! topology.
+//! Allocation-regression tests: steady-state engine rounds must perform
+//! **zero heap allocations** under `Observe::Summary`.
 //!
 //! A counting global allocator wraps the system allocator. Two runs of the
 //! same configuration differ only in their round budget (both run to the
@@ -9,29 +8,39 @@
 //! nothing. This pins the round-scratch design: outbox/delivery/multiset/
 //! fault-plan buffers are allocated once per run and reused in place.
 //!
-//! This is a separate integration-test binary on purpose: a global
-//! allocator is per-binary state, and the test must not race with parallel
-//! test threads (it is the only test in this file).
+//! A global allocator is per-binary state, so the tests live in their own
+//! integration-test binary. The counter is thread-local: every measured
+//! run executes on the test's own thread, so tests running in parallel
+//! never charge their allocations to each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use mbaa::{
-    BatchEngine, BatchLane, CorruptionStrategy, MetricsRegistry, MobileEngine, MobileModel,
-    MobilityStrategy, Observe, Observer, ProtocolConfig, Topology, TopologySchedule, Value,
+    BatchEngine, CorruptionStrategy, MetricsRegistry, MobileEngine, MobileModel, MobilityStrategy,
+    Observe, Observer, PackedLane, ProtocolConfig, Topology, TopologySchedule, Value,
 };
 
 /// Counts every allocation (not bytes — the assertion is about *count*)
-/// made through the global allocator.
+/// made through the global allocator by the current thread.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the allocator also runs while a thread tears down its
+    // thread-locals, when there is nothing left to count into.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 // SAFETY: defers entirely to the system allocator; the only addition is a
-// relaxed counter increment on the allocating paths.
+// thread-local counter increment on the allocating paths, which itself
+// never allocates (a `const`-initialized `Cell`).
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -40,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -48,8 +57,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// The current thread's allocation count.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A run that cannot converge within `rounds`: under the worst-case
@@ -150,19 +160,20 @@ fn steady_state_rounds_allocate_nothing_under_observe_summary() {
         assert_eq!(
             full_long - full_short,
             big_long - big_short,
-            "{model}: Full-observability per-round allocation count grew with n \
+            "{model}: Full-observability allocations across 20 extra rounds grew with n \
              ({} at n = {n} vs {} at n = {})",
-            (full_long - full_short) / 20,
-            (big_long - big_short) / 20,
+            full_long - full_short,
+            big_long - big_short,
             n + 3
         );
     }
 }
 
-/// The general-path analogue of [`run_counting`], on the seed-batched
-/// engine: four lanes advance in lockstep over a partial or dynamic
-/// network realization shared across the batch. Returns the allocation
-/// delta of the measured run and every lane's executed round count.
+/// The batch analogue of [`run_counting`]: four lanes advance in lockstep
+/// through the seed-batched engine, over a network realization shared
+/// across the pack (or one per lane seed, for random-regular graphs).
+/// Returns the allocation delta of the measured run and every lane's
+/// executed round count.
 fn run_batch_counting(
     topology: Topology,
     schedule: Option<TopologySchedule>,
@@ -172,7 +183,6 @@ fn run_batch_counting(
     let mut builder = ProtocolConfig::builder(MobileModel::Garay, n, 2)
         .epsilon(1e-300)
         .max_rounds(rounds)
-        .seed(7)
         .mobility(MobilityStrategy::TargetExtremes)
         .corruption(CorruptionStrategy::split_attack())
         .observe(Observe::Summary)
@@ -181,22 +191,24 @@ fn run_batch_counting(
         builder = builder.topology_schedule(schedule);
     }
     let config = builder.build().expect("config");
-    let engine = BatchEngine::new(config);
-    let lanes: Vec<BatchLane> = (1..=4)
-        .map(|seed| BatchLane {
-            seed,
-            inputs: (0..n)
-                .map(|i| Value::new(i as f64 / (n - 1) as f64))
-                .collect(),
+    let lanes: Vec<PackedLane> = (1..=4)
+        .map(|seed| {
+            let mut config = config.clone();
+            config.seed = seed;
+            PackedLane {
+                config,
+                inputs: (0..n)
+                    .map(|i| Value::new(i as f64 / (n - 1) as f64))
+                    .collect(),
+            }
         })
         .collect();
     // Warm up once, exactly as the scalar harness does.
-    for outcome in engine.run(&lanes) {
+    for outcome in BatchEngine::run_packed(&lanes) {
         outcome.expect("warm-up run");
     }
     let before = allocations();
-    let executed: Vec<usize> = engine
-        .run(&lanes)
+    let executed: Vec<usize> = BatchEngine::run_packed(&lanes)
         .into_iter()
         .map(|outcome| outcome.expect("measured run").rounds_executed)
         .collect();
@@ -204,15 +216,21 @@ fn run_batch_counting(
 }
 
 #[test]
-fn general_path_batch_rounds_allocate_nothing_under_observe_summary() {
-    // The batch engine's *general* path — masked static exchange over a
-    // ring, and a churned dynamic realization rebuilt every round — with
-    // four lanes in lockstep against one shared network realization. Same
-    // differential design as the scalar test: both runs share identical
-    // setup, so the 20 extra steady-state rounds of the long run must not
-    // have allocated at all.
+fn batch_rounds_allocate_nothing_under_observe_summary() {
+    // Every kind of network the batch loop exchanges against — the
+    // complete graph, a static ring mask, a random-regular graph realized
+    // per lane seed, and a churned dynamic realization rebuilt every round
+    // — with four lanes in lockstep. Same differential design as the
+    // scalar test: both runs share identical setup, so the 20 extra
+    // steady-state rounds of the long run must not have allocated at all.
     for (label, topology, schedule) in [
+        ("complete", Topology::Complete, None),
         ("ring", Topology::Ring { k: 4 }, None),
+        (
+            "random-regular",
+            Topology::RandomRegular { degree: 8 },
+            None,
+        ),
         (
             "churn",
             Topology::Complete,
@@ -236,7 +254,7 @@ fn general_path_batch_rounds_allocate_nothing_under_observe_summary() {
         assert_eq!(
             allocs_long,
             allocs_short,
-            "{label}: {} extra allocations across 20 extra general-path batch rounds",
+            "{label}: {} extra allocations across 20 extra batch rounds",
             allocs_long.saturating_sub(allocs_short)
         );
     }

@@ -4,8 +4,8 @@
 //! strategy, topology family, churn/link-fault plan, and worker count.
 //!
 //! The batched path is reached through `Scenario::batch(..).stream()`,
-//! which routes every multi-seed chunk through `mbaa_core::BatchEngine`
-//! at `Observe::Summary`; the scalar reference is `Scenario::run(seed)`
+//! which routes every chunk through `mbaa_core::BatchEngine` at
+//! `Observe::Summary`; the scalar reference is `Scenario::run(seed)`
 //! (full observability) folded through `RunSummary::from_outcome`. The
 //! comparison therefore also pins the invariant that summaries are
 //! identical across observability levels.
@@ -62,9 +62,9 @@ fn every_corruption_strategy_matches_scalar_bit_for_bit() {
 
 #[test]
 fn partial_topologies_match_scalar_bit_for_bit() {
-    // Partial graphs take the batch engine's general path (per-lane
-    // networks, realized per seed); each family must still reproduce the
-    // scalar runs exactly. Ring and random-regular satisfy Garay's
+    // Partial graphs exchange against shared static realizations (one per
+    // lane seed for random-regular graphs); each family must still
+    // reproduce the scalar runs exactly. Ring and random-regular satisfy Garay's
     // neighborhood bound at n = 9, f = 1; the sparse grid opts into bound
     // violation exactly like the threshold experiments do.
     let seeds: Vec<u64> = (0..5).collect();
@@ -162,7 +162,7 @@ fn ragged_batches_match_scalar_per_seed() {
 }
 
 #[test]
-fn a_single_seed_batch_degenerates_to_the_scalar_engine() {
+fn a_single_seed_batch_matches_the_scalar_engine() {
     let scenario = Scenario::at_bound(MobileModel::Buhrman, 2).epsilon(1e-6);
     let seeds = [7u64];
     assert_eq!(
@@ -171,9 +171,10 @@ fn a_single_seed_batch_degenerates_to_the_scalar_engine() {
     );
 }
 
-/// The general-path point variants packed sweeps mix: a partial static
-/// graph, seeded churn, and probabilistic link faults with a delayed link,
-/// all sharing one batch shape (n = 9, f = 1, Garay).
+/// The non-complete point variants packed sweeps mix: a partial static
+/// graph, seeded churn, probabilistic link faults with a delayed link, and
+/// a random-regular graph realized per seed, all sharing one batch shape
+/// (n = 9, f = 1, Garay).
 fn general_path_points() -> Vec<Scenario> {
     let base = Scenario::new(MobileModel::Garay, 9, 1)
         .epsilon(1e-6)
@@ -185,13 +186,15 @@ fn general_path_points() -> Vec<Scenario> {
                 base: Topology::Complete,
                 flip_rate: 0.2,
             }),
-        base.link_faults(LinkFaultPlan::new().omit_all(0.05).cut(0, 1).delay(2, 3, 2)),
+        base.clone()
+            .link_faults(LinkFaultPlan::new().omit_all(0.05).cut(0, 1).delay(2, 3, 2)),
+        base.topology(Topology::RandomRegular { degree: 6 }),
     ]
 }
 
 #[test]
 fn packed_cross_point_sweeps_match_scalar_bit_for_bit() {
-    // Three shape-compatible general-path points × four seeds: the sweep
+    // Four shape-compatible non-complete points × four seeds: the sweep
     // packs lanes of *different* points (different topology, schedule, and
     // link-fault plans) into shared engine launches, and every point must
     // still reproduce its own scalar runs exactly.
@@ -212,14 +215,15 @@ fn packed_cross_point_sweeps_match_scalar_bit_for_bit() {
 
 #[test]
 fn ragged_cross_point_packs_match_scalar_per_segment() {
-    // Segments of uneven length (1, 7, and 3 seeds) force ragged pack
-    // boundaries: the first pack mixes all three points and no segment
+    // Segments of uneven length (1, 7, 3, and 4 seeds) force ragged pack
+    // boundaries: the first pack mixes all four points and no segment
     // alone fills a batch. Each segment still equals its scalar runs.
     let points = general_path_points();
     let segments: Vec<(Scenario, Vec<u64>)> = vec![
         (points[0].clone(), vec![11]),
         (points[1].clone(), (0..7).collect()),
         (points[2].clone(), vec![2, 5, 9]),
+        (points[3].clone(), vec![1, 4, 6, 8]),
     ];
     let results = stream_segments(&segments, None);
     for ((scenario, seeds), result) in segments.iter().zip(results) {

@@ -17,7 +17,7 @@
 //!   bit for bit.
 
 use mbaa::prelude::*;
-use mbaa::{BatchEngine, BatchLane, Event, MobileEngine, Observe};
+use mbaa::{BatchEngine, Event, MobileEngine, Observe, PackedLane};
 
 fn scenario() -> Scenario {
     Scenario::at_bound(MobileModel::Garay, 2)
@@ -25,11 +25,13 @@ fn scenario() -> Scenario {
         .max_rounds(300)
 }
 
-fn lanes(scenario: &Scenario, seeds: &[u64]) -> Vec<BatchLane> {
+/// One pack lane per seed, lowered exactly as the packed executor lowers
+/// them.
+fn lanes(scenario: &Scenario, seeds: &[u64]) -> Vec<PackedLane> {
     seeds
         .iter()
-        .map(|&seed| BatchLane {
-            seed,
+        .map(|&seed| PackedLane {
+            config: scenario.lower(seed).unwrap(),
             inputs: scenario.initial_values(seed),
         })
         .collect()
@@ -67,12 +69,13 @@ fn batch_outcomes_are_identical_with_any_observer_at_every_level() {
     let seeds: Vec<u64> = (0..33).collect();
     for observe in [Observe::Full, Observe::Snapshots, Observe::Summary] {
         let scenario = scenario().observe(observe);
-        let engine = BatchEngine::new(scenario.lower(0).unwrap());
         let lanes = lanes(&scenario, &seeds);
-        let detached: Vec<_> = engine.run(&lanes).into_iter().map(|r| r.unwrap()).collect();
+        let detached: Vec<_> = BatchEngine::run_packed(&lanes)
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect();
         let mut log = EventLog::new();
-        let attached: Vec<_> = engine
-            .run_observed(&lanes, &mut log)
+        let attached: Vec<_> = BatchEngine::run_packed_observed(&lanes, &mut log)
             .into_iter()
             .map(|r| r.unwrap())
             .collect();
@@ -134,20 +137,42 @@ fn sweep_metrics_agree_across_worker_counts() {
 
 #[test]
 fn per_seed_batch_event_streams_equal_scalar_streams() {
-    let scenario = scenario().observe(Observe::Summary);
+    // The complete graph plus every other kind of network realization the
+    // batch loop exchanges against: a static mask, churn with lossy links,
+    // a delayed link, and graphs realized per seed.
+    let general = Scenario::new(MobileModel::Garay, 9, 1)
+        .epsilon(1e-6)
+        .max_rounds(300);
+    let scenarios = [
+        scenario(),
+        general.clone().topology(Topology::Ring { k: 2 }),
+        general
+            .clone()
+            .topology_schedule(TopologySchedule::SeededChurn {
+                base: Topology::Complete,
+                flip_rate: 0.2,
+            })
+            .link_faults(LinkFaultPlan::new().omit_all(0.05)),
+        general
+            .clone()
+            .link_faults(LinkFaultPlan::new().delay(2, 3, 2)),
+        general.topology(Topology::RandomRegular { degree: 4 }),
+    ];
     let seeds: Vec<u64> = (0..33).collect();
-    let engine = BatchEngine::new(scenario.lower(0).unwrap());
-    let mut batch_log = EventLog::new();
-    let results = engine.run_observed(&lanes(&scenario, &seeds), &mut batch_log);
-    assert!(results.iter().all(Result::is_ok));
-    for &seed in &seeds {
-        let mut scalar_log = EventLog::new();
-        scenario.run_observed(seed, &mut scalar_log).unwrap();
-        assert_eq!(
-            batch_log.for_seed(seed),
-            scalar_log.events(),
-            "seed {seed}: batched event stream diverged from scalar"
-        );
+    for scenario in scenarios {
+        let scenario = scenario.observe(Observe::Summary);
+        let mut batch_log = EventLog::new();
+        let results = BatchEngine::run_packed_observed(&lanes(&scenario, &seeds), &mut batch_log);
+        assert!(results.iter().all(Result::is_ok));
+        for &seed in &seeds {
+            let mut scalar_log = EventLog::new();
+            scenario.run_observed(seed, &mut scalar_log).unwrap();
+            assert_eq!(
+                batch_log.for_seed(seed),
+                scalar_log.events(),
+                "seed {seed}: batched event stream diverged from scalar on {scenario:?}"
+            );
+        }
     }
 }
 
