@@ -686,6 +686,70 @@ fn profile_and_progress_write_to_stderr_only() {
 }
 
 // ---------------------------------------------------------------------------
+// Golden digests: the committed gallery's artifacts do not drift.
+// ---------------------------------------------------------------------------
+
+/// The committed digests of every gallery artifact, one
+/// `<scenario> <artifact> <fingerprint>` line each.
+const GALLERY_DIGESTS: &str = "tests/golden/gallery.digests";
+
+#[test]
+fn gallery_artifacts_match_the_golden_digests() {
+    // For every committed scenario, the full `run --out` report, the
+    // `--metrics-out` document and the `--events-out` stream must hash to
+    // the committed fingerprints. An intended output change shows up here
+    // as a one-file diff: the failure message is the replacement file.
+    let root = repo_root();
+    let dir = scratch("golden");
+    let mut files: Vec<PathBuf> = fs::read_dir(root.join("scenarios"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.to_str().is_some_and(|s| s.ends_with(".scenario.json")))
+        .collect();
+    files.sort();
+    let mut actual = String::new();
+    for file in &files {
+        let name = file
+            .file_name()
+            .and_then(|n| n.to_str())
+            .and_then(|n| n.strip_suffix(".scenario.json"))
+            .unwrap();
+        let artifacts = [
+            ("report", "--out", dir.join(format!("{name}.report.json"))),
+            (
+                "metrics",
+                "--metrics-out",
+                dir.join(format!("{name}.metrics.json")),
+            ),
+            (
+                "events",
+                "--events-out",
+                dir.join(format!("{name}.events.jsonl")),
+            ),
+        ];
+        let mut args = vec!["run", file.to_str().unwrap()];
+        for (_, flag, path) in &artifacts {
+            args.extend([*flag, path.to_str().unwrap()]);
+        }
+        let out = mbaa(&args, &dir);
+        assert_eq!(out.status.code(), Some(0), "{name}: {}", stderr(&out));
+        for (artifact, _, path) in &artifacts {
+            let text = fs::read_to_string(path).unwrap();
+            let digest = mbaa_cli::checkpoint::fingerprint(&text);
+            actual.push_str(&format!("{name} {artifact} {digest}\n"));
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+    let expected = fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(GALLERY_DIGESTS))
+        .unwrap_or_default();
+    assert!(
+        expected == actual,
+        "gallery artifacts differ from {GALLERY_DIGESTS}; if the change is \
+         intended, replace the file with:\n{actual}"
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Committed scenario files mean what the examples they reproduce mean.
 // ---------------------------------------------------------------------------
 
