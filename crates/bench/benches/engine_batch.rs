@@ -104,7 +104,7 @@ fn measure(n: usize, k: usize, variant: Variant) {
     // Warm-up: fault the pages, fill the allocator pools.
     let mut rounds_per_batch = 0usize;
     for _ in 0..2 {
-        rounds_per_batch = BatchEngine::run_packed(&lanes)
+        rounds_per_batch = BatchEngine::run_packed_observed(&lanes, &mut NoopObserver)
             .into_iter()
             .map(|outcome| outcome.expect("run").rounds_executed)
             .sum();
@@ -114,7 +114,7 @@ fn measure(n: usize, k: usize, variant: Variant) {
     let start = Instant::now();
     let mut total_rounds = 0usize;
     for _ in 0..reps {
-        total_rounds += BatchEngine::run_packed(&lanes)
+        total_rounds += BatchEngine::run_packed_observed(&lanes, &mut NoopObserver)
             .into_iter()
             .map(|outcome| outcome.expect("run").rounds_executed)
             .sum::<usize>();

@@ -8,12 +8,14 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use mbaa::{
-    MobileEngine, MobileModel, MsrFunction, Outbox, ProcessId, ProtocolConfig, Round, SyncNetwork,
-    Value, ValueMultiset, VotingFunction,
+    DeliveryMatrix, MobileEngine, MobileModel, MsrFunction, Outbox, ProcessId, ProtocolConfig,
+    Round, SyncNetwork, Value, ValueMultiset, VotingFunction,
 };
 use mbaa_bench::spread_inputs;
 
-/// One all-to-all exchange over the synchronous network.
+/// One all-to-all exchange over the synchronous network, into a delivery
+/// matrix reused across iterations (as the engine reuses it across
+/// rounds).
 fn bench_network_exchange(c: &mut Criterion) {
     let mut group = c.benchmark_group("network_exchange");
     for &n in &[16usize, 64, 256, 1024] {
@@ -22,12 +24,13 @@ fn bench_network_exchange(c: &mut Criterion) {
             let outboxes: Vec<Outbox> = (0..n)
                 .map(|i| Outbox::broadcast(n, ProcessId::new(i), Value::new(i as f64)))
                 .collect();
+            let mut deliveries = DeliveryMatrix::new(n);
             b.iter(|| {
                 let mut network = SyncNetwork::without_trace(n);
-                let deliveries = network
-                    .exchange(Round::ZERO, black_box(outboxes.clone()))
+                network
+                    .exchange_into(Round::ZERO, black_box(&outboxes), &mut deliveries)
                     .expect("exchange");
-                black_box(deliveries);
+                black_box(&deliveries);
             });
         });
     }

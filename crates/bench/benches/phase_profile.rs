@@ -24,7 +24,8 @@ use criterion::{record_metric, write_json_report};
 
 use mbaa::obs::timing::PhaseProfiler;
 use mbaa::{
-    BatchEngine, MobileEngine, MobileModel, Observe, PackedLane, ProtocolConfig, Topology, Value,
+    BatchEngine, MobileEngine, MobileModel, NoopObserver, Observe, PackedLane, ProtocolConfig,
+    Topology, Value,
 };
 use mbaa_bench::spread_inputs;
 
@@ -103,7 +104,7 @@ fn profile_batch(n: usize) {
         .collect();
     // Warm-up: fault the pages, fill the allocator pools.
     for _ in 0..2 {
-        for outcome in BatchEngine::run_packed(&lanes) {
+        for outcome in BatchEngine::run_packed_observed(&lanes, &mut NoopObserver) {
             outcome.expect("run");
         }
     }

@@ -68,13 +68,10 @@ impl SweepPlan {
     /// Plans a sweep: expands the document and fixes the chunk grid.
     #[must_use]
     pub fn new(doc: &ScenarioFile, chunk_size: usize) -> SweepPlan {
-        let mut seeds = doc.seeds.seeds();
-        seeds.sort_unstable();
-        seeds.dedup();
         SweepPlan {
             fingerprint: fingerprint(&doc.to_json_string()),
             points: doc.points(),
-            seeds,
+            seeds: doc.seeds.normalized(),
             chunk_size: chunk_size.max(1),
             doc: doc.clone(),
         }
@@ -339,8 +336,8 @@ pub fn execute_chunk(
 }
 
 /// [`execute_chunk`] with an optional metrics sink: when present, every
-/// run's telemetry is folded into it through the registry-merging
-/// streaming path. The summaries are bit-identical either way, and the
+/// run's telemetry is folded into it by `mbaa::stream_segments`. The
+/// summaries are bit-identical either way, and the
 /// merged registry is bit-identical for every worker count — counter
 /// addition commutes, so completion order cannot show through.
 pub fn execute_chunk_metrics(
@@ -366,14 +363,7 @@ pub fn execute_chunk_metrics(
         segment_points.push(point);
         cursor = stop;
     }
-    let results = match metrics {
-        Some(sink) => {
-            let (results, local) = mbaa::stream_segments_metrics(&segments, workers);
-            sink.merge(&local);
-            results
-        }
-        None => mbaa::stream_segments(&segments, workers),
-    };
+    let results = mbaa::stream_segments(&segments, workers, metrics);
     let mut entries = Vec::with_capacity(range.len());
     for (&point, result) in segment_points.iter().zip(results) {
         let result = result.map_err(|e| fail(format!("point {point} failed: {e}")))?;

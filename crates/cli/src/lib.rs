@@ -24,6 +24,9 @@
 //! and `--progress` keeps a live stderr line with throughput and ETA.
 //! See `docs/observability.md`.
 //!
+//! Every command takes exactly the flags its `USAGE` block lists; any
+//! other flag is a usage error naming the flag and the command.
+//!
 //! Exit codes: `0` success, `1` execution or validation failure, `2`
 //! usage error. All stdout output is deterministic — tables and reports
 //! depend only on the scenario file, never on thread scheduling or worker
@@ -148,6 +151,25 @@ pub fn run_cli(args: &[String]) -> i32 {
 // Option parsing (hand-rolled; the workspace takes no external deps).
 // ---------------------------------------------------------------------------
 
+/// Every `(command, flag)` pair `USAGE` lists: the first word of each
+/// option line, attributed to the command line above it. The usage text is
+/// the single source of truth, so `mbaa help` and the parser cannot
+/// disagree about which flags a command takes.
+fn usage_flags() -> impl Iterator<Item = (&'static str, &'static str)> {
+    let mut command = "";
+    USAGE.lines().filter_map(move |line| {
+        let word = line.split_whitespace().next()?;
+        if line
+            .strip_prefix("    ")
+            .is_some_and(|rest| !rest.starts_with(' '))
+        {
+            command = word;
+            return None;
+        }
+        word.starts_with("--").then_some((command, word))
+    })
+}
+
 /// Parsed flags plus positional arguments.
 struct Opts {
     positional: Vec<String>,
@@ -164,7 +186,9 @@ struct Opts {
     progress: bool,
 }
 
-fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
+/// Parses `args` for `command`, rejecting every flag its `USAGE` block
+/// does not list.
+fn parse_opts(command: &str, args: &[String]) -> Result<Opts, CliError> {
     let mut opts = Opts {
         positional: Vec::new(),
         workers: None,
@@ -181,6 +205,14 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
     };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
+        if arg.starts_with('-') && !usage_flags().any(|pair| pair == (command, arg.as_str())) {
+            let known = usage_flags().any(|(_, flag)| flag == arg);
+            return Err(CliError::Usage(if known {
+                format!("{command} does not take {arg}")
+            } else {
+                format!("unknown flag {arg} for {command}")
+            }));
+        }
         let mut value_of = |flag: &str| {
             iter.next()
                 .cloned()
@@ -223,9 +255,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
             "--run" => opts.run = true,
             "--profile" => opts.profile = true,
             "--progress" => opts.progress = true,
-            flag if flag.starts_with('-') => {
-                return Err(CliError::Usage(format!("unknown flag {flag}")));
-            }
             _ => opts.positional.push(arg.clone()),
         }
     }
@@ -265,9 +294,7 @@ fn load_doc(path: &Path) -> Result<ScenarioFile, CliError> {
 /// point of every scenario. Determinism is untouched — the trimmed batch
 /// is itself a fixed function of the file.
 fn apply_smoke(doc: &ScenarioFile) -> ScenarioFile {
-    let mut seeds = doc.seeds.seeds();
-    seeds.sort_unstable();
-    seeds.dedup();
+    let mut seeds = doc.seeds.normalized();
     seeds.truncate(SMOKE_SEEDS);
     let mut trimmed = doc.clone();
     trimmed.seeds = mbaa_json::SeedSpec::List(seeds);
@@ -377,7 +404,7 @@ fn execute_doc(
     mut metrics: Option<&mut MetricsRegistry>,
     progress: bool,
 ) -> Result<(LabelledPoints, Vec<ReportPoint>), CliError> {
-    let plan = SweepPlan::new(doc, doc.seeds.seeds().len().max(1));
+    let plan = SweepPlan::new(doc, doc.seeds.normalized().len().max(1));
     let total = plan.points.len();
     let watch = mbaa::obs::timing::Stopwatch::start();
     let mut rows = Vec::with_capacity(plan.points.len());
@@ -405,9 +432,7 @@ fn write_events(
     points: &[(String, Scenario)],
     path: &Path,
 ) -> Result<(), CliError> {
-    let mut seeds = doc.seeds.seeds();
-    seeds.sort_unstable();
-    seeds.dedup();
+    let seeds = doc.seeds.normalized();
     let mut lines = String::new();
     for (label, scenario) in points {
         for &seed in &seeds {
@@ -435,9 +460,7 @@ fn write_events(
 /// `enabled() == false`, so the engine skips telemetry assembly and the
 /// timings measure the protocol, not the observability layer.
 fn profile_doc(doc: &ScenarioFile, points: &[(String, Scenario)]) -> Result<(), CliError> {
-    let mut seeds = doc.seeds.seeds();
-    seeds.sort_unstable();
-    seeds.dedup();
+    let seeds = doc.seeds.normalized();
     let mut profiler = mbaa::obs::timing::PhaseProfiler::new();
     for (label, scenario) in points {
         for &seed in &seeds {
@@ -455,7 +478,7 @@ fn profile_doc(doc: &ScenarioFile, points: &[(String, Scenario)]) -> Result<(), 
 }
 
 fn cmd_run(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("run", args)?;
     let path = one_positional(&opts, "scenario file")?;
     let mut doc = load_doc(&path)?;
     if opts.smoke {
@@ -545,7 +568,7 @@ fn finish_chunked(opts: &Opts, metrics: Option<MetricsRegistry>) -> Result<(), C
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("sweep", args)?;
     let path = one_positional(&opts, "scenario file")?;
     let dir = opts
         .checkpoint
@@ -566,7 +589,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_resume(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("resume", args)?;
     let dir = one_positional(&opts, "checkpoint directory")?;
     let doc = checkpoint::read_manifest_doc(&dir)?;
     let chunk_size = read_manifest_chunk_size(&dir)?;
@@ -575,7 +598,7 @@ fn cmd_resume(args: &[String]) -> Result<(), CliError> {
     run_chunks(
         &dir,
         &plan,
-        opts.chunks,
+        None,
         opts.workers,
         metrics.as_mut(),
         opts.progress,
@@ -606,7 +629,7 @@ fn read_manifest_chunk_size(dir: &Path) -> Result<usize, CliError> {
 // ---------------------------------------------------------------------------
 
 fn cmd_merge(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("merge", args)?;
     let dir = one_positional(&opts, "checkpoint directory")?;
     let doc = checkpoint::read_manifest_doc(&dir)?;
     let plan = SweepPlan::new(&doc, read_manifest_chunk_size(&dir)?);
@@ -728,7 +751,7 @@ fn print_metrics_report(metrics: &MetricsRegistry) {
 }
 
 fn cmd_report(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("report", args)?;
     let path = one_positional(&opts, "metrics document or events JSONL file")?;
     let text = fs::read_to_string(&path)
         .map_err(|e| CliError::Failure(format!("{}: {e}", path.display())))?;
@@ -757,7 +780,7 @@ fn cmd_report(args: &[String]) -> Result<(), CliError> {
 // ---------------------------------------------------------------------------
 
 fn cmd_validate(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("validate", args)?;
     if opts.positional.is_empty() {
         return Err(CliError::Usage(
             "validate needs at least one scenario file".to_string(),
@@ -820,7 +843,7 @@ fn fixed_workload_mismatch(points: &[(String, Scenario)]) -> Option<String> {
 }
 
 fn cmd_explain(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("explain", args)?;
     let path = one_positional(&opts, "scenario file")?;
     let doc = load_doc(&path)?;
     let scenario = &doc.scenario;
@@ -855,13 +878,11 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
         "adversary:   {:?} / {:?}",
         scenario.mobility, scenario.corruption
     );
-    let seeds = doc.seeds.seeds();
-    println!("seeds:       {} ({} after normalization)", seeds.len(), {
-        let mut s = seeds.clone();
-        s.sort_unstable();
-        s.dedup();
-        s.len()
-    });
+    println!(
+        "seeds:       {} ({} after normalization)",
+        doc.seeds.seeds().len(),
+        doc.seeds.normalized().len()
+    );
     let points = doc.points();
     println!("points:      {}", points.len());
     for (label, point) in &points {
@@ -876,15 +897,17 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_gallery(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts("gallery", args)?;
     if !opts.run
         && (opts.smoke
             || opts.workers.is_some()
             || opts.out.is_some()
-            || opts.metrics_out.is_some())
+            || opts.metrics_out.is_some()
+            || opts.progress)
     {
         return Err(CliError::Usage(
-            "--smoke/--workers/--out/--metrics-out only make sense with gallery --run".to_string(),
+            "--smoke/--workers/--out/--metrics-out/--progress only make sense with gallery --run"
+                .to_string(),
         ));
     }
     // One registry across every scenario file: `--metrics-out` on the

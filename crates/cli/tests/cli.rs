@@ -264,9 +264,115 @@ fn gallery_run_executes_and_writes_reports_identical_to_run() {
 #[test]
 fn gallery_rejects_run_flags_without_run() {
     let root = repo_root();
-    let out = mbaa(&["gallery", "scenarios", "--smoke"], &root);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("--run"));
+    let cases: &[&[&str]] = &[
+        &["--smoke"],
+        &["--workers", "2"],
+        &["--out", "reports"],
+        &["--metrics-out", "metrics.json"],
+        &["--progress"],
+    ];
+    for flags in cases {
+        let mut args = vec!["gallery", "scenarios"];
+        args.extend_from_slice(flags);
+        let out = mbaa(&args, &root);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        assert!(
+            stderr(&out).contains("--run"),
+            "{flags:?}: {}",
+            stderr(&out)
+        );
+    }
+}
+
+#[test]
+fn commands_reject_flags_they_do_not_take() {
+    // Every command takes exactly the flags its usage block lists. Any
+    // other flag is a usage error naming the flag and the command, raised
+    // before anything runs or is written.
+    let root = repo_root();
+    let dir = scratch("flags");
+    let quickstart = root.join("scenarios/quickstart.scenario.json");
+    let quickstart = quickstart.to_str().unwrap();
+    let gallery = root.join("scenarios");
+    let gallery = gallery.to_str().unwrap();
+    let ckpt = dir.join("ckpt");
+    let ckpt = ckpt.to_str().unwrap();
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["run", quickstart, "--chunks", "0..1", "--checkpoint", ckpt],
+            "run does not take --chunks",
+        ),
+        (&["run", quickstart, "--run"], "run does not take --run"),
+        (
+            &["run", "--frobnicate"],
+            "unknown flag --frobnicate for run",
+        ),
+        (
+            &["sweep", quickstart, "--checkpoint", ckpt, "--out", "r.json"],
+            "sweep does not take --out",
+        ),
+        (
+            &["resume", ckpt, "--chunks", "0..1"],
+            "resume does not take --chunks",
+        ),
+        (
+            &["merge", ckpt, "--workers", "2"],
+            "merge does not take --workers",
+        ),
+        (
+            &["report", "m.json", "--metrics-out", "x.json"],
+            "report does not take --metrics-out",
+        ),
+        (
+            &["validate", quickstart, "--smoke"],
+            "validate does not take --smoke",
+        ),
+        (
+            &["explain", quickstart, "--out", "x"],
+            "explain does not take --out",
+        ),
+        (
+            &["gallery", gallery, "--events-out", "e.jsonl"],
+            "gallery does not take --events-out",
+        ),
+        (
+            &["gallery", gallery, "--profile"],
+            "gallery does not take --profile",
+        ),
+    ];
+    for (args, expected) in cases {
+        let out = mbaa(args, &dir);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(expected), "{args:?}: {err}");
+    }
+    assert_eq!(
+        fs::read_dir(&dir).unwrap().count(),
+        0,
+        "a rejected invocation wrote a file"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn duplicate_seeds_run_every_point_once_per_distinct_seed() {
+    // `run` executes the normalized (sorted, deduplicated) seed batch at
+    // every point; a duplicate must not shift runs onto the next point.
+    let dir = scratch("dup-seeds");
+    let file = dir.join("dup.scenario.json");
+    let doc = SWEEP_DOC.replace(r#"{"start": 0, "count": 6}"#, "[1, 0, 1]");
+    assert_ne!(doc, SWEEP_DOC);
+    fs::write(&file, doc).unwrap();
+    let out = mbaa(&["run", file.to_str().unwrap()], &dir);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    let runs: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("n="))
+        .map(|l| l.split_whitespace().nth(1).unwrap())
+        .collect();
+    assert_eq!(runs, ["2", "2"], "per-point run counts:\n{text}");
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

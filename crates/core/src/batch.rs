@@ -51,11 +51,11 @@
 //! **bit-identical** to running [`MobileEngine`] once per seed, for every
 //! model, adversary, topology, schedule, and link-fault plan (enforced by
 //! the `batch_engine` equivalence battery), and a single lane runs the same
-//! loop as a full pack. [`BatchEngine::run_packed`] hands a pack to the
-//! scalar engine, lane by lane, in only two cases, so the call is total:
-//! packs that record snapshots or traces (`Observe::Snapshots` / `Full` —
-//! the scalar engine is the only recorder, so observability is never
-//! silently degraded), and packs whose lanes do not share a shape.
+//! loop as a full pack. [`BatchEngine::run_packed_observed`] hands a pack
+//! to the scalar engine, lane by lane, in only two cases, so the call is
+//! total: packs that record snapshots or traces (`Observe::Snapshots` /
+//! `Full` — the scalar engine is the only recorder, so observability is
+//! never silently degraded), and packs whose lanes do not share a shape.
 //!
 //! # Cross-point packing
 //!
@@ -75,7 +75,7 @@ use mbaa_msr::{ConvergenceReport, VotingFunction};
 use mbaa_net::{
     DeliveryRows, LaneDelivery, LaneSend, NetworkStats, NetworkTrace, Outbox, SharedRealization,
 };
-use mbaa_obs::{NoopObserver, Observer, Phase, RoundEvent};
+use mbaa_obs::{Observer, Phase, RoundEvent};
 use mbaa_types::{
     Error, FaultState, Interval, MobileModel, ProcessId, Result, Round, Value, ValueMultiset,
 };
@@ -85,7 +85,7 @@ use crate::{MobileEngine, MobileRunOutcome, Observe, ProtocolConfig};
 
 /// One lane of a pack: a full configuration (whose `seed` field is the
 /// lane seed) and the initial values it starts from. See
-/// [`BatchEngine::run_packed`].
+/// [`BatchEngine::run_packed_observed`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedLane {
     /// The lane's configuration; its `seed` is honoured as the lane seed.
@@ -95,8 +95,9 @@ pub struct PackedLane {
 }
 
 /// Whether two configurations share a batch **shape** and may therefore
-/// ride in one [`BatchEngine::run_packed`] pack: same universe size, fault
-/// bound, mobile model, and observe level. All other knobs are per-lane.
+/// ride in one [`BatchEngine::run_packed_observed`] pack: same universe
+/// size, fault bound, mobile model, and observe level. All other knobs
+/// are per-lane.
 #[must_use]
 pub fn shape_compatible(a: &ProtocolConfig, b: &ProtocolConfig) -> bool {
     a.n == b.n && a.f == b.f && a.model == b.model && a.observe == b.observe
@@ -191,28 +192,24 @@ impl NetGroup<'_> {
 pub enum BatchEngine {}
 
 impl BatchEngine {
-    /// Runs a pack: every lane carries its own configuration (its `seed`
-    /// field is the lane seed), and all lanes advance in one lockstep loop
-    /// as long as the pack shares a batch shape (see
-    /// [`shape_compatible`]). Results are returned in lane order; each
-    /// lane's result — outcome or error — is exactly what a scalar
-    /// [`MobileEngine`] run of its configuration would produce.
+    /// Runs a pack with an [`Observer`] attached: every lane carries its
+    /// own configuration (its `seed` field is the lane seed), and all lanes
+    /// advance in one lockstep loop as long as the pack shares a batch
+    /// shape (see [`shape_compatible`]). Results are returned in lane
+    /// order; each lane's result — outcome or error — is exactly what a
+    /// scalar [`MobileEngine`] run of its configuration would produce.
+    /// Pass [`NoopObserver`](mbaa_obs::NoopObserver) to run unobserved.
     ///
     /// Packs observing more than [`Observe::Summary`] and
     /// shape-incompatible packs delegate to the scalar engine lane by
     /// lane, so the call is total.
-    #[must_use]
-    pub fn run_packed(lanes: &[PackedLane]) -> Vec<Result<MobileRunOutcome>> {
-        Self::run_packed_observed(lanes, &mut NoopObserver)
-    }
-
-    /// [`BatchEngine::run_packed`] with an [`Observer`] attached. Round
-    /// events from different lanes interleave round-major (the lockstep
-    /// schedule), but each seed's event subsequence is bit-identical to
-    /// the scalar engine's stream for that seed, and run-level events are
-    /// emitted in lane order at collection. The observer never influences
-    /// protocol state; outcomes are bit-identical to
-    /// [`BatchEngine::run_packed`].
+    ///
+    /// Round events from different lanes interleave round-major (the
+    /// lockstep schedule), but each seed's event subsequence is
+    /// bit-identical to the scalar engine's stream for that seed, and
+    /// run-level events are emitted in lane order at collection. The
+    /// observer never influences protocol state, so outcomes are the same
+    /// with any observer attached.
     #[must_use]
     pub fn run_packed_observed<O: Observer>(
         lanes: &[PackedLane],
@@ -627,6 +624,7 @@ fn collect<O: Observer>(
 mod tests {
     use super::*;
     use mbaa_net::{Topology, TopologySchedule};
+    use mbaa_obs::NoopObserver;
 
     fn inputs(n: usize, salt: u64) -> Vec<Value> {
         (0..n)
@@ -663,7 +661,7 @@ mod tests {
     /// Every lane's batched result — outcome or error — equals a scalar
     /// run of its own configuration.
     fn assert_matches_scalar(lanes: &[PackedLane]) {
-        let results = BatchEngine::run_packed(lanes);
+        let results = BatchEngine::run_packed_observed(lanes, &mut NoopObserver);
         assert_eq!(results.len(), lanes.len());
         for (lane, result) in lanes.iter().zip(results) {
             let seed = lane.config.seed;
@@ -734,7 +732,7 @@ mod tests {
         infeasible.topology = Topology::RandomRegular { degree: 3 };
         let mut lanes = pack(&ring, &[1, 2]);
         lanes.extend(pack(&infeasible, &[3, 4]));
-        let results = BatchEngine::run_packed(&lanes);
+        let results = BatchEngine::run_packed_observed(&lanes, &mut NoopObserver);
         assert!(results[0].is_ok() && results[1].is_ok());
         assert!(matches!(results[2], Err(Error::InvalidParameter(_))));
         assert_matches_scalar(&lanes);
@@ -746,7 +744,7 @@ mod tests {
         let config = base_config(MobileModel::Garay, n, 2);
         let mut lanes = pack(&config, &[1, 2, 3]);
         lanes[1].inputs.truncate(4);
-        let results = BatchEngine::run_packed(&lanes);
+        let results = BatchEngine::run_packed_observed(&lanes, &mut NoopObserver);
         assert!(results[0].is_ok());
         assert!(matches!(
             results[1],
@@ -762,7 +760,7 @@ mod tests {
     fn single_lane_runs_the_batch_loop() {
         let config = base_config(MobileModel::Garay, 9, 2);
         assert_matches_scalar(&pack(&config, &[42]));
-        assert!(BatchEngine::run_packed(&[]).is_empty());
+        assert!(BatchEngine::run_packed_observed(&[], &mut NoopObserver).is_empty());
     }
 
     #[test]
@@ -773,7 +771,7 @@ mod tests {
         for lane in &mut lanes {
             lane.inputs = vec![Value::new(0.5); n];
         }
-        for result in BatchEngine::run_packed(&lanes) {
+        for result in BatchEngine::run_packed_observed(&lanes, &mut NoopObserver) {
             let outcome = result.unwrap();
             assert!(outcome.reached_agreement);
             assert_eq!(outcome.rounds_executed, 0);
@@ -848,7 +846,7 @@ mod tests {
         for lane in &mut lanes {
             lane.config.observe = Observe::Full;
         }
-        for result in BatchEngine::run_packed(&lanes) {
+        for result in BatchEngine::run_packed_observed(&lanes, &mut NoopObserver) {
             let outcome = result.unwrap();
             assert_eq!(outcome.trace.len(), outcome.rounds_executed);
             assert_eq!(outcome.configurations.len(), outcome.rounds_executed);

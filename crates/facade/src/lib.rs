@@ -27,8 +27,12 @@
 //!   [`Scenario::sweep_connectivity`], [`adversary_ablation`], and
 //!   [`mobile_vs_static`]. [`Sweep::run`] and [`Sweep::stream`] flatten
 //!   all `(point, seed)` pairs into one global work pool under a single
-//!   concurrency budget, so uneven points no longer serialize the sweep,
-//!   and [`Sweep::stream_with`] reports each point as it completes.
+//!   concurrency budget, so uneven points no longer serialize the sweep.
+//! * summary-level execution with telemetry: [`Runner::stream`],
+//!   [`Sweep::stream`], and [`stream_segments`] (the one packed executor
+//!   they both call) take an optional [`MetricsRegistry`] that folds every
+//!   run's telemetry, bit-identically for every worker count; a single
+//!   run feeds any [`Observer`] through [`Scenario::run_observed`].
 //!
 //! The network topology is a scenario axis: [`Scenario::topology`] accepts
 //! a [`Topology`] (complete by default — the paper's network — or ring /
@@ -98,8 +102,8 @@ mod runner;
 mod scenario;
 
 pub use runner::{
-    adversary_ablation, mobile_vs_static, stream_segments, stream_segments_metrics, AblationPoint,
-    BatchOutcome, EquivalencePoint, Runner, SeededRun, Sweep, SweepPoint, SweepSummary,
+    adversary_ablation, mobile_vs_static, stream_segments, AblationPoint, BatchOutcome,
+    EquivalencePoint, Runner, SeededRun, Sweep, SweepPoint, SweepSummary,
 };
 pub use scenario::Scenario;
 
@@ -137,16 +141,13 @@ pub use mbaa_core::{
 pub use mbaa_msr::{MedianVoting, MsrFunction, Reduction, Selection, VotingFunction};
 pub use mbaa_net::{
     Adjacency, DeliveryMatrix, DirectedAdjacency, DisconnectionPolicy, LinkFaultPlan, Outbox,
-    RoundDelivery, SyncNetwork, Topology, TopologySchedule,
+    SyncNetwork, Topology, TopologySchedule,
 };
 pub use mbaa_obs::{
     ConvergenceEvent, Event, EventLog, Histogram, MetricsRegistry, NoopObserver, Observer, Phase,
     RoundEvent, RunEndEvent, Tee,
 };
-pub use mbaa_sim::{
-    run_experiment, run_experiment_metrics, run_experiment_with, ExperimentConfig,
-    ExperimentResult, RunSummary, Workload,
-};
+pub use mbaa_sim::{ExperimentConfig, ExperimentResult, RunSummary, Workload};
 pub use mbaa_types::{
     Epsilon, Error, FaultCounts, FaultState, Interval, MixedFaultClass, MobileModel, ProcessId,
     ProcessSet, Result, Round, Value, ValueMultiset,

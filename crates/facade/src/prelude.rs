@@ -1,6 +1,10 @@
 //! The convenience import: `use mbaa::prelude::*;` brings in the
-//! [`Scenario`] entry point, its runners and outcomes, and the vocabulary
-//! types every experiment description needs.
+//! [`Scenario`] entry point, its runners and outcomes, the telemetry sinks
+//! ([`MetricsRegistry`], [`EventLog`], [`NoopObserver`]) the executors
+//! take, and the vocabulary types every experiment description needs.
+//! Summary-level execution has one entry point per layer:
+//! [`Runner::stream`] for a seed batch, [`Sweep::stream`] for a sweep, and
+//! [`stream_segments`] underneath both.
 //!
 //! ```
 //! use mbaa::prelude::*;
@@ -11,8 +15,8 @@
 //! ```
 
 pub use crate::runner::{
-    adversary_ablation, mobile_vs_static, stream_segments, stream_segments_metrics, AblationPoint,
-    BatchOutcome, EquivalencePoint, Runner, SeededRun, Sweep, SweepPoint, SweepSummary,
+    adversary_ablation, mobile_vs_static, stream_segments, AblationPoint, BatchOutcome,
+    EquivalencePoint, Runner, SeededRun, Sweep, SweepPoint, SweepSummary,
 };
 pub use crate::scenario::Scenario;
 
@@ -24,9 +28,7 @@ pub use mbaa_net::{
     TopologySchedule,
 };
 pub use mbaa_obs::{EventLog, MetricsRegistry, NoopObserver, Observer};
-pub use mbaa_sim::{
-    run_experiment, run_experiment_with, ExperimentConfig, ExperimentResult, RunSummary, Workload,
-};
+pub use mbaa_sim::{ExperimentConfig, ExperimentResult, RunSummary, Workload};
 pub use mbaa_types::{
     Epsilon, Error, FaultCounts, FaultState, Interval, MobileModel, ProcessId, Value, ValueMultiset,
 };

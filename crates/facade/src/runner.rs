@@ -11,10 +11,10 @@
 //! drain while a near-threshold point is still converging. For very large
 //! seed batches, [`Runner::stream`] / [`Sweep::stream`] fold each completed
 //! run into its [`RunSummary`] on the worker instead of materializing full
-//! trajectories.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! trajectories. Both are thin calls into [`stream_segments`], the one
+//! summary-level entry point, which hands every lowered point to
+//! `mbaa_sim`'s cross-point packed executor and optionally folds every
+//! run's telemetry into a [`MetricsRegistry`].
 
 use serde::{Deserialize, Serialize};
 
@@ -24,7 +24,7 @@ use mbaa_adversary::{CorruptionStrategy, MobilityStrategy};
 use mbaa_core::{defaults, MobileRunOutcome};
 use mbaa_mixed::{FaultAssignment, StaticBehavior, StaticSimulator};
 use mbaa_obs::MetricsRegistry;
-use mbaa_sim::{ExperimentResult, RunSummary};
+use mbaa_sim::{normalize_seeds, ExperimentResult, RunSummary};
 use mbaa_types::{Epsilon, Error, MobileModel, Result};
 
 use crate::Scenario;
@@ -40,17 +40,6 @@ fn with_pool<R>(workers: Option<usize>, op: impl FnOnce() -> R) -> R {
             .install(op),
         None => op(),
     }
-}
-
-/// The single seed-batch normalization every execution path shares: sorted
-/// ascending, duplicates removed. [`Runner`], [`Sweep`], and
-/// [`adversary_ablation`] all describe their runs through this, so the
-/// flattened pools and the per-point batches always agree on which runs
-/// exist.
-fn normalize_seeds(mut seeds: Vec<u64>) -> Vec<u64> {
-    seeds.sort_unstable();
-    seeds.dedup();
-    seeds
 }
 
 /// Executes one scenario over a batch of seeds, in parallel.
@@ -104,7 +93,7 @@ impl Runner {
     /// surface like this deterministically; engine errors cannot occur for
     /// workload-generated inputs).
     pub fn run(&self) -> Result<BatchOutcome> {
-        let seeds = self.sorted_seeds();
+        let seeds = normalize_seeds(self.seeds.iter().copied());
         let scenario = &self.scenario;
         let results: Vec<(u64, Result<MobileRunOutcome>)> = with_pool(self.workers, || {
             seeds
@@ -125,29 +114,20 @@ impl Runner {
         })
     }
 
-    /// Runs the batch through the lowered [`ExperimentConfig`]
-    /// (summary-only) path of `mbaa_sim` — cheaper than [`Runner::run`]
-    /// when the full per-round outcomes are not needed. Seeds are sorted
-    /// and deduplicated exactly as in [`Runner::run`], so the two paths
-    /// always describe the same runs.
+    /// Streams the batch through the summary-level packed executor: every
+    /// seed still runs in parallel, but each completed run is folded into
+    /// its [`RunSummary`] *on the worker* and the full trajectory is never
+    /// materialized, so memory stays flat even for very large seed
+    /// batches. Seeds are sorted and deduplicated exactly as in
+    /// [`Runner::run`], and the result equals
+    /// [`Runner::run`]`()?.to_experiment_result()` bit for bit, for every
+    /// worker count.
     ///
-    /// # Errors
-    ///
-    /// Propagates configuration and engine errors.
-    ///
-    /// [`ExperimentConfig`]: mbaa_sim::ExperimentConfig
-    pub fn summarize(&self) -> Result<ExperimentResult> {
-        with_pool(self.workers, || {
-            mbaa_sim::run_experiment(&self.scenario.to_experiment(self.sorted_seeds()))
-        })
-    }
-
-    /// Streams the batch: every seed still runs in parallel, but each
-    /// completed run is folded into its [`RunSummary`] *on the worker* and
-    /// the full trajectory (trace + per-round snapshots) is dropped
-    /// immediately, so memory stays flat even for very large seed batches.
-    /// The result equals [`Runner::run`]`()?.to_experiment_result()` (and
-    /// [`Runner::summarize`]) bit for bit, for every worker count.
+    /// When `metrics` is supplied, every run's telemetry is folded into it.
+    /// The per-pack registries merge by elementwise counter addition —
+    /// commutative and associative — so the registry is bit-identical for
+    /// every worker count and completion order, and the summaries are the
+    /// same either way.
     ///
     /// # Example
     ///
@@ -156,9 +136,11 @@ impl Runner {
     ///
     /// let scenario = Scenario::at_bound(MobileModel::Buhrman, 2);
     /// // A large seed batch without holding one trajectory per seed.
-    /// let summary = scenario.batch(0..128).stream()?;
+    /// let mut metrics = MetricsRegistry::new();
+    /// let summary = scenario.batch(0..128).stream(Some(&mut metrics))?;
     /// assert_eq!(summary.runs.len(), 128);
     /// assert!(summary.success_rate() > 0.99);
+    /// assert_eq!(metrics.runs, 128);
     /// # Ok::<(), mbaa::Error>(())
     /// ```
     ///
@@ -166,44 +148,11 @@ impl Runner {
     ///
     /// Propagates configuration and engine errors, deterministically (the
     /// smallest failing seed wins).
-    pub fn stream(&self) -> Result<ExperimentResult> {
-        self.stream_with(|_| {})
-    }
-
-    /// Like [`Runner::stream`], but also hands every completed
-    /// [`RunSummary`] to `on_run` as it finishes — in completion order, on
-    /// the worker that produced it — for live progress reporting or online
-    /// aggregation. `on_run` is never invoked for a failing seed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and engine errors, deterministically.
-    pub fn stream_with<F: Fn(&RunSummary) + Sync>(&self, on_run: F) -> Result<ExperimentResult> {
-        with_pool(self.workers, || {
-            mbaa_sim::run_experiment_with(&self.scenario.to_experiment(self.sorted_seeds()), on_run)
-        })
-    }
-
-    /// Like [`Runner::stream`], but also folds every run's telemetry into a
-    /// [`MetricsRegistry`] merged across the workers. Because the merge is
-    /// elementwise counter addition — commutative and associative — the
-    /// registry is bit-identical for every worker count and completion
-    /// order, and the summaries equal [`Runner::stream`] exactly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and engine errors, deterministically.
-    pub fn stream_metrics(&self) -> Result<(ExperimentResult, MetricsRegistry)> {
-        with_pool(self.workers, || {
-            mbaa_sim::run_experiment_metrics(
-                &self.scenario.to_experiment(self.sorted_seeds()),
-                |_| {},
-            )
-        })
-    }
-
-    fn sorted_seeds(&self) -> Vec<u64> {
-        normalize_seeds(self.seeds.clone())
+    pub fn stream(&self, metrics: Option<&mut MetricsRegistry>) -> Result<ExperimentResult> {
+        let segment = (self.scenario.clone(), self.seeds.clone());
+        stream_segments(std::slice::from_ref(&segment), self.workers, metrics)
+            .pop()
+            .expect("one result per segment")
     }
 }
 
@@ -376,22 +325,6 @@ impl Sweep {
         &self.points
     }
 
-    /// The seed batch, sorted and deduplicated exactly as
-    /// [`Runner::run`] normalizes it, so flattened execution and the
-    /// per-point [`Runner`] path always describe the same runs.
-    fn normalized_seeds(&self) -> Vec<u64> {
-        normalize_seeds(self.seeds.clone())
-    }
-
-    /// Every `(point index, seed)` pair of the sweep, point-major — the
-    /// flattened global work pool [`run`](Sweep::run) and
-    /// [`stream`](Sweep::stream) schedule over.
-    fn flattened_tasks(&self, seeds: &[u64]) -> Vec<(usize, u64)> {
-        (0..self.points.len())
-            .flat_map(|point| seeds.iter().map(move |&seed| (point, seed)))
-            .collect()
-    }
-
     /// Runs the whole sweep through **one** global work-stealing pool: all
     /// `(point, seed)` pairs are flattened into a single task list and
     /// workers steal across point boundaries, so a near-threshold point
@@ -422,8 +355,10 @@ impl Sweep {
     /// point-major, seed-minor order — the same error the old sequential
     /// point loop surfaced.
     pub fn run(&self) -> Result<Vec<SweepPoint>> {
-        let seeds = self.normalized_seeds();
-        let tasks = self.flattened_tasks(&seeds);
+        let seeds = normalize_seeds(self.seeds.iter().copied());
+        let tasks: Vec<(usize, u64)> = (0..self.points.len())
+            .flat_map(|point| seeds.iter().map(move |&seed| (point, seed)))
+            .collect();
         let results: Vec<Result<MobileRunOutcome>> = with_pool(self.workers, || {
             tasks
                 .into_par_iter()
@@ -455,244 +390,76 @@ impl Sweep {
     }
 
     /// Streaming variant of [`Sweep::run`]: the same flattened global pool,
-    /// but the work units are seed-batch *chunks* that advance in lockstep
-    /// on the seed-batched engine, and each completed run is folded into
-    /// its [`RunSummary`] on the worker with the trajectory dropped
-    /// immediately — so even a sweep of many large seed batches keeps
-    /// memory flat. Each point's [`ExperimentResult`] equals
+    /// but every point is a seed segment of [`stream_segments`], so
+    /// consecutive shape-compatible lanes — **across point boundaries** —
+    /// share seed-batched engine launches of up to
+    /// [`mbaa_sim::BATCH_WIDTH`] lanes, and each completed run is folded
+    /// into its [`RunSummary`] on the worker with the trajectory never
+    /// materialized. A sweep of many small points therefore neither pays
+    /// one under-full batch per point nor holds its trajectories. Each
+    /// point's [`ExperimentResult`] equals
     /// `point.batch(seeds).run()?.to_experiment_result()` bit for bit.
     ///
-    /// # Errors
-    ///
-    /// Propagates the first failing `(point, seed)` pair's error in
-    /// point-major, seed-minor order.
-    pub fn stream(&self) -> Result<Vec<SweepSummary>> {
-        // No callback, no completion tracking: the plain streaming path
-        // pays nothing for the progress machinery.
-        self.stream_impl(None::<fn(&SweepSummary)>, None)
-    }
-
-    /// Like [`Sweep::stream`], but also hands every *completed point* to
-    /// `on_point` as its last seed finishes — on the worker that completed
-    /// it, in completion order — for live progress reporting over long
-    /// sweeps. The [`SweepSummary`] passed to the callback is bit-identical
-    /// to the corresponding entry of the returned vector; a point whose
-    /// runs fail is never reported.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use mbaa::prelude::*;
-    /// use std::sync::atomic::{AtomicUsize, Ordering};
-    ///
-    /// let done = AtomicUsize::new(0);
-    /// let points = Scenario::at_bound(MobileModel::Buhrman, 2)
-    ///     .sweep_n(2)
-    ///     .seeds(0..4)
-    ///     .stream_with(|point| {
-    ///         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-    ///         eprintln!("{finished} points done, n={}", point.scenario.n);
-    ///     })?;
-    /// assert_eq!(done.load(Ordering::Relaxed), points.len());
-    /// # Ok::<(), mbaa::Error>(())
-    /// ```
+    /// When `metrics` is supplied, the telemetry of every `(point, seed)`
+    /// run is folded into it, bit-identically for every worker count,
+    /// steal order, and completion order.
     ///
     /// # Errors
     ///
     /// Propagates the first failing `(point, seed)` pair's error in
     /// point-major, seed-minor order.
-    pub fn stream_with<F: Fn(&SweepSummary) + Sync>(
-        &self,
-        on_point: F,
-    ) -> Result<Vec<SweepSummary>> {
-        self.stream_impl(Some(on_point), None)
-    }
-
-    /// Like [`Sweep::stream`], but also folds the telemetry of every
-    /// `(point, seed)` run into **one** [`MetricsRegistry`] merged across
-    /// the whole sweep. The merge is elementwise counter addition —
-    /// commutative and associative — so the registry is bit-identical for
-    /// every worker count, steal order, and chunk completion order, and the
-    /// summaries equal [`Sweep::stream`] exactly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing `(point, seed)` pair's error in
-    /// point-major, seed-minor order.
-    pub fn stream_metrics(&self) -> Result<(Vec<SweepSummary>, MetricsRegistry)> {
-        let merged = Mutex::new(MetricsRegistry::new());
-        let summaries = self.stream_impl(None::<fn(&SweepSummary)>, Some(&merged))?;
-        let metrics = merged.into_inner().expect("no panics hold the lock");
-        Ok((summaries, metrics))
-    }
-
-    /// Shared implementation of [`Sweep::stream`] / [`Sweep::stream_with`]:
-    /// the per-point completion tracking only exists when a callback does.
-    ///
-    /// Every `(point, seed)` pair of the sweep lowers into one flat
-    /// point-major lane list handed to
-    /// `mbaa_sim::run_packed_experiments`, which packs consecutive
-    /// shape-compatible lanes — **across point boundaries** — into
-    /// seed-batched engine launches of up to [`mbaa_sim::BATCH_WIDTH`]
-    /// lanes. A sweep of many small points therefore no longer pays one
-    /// under-full batch per point: lanes from the next compatible point
-    /// top up the previous point's tail. Per-seed summaries are
-    /// bit-identical to the per-point path for every worker count and
-    /// pack boundary.
-    fn stream_impl<F: Fn(&SweepSummary) + Sync>(
-        &self,
-        on_point: Option<F>,
-        metrics: Option<&Mutex<MetricsRegistry>>,
-    ) -> Result<Vec<SweepSummary>> {
-        let seeds = self.normalized_seeds();
-        // Per-point completion tracking: every finished seed stashes its
-        // summary in the point's slot vector and decrements the pending
-        // counter; whoever drops it to zero owns the completion and reports
-        // the point.
-        let tracking = on_point.as_ref().map(|_| {
-            let pending: Vec<AtomicUsize> = self
-                .points
-                .iter()
-                .map(|_| AtomicUsize::new(seeds.len()))
-                .collect();
-            let partial: Vec<Mutex<Vec<Option<RunSummary>>>> = self
-                .points
-                .iter()
-                .map(|_| Mutex::new(vec![None; seeds.len()]))
-                .collect();
-            (pending, partial)
-        });
-        // Streaming keeps only summaries, and summaries are bit-identical
-        // across observability levels: the sim executor runs every lane at
-        // `Observe::Summary`, where the batched engine's rounds stay
-        // allocation-free and no trace is ever materialized.
-        let configs: Vec<mbaa_sim::ExperimentConfig> = self
+    pub fn stream(&self, metrics: Option<&mut MetricsRegistry>) -> Result<Vec<SweepSummary>> {
+        let segments: Vec<(Scenario, Vec<u64>)> = self
             .points
             .iter()
-            .map(|scenario| scenario.to_experiment(seeds.iter().copied()))
+            .map(|scenario| (scenario.clone(), self.seeds.clone()))
             .collect();
-        let on_run = |point: usize, summary: &RunSummary| {
-            if let (Some(on_point), Some((pending, partial))) =
-                (on_point.as_ref(), tracking.as_ref())
-            {
-                let slot = seeds
-                    .binary_search(&summary.seed)
-                    .expect("seed comes from the normalized batch");
-                partial[point].lock().expect("no panics hold the lock")[slot] = Some(*summary);
-                if pending[point].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    let runs: Vec<RunSummary> = partial[point]
-                        .lock()
-                        .expect("no panics hold the lock")
-                        .iter()
-                        .map(|s| s.expect("every seed of a completed point is stashed"))
-                        .collect();
-                    on_point(&SweepSummary {
-                        scenario: self.points[point].clone(),
-                        result: ExperimentResult {
-                            config: self.points[point].to_experiment(seeds.iter().copied()),
-                            runs,
-                        },
-                    });
-                }
-            }
-        };
-        let results: Vec<Result<ExperimentResult>> = with_pool(self.workers, || {
-            // The metrics sink merges the pool's registry as it completes;
-            // counter addition commutes, so the merged registry is
-            // independent of completion order.
-            match metrics {
-                Some(sink) => {
-                    let (results, local) =
-                        mbaa_sim::run_packed_experiments_metrics(&configs, on_run);
-                    sink.lock().expect("no panics hold the lock").merge(&local);
-                    results
-                }
-                None => mbaa_sim::run_packed_experiments(&configs, on_run),
-            }
-        });
         // Each point's result carries its first failing seed's error (in
-        // seed order), and results are consumed point-major — the same
-        // deterministic point-major / seed-minor error the per-seed pool
-        // produced.
-        let summaries: Result<Vec<SweepSummary>> = self
-            .points
+        // seed order), and results are consumed point-major — the
+        // deterministic point-major / seed-minor error order.
+        self.points
             .iter()
-            .zip(results)
+            .zip(stream_segments(&segments, self.workers, metrics))
             .map(|(scenario, result)| {
                 Ok(SweepSummary {
                     scenario: scenario.clone(),
                     result: result?,
                 })
             })
-            .collect();
-        let summaries = summaries?;
-        // With an empty seed batch no task ever fires, but every point is
-        // trivially complete: report them in order so the callback still
-        // sees one invocation per completed point.
-        if seeds.is_empty() {
-            if let Some(on_point) = on_point.as_ref() {
-                for summary in &summaries {
-                    on_point(summary);
-                }
-            }
-        }
-        Ok(summaries)
+            .collect()
     }
 }
 
-/// Runs several scenario seed-segments as **one** cross-point packed pool
-/// and returns one summary-level [`ExperimentResult`] per segment, aligned
-/// with the input. Segments whose lowered configurations share a batch
-/// shape (same `n`, `f`, model) ride in shared seed-batched engine
+/// The summary-level executor of the facade: runs several scenario
+/// seed-segments as **one** cross-point packed pool under the requested
+/// worker budget and returns one [`ExperimentResult`] per segment, aligned
+/// with the input. [`Runner::stream`] is the one-segment case,
+/// [`Sweep::stream`] one segment per point, and the CLI's resumable
+/// checkpoint chunks slice a sweep grid into runs of consecutive
+/// `(point, seed)` pairs. Segments whose lowered configurations share a
+/// batch shape (same `n`, `f`, model) ride in shared seed-batched engine
 /// launches, so a segment too small to fill a batch is topped up by its
-/// neighbour instead of paying an under-full launch — the execution path
-/// of the CLI's resumable checkpoint chunks, which slice a sweep grid into
-/// runs of consecutive `(point, seed)` pairs.
+/// neighbour instead of paying an under-full launch.
 ///
 /// Seeds are normalized (sorted, deduplicated) per segment exactly as
 /// [`Runner::run`] normalizes, and each segment's result is bit-identical
-/// to `scenario.batch(seeds).stream()` on its own, for every worker count.
-/// A failing segment carries its first failing seed's error (in seed
-/// order) without disturbing its neighbours.
+/// to `scenario.batch(seeds).run()?.to_experiment_result()`, for every
+/// worker count. A failing segment carries its first failing seed's error
+/// (in seed order) without disturbing its neighbours. When `metrics` is
+/// supplied, every run's telemetry is folded into it — merged by
+/// elementwise counter addition, so the registry is bit-identical for
+/// every worker count and completion order.
 pub fn stream_segments(
-    segments: &[(Scenario, Vec<u64>)],
-    workers: Option<usize>,
-) -> Vec<Result<ExperimentResult>> {
-    stream_segments_impl(segments, workers, None)
-}
-
-/// [`stream_segments`] with every run's telemetry folded into one
-/// [`MetricsRegistry`] — merged by elementwise counter addition, so the
-/// registry is bit-identical for every worker count and completion order.
-pub fn stream_segments_metrics(
-    segments: &[(Scenario, Vec<u64>)],
-    workers: Option<usize>,
-) -> (Vec<Result<ExperimentResult>>, MetricsRegistry) {
-    let mut metrics = MetricsRegistry::new();
-    let results = stream_segments_impl(segments, workers, Some(&mut metrics));
-    (results, metrics)
-}
-
-/// Shared implementation of [`stream_segments`] /
-/// [`stream_segments_metrics`]: lower every segment, hand the whole list
-/// to the sim layer's cross-point packed executor under the requested
-/// worker budget.
-fn stream_segments_impl(
     segments: &[(Scenario, Vec<u64>)],
     workers: Option<usize>,
     metrics: Option<&mut MetricsRegistry>,
 ) -> Vec<Result<ExperimentResult>> {
     let configs: Vec<mbaa_sim::ExperimentConfig> = segments
         .iter()
-        .map(|(scenario, seeds)| scenario.to_experiment(normalize_seeds(seeds.clone())))
+        .map(|(scenario, seeds)| scenario.to_experiment(normalize_seeds(seeds.iter().copied())))
         .collect();
-    with_pool(workers, || match metrics {
-        Some(sink) => {
-            let (results, local) = mbaa_sim::run_packed_experiments_metrics(&configs, |_, _| {});
-            sink.merge(&local);
-            results
-        }
-        None => mbaa_sim::run_packed_experiments(&configs, |_, _| {}),
+    with_pool(workers, || {
+        mbaa_sim::run_packed_experiments(&configs, metrics)
     })
 }
 
@@ -915,7 +682,7 @@ mod tests {
     fn summaries_match_the_lowered_experiment_path() {
         let scenario = small();
         let via_batch = scenario.batch(0..4).run().unwrap().to_experiment_result();
-        let via_experiment = scenario.batch(0..4).summarize().unwrap();
+        let via_experiment = scenario.batch(0..4).stream(None).unwrap();
         assert_eq!(via_batch, via_experiment);
     }
 
@@ -925,7 +692,7 @@ mod tests {
         // paths.
         let runner = small().batch([3, 1, 1, 0, 3]);
         let via_batch = runner.run().unwrap().to_experiment_result();
-        let via_experiment = runner.summarize().unwrap();
+        let via_experiment = runner.stream(None).unwrap();
         assert_eq!(via_batch, via_experiment);
         assert_eq!(
             via_experiment
@@ -970,21 +737,19 @@ mod tests {
     fn stream_matches_the_eager_experiment_result() {
         let runner = small().batch([4, 2, 0, 2, 1]);
         let eager = runner.run().unwrap().to_experiment_result();
-        let streamed = runner.stream().unwrap();
+        let streamed = runner.stream(None).unwrap();
         assert_eq!(eager, streamed);
-        assert_eq!(streamed, runner.summarize().unwrap());
     }
 
     #[test]
     fn stream_with_observes_every_completed_run() {
+        // A registry attached to the stream folds every completed run.
         let runner = small().batch(0..5);
-        let seen = std::sync::Mutex::new(Vec::new());
-        let streamed = runner
-            .stream_with(|summary| seen.lock().unwrap().push(summary.seed))
-            .unwrap();
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
+        let mut metrics = MetricsRegistry::new();
+        let streamed = runner.stream(Some(&mut metrics)).unwrap();
+        assert_eq!(metrics.runs, 5);
+        let rounds: usize = streamed.runs.iter().map(|r| r.rounds).sum();
+        assert_eq!(metrics.rounds_total, rounds as u64);
         assert_eq!(streamed, runner.run().unwrap().to_experiment_result());
     }
 
@@ -1031,7 +796,7 @@ mod tests {
     fn streamed_sweep_matches_the_eager_sweep() {
         let sweep = small().sweep_n(1).seeds(0..3);
         let eager = sweep.run().unwrap();
-        let streamed = sweep.stream().unwrap();
+        let streamed = sweep.stream(None).unwrap();
         assert_eq!(eager.len(), streamed.len());
         for (point, summary) in eager.iter().zip(&streamed) {
             assert_eq!(point.scenario, summary.scenario);
@@ -1062,7 +827,7 @@ mod tests {
         let points = small().sweep_n(1).seeds(std::iter::empty()).run().unwrap();
         assert_eq!(points.len(), 2);
         assert!(points.iter().all(|p| p.outcome.is_empty()));
-        assert!(Sweep::over([]).stream().unwrap().is_empty());
+        assert!(Sweep::over([]).stream(None).unwrap().is_empty());
     }
 
     #[test]
@@ -1086,53 +851,54 @@ mod tests {
 
     #[test]
     fn stream_with_reports_every_completed_point_identically() {
+        // The points' lanes share packs across point boundaries; every
+        // reported point is still bit-identical to streaming it alone.
         let sweep = small().sweep_n(2).seeds([2, 0, 1]);
-        let seen = Mutex::new(Vec::new());
-        let summaries = sweep
-            .stream_with(|point| seen.lock().unwrap().push(point.clone()))
-            .unwrap();
-        let mut seen = seen.into_inner().unwrap();
-        assert_eq!(seen.len(), summaries.len());
-        // Completion order is scheduling-dependent; the content is not:
-        // every reported point is bit-identical to the returned entry.
-        seen.sort_unstable_by_key(|p| p.scenario.n);
-        assert_eq!(seen, summaries);
+        let summaries = sweep.stream(None).unwrap();
+        assert_eq!(summaries.len(), sweep.points().len());
+        for (scenario, summary) in sweep.points().iter().zip(&summaries) {
+            assert_eq!(&summary.scenario, scenario);
+            assert_eq!(
+                summary.result,
+                scenario.batch([2, 0, 1]).stream(None).unwrap()
+            );
+        }
     }
 
     #[test]
     fn stream_with_reports_empty_points_and_skips_failing_ones() {
+        // An empty seed batch still reports one (empty) summary per point.
         let empty = small().sweep_n(1).seeds(std::iter::empty());
-        let count = std::sync::atomic::AtomicUsize::new(0);
-        let summaries = empty
-            .stream_with(|_| {
-                count.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
-        assert_eq!(count.load(Ordering::Relaxed), summaries.len());
+        let summaries = empty.stream(None).unwrap();
+        assert_eq!(summaries.len(), 2);
+        assert!(summaries.iter().all(|p| p.result.runs.is_empty()));
 
-        // A failing point is never handed to the callback.
+        // A failing point runs nothing, so the registry stays empty.
         let bad = Scenario::new(MobileModel::Garay, 8, 2);
-        let calls = std::sync::atomic::AtomicUsize::new(0);
-        let err = Sweep::over([bad]).seeds(0..2).stream_with(|_| {
-            calls.fetch_add(1, Ordering::Relaxed);
-        });
+        let mut metrics = MetricsRegistry::new();
+        let err = Sweep::over([bad]).seeds(0..2).stream(Some(&mut metrics));
         assert!(err.is_err());
-        assert_eq!(calls.load(Ordering::Relaxed), 0);
+        assert_eq!(metrics, MetricsRegistry::new());
     }
 
     #[test]
     fn runner_stream_metrics_matches_stream_for_every_worker_budget() {
+        let stream_metrics = |runner: Runner| {
+            let mut metrics = MetricsRegistry::new();
+            let result = runner.stream(Some(&mut metrics)).unwrap();
+            (result, metrics)
+        };
         let runner = small().batch(0..5);
-        let (result, metrics) = runner.stream_metrics().unwrap();
-        assert_eq!(result, runner.stream().unwrap());
+        let (result, metrics) = stream_metrics(runner.clone());
+        assert_eq!(result, runner.stream(None).unwrap());
         assert_eq!(metrics.runs, 5);
         assert_eq!(metrics.converged, 5);
         assert_eq!(metrics.rounds_to_converge.total(), 5);
-        let (reference, ref_metrics) = small().batch(0..5).workers(1).stream_metrics().unwrap();
+        let (reference, ref_metrics) = stream_metrics(small().batch(0..5).workers(1));
         assert_eq!(reference, result);
         assert_eq!(ref_metrics, metrics);
         for width in [2usize, 8] {
-            let (r, m) = small().batch(0..5).workers(width).stream_metrics().unwrap();
+            let (r, m) = stream_metrics(small().batch(0..5).workers(width));
             assert_eq!(r, reference, "{width} workers diverged");
             assert_eq!(m, ref_metrics, "{width} workers: registry diverged");
         }
@@ -1140,18 +906,22 @@ mod tests {
 
     #[test]
     fn sweep_stream_metrics_matches_stream_and_sums_the_points() {
+        let stream_metrics = |sweep: Sweep| {
+            let mut metrics = MetricsRegistry::new();
+            let summaries = sweep.stream(Some(&mut metrics)).unwrap();
+            (summaries, metrics)
+        };
         let sweep = small().sweep_n(1).seeds(0..3);
-        let (summaries, metrics) = sweep.stream_metrics().unwrap();
-        assert_eq!(summaries, sweep.stream().unwrap());
+        let (summaries, metrics) = stream_metrics(sweep.clone());
+        assert_eq!(summaries, sweep.stream(None).unwrap());
         // The sweep registry is the merge of each point's own registry.
         let mut expected = MetricsRegistry::new();
         for point in sweep.points() {
-            let (_, point_metrics) = point.batch(0..3).stream_metrics().unwrap();
-            expected.merge(&point_metrics);
+            point.batch(0..3).stream(Some(&mut expected)).unwrap();
         }
         assert_eq!(metrics, expected);
         for width in [1usize, 2, 8] {
-            let (s, m) = sweep.clone().workers(width).stream_metrics().unwrap();
+            let (s, m) = stream_metrics(sweep.clone().workers(width));
             assert_eq!(s, summaries, "{width} workers diverged");
             assert_eq!(m, metrics, "{width} workers: registry diverged");
         }
@@ -1160,7 +930,8 @@ mod tests {
     #[test]
     fn observe_metrics_equals_plain_run() {
         let scenario = small();
-        let (outcome, metrics) = scenario.observe_metrics(7).unwrap();
+        let mut metrics = MetricsRegistry::new();
+        let outcome = scenario.run_observed(7, &mut metrics).unwrap();
         assert_eq!(outcome, scenario.run(7).unwrap());
         assert_eq!(metrics.runs, 1);
         assert_eq!(metrics.rounds_total, outcome.rounds_executed as u64);
@@ -1169,10 +940,10 @@ mod tests {
     #[test]
     fn stream_with_is_deterministic_for_every_worker_budget() {
         let sweep = || small().sweep_n(1).seeds(0..3);
-        let reference = sweep().workers(1).stream_with(|_| {}).unwrap();
+        let reference = sweep().workers(1).stream(None).unwrap();
         for width in [2usize, 8] {
             assert_eq!(
-                sweep().workers(width).stream_with(|_| {}).unwrap(),
+                sweep().workers(width).stream(None).unwrap(),
                 reference,
                 "{width} workers diverged"
             );

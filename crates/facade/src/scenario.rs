@@ -26,7 +26,7 @@ use mbaa_adversary::{CorruptionStrategy, MobilityStrategy};
 use mbaa_core::{defaults, MobileEngine, MobileRunOutcome, Observe, ProtocolConfig};
 use mbaa_msr::{MsrFunction, VotingFunction};
 use mbaa_net::{DisconnectionPolicy, LinkFaultPlan, Topology, TopologySchedule};
-use mbaa_obs::{MetricsRegistry, Observer};
+use mbaa_obs::Observer;
 use mbaa_sim::{ExperimentConfig, Workload};
 use mbaa_types::{MobileModel, Result, Value};
 
@@ -337,7 +337,7 @@ impl Scenario {
 
     /// Lowers this scenario to the [`ExperimentConfig`] of a seed batch —
     /// the aggregate-summary form consumed by
-    /// [`mbaa_sim::run_experiment`].
+    /// [`mbaa_sim::run_packed_experiments`].
     #[must_use]
     pub fn to_experiment<I: IntoIterator<Item = u64>>(&self, seeds: I) -> ExperimentConfig {
         ExperimentConfig {
@@ -399,20 +399,6 @@ impl Scenario {
         MobileEngine::new(config).run_observed(&inputs, observer)
     }
 
-    /// Runs this scenario once with `seed` and folds the telemetry stream
-    /// into a fresh [`MetricsRegistry`] — the single-run form of
-    /// [`Runner::stream_metrics`](crate::Runner::stream_metrics). The
-    /// outcome is bit-identical to [`Scenario::run`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates lowering and engine errors.
-    pub fn observe_metrics(&self, seed: u64) -> Result<(MobileRunOutcome, MetricsRegistry)> {
-        let mut metrics = MetricsRegistry::new();
-        let outcome = self.run_observed(seed, &mut metrics)?;
-        Ok((outcome, metrics))
-    }
-
     /// Runs this scenario once with an explicit voting function, overriding
     /// the configured MSR instance — used to compare MSR instances with
     /// non-MSR baselines under identical adversaries.
@@ -432,7 +418,7 @@ impl Scenario {
 
     /// A [`Runner`] over this scenario and a seed batch; `run()` fans the
     /// seeds out on the work-stealing pool and aggregates full outcomes
-    /// into a [`BatchOutcome`](crate::BatchOutcome), while `stream()` folds
+    /// into a [`BatchOutcome`](crate::BatchOutcome), while `stream(None)` folds
     /// each run into its summary on the worker — flat memory for very
     /// large batches. Both are deterministic for every worker count.
     #[must_use]
@@ -471,7 +457,7 @@ impl Scenario {
 
     /// A sweep over the network connectivity: one point per topology,
     /// everything else as in this scenario. Like every [`Sweep`], `run()`
-    /// and `stream()` flatten all `(point, seed)` pairs onto the shared
+    /// and `stream(None)` flatten all `(point, seed)` pairs onto the shared
     /// work-stealing pool, so a slow sparse point never serializes the
     /// denser points behind it — this is the convergence-vs-degree surface
     /// of the Li–Hurfin–Wang connectivity regimes

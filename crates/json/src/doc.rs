@@ -40,7 +40,8 @@ pub const FORMAT: &str = "mbaa-scenario/1";
 /// committed batches readable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SeedSpec {
-    /// An explicit seed list, run in the given order.
+    /// An explicit seed list, as written (runs execute the
+    /// [`normalized`](SeedSpec::normalized) batch).
     List(Vec<u64>),
     /// The contiguous batch `start, start+1, …, start+count-1`.
     Range {
@@ -59,6 +60,14 @@ impl SeedSpec {
             SeedSpec::List(seeds) => seeds.clone(),
             SeedSpec::Range { start, count } => (0..*count).map(|i| start + i).collect(),
         }
+    }
+
+    /// The batch every execution path runs: the expanded seeds sorted and
+    /// deduplicated by [`mbaa::sim::normalize_seeds`], the normalization
+    /// every `Runner` applies.
+    #[must_use]
+    pub fn normalized(&self) -> Vec<u64> {
+        mbaa::sim::normalize_seeds(self.seeds())
     }
 
     fn to_json(&self) -> Json {

@@ -5,7 +5,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use mbaa_msr::{ConvergenceReport, VotingFunction};
-use mbaa_net::{Outbox, SyncNetwork};
+use mbaa_net::{DeliveryMatrix, Outbox, SyncNetwork};
 use mbaa_types::{Epsilon, Error, Interval, ProcessId, Result, Round, Value, ValueMultiset};
 
 use crate::{FaultAssignment, StaticBehavior};
@@ -110,6 +110,7 @@ impl StaticSimulator {
 
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut network = SyncNetwork::without_trace(n);
+        let mut deliveries = DeliveryMatrix::new(n);
         let mut votes: Vec<Value> = initial_values.to_vec();
 
         let correct_set = self.assignment.correct_set();
@@ -151,12 +152,12 @@ impl StaticSimulator {
                 .collect();
 
             // Receive phase.
-            let deliveries = network.exchange(round, outboxes)?;
+            network.exchange_into(round, &outboxes, &mut deliveries)?;
 
             // Compute phase: every correct process applies the voting
             // function to what it received.
             for p in correct_set.iter() {
-                let received = deliveries[p.index()].received_multiset();
+                let received: ValueMultiset = deliveries.delivered_to(p).collect();
                 if let Some(next) = function.apply(&received) {
                     votes[p.index()] = next;
                 }

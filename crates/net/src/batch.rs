@@ -875,7 +875,7 @@ impl SharedRealization {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SyncNetwork;
+    use crate::{DeliveryMatrix, SyncNetwork};
 
     fn pid(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -955,9 +955,12 @@ mod tests {
         let mut stats = NetworkStats::new();
         let (sends, outboxes) = mixed_send_phase(n);
         let active = vec![true; n];
+        let mut deliveries = DeliveryMatrix::new(n);
         for round in 0..rounds {
             let round = Round::new(round);
-            let deliveries = scalar.exchange(round, outboxes.clone()).unwrap();
+            scalar
+                .exchange_into(round, &outboxes, &mut deliveries)
+                .unwrap();
             shared
                 .exchange_rows(
                     &mut lane,
@@ -973,7 +976,7 @@ mod tests {
             for row in 0..rows.rows() {
                 let r = rows.receiver(row);
                 let mut scalar_row: Vec<Value> =
-                    deliveries[r].iter().filter_map(|(_, v)| v).collect();
+                    deliveries.delivered_to(ProcessId::new(r)).collect();
                 scalar_row.sort_unstable();
                 assert_eq!(rows.row(row), &scalar_row[..], "round {round} receiver {r}");
             }

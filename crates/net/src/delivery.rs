@@ -1,124 +1,18 @@
-//! The receive-phase input of a single process.
+//! The receive-phase output of a round.
 
-use std::fmt;
+use mbaa_types::{ProcessId, Value};
 
-use serde::{Deserialize, Serialize};
-
-use mbaa_types::Value;
-use mbaa_types::{ProcessId, ValueMultiset};
-
-/// Everything one process receives during the receive phase of a round.
+/// Everything every process receives during the receive phase of a round:
+/// a flat, reusable `n × n` buffer holding slot `[receiver][sender]`,
+/// stored receiver-major in one contiguous allocation.
 ///
-/// There is one slot per sender. `Some(v)` means "the (authenticated) sender
-/// delivered `v` to me this round"; `None` means the sender omitted its
-/// message, which in a synchronous system is immediately detected and treated
-/// as a benign fault.
-///
-/// # Example
-///
-/// ```
-/// use mbaa_net::RoundDelivery;
-/// use mbaa_types::{ProcessId, Value};
-///
-/// let delivery = RoundDelivery::from_slots(
-///     ProcessId::new(0),
-///     vec![Some(Value::new(1.0)), None, Some(Value::new(3.0))],
-/// );
-/// assert_eq!(delivery.received_multiset().len(), 2);
-/// assert_eq!(delivery.omitting_senders(), vec![ProcessId::new(1)]);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RoundDelivery {
-    receiver: ProcessId,
-    slots: Vec<Option<Value>>,
-}
-
-impl RoundDelivery {
-    /// Creates a delivery record from explicit per-sender slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` is empty.
-    #[must_use]
-    pub fn from_slots(receiver: ProcessId, slots: Vec<Option<Value>>) -> Self {
-        assert!(!slots.is_empty(), "delivery must cover at least one sender");
-        RoundDelivery { receiver, slots }
-    }
-
-    /// The receiving process.
-    #[must_use]
-    pub fn receiver(&self) -> ProcessId {
-        self.receiver
-    }
-
-    /// The number of sender slots (the system size `n`).
-    #[must_use]
-    pub fn universe(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The value received from `sender`, or `None` for an omission.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sender` is outside the universe.
-    #[must_use]
-    pub fn from_sender(&self, sender: ProcessId) -> Option<Value> {
-        self.slots[sender.index()]
-    }
-
-    /// Iterates over `(sender, slot)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (ProcessId, Option<Value>)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (ProcessId::new(i), *v))
-    }
-
-    /// The multiset `N_i` of all values actually delivered (omissions are
-    /// excluded — they are detected benign faults).
-    #[must_use]
-    pub fn received_multiset(&self) -> ValueMultiset {
-        self.slots.iter().filter_map(|s| *s).collect()
-    }
-
-    /// The multiset of values delivered by the given subset of senders.
-    ///
-    /// Used in analysis to extract `U`, the sub-multiset of values generated
-    /// by non-faulty processes.
-    #[must_use]
-    pub fn received_from<I: IntoIterator<Item = ProcessId>>(&self, senders: I) -> ValueMultiset {
-        senders
-            .into_iter()
-            .filter_map(|p| self.slots[p.index()])
-            .collect()
-    }
-
-    /// Senders whose message was omitted this round.
-    #[must_use]
-    pub fn omitting_senders(&self) -> Vec<ProcessId> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.is_none().then_some(ProcessId::new(i)))
-            .collect()
-    }
-
-    /// The number of values actually delivered.
-    #[must_use]
-    pub fn delivered_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-}
-
-/// A flat, reusable `n × n` receive buffer: slot `[receiver][sender]` of a
-/// round's delivery, stored receiver-major in one contiguous allocation.
-///
-/// This is the in-place counterpart of `Vec<RoundDelivery>`, used by
-/// [`SyncNetwork::exchange_into`](crate::SyncNetwork::exchange_into): the
-/// engine allocates one matrix per run and every exchange overwrites it,
-/// so steady-state rounds perform no heap allocation at all. Row contents
-/// are bit-identical to the slots of the corresponding [`RoundDelivery`].
+/// `Some(v)` means "the (authenticated) sender delivered `v` to this
+/// receiver this round"; `None` means the sender omitted its message —
+/// which in a synchronous system is immediately detected and treated as a
+/// benign fault — or that no link carried it. Filled by
+/// [`SyncNetwork::exchange_into`](crate::SyncNetwork::exchange_into): a
+/// run allocates one matrix and every exchange overwrites it, so
+/// steady-state rounds perform no heap allocation at all.
 ///
 /// # Example
 ///
@@ -178,8 +72,7 @@ impl DeliveryMatrix {
         }
     }
 
-    /// The per-sender slots of one receiver — the same slots the
-    /// corresponding [`RoundDelivery`] would hold.
+    /// The per-sender slots of one receiver, in sender order.
     ///
     /// # Panics
     ///
@@ -215,90 +108,47 @@ impl DeliveryMatrix {
     pub fn delivered_to(&self, receiver: ProcessId) -> impl Iterator<Item = Value> + '_ {
         self.received(receiver).iter().filter_map(|s| *s)
     }
-
-    /// Materializes one receiver's row as an owned [`RoundDelivery`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `receiver` is outside the universe.
-    #[must_use]
-    pub fn to_round_delivery(&self, receiver: ProcessId) -> RoundDelivery {
-        RoundDelivery::from_slots(receiver, self.received(receiver).to_vec())
-    }
-}
-
-impl fmt::Display for RoundDelivery {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} <- [", self.receiver)?;
-        for (i, slot) in self.slots.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            match slot {
-                Some(v) => write!(f, "{v}")?,
-                None => write!(f, "-")?,
-            }
-        }
-        write!(f, "]")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbaa_types::ValueMultiset;
 
-    fn delivery() -> RoundDelivery {
-        RoundDelivery::from_slots(
-            ProcessId::new(2),
-            vec![
-                Some(Value::new(1.0)),
-                None,
-                Some(Value::new(2.0)),
-                Some(Value::new(1.0)),
-            ],
-        )
+    /// Receiver 2's row holds `[1, -, 2, 1]`; every other row is empty.
+    fn delivery() -> DeliveryMatrix {
+        let mut matrix = DeliveryMatrix::new(4);
+        matrix.row_mut(2).copy_from_slice(&[
+            Some(Value::new(1.0)),
+            None,
+            Some(Value::new(2.0)),
+            Some(Value::new(1.0)),
+        ]);
+        matrix
     }
 
     #[test]
     fn accessors() {
         let d = delivery();
-        assert_eq!(d.receiver(), ProcessId::new(2));
+        let p = ProcessId::new;
         assert_eq!(d.universe(), 4);
-        assert_eq!(d.from_sender(ProcessId::new(0)), Some(Value::new(1.0)));
-        assert_eq!(d.from_sender(ProcessId::new(1)), None);
-        assert_eq!(d.delivered_count(), 3);
+        assert_eq!(d.received(p(2)).len(), 4);
+        assert_eq!(d.from_sender(p(2), p(0)), Some(Value::new(1.0)));
+        assert_eq!(d.from_sender(p(2), p(1)), None);
+        assert_eq!(d.delivered_to(p(2)).count(), 3);
+        assert_eq!(d.delivered_to(p(0)).count(), 0);
     }
 
     #[test]
     fn received_multiset_excludes_omissions_keeps_multiplicity() {
-        let m = delivery().received_multiset();
+        let m: ValueMultiset = delivery().delivered_to(ProcessId::new(2)).collect();
         assert_eq!(m.len(), 3);
         assert_eq!(m.count(Value::new(1.0)), 2);
     }
 
     #[test]
-    fn received_from_subset() {
-        let d = delivery();
-        let m = d.received_from([ProcessId::new(0), ProcessId::new(1), ProcessId::new(2)]);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.max(), Some(Value::new(2.0)));
-    }
-
-    #[test]
-    fn omitting_senders_detected() {
-        assert_eq!(delivery().omitting_senders(), vec![ProcessId::new(1)]);
-    }
-
-    #[test]
-    fn iteration_and_display() {
-        let d = delivery();
-        assert_eq!(d.iter().count(), 4);
-        assert_eq!(d.to_string(), "p2 <- [1, -, 2, 1]");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sender")]
+    #[should_panic(expected = "at least one process")]
     fn empty_slots_panic() {
-        let _ = RoundDelivery::from_slots(ProcessId::new(0), vec![]);
+        let _ = DeliveryMatrix::new(0);
     }
 }

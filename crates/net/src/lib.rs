@@ -13,12 +13,12 @@
 //!   for each destination, either a value or an omission. A correct process
 //!   broadcasts the same value to everyone; a Byzantine process may put a
 //!   different value (or nothing) in every slot.
-//! * [`RoundDelivery`] — what one process receives in the receive phase:
-//!   for each sender, either the delivered value or an omission. Because the
-//!   network is authenticated, the sender identity attached to each slot is
-//!   always genuine.
-//! * [`SyncNetwork`] — the exchange engine that turns `n` outboxes into `n`
-//!   deliveries while enforcing the reliability guarantees (no loss, no
+//! * [`DeliveryMatrix`] — what every process receives in the receive
+//!   phase: for each `(receiver, sender)` slot, either the delivered value
+//!   or an omission. Because the network is authenticated, the sender
+//!   identity attached to each slot is always genuine.
+//! * [`SyncNetwork`] — the exchange engine that turns `n` outboxes into a
+//!   filled delivery matrix while enforcing the reliability guarantees (no loss, no
 //!   duplication, no creation) and recording a [`RoundTrace`]. Built
 //!   [`with_topology`](SyncNetwork::with_topology), it masks delivery by
 //!   adjacency.
@@ -40,10 +40,11 @@
 //! # Example
 //!
 //! ```
-//! use mbaa_net::{Outbox, SyncNetwork};
-//! use mbaa_types::{ProcessId, Round, Value};
+//! use mbaa_net::{DeliveryMatrix, Outbox, SyncNetwork};
+//! use mbaa_types::{ProcessId, Round, Value, ValueMultiset};
 //!
 //! let mut net = SyncNetwork::new(3);
+//! let mut deliveries = DeliveryMatrix::new(3);
 //! let round = Round::ZERO;
 //!
 //! // Every process broadcasts its own index as its vote.
@@ -51,9 +52,9 @@
 //!     .map(|i| Outbox::broadcast(3, ProcessId::new(i), Value::new(i as f64)))
 //!     .collect();
 //!
-//! let deliveries = net.exchange(round, outboxes).unwrap();
+//! net.exchange_into(round, &outboxes, &mut deliveries).unwrap();
 //! // Process 0 heard 0.0, 1.0 and 2.0.
-//! let heard = deliveries[0].received_multiset();
+//! let heard: ValueMultiset = deliveries.delivered_to(ProcessId::new(0)).collect();
 //! assert_eq!(heard.len(), 3);
 //! assert_eq!(heard.max(), Some(Value::new(2.0)));
 //! ```
@@ -72,7 +73,7 @@ mod topology;
 mod trace;
 
 pub use batch::{DeliveryRows, LaneDelivery, LaneSend, SharedRealization};
-pub use delivery::{DeliveryMatrix, RoundDelivery};
+pub use delivery::DeliveryMatrix;
 pub use faults::{
     CompiledLinkFaults, DirectedAdjacency, DisconnectionPolicy, LinkFaultPlan, LinkFaultRule,
     RealizedSchedule, TopologySchedule,

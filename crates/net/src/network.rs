@@ -7,16 +7,17 @@ use mbaa_types::{Error, ProcessId, Result, Round, Value};
 use crate::faults::omission_lost;
 use crate::{
     Adjacency, CompiledLinkFaults, DeliveryMatrix, DirectedAdjacency, DisconnectionPolicy,
-    LinkFaultPlan, NetworkStats, NetworkTrace, Outbox, RealizedSchedule, RoundDelivery, RoundTrace,
+    LinkFaultPlan, NetworkStats, NetworkTrace, Outbox, RealizedSchedule, RoundTrace,
 };
 
 /// An authenticated, reliable synchronous network of `n` processes — fully
 /// connected by default, or mediated by a partial [`Adjacency`] when built
 /// [`with_topology`](SyncNetwork::with_topology).
 ///
-/// One call to [`SyncNetwork::exchange`] performs the send and receive
-/// phases of a round: it takes one [`Outbox`] per process and returns one
-/// [`RoundDelivery`] per process, guaranteeing that
+/// One call to [`SyncNetwork::exchange_into`] performs the send and
+/// receive phases of a round: it takes one [`Outbox`] per process and
+/// fills one [`DeliveryMatrix`] row per receiving process, guaranteeing
+/// that
 ///
 /// * every non-omitted slot between neighbours is delivered exactly once
 ///   (*reliability*),
@@ -33,16 +34,20 @@ use crate::{
 /// # Example
 ///
 /// ```
-/// use mbaa_net::{Outbox, SyncNetwork};
+/// use mbaa_net::{DeliveryMatrix, Outbox, SyncNetwork};
 /// use mbaa_types::{ProcessId, Round, Value};
 ///
 /// let mut net = SyncNetwork::new(2);
+/// let mut deliveries = DeliveryMatrix::new(2);
 /// let outboxes = vec![
 ///     Outbox::broadcast(2, ProcessId::new(0), Value::new(0.25)),
 ///     Outbox::broadcast(2, ProcessId::new(1), Value::new(0.75)),
 /// ];
-/// let deliveries = net.exchange(Round::ZERO, outboxes)?;
-/// assert_eq!(deliveries[1].from_sender(ProcessId::new(0)), Some(Value::new(0.25)));
+/// net.exchange_into(Round::ZERO, &outboxes, &mut deliveries)?;
+/// assert_eq!(
+///     deliveries.from_sender(ProcessId::new(1), ProcessId::new(0)),
+///     Some(Value::new(0.25))
+/// );
 /// # Ok::<(), mbaa_types::Error>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -276,7 +281,12 @@ impl SyncNetwork {
         (self.trace, self.stats)
     }
 
-    /// Performs the send + receive phases of `round`.
+    /// Performs the send + receive phases of `round`, writing every
+    /// `[receiver][sender]` slot into `out`. On the static paths (complete,
+    /// masked, or directed graph) a steady-state exchange performs **no
+    /// heap allocation**: the caller reuses one [`DeliveryMatrix`] across
+    /// rounds and trace recording, if enabled, is the only remaining
+    /// per-round allocation.
     ///
     /// `outboxes` must contain exactly one outbox per process, ordered by
     /// process index, each covering the full universe.
@@ -291,29 +301,6 @@ impl SyncNetwork {
     /// sequentially), and [`Error::DisconnectedRound`] when a dynamic
     /// schedule realizes a disconnected graph under the
     /// [`DisconnectionPolicy::Reject`] policy.
-    pub fn exchange(&mut self, round: Round, outboxes: Vec<Outbox>) -> Result<Vec<RoundDelivery>> {
-        let mut matrix = DeliveryMatrix::new(self.n);
-        self.exchange_into(round, &outboxes, &mut matrix)?;
-        Ok((0..self.n)
-            .map(|r| matrix.to_round_delivery(ProcessId::new(r)))
-            .collect())
-    }
-
-    /// In-place form of [`SyncNetwork::exchange`]: performs the send +
-    /// receive phases of `round`, writing every `[receiver][sender]` slot
-    /// into `out` instead of materializing per-receiver [`RoundDelivery`]
-    /// vectors. On the static paths (complete, masked, or directed graph)
-    /// a steady-state exchange performs **no heap allocation**: the caller
-    /// reuses one [`DeliveryMatrix`] across rounds and trace recording, if
-    /// enabled, is the only remaining per-round allocation.
-    ///
-    /// Slot contents, statistics, and the recorded trace are bit-identical
-    /// to [`SyncNetwork::exchange`] — `exchange` is implemented on top of
-    /// this method.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`SyncNetwork::exchange`].
     // mbaa: alloc-free
     pub fn exchange_into(
         &mut self,
@@ -578,6 +565,17 @@ mod tests {
         ProcessId::new(i)
     }
 
+    /// One exchange into a fresh delivery matrix.
+    fn exchange(
+        net: &mut SyncNetwork,
+        round: Round,
+        outboxes: &[Outbox],
+    ) -> Result<DeliveryMatrix> {
+        let mut deliveries = DeliveryMatrix::new(net.universe());
+        net.exchange_into(round, outboxes, &mut deliveries)?;
+        Ok(deliveries)
+    }
+
     #[test]
     fn exchange_transposes_outboxes() {
         let mut net = SyncNetwork::new(3);
@@ -593,23 +591,32 @@ mod tests {
             ),
             Outbox::silent(3, pid(2)),
         ];
-        let deliveries = net.exchange(Round::ZERO, outboxes).unwrap();
-        assert_eq!(deliveries.len(), 3);
+        let deliveries = exchange(&mut net, Round::ZERO, &outboxes).unwrap();
+        assert_eq!(deliveries.universe(), 3);
 
         // Receiver 0: hears 0.0 from p0, 10.0 from p1, nothing from p2.
-        assert_eq!(deliveries[0].from_sender(pid(0)), Some(Value::new(0.0)));
-        assert_eq!(deliveries[0].from_sender(pid(1)), Some(Value::new(10.0)));
-        assert_eq!(deliveries[0].from_sender(pid(2)), None);
+        assert_eq!(
+            deliveries.from_sender(pid(0), pid(0)),
+            Some(Value::new(0.0))
+        );
+        assert_eq!(
+            deliveries.from_sender(pid(0), pid(1)),
+            Some(Value::new(10.0))
+        );
+        assert_eq!(deliveries.from_sender(pid(0), pid(2)), None);
 
         // Receiver 2 hears the asymmetric sender's third slot.
-        assert_eq!(deliveries[2].from_sender(pid(1)), Some(Value::new(12.0)));
+        assert_eq!(
+            deliveries.from_sender(pid(2), pid(1)),
+            Some(Value::new(12.0))
+        );
     }
 
     #[test]
     fn exchange_rejects_wrong_count() {
         let mut net = SyncNetwork::new(3);
         let outboxes = vec![Outbox::broadcast(3, pid(0), Value::new(0.0))];
-        let err = net.exchange(Round::ZERO, outboxes).unwrap_err();
+        let err = exchange(&mut net, Round::ZERO, &outboxes).unwrap_err();
         assert!(matches!(
             err,
             Error::WrongInputCount {
@@ -628,7 +635,7 @@ mod tests {
             Outbox::broadcast(2, pid(1), Value::new(0.0)),
             Outbox::broadcast(2, pid(1), Value::new(0.0)),
         ];
-        let err = net.exchange(Round::ZERO, outboxes).unwrap_err();
+        let err = exchange(&mut net, Round::ZERO, &outboxes).unwrap_err();
         assert!(matches!(err, Error::InvalidParameter(_)));
     }
 
@@ -639,7 +646,7 @@ mod tests {
             Outbox::broadcast(3, pid(0), Value::new(0.0)),
             Outbox::broadcast(2, pid(1), Value::new(0.0)),
         ];
-        let err = net.exchange(Round::ZERO, outboxes).unwrap_err();
+        let err = exchange(&mut net, Round::ZERO, &outboxes).unwrap_err();
         assert!(matches!(err, Error::InvalidParameter(_)));
     }
 
@@ -652,8 +659,8 @@ mod tests {
                 Outbox::silent(2, pid(1)),
             ]
         };
-        net.exchange(Round::ZERO, round_outboxes()).unwrap();
-        net.exchange(Round::new(1), round_outboxes()).unwrap();
+        exchange(&mut net, Round::ZERO, &round_outboxes()).unwrap();
+        exchange(&mut net, Round::new(1), &round_outboxes()).unwrap();
         let stats = net.stats();
         assert_eq!(stats.rounds, 2);
         assert_eq!(stats.messages_delivered, 4);
@@ -666,11 +673,11 @@ mod tests {
         let outboxes = || vec![Outbox::broadcast(1, pid(0), Value::new(1.0))];
 
         let mut traced = SyncNetwork::new(1);
-        traced.exchange(Round::ZERO, outboxes()).unwrap();
+        exchange(&mut traced, Round::ZERO, &outboxes()).unwrap();
         assert_eq!(traced.trace().len(), 1);
 
         let mut untraced = SyncNetwork::without_trace(1);
-        untraced.exchange(Round::ZERO, outboxes()).unwrap();
+        exchange(&mut untraced, Round::ZERO, &outboxes()).unwrap();
         assert!(untraced.trace().is_empty());
         assert_eq!(untraced.stats().rounds, 1);
     }
@@ -692,14 +699,20 @@ mod tests {
             Outbox::broadcast(3, pid(1), Value::new(1.0)),
             Outbox::broadcast(3, pid(2), Value::new(2.0)),
         ];
-        let deliveries = net.exchange(Round::ZERO, outboxes).unwrap();
+        let deliveries = exchange(&mut net, Round::ZERO, &outboxes).unwrap();
         // The middle hears everyone; the ends hear themselves, the middle,
         // and a structural None from each other.
-        assert_eq!(deliveries[1].delivered_count(), 3);
-        assert_eq!(deliveries[0].from_sender(pid(2)), None);
-        assert_eq!(deliveries[2].from_sender(pid(0)), None);
-        assert_eq!(deliveries[0].from_sender(pid(0)), Some(Value::new(0.0)));
-        assert_eq!(deliveries[0].from_sender(pid(1)), Some(Value::new(1.0)));
+        assert_eq!(deliveries.delivered_to(pid(1)).count(), 3);
+        assert_eq!(deliveries.from_sender(pid(0), pid(2)), None);
+        assert_eq!(deliveries.from_sender(pid(2), pid(0)), None);
+        assert_eq!(
+            deliveries.from_sender(pid(0), pid(0)),
+            Some(Value::new(0.0))
+        );
+        assert_eq!(
+            deliveries.from_sender(pid(0), pid(1)),
+            Some(Value::new(1.0))
+        );
     }
 
     #[test]
@@ -712,7 +725,7 @@ mod tests {
             // A genuine omission fault, distinct from the missing 0—2 link.
             Outbox::silent(3, pid(2)),
         ];
-        net.exchange(Round::ZERO, outboxes).unwrap();
+        exchange(&mut net, Round::ZERO, &outboxes).unwrap();
         let stats = net.stats();
         // Reachable slots: 2 + 3 + 2 = 7. p2's silence omits to its
         // reachable audience (itself and p1); the 0—2 slots are structural.
@@ -734,8 +747,8 @@ mod tests {
                 Outbox::broadcast(3, pid(2), Value::new(1.5)),
             ]
         };
-        let a = masked.exchange(Round::ZERO, outboxes()).unwrap();
-        let b = plain.exchange(Round::ZERO, outboxes()).unwrap();
+        let a = exchange(&mut masked, Round::ZERO, &outboxes()).unwrap();
+        let b = exchange(&mut plain, Round::ZERO, &outboxes()).unwrap();
         assert_eq!(a, b);
         assert_eq!(masked.stats(), plain.stats());
         assert_eq!(masked.trace(), plain.trace());
@@ -756,10 +769,13 @@ mod tests {
             Outbox::broadcast(3, pid(1), Value::new(1.0)),
             Outbox::broadcast(3, pid(2), Value::new(2.0)),
         ];
-        let deliveries = net.exchange(Round::ZERO, outboxes).unwrap();
+        let deliveries = exchange(&mut net, Round::ZERO, &outboxes).unwrap();
         // p1 hears p0; p0 does not hear p1.
-        assert_eq!(deliveries[1].from_sender(pid(0)), Some(Value::new(0.0)));
-        assert_eq!(deliveries[0].from_sender(pid(1)), None);
+        assert_eq!(
+            deliveries.from_sender(pid(1), pid(0)),
+            Some(Value::new(0.0))
+        );
+        assert_eq!(deliveries.from_sender(pid(0), pid(1)), None);
         // The one-way gap is structural, not an omission.
         let stats = net.stats();
         assert_eq!(stats.unreachable, 1);
@@ -795,7 +811,7 @@ mod tests {
             Outbox::broadcast(3, pid(1), Value::new(1.0)),
             Outbox::broadcast(3, pid(2), Value::new(2.0)),
         ];
-        net.exchange(Round::ZERO, outboxes).unwrap();
+        exchange(&mut net, Round::ZERO, &outboxes).unwrap();
         let trace = net.trace();
         let obs = trace.get(0).unwrap().observation(pid(0));
         assert!(obs.reaches(pid(1)));
@@ -844,9 +860,12 @@ mod tests {
         let plan = LinkFaultPlan::new().cut(0, 1);
         let mut net = dynamic_net(&plan, 9);
         assert!(net.is_dynamic());
-        let deliveries = net.exchange(Round::ZERO, broadcasts()).unwrap();
-        assert_eq!(deliveries[1].from_sender(pid(0)), None);
-        assert_eq!(deliveries[1].from_sender(pid(2)), Some(Value::new(2.0)));
+        let deliveries = exchange(&mut net, Round::ZERO, &broadcasts()).unwrap();
+        assert_eq!(deliveries.from_sender(pid(1), pid(0)), None);
+        assert_eq!(
+            deliveries.from_sender(pid(1), pid(2)),
+            Some(Value::new(2.0))
+        );
         let stats = net.stats();
         assert_eq!(stats.link_omissions, 1);
         assert_eq!(stats.omissions, 0);
@@ -874,23 +893,23 @@ mod tests {
             ]
         };
         // Rounds 0 and 1: the 0 -> 1 slot is still in the pipe.
-        let d0 = net.exchange(Round::ZERO, send(0.5)).unwrap();
-        assert_eq!(d0[1].from_sender(pid(0)), None);
-        let d1 = net.exchange(Round::new(1), send(1.5)).unwrap();
-        assert_eq!(d1[1].from_sender(pid(0)), None);
+        let d0 = exchange(&mut net, Round::ZERO, &send(0.5)).unwrap();
+        assert_eq!(d0.from_sender(pid(1), pid(0)), None);
+        let d1 = exchange(&mut net, Round::new(1), &send(1.5)).unwrap();
+        assert_eq!(d1.from_sender(pid(1), pid(0)), None);
         assert_eq!(net.stats().link_pending, 2);
         // Round 2 delivers round 0's value; round 3 delivers round 1's —
         // in order, two rounds late.
-        let d2 = net.exchange(Round::new(2), send(2.5)).unwrap();
-        assert_eq!(d2[1].from_sender(pid(0)), Some(Value::new(0.5)));
-        let d3 = net.exchange(Round::new(3), send(3.5)).unwrap();
-        assert_eq!(d3[1].from_sender(pid(0)), Some(Value::new(1.5)));
+        let d2 = exchange(&mut net, Round::new(2), &send(2.5)).unwrap();
+        assert_eq!(d2.from_sender(pid(1), pid(0)), Some(Value::new(0.5)));
+        let d3 = exchange(&mut net, Round::new(3), &send(3.5)).unwrap();
+        assert_eq!(d3.from_sender(pid(1), pid(0)), Some(Value::new(1.5)));
         let stats = net.stats();
         assert_eq!(stats.link_delayed, 2);
         assert_eq!(stats.link_pending, 2);
         assert_eq!(stats.omissions, 0);
         // Every other slot was unaffected.
-        assert_eq!(d3[2].from_sender(pid(0)), Some(Value::new(3.5)));
+        assert_eq!(d3.from_sender(pid(2), pid(0)), Some(Value::new(3.5)));
     }
 
     #[test]
@@ -902,9 +921,9 @@ mod tests {
             Outbox::broadcast(3, pid(1), Value::new(1.0)),
             Outbox::broadcast(3, pid(2), Value::new(2.0)),
         ];
-        net.exchange(Round::ZERO, silent_then_loud).unwrap();
+        exchange(&mut net, Round::ZERO, &silent_then_loud).unwrap();
         // Round 1 surfaces round 0's omission on the delayed link.
-        net.exchange(Round::new(1), broadcasts()).unwrap();
+        exchange(&mut net, Round::new(1), &broadcasts()).unwrap();
         let stats = net.stats();
         // p0 omitted to itself and p2 directly in round 0 (2 omissions) and
         // to p1 through the pipe, surfacing in round 1 (1 more).
@@ -918,13 +937,13 @@ mod tests {
         let plan = LinkFaultPlan::new().delay(0, 1, 2);
         let mut net = dynamic_net(&plan, 0);
         // Starting anywhere but round 0 is rejected…
-        let err = net.exchange(Round::new(3), broadcasts()).unwrap_err();
+        let err = exchange(&mut net, Round::new(3), &broadcasts()).unwrap_err();
         assert!(matches!(err, Error::InvalidParameter(_)));
         // …and so is repeating or skipping a round mid-run.
-        net.exchange(Round::ZERO, broadcasts()).unwrap();
-        assert!(net.exchange(Round::ZERO, broadcasts()).is_err());
-        assert!(net.exchange(Round::new(2), broadcasts()).is_err());
-        assert!(net.exchange(Round::new(1), broadcasts()).is_ok());
+        exchange(&mut net, Round::ZERO, &broadcasts()).unwrap();
+        assert!(exchange(&mut net, Round::ZERO, &broadcasts()).is_err());
+        assert!(exchange(&mut net, Round::new(2), &broadcasts()).is_err());
+        assert!(exchange(&mut net, Round::new(1), &broadcasts()).is_ok());
     }
 
     #[test]
@@ -969,7 +988,7 @@ mod tests {
             let mut net = dynamic_net(&plan, seed);
             let mut all = Vec::new();
             for round in 0..20 {
-                all.push(net.exchange(Round::new(round), broadcasts()).unwrap());
+                all.push(exchange(&mut net, Round::new(round), &broadcasts()).unwrap());
             }
             (all, net.stats())
         };
@@ -981,9 +1000,9 @@ mod tests {
         assert!(stats_a.messages_delivered > 0, "p=0.5 lost everything");
         // Self-delivery is never drawn against.
         for round in &a {
-            for (i, delivery) in round.iter().enumerate() {
+            for i in 0..3 {
                 assert_eq!(
-                    delivery.from_sender(pid(i)),
+                    round.from_sender(pid(i), pid(i)),
                     Some(Value::new(i as f64)),
                     "self-delivery was link-faulted"
                 );
@@ -1006,7 +1025,7 @@ mod tests {
             0,
         )
         .unwrap();
-        recording.exchange(Round::ZERO, broadcasts()).unwrap();
+        exchange(&mut recording, Round::ZERO, &broadcasts()).unwrap();
         let stats = recording.stats();
         assert_eq!(stats.disconnected_rounds, 1);
         // Only self-delivery survives a fully dark round; the rest is
@@ -1021,7 +1040,7 @@ mod tests {
             0,
         )
         .unwrap();
-        let err = rejecting.exchange(Round::ZERO, broadcasts()).unwrap_err();
+        let err = exchange(&mut rejecting, Round::ZERO, &broadcasts()).unwrap_err();
         assert!(matches!(
             err,
             Error::DisconnectedRound { components: 3, .. }
@@ -1045,13 +1064,13 @@ mod tests {
         for round in 0..10 {
             let round = Round::new(round);
             let graph = realized.adjacency_at(round).into_owned();
-            let deliveries = net.exchange(round, broadcasts()).unwrap();
-            for (r, delivery) in deliveries.iter().enumerate() {
+            let deliveries = exchange(&mut net, round, &broadcasts()).unwrap();
+            for r in 0..3 {
                 for s in 0..3 {
                     let expected = graph
                         .connected(pid(s), pid(r))
                         .then_some(Value::new(s as f64));
-                    assert_eq!(delivery.from_sender(pid(s)), expected);
+                    assert_eq!(deliveries.from_sender(pid(r), pid(s)), expected);
                 }
             }
         }

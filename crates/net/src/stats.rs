@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use mbaa_net::{Outbox, SyncNetwork};
+/// use mbaa_net::{DeliveryMatrix, Outbox, SyncNetwork};
 /// use mbaa_types::{ProcessId, Round, Value};
 ///
 /// let mut net = SyncNetwork::new(2);
@@ -17,7 +17,8 @@ use serde::{Deserialize, Serialize};
 ///     Outbox::broadcast(2, ProcessId::new(0), Value::new(1.0)),
 ///     Outbox::silent(2, ProcessId::new(1)),
 /// ];
-/// net.exchange(Round::ZERO, outboxes).unwrap();
+/// net.exchange_into(Round::ZERO, &outboxes, &mut DeliveryMatrix::new(2))
+///     .unwrap();
 /// let stats = net.stats();
 /// assert_eq!(stats.rounds, 1);
 /// assert_eq!(stats.messages_delivered, 2);

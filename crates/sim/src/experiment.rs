@@ -3,7 +3,7 @@
 //! [`ExperimentConfig`] is a *lowered form*: plain data with no defaulting
 //! of its own. The documented way to produce one is the `Scenario` builder
 //! in the `mbaa` facade crate (`Scenario::to_experiment` /
-//! `Scenario::batch(..).summarize()`), which is where every default is
+//! `Scenario::batch(..).stream(None)`), which is where every default is
 //! decided.
 
 use std::sync::Mutex;
@@ -17,7 +17,7 @@ use mbaa_core::{
 };
 use mbaa_msr::MsrFunction;
 use mbaa_net::{DisconnectionPolicy, LinkFaultPlan, Topology, TopologySchedule};
-use mbaa_obs::MetricsRegistry;
+use mbaa_obs::{MetricsRegistry, NoopObserver};
 use mbaa_types::{MobileModel, Result};
 
 use crate::Workload;
@@ -101,6 +101,18 @@ impl ExperimentConfig {
     }
 }
 
+/// The one seed-batch normalization every execution path shares: sorted
+/// ascending, duplicates removed. Seed batches are sets — supplying the
+/// same seeds in any order, or twice, describes the same runs — so every
+/// executor and every report describes its runs through this.
+#[must_use]
+pub fn normalize_seeds<I: IntoIterator<Item = u64>>(seeds: I) -> Vec<u64> {
+    let mut seeds: Vec<u64> = seeds.into_iter().collect();
+    seeds.sort_unstable();
+    seeds.dedup();
+    seeds
+}
+
 /// The outcome of one seeded run within an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RunSummary {
@@ -122,9 +134,9 @@ pub struct RunSummary {
 
 impl RunSummary {
     /// Condenses one full run outcome into its summary — the single place
-    /// the summary fields are derived, shared by [`run_experiment`], the
-    /// facade's `BatchOutcome::to_experiment_result`, and the streaming
-    /// paths, so all of them agree field for field.
+    /// the summary fields are derived, shared by
+    /// [`run_packed_experiments`] and the facade's
+    /// `BatchOutcome::to_experiment_result`, so both agree field for field.
     #[must_use]
     pub fn from_outcome(seed: u64, outcome: &MobileRunOutcome) -> Self {
         RunSummary {
@@ -208,156 +220,112 @@ impl ExperimentResult {
     }
 }
 
-/// Runs every seed of an experiment point — in parallel, since seeded runs
-/// are fully independent — and aggregates the outcomes in seed-batch order.
-///
-/// # Errors
-///
-/// Propagates configuration errors (for example `n` below the bound without
-/// `allow_bound_violation`) and engine errors; the first failing seed in
-/// batch order wins, so errors are deterministic.
-pub fn run_experiment(config: &ExperimentConfig) -> Result<ExperimentResult> {
-    run_experiment_with(config, |_| {})
-}
-
-/// How many seeds one [`BatchEngine`] advances in lockstep. Chunking keeps
-/// the flat state arrays cache-resident (32 lanes × n values) and leaves
-/// enough independent chunks for the rayon pool to spread across workers.
-/// Public so the facade's sweep executor can chunk its `(point, seeds)`
-/// work pool on the same boundary and stay bit-identical to this path.
+/// How many seeds one [`BatchEngine`] pack advances in lockstep. Packing
+/// keeps the flat state arrays cache-resident (32 lanes × n values) and
+/// leaves enough independent packs for the rayon pool to spread across
+/// workers.
 pub const BATCH_WIDTH: usize = 32;
 
-/// Explicitly batched form of [`run_experiment`]. Since the summary-level
-/// executors route every point through the seed-batched [`BatchEngine`]
-/// anyway, this is the same computation under a name that
-/// documents the intent; it exists so callers can state "batch this point"
-/// without depending on the routing rule.
+/// The summary-level executor: runs several experiment points as **one**
+/// cross-point packed pool. Every `(point, seed)` pair is lowered up
+/// front (point-major, seed-minor), and consecutive lanes whose lowered
+/// configurations are [`shape_compatible`] — same `n`, `f`, model, and
+/// observe level — are packed into shared [`BatchEngine`] batches of up
+/// to [`BATCH_WIDTH`] lanes. A point whose seed batch does not fill its
+/// last batch is topped up with the next compatible point's first seeds,
+/// so sweeping many small points does not pay one under-full batch per
+/// point: mean lane occupancy is governed by the *total* lane count, not
+/// the per-point seed count. A single point is the one-element case.
 ///
-/// # Errors
+/// Seeds run in parallel on the ambient rayon pool; results come back
+/// **per point**, aligned with `configs`, each point's runs in its seed
+/// batch order. Per-seed summaries are bit-identical for every worker
+/// count and pack boundary — the packed engine proves per-lane
+/// equivalence with the scalar engine. A point whose lowering or runs
+/// fail carries its first failing seed's error (in seed-batch order)
+/// without disturbing its neighbours, so callers keep point-level error
+/// attribution.
 ///
-/// Exactly as [`run_experiment`].
-pub fn run_batch_experiment(config: &ExperimentConfig) -> Result<ExperimentResult> {
-    run_experiment(config)
-}
-
-/// Streaming variant of [`run_experiment`]: runs every seed-batch chunk in
-/// parallel and invokes `on_run` with each completed [`RunSummary`] *as it
-/// finishes*, in completion order, on the worker that produced it. The full
-/// [`MobileRunOutcome`] (trace + per-round snapshots) is dropped inside the
-/// worker as soon as the summary is folded out of it, so memory stays flat
-/// no matter how many seeds the batch holds.
+/// When `metrics` is supplied, every pack runs with a pack-local
+/// [`MetricsRegistry`] attached, merged into `metrics` as packs finish.
+/// The merge is elementwise counter addition — commutative and
+/// associative — so the registry is bit-identical for every worker count
+/// and completion order, and the summaries are the same either way.
 ///
-/// The returned [`ExperimentResult`] is assembled in seed-batch order and is
-/// bit-identical to [`run_experiment`]'s for the same configuration,
-/// regardless of worker count or steal order. `on_run` is never invoked for
-/// a failing seed.
-///
-/// # Errors
-///
-/// Propagates configuration errors (surfaced deterministically, before any
-/// run starts) and engine errors; the first failing seed in batch order
-/// wins.
-pub fn run_experiment_with<F>(config: &ExperimentConfig, on_run: F) -> Result<ExperimentResult>
-where
-    F: Fn(&RunSummary) + Sync,
-{
-    run_experiment_impl(config, &on_run, None)
-}
-
-/// [`run_experiment_with`] with cross-seed metric aggregation: every chunk
-/// runs with a chunk-local [`MetricsRegistry`] attached to the seed-batched
-/// engine, and the chunk registries are merged into one as workers finish.
-/// Because a registry merge is commutative and associative (elementwise
-/// `u64` addition), the merged registry is bit-identical regardless of
-/// worker count or completion order — the same invariant the summaries
-/// already enjoy. Summaries and the returned [`ExperimentResult`] are
-/// bit-identical to [`run_experiment_with`]'s.
-///
-/// # Errors
-///
-/// Exactly as [`run_experiment_with`].
-pub fn run_experiment_metrics<F>(
-    config: &ExperimentConfig,
-    on_run: F,
-) -> Result<(ExperimentResult, MetricsRegistry)>
-where
-    F: Fn(&RunSummary) + Sync,
-{
-    let merged = Mutex::new(MetricsRegistry::new());
-    let result = run_experiment_impl(config, &on_run, Some(&merged))?;
-    let metrics = merged.into_inner().expect("metrics mutex poisoned");
-    Ok((result, metrics))
-}
-
-/// The shared executor behind [`run_experiment_with`] and
-/// [`run_experiment_metrics`]: the single-point special case of the
-/// cross-point packed executor. A single point's seeds are trivially
-/// shape-compatible, so the pack plan degenerates to the historical
-/// "chunks of up to [`BATCH_WIDTH`] consecutive seeds" schedule and the
-/// results stay bit-identical to every earlier release.
-fn run_experiment_impl<F>(
-    config: &ExperimentConfig,
-    on_run: &F,
-    metrics: Option<&Mutex<MetricsRegistry>>,
-) -> Result<ExperimentResult>
-where
-    F: Fn(&RunSummary) + Sync,
-{
-    run_packed_impl(
-        std::slice::from_ref(config),
-        &|_point, summary: &RunSummary| on_run(summary),
-        metrics,
-    )
-    .pop()
-    .expect("one result per experiment point")
-}
-
-/// Runs several experiment points as **one** cross-point packed pool:
-/// every `(point, seed)` pair is lowered up front (point-major,
-/// seed-minor), and consecutive lanes whose lowered configurations are
-/// [`shape_compatible`] — same `n`, `f`, model, and observe level — are
-/// packed into shared [`BatchEngine`] batches of up to [`BATCH_WIDTH`]
-/// lanes. A point whose seed batch does not fill its last batch is topped
-/// up with the next compatible point's first seeds, so sweeping many
-/// small points no longer pays one under-full batch per point (the
-/// "occupancy cliff"): mean lane occupancy is governed by the *total*
-/// lane count, not the per-point seed count.
-///
-/// Per-seed summaries are bit-identical to [`run_experiment`] on each
-/// point alone, for every worker count and pack boundary — the packed
-/// engine proves per-lane equivalence with the scalar engine. Results
-/// come back **per point**, aligned with `configs`; a point whose
-/// lowering or runs fail carries its first failing seed's error (in
-/// seed-batch order) without disturbing its neighbours, so callers keep
-/// point-level error attribution.
-///
-/// `on_run` receives `(point index, summary)` for every completed run,
-/// in completion order, on the worker that produced it.
-pub fn run_packed_experiments<F>(
+/// Only summaries leave this function, and summaries are bit-identical
+/// across observability levels, so the engine always runs at
+/// [`Observe::Summary`] — the allocation-free steady state — whatever each
+/// description's level.
+pub fn run_packed_experiments(
     configs: &[ExperimentConfig],
-    on_run: F,
-) -> Vec<Result<ExperimentResult>>
-where
-    F: Fn(usize, &RunSummary) + Sync,
-{
-    run_packed_impl(configs, &on_run, None)
-}
-
-/// [`run_packed_experiments`] with cross-run metric aggregation into one
-/// [`MetricsRegistry`], merged exactly as [`run_experiment_metrics`]
-/// merges — elementwise counter addition, so the registry is
-/// bit-identical for every worker count and completion order.
-pub fn run_packed_experiments_metrics<F>(
-    configs: &[ExperimentConfig],
-    on_run: F,
-) -> (Vec<Result<ExperimentResult>>, MetricsRegistry)
-where
-    F: Fn(usize, &RunSummary) + Sync,
-{
-    let merged = Mutex::new(MetricsRegistry::new());
-    let results = run_packed_impl(configs, &on_run, Some(&merged));
-    let metrics = merged.into_inner().expect("metrics mutex poisoned");
-    (results, metrics)
+    metrics: Option<&mut MetricsRegistry>,
+) -> Vec<Result<ExperimentResult>> {
+    let mut lowered: Vec<Option<mbaa_types::Error>> = Vec::with_capacity(configs.len());
+    let mut lanes: Vec<PackedLane> = Vec::new();
+    // `points[i]` is the point index of `lanes[i]` — kept as a parallel
+    // vector so pack ranges can borrow `lanes` as a contiguous slice.
+    let mut points: Vec<usize> = Vec::new();
+    for (point, config) in configs.iter().enumerate() {
+        // A point whose lowering fails contributes no lanes; its
+        // neighbours still execute.
+        match lower_point(config) {
+            Ok(point_lanes) => {
+                lowered.push(None);
+                points.extend(std::iter::repeat_n(point, point_lanes.len()));
+                lanes.extend(point_lanes);
+            }
+            Err(e) => lowered.push(Some(e)),
+        }
+    }
+    let sink = metrics.map(Mutex::new);
+    let pack_runs: Vec<Vec<Result<RunSummary>>> = plan_packs(&lanes)
+        .into_par_iter()
+        .map(|range| {
+            let pack = &lanes[range.clone()];
+            let outcomes = match &sink {
+                Some(sink) => {
+                    let mut local = MetricsRegistry::new();
+                    let outcomes = BatchEngine::run_packed_observed(pack, &mut local);
+                    // Merge order across packs is completion order, which
+                    // rayon does not fix — safe because the merge is
+                    // order-independent (see `MetricsRegistry::merge`).
+                    sink.lock().expect("metrics mutex poisoned").merge(&local);
+                    outcomes
+                }
+                None => BatchEngine::run_packed_observed(pack, &mut NoopObserver),
+            };
+            outcomes
+                .into_iter()
+                .zip(pack)
+                .map(|(outcome, lane)| Ok(RunSummary::from_outcome(lane.config.seed, &outcome?)))
+                .collect()
+        })
+        .collect();
+    // Packs are contiguous ranges of the point-major lane list, so the
+    // flattened pack results scatter back per point in seed-batch order;
+    // the first failing seed of a point wins its slot.
+    let mut per_point: Vec<Result<Vec<RunSummary>>> =
+        configs.iter().map(|_| Ok(Vec::new())).collect();
+    for (&point, run) in points.iter().zip(pack_runs.into_iter().flatten()) {
+        if let Ok(runs) = per_point[point].as_mut() {
+            match run {
+                Ok(summary) => runs.push(summary),
+                Err(e) => per_point[point] = Err(e),
+            }
+        }
+    }
+    configs
+        .iter()
+        .zip(lowered)
+        .zip(per_point)
+        .map(|((config, lowering_error), runs)| match lowering_error {
+            Some(e) => Err(e),
+            None => Ok(ExperimentResult {
+                config: config.clone(),
+                runs: runs?,
+            }),
+        })
+        .collect()
 }
 
 /// Mean lane occupancy of the pack plan [`run_packed_experiments`] would
@@ -370,35 +338,32 @@ where
 ///
 /// Propagates the first lowering error in point-major, seed-minor order.
 pub fn mean_pack_occupancy(configs: &[ExperimentConfig]) -> Result<f64> {
-    let mut lanes = 0usize;
-    let mut packs = 0usize;
-    // Walk the point-major lane list exactly as the planner does, but keep
-    // only the running shape of the open pack.
-    let mut open: Option<(ProtocolConfig, usize)> = None;
+    let mut lanes = Vec::new();
     for config in configs {
-        for &seed in &config.seeds {
-            let mut p = config.protocol_config(seed)?;
-            p.observe = Observe::Summary;
-            lanes += 1;
-            open = Some(match open.take() {
-                Some((shape, width)) if width < BATCH_WIDTH && shape_compatible(&shape, &p) => {
-                    (shape, width + 1)
-                }
-                Some(_) => {
-                    packs += 1;
-                    (p, 1)
-                }
-                None => (p, 1),
-            });
-        }
+        lanes.extend(lower_point(config)?);
     }
-    if open.is_some() {
-        packs += 1;
-    }
-    if lanes == 0 {
+    if lanes.is_empty() {
         return Ok(1.0);
     }
-    Ok(lanes as f64 / (packs * BATCH_WIDTH) as f64)
+    Ok(lanes.len() as f64 / (plan_packs(&lanes).len() * BATCH_WIDTH) as f64)
+}
+
+/// Lowers every seed of one point to its [`PackedLane`], run at
+/// [`Observe::Summary`]; the first failing seed's error wins.
+fn lower_point(config: &ExperimentConfig) -> Result<Vec<PackedLane>> {
+    config
+        .seeds
+        .iter()
+        .map(|&seed| {
+            config.protocol_config(seed).map(|mut p| {
+                p.observe = Observe::Summary;
+                PackedLane {
+                    config: p,
+                    inputs: config.workload.generate(config.n, seed),
+                }
+            })
+        })
+        .collect()
 }
 
 /// Splits the point-major lane list into contiguous packs of up to
@@ -420,110 +385,6 @@ fn plan_packs(lanes: &[PackedLane]) -> Vec<std::ops::Range<usize>> {
         packs.push(start..lanes.len());
     }
     packs
-}
-
-/// The shared executor behind every summary-level entry point.
-///
-/// Lowering is validated up front, per point: a point whose lowering
-/// fails is born-failed (its `on_run` never fires) and contributes no
-/// lanes, while its neighbours still execute. The surviving lanes run
-/// through [`plan_packs`] batches spread across the rayon pool; pack
-/// results flatten back in point-major, seed-minor order because packs
-/// are contiguous ranges of that list.
-fn run_packed_impl<F>(
-    configs: &[ExperimentConfig],
-    on_run: &F,
-    metrics: Option<&Mutex<MetricsRegistry>>,
-) -> Vec<Result<ExperimentResult>>
-where
-    F: Fn(usize, &RunSummary) + Sync,
-{
-    // Only summaries leave this function, and summaries are bit-identical
-    // across observability levels, so the engine always runs at
-    // `Observe::Summary` — the allocation-free steady state — regardless
-    // of each description's level.
-    let mut lowered: Vec<Option<mbaa_types::Error>> = Vec::with_capacity(configs.len());
-    let mut lanes: Vec<PackedLane> = Vec::new();
-    // `points[i]` is the point index of `lanes[i]` — kept as a parallel
-    // vector so pack ranges can borrow `lanes` as a contiguous slice.
-    let mut points: Vec<usize> = Vec::new();
-    for (point, config) in configs.iter().enumerate() {
-        let lowering: Result<Vec<PackedLane>> = config
-            .seeds
-            .iter()
-            .map(|&seed| {
-                config.protocol_config(seed).map(|mut p| {
-                    p.observe = Observe::Summary;
-                    PackedLane {
-                        config: p,
-                        inputs: config.workload.generate(config.n, seed),
-                    }
-                })
-            })
-            .collect();
-        match lowering {
-            Ok(point_lanes) => {
-                lowered.push(None);
-                points.extend(std::iter::repeat_n(point, point_lanes.len()));
-                lanes.extend(point_lanes);
-            }
-            Err(e) => lowered.push(Some(e)),
-        }
-    }
-    let packs = plan_packs(&lanes);
-    let pack_runs: Vec<Vec<Result<RunSummary>>> = packs
-        .into_par_iter()
-        .map(|range| {
-            let outcomes = match metrics {
-                Some(sink) => {
-                    let mut local = MetricsRegistry::new();
-                    let outcomes =
-                        BatchEngine::run_packed_observed(&lanes[range.clone()], &mut local);
-                    // Merge order across packs is completion order, which
-                    // rayon does not fix — safe because the merge is
-                    // order-independent (see `MetricsRegistry::merge`).
-                    sink.lock().expect("metrics mutex poisoned").merge(&local);
-                    outcomes
-                }
-                None => BatchEngine::run_packed(&lanes[range.clone()]),
-            };
-            outcomes
-                .into_iter()
-                .zip(range)
-                .map(|(outcome, index)| {
-                    let summary = RunSummary::from_outcome(lanes[index].config.seed, &outcome?);
-                    on_run(points[index], &summary);
-                    Ok(summary)
-                })
-                .collect()
-        })
-        .collect();
-    // Scatter the point-major flat stream back into per-point results; the
-    // first failing seed of a point (in seed-batch order) wins its slot.
-    let mut per_point: Vec<Result<Vec<RunSummary>>> =
-        configs.iter().map(|_| Ok(Vec::new())).collect();
-    let mut flat = pack_runs.into_iter().flatten();
-    for &point in &points {
-        let run = flat.next().expect("one summary per planned lane");
-        if let Ok(runs) = per_point[point].as_mut() {
-            match run {
-                Ok(summary) => runs.push(summary),
-                Err(e) => per_point[point] = Err(e),
-            }
-        }
-    }
-    configs
-        .iter()
-        .zip(lowered)
-        .zip(per_point)
-        .map(|((config, lowering_error), runs)| match lowering_error {
-            Some(e) => Err(e),
-            None => Ok(ExperimentResult {
-                config: config.clone(),
-                runs: runs?,
-            }),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -557,10 +418,24 @@ mod tests {
         }
     }
 
+    /// One point through the packed executor.
+    fn run_one(config: &ExperimentConfig) -> Result<ExperimentResult> {
+        run_one_metrics(config, None)
+    }
+
+    fn run_one_metrics(
+        config: &ExperimentConfig,
+        metrics: Option<&mut MetricsRegistry>,
+    ) -> Result<ExperimentResult> {
+        run_packed_experiments(std::slice::from_ref(config), metrics)
+            .pop()
+            .expect("one result per point")
+    }
+
     #[test]
     fn experiment_runs_every_seed() {
         let config = point(MobileModel::Buhrman, 7, 2, 0..4);
-        let result = run_experiment(&config).unwrap();
+        let result = run_one(&config).unwrap();
         assert_eq!(result.runs.len(), 4);
         assert!(result.all_succeeded());
         assert_eq!(result.success_rate(), 1.0);
@@ -570,13 +445,13 @@ mod tests {
     #[test]
     fn below_bound_requires_explicit_opt_in() {
         let config = point(MobileModel::Garay, 8, 2, 0..1);
-        assert!(run_experiment(&config).is_err());
+        assert!(run_one(&config).is_err());
 
         let permissive = ExperimentConfig {
             allow_bound_violation: true,
             ..config
         };
-        assert!(run_experiment(&permissive).is_ok());
+        assert!(run_one(&permissive).is_ok());
     }
 
     #[test]
@@ -585,7 +460,7 @@ mod tests {
             let f = 1;
             let n = model.required_processes(f);
             let config = point(model, n, f, 0..3);
-            let result = run_experiment(&config).unwrap();
+            let result = run_one(&config).unwrap();
             assert!(result.all_succeeded(), "{model} failed: {:?}", result.runs);
         }
     }
@@ -602,7 +477,7 @@ mod tests {
             corruption: CorruptionStrategy::BoundaryDrag,
             ..point(MobileModel::Buhrman, 7, 1, 0..2)
         };
-        let result = run_experiment(&config).unwrap();
+        let result = run_one(&config).unwrap();
         assert!(result.all_succeeded());
         // Every run records its initial diameter even when the contraction
         // factor is unmeasurable (exact agreement reached in one step).
@@ -615,7 +490,7 @@ mod tests {
             topology: Topology::Ring { k: 2 },
             ..point(MobileModel::Garay, 9, 1, 0..2)
         };
-        let result = run_experiment(&config).unwrap();
+        let result = run_one(&config).unwrap();
         // Summary-level results stay self-describing: the topology rides
         // along in the recorded configuration.
         assert_eq!(result.config.topology, Topology::Ring { k: 2 });
@@ -636,7 +511,7 @@ mod tests {
             disconnection: DisconnectionPolicy::Record,
             ..point(MobileModel::Garay, 9, 1, 0..2)
         };
-        let result = run_experiment(&config).unwrap();
+        let result = run_one(&config).unwrap();
         assert_eq!(result.config.schedule, Some(schedule.clone()));
         assert!(!result.config.link_faults.is_clean());
         assert_eq!(result.runs.len(), 2);
@@ -649,7 +524,7 @@ mod tests {
     #[test]
     fn empty_seed_batch_yields_empty_result() {
         let config = point(MobileModel::Buhrman, 4, 1, 0..0);
-        let result = run_experiment(&config).unwrap();
+        let result = run_one(&config).unwrap();
         assert!(result.runs.is_empty());
         assert_eq!(result.success_rate(), 0.0);
         assert!(!result.all_succeeded());
@@ -658,27 +533,25 @@ mod tests {
 
     #[test]
     fn streaming_observer_sees_every_summary_and_results_match() {
+        // A metrics registry folds every run the pool executes; attaching
+        // it changes no summary.
         let config = point(MobileModel::Buhrman, 7, 2, 0..6);
-        let seen = std::sync::Mutex::new(Vec::new());
-        let streamed = run_experiment_with(&config, |s| seen.lock().unwrap().push(*s)).unwrap();
-        let eager = run_experiment(&config).unwrap();
-        assert_eq!(streamed, eager);
-        // The observer saw exactly the returned summaries (in completion
-        // order; seed order once sorted).
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort_unstable_by_key(|s| s.seed);
-        assert_eq!(seen, streamed.runs);
+        let mut metrics = MetricsRegistry::new();
+        let streamed = run_one_metrics(&config, Some(&mut metrics)).unwrap();
+        assert_eq!(streamed, run_one(&config).unwrap());
+        assert_eq!(metrics.runs, 6);
+        let converged = streamed.runs.iter().filter(|r| r.reached_agreement).count();
+        assert_eq!(metrics.converged, converged as u64);
+        let rounds: usize = streamed.runs.iter().map(|r| r.rounds).sum();
+        assert_eq!(metrics.rounds_total, rounds as u64);
     }
 
     #[test]
     fn streaming_observer_is_not_invoked_for_failing_configs() {
         let config = point(MobileModel::Garay, 8, 2, 0..3);
-        let calls = std::sync::atomic::AtomicUsize::new(0);
-        let err = run_experiment_with(&config, |_| {
-            calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        });
-        assert!(err.is_err());
-        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 0);
+        let mut metrics = MetricsRegistry::new();
+        assert!(run_one_metrics(&config, Some(&mut metrics)).is_err());
+        assert_eq!(metrics, MetricsRegistry::new());
     }
 
     #[test]
@@ -697,24 +570,21 @@ mod tests {
                 ..point(MobileModel::Garay, 9, 1, 100..112)
             },
         ];
-        let seen = std::sync::Mutex::new(Vec::new());
-        let packed = run_packed_experiments(&configs, |point, summary| {
-            seen.lock().unwrap().push((point, summary.seed));
-        });
+        let mut metrics = MetricsRegistry::new();
+        let packed = run_packed_experiments(&configs, Some(&mut metrics));
         // Every point's result is bit-identical to running it alone, even
-        // though its lanes shared packs with its neighbours.
+        // though its lanes shared packs with its neighbours, and the packed
+        // registry is the merge of the per-point registries.
+        let mut expected = MetricsRegistry::new();
         for (config, result) in configs.iter().zip(packed) {
-            assert_eq!(result.unwrap(), run_experiment(config).unwrap());
+            let mut alone = MetricsRegistry::new();
+            assert_eq!(
+                result.unwrap(),
+                run_one_metrics(config, Some(&mut alone)).unwrap()
+            );
+            expected.merge(&alone);
         }
-        // The streaming callback attributed every run to its point.
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort_unstable();
-        let expected: Vec<(usize, u64)> = configs
-            .iter()
-            .enumerate()
-            .flat_map(|(i, c)| c.seeds.iter().map(move |&s| (i, s)))
-            .collect();
-        assert_eq!(seen, expected);
+        assert_eq!(metrics, expected);
     }
 
     #[test]
@@ -745,9 +615,9 @@ mod tests {
         let good = point(MobileModel::Garay, 9, 2, 0..3);
         // Below the bound without the explicit opt-in: lowering fails.
         let bad = point(MobileModel::Garay, 8, 2, 0..3);
-        let results = run_packed_experiments(&[good.clone(), bad, good.clone()], |_, _| {});
+        let results = run_packed_experiments(&[good.clone(), bad, good.clone()], None);
         assert!(results[1].is_err());
-        let alone = run_experiment(&good).unwrap();
+        let alone = run_one(&good).unwrap();
         assert_eq!(results[0].as_ref().unwrap(), &alone);
         assert_eq!(results[2].as_ref().unwrap(), &alone);
     }
@@ -757,10 +627,10 @@ mod tests {
         // Seeds are recorded in batch order regardless of which thread
         // finished first.
         let config = point(MobileModel::Garay, 9, 2, 0..16);
-        let result = run_experiment(&config).unwrap();
+        let result = run_one(&config).unwrap();
         let seeds: Vec<u64> = result.runs.iter().map(|r| r.seed).collect();
         assert_eq!(seeds, (0..16).collect::<Vec<u64>>());
         // And repeated execution is bit-identical.
-        assert_eq!(result, run_experiment(&config).unwrap());
+        assert_eq!(result, run_one(&config).unwrap());
     }
 }

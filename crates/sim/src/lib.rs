@@ -7,13 +7,14 @@
 //!
 //! * [`Workload`] — how initial values are generated (deterministic spread,
 //!   clustered sensors, seeded uniform noise, or explicit values).
-//! * [`ExperimentConfig`] / [`run_experiment`] — run one (model, n, f,
-//!   adversary, algorithm) point over a batch of seeds — fanned out on the
-//!   work-stealing rayon pool — and aggregate the outcomes into an
-//!   [`ExperimentResult`].
-//! * [`run_experiment_with`] — the streaming variant: folds each completed
-//!   run into its [`RunSummary`] on the worker and hands it to an observer
-//!   as it finishes, keeping memory flat for very large seed batches.
+//! * [`ExperimentConfig`] — one (model, n, f, adversary, algorithm) point
+//!   over a batch of seeds.
+//! * [`run_packed_experiments`] — the one summary-level executor: packs the
+//!   seeds of any number of points into shared seed-batched engine
+//!   launches on the work-stealing rayon pool, folds each completed run
+//!   into its [`RunSummary`] on the worker (memory stays flat for very
+//!   large seed batches), optionally merges every run's telemetry into a
+//!   `MetricsRegistry`, and returns one [`ExperimentResult`] per point.
 //! * [`stats`] — small summary-statistics helpers.
 //! * [`report`] — Markdown / CSV table emission used by the benches.
 //!
@@ -24,7 +25,7 @@
 //! # Example
 //!
 //! ```
-//! use mbaa_sim::{run_experiment, ExperimentConfig, Workload};
+//! use mbaa_sim::{run_packed_experiments, ExperimentConfig, Workload};
 //! use mbaa_adversary::{CorruptionStrategy, MobilityStrategy};
 //! use mbaa_core::Observe;
 //! use mbaa_net::{DisconnectionPolicy, LinkFaultPlan, Topology};
@@ -49,7 +50,8 @@
 //!     allow_bound_violation: false,
 //!     observe: Observe::default(),
 //! };
-//! let result = run_experiment(&config)?;
+//! let mut results = run_packed_experiments(&[config], None);
+//! let result = results.pop().expect("one result per point")?;
 //! assert_eq!(result.runs.len(), 5);
 //! assert!(result.success_rate() > 0.99);
 //! # Ok::<(), mbaa_types::Error>(())
@@ -65,8 +67,7 @@ pub mod stats;
 mod workload;
 
 pub use experiment::{
-    mean_pack_occupancy, run_batch_experiment, run_experiment, run_experiment_metrics,
-    run_experiment_with, run_packed_experiments, run_packed_experiments_metrics, ExperimentConfig,
+    mean_pack_occupancy, normalize_seeds, run_packed_experiments, ExperimentConfig,
     ExperimentResult, RunSummary, BATCH_WIDTH,
 };
 pub use workload::Workload;

@@ -157,8 +157,8 @@ fn assert_static_complete_is_bit_identical(template: &Scenario) {
         "batch path diverged"
     );
     assert_eq!(
-        template.batch(0..4).stream().unwrap().runs,
-        scheduled.batch(0..4).stream().unwrap().runs,
+        template.batch(0..4).stream(None).unwrap().runs,
+        scheduled.batch(0..4).stream(None).unwrap().runs,
         "stream path diverged"
     );
     let sweep_plain = template.sweep_n(1).seeds(0..2).run().unwrap();

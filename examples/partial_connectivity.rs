@@ -10,7 +10,7 @@
 //! recover the complete-network behaviour.
 //!
 //! All `(topology, seed)` pairs run on one shared work-stealing pool
-//! ([`Sweep::stream_with`]), with a progress line per completed point.
+//! ([`Sweep::stream`]), followed by a progress line per completed point.
 //!
 //! A committed scenario file reproduces the headline run of this example:
 //! `mbaa run scenarios/partial-connectivity.scenario.json` (see `docs/gallery.md`).
@@ -20,8 +20,6 @@
 //! ```text
 //! cargo run --example partial_connectivity
 //! ```
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mbaa::prelude::*;
 use mbaa::sim::report::{fmt_f64, fmt_opt_f64, Table};
@@ -53,18 +51,18 @@ fn main() -> mbaa::Result<()> {
     );
     println!();
 
-    let done = AtomicUsize::new(0);
     let points = template
         .sweep_connectivity(topologies)
         .seeds(seeds.clone())
-        .stream_with(|point| {
-            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-            eprintln!(
-                "  [{finished}/{total}] {} done: success rate {:.0}%",
-                point.scenario.topology,
-                point.result.success_rate() * 100.0
-            );
-        })?;
+        .stream(None)?;
+    for (finished, point) in points.iter().enumerate() {
+        eprintln!(
+            "  [{}/{total}] {} done: success rate {:.0}%",
+            finished + 1,
+            point.scenario.topology,
+            point.result.success_rate() * 100.0
+        );
+    }
 
     let mut table = Table::new([
         "topology",
@@ -99,7 +97,7 @@ fn main() -> mbaa::Result<()> {
         .clone()
         .topology(Topology::Complete)
         .batch(0..20)
-        .stream()?;
+        .stream(None)?;
     let widest = &points.last().expect("at least one point").result;
     assert_eq!(widest.runs, complete.runs);
     println!();

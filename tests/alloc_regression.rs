@@ -18,7 +18,7 @@ use std::cell::Cell;
 
 use mbaa::{
     BatchEngine, CorruptionStrategy, MetricsRegistry, MobileEngine, MobileModel, MobilityStrategy,
-    Observe, Observer, PackedLane, ProtocolConfig, Topology, TopologySchedule, Value,
+    NoopObserver, Observe, Observer, PackedLane, ProtocolConfig, Topology, TopologySchedule, Value,
 };
 
 /// Counts every allocation (not bytes — the assertion is about *count*)
@@ -204,11 +204,11 @@ fn run_batch_counting(
         })
         .collect();
     // Warm up once, exactly as the scalar harness does.
-    for outcome in BatchEngine::run_packed(&lanes) {
+    for outcome in BatchEngine::run_packed_observed(&lanes, &mut NoopObserver) {
         outcome.expect("warm-up run");
     }
     let before = allocations();
-    let executed: Vec<usize> = BatchEngine::run_packed(&lanes)
+    let executed: Vec<usize> = BatchEngine::run_packed_observed(&lanes, &mut NoopObserver)
         .into_iter()
         .map(|outcome| outcome.expect("measured run").rounds_executed)
         .collect();

@@ -3,7 +3,7 @@
 //! seed through the scalar `MobileEngine` — for every model, mobility
 //! strategy, topology family, churn/link-fault plan, and worker count.
 //!
-//! The batched path is reached through `Scenario::batch(..).stream()`,
+//! The batched path is reached through `Scenario::batch(..).stream(None)`,
 //! which routes every chunk through `mbaa_core::BatchEngine` at
 //! `Observe::Summary`; the scalar reference is `Scenario::run(seed)`
 //! (full observability) folded through `RunSummary::from_outcome`. The
@@ -23,7 +23,11 @@ fn scalar_summaries(scenario: &Scenario, seeds: &[u64]) -> Vec<RunSummary> {
 /// The batched path: the streaming executor advances all seeds of each
 /// chunk in lockstep on the SoA engine.
 fn batched_summaries(scenario: &Scenario, seeds: &[u64]) -> Vec<RunSummary> {
-    scenario.batch(seeds.iter().copied()).stream().unwrap().runs
+    scenario
+        .batch(seeds.iter().copied())
+        .stream(None)
+        .unwrap()
+        .runs
 }
 
 #[test]
@@ -130,7 +134,7 @@ fn worker_counts_leave_batched_results_bit_identical() {
         let batched = scenario
             .batch(seeds.iter().copied())
             .workers(workers)
-            .stream()
+            .stream(None)
             .unwrap()
             .runs;
         assert_eq!(
@@ -202,7 +206,7 @@ fn packed_cross_point_sweeps_match_scalar_bit_for_bit() {
     let points = general_path_points();
     let streamed = Sweep::over(points.clone())
         .seeds(seeds.iter().copied())
-        .stream()
+        .stream(None)
         .unwrap();
     for (scenario, summary) in points.iter().zip(&streamed) {
         assert_eq!(
@@ -225,7 +229,7 @@ fn ragged_cross_point_packs_match_scalar_per_segment() {
         (points[2].clone(), vec![2, 5, 9]),
         (points[3].clone(), vec![1, 4, 6, 8]),
     ];
-    let results = stream_segments(&segments, None);
+    let results = stream_segments(&segments, None, None);
     for ((scenario, seeds), result) in segments.iter().zip(results) {
         assert_eq!(
             result.unwrap().runs,
@@ -247,7 +251,7 @@ fn worker_counts_leave_packed_sweeps_bit_identical() {
         let streamed = Sweep::over(points.clone())
             .seeds(seeds.iter().copied())
             .workers(workers)
-            .stream()
+            .stream(None)
             .unwrap();
         let runs: Vec<Vec<RunSummary>> = streamed.into_iter().map(|s| s.result.runs).collect();
         assert_eq!(

@@ -3,8 +3,6 @@
 //! every worker count and steal order, and the streaming summary mode must
 //! agree with the eager path while never holding per-run trajectories.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use mbaa::prelude::*;
 
 /// A point that converges slowly: the minimal legal system, a tight ε, and
@@ -89,10 +87,10 @@ fn uneven_batch_is_identical_across_worker_counts() {
 #[test]
 fn streamed_sweep_is_identical_across_worker_counts_and_matches_eager() {
     let eager = uneven_sweep().run().unwrap();
-    let reference = uneven_sweep().workers(1).stream().unwrap();
+    let reference = uneven_sweep().workers(1).stream(None).unwrap();
     for width in [2usize, 8] {
         assert_eq!(
-            uneven_sweep().workers(width).stream().unwrap(),
+            uneven_sweep().workers(width).stream(None).unwrap(),
             reference,
             "{width} workers diverged"
         );
@@ -115,18 +113,19 @@ fn streaming_a_large_seed_batch_matches_the_eager_summary() {
         .workload(Workload::RandomUniform { lo: 0.0, hi: 1.0 });
     let seeds = 0..10_000u64;
 
-    let observed = AtomicUsize::new(0);
+    let mut metrics = MetricsRegistry::new();
     let streamed = scenario
         .batch(seeds.clone())
-        .stream_with(|_| {
-            observed.fetch_add(1, Ordering::Relaxed);
-        })
+        .stream(Some(&mut metrics))
         .unwrap();
     assert_eq!(streamed.runs.len(), 10_000);
-    assert_eq!(observed.load(Ordering::Relaxed), 10_000);
+    assert_eq!(metrics.runs, 10_000);
 
-    // The summary-only experiment path describes the exact same runs…
-    assert_eq!(streamed, scenario.batch(seeds.clone()).summarize().unwrap());
+    // Attaching the registry changes no summary…
+    assert_eq!(
+        streamed,
+        scenario.batch(seeds.clone()).stream(None).unwrap()
+    );
     // …and on a subsample we can afford to materialize, the eager path's
     // to_experiment_result() agrees run for run.
     let eager = scenario.batch(0..512).run().unwrap().to_experiment_result();
@@ -138,6 +137,6 @@ fn streaming_a_large_seed_batch_matches_the_eager_summary() {
 fn streaming_errors_deterministically_on_the_smallest_failing_seed() {
     let scenario = Scenario::new(MobileModel::Garay, 8, 2);
     let eager = scenario.batch(0..4).run().unwrap_err();
-    let streamed = scenario.batch(0..4).stream().unwrap_err();
+    let streamed = scenario.batch(0..4).stream(None).unwrap_err();
     assert_eq!(format!("{eager}"), format!("{streamed}"));
 }

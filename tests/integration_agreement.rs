@@ -149,7 +149,7 @@ fn parallel_batches_aggregate_successful_runs() {
     assert!(batch.all_succeeded());
     assert!(batch.mean_rounds().unwrap() >= 1.0);
     // The summary-only lowered path agrees with the full outcomes.
-    let summary = scenario.batch(0..8).summarize().unwrap();
+    let summary = scenario.batch(0..8).stream(None).unwrap();
     assert_eq!(batch.to_experiment_result(), summary);
 }
 

@@ -61,21 +61,21 @@ fn static_complete_schedule_is_identical_on_every_execution_path() {
             default_scenario
                 .batch(0..6)
                 .workers(workers)
-                .stream()
+                .stream(None)
                 .unwrap()
                 .runs,
             scheduled
                 .batch(0..6)
                 .workers(workers)
-                .stream()
+                .stream(None)
                 .unwrap()
                 .runs,
             "stream path diverged at {workers} workers"
         );
     }
     assert_eq!(
-        default_scenario.batch(0..6).summarize().unwrap().runs,
-        scheduled.batch(0..6).summarize().unwrap().runs
+        default_scenario.batch(0..6).stream(None).unwrap().runs,
+        scheduled.batch(0..6).stream(None).unwrap().runs
     );
 
     let sweep_default = default_scenario.sweep_n(1).seeds(0..3).run().unwrap();
@@ -118,7 +118,7 @@ fn churned_runs_are_deterministic_across_paths_and_worker_counts() {
         assert_eq!(outcome, &scenario.run(seed).unwrap(), "seed {seed}");
     }
     assert_eq!(
-        scenario.batch(0..8).stream().unwrap(),
+        scenario.batch(0..8).stream(None).unwrap(),
         reference.to_experiment_result()
     );
     // The runs genuinely exercised the dynamic path.

@@ -49,7 +49,8 @@ fn scalar_outcomes_are_identical_with_any_observer_at_every_level() {
             let detached = scenario.run(seed).unwrap();
             let mut log = EventLog::new();
             let logged = scenario.run_observed(seed, &mut log).unwrap();
-            let (metered, metrics) = scenario.observe_metrics(seed).unwrap();
+            let mut metrics = MetricsRegistry::new();
+            let metered = scenario.run_observed(seed, &mut metrics).unwrap();
             assert_eq!(detached, logged, "EventLog perturbed {observe:?}/{seed}");
             assert_eq!(
                 detached, metered,
@@ -70,7 +71,7 @@ fn batch_outcomes_are_identical_with_any_observer_at_every_level() {
     for observe in [Observe::Full, Observe::Snapshots, Observe::Summary] {
         let scenario = scenario().observe(observe);
         let lanes = lanes(&scenario, &seeds);
-        let detached: Vec<_> = BatchEngine::run_packed(&lanes)
+        let detached: Vec<_> = BatchEngine::run_packed_observed(&lanes, &mut NoopObserver)
             .into_iter()
             .map(|r| r.unwrap())
             .collect();
@@ -95,12 +96,13 @@ fn batch_outcomes_are_identical_with_any_observer_at_every_level() {
 fn streaming_summaries_and_metrics_agree_across_worker_counts() {
     let scenario = scenario();
     let seeds: Vec<u64> = (0..33).collect();
-    let reference = scenario.batch(seeds.iter().copied()).stream().unwrap();
+    let reference = scenario.batch(seeds.iter().copied()).stream(None).unwrap();
     let mut registries = Vec::new();
     for workers in [1usize, 2, 8] {
         let runner = scenario.batch(seeds.iter().copied()).workers(workers);
-        let plain = runner.stream().unwrap();
-        let (metered, metrics) = runner.stream_metrics().unwrap();
+        let plain = runner.stream(None).unwrap();
+        let mut metrics = MetricsRegistry::new();
+        let metered = runner.stream(Some(&mut metrics)).unwrap();
         assert_eq!(reference, plain, "worker count changed results");
         assert_eq!(reference, metered, "metrics sink changed results");
         registries.push(metrics);
@@ -113,7 +115,7 @@ fn streaming_summaries_and_metrics_agree_across_worker_counts() {
 #[test]
 fn sweep_metrics_agree_across_worker_counts() {
     let sweep = scenario().max_rounds(120).sweep_n(2).seeds(0..9);
-    let reference = sweep.stream().unwrap();
+    let reference = sweep.stream(None).unwrap();
     let mut registries = Vec::new();
     for workers in [1usize, 2, 8] {
         let sweep = scenario()
@@ -121,7 +123,8 @@ fn sweep_metrics_agree_across_worker_counts() {
             .sweep_n(2)
             .seeds(0..9)
             .workers(workers);
-        let (summaries, metrics) = sweep.stream_metrics().unwrap();
+        let mut metrics = MetricsRegistry::new();
+        let summaries = sweep.stream(Some(&mut metrics)).unwrap();
         assert_eq!(reference, summaries, "metrics sink changed sweep results");
         registries.push(metrics);
     }
@@ -205,7 +208,11 @@ fn scalar_engine_event_stream_is_level_independent() {
 fn registry_merge_is_order_independent() {
     let scenario = scenario();
     let per_seed: Vec<MetricsRegistry> = (0..12u64)
-        .map(|seed| scenario.observe_metrics(seed).unwrap().1)
+        .map(|seed| {
+            let mut metrics = MetricsRegistry::new();
+            scenario.run_observed(seed, &mut metrics).unwrap();
+            metrics
+        })
         .collect();
 
     let mut forward = MetricsRegistry::new();
@@ -234,6 +241,11 @@ fn registry_merge_is_order_independent() {
 
     // And the parallel streaming path folds to the same registry as the
     // sequential per-seed path.
-    let (_, streamed) = scenario.batch(0..12).workers(4).stream_metrics().unwrap();
+    let mut streamed = MetricsRegistry::new();
+    scenario
+        .batch(0..12)
+        .workers(4)
+        .stream(Some(&mut streamed))
+        .unwrap();
     assert_eq!(forward, streamed, "streamed registry diverged");
 }

@@ -109,7 +109,10 @@ fn batch_summaries_agree_with_the_experiment_lowering() {
     let scenario =
         scenario_for(MobileModel::Buhrman).workload(Workload::RandomUniform { lo: -1.0, hi: 1.0 });
     let full = scenario.batch(0..6).run().unwrap().to_experiment_result();
-    let lowered = run_experiment(&scenario.to_experiment(0..6)).unwrap();
+    let lowered = mbaa::sim::run_packed_experiments(&[scenario.to_experiment(0..6)], None)
+        .pop()
+        .unwrap()
+        .unwrap();
     assert_eq!(full, lowered);
 }
 
@@ -161,8 +164,8 @@ fn flattened_sweeps_are_identical_for_every_worker_count() {
 fn streaming_summaries_match_the_eager_batch() {
     let scenario = scenario_for(MobileModel::Bonnet);
     let eager = scenario.batch(0..8).run().unwrap().to_experiment_result();
-    assert_eq!(scenario.batch(0..8).stream().unwrap(), eager);
-    assert_eq!(scenario.batch(0..8).workers(1).stream().unwrap(), eager);
+    assert_eq!(scenario.batch(0..8).stream(None).unwrap(), eager);
+    assert_eq!(scenario.batch(0..8).workers(1).stream(None).unwrap(), eager);
 }
 
 #[test]
@@ -208,16 +211,21 @@ fn explicit_complete_topology_is_identical_on_every_execution_path() {
             default_scenario
                 .batch(0..6)
                 .workers(workers)
-                .stream()
+                .stream(None)
                 .unwrap()
                 .runs,
-            explicit.batch(0..6).workers(workers).stream().unwrap().runs,
+            explicit
+                .batch(0..6)
+                .workers(workers)
+                .stream(None)
+                .unwrap()
+                .runs,
             "stream path diverged at {workers} workers"
         );
     }
     assert_eq!(
-        default_scenario.batch(0..6).summarize().unwrap().runs,
-        explicit.batch(0..6).summarize().unwrap().runs
+        default_scenario.batch(0..6).stream(None).unwrap().runs,
+        explicit.batch(0..6).stream(None).unwrap().runs
     );
 
     let sweep_default = default_scenario.sweep_n(1).seeds(0..3).run().unwrap();
@@ -267,23 +275,23 @@ fn observe_summary_matches_full_on_every_execution_path() {
         let reference = full_batch.to_experiment_result().runs;
         for workers in [1usize, 3] {
             assert_eq!(
-                full.batch(0..5).workers(workers).stream().unwrap().runs,
+                full.batch(0..5).workers(workers).stream(None).unwrap().runs,
                 reference,
                 "{model}: stream diverged at {workers} workers"
             );
             assert_eq!(
-                lean.batch(0..5).workers(workers).stream().unwrap().runs,
+                lean.batch(0..5).workers(workers).stream(None).unwrap().runs,
                 reference,
                 "{model}: lean stream diverged at {workers} workers"
             );
         }
-        assert_eq!(full.batch(0..5).summarize().unwrap().runs, reference);
-        assert_eq!(lean.batch(0..5).summarize().unwrap().runs, reference);
+        assert_eq!(full.batch(0..5).stream(None).unwrap().runs, reference);
+        assert_eq!(lean.batch(0..5).stream(None).unwrap().runs, reference);
 
         // Sweeps: the streamed (Summary-executed) sweep equals the eager
         // full-outcome sweep point by point.
         let eager = full.sweep_n(1).seeds(0..3).run().unwrap();
-        let streamed = full.sweep_n(1).seeds(0..3).workers(2).stream().unwrap();
+        let streamed = full.sweep_n(1).seeds(0..3).workers(2).stream(None).unwrap();
         for (point, summary) in eager.iter().zip(&streamed) {
             assert_eq!(
                 point.outcome.to_experiment_result().runs,
@@ -322,17 +330,21 @@ fn observe_summary_matches_full_under_churn_and_link_faults() {
     let reference = full.batch(0..4).run().unwrap().to_experiment_result().runs;
     for workers in [1usize, 3] {
         assert_eq!(
-            full.batch(0..4).workers(workers).stream().unwrap().runs,
+            full.batch(0..4).workers(workers).stream(None).unwrap().runs,
             reference,
             "churned stream diverged at {workers} workers"
         );
     }
-    assert_eq!(lean.batch(0..4).summarize().unwrap().runs, reference);
+    assert_eq!(lean.batch(0..4).stream(None).unwrap().runs, reference);
 
     // The churn sweep streams at Observe::Summary internally; its points
     // must equal eager full-outcome batches.
     let eager = full.sweep_churn([0.0, 0.3]).seeds(0..3).run().unwrap();
-    let streamed = full.sweep_churn([0.0, 0.3]).seeds(0..3).stream().unwrap();
+    let streamed = full
+        .sweep_churn([0.0, 0.3])
+        .seeds(0..3)
+        .stream(None)
+        .unwrap();
     for (point, summary) in eager.iter().zip(&streamed) {
         assert_eq!(
             point.outcome.to_experiment_result().runs,

@@ -107,7 +107,7 @@ fn partial_runs_are_deterministic_across_paths_and_worker_counts() {
         );
     }
     assert_eq!(
-        scenario.batch(0..6).stream().unwrap(),
+        scenario.batch(0..6).stream(None).unwrap(),
         reference.to_experiment_result()
     );
     for (seed, outcome) in reference.iter() {
