@@ -11,10 +11,12 @@
 //! an uninterrupted run — the integration tests assert exactly that.
 
 use std::fmt;
-use std::fs;
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
+use mbaa::obs::Sinks;
 use mbaa::prelude::*;
 use mbaa_json::schema::{run_summary_from, run_summary_to_json};
 use mbaa_json::{parse, write_string, Ctx, Json, ScenarioFile};
@@ -154,10 +156,28 @@ pub fn chunk_file_name(index: usize) -> String {
 /// `<path>.tmp` first and are renamed into place, so readers — and
 /// resumed runs — never observe a half-written file.
 pub fn write_atomic(path: &Path, text: &str) -> Result<(), CheckpointError> {
-    let tmp = path.with_extension("json.tmp");
-    let mut data = text.to_string();
-    data.push('\n');
-    fs::write(&tmp, data).map_err(|e| fail(format!("{}: {e}", tmp.display())))?;
+    write_atomic_with(path, |out| {
+        out.write_all(text.as_bytes())?;
+        out.write_all(b"\n")
+    })
+}
+
+/// Streams a file atomically: `fill` writes the bytes through a buffered
+/// writer into `<path>.tmp` (the full file name with `.tmp` appended), and
+/// the finished file is renamed into place.
+pub(crate) fn write_atomic_with(
+    path: &Path,
+    fill: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> Result<(), CheckpointError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let written = File::create(&tmp).and_then(|file| {
+        let mut out = BufWriter::new(file);
+        fill(&mut out)?;
+        out.flush()
+    });
+    written.map_err(|e| fail(format!("{}: {e}", tmp.display())))?;
     fs::rename(&tmp, path).map_err(|e| fail(format!("{}: {e}", path.display())))?;
     Ok(())
 }
@@ -346,6 +366,23 @@ pub fn execute_chunk_metrics(
     workers: Option<usize>,
     metrics: Option<&mut MetricsRegistry>,
 ) -> Result<Vec<ChunkEntry>, CheckpointError> {
+    let sinks = Sinks {
+        metrics,
+        ..Sinks::default()
+    };
+    execute_chunk_observed(plan, index, workers, sinks)
+}
+
+/// [`execute_chunk`] feeding every attached sink from the packed run (see
+/// `mbaa::stream_segments`): the registry, the chunk's events in grid
+/// order, and the phase profile. The summaries are bit-identical either
+/// way.
+pub(crate) fn execute_chunk_observed(
+    plan: &SweepPlan,
+    index: usize,
+    workers: Option<usize>,
+    sinks: Sinks<'_>,
+) -> Result<Vec<ChunkEntry>, CheckpointError> {
     let range = plan.chunk_range(index);
     // Gather the chunk's per-point seed segments in grid order.
     let mut segments: Vec<(Scenario, Vec<u64>)> = Vec::new();
@@ -363,7 +400,7 @@ pub fn execute_chunk_metrics(
         segment_points.push(point);
         cursor = stop;
     }
-    let results = mbaa::stream_segments(&segments, workers, metrics);
+    let results = mbaa::stream_segments(&segments, workers, sinks);
     let mut entries = Vec::with_capacity(range.len());
     for (&point, result) in segment_points.iter().zip(results) {
         let result = result.map_err(|e| fail(format!("point {point} failed: {e}")))?;
@@ -376,4 +413,25 @@ pub fn execute_chunk_metrics(
         }
     }
     Ok(entries)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn atomic_writes_stage_through_the_full_name_plus_tmp() {
+        let dir = std::env::temp_dir().join(format!("mbaa-atomic-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        // A directory squatting on `r.jsonl.tmp` makes the staging step
+        // fail, and the error names the staging path.
+        fs::create_dir_all(dir.join("r.jsonl.tmp")).unwrap();
+        let err = write_atomic(&dir.join("r.jsonl"), "{}").unwrap_err();
+        assert!(err.0.contains("r.jsonl.tmp"), "{err}");
+        // `.json` files keep staging through `<name>.json.tmp`.
+        write_atomic(&dir.join("r.json"), "{}").unwrap();
+        assert_eq!(fs::read_to_string(dir.join("r.json")).unwrap(), "{}\n");
+        assert!(!dir.join("r.json.tmp").exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

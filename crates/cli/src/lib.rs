@@ -22,7 +22,8 @@
 //! --events-out` writes the per-round event stream as JSONL, `run
 //! --profile` prints the sanctioned wall-clock phase breakdown to stderr,
 //! and `--progress` keeps a live stderr line with throughput and ETA.
-//! See `docs/observability.md`.
+//! All of them observe the one packed execution that produces the
+//! tables; nothing is run a second time. See `docs/observability.md`.
 //!
 //! Every command takes exactly the flags its `USAGE` block lists; any
 //! other flag is a usage error naming the flag and the command.
@@ -37,8 +38,11 @@ pub mod checkpoint;
 pub mod report;
 
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use mbaa::obs::timing::PhaseProfiler;
+use mbaa::obs::{Event, Sinks};
 use mbaa::prelude::*;
 use mbaa_json::{topology_label, write_string, ScenarioFile};
 
@@ -395,13 +399,15 @@ type LabelledPoints = Vec<(String, Scenario)>;
 /// Executes every point of `doc` and returns the labelled points with one
 /// report row each. One plan with a single all-covering chunk per point
 /// keeps `run`, `gallery --run`, and `sweep` on the same execution path —
-/// that shared path is what makes their reports byte-identical. When a
-/// metrics sink is supplied, every run's telemetry is folded into it;
-/// `progress` keeps a live stderr line (stdout is untouched by both).
+/// that shared path is what makes their reports byte-identical. The
+/// attached sinks observe that execution itself: every run's telemetry is
+/// folded into the registry, its events are appended point-major and
+/// seed-minor, and its phase times are profiled. `progress` keeps a live
+/// stderr line (stdout is untouched by all of them).
 fn execute_doc(
     doc: &ScenarioFile,
     workers: Option<usize>,
-    mut metrics: Option<&mut MetricsRegistry>,
+    mut sinks: Sinks<'_>,
     progress: bool,
 ) -> Result<(LabelledPoints, Vec<ReportPoint>), CliError> {
     let plan = SweepPlan::new(doc, doc.seeds.normalized().len().max(1));
@@ -409,8 +415,7 @@ fn execute_doc(
     let watch = mbaa::obs::timing::Stopwatch::start();
     let mut rows = Vec::with_capacity(plan.points.len());
     for (index, (label, _)) in plan.points.iter().enumerate() {
-        let entries =
-            checkpoint::execute_chunk_metrics(&plan, index, workers, metrics.as_deref_mut())?;
+        let entries = checkpoint::execute_chunk_observed(&plan, index, workers, sinks.reborrow())?;
         rows.push(ReportPoint {
             label: label.clone(),
             runs: entries.into_iter().map(|e| e.summary).collect(),
@@ -422,59 +427,37 @@ fn execute_doc(
     Ok((plan.points, rows))
 }
 
-/// `--events-out`: replays every `(point, seed)` run on the scalar engine
-/// with an [`EventLog`] attached and writes one kind-tagged JSON line per
-/// event, point-major / seed-minor. The replay is sound because results —
-/// and therefore event streams — are bit-identical with any observer
-/// attached; the tables already printed came from the very same runs.
-fn write_events(
-    doc: &ScenarioFile,
-    points: &[(String, Scenario)],
-    path: &Path,
-) -> Result<(), CliError> {
-    let seeds = doc.seeds.normalized();
-    let mut lines = String::new();
-    for (label, scenario) in points {
-        for &seed in &seeds {
-            let mut log = EventLog::new();
-            scenario
-                .run_observed(seed, &mut log)
-                .map_err(|e| CliError::Failure(format!("{label}, seed {seed}: {e}")))?;
-            for event in log.events() {
-                lines.push_str(&mbaa_json::write_line(&mbaa_json::event_to_json(event)));
-                lines.push('\n');
-            }
+/// `--events-out`: renders the events recorded from the packed run, one
+/// kind-tagged JSON line each, point-major / seed-minor, straight into the
+/// atomically renamed file.
+fn write_event_stream(path: &Path, events: &[Event]) -> Result<(), CliError> {
+    checkpoint::write_atomic_with(path, |out| {
+        for event in events {
+            out.write_all(mbaa_json::write_line(&mbaa_json::event_to_json(event)).as_bytes())?;
+            out.write_all(b"\n")?;
         }
-    }
-    // `write_atomic` supplies the trailing newline.
-    lines.pop();
-    checkpoint::write_atomic(path, &lines)?;
+        Ok(())
+    })?;
     println!("events written to {}", path.display());
     Ok(())
 }
 
-/// `--profile`: replays every `(point, seed)` run sequentially with the
-/// sanctioned [`PhaseProfiler`](mbaa::obs::timing::PhaseProfiler) attached
-/// and prints the wall-clock phase breakdown to stderr — stdout stays
-/// byte-identical to an unprofiled invocation. The profiler reports
-/// `enabled() == false`, so the engine skips telemetry assembly and the
-/// timings measure the protocol, not the observability layer.
-fn profile_doc(doc: &ScenarioFile, points: &[(String, Scenario)]) -> Result<(), CliError> {
-    let seeds = doc.seeds.normalized();
-    let mut profiler = mbaa::obs::timing::PhaseProfiler::new();
-    for (label, scenario) in points {
-        for &seed in &seeds {
-            scenario
-                .run_observed(seed, &mut profiler)
-                .map_err(|e| CliError::Failure(format!("{label}, seed {seed}: {e}")))?;
-        }
-    }
+/// `--profile`: prints the wall-clock phase breakdown of the packed run to
+/// stderr — stdout stays byte-identical to an unprofiled invocation. Each
+/// pack carries its own [`PhaseProfiler`], and their times are summed over
+/// the workers that ran them. A profiler alone reports `enabled() ==
+/// false`, so the engine skips telemetry assembly and the timings measure
+/// the protocol; with `--metrics-out` or `--events-out` also given, the
+/// record phase includes event assembly.
+fn print_profile(runs: usize, packs: usize, workers: Option<usize>, profile: &PhaseProfiler) {
+    let workers = workers.unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    });
     eprintln!(
-        "wall-clock phase breakdown over {} run(s) (scalar engine):",
-        points.len() * seeds.len()
+        "wall-clock phase breakdown over {runs} run(s) \
+         (batch engine, {packs} packs, {workers} workers, phase times summed over workers):"
     );
-    eprint!("{}", profiler.breakdown().render());
-    Ok(())
+    eprint!("{}", profile.breakdown().render());
 }
 
 fn cmd_run(args: &[String]) -> Result<(), CliError> {
@@ -485,7 +468,14 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         doc = apply_smoke(&doc);
     }
     let mut metrics = opts.metrics_out.as_ref().map(|_| MetricsRegistry::new());
-    let (points, rows) = execute_doc(&doc, opts.workers, metrics.as_mut(), opts.progress)?;
+    let mut events = opts.events_out.as_ref().map(|_| Vec::new());
+    let mut profile = opts.profile.then(PhaseProfiler::new);
+    let sinks = Sinks {
+        metrics: metrics.as_mut(),
+        events: events.as_mut(),
+        profile: profile.as_mut(),
+    };
+    let (points, rows) = execute_doc(&doc, opts.workers, sinks, opts.progress)?;
     print_point_table(&points, &rows);
     if opts.out.is_some() {
         write_report(&doc, &points, &rows, opts.out.as_deref())?;
@@ -497,10 +487,17 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         )?;
     }
     if let Some(out) = opts.events_out.as_deref() {
-        write_events(&doc, &points, out)?;
+        write_event_stream(
+            out,
+            &events.expect("buffer exists whenever --events-out does"),
+        )?;
     }
-    if opts.profile {
-        profile_doc(&doc, &points)?;
+    if let Some(profile) = &profile {
+        // Every point runs as its own chunk, and a point's lanes share one
+        // shape, so each point fills ceil(seeds / BATCH_WIDTH) packs.
+        let seeds = doc.seeds.normalized().len();
+        let packs = points.len() * seeds.div_ceil(mbaa::sim::BATCH_WIDTH);
+        print_profile(points.len() * seeds, packs, opts.workers, profile);
     }
     Ok(())
 }
@@ -973,8 +970,11 @@ fn cmd_gallery(args: &[String]) -> Result<(), CliError> {
             if opts.smoke {
                 doc = apply_smoke(&doc);
             }
-            let (run_points, rows) =
-                execute_doc(&doc, opts.workers, metrics.as_mut(), opts.progress)?;
+            let sinks = Sinks {
+                metrics: metrics.as_mut(),
+                ..Sinks::default()
+            };
+            let (run_points, rows) = execute_doc(&doc, opts.workers, sinks, opts.progress)?;
             println!();
             print_point_table(&run_points, &rows);
             if let Some(out_dir) = opts.out.as_deref() {

@@ -675,6 +675,93 @@ fn report_renders_doc_and_events_identically_and_round_trips() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// `SWEEP_DOC` with 40 seeds, so each point runs as two packs (32 + 8).
+const PACKED_DOC: &str = r#"{
+  "format": "mbaa-scenario/1",
+  "name": "packed-events",
+  "scenario": {"model": "garay", "n": 9, "f": 2, "max_rounds": 50},
+  "seeds": {"start": 0, "count": 40},
+  "sweep": {"n": {"extra": 1}}
+}"#;
+
+#[test]
+fn events_out_records_the_packed_run_for_any_worker_count() {
+    // The stream comes from the packed execution itself; it must equal
+    // every (point, seed) run replayed one by one on the scalar engine,
+    // whatever the worker count.
+    let dir = scratch("events_workers");
+    let file = dir.join("packed.scenario.json");
+    fs::write(&file, PACKED_DOC).unwrap();
+    let doc = mbaa_json::ScenarioFile::parse_str(PACKED_DOC).unwrap();
+    let mut expected = String::new();
+    for (_, scenario) in doc.points() {
+        for seed in doc.seeds.normalized() {
+            let mut log = mbaa::prelude::EventLog::new();
+            scenario.run_observed(seed, &mut log).unwrap();
+            for event in log.events() {
+                expected.push_str(&mbaa_json::write_line(&mbaa_json::event_to_json(event)));
+                expected.push('\n');
+            }
+        }
+    }
+    for workers in ["1", "3"] {
+        let events = dir.join(format!("events-{workers}.jsonl"));
+        let out = mbaa(
+            &[
+                "run",
+                file.to_str().unwrap(),
+                "--workers",
+                workers,
+                "--events-out",
+                events.to_str().unwrap(),
+            ],
+            &dir,
+        );
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+        assert!(
+            fs::read_to_string(&events).unwrap() == expected,
+            "--workers {workers}: events differ from the scalar runs"
+        );
+    }
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failing_point_writes_no_events_file() {
+    // The second point (n = 10) cannot take the 9 fixed values; the run
+    // fails after the first point executed, and no stream is left behind.
+    let dir = scratch("events_failing");
+    let file = dir.join("failing.scenario.json");
+    fs::write(
+        &file,
+        r#"{
+  "format": "mbaa-scenario/1",
+  "name": "fixed-sweep",
+  "scenario": {"model": "garay", "n": 9, "f": 2, "max_rounds": 50,
+               "workload": {"fixed": {"values": [0, 1, 2, 3, 4, 5, 6, 7, 8]}}},
+  "seeds": [0, 1],
+  "sweep": {"n": {"extra": 1}}
+}"#,
+    )
+    .unwrap();
+    let events = dir.join("events.jsonl");
+    let out = mbaa(
+        &[
+            "run",
+            file.to_str().unwrap(),
+            "--events-out",
+            events.to_str().unwrap(),
+        ],
+        &dir,
+    );
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    assert!(!events.exists(), "a failed run wrote an events file");
+    assert!(!dir.join("events.jsonl.tmp").exists());
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn report_rejects_garbage_with_a_location() {
     let dir = scratch("report_bad");
@@ -783,6 +870,10 @@ fn profile_and_progress_write_to_stderr_only() {
     );
     let err = stderr(&profiled);
     assert!(err.contains("phase breakdown"), "missing breakdown: {err}");
+    assert!(
+        err.contains("(batch engine, 2 packs, "),
+        "the header must name the packed run: {err}"
+    );
     for phase in ["adversary_plan", "exchange", "msr_apply", "record"] {
         assert!(err.contains(phase), "breakdown is missing {phase:?}: {err}");
     }

@@ -205,11 +205,14 @@ impl BatchEngine {
     /// lane, so the call is total.
     ///
     /// Round events from different lanes interleave round-major (the
-    /// lockstep schedule), but each seed's event subsequence is
-    /// bit-identical to the scalar engine's stream for that seed, and
-    /// run-level events are emitted in lane order at collection. The
-    /// observer never influences protocol state, so outcomes are the same
-    /// with any observer attached.
+    /// lockstep schedule), and run-level events are emitted in lane order
+    /// at collection. The lockstep loop announces each lane of a
+    /// multi-lane pack with [`Observer::on_lane`] before its events (a
+    /// delegated pack runs its lanes one after another, unannounced), and
+    /// each lane's event subsequence is bit-identical to the scalar
+    /// engine's stream for its configuration. The observer never
+    /// influences protocol state, so outcomes are the same with any
+    /// observer attached.
     #[must_use]
     pub fn run_packed_observed<O: Observer>(
         lanes: &[PackedLane],
@@ -427,6 +430,9 @@ fn run_lockstep<O: Observer>(
     };
     let n = first.config.n;
     let telemetry = observer.enabled();
+    // Lane announcements, so lane-routing sinks can tell apart lanes that
+    // share a seed; a single lane has nothing to tell apart.
+    let lane_hooks = telemetry && lanes.len() > 1;
     let (mut votes, mut states, mut lane_states, mut groups) = init_lanes(lanes, n);
     let mut plan = RoundFaultPlan::empty(n);
     let mut received = ValueMultiset::with_capacity(n);
@@ -452,6 +458,9 @@ fn run_lockstep<O: Observer>(
                 continue;
             }
             all_done = false;
+            if lane_hooks {
+                observer.on_lane(l);
+            }
             let round = Round::new(round_idx as u64);
             let votes_l = &mut votes[l * n..(l + 1) * n];
             let states_l = &mut states[l * n..(l + 1) * n];
@@ -579,6 +588,7 @@ fn collect<O: Observer>(
     observer: &mut O,
 ) -> Vec<Result<MobileRunOutcome>> {
     let telemetry = observer.enabled();
+    let lane_hooks = telemetry && lanes.len() > 1;
     lanes
         .iter()
         .zip(lane_states)
@@ -613,6 +623,9 @@ fn collect<O: Observer>(
                 network_stats: ls.stats,
             };
             if telemetry {
+                if lane_hooks {
+                    observer.on_lane(l);
+                }
                 emit_run_events(observer, lane.config.seed, &outcome, ls.corruptions);
             }
             Ok(outcome)
@@ -624,7 +637,7 @@ fn collect<O: Observer>(
 mod tests {
     use super::*;
     use mbaa_net::{Topology, TopologySchedule};
-    use mbaa_obs::NoopObserver;
+    use mbaa_obs::{EventLog, NoopObserver};
 
     fn inputs(n: usize, salt: u64) -> Vec<Value> {
         (0..n)
@@ -828,6 +841,91 @@ mod tests {
             lanes.extend(pack(cfg, &seeds));
         }
         assert_matches_scalar(&lanes);
+    }
+
+    /// Routes events into one log per lane through `on_lane`.
+    #[derive(Default)]
+    struct LaneRouter {
+        lane: usize,
+        logs: Vec<EventLog>,
+    }
+
+    impl LaneRouter {
+        fn log(&mut self) -> &mut EventLog {
+            if self.logs.len() <= self.lane {
+                self.logs.resize_with(self.lane + 1, EventLog::new);
+            }
+            &mut self.logs[self.lane]
+        }
+    }
+
+    impl Observer for LaneRouter {
+        fn on_lane(&mut self, lane: usize) {
+            self.lane = lane;
+        }
+
+        fn on_round(&mut self, event: &RoundEvent) {
+            self.log().on_round(event);
+        }
+
+        fn on_convergence(&mut self, event: &mbaa_obs::ConvergenceEvent) {
+            self.log().on_convergence(event);
+        }
+
+        fn on_run_end(&mut self, event: &mbaa_obs::RunEndEvent) {
+            self.log().on_run_end(event);
+        }
+    }
+
+    #[test]
+    fn lane_routed_events_match_each_lanes_scalar_stream() {
+        // Two points run the same seeds (and so the same inputs) in one
+        // pack: seeds cannot tell their lanes apart, `on_lane` can.
+        let n = 9;
+        let ring = ProtocolConfig::builder(MobileModel::Garay, n, 1)
+            .epsilon(1e-4)
+            .max_rounds(200)
+            .topology(Topology::Ring { k: 2 })
+            .build()
+            .unwrap();
+        let complete = base_config(MobileModel::Garay, n, 1);
+        let mut lanes = pack(&ring, &[1, 2, 3]);
+        lanes.extend(pack(&complete, &[1, 2, 3]));
+        let mut router = LaneRouter::default();
+        let mut log = EventLog::new();
+        let results =
+            BatchEngine::run_packed_observed(&lanes, &mut mbaa_obs::Tee(&mut router, &mut log));
+        assert!(results.iter().all(Result::is_ok));
+        assert_eq!(router.logs.len(), lanes.len());
+        for (l, lane) in lanes.iter().enumerate() {
+            let mut scalar = EventLog::new();
+            MobileEngine::new(lane.config.clone())
+                .run_observed(&lane.inputs, &mut scalar)
+                .unwrap();
+            assert_eq!(router.logs[l], scalar, "lane {l}");
+        }
+        // The seed filter mixes both points' lanes of seed 1.
+        assert_eq!(
+            log.for_seed(1).len(),
+            router.logs[0].len() + router.logs[3].len()
+        );
+        assert_ne!(router.logs[0], router.logs[3]);
+    }
+
+    #[test]
+    fn only_multi_lane_packs_announce_lanes() {
+        struct Announcements(usize);
+        impl Observer for Announcements {
+            fn on_lane(&mut self, _lane: usize) {
+                self.0 += 1;
+            }
+        }
+        let config = base_config(MobileModel::Garay, 9, 2);
+        let mut seen = Announcements(0);
+        let _ = BatchEngine::run_packed_observed(&pack(&config, &[5]), &mut seen);
+        assert_eq!(seen.0, 0);
+        let _ = BatchEngine::run_packed_observed(&pack(&config, &[5, 6]), &mut seen);
+        assert!(seen.0 > 0);
     }
 
     #[test]

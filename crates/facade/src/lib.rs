@@ -28,11 +28,13 @@
 //!   [`mobile_vs_static`]. [`Sweep::run`] and [`Sweep::stream`] flatten
 //!   all `(point, seed)` pairs into one global work pool under a single
 //!   concurrency budget, so uneven points no longer serialize the sweep.
-//! * summary-level execution with telemetry: [`Runner::stream`],
-//!   [`Sweep::stream`], and [`stream_segments`] (the one packed executor
-//!   they both call) take an optional [`MetricsRegistry`] that folds every
-//!   run's telemetry, bit-identically for every worker count; a single
-//!   run feeds any [`Observer`] through [`Scenario::run_observed`].
+//! * summary-level execution with telemetry: [`Runner::stream`] and
+//!   [`Sweep::stream`] take an optional [`MetricsRegistry`] that folds every
+//!   run's telemetry, bit-identically for every worker count, and
+//!   [`stream_segments`] (the one packed executor they both call) takes
+//!   [`obs::Sinks`], which add the event stream and phase profile of the
+//!   packed run itself; a single run feeds any [`Observer`] through
+//!   [`Scenario::run_observed`].
 //!
 //! The network topology is a scenario axis: [`Scenario::topology`] accepts
 //! a [`Topology`] (complete by default — the paper's network — or ring /

@@ -13,8 +13,9 @@
 //! run into its [`RunSummary`] on the worker instead of materializing full
 //! trajectories. Both are thin calls into [`stream_segments`], the one
 //! summary-level entry point, which hands every lowered point to
-//! `mbaa_sim`'s cross-point packed executor and optionally folds every
-//! run's telemetry into a [`MetricsRegistry`].
+//! `mbaa_sim`'s cross-point packed executor and optionally feeds every
+//! run's telemetry to the attached [`Sinks`]: a [`MetricsRegistry`], an
+//! event stream, and a phase profiler.
 
 use serde::{Deserialize, Serialize};
 
@@ -23,7 +24,7 @@ use rayon::prelude::*;
 use mbaa_adversary::{CorruptionStrategy, MobilityStrategy};
 use mbaa_core::{defaults, MobileRunOutcome};
 use mbaa_mixed::{FaultAssignment, StaticBehavior, StaticSimulator};
-use mbaa_obs::MetricsRegistry;
+use mbaa_obs::{MetricsRegistry, Sinks};
 use mbaa_sim::{normalize_seeds, ExperimentResult, RunSummary};
 use mbaa_types::{Epsilon, Error, MobileModel, Result};
 
@@ -150,7 +151,11 @@ impl Runner {
     /// smallest failing seed wins).
     pub fn stream(&self, metrics: Option<&mut MetricsRegistry>) -> Result<ExperimentResult> {
         let segment = (self.scenario.clone(), self.seeds.clone());
-        stream_segments(std::slice::from_ref(&segment), self.workers, metrics)
+        let sinks = Sinks {
+            metrics,
+            ..Sinks::default()
+        };
+        stream_segments(std::slice::from_ref(&segment), self.workers, sinks)
             .pop()
             .expect("one result per segment")
     }
@@ -414,12 +419,16 @@ impl Sweep {
             .iter()
             .map(|scenario| (scenario.clone(), self.seeds.clone()))
             .collect();
+        let sinks = Sinks {
+            metrics,
+            ..Sinks::default()
+        };
         // Each point's result carries its first failing seed's error (in
         // seed order), and results are consumed point-major — the
         // deterministic point-major / seed-minor error order.
         self.points
             .iter()
-            .zip(stream_segments(&segments, self.workers, metrics))
+            .zip(stream_segments(&segments, self.workers, sinks))
             .map(|(scenario, result)| {
                 Ok(SweepSummary {
                     scenario: scenario.clone(),
@@ -445,21 +454,25 @@ impl Sweep {
 /// [`Runner::run`] normalizes, and each segment's result is bit-identical
 /// to `scenario.batch(seeds).run()?.to_experiment_result()`, for every
 /// worker count. A failing segment carries its first failing seed's error
-/// (in seed order) without disturbing its neighbours. When `metrics` is
-/// supplied, every run's telemetry is folded into it — merged by
-/// elementwise counter addition, so the registry is bit-identical for
-/// every worker count and completion order.
+/// (in seed order) without disturbing its neighbours.
+///
+/// The attached [`Sinks`] observe the packed run itself: the registry
+/// folds every run's telemetry, the event stream receives every run's
+/// events segment-major and seed-minor, and the profiler sums every
+/// pack's phase times. The registry and the events are bit-identical for
+/// every worker count and pack boundary (see
+/// `mbaa_sim::run_packed_experiments`).
 pub fn stream_segments(
     segments: &[(Scenario, Vec<u64>)],
     workers: Option<usize>,
-    metrics: Option<&mut MetricsRegistry>,
+    sinks: Sinks<'_>,
 ) -> Vec<Result<ExperimentResult>> {
     let configs: Vec<mbaa_sim::ExperimentConfig> = segments
         .iter()
         .map(|(scenario, seeds)| scenario.to_experiment(normalize_seeds(seeds.iter().copied())))
         .collect();
     with_pool(workers, || {
-        mbaa_sim::run_packed_experiments(&configs, metrics)
+        mbaa_sim::run_packed_experiments(&configs, sinks)
     })
 }
 

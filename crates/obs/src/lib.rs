@@ -199,6 +199,10 @@ impl Event {
 /// [`timing::PhaseProfiler`]. A phase may end implicitly (early convergence,
 /// exchange error), so implementations must tolerate a `phase_start`
 /// without a matching `phase_end`.
+///
+/// [`Observer::on_lane`] says which lane of a batched pack the following
+/// events belong to, so a sink can keep one stream per lane where seeds
+/// alone are ambiguous (a cross-point pack may hold the same seed twice).
 pub trait Observer {
     /// Whether the engine should assemble events at all. Hot loops skip
     /// stats snapshots and event construction when this is `false`.
@@ -218,6 +222,15 @@ pub trait Observer {
     /// A run finished (always emitted, converged or not).
     #[inline]
     fn on_run_end(&mut self, _event: &RunEndEvent) {}
+
+    /// The events that follow, up to the next `on_lane`, belong to lane
+    /// `lane` (its index in the pack). The batch engine's lockstep loop
+    /// calls this for a pack of more than one lane, when
+    /// [`Observer::enabled`], before each live lane's round and before
+    /// each lane's run-level events. A single-lane run and the scalar
+    /// engine never call it; their events arrive one run after another.
+    #[inline]
+    fn on_lane(&mut self, _lane: usize) {}
 
     /// A round phase is starting.
     #[inline]
@@ -252,6 +265,11 @@ impl<O: Observer + ?Sized> Observer for &mut O {
     }
 
     #[inline]
+    fn on_lane(&mut self, lane: usize) {
+        (**self).on_lane(lane);
+    }
+
+    #[inline]
     fn phase_start(&mut self, phase: Phase) {
         (**self).phase_start(phase);
     }
@@ -277,8 +295,11 @@ impl Observer for NoopObserver {
 /// A recording observer that stores every event in order.
 ///
 /// In a batched run, round events from different lanes interleave
-/// round-major; [`EventLog::for_seed`] recovers the per-seed subsequence,
-/// which is bit-identical to the same seed's scalar-engine stream.
+/// round-major. The log ignores [`Observer::on_lane`]; [`EventLog::for_seed`]
+/// recovers the per-seed subsequence, which is bit-identical to the same
+/// seed's scalar-engine stream as long as no two lanes share a seed. For
+/// packs that may repeat a seed, route by lane instead (as the
+/// [`Sinks::events`] sink of the summary executor does).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventLog {
     events: Vec<Event>,
@@ -601,6 +622,11 @@ impl<A: Observer, B: Observer> Observer for Tee<A, B> {
         self.1.on_run_end(event);
     }
 
+    fn on_lane(&mut self, lane: usize) {
+        self.0.on_lane(lane);
+        self.1.on_lane(lane);
+    }
+
     fn phase_start(&mut self, phase: Phase) {
         self.0.phase_start(phase);
         self.1.phase_start(phase);
@@ -609,6 +635,37 @@ impl<A: Observer, B: Observer> Observer for Tee<A, B> {
     fn phase_end(&mut self, phase: Phase) {
         self.0.phase_end(phase);
         self.1.phase_end(phase);
+    }
+}
+
+/// The optional sinks of the summary-level executor
+/// (`mbaa_sim::run_packed_experiments`, and the facade's `stream_segments`
+/// above it). Each executed pack fills pack-local copies, which are folded
+/// into these in pack order once every pack has run, so all three come out
+/// the same for every worker count. `Sinks::default()` attaches nothing,
+/// and the packs then run unobserved.
+#[derive(Debug, Default)]
+pub struct Sinks<'a> {
+    /// Folds every run's telemetry (see [`MetricsRegistry::merge`]).
+    pub metrics: Option<&'a mut MetricsRegistry>,
+    /// Receives every run's events, appended point-major and seed-minor:
+    /// each run's rounds, then its run-level events, as the scalar engine
+    /// emits them for that seed.
+    pub events: Option<&'a mut Vec<Event>>,
+    /// Accumulates the phase times of every pack, summed over workers
+    /// (see [`timing::PhaseProfiler::merge`]).
+    pub profile: Option<&'a mut timing::PhaseProfiler>,
+}
+
+impl Sinks<'_> {
+    /// The same sinks, borrowed again for one more call.
+    #[must_use]
+    pub fn reborrow(&mut self) -> Sinks<'_> {
+        Sinks {
+            metrics: self.metrics.as_deref_mut(),
+            events: self.events.as_deref_mut(),
+            profile: self.profile.as_deref_mut(),
+        }
     }
 }
 

@@ -11,9 +11,11 @@
 //! or not.
 //!
 //! Profiling is opt-in from exactly two places: `crates/bench` (the
-//! `phase_profile` bench) and the CLI (`mbaa run --profile`). The CLI's
-//! live progress line also borrows [`Stopwatch`] from here so it can report
-//! points/s without touching the clock itself.
+//! `phase_profile` bench) and the CLI (`mbaa run --profile`, which attaches
+//! a profiler to every pack of the real execution through the executor's
+//! [`Sinks`](crate::Sinks) and merges them). The CLI's live progress line
+//! also borrows [`Stopwatch`] from here so it can report points/s without
+//! touching the clock itself.
 
 use std::time::Instant;
 
@@ -68,6 +70,16 @@ impl PhaseProfiler {
             started: [None; 4],
             total_nanos: [0; 4],
             spans: [0; 4],
+        }
+    }
+
+    /// Adds `other`'s accumulated times and span counts into `self`. The
+    /// sums are `u64` additions, so merging the profilers of parallel packs
+    /// in any order gives the same totals; open spans are not carried over.
+    pub fn merge(&mut self, other: &PhaseProfiler) {
+        for i in 0..Phase::ALL.len() {
+            self.total_nanos[i] += other.total_nanos[i];
+            self.spans[i] += other.spans[i];
         }
     }
 
@@ -205,6 +217,30 @@ mod tests {
         let rendered = b.render();
         assert!(rendered.contains("exchange"));
         assert!(rendered.contains("msr_apply"));
+    }
+
+    #[test]
+    fn merge_sums_in_any_order() {
+        let mut parts: Vec<PhaseProfiler> = (0..3)
+            .map(|i| {
+                let mut p = PhaseProfiler::new();
+                p.total_nanos = [i, 10 * i, 100 * i, 1_000 * i];
+                p.spans = [1, 2, 3, i];
+                p
+            })
+            .collect();
+        let mut forward = PhaseProfiler::new();
+        for p in &parts {
+            forward.merge(p);
+        }
+        parts.reverse();
+        let mut backward = PhaseProfiler::new();
+        for p in &parts {
+            backward.merge(p);
+        }
+        assert_eq!(forward.breakdown(), backward.breakdown());
+        let exchange = forward.breakdown().rows[Phase::Exchange.index()];
+        assert_eq!((exchange.total_nanos, exchange.spans), (30, 6));
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! `Scenario::batch(..).stream(None)`), which is where every default is
 //! decided.
 
-use std::sync::Mutex;
-
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -17,7 +15,11 @@ use mbaa_core::{
 };
 use mbaa_msr::MsrFunction;
 use mbaa_net::{DisconnectionPolicy, LinkFaultPlan, Topology, TopologySchedule};
-use mbaa_obs::{MetricsRegistry, NoopObserver};
+use mbaa_obs::timing::PhaseProfiler;
+use mbaa_obs::{
+    ConvergenceEvent, Event, MetricsRegistry, NoopObserver, Observer, Phase, RoundEvent,
+    RunEndEvent, Sinks,
+};
 use mbaa_types::{MobileModel, Result};
 
 use crate::Workload;
@@ -246,11 +248,17 @@ pub const BATCH_WIDTH: usize = 32;
 /// without disturbing its neighbours, so callers keep point-level error
 /// attribution.
 ///
-/// When `metrics` is supplied, every pack runs with a pack-local
-/// [`MetricsRegistry`] attached, merged into `metrics` as packs finish.
-/// The merge is elementwise counter addition — commutative and
-/// associative — so the registry is bit-identical for every worker count
-/// and completion order, and the summaries are the same either way.
+/// Each pack runs with pack-local copies of the attached [`Sinks`]: a
+/// [`MetricsRegistry`], one event buffer per lane (routed by
+/// [`Observer::on_lane`]), and a [`PhaseProfiler`]. After every pack has
+/// run they are folded into `sinks` in pack order: registries and
+/// profilers merge by `u64` addition, and each pack's buffers are appended
+/// lane by lane, so events arrive point-major and seed-minor. The
+/// registry and the events are the same for every worker count and pack
+/// boundary (the profile sums wall time over the workers), and the
+/// summaries are the same with or without any sink. A point whose
+/// lowering fails contributes nothing to them. With nothing attached the
+/// packs run under [`NoopObserver`].
 ///
 /// Only summaries leave this function, and summaries are bit-identical
 /// across observability levels, so the engine always runs at
@@ -258,7 +266,7 @@ pub const BATCH_WIDTH: usize = 32;
 /// description's level.
 pub fn run_packed_experiments(
     configs: &[ExperimentConfig],
-    metrics: Option<&mut MetricsRegistry>,
+    mut sinks: Sinks<'_>,
 ) -> Vec<Result<ExperimentResult>> {
     let mut lowered: Vec<Option<mbaa_types::Error>> = Vec::with_capacity(configs.len());
     let mut lanes: Vec<PackedLane> = Vec::new();
@@ -277,33 +285,41 @@ pub fn run_packed_experiments(
             Err(e) => lowered.push(Some(e)),
         }
     }
-    let sink = metrics.map(Mutex::new);
-    let pack_runs: Vec<Vec<Result<RunSummary>>> = plan_packs(&lanes)
+    let (metrics, events, profile) = (
+        sinks.metrics.is_some(),
+        sinks.events.is_some(),
+        sinks.profile.is_some(),
+    );
+    let packs: Vec<(Vec<Result<RunSummary>>, Option<PackSinks>)> = plan_packs(&lanes)
         .into_par_iter()
         .map(|range| {
             let pack = &lanes[range.clone()];
-            let outcomes = match &sink {
-                Some(sink) => {
-                    let mut local = MetricsRegistry::new();
-                    let outcomes = BatchEngine::run_packed_observed(pack, &mut local);
-                    // Merge order across packs is completion order, which
-                    // rayon does not fix — safe because the merge is
-                    // order-independent (see `MetricsRegistry::merge`).
-                    sink.lock().expect("metrics mutex poisoned").merge(&local);
-                    outcomes
-                }
+            let mut local = (metrics || events || profile).then(|| PackSinks {
+                metrics: metrics.then(MetricsRegistry::new),
+                events: events.then(|| vec![Vec::new(); pack.len()]),
+                lane: 0,
+                profile: profile.then(PhaseProfiler::new),
+            });
+            let outcomes = match &mut local {
+                Some(local) => BatchEngine::run_packed_observed(pack, local),
                 None => BatchEngine::run_packed_observed(pack, &mut NoopObserver),
             };
-            outcomes
+            let runs = outcomes
                 .into_iter()
                 .zip(pack)
                 .map(|(outcome, lane)| Ok(RunSummary::from_outcome(lane.config.seed, &outcome?)))
-                .collect()
+                .collect();
+            (runs, local)
         })
         .collect();
-    // Packs are contiguous ranges of the point-major lane list, so the
-    // flattened pack results scatter back per point in seed-batch order;
-    // the first failing seed of a point wins its slot.
+    // The pack-local sinks fold in pack order, whatever order the packs
+    // completed in. Packs are contiguous ranges of the point-major lane
+    // list, so the flattened pack results scatter back per point in
+    // seed-batch order; the first failing seed of a point wins its slot.
+    let (pack_runs, locals): (Vec<_>, Vec<_>) = packs.into_iter().unzip();
+    for local in locals.into_iter().flatten() {
+        local.fold_into(&mut sinks);
+    }
     let mut per_point: Vec<Result<Vec<RunSummary>>> =
         configs.iter().map(|_| Ok(Vec::new())).collect();
     for (&point, run) in points.iter().zip(pack_runs.into_iter().flatten()) {
@@ -326,6 +342,81 @@ pub fn run_packed_experiments(
             }),
         })
         .collect()
+}
+
+/// The pack-local side of [`Sinks`]: the observer one pack runs under.
+struct PackSinks {
+    metrics: Option<MetricsRegistry>,
+    /// One event buffer per lane of the pack.
+    events: Option<Vec<Vec<Event>>>,
+    /// The lane the engine last announced through [`Observer::on_lane`].
+    lane: usize,
+    profile: Option<PhaseProfiler>,
+}
+
+impl PackSinks {
+    fn record(&mut self, event: Event) {
+        if let Some(events) = &mut self.events {
+            events[self.lane].push(event);
+        }
+    }
+
+    /// Folds this pack's results into the caller's sinks.
+    fn fold_into(self, sinks: &mut Sinks<'_>) {
+        if let (Some(local), Some(sink)) = (self.metrics, sinks.metrics.as_deref_mut()) {
+            sink.merge(&local);
+        }
+        if let (Some(local), Some(sink)) = (self.events, sinks.events.as_deref_mut()) {
+            sink.extend(local.into_iter().flatten());
+        }
+        if let (Some(local), Some(sink)) = (self.profile, sinks.profile.as_deref_mut()) {
+            sink.merge(&local);
+        }
+    }
+}
+
+impl Observer for PackSinks {
+    // The profiler alone leaves event assembly off, as on its own.
+    fn enabled(&self) -> bool {
+        self.metrics.is_some() || self.events.is_some()
+    }
+
+    fn on_lane(&mut self, lane: usize) {
+        self.lane = lane;
+    }
+
+    fn on_round(&mut self, event: &RoundEvent) {
+        if let Some(metrics) = &mut self.metrics {
+            metrics.on_round(event);
+        }
+        self.record(Event::Round(*event));
+    }
+
+    fn on_convergence(&mut self, event: &ConvergenceEvent) {
+        if let Some(metrics) = &mut self.metrics {
+            metrics.on_convergence(event);
+        }
+        self.record(Event::Convergence(*event));
+    }
+
+    fn on_run_end(&mut self, event: &RunEndEvent) {
+        if let Some(metrics) = &mut self.metrics {
+            metrics.on_run_end(event);
+        }
+        self.record(Event::RunEnd(*event));
+    }
+
+    fn phase_start(&mut self, phase: Phase) {
+        if let Some(profile) = &mut self.profile {
+            profile.phase_start(phase);
+        }
+    }
+
+    fn phase_end(&mut self, phase: Phase) {
+        if let Some(profile) = &mut self.profile {
+            profile.phase_end(phase);
+        }
+    }
 }
 
 /// Mean lane occupancy of the pack plan [`run_packed_experiments`] would
@@ -427,7 +518,11 @@ mod tests {
         config: &ExperimentConfig,
         metrics: Option<&mut MetricsRegistry>,
     ) -> Result<ExperimentResult> {
-        run_packed_experiments(std::slice::from_ref(config), metrics)
+        let sinks = Sinks {
+            metrics,
+            ..Sinks::default()
+        };
+        run_packed_experiments(std::slice::from_ref(config), sinks)
             .pop()
             .expect("one result per point")
     }
@@ -571,7 +666,11 @@ mod tests {
             },
         ];
         let mut metrics = MetricsRegistry::new();
-        let packed = run_packed_experiments(&configs, Some(&mut metrics));
+        let sinks = Sinks {
+            metrics: Some(&mut metrics),
+            ..Sinks::default()
+        };
+        let packed = run_packed_experiments(&configs, sinks);
         // Every point's result is bit-identical to running it alone, even
         // though its lanes shared packs with its neighbours, and the packed
         // registry is the merge of the per-point registries.
@@ -615,7 +714,7 @@ mod tests {
         let good = point(MobileModel::Garay, 9, 2, 0..3);
         // Below the bound without the explicit opt-in: lowering fails.
         let bad = point(MobileModel::Garay, 8, 2, 0..3);
-        let results = run_packed_experiments(&[good.clone(), bad, good.clone()], None);
+        let results = run_packed_experiments(&[good.clone(), bad, good.clone()], Sinks::default());
         assert!(results[1].is_err());
         let alone = run_one(&good).unwrap();
         assert_eq!(results[0].as_ref().unwrap(), &alone);

@@ -50,7 +50,7 @@
 //!     allow_bound_violation: false,
 //!     observe: Observe::default(),
 //! };
-//! let mut results = run_packed_experiments(&[config], None);
+//! let mut results = run_packed_experiments(&[config], mbaa_obs::Sinks::default());
 //! let result = results.pop().expect("one result per point")?;
 //! assert_eq!(result.runs.len(), 5);
 //! assert!(result.success_rate() > 0.99);

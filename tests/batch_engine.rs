@@ -229,7 +229,7 @@ fn ragged_cross_point_packs_match_scalar_per_segment() {
         (points[2].clone(), vec![2, 5, 9]),
         (points[3].clone(), vec![1, 4, 6, 8]),
     ];
-    let results = stream_segments(&segments, None, None);
+    let results = stream_segments(&segments, None, mbaa::obs::Sinks::default());
     for ((scenario, seeds), result) in segments.iter().zip(results) {
         assert_eq!(
             result.unwrap().runs,

@@ -16,6 +16,7 @@
 //!   any order (and across any worker split) merges to the same registry,
 //!   bit for bit.
 
+use mbaa::obs::{Sinks, Tee};
 use mbaa::prelude::*;
 use mbaa::{BatchEngine, Event, MobileEngine, Observe, PackedLane};
 
@@ -176,6 +177,57 @@ fn per_seed_batch_event_streams_equal_scalar_streams() {
                 "seed {seed}: batched event stream diverged from scalar on {scenario:?}"
             );
         }
+    }
+}
+
+#[test]
+fn sink_events_are_point_major_and_worker_invariant() {
+    // Three shape-compatible points with overlapping seeds: their lanes
+    // share packs across point boundaries (20 + 1 + 11 lanes, then 4), so
+    // one pack repeats seeds and only lane routing keeps them apart.
+    let general = Scenario::new(MobileModel::Garay, 9, 1)
+        .epsilon(1e-6)
+        .max_rounds(300);
+    let segments: Vec<(Scenario, Vec<u64>)> = vec![
+        (
+            general.clone().topology(Topology::Ring { k: 2 }),
+            (0..20).collect(),
+        ),
+        (general.clone(), vec![3]),
+        (
+            general.topology_schedule(TopologySchedule::SeededChurn {
+                base: Topology::Complete,
+                flip_rate: 0.2,
+            }),
+            (0..15).collect(),
+        ),
+    ];
+    let mut reference = EventLog::new();
+    let mut reference_metrics = MetricsRegistry::new();
+    for (scenario, seeds) in &segments {
+        for &seed in seeds {
+            scenario
+                .run_observed(seed, &mut Tee(&mut reference, &mut reference_metrics))
+                .unwrap();
+        }
+    }
+    let plain = stream_segments(&segments, None, Sinks::default());
+    for workers in [1usize, 2, 3] {
+        let mut events = Vec::new();
+        let mut metrics = MetricsRegistry::new();
+        let sinks = Sinks {
+            metrics: Some(&mut metrics),
+            events: Some(&mut events),
+            profile: None,
+        };
+        let observed = stream_segments(&segments, Some(workers), sinks);
+        assert_eq!(observed, plain, "{workers} workers: sinks changed results");
+        assert_eq!(
+            events,
+            reference.events(),
+            "{workers} workers: sink events differ from the scalar runs"
+        );
+        assert_eq!(metrics, reference_metrics, "{workers} workers");
     }
 }
 

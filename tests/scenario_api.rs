@@ -109,10 +109,13 @@ fn batch_summaries_agree_with_the_experiment_lowering() {
     let scenario =
         scenario_for(MobileModel::Buhrman).workload(Workload::RandomUniform { lo: -1.0, hi: 1.0 });
     let full = scenario.batch(0..6).run().unwrap().to_experiment_result();
-    let lowered = mbaa::sim::run_packed_experiments(&[scenario.to_experiment(0..6)], None)
-        .pop()
-        .unwrap()
-        .unwrap();
+    let lowered = mbaa::sim::run_packed_experiments(
+        &[scenario.to_experiment(0..6)],
+        mbaa::obs::Sinks::default(),
+    )
+    .pop()
+    .unwrap()
+    .unwrap();
     assert_eq!(full, lowered);
 }
 
