@@ -10,6 +10,9 @@
 //! comparison therefore also pins the invariant that summaries are
 //! identical across observability levels.
 
+mod golden;
+
+use golden::Golden;
 use mbaa::prelude::*;
 
 /// The scalar reference: one `MobileEngine` run per seed, summarized.
@@ -33,35 +36,43 @@ fn batched_summaries(scenario: &Scenario, seeds: &[u64]) -> Vec<RunSummary> {
 #[test]
 fn every_model_and_mobility_matches_scalar_bit_for_bit() {
     let seeds: Vec<u64> = (0..5).collect();
+    let mut golden = Golden::default();
     for model in MobileModel::ALL {
         for mobility in MobilityStrategy::ALL {
             let scenario = Scenario::at_bound(model, 2)
                 .epsilon(1e-6)
                 .max_rounds(300)
                 .mobility(mobility);
+            let batched = batched_summaries(&scenario, &seeds);
+            golden.record(format!("summaries/model_mobility/{model}/{mobility:?}"), &batched);
             assert_eq!(
-                batched_summaries(&scenario, &seeds),
+                batched,
                 scalar_summaries(&scenario, &seeds),
                 "batched summaries diverged from scalar under {model} / {mobility:?}",
             );
         }
     }
+    golden.check();
 }
 
 #[test]
 fn every_corruption_strategy_matches_scalar_bit_for_bit() {
     let seeds: Vec<u64> = (0..4).collect();
+    let mut golden = Golden::default();
     for corruption in CorruptionStrategy::all_representative() {
         let scenario = Scenario::at_bound(MobileModel::Sasaki, 2)
             .epsilon(1e-6)
             .max_rounds(300)
             .corruption(corruption);
+        let batched = batched_summaries(&scenario, &seeds);
+        golden.record(format!("summaries/corruption/{corruption:?}"), &batched);
         assert_eq!(
-            batched_summaries(&scenario, &seeds),
+            batched,
             scalar_summaries(&scenario, &seeds),
             "batched summaries diverged from scalar under {corruption:?}",
         );
     }
+    golden.check();
 }
 
 #[test]
@@ -75,23 +86,29 @@ fn partial_topologies_match_scalar_bit_for_bit() {
     let base = Scenario::new(MobileModel::Garay, 9, 1)
         .epsilon(1e-6)
         .max_rounds(300);
+    let mut golden = Golden::default();
     for topology in [
         Topology::Ring { k: 2 },
         Topology::RandomRegular { degree: 6 },
     ] {
         let scenario = base.clone().topology(topology.clone());
+        let batched = batched_summaries(&scenario, &seeds);
+        golden.record(format!("summaries/partial/{topology}"), &batched);
         assert_eq!(
-            batched_summaries(&scenario, &seeds),
+            batched,
             scalar_summaries(&scenario, &seeds),
             "batched summaries diverged from scalar on {topology}",
         );
     }
     let grid = base.topology(Topology::Grid).allow_bound_violation();
+    let batched = batched_summaries(&grid, &seeds);
+    golden.record("summaries/partial/grid", &batched);
     assert_eq!(
-        batched_summaries(&grid, &seeds),
+        batched,
         scalar_summaries(&grid, &seeds),
         "batched summaries diverged from scalar on the grid",
     );
+    golden.check();
 }
 
 #[test]
@@ -107,19 +124,25 @@ fn churn_and_link_faults_match_scalar_bit_for_bit() {
             base: Topology::Complete,
             flip_rate: 0.2,
         });
+    let mut golden = Golden::default();
+    let batched = batched_summaries(&churning, &seeds);
+    golden.record("summaries/links/churn", &batched);
     assert_eq!(
-        batched_summaries(&churning, &seeds),
+        batched,
         scalar_summaries(&churning, &seeds),
         "batched summaries diverged from scalar under seeded churn",
     );
     // Probabilistic omissions plus a severed and a delayed link.
     let faulty_links =
         base.link_faults(LinkFaultPlan::new().omit_all(0.05).cut(0, 1).delay(2, 3, 2));
+    let batched = batched_summaries(&faulty_links, &seeds);
+    golden.record("summaries/links/faulty", &batched);
     assert_eq!(
-        batched_summaries(&faulty_links, &seeds),
+        batched,
         scalar_summaries(&faulty_links, &seeds),
         "batched summaries diverged from scalar under link faults",
     );
+    golden.check();
 }
 
 #[test]
@@ -130,6 +153,7 @@ fn worker_counts_leave_batched_results_bit_identical() {
         .max_rounds(300)
         .mobility(MobilityStrategy::Random);
     let reference = scalar_summaries(&scenario, &seeds);
+    let mut golden = Golden::default();
     for workers in [1usize, 2, 3, 8] {
         let batched = scenario
             .batch(seeds.iter().copied())
@@ -137,11 +161,13 @@ fn worker_counts_leave_batched_results_bit_identical() {
             .stream(None)
             .unwrap()
             .runs;
+        golden.record("summaries/workers", &batched);
         assert_eq!(
             batched, reference,
             "{workers} workers diverged from the scalar reference",
         );
     }
+    golden.check();
 }
 
 #[test]
@@ -155,6 +181,9 @@ fn ragged_batches_match_scalar_per_seed() {
         .max_rounds(300)
         .mobility(MobilityStrategy::Random);
     let batched = batched_summaries(&scenario, &seeds);
+    let mut golden = Golden::default();
+    golden.record("summaries/ragged", &batched);
+    golden.check();
     assert_eq!(batched, scalar_summaries(&scenario, &seeds));
     // The raggedness is genuine: the seeds really do converge after
     // different numbers of rounds.
@@ -169,10 +198,11 @@ fn ragged_batches_match_scalar_per_seed() {
 fn a_single_seed_batch_matches_the_scalar_engine() {
     let scenario = Scenario::at_bound(MobileModel::Buhrman, 2).epsilon(1e-6);
     let seeds = [7u64];
-    assert_eq!(
-        batched_summaries(&scenario, &seeds),
-        scalar_summaries(&scenario, &seeds),
-    );
+    let batched = batched_summaries(&scenario, &seeds);
+    let mut golden = Golden::default();
+    golden.record("summaries/single_seed", &batched);
+    golden.check();
+    assert_eq!(batched, scalar_summaries(&scenario, &seeds));
 }
 
 /// The non-complete point variants packed sweeps mix: a partial static
@@ -208,13 +238,16 @@ fn packed_cross_point_sweeps_match_scalar_bit_for_bit() {
         .seeds(seeds.iter().copied())
         .stream(None)
         .unwrap();
-    for (scenario, summary) in points.iter().zip(&streamed) {
+    let mut golden = Golden::default();
+    for (p, (scenario, summary)) in points.iter().zip(&streamed).enumerate() {
+        golden.record(format!("summaries/packed/point{p}"), &summary.result.runs);
         assert_eq!(
             summary.result.runs,
             scalar_summaries(scenario, &seeds),
             "packed sweep diverged from scalar at point {scenario:?}",
         );
     }
+    golden.check();
 }
 
 #[test]
@@ -230,13 +263,17 @@ fn ragged_cross_point_packs_match_scalar_per_segment() {
         (points[3].clone(), vec![1, 4, 6, 8]),
     ];
     let results = stream_segments(&segments, None, mbaa::obs::Sinks::default());
-    for ((scenario, seeds), result) in segments.iter().zip(results) {
+    let mut golden = Golden::default();
+    for (s, ((scenario, seeds), result)) in segments.iter().zip(results).enumerate() {
+        let runs = result.unwrap().runs;
+        golden.record(format!("summaries/ragged_packed/segment{s}"), &runs);
         assert_eq!(
-            result.unwrap().runs,
+            runs,
             scalar_summaries(scenario, seeds),
             "ragged packed segment diverged from scalar at {scenario:?}",
         );
     }
+    golden.check();
 }
 
 #[test]
@@ -247,6 +284,7 @@ fn worker_counts_leave_packed_sweeps_bit_identical() {
         .iter()
         .map(|scenario| scalar_summaries(scenario, &seeds))
         .collect();
+    let mut golden = Golden::default();
     for workers in [1usize, 2, 3, 8] {
         let streamed = Sweep::over(points.clone())
             .seeds(seeds.iter().copied())
@@ -254,9 +292,13 @@ fn worker_counts_leave_packed_sweeps_bit_identical() {
             .stream(None)
             .unwrap();
         let runs: Vec<Vec<RunSummary>> = streamed.into_iter().map(|s| s.result.runs).collect();
+        for (p, point) in runs.iter().enumerate() {
+            golden.record(format!("summaries/packed/point{p}"), point);
+        }
         assert_eq!(
             runs, reference,
             "{workers} workers diverged from the scalar reference on a packed sweep",
         );
     }
+    golden.check();
 }
