@@ -2,15 +2,15 @@
 //!
 //! This is one of the two sanctioned opt-ins to `mbaa::obs::timing` (the
 //! other is `mbaa run --profile`): a [`PhaseProfiler`] attached to complete
-//! seeded scalar runs at n ∈ {16, 64, 256} accumulates per-phase spans via
+//! seeded one-lane runs at n ∈ {16, 64, 256} accumulates per-phase spans via
 //! the `phase_start`/`phase_end` hooks and prints the aligned breakdown
 //! table. Machine-readable `phase_share` metric rows go into
 //! `BENCH_phase_profile.json` via the criterion shim's `MBAA_BENCH_JSON`
 //! hook, so CI's bench-diff step can flag a phase whose share drifts — an
 //! MSR-apply regression shows up here before it shows up as a raw
 //! rounds/sec drop. A second family of rows
-//! (`phase_share/batch_ring/{n}/{phase}`) profiles the seed-batched
-//! engine over a shared ring realization.
+//! (`phase_share/batch_ring/{n}/{phase}`) profiles an 8-lane pack over a
+//! shared ring realization.
 //!
 //! Because a profiler reports `enabled() == false`, the engine skips all
 //! telemetry-event assembly while it is attached: the spans measure the
@@ -24,8 +24,7 @@ use criterion::{record_metric, write_json_report};
 
 use mbaa::obs::timing::PhaseProfiler;
 use mbaa::{
-    BatchEngine, MobileEngine, MobileModel, NoopObserver, Observe, PackedLane, ProtocolConfig,
-    Topology, Value,
+    BatchEngine, MobileModel, NoopObserver, Observe, PackedLane, ProtocolConfig, Topology, Value,
 };
 use mbaa_bench::spread_inputs;
 
@@ -47,18 +46,15 @@ fn profile(n: usize) {
         .observe(Observe::Summary)
         .build()
         .expect("config");
-    let engine = MobileEngine::new(config);
     // Warm-up: fault the pages, fill the allocator pools.
     for _ in 0..2 {
-        engine.run(&inputs).expect("run");
+        BatchEngine::run(&config, &inputs).expect("run");
     }
 
     let reps = repetitions(n);
     let mut profiler = PhaseProfiler::new();
     for _ in 0..reps {
-        engine
-            .run_observed(&inputs, &mut profiler)
-            .expect("profiled run");
+        BatchEngine::run_with(&config, &inputs, None, &mut profiler).expect("profiled run");
     }
     let breakdown = profiler.breakdown();
     println!("phase_profile n={n} ({reps} run(s)):");
@@ -75,11 +71,11 @@ fn profile(n: usize) {
     }
 }
 
-/// The seed-batched engine on a ring under the profiler: 8 lanes
-/// advancing in lockstep over a ring mask shared across the batch. The
-/// batch engine emits the same four phase hooks as the scalar loop
-/// (adversary planning, the masked exchange against the shared
-/// realization, the lane-major MSR fold, and per-lane recording), so the
+/// An 8-lane pack on a ring under the profiler: the lanes advance in
+/// lockstep over a ring mask shared across the pack. The loop emits the
+/// four phase hooks (adversary planning, the masked exchange against the
+/// shared realization, the lane-major MSR fold, and per-lane recording),
+/// so the
 /// `phase_share/batch_ring/{n}/{phase}` rows show where the batched
 /// round's time goes — the evidence behind the vectorized-fold work.
 fn profile_batch(n: usize) {
@@ -109,7 +105,7 @@ fn profile_batch(n: usize) {
         }
     }
 
-    // One batch advances K lanes, so divide the scalar repetition budget.
+    // One pack advances K lanes, so divide the one-lane repetition budget.
     let reps = repetitions(n).div_ceil(K);
     let mut profiler = PhaseProfiler::new();
     for _ in 0..reps {

@@ -9,8 +9,10 @@
 //! * `convergence` — derived figures F1–F3 (contraction, rounds vs n,
 //!   mobile vs static).
 //! * `ablation` — derived figure F4 (adversary strategy grid).
-//! * `engine_perf` — Criterion micro-benchmarks of the round engine and of
-//!   the MSR computation itself.
+//! * `engine_hot_path` — one-lane rounds/sec at each observe level, and
+//!   the cost of one MSR evaluation.
+//! * `engine_batch` — rounds/sec of packs of k lanes against one lane.
+//! * `phase_profile` — wall-clock share of the four round phases.
 //!
 //! This library target only hosts small helpers shared by the bench mains.
 

@@ -687,7 +687,7 @@ const PACKED_DOC: &str = r#"{
 #[test]
 fn events_out_records_the_packed_run_for_any_worker_count() {
     // The stream comes from the packed execution itself; it must equal
-    // every (point, seed) run replayed one by one on the scalar engine,
+    // every (point, seed) run replayed one by one as a one-lane run,
     // whatever the worker count.
     let dir = scratch("events_workers");
     let file = dir.join("packed.scenario.json");
@@ -720,7 +720,7 @@ fn events_out_records_the_packed_run_for_any_worker_count() {
         assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
         assert!(
             fs::read_to_string(&events).unwrap() == expected,
-            "--workers {workers}: events differ from the scalar runs"
+            "--workers {workers}: events differ from the one-lane runs"
         );
     }
 

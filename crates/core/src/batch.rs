@@ -1,37 +1,41 @@
-//! The seed-batched engine: k seeds advanced in lockstep through a single
-//! round loop.
-//!
-//! A sweep evaluates the *same* protocol shape under many seeds, and the
-//! scalar [`MobileEngine`] pays the full per-round machinery — fault
-//! planning, outbox construction, an `n × n` exchange, and `n` sorts — once
-//! per seed per round. [`BatchEngine`] amortizes that work across a pack
-//! of seeds ("lanes") by advancing every lane through round `r` before any
-//! lane sees round `r + 1`.
+//! The round loop: every protocol run — one seed alone, or a pack of k
+//! seeds — advances through [`BatchEngine`]'s single lockstep loop, which
+//! runs round `r` of every lane before any lane sees round `r + 1`.
 //!
 //! # Structure-of-arrays layout
 //!
 //! Per-process state is stored **lane-major** in flat arrays: lane `l`'s
 //! votes occupy `votes[l * n .. (l + 1) * n]`, and likewise for the fault
 //! states. Per-lane control state (the adversary with its RNG stream, the
-//! convergence report, the traffic statistics) lives in one flat `Vec` of
-//! lane records. All lanes share a single round scratch — one
-//! [`RoundFaultPlan`], one send classification, one packed delivery-row
-//! arena — because the scratch is fully overwritten per lane per round;
-//! only the RNG streams and the accumulated per-lane results differ.
+//! convergence report, the traffic statistics, the recordings) lives in
+//! one flat `Vec` of lane records. All lanes share a single round scratch
+//! — one [`RoundFaultPlan`], one send classification, one packed
+//! delivery-row arena — because the scratch is fully overwritten per lane
+//! per round; only the RNG streams and the accumulated per-lane results
+//! differ.
 //!
 //! # One round loop
 //!
 //! Every lane round runs the same four phases whatever the network:
 //!
-//! 1. the lane's adversary places its agents into the shared plan;
-//! 2. senders are classified into [`LaneSend`]s — a broadcaster hands over
-//!    one value, not `n` slots, and the ≤ 2f genuinely per-receiver senders
-//!    (adversary outboxes, Sasaki poisoned queues) are read in place from
-//!    the plan, never copied;
+//! 1. the lane's adversary places its agents into the shared plan and
+//!    corrupts the states of the processes they abandon;
+//! 2. senders are classified into [`LaneSend`]s with the model-specific
+//!    cured behaviour (Garay: aware, stays silent; Bonnet: unaware,
+//!    broadcasts its possibly corrupted state; Sasaki: unaware, flushes the
+//!    poisoned queue the agent left behind; Buhrman: no cured senders
+//!    exist) — a broadcaster hands over one value, not `n` slots, and the
+//!    ≤ 2f genuinely per-receiver senders (adversary outboxes, Sasaki
+//!    poisoned queues) are read in place from the plan, never copied;
 //! 3. the lane's [`SharedRealization`] delivers each active receiver's
 //!    values as ascending packed [`DeliveryRows`] and accounts the traffic;
-//! 4. the k-wide [`mbaa_msr::MsrFunction::apply_sorted_lanes`] folds
+//! 4. every non-faulty process (under Buhrman's model, every process)
+//!    applies the voting function to its row: the k-wide
+//!    [`mbaa_msr::MsrFunction::apply_sorted_lanes`] folds
 //!    `mean(Sel(Red(N)))` over all rows of the lane in one pass.
+//!
+//! A lane stops as soon as its non-faulty values are within ε of each
+//! other or its round budget is exhausted.
 //!
 //! The network differences live in the realization kinds: the complete
 //! graph sorts its broadcasters once and merges each receiver's few
@@ -42,46 +46,46 @@
 //! is built **once** per pack — or once per lane seed for descriptions that
 //! realize per seed ([`Topology::RandomRegular`](mbaa_net::Topology)
 //! anywhere), since graph realization is deterministic in `(n, seed)`.
-//! A failing build fails exactly the lanes of its group, with the error the
-//! scalar engine raises for the same configuration.
+//! A failing build fails exactly the lanes of its group.
 //!
-//! # Batch vs. scalar selection
+//! # Recording
 //!
-//! The batch loop is a pure execution strategy: per-seed outcomes are
-//! **bit-identical** to running [`MobileEngine`] once per seed, for every
-//! model, adversary, topology, schedule, and link-fault plan (enforced by
-//! the `batch_engine` equivalence battery), and a single lane runs the same
-//! loop as a full pack. [`BatchEngine::run_packed_observed`] hands a pack
-//! to the scalar engine, lane by lane, in only two cases, so the call is
-//! total: packs that record snapshots or traces (`Observe::Snapshots` /
-//! `Full` — the scalar engine is the only recorder, so observability is
-//! never silently degraded), and packs whose lanes do not share a shape.
+//! Each lane records at its own [`Observe`] level. A recording lane pushes
+//! one [`RoundSnapshot`] per round (the configuration after agent
+//! movement and state corruption) and, at [`Observe::Full`], one
+//! [`RoundTrace`](mbaa_net::RoundTrace) per round, rebuilt by
+//! [`SharedRealization::trace_round`] right after the lane's exchange. A
+//! [`Observe::Summary`] lane pays one branch per round for all of this, so
+//! its steady-state rounds stay allocation-free.
 //!
-//! # Cross-point packing
+//! # Packs
 //!
 //! Lanes need not come from one configuration: [`PackedLane`] pairs each
 //! lane with its *own* full `ProtocolConfig` (whose `seed` field is the
 //! lane seed), and a mixed pack advances in one lockstep loop as long as
-//! every lane shares the batch **shape** — same `n`, `f`, model, and
-//! observe level (checked by [`shape_compatible`]). Everything else — ε,
-//! round budget, voting function, mobility, corruption, topology, schedule,
-//! link faults — may differ per lane: the loop runs to the largest round
+//! every lane shares the batch **shape** — same `n`, `f` and model
+//! (checked by [`shape_compatible`]). Everything else — ε, round budget,
+//! voting function, mobility, corruption, topology, schedule, link faults,
+//! observe level — may differ per lane: the loop runs to the largest round
 //! budget and each lane consults its own configuration, so a sweep can top
 //! up a draining point's tail chunk with seeds from the next compatible
 //! point instead of running it under-full.
+//! [`BatchEngine::run_packed_observed`] splits a pack that mixes shapes
+//! into consecutive compatible sub-packs, so any pack runs. A lane's
+//! result does not depend on the pack it rides in.
 
 use mbaa_adversary::{AdversaryView, MobileAdversary, RoundFaultPlan};
 use mbaa_msr::{ConvergenceReport, VotingFunction};
 use mbaa_net::{
     DeliveryRows, LaneDelivery, LaneSend, NetworkStats, NetworkTrace, Outbox, SharedRealization,
 };
-use mbaa_obs::{Observer, Phase, RoundEvent};
+use mbaa_obs::{NoopObserver, Observer, Phase, RoundEvent};
 use mbaa_types::{
     Error, FaultState, Interval, MobileModel, ProcessId, Result, Round, Value, ValueMultiset,
 };
 
 use crate::engine::{emit_run_events, non_faulty_diameter};
-use crate::{MobileEngine, MobileRunOutcome, Observe, ProtocolConfig};
+use crate::{MobileRunOutcome, Observe, ProtocolConfig, RoundSnapshot};
 
 /// One lane of a pack: a full configuration (whose `seed` field is the
 /// lane seed) and the initial values it starts from. See
@@ -95,12 +99,12 @@ pub struct PackedLane {
 }
 
 /// Whether two configurations share a batch **shape** and may therefore
-/// ride in one [`BatchEngine::run_packed_observed`] pack: same universe
-/// size, fault bound, mobile model, and observe level. All other knobs
-/// are per-lane.
+/// advance in one lockstep loop: same universe size, fault bound, and
+/// mobile model. All other knobs, the observe level included, are
+/// per-lane.
 #[must_use]
 pub fn shape_compatible(a: &ProtocolConfig, b: &ProtocolConfig) -> bool {
-    a.n == b.n && a.f == b.f && a.model == b.model && a.observe == b.observe
+    a.n == b.n && a.f == b.f && a.model == b.model
 }
 
 /// Per-lane control state: everything that is *not* shared across lanes.
@@ -127,6 +131,10 @@ struct LaneState {
     prev_stats: NetworkStats,
     corrupted_last: u32,
     corruptions: u64,
+    /// The recordings of a lane above [`Observe::Summary`]: one snapshot
+    /// per round, and at [`Observe::Full`] one trace per round.
+    configurations: Vec<RoundSnapshot>,
+    trace: NetworkTrace,
 }
 
 impl LaneState {
@@ -153,6 +161,8 @@ impl LaneState {
             prev_stats: NetworkStats::new(),
             corrupted_last: 0,
             corruptions: 0,
+            configurations: Vec::new(),
+            trace: NetworkTrace::new(),
         }
     }
 
@@ -184,55 +194,106 @@ impl NetGroup<'_> {
     }
 }
 
-/// Advances packs of seeds in lockstep through one round loop. See the
-/// [module documentation](crate::batch) for the layout and the selection
-/// rule; per-seed results are bit-identical to the scalar
-/// [`MobileEngine`].
+/// Runs the protocol: one seed alone, or packs of seeds in lockstep,
+/// through one round loop. See the [module documentation](crate::batch)
+/// for the loop and the layout.
+///
+/// # Example
+///
+/// ```
+/// use mbaa_core::{BatchEngine, ProtocolConfig};
+/// use mbaa_types::{MobileModel, Value};
+///
+/// // 9 processes, 2 mobile agents, Garay's model (needs n > 4f = 8).
+/// let config = ProtocolConfig::builder(MobileModel::Garay, 9, 2)
+///     .epsilon(1e-4)
+///     .seed(7)
+///     .build()?;
+/// let inputs: Vec<Value> = (0..9).map(|i| Value::new(i as f64 / 9.0)).collect();
+/// let outcome = BatchEngine::run(&config, &inputs)?;
+/// assert!(outcome.reached_agreement && outcome.validity_holds());
+/// # Ok::<(), mbaa_types::Error>(())
+/// ```
 #[derive(Debug)]
 pub enum BatchEngine {}
 
 impl BatchEngine {
-    /// Runs a pack with an [`Observer`] attached: every lane carries its
-    /// own configuration (its `seed` field is the lane seed), and all lanes
-    /// advance in one lockstep loop as long as the pack shares a batch
-    /// shape (see [`shape_compatible`]). Results are returned in lane
-    /// order; each lane's result — outcome or error — is exactly what a
-    /// scalar [`MobileEngine`] run of its configuration would produce.
-    /// Pass [`NoopObserver`](mbaa_obs::NoopObserver) to run unobserved.
+    /// Runs one configuration from the given initial values (one per
+    /// process) as a one-lane pack.
     ///
-    /// Packs observing more than [`Observe::Summary`] and
-    /// shape-incompatible packs delegate to the scalar engine lane by
-    /// lane, so the call is total.
+    /// # Errors
+    ///
+    /// Returns [`Error::WrongInputCount`] when `inputs` does not hold
+    /// exactly `n` values, and propagates network build and exchange
+    /// errors (e.g. [`Error::DisconnectedRound`] under the rejecting
+    /// disconnection policy).
+    pub fn run(config: &ProtocolConfig, inputs: &[Value]) -> Result<MobileRunOutcome> {
+        Self::run_with(config, inputs, None, &mut NoopObserver)
+    }
+
+    /// [`BatchEngine::run`] with an optional voting function that replaces
+    /// the configured MSR instance (to compare MSR instances with non-MSR
+    /// baselines under identical adversaries) and an [`Observer`]
+    /// attached: the loop emits a seed-keyed [`RoundEvent`] per round plus
+    /// the run-level convergence and run-end events, and delimits the four
+    /// round phases via the `phase_start`/`phase_end` hooks. The observer
+    /// never influences protocol state.
+    ///
+    /// # Errors
+    ///
+    /// As [`BatchEngine::run`].
+    pub fn run_with<O: Observer>(
+        config: &ProtocolConfig,
+        inputs: &[Value],
+        function: Option<&dyn VotingFunction>,
+        observer: &mut O,
+    ) -> Result<MobileRunOutcome> {
+        let lane = PackedLane {
+            config: config.clone(),
+            inputs: inputs.to_vec(),
+        };
+        run_lockstep(std::slice::from_ref(&lane), function, 0, false, observer)
+            .pop()
+            .expect("one lane, one result")
+    }
+
+    /// Runs a pack with an [`Observer`] attached: every lane carries its
+    /// own configuration (its `seed` field is the lane seed). Results are
+    /// returned in lane order, and each lane's result — outcome or error —
+    /// is what [`BatchEngine::run`] returns for its configuration alone.
+    /// Pass [`NoopObserver`] to run unobserved.
+    ///
+    /// Consecutive lanes that share a batch shape (see [`shape_compatible`])
+    /// advance in one lockstep loop; a pack that mixes shapes runs as
+    /// consecutive compatible sub-packs, so the call is total.
     ///
     /// Round events from different lanes interleave round-major (the
     /// lockstep schedule), and run-level events are emitted in lane order
-    /// at collection. The lockstep loop announces each lane of a
-    /// multi-lane pack with [`Observer::on_lane`] before its events (a
-    /// delegated pack runs its lanes one after another, unannounced), and
-    /// each lane's event subsequence is bit-identical to the scalar
-    /// engine's stream for its configuration. The observer never
-    /// influences protocol state, so outcomes are the same with any
-    /// observer attached.
+    /// at collection. Every lane of a multi-lane pack is announced with
+    /// [`Observer::on_lane`] (its index in `lanes`) before its events, and
+    /// each lane's event subsequence is the stream a one-lane run of its
+    /// configuration emits.
     #[must_use]
     pub fn run_packed_observed<O: Observer>(
         lanes: &[PackedLane],
         observer: &mut O,
     ) -> Vec<Result<MobileRunOutcome>> {
-        let batchable = lanes
-            .iter()
-            .all(|lane| lane.config.observe == Observe::Summary)
-            && lanes
-                .windows(2)
-                .all(|pair| shape_compatible(&pair[0].config, &pair[1].config));
-        if !batchable {
-            return lanes
-                .iter()
-                .map(|lane| {
-                    MobileEngine::new(lane.config.clone()).run_observed(&lane.inputs, observer)
-                })
-                .collect();
+        let announce = observer.enabled() && lanes.len() > 1;
+        let mut results = Vec::with_capacity(lanes.len());
+        let mut start = 0;
+        for end in 1..=lanes.len() {
+            if end == lanes.len() || !shape_compatible(&lanes[start].config, &lanes[end].config) {
+                results.extend(run_lockstep(
+                    &lanes[start..end],
+                    None,
+                    start,
+                    announce,
+                    observer,
+                ));
+                start = end;
+            }
         }
-        run_lockstep(lanes, observer)
+        results
     }
 }
 
@@ -314,6 +375,11 @@ fn begin_lane_round<O: Observer>(
             cfg.max_rounds,
         ));
         if ls.reached {
+            // The run ends before its send phase; its first snapshot is
+            // still recorded.
+            if cfg.observe.records_snapshots() {
+                ls.configurations.push(snapshot(votes, states));
+            }
             ls.done = true;
             return false;
         }
@@ -321,9 +387,14 @@ fn begin_lane_round<O: Observer>(
     true
 }
 
+/// The configuration of one lane at the start of a round.
+fn snapshot(votes: &[Value], states: &[FaultState]) -> RoundSnapshot {
+    RoundSnapshot::new(states.iter().copied().zip(votes.iter().copied()).collect())
+}
+
 /// The send classification of one process, honouring the model-specific
-/// behaviour of faulty and cured senders exactly as the scalar engine's
-/// outboxes do: a non-faulty, non-cured process broadcasts its vote;
+/// behaviour of faulty and cured senders: a non-faulty, non-cured process
+/// broadcasts its vote;
 /// cured behaviour is the model's (Garay silent, Bonnet broadcast, Sasaki
 /// poisoned queue); faulty senders use the adversary's outbox.
 fn classify_send(model: MobileModel, plan: &RoundFaultPlan, p: ProcessId, vote: Value) -> LaneSend {
@@ -359,8 +430,7 @@ fn per_receiver_outbox(plan: &RoundFaultPlan, i: usize) -> &Outbox {
 /// Initializes the SoA state: lane-major flat `votes` / `states` arrays,
 /// one control record per lane, and the pack's network groups. Lanes with
 /// the wrong input count, or whose group fails to build, are born `done`
-/// with their scalar error; their state slices stay untouched
-/// placeholders.
+/// with their error; their state slices stay untouched placeholders.
 fn init_lanes<'a>(
     lanes: &'a [PackedLane],
     n: usize,
@@ -417,12 +487,17 @@ fn init_lanes<'a>(
     (votes, states, lane_states, groups)
 }
 
-/// The lockstep loop: round `r` of every live lane runs before round
-/// `r + 1` of any, each lane exchanging against its group's realization.
-/// Per-lane results are bit-identical to the scalar engine by
-/// construction.
+/// The lockstep loop over one shape-compatible pack: round `r` of every
+/// live lane runs before round `r + 1` of any, each lane exchanging
+/// against its group's realization. `function` replaces every lane's
+/// configured MSR instance. With `announce`, lane `l` is announced to the
+/// observer as `first_lane + l`, so lane-routing sinks can tell apart
+/// lanes that share a seed.
 fn run_lockstep<O: Observer>(
     lanes: &[PackedLane],
+    function: Option<&dyn VotingFunction>,
+    first_lane: usize,
+    announce: bool,
     observer: &mut O,
 ) -> Vec<Result<MobileRunOutcome>> {
     let Some(first) = lanes.first() else {
@@ -430,9 +505,6 @@ fn run_lockstep<O: Observer>(
     };
     let n = first.config.n;
     let telemetry = observer.enabled();
-    // Lane announcements, so lane-routing sinks can tell apart lanes that
-    // share a seed; a single lane has nothing to tell apart.
-    let lane_hooks = telemetry && lanes.len() > 1;
     let (mut votes, mut states, mut lane_states, mut groups) = init_lanes(lanes, n);
     let mut plan = RoundFaultPlan::empty(n);
     let mut received = ValueMultiset::with_capacity(n);
@@ -446,8 +518,10 @@ fn run_lockstep<O: Observer>(
         .max()
         .unwrap_or(0);
 
-    // Statically allocation-free like the scalar loop; the first-round
-    // initialization inside `begin_lane_round` carries the same waivers.
+    // The steady-state round loop: `mbaa-analyze` statically rejects
+    // allocating idioms in here (the complement of the dynamic
+    // allocator-counter proof in `tests/alloc_regression.rs`); only the
+    // opt-in recordings are waived.
     // mbaa: alloc-free
     for round_idx in 0..max_rounds {
         let mut all_done = true;
@@ -458,8 +532,8 @@ fn run_lockstep<O: Observer>(
                 continue;
             }
             all_done = false;
-            if lane_hooks {
-                observer.on_lane(l);
+            if announce {
+                observer.on_lane(first_lane + l);
             }
             let round = Round::new(round_idx as u64);
             let votes_l = &mut votes[l * n..(l + 1) * n];
@@ -489,8 +563,8 @@ fn run_lockstep<O: Observer>(
 
             // Receive phase, straight into the packed row arena. A network
             // error (e.g. a rejected disconnected round) fails this lane
-            // exactly as it fails a scalar run — other lanes (and the
-            // shared structure) are unaffected.
+            // alone — other lanes (and the shared structure) are
+            // unaffected.
             let shared = groups[ls.group]
                 .realization
                 .as_mut()
@@ -511,18 +585,40 @@ fn run_lockstep<O: Observer>(
                 continue;
             }
 
+            // Recording: votes and states are still those the adversary
+            // phase left, so the snapshot is the round's starting
+            // configuration; the trace replays the round just exchanged.
+            if cfg.observe != Observe::Summary {
+                // mbaa: allow(hot-path/vec-growth, recording is opt-in observability off the Summary hot path)
+                ls.configurations.push(snapshot(votes_l, states_l));
+                if cfg.observe.records_trace() {
+                    let trace = shared
+                        .trace_round(delivery, round, &sends, |i| per_receiver_outbox(&plan, i));
+                    // mbaa: allow(hot-path/vec-growth, recording is opt-in observability off the Summary hot path)
+                    ls.trace.push(trace);
+                }
+            }
+
             // Compute phase over the ascending rows: one k-wide MSR call
-            // when every row has the same width, per-row applies otherwise.
+            // when every row has the same width, per-row applies otherwise;
+            // a replacement function sees each row as a multiset.
             observer.phase_start(Phase::MsrApply);
-            if let Some(lane_len) = rows.uniform_len() {
-                cfg.function.apply_sorted_lanes(
-                    rows.flat(),
-                    lane_len,
-                    &mut lane_votes[..rows.rows()],
-                );
-            } else {
-                for (row, vote) in lane_votes[..rows.rows()].iter_mut().enumerate() {
-                    *vote = cfg.function.apply_sorted(rows.row(row));
+            let active_rows = &mut lane_votes[..rows.rows()];
+            match (function, rows.uniform_len()) {
+                (Some(function), _) => {
+                    for (row, vote) in active_rows.iter_mut().enumerate() {
+                        received.refill(rows.row(row).iter().copied());
+                        *vote = function.apply(&received);
+                    }
+                }
+                (None, Some(lane_len)) => {
+                    cfg.function
+                        .apply_sorted_lanes(rows.flat(), lane_len, active_rows);
+                }
+                (None, None) => {
+                    for (row, vote) in active_rows.iter_mut().enumerate() {
+                        *vote = cfg.function.apply_sorted(rows.row(row));
+                    }
                 }
             }
             for row in 0..rows.rows() {
@@ -543,10 +639,8 @@ fn run_lockstep<O: Observer>(
             ls.done = ls.reached;
             if telemetry {
                 let stats = ls.stats;
-                let width = match rows.min_len() {
-                    Some(len) => cfg.function.reduced_width(len),
-                    None => 0,
-                };
+                let voting: &dyn VotingFunction = function.unwrap_or(&cfg.function);
+                let width = rows.min_len().map_or(0, |len| voting.reduced_width(len));
                 observer.on_round(&RoundEvent {
                     seed: cfg.seed,
                     round: round_idx as u64,
@@ -575,20 +669,29 @@ fn run_lockstep<O: Observer>(
         }
     }
 
-    collect(lanes, &votes, &states, lane_states, observer)
+    collect(
+        lanes,
+        &votes,
+        &states,
+        lane_states,
+        first_lane,
+        announce,
+        observer,
+    )
 }
 
-/// Assembles each lane's outcome exactly as the scalar engine does,
-/// emitting each lane's run-level telemetry in lane order.
+/// Assembles each lane's outcome, emitting each lane's run-level telemetry
+/// in lane order.
 fn collect<O: Observer>(
     lanes: &[PackedLane],
     votes: &[Value],
     states: &[FaultState],
     lane_states: Vec<LaneState>,
+    first_lane: usize,
+    announce: bool,
     observer: &mut O,
 ) -> Vec<Result<MobileRunOutcome>> {
     let telemetry = observer.enabled();
-    let lane_hooks = telemetry && lanes.len() > 1;
     lanes
         .iter()
         .zip(lane_states)
@@ -618,13 +721,13 @@ fn collect<O: Observer>(
                 report,
                 validity_envelope,
                 epsilon: lane.config.epsilon,
-                configurations: Vec::new(),
-                trace: NetworkTrace::new(),
+                configurations: ls.configurations,
+                trace: ls.trace,
                 network_stats: ls.stats,
             };
             if telemetry {
-                if lane_hooks {
-                    observer.on_lane(l);
+                if announce {
+                    observer.on_lane(first_lane + l);
                 }
                 emit_run_events(observer, lane.config.seed, &outcome, ls.corruptions);
             }
@@ -633,11 +736,16 @@ fn collect<O: Observer>(
         .collect()
 }
 
+// The recorded outcomes and per-seed summaries are pinned by the golden
+// digests in `tests/golden_outcomes.rs` and `tests/batch_engine.rs`. The
+// tests here pin pack independence: a lane's result is the *scalar*
+// (k = 1) result of its configuration run alone, whatever pack it rides
+// in.
 #[cfg(test)]
 mod tests {
     use super::*;
     use mbaa_net::{Topology, TopologySchedule};
-    use mbaa_obs::{EventLog, NoopObserver};
+    use mbaa_obs::EventLog;
 
     fn inputs(n: usize, salt: u64) -> Vec<Value> {
         (0..n)
@@ -645,9 +753,8 @@ mod tests {
             .collect()
     }
 
-    /// One lane per seed of `config`, each with seed-salted inputs, at the
-    /// batch loop's `Observe::Summary` level (the builder defaults to
-    /// `Full`, which the engine hands to the scalar recorder).
+    /// One lane per seed of `config`, each with seed-salted inputs, at
+    /// `Observe::Summary` (the builder defaults to `Full`).
     fn pack(config: &ProtocolConfig, seeds: &[u64]) -> Vec<PackedLane> {
         seeds
             .iter()
@@ -671,14 +778,14 @@ mod tests {
             .unwrap()
     }
 
-    /// Every lane's batched result — outcome or error — equals a scalar
-    /// run of its own configuration.
+    /// Every lane's packed result — outcome or error — equals the scalar
+    /// (one-lane) run of its own configuration.
     fn assert_matches_scalar(lanes: &[PackedLane]) {
         let results = BatchEngine::run_packed_observed(lanes, &mut NoopObserver);
         assert_eq!(results.len(), lanes.len());
         for (lane, result) in lanes.iter().zip(results) {
             let seed = lane.config.seed;
-            let scalar = MobileEngine::new(lane.config.clone()).run(&lane.inputs);
+            let scalar = BatchEngine::run(&lane.config, &lane.inputs);
             match (result, scalar) {
                 (Ok(batch), Ok(scalar)) => assert_eq!(batch, scalar, "seed {seed}"),
                 (Err(b), Err(s)) => assert_eq!(b, s, "seed {seed}"),
@@ -899,9 +1006,7 @@ mod tests {
         assert_eq!(router.logs.len(), lanes.len());
         for (l, lane) in lanes.iter().enumerate() {
             let mut scalar = EventLog::new();
-            MobileEngine::new(lane.config.clone())
-                .run_observed(&lane.inputs, &mut scalar)
-                .unwrap();
+            BatchEngine::run_with(&lane.config, &lane.inputs, None, &mut scalar).unwrap();
             assert_eq!(router.logs[l], scalar, "lane {l}");
         }
         // The seed filter mixes both points' lanes of seed 1.
@@ -930,25 +1035,101 @@ mod tests {
 
     #[test]
     fn shape_incompatible_packs_fall_back_to_scalar() {
+        // Lanes of different sizes cannot share flat state arrays: the pack
+        // runs as consecutive compatible sub-packs — here one lane each.
         let a = base_config(MobileModel::Garay, 9, 1);
         let b = base_config(MobileModel::Garay, 13, 2);
         assert!(!shape_compatible(&a, &b));
         let mut lanes = pack(&a, &[1]);
         lanes.extend(pack(&b, &[2]));
+        lanes.extend(pack(&a, &[3, 4]));
         assert_matches_scalar(&lanes);
     }
 
     #[test]
-    fn recording_packs_delegate_to_the_scalar_recorder() {
-        let mut lanes = pack(&base_config(MobileModel::Bonnet, 11, 2), &[1, 2]);
-        for lane in &mut lanes {
-            lane.config.observe = Observe::Full;
+    fn overriding_with_the_configured_function_changes_nothing() {
+        // The replacement path (per-row multisets through the trait) and
+        // the k-wide fold compute the same bits, on uniform (complete) and
+        // ragged (ring, churn) rows alike.
+        let ring = ProtocolConfig::builder(MobileModel::Garay, 9, 1)
+            .epsilon(1e-4)
+            .max_rounds(200)
+            .topology(Topology::Ring { k: 2 })
+            .build()
+            .unwrap();
+        let mut churn = ring.clone();
+        churn.schedule = Some(TopologySchedule::SeededChurn {
+            base: Topology::Complete,
+            flip_rate: 0.2,
+        });
+        let mut configs = vec![ring, churn];
+        for model in MobileModel::ALL {
+            configs.push(base_config(model, model.required_processes(2), 2));
         }
-        for result in BatchEngine::run_packed_observed(&lanes, &mut NoopObserver) {
-            let outcome = result.unwrap();
-            assert_eq!(outcome.trace.len(), outcome.rounds_executed);
-            assert_eq!(outcome.configurations.len(), outcome.rounds_executed);
+        for config in &configs {
+            for lane in pack(config, &[3, 4]) {
+                let function: &dyn VotingFunction = &lane.config.function;
+                let mut overridden = EventLog::new();
+                let mut configured = EventLog::new();
+                assert_eq!(
+                    BatchEngine::run_with(
+                        &lane.config,
+                        &lane.inputs,
+                        Some(function),
+                        &mut overridden
+                    ),
+                    BatchEngine::run_with(&lane.config, &lane.inputs, None, &mut configured),
+                );
+                assert_eq!(overridden, configured);
+            }
         }
+    }
+
+    #[test]
+    fn mixed_size_packs_announce_every_lane() {
+        // A lane-routing sink files each lane's events under the lane's
+        // index in the pack, across sub-pack boundaries.
+        let small = base_config(MobileModel::Garay, 9, 1);
+        let large = base_config(MobileModel::Bonnet, 13, 2);
+        let mut lanes = pack(&small, &[1, 2]);
+        lanes.extend(pack(&large, &[1]));
+        lanes.extend(pack(&small, &[3]));
+        let mut router = LaneRouter::default();
+        let results = BatchEngine::run_packed_observed(&lanes, &mut router);
+        assert!(results.iter().all(Result::is_ok));
+        assert_eq!(router.logs.len(), lanes.len());
+        for (l, lane) in lanes.iter().enumerate() {
+            let mut alone = EventLog::new();
+            BatchEngine::run_with(&lane.config, &lane.inputs, None, &mut alone).unwrap();
+            assert!(!alone.is_empty());
+            assert_eq!(router.logs[l], alone, "lane {l}");
+        }
+    }
+
+    #[test]
+    fn recording_lanes_ride_the_lockstep_loop() {
+        // Lanes at every observe level share one pack; each records at its
+        // own level and computes what the Summary lanes compute.
+        let mut lanes = pack(&base_config(MobileModel::Bonnet, 11, 2), &[1, 2, 3]);
+        lanes[0].config.observe = Observe::Full;
+        lanes[1].config.observe = Observe::Snapshots;
+        let results = BatchEngine::run_packed_observed(&lanes, &mut NoopObserver);
+        let full = results[0].as_ref().unwrap();
+        assert!(full.rounds_executed > 0);
+        assert_eq!(full.trace.len(), full.rounds_executed);
+        assert_eq!(full.configurations.len(), full.rounds_executed);
+        let snapshots = results[1].as_ref().unwrap();
+        assert_eq!(snapshots.configurations.len(), snapshots.rounds_executed);
+        assert!(snapshots.trace.is_empty());
+        let summary = results[2].as_ref().unwrap();
+        assert!(summary.configurations.is_empty() && summary.trace.is_empty());
         assert_matches_scalar(&lanes);
+        // The levels record subsets of the same computation.
+        let mut recorded = lanes[2].clone();
+        recorded.config.observe = Observe::Full;
+        let again = BatchEngine::run(&recorded.config, &recorded.inputs).unwrap();
+        assert_eq!(again.final_votes, summary.final_votes);
+        assert_eq!(again.report, summary.report);
+        assert_eq!(again.network_stats, summary.network_stats);
     }
 }

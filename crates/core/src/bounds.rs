@@ -22,9 +22,10 @@
 use serde::{Deserialize, Serialize};
 
 use mbaa_adversary::{CorruptionStrategy, MobilityStrategy};
+use mbaa_obs::NoopObserver;
 use mbaa_types::{MobileModel, Result, Value};
 
-use crate::{MobileEngine, ProtocolConfig};
+use crate::{BatchEngine, Observe, PackedLane, ProtocolConfig};
 
 /// One row of Table 2: the replica requirement of one model for a given `f`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -120,26 +121,35 @@ impl ThresholdResult {
     }
 }
 
-/// Runs a single adversarial execution and reports whether it satisfied both
-/// ε-agreement and validity.
-fn run_succeeds(
-    model: MobileModel,
-    n: usize,
-    f: usize,
-    seed: u64,
-    search: &ThresholdSearch,
-) -> Result<bool> {
-    let config = ProtocolConfig::builder(model, n, f)
-        .epsilon(search.epsilon)
-        .max_rounds(search.max_rounds)
-        .corruption(search.corruption)
-        .mobility(search.mobility)
-        .seed(seed)
-        .allow_bound_violation()
-        .build()?;
+/// Runs every seeded adversarial execution at size `n` as one pack and
+/// counts those that satisfied both ε-agreement and validity.
+fn successes_at(n: usize, search: &ThresholdSearch) -> Result<usize> {
     let inputs: Vec<Value> = (0..n).map(|i| Value::new(i as f64 / n as f64)).collect();
-    let outcome = MobileEngine::new(config).run(&inputs)?;
-    Ok(outcome.reached_agreement && outcome.validity_holds())
+    let lanes = search
+        .seeds
+        .iter()
+        .map(|&seed| {
+            let config = ProtocolConfig::builder(search.model, n, search.f)
+                .epsilon(search.epsilon)
+                .max_rounds(search.max_rounds)
+                .corruption(search.corruption)
+                .mobility(search.mobility)
+                .seed(seed)
+                .observe(Observe::Summary)
+                .allow_bound_violation()
+                .build()?;
+            Ok(PackedLane {
+                config,
+                inputs: inputs.clone(),
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let mut successes = 0;
+    for outcome in BatchEngine::run_packed_observed(&lanes, &mut NoopObserver) {
+        let outcome = outcome?;
+        successes += usize::from(outcome.reached_agreement && outcome.validity_holds());
+    }
+    Ok(successes)
 }
 
 /// Sweeps `n` from `f + 1` up to `theoretical + margin` and reports, for each
@@ -155,13 +165,7 @@ pub fn empirical_threshold(search: &ThresholdSearch, margin: usize) -> Result<Th
     let mut successes_per_n = Vec::new();
 
     for n in (search.f + 1)..=(theoretical + margin) {
-        let mut successes = 0;
-        for &seed in &search.seeds {
-            if run_succeeds(search.model, n, search.f, seed, search)? {
-                successes += 1;
-            }
-        }
-        successes_per_n.push((n, successes));
+        successes_per_n.push((n, successes_at(n, search)?));
     }
 
     // Scan downwards from the top of the sweep: the threshold is the first
@@ -257,7 +261,6 @@ mod tests {
             max_rounds: 50,
             ..ThresholdSearch::worst_case(MobileModel::Sasaki, 1)
         };
-        let ok = run_succeeds(MobileModel::Sasaki, 4, 1, 0, &search).unwrap();
-        assert!(!ok);
+        assert_eq!(successes_at(4, &search).unwrap(), 0);
     }
 }

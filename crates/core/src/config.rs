@@ -52,8 +52,8 @@ pub mod defaults {
 }
 
 /// How much of an execution the engine records — the observability level
-/// threaded from `Scenario` through [`ProtocolConfig`] down to the network
-/// layer.
+/// threaded from `Scenario` through [`ProtocolConfig`] to each lane of the
+/// round loop.
 ///
 /// Recording is pure *observation*: the protocol computation is identical
 /// at every level, so the fields an outcome does record are bit-identical
@@ -73,14 +73,14 @@ pub mod defaults {
 /// # Example
 ///
 /// ```
-/// use mbaa_core::{MobileEngine, Observe, ProtocolConfig};
+/// use mbaa_core::{BatchEngine, Observe, ProtocolConfig};
 /// use mbaa_types::{MobileModel, Value};
 ///
 /// let config = ProtocolConfig::builder(MobileModel::Garay, 9, 2)
 ///     .observe(Observe::Summary)
 ///     .build()?;
 /// let inputs: Vec<Value> = (0..9).map(|i| Value::new(i as f64 / 9.0)).collect();
-/// let outcome = MobileEngine::new(config).run(&inputs)?;
+/// let outcome = BatchEngine::run(&config, &inputs)?;
 /// // The computation is unchanged; only the recordings are skipped.
 /// assert!(outcome.reached_agreement);
 /// assert!(outcome.configurations.is_empty() && outcome.trace.is_empty());

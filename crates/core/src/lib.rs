@@ -4,12 +4,14 @@
 //! This crate sits on top of the substrates ([`mbaa_net`], [`mbaa_msr`],
 //! [`mbaa_adversary`], `mbaa_mixed`) and provides:
 //!
-//! * [`ProtocolConfig`] / [`MobileEngine`] — the round-based protocol engine
-//!   that runs any [`VotingFunction`](mbaa_msr::VotingFunction) (in
+//! * [`ProtocolConfig`] / [`BatchEngine`] — the round-based protocol
+//!   engine that runs any [`VotingFunction`](mbaa_msr::VotingFunction) (in
 //!   particular any MSR instance) under any of the four mobile Byzantine
 //!   models, enforcing each model's cured-process semantics
 //!   (Garay: aware and silent; Bonnet: unaware, symmetric; Sasaki: unaware,
-//!   poisoned queue; Buhrman: agents move with messages).
+//!   poisoned queue; Buhrman: agents move with messages). One run and a
+//!   pack of seeds advance through the same lockstep round loop
+//!   ([`batch`]).
 //! * [`RoundSnapshot`] and the equivalence machinery of Definitions 5–10,
 //!   used to compare a mobile computation with its static mixed-mode image.
 //! * [`mapping`] — Table 1 as an executable classification: run instrumented
@@ -24,7 +26,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use mbaa_core::{MobileEngine, ProtocolConfig};
+//! use mbaa_core::{BatchEngine, ProtocolConfig};
 //! use mbaa_types::{MobileModel, Value};
 //!
 //! // 9 processes, 2 mobile agents, Garay's model (needs n > 4f = 8).
@@ -34,7 +36,7 @@
 //!     .build()?;
 //!
 //! let inputs: Vec<Value> = (0..9).map(|i| Value::new(i as f64 / 9.0)).collect();
-//! let outcome = MobileEngine::new(config).run(&inputs)?;
+//! let outcome = BatchEngine::run(&config, &inputs)?;
 //! assert!(outcome.reached_agreement);
 //! assert!(outcome.validity_holds());
 //! # Ok::<(), mbaa_types::Error>(())
@@ -54,5 +56,5 @@ mod snapshot;
 
 pub use batch::{shape_compatible, BatchEngine, PackedLane};
 pub use config::{defaults, Observe, ProtocolConfig, ProtocolConfigBuilder};
-pub use engine::{MobileEngine, MobileRunOutcome};
+pub use engine::MobileRunOutcome;
 pub use snapshot::{ProcessTuple, RoundSnapshot};

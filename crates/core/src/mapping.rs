@@ -214,7 +214,7 @@ pub fn cured_in_round(outcome: &MobileRunOutcome, round_idx: usize) -> Vec<Proce
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MobileEngine, ProtocolConfig};
+    use crate::{BatchEngine, ProtocolConfig};
     use mbaa_adversary::{CorruptionStrategy, MobilityStrategy};
     use mbaa_types::Value;
 
@@ -228,7 +228,7 @@ mod tests {
             .build()
             .unwrap();
         let inputs: Vec<Value> = (0..n).map(|i| Value::new(i as f64)).collect();
-        MobileEngine::new(config).run(&inputs).unwrap()
+        BatchEngine::run(&config, &inputs).unwrap()
     }
 
     #[test]
@@ -303,7 +303,7 @@ mod tests {
             .build()
             .unwrap();
         let inputs: Vec<Value> = (0..9).map(|i| Value::new(i as f64)).collect();
-        let outcome = MobileEngine::new(config).run(&inputs).unwrap();
+        let outcome = BatchEngine::run(&config, &inputs).unwrap();
         // Silently returning all-zero counts would let matches_theory pass
         // vacuously for Buhrman-style expectations; fail loudly instead.
         let _ = classify_execution(MobileModel::Garay, &outcome);

@@ -16,7 +16,8 @@
 //! internal forms on demand:
 //!
 //! * a single seeded run: [`Scenario::run`] (lowers to [`ProtocolConfig`] +
-//!   [`MobileEngine`], bit-for-bit identical to driving them by hand),
+//!   [`BatchEngine::run`], bit-for-bit identical to driving them by hand;
+//!   every run, single or batched, goes through the same round loop),
 //! * a parallel seed batch: [`Scenario::batch`] → [`Runner::run`] fans the
 //!   seeds out on the work-stealing rayon pool and aggregates into a
 //!   [`BatchOutcome`] keyed and sorted by seed,
@@ -137,13 +138,13 @@ pub use mbaa_sim as sim;
 
 pub use mbaa_adversary::{CorruptionStrategy, MobileAdversary, MobilityStrategy};
 pub use mbaa_core::{
-    BatchEngine, MobileEngine, MobileRunOutcome, Observe, PackedLane, ProtocolConfig,
-    ProtocolConfigBuilder, RoundSnapshot,
+    BatchEngine, MobileRunOutcome, Observe, PackedLane, ProtocolConfig, ProtocolConfigBuilder,
+    RoundSnapshot,
 };
 pub use mbaa_msr::{MedianVoting, MsrFunction, Reduction, Selection, VotingFunction};
 pub use mbaa_net::{
-    Adjacency, DeliveryMatrix, DirectedAdjacency, DisconnectionPolicy, LinkFaultPlan, Outbox,
-    SyncNetwork, Topology, TopologySchedule,
+    Adjacency, DirectedAdjacency, DisconnectionPolicy, LinkFaultPlan, Outbox, Topology,
+    TopologySchedule,
 };
 pub use mbaa_obs::{
     ConvergenceEvent, Event, EventLog, Histogram, MetricsRegistry, NoopObserver, Observer, Phase,

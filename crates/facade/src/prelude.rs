@@ -21,7 +21,7 @@ pub use crate::runner::{
 pub use crate::scenario::Scenario;
 
 pub use mbaa_adversary::{CorruptionStrategy, MobilityStrategy};
-pub use mbaa_core::{MobileEngine, MobileRunOutcome, Observe, ProtocolConfig, RoundSnapshot};
+pub use mbaa_core::{BatchEngine, MobileRunOutcome, Observe, ProtocolConfig, RoundSnapshot};
 pub use mbaa_msr::{MedianVoting, MsrFunction, VotingFunction};
 pub use mbaa_net::{
     Adjacency, DirectedAdjacency, DisconnectionPolicy, LinkFaultPlan, LinkFaultRule, Topology,

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use rayon::prelude::*;
 
 use mbaa_adversary::{CorruptionStrategy, MobilityStrategy};
-use mbaa_core::{defaults, MobileRunOutcome};
+use mbaa_core::{defaults, MobileRunOutcome, Observe};
 use mbaa_mixed::{FaultAssignment, StaticBehavior, StaticSimulator};
 use mbaa_obs::{MetricsRegistry, Sinks};
 use mbaa_sim::{normalize_seeds, ExperimentResult, RunSummary};
@@ -631,10 +631,12 @@ pub fn mobile_vs_static<I: IntoIterator<Item = u64>>(
         .function
         .unwrap_or_else(|| defaults::model_default_function(scenario.model, scenario.f));
 
+    // Only the diameters are read, so the mobile side records nothing.
+    let mobile_side = scenario.clone().observe(Observe::Summary);
     seeds
         .into_iter()
         .map(|seed| {
-            let mobile = scenario.run(seed)?;
+            let mobile = mobile_side.run(seed)?;
             let inputs = scenario.initial_values(seed);
 
             let assignment = FaultAssignment::with_first_processes_faulty(scenario.n, counts)?;

@@ -6,8 +6,8 @@
 //! *lowers* to the pre-existing forms instead of replacing them:
 //!
 //! * [`Scenario::run`] lowers to a [`ProtocolConfig`] and executes one
-//!   seeded run on the [`MobileEngine`] — bit-identical to building the
-//!   `ProtocolConfig` by hand.
+//!   seeded run as a one-lane pack of the [`BatchEngine`] round loop —
+//!   bit-identical to building the `ProtocolConfig` by hand.
 //! * [`Scenario::batch`] produces a [`Runner`](crate::Runner) that fans a
 //!   seed batch out on rayon and aggregates full outcomes into a
 //!   [`BatchOutcome`](crate::BatchOutcome).
@@ -23,10 +23,10 @@
 use serde::{Deserialize, Serialize};
 
 use mbaa_adversary::{CorruptionStrategy, MobilityStrategy};
-use mbaa_core::{defaults, MobileEngine, MobileRunOutcome, Observe, ProtocolConfig};
+use mbaa_core::{defaults, BatchEngine, MobileRunOutcome, Observe, ProtocolConfig};
 use mbaa_msr::{MsrFunction, VotingFunction};
 use mbaa_net::{DisconnectionPolicy, LinkFaultPlan, Topology, TopologySchedule};
-use mbaa_obs::Observer;
+use mbaa_obs::{NoopObserver, Observer};
 use mbaa_sim::{ExperimentConfig, Workload};
 use mbaa_types::{MobileModel, Result, Value};
 
@@ -369,7 +369,7 @@ impl Scenario {
     /// Runs this scenario once with `seed`, driving both the adversary and
     /// the workload. The result is bit-identical to lowering by hand:
     /// building the same [`ProtocolConfig`], generating the workload, and
-    /// calling [`MobileEngine::run`].
+    /// calling [`BatchEngine::run`].
     ///
     /// # Errors
     ///
@@ -377,7 +377,7 @@ impl Scenario {
     pub fn run(&self, seed: u64) -> Result<MobileRunOutcome> {
         let config = self.lower(seed)?;
         let inputs = self.initial_values(seed);
-        MobileEngine::new(config).run(&inputs)
+        BatchEngine::run(&config, &inputs)
     }
 
     /// Runs this scenario once with `seed` while feeding every telemetry
@@ -396,7 +396,7 @@ impl Scenario {
     ) -> Result<MobileRunOutcome> {
         let config = self.lower(seed)?;
         let inputs = self.initial_values(seed);
-        MobileEngine::new(config).run_observed(&inputs, observer)
+        BatchEngine::run_with(&config, &inputs, None, observer)
     }
 
     /// Runs this scenario once with an explicit voting function, overriding
@@ -413,7 +413,7 @@ impl Scenario {
     ) -> Result<MobileRunOutcome> {
         let config = self.lower(seed)?;
         let inputs = self.initial_values(seed);
-        MobileEngine::new(config).run_with_function(function, &inputs)
+        BatchEngine::run_with(&config, &inputs, Some(function), &mut NoopObserver)
     }
 
     /// A [`Runner`] over this scenario and a seed batch; `run()` fans the

@@ -5,8 +5,8 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use mbaa_msr::{ConvergenceReport, VotingFunction};
-use mbaa_net::{DeliveryMatrix, Outbox, SyncNetwork};
-use mbaa_types::{Epsilon, Error, Interval, ProcessId, Result, Round, Value, ValueMultiset};
+use mbaa_net::Outbox;
+use mbaa_types::{Epsilon, Error, Interval, ProcessId, Result, Value, ValueMultiset};
 
 use crate::{FaultAssignment, StaticBehavior};
 
@@ -109,8 +109,7 @@ impl StaticSimulator {
         }
 
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut network = SyncNetwork::without_trace(n);
-        let mut deliveries = DeliveryMatrix::new(n);
+        let mut received = ValueMultiset::with_capacity(n);
         let mut votes: Vec<Value> = initial_values.to_vec();
 
         let correct_set = self.assignment.correct_set();
@@ -131,7 +130,6 @@ impl StaticSimulator {
             if reached {
                 break;
             }
-            let round = Round::new(round_idx as u64);
             let current_correct = correct_values(&votes);
             let correct_range = current_correct
                 .range()
@@ -151,13 +149,11 @@ impl StaticSimulator {
                 })
                 .collect();
 
-            // Receive phase.
-            network.exchange_into(round, &outboxes, &mut deliveries)?;
-
-            // Compute phase: every correct process applies the voting
-            // function to what it received.
+            // Receive and compute phases: the network is complete and
+            // reliable, so every correct process applies the voting
+            // function to its slot of every outbox, in sender order.
             for p in correct_set.iter() {
-                let received: ValueMultiset = deliveries.delivered_to(p).collect();
+                received.refill(outboxes.iter().filter_map(|outbox| outbox.get(p)));
                 if let Some(next) = function.apply(&received) {
                     votes[p.index()] = next;
                 }
@@ -205,6 +201,22 @@ mod tests {
         // Plain averaging with full information agrees exactly in one round.
         assert_eq!(outcome.rounds_executed, 1);
         assert!(outcome.validity_holds(&assignment));
+    }
+
+    #[test]
+    fn benign_senders_are_absent_from_every_received_multiset() {
+        // p0 is benign (silent): plain averaging over what the correct
+        // processes hear never sees its input of 100, so they agree on the
+        // mean of their own inputs in one round.
+        let counts = FaultCounts::new(0, 0, 1);
+        let assignment = FaultAssignment::with_first_processes_faulty(4, counts).unwrap();
+        let sim = StaticSimulator::new(assignment, StaticBehavior::spread_attack(), 1);
+        let values = [100.0, 0.0, 1.0, 2.0].map(Value::new);
+        let outcome = sim
+            .run(&MsrFunction::dolev_mean(0), &values, Epsilon::new(1e-9), 10)
+            .unwrap();
+        assert_eq!(outcome.rounds_executed, 1);
+        assert_eq!(&outcome.final_votes[1..], &[Value::new(1.0); 3]);
     }
 
     #[test]

@@ -1,70 +1,25 @@
-//! Shared-realization batch delivery: one structural network realization
-//! serving many lanes (seeds) of the same configuration shape.
+//! What one lane round hands to the exchange and gets back from it.
 //!
-//! The scalar [`SyncNetwork`](crate::SyncNetwork) bundles three things per
-//! run: the *structure* (realized graphs, compiled link-fault matrices,
-//! connectivity precomputation), the *per-seed draw streams* (churn and
-//! omission draws keyed on the run seed), and the *per-run delivery state*
-//! (delay pipes, round cursor, statistics). Only the first is shared across
-//! the lanes of a batch — and it is by far the most expensive to build and
-//! the only part that costs per-round allocations on the churn path.
-//!
-//! [`SharedRealization`] splits the bundle: it holds the structure once per
-//! batch plus reusable round scratch, while each lane carries only a tiny
-//! [`LaneDelivery`] (seed, round cursor, delay pipes when the plan needs
-//! them). A lane round is served by [`SharedRealization::exchange_rows`],
-//! which classifies and accounts every slot exactly as the scalar exchange
-//! would — same statistics counters, same omission/churn draw streams, same
-//! delay buffering — but collects each active receiver's delivered values
-//! directly into packed, ascending [`DeliveryRows`] instead of an `n × n`
-//! slot matrix, skipping the quadratic outbox materialization for
-//! broadcasting senders via [`LaneSend`] classification.
-//!
-//! The realization comes in three kinds, chosen at build exactly as the
-//! scalar network lowers the same description:
-//!
-//! * **complete** — the unmasked complete graph under a clean plan. Every
-//!   receiver hears every broadcaster, so the broadcast values are sorted
-//!   once per lane round and each receiver's row is that common buffer
-//!   merged with its ≤ 2f per-receiver slots; traffic is accounted in
-//!   closed form. This replaces `n` row sorts with one sort and `n` merges.
-//! * **static** — any other fixed graph under a clean plan, walked through
-//!   precomputed closed in-neighbourhood lists.
-//! * **dynamic** — per-round graphs (periodic phases, seeded churn) and/or
-//!   per-link omissions and delays.
-//!
-//! A [`Topology::RandomRegular`] graph realizes differently per seed
-//! (anywhere — as the static graph, a periodic phase, or a churn base), so
-//! such descriptions are built once per lane seed
-//! ([`SharedRealization::realizes_per_seed`]); every other description is
-//! seed-invariant and built once per batch. Seeded churn is shared: the
-//! base graph is realized once and the per-`(seed, round, link)`
-//! down-draws are replayed per lane against the crate-internal draw
-//! primitive, so the realized per-round graphs match the scalar path bit
-//! for bit.
+//! [`LaneSend`] is the send phase in classified form: a broadcasting
+//! sender hands over one value, not `n` outbox slots. [`DeliveryRows`] is
+//! the receive phase in packed form: each active receiver's delivered
+//! values, ascending, back to back in one arena that the k-wide MSR fold
+//! reads directly. The exchange between them is
+//! [`SharedRealization::exchange_rows`](crate::SharedRealization::exchange_rows).
 
-use std::collections::VecDeque;
+use mbaa_types::{ProcessId, Value};
 
-use mbaa_types::{Error, ProcessId, Result, Round, Value};
+use crate::Outbox;
 
-use crate::faults::{churn_link_down, omission_lost, RealizedKind};
-use crate::network::SendOutcome;
-use crate::{
-    Adjacency, CompiledLinkFaults, DisconnectionPolicy, LinkFaultPlan, NetworkStats, Outbox,
-    Topology, TopologySchedule,
-};
-
-/// What one sender hands to a batched exchange — the send phase in
-/// classified form, so broadcasting senders never materialize `n` outbox
-/// slots.
+/// What one sender hands to the exchange — the send phase in classified
+/// form, so broadcasting senders never materialize `n` outbox slots.
 ///
-/// The classification must match what
-/// [`Outbox`]es the scalar engine would build: `Broadcast(v)` stands for a
-/// `fill_broadcast(v)` outbox (every slot `Some(v)`, self included),
-/// `Silent` for a `fill_silent` one, and `PerReceiver` defers to the
-/// sender's own outbox for the few genuinely per-receiver senders
-/// (adversary outboxes, poisoned queues), looked up through the
-/// `outbox_of` accessor passed to [`SharedRealization::exchange_rows`].
+/// `Broadcast(v)` stands for an [`Outbox::broadcast`] of `v` (every slot
+/// `Some(v)`, self included), `Silent` for an [`Outbox::silent`] one, and
+/// `PerReceiver` defers to the sender's own outbox for the few genuinely
+/// per-receiver senders (adversary outboxes, poisoned queues), looked up
+/// through the `outbox_of` accessor passed to
+/// [`SharedRealization::exchange_rows`](crate::SharedRealization::exchange_rows).
 #[derive(Debug, Clone, Copy)]
 pub enum LaneSend {
     /// The sender broadcasts one value to every receiver (itself included).
@@ -78,7 +33,7 @@ pub enum LaneSend {
 impl LaneSend {
     /// The value `sender` puts on its link to `receiver`.
     #[inline]
-    fn slot<'o>(
+    pub(crate) fn slot<'o>(
         self,
         outbox_of: &impl Fn(usize) -> &'o Outbox,
         sender: usize,
@@ -101,12 +56,14 @@ impl LaneSend {
 /// one call.
 #[derive(Debug)]
 pub struct DeliveryRows {
-    merged: Vec<Value>,
+    /// The row arena; rows are written in place by the exchange.
+    pub(crate) merged: Vec<Value>,
     receivers: Vec<usize>,
     offsets: Vec<usize>,
     lens: Vec<usize>,
     rows: usize,
-    total: usize,
+    /// Where the next row starts in `merged`.
+    pub(crate) total: usize,
     uniform: bool,
 }
 
@@ -125,7 +82,7 @@ impl DeliveryRows {
         }
     }
 
-    fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.rows = 0;
         self.total = 0;
         self.uniform = true;
@@ -133,7 +90,7 @@ impl DeliveryRows {
 
     /// Records `merged[start..start + len]` as the next row; the slice must
     /// already be ascending.
-    fn push_row(&mut self, receiver: usize, start: usize, len: usize) {
+    pub(crate) fn push_row(&mut self, receiver: usize, start: usize, len: usize) {
         if self.rows > 0 && len != self.lens[0] {
             self.uniform = false;
         }
@@ -144,10 +101,8 @@ impl DeliveryRows {
         self.total = start + len;
     }
 
-    /// Sorts a row collected in ascending-sender order — the same unstable
-    /// sort, over the same input order, that the scalar multiset refill
-    /// performs — and records it.
-    fn sort_and_push_row(&mut self, receiver: usize, start: usize, len: usize) {
+    /// Sorts a row collected in ascending-sender order and records it.
+    pub(crate) fn sort_and_push_row(&mut self, receiver: usize, start: usize, len: usize) {
         self.merged[start..start + len].sort_unstable();
         self.push_row(receiver, start, len);
     }
@@ -192,690 +147,18 @@ impl DeliveryRows {
     }
 }
 
-/// The per-lane slice of a dynamic exchange: everything keyed on the lane
-/// seed or advancing per lane round. Created by
-/// [`SharedRealization::lane`]; static realizations carry no state at all
-/// beyond the seed.
-#[derive(Debug, Clone)]
-pub struct LaneDelivery {
-    seed: u64,
-    /// The round the next exchange must carry (dynamic realizations only —
-    /// the delay pipes and draw streams advance once per round).
-    next_round: u64,
-    /// In-order delay buffers, indexed `from * n + to`; allocated only when
-    /// the compiled plan has a positive maximum delay.
-    pipes: Vec<VecDeque<SendOutcome>>,
-}
-
-impl LaneDelivery {
-    /// The lane seed driving this lane's churn and omission draws.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-}
-
-/// One static graph with its precomputed closed in-neighbourhood lists:
-/// `neighbors[offsets[r]..offsets[r + 1]]` are the senders receiver `r`
-/// hears (itself included), ascending.
-#[derive(Debug)]
-struct StaticGraph {
-    neighbors: Vec<u32>,
-    offsets: Vec<u32>,
-}
-
-impl StaticGraph {
-    fn new(adjacency: &Adjacency) -> Self {
-        let n = adjacency.n();
-        let mut neighbors = Vec::new();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        for r in 0..n {
-            for (s, &linked) in adjacency.row(ProcessId::new(r)).iter().enumerate() {
-                if linked {
-                    neighbors.push(s as u32);
-                }
-            }
-            offsets.push(neighbors.len() as u32);
-        }
-        StaticGraph { neighbors, offsets }
-    }
-
-    fn closed_neighborhood(&self, r: usize) -> &[u32] {
-        &self.neighbors[self.offsets[r] as usize..self.offsets[r + 1] as usize]
-    }
-}
-
-/// One phase of a dynamic schedule, with its connectivity precomputed once
-/// per batch instead of once per lane round.
-#[derive(Debug)]
-struct PhaseGraph {
-    adjacency: Adjacency,
-    graph: StaticGraph,
-    connected: bool,
-    components: usize,
-}
-
-impl PhaseGraph {
-    fn new(adjacency: Adjacency) -> Self {
-        let graph = StaticGraph::new(&adjacency);
-        let connected = adjacency.is_connected();
-        let components = adjacency.component_count();
-        PhaseGraph {
-            adjacency,
-            graph,
-            connected,
-            components,
-        }
-    }
-}
-
-/// The per-round graph rule of a shared dynamic realization.
-#[derive(Debug)]
-enum DynGraphs {
-    /// Round `r` uses `phases[r % phases.len()]` — static graphs are the
-    /// single-phase case.
-    Phases(Vec<PhaseGraph>),
-    /// Round-indexed churn over a shared base; the per-`(seed, round,
-    /// link)` down-draws are replayed per lane.
-    Churn { base: Adjacency, flip_rate: f64 },
-}
-
-/// Reusable per-round scratch of the dynamic path (only the churn rule
-/// uses it): the round's realized link mask and the BFS state of its
-/// connectivity check. Shared across lanes — each lane round overwrites it
-/// completely.
-#[derive(Debug)]
-struct DynScratch {
-    /// `mask[a * n + b]`: the churned round graph, diagonal always set.
-    mask: Vec<bool>,
-    visited: Vec<bool>,
-    stack: Vec<u32>,
-}
-
-/// Reusable per-round scratch of the complete kind, shared across lanes:
-/// the sorted broadcast values, the per-receiver senders, and one
-/// receiver's slots from them.
-#[derive(Debug)]
-struct CompleteScratch {
-    common: Vec<Value>,
-    specials: Vec<usize>,
-    extra: Vec<Value>,
-}
-
-#[derive(Debug)]
-enum SharedKind {
-    /// The unmasked complete graph under a clean fault plan: one sort of
-    /// the broadcasters, a merge per receiver, closed-form accounting.
-    Complete(CompleteScratch),
-    /// Any other static graph under a clean fault plan: the closed-form
-    /// static exchange, one accounting line per receiver.
-    Static(StaticGraph),
-    /// The dynamic path: per-round graphs and/or per-link faults.
-    Dynamic {
-        graphs: DynGraphs,
-        faults: CompiledLinkFaults,
-        policy: DisconnectionPolicy,
-        /// The largest compiled delay; 0 skips the pipe machinery entirely.
-        max_delay: usize,
-        scratch: DynScratch,
-    },
-}
-
-impl SharedKind {
-    /// The static kind of a fixed graph: a complete adjacency lowers onto
-    /// the complete kind, as [`SyncNetwork::with_topology`](crate::SyncNetwork::with_topology)
-    /// lowers it onto the unmasked path.
-    fn fixed(n: usize, adjacency: &Adjacency) -> Self {
-        if adjacency.is_complete() {
-            Self::complete(n)
-        } else {
-            SharedKind::Static(StaticGraph::new(adjacency))
-        }
-    }
-
-    fn complete(n: usize) -> Self {
-        SharedKind::Complete(CompleteScratch {
-            common: vec![Value::new(0.0); n],
-            specials: vec![0; n],
-            extra: vec![Value::new(0.0); n],
-        })
-    }
-}
-
-/// The seed-invariant structure of one network description — or, for a
-/// description that [realizes per seed](SharedRealization::realizes_per_seed),
-/// the structure of one lane seed — realized once and shared by every lane
-/// of its group. The module documentation above spells out what is shared
-/// and what stays lane-local.
-#[derive(Debug)]
-pub struct SharedRealization {
-    n: usize,
-    kind: SharedKind,
-}
-
-/// Seed-dependence of a topology description: only
-/// [`Topology::RandomRegular`] realizes to a different graph per seed.
-fn topology_per_seed(topology: &Topology) -> bool {
-    matches!(topology, Topology::RandomRegular { .. })
-}
-
-/// Counts the connected components of a flat link mask (diagonal set), the
-/// allocation-free equivalent of [`Adjacency::component_count`] on the
-/// churned round graph.
-fn mask_components(mask: &[bool], n: usize, visited: &mut [bool], stack: &mut Vec<u32>) -> usize {
-    visited.fill(false);
-    let mut components = 0;
-    for start in 0..n {
-        if visited[start] {
-            continue;
-        }
-        components += 1;
-        visited[start] = true;
-        stack.push(start as u32);
-        while let Some(node) = stack.pop() {
-            let row = &mask[node as usize * n..(node as usize + 1) * n];
-            for (next, &linked) in row.iter().enumerate() {
-                if linked && !visited[next] {
-                    visited[next] = true;
-                    stack.push(next as u32);
-                }
-            }
-        }
-    }
-    components
-}
-
-/// Merges two ascending slices into `out` (exactly `a.len() + b.len()`
-/// long), preserving order — the classic two-pointer merge, allocation
-/// free.
-// mbaa: alloc-free
-fn merge_sorted(a: &[Value], b: &[Value], out: &mut [Value]) {
-    debug_assert_eq!(out.len(), a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    for slot in out.iter_mut() {
-        let take_a = j >= b.len() || (i < a.len() && a[i] <= b[j]);
-        if take_a {
-            *slot = a[i];
-            i += 1;
-        } else {
-            *slot = b[j];
-            j += 1;
-        }
-    }
-}
-
-impl SharedRealization {
-    /// Whether the description realizes to a different structure per seed
-    /// — a [`Topology::RandomRegular`] graph as the static topology, a
-    /// periodic phase, or a churn base. Such descriptions need one
-    /// realization per lane seed; all others share one per batch.
-    #[must_use]
-    pub fn realizes_per_seed(topology: &Topology, schedule: Option<&TopologySchedule>) -> bool {
-        match schedule {
-            None => topology_per_seed(topology),
-            Some(TopologySchedule::Static(scheduled)) => topology_per_seed(scheduled),
-            Some(TopologySchedule::Periodic { phases }) => phases.iter().any(topology_per_seed),
-            Some(TopologySchedule::SeededChurn { base, .. }) => topology_per_seed(base),
-        }
-    }
-
-    /// Builds the structure for one network description under one seed,
-    /// mirroring the lowering decisions of the scalar engine exactly: no
-    /// schedule and a clean plan realize a fixed graph (the complete kind
-    /// for the complete graph, the static kind otherwise); a schedule whose
-    /// per-round graphs cannot differ under a clean compiled plan lowers
-    /// onto the same fixed form; everything else takes the dynamic form.
-    ///
-    /// The seed only matters for descriptions that
-    /// [realize per seed](SharedRealization::realizes_per_seed); churn and
-    /// omission draws key on each lane's own seed at exchange time.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors the scalar engine raises when it builds the
-    /// network for the same configuration and seed: a failed graph
-    /// realization, or a link-fault plan that does not compile.
-    pub fn build(
-        n: usize,
-        topology: &Topology,
-        schedule: Option<&TopologySchedule>,
-        link_faults: &LinkFaultPlan,
-        policy: DisconnectionPolicy,
-        seed: u64,
-    ) -> Result<SharedRealization> {
-        if schedule.is_none() && link_faults.is_clean() {
-            let kind = match topology {
-                Topology::Complete => SharedKind::complete(n),
-                partial => SharedKind::fixed(n, &partial.realize(n, seed)?),
-            };
-            return Ok(SharedRealization { n, kind });
-        }
-        let implied;
-        let schedule = match schedule {
-            Some(schedule) => schedule,
-            None => {
-                implied = TopologySchedule::Static(topology.clone());
-                &implied
-            }
-        };
-        let realized = schedule.realize(n, seed)?;
-        let faults = link_faults.compile(n)?;
-        if faults.is_clean() && !realized.is_dynamic() {
-            return Ok(SharedRealization {
-                n,
-                kind: SharedKind::fixed(n, &realized.adjacency_at(Round::ZERO)),
-            });
-        }
-        let max_delay = faults.compiled_max_delay();
-        let (graphs, churns) = match realized.kind() {
-            RealizedKind::Static(adjacency) => (
-                DynGraphs::Phases(vec![PhaseGraph::new(adjacency.clone())]),
-                false,
-            ),
-            RealizedKind::Periodic(phases) => (
-                DynGraphs::Phases(phases.iter().cloned().map(PhaseGraph::new).collect()),
-                false,
-            ),
-            RealizedKind::Churn { base, flip_rate } => {
-                if *flip_rate == 0.0 {
-                    // Frozen churn realizes the base every round.
-                    (
-                        DynGraphs::Phases(vec![PhaseGraph::new(base.clone())]),
-                        false,
-                    )
-                } else {
-                    (
-                        DynGraphs::Churn {
-                            base: base.clone(),
-                            flip_rate: *flip_rate,
-                        },
-                        true,
-                    )
-                }
-            }
-        };
-        let scratch = DynScratch {
-            mask: if churns {
-                vec![false; n * n]
-            } else {
-                Vec::new()
-            },
-            visited: if churns { vec![false; n] } else { Vec::new() },
-            stack: if churns {
-                Vec::with_capacity(n)
-            } else {
-                Vec::new()
-            },
-        };
-        Ok(SharedRealization {
-            n,
-            kind: SharedKind::Dynamic {
-                graphs,
-                faults,
-                policy,
-                max_delay,
-                scratch,
-            },
-        })
-    }
-
-    /// Creates the per-lane delivery state for one lane seed.
-    #[must_use]
-    pub fn lane(&self, seed: u64) -> LaneDelivery {
-        let pipes = match &self.kind {
-            SharedKind::Dynamic { max_delay, .. } if *max_delay > 0 => {
-                vec![VecDeque::new(); self.n * self.n]
-            }
-            _ => Vec::new(),
-        };
-        LaneDelivery {
-            seed,
-            next_round: 0,
-            pipes,
-        }
-    }
-
-    /// Performs the send + receive phases of one lane's round, collecting
-    /// the values delivered to every receiver whose `active` flag is set
-    /// into `rows` (ascending per row) and accounting **all** `n²` slots
-    /// into `stats` — delivered values, sender omissions, structural
-    /// non-deliveries, link omissions/delays — with the exact counter
-    /// semantics of the scalar [`SyncNetwork`](crate::SyncNetwork) exchange
-    /// for the same lane-seeded configuration.
-    ///
-    /// `sends` classifies every sender; `outbox_of(s)` is read, in place,
-    /// only for senders classified [`LaneSend::PerReceiver`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly as the scalar dynamic exchange: out-of-order rounds are
-    /// rejected ([`Error::InvalidParameter`]) and a disconnected round
-    /// under [`DisconnectionPolicy::Reject`] fails with
-    /// [`Error::DisconnectedRound`]. Fixed-graph realizations never fail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sends` or `active` do not cover the universe.
-    // The loops below walk receiver/sender indices into several parallel
-    // flat n²-strided arrays at once; iterator zips would obscure the
-    // statement-for-statement mirror of the scalar exchange.
-    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-    // mbaa: alloc-free
-    pub fn exchange_rows<'o>(
-        &mut self,
-        lane: &mut LaneDelivery,
-        round: Round,
-        sends: &[LaneSend],
-        outbox_of: impl Fn(usize) -> &'o Outbox,
-        active: &[bool],
-        rows: &mut DeliveryRows,
-        stats: &mut NetworkStats,
-    ) -> Result<()> {
-        let n = self.n;
-        assert_eq!(sends.len(), n, "one send classification per process");
-        assert_eq!(active.len(), n, "one active flag per process");
-        rows.reset();
-        match &mut self.kind {
-            SharedKind::Complete(CompleteScratch {
-                common,
-                specials,
-                extra,
-            }) => {
-                // Broadcasters feed one common buffer, sorted once; the
-                // ≤ 2f per-receiver senders are kept aside.
-                let mut common_len = 0;
-                let mut specials_len = 0;
-                for (s, &send) in sends.iter().enumerate() {
-                    match send {
-                        LaneSend::Broadcast(value) => {
-                            common[common_len] = value;
-                            common_len += 1;
-                        }
-                        LaneSend::Silent => {}
-                        LaneSend::PerReceiver => {
-                            specials[specials_len] = s;
-                            specials_len += 1;
-                        }
-                    }
-                }
-                common[..common_len].sort_unstable();
-                let common = &common[..common_len];
-                let specials = &specials[..specials_len];
-
-                // Closed-form traffic accounting: a broadcast delivers to
-                // all n receivers, a per-receiver outbox to its Some slots,
-                // and every other slot is a sender omission — the unmasked
-                // complete graph has no structural drops.
-                let mut delivered = (common_len * n) as u64;
-                for &s in specials {
-                    delivered += outbox_of(s)
-                        .iter()
-                        .filter(|(_, slot)| slot.is_some())
-                        .count() as u64;
-                }
-                stats.rounds += 1;
-                stats.messages_delivered += delivered;
-                stats.omissions += (n * n) as u64 - delivered;
-
-                // Each active receiver's row is the common buffer merged
-                // with its special slots — the same ascending array the
-                // scalar multiset refill produces.
-                for r in 0..n {
-                    if !active[r] {
-                        continue;
-                    }
-                    let receiver = ProcessId::new(r);
-                    let mut extra_len = 0;
-                    for &s in specials {
-                        if let Some(value) = outbox_of(s).get(receiver) {
-                            extra[extra_len] = value;
-                            extra_len += 1;
-                        }
-                    }
-                    extra[..extra_len].sort_unstable();
-                    let start = rows.total;
-                    let len = common_len + extra_len;
-                    merge_sorted(
-                        common,
-                        &extra[..extra_len],
-                        &mut rows.merged[start..start + len],
-                    );
-                    rows.push_row(r, start, len);
-                }
-                Ok(())
-            }
-            SharedKind::Static(graph) => {
-                stats.rounds += 1;
-                for r in 0..n {
-                    let receiver = ProcessId::new(r);
-                    let hood = graph.closed_neighborhood(r);
-                    let reachable = hood.len() as u64;
-                    let mut delivered = 0u64;
-                    if active[r] {
-                        let start = rows.total;
-                        let mut len = 0usize;
-                        for &s in hood {
-                            let s = s as usize;
-                            if let Some(value) = sends[s].slot(&outbox_of, s, receiver) {
-                                rows.merged[start + len] = value;
-                                len += 1;
-                            }
-                        }
-                        delivered = len as u64;
-                        rows.sort_and_push_row(r, start, len);
-                    } else {
-                        for &s in hood {
-                            let s = s as usize;
-                            delivered +=
-                                u64::from(sends[s].slot(&outbox_of, s, receiver).is_some());
-                        }
-                    }
-                    stats.messages_delivered += delivered;
-                    stats.omissions += reachable - delivered;
-                    stats.unreachable += n as u64 - reachable;
-                }
-                Ok(())
-            }
-            SharedKind::Dynamic {
-                graphs,
-                faults,
-                policy,
-                max_delay,
-                scratch,
-            } => {
-                if round.index() != lane.next_round {
-                    // mbaa: allow(hot-path/allocation, cold misuse error path)
-                    return Err(Error::InvalidParameter(format!(
-                        "a dynamic network exchanges rounds in order: expected r{}, got {round} \
-                         (delay buffers advance once per round)",
-                        lane.next_round
-                    )));
-                }
-                lane.next_round += 1;
-                let seed = lane.seed;
-
-                // Resolve the round's graph and its connectivity. Phases
-                // were precomputed at build; churn redraws its mask from
-                // the lane seed, exactly the scalar draw stream.
-                let phase: Option<&PhaseGraph> = match graphs {
-                    DynGraphs::Phases(phases) => {
-                        Some(&phases[(round.index() % phases.len() as u64) as usize])
-                    }
-                    DynGraphs::Churn { base, flip_rate } => {
-                        let mask = &mut scratch.mask;
-                        mask.fill(false);
-                        for a in 0..n {
-                            mask[a * n + a] = true;
-                            for b in a + 1..n {
-                                if base.connected(ProcessId::new(a), ProcessId::new(b))
-                                    && !churn_link_down(seed, round.index(), a, b, *flip_rate)
-                                {
-                                    mask[a * n + b] = true;
-                                    mask[b * n + a] = true;
-                                }
-                            }
-                        }
-                        None
-                    }
-                };
-                let (connected, components) = match phase {
-                    Some(phase) => (phase.connected, phase.components),
-                    None => {
-                        let components = mask_components(
-                            &scratch.mask,
-                            n,
-                            &mut scratch.visited,
-                            &mut scratch.stack,
-                        );
-                        (components == 1, components)
-                    }
-                };
-                if !connected {
-                    match policy {
-                        DisconnectionPolicy::Reject => {
-                            return Err(Error::DisconnectedRound { round, components });
-                        }
-                        DisconnectionPolicy::Record => stats.disconnected_rounds += 1,
-                    }
-                }
-
-                if *max_delay == 0 {
-                    // No link ever buffers: classify and account each slot
-                    // immediately, walking only the reachable senders.
-                    for r in 0..n {
-                        let receiver = ProcessId::new(r);
-                        let row_active = active[r];
-                        let start = rows.total;
-                        let mut len = 0usize;
-                        let mut deliver =
-                            |s: usize, rows: &mut DeliveryRows, stats: &mut NetworkStats| {
-                                match sends[s].slot(&outbox_of, s, receiver) {
-                                    None => stats.omissions += 1,
-                                    Some(value) => {
-                                        if omission_lost(
-                                            seed,
-                                            round.index(),
-                                            s,
-                                            r,
-                                            faults.omit_at(s, r),
-                                        ) {
-                                            stats.link_omissions += 1;
-                                        } else {
-                                            stats.messages_delivered += 1;
-                                            if row_active {
-                                                rows.merged[start + len] = value;
-                                                len += 1;
-                                            }
-                                        }
-                                    }
-                                }
-                            };
-                        match phase {
-                            Some(phase) => {
-                                let hood = phase.graph.closed_neighborhood(r);
-                                stats.unreachable += (n - hood.len()) as u64;
-                                for &s in hood {
-                                    deliver(s as usize, rows, stats);
-                                }
-                            }
-                            None => {
-                                let mask_row = &scratch.mask[r * n..(r + 1) * n];
-                                for (s, &reachable) in mask_row.iter().enumerate() {
-                                    if reachable {
-                                        deliver(s, rows, stats);
-                                    } else {
-                                        stats.unreachable += 1;
-                                    }
-                                }
-                            }
-                        }
-                        if row_active {
-                            rows.sort_and_push_row(r, start, len);
-                        }
-                    }
-                } else {
-                    // Delayed links buffer every outcome — even structural
-                    // ones — so all n² slots must be visited, mirroring the
-                    // scalar dynamic loop statement for statement.
-                    for r in 0..n {
-                        let receiver = ProcessId::new(r);
-                        let row_active = active[r];
-                        let start = rows.total;
-                        let mut len = 0usize;
-                        for s in 0..n {
-                            let delay = faults.delay_at(s, r);
-                            let reachable = match phase {
-                                Some(phase) => {
-                                    phase.adjacency.connected(ProcessId::new(s), receiver)
-                                }
-                                None => scratch.mask[s * n + r],
-                            };
-                            let sent = if !reachable {
-                                SendOutcome::Unreachable
-                            } else {
-                                match sends[s].slot(&outbox_of, s, receiver) {
-                                    None => SendOutcome::SenderOmitted,
-                                    Some(value) => {
-                                        if omission_lost(
-                                            seed,
-                                            round.index(),
-                                            s,
-                                            r,
-                                            faults.omit_at(s, r),
-                                        ) {
-                                            SendOutcome::LinkOmitted
-                                        } else {
-                                            SendOutcome::Value(value)
-                                        }
-                                    }
-                                }
-                            };
-                            let arrived = if delay == 0 {
-                                Some(sent)
-                            } else {
-                                let pipe = &mut lane.pipes[s * n + r];
-                                // mbaa: allow(hot-path/vec-growth, the pipe is popped whenever len > delay, so it holds at most delay + 1 entries after the first delay rounds)
-                                pipe.push_back(sent);
-                                if pipe.len() > delay {
-                                    Some(pipe.pop_front().expect("pipe holds > delay entries"))
-                                } else {
-                                    None
-                                }
-                            };
-                            match arrived {
-                                Some(SendOutcome::Value(value)) => {
-                                    stats.messages_delivered += 1;
-                                    if delay > 0 {
-                                        stats.link_delayed += 1;
-                                    }
-                                    if row_active {
-                                        rows.merged[start + len] = value;
-                                        len += 1;
-                                    }
-                                }
-                                Some(SendOutcome::SenderOmitted) => stats.omissions += 1,
-                                Some(SendOutcome::Unreachable) => stats.unreachable += 1,
-                                Some(SendOutcome::LinkOmitted) => stats.link_omissions += 1,
-                                None => stats.link_pending += 1,
-                            }
-                        }
-                        if row_active {
-                            rows.sort_and_push_row(r, start, len);
-                        }
-                    }
-                }
-                stats.rounds += 1;
-                Ok(())
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
+    use mbaa_types::{Error, Result, Round};
+
     use super::*;
-    use crate::{DeliveryMatrix, SyncNetwork};
+    use crate::faults::omission_lost;
+    use crate::{
+        CompiledLinkFaults, DisconnectionPolicy, LinkFaultPlan, NetworkStats, RealizedSchedule,
+        SharedRealization, Topology, TopologySchedule,
+    };
 
     fn pid(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -887,7 +170,7 @@ mod tests {
     /// rises, so the two slots arrive in either order), sender 1 is
     /// silent, and every other sender broadcasts a value that collides
     /// with the per-receiver slots, so rows need real merging. Returns the
-    /// classified sends and the equivalent scalar outboxes.
+    /// classified sends and the equivalent outboxes.
     fn mixed_send_phase(n: usize) -> (Vec<LaneSend>, Vec<Outbox>) {
         let value = |i: usize| Value::new((i % 4) as f64);
         let sends = (0..n)
@@ -928,9 +211,118 @@ mod tests {
             .expect("description builds")
     }
 
-    /// Runs `rounds` rounds through both the scalar network and the shared
-    /// realization and asserts identical per-receiver multisets (the
-    /// scalar rows sorted, the shared rows as delivered) and stats.
+    /// What one link carried in the reference exchange.
+    #[derive(Debug, Clone, Copy)]
+    enum Sent {
+        Value(Value),
+        Omitted,
+        Unreachable,
+        Lost,
+    }
+
+    /// The scalar reference exchange: the round's graph straight from the
+    /// realized schedule, and every `(receiver, sender)` slot visited one
+    /// by one through its omission draw and delay pipe. Each receiver's
+    /// values are collected in sender order and sorted.
+    struct ScalarReference {
+        n: usize,
+        schedule: RealizedSchedule,
+        faults: CompiledLinkFaults,
+        policy: DisconnectionPolicy,
+        seed: u64,
+        pipes: Vec<VecDeque<Sent>>,
+        stats: NetworkStats,
+    }
+
+    impl ScalarReference {
+        fn new(
+            topology: &Topology,
+            schedule: Option<&TopologySchedule>,
+            plan: &LinkFaultPlan,
+            policy: DisconnectionPolicy,
+            n: usize,
+            seed: u64,
+        ) -> Self {
+            let desc = schedule
+                .cloned()
+                .unwrap_or_else(|| TopologySchedule::Static(topology.clone()));
+            ScalarReference {
+                n,
+                schedule: desc.realize(n, seed).unwrap(),
+                faults: plan.compile(n).unwrap(),
+                policy,
+                seed,
+                pipes: vec![VecDeque::new(); n * n],
+                stats: NetworkStats::new(),
+            }
+        }
+
+        fn exchange(&mut self, round: Round, outboxes: &[Outbox]) -> Result<Vec<Vec<Value>>> {
+            let n = self.n;
+            let graph = self.schedule.adjacency_at(round);
+            if !graph.is_connected() {
+                match self.policy {
+                    DisconnectionPolicy::Reject => {
+                        return Err(Error::DisconnectedRound {
+                            round,
+                            components: graph.component_count(),
+                        })
+                    }
+                    DisconnectionPolicy::Record => self.stats.disconnected_rounds += 1,
+                }
+            }
+            let mut rows = vec![Vec::new(); n];
+            for (r, row) in rows.iter_mut().enumerate() {
+                for (s, outbox) in outboxes.iter().enumerate() {
+                    let sent = if !graph.connected(pid(s), pid(r)) {
+                        Sent::Unreachable
+                    } else {
+                        match outbox.get(pid(r)) {
+                            None => Sent::Omitted,
+                            Some(_)
+                                if omission_lost(
+                                    self.seed,
+                                    round.index(),
+                                    s,
+                                    r,
+                                    self.faults.omit_at(s, r),
+                                ) =>
+                            {
+                                Sent::Lost
+                            }
+                            Some(value) => Sent::Value(value),
+                        }
+                    };
+                    let delay = self.faults.delay_at(s, r);
+                    let arrived = if delay == 0 {
+                        Some(sent)
+                    } else {
+                        let pipe = &mut self.pipes[s * n + r];
+                        pipe.push_back(sent);
+                        (pipe.len() > delay).then(|| pipe.pop_front().unwrap())
+                    };
+                    match arrived {
+                        Some(Sent::Value(value)) => {
+                            self.stats.messages_delivered += 1;
+                            self.stats.link_delayed += u64::from(delay > 0);
+                            row.push(value);
+                        }
+                        Some(Sent::Omitted) => self.stats.omissions += 1,
+                        Some(Sent::Unreachable) => self.stats.unreachable += 1,
+                        Some(Sent::Lost) => self.stats.link_omissions += 1,
+                        None => self.stats.link_pending += 1,
+                    }
+                }
+                row.sort_unstable();
+            }
+            self.stats.rounds += 1;
+            Ok(rows)
+        }
+    }
+
+    /// Runs `rounds` rounds through both the scalar reference and the
+    /// shared realization and asserts identical per-receiver multisets and
+    /// stats.
     fn assert_matches_scalar(
         topology: &Topology,
         schedule: Option<&TopologySchedule>,
@@ -940,27 +332,16 @@ mod tests {
         seed: u64,
         rounds: u64,
     ) {
-        let mut scalar = if schedule.is_none() && plan.is_clean() {
-            SyncNetwork::with_topology(topology.realize(n, seed).unwrap())
-        } else {
-            let desc = schedule
-                .cloned()
-                .unwrap_or_else(|| TopologySchedule::Static(topology.clone()));
-            SyncNetwork::with_dynamics(desc.realize(n, seed).unwrap(), plan, policy, seed).unwrap()
-        }
-        .with_trace_recording(false);
+        let mut scalar = ScalarReference::new(topology, schedule, plan, policy, n, seed);
         let mut shared = build(n, topology, schedule, plan, policy, seed);
         let mut lane = shared.lane(seed);
         let mut rows = DeliveryRows::new(n);
         let mut stats = NetworkStats::new();
         let (sends, outboxes) = mixed_send_phase(n);
         let active = vec![true; n];
-        let mut deliveries = DeliveryMatrix::new(n);
         for round in 0..rounds {
             let round = Round::new(round);
-            scalar
-                .exchange_into(round, &outboxes, &mut deliveries)
-                .unwrap();
+            let scalar_rows = scalar.exchange(round, &outboxes).unwrap();
             shared
                 .exchange_rows(
                     &mut lane,
@@ -975,13 +356,64 @@ mod tests {
             assert_eq!(rows.rows(), n);
             for row in 0..rows.rows() {
                 let r = rows.receiver(row);
-                let mut scalar_row: Vec<Value> =
-                    deliveries.delivered_to(ProcessId::new(r)).collect();
-                scalar_row.sort_unstable();
-                assert_eq!(rows.row(row), &scalar_row[..], "round {round} receiver {r}");
+                assert_eq!(
+                    rows.row(row),
+                    &scalar_rows[r][..],
+                    "round {round} receiver {r}"
+                );
             }
         }
-        assert_eq!(stats, scalar.stats());
+        assert_eq!(stats, scalar.stats);
+    }
+
+    #[test]
+    fn trace_round_agrees_with_the_delivered_rows() {
+        // On every realization kind without delays, what the trace says a
+        // receiver got from each sender is exactly the row it was handed.
+        let churn = TopologySchedule::SeededChurn {
+            base: Topology::Complete,
+            flip_rate: 0.3,
+        };
+        let lossy = LinkFaultPlan::new().omit_all(0.3);
+        let clean = LinkFaultPlan::new();
+        let n = 8;
+        let cases = [
+            (Topology::Complete, None, &clean),
+            (Topology::Ring { k: 2 }, None, &clean),
+            (Topology::Complete, Some(&churn), &clean),
+            (Topology::Ring { k: 3 }, None, &lossy),
+        ];
+        for (topology, schedule, plan) in cases {
+            let mut shared = build(n, &topology, schedule, plan, DisconnectionPolicy::Record, 5);
+            let mut lane = shared.lane(5);
+            let mut rows = DeliveryRows::new(n);
+            let mut stats = NetworkStats::new();
+            let (sends, outboxes) = mixed_send_phase(n);
+            for round in 0..6 {
+                let round = Round::new(round);
+                shared
+                    .exchange_rows(
+                        &mut lane,
+                        round,
+                        &sends,
+                        |s| &outboxes[s],
+                        &[true; 8],
+                        &mut rows,
+                        &mut stats,
+                    )
+                    .unwrap();
+                let trace = shared.trace_round(&lane, round, &sends, |s| &outboxes[s]);
+                assert_eq!(trace.round(), round);
+                for r in 0..n {
+                    let mut heard: Vec<Value> = trace
+                        .iter()
+                        .filter_map(|obs| obs.delivered_to(pid(r)))
+                        .collect();
+                    heard.sort_unstable();
+                    assert_eq!(rows.row(r), &heard[..], "{topology} {round} receiver {r}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1088,7 +520,7 @@ mod tests {
             &Topology::Ring { k: 2 },
             None
         ));
-        // Each seed's realization replays that seed's scalar network.
+        // Each seed's realization replays that seed's scalar reference.
         for seed in [3, 4] {
             assert_matches_scalar(
                 &random,

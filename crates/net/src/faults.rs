@@ -12,7 +12,7 @@
 //! * [`LinkFaultPlan`] — per-link behaviours layered on the structural
 //!   mask: deterministic or seeded-random omission probability, and fixed
 //!   delays in rounds served by an in-order delivery buffer inside
-//!   [`SyncNetwork::exchange_into`](crate::SyncNetwork::exchange_into).
+//!   [`SharedRealization::exchange_rows`](crate::SharedRealization::exchange_rows).
 //! * [`TopologySchedule`] — a (possibly different) realized communication
 //!   graph per round: [`Static`](TopologySchedule::Static),
 //!   [`Periodic`](TopologySchedule::Periodic) (rotating graph phases), and

@@ -13,15 +13,15 @@
 //!   for each destination, either a value or an omission. A correct process
 //!   broadcasts the same value to everyone; a Byzantine process may put a
 //!   different value (or nothing) in every slot.
-//! * [`DeliveryMatrix`] — what every process receives in the receive
-//!   phase: for each `(receiver, sender)` slot, either the delivered value
-//!   or an omission. Because the network is authenticated, the sender
-//!   identity attached to each slot is always genuine.
-//! * [`SyncNetwork`] — the exchange engine that turns `n` outboxes into a
-//!   filled delivery matrix while enforcing the reliability guarantees (no loss, no
-//!   duplication, no creation) and recording a [`RoundTrace`]. Built
-//!   [`with_topology`](SyncNetwork::with_topology), it masks delivery by
-//!   adjacency.
+//! * [`LaneSend`] / [`DeliveryRows`] — one round's send phase in
+//!   classified form (a broadcaster hands over one value, not `n` slots)
+//!   and its receive phase in packed form: every active receiver's
+//!   delivered values, ascending.
+//! * [`SharedRealization`] — the exchange. It realizes a network
+//!   description once per pack of runs and serves each run's rounds,
+//!   enforcing the reliability guarantees (no loss, no duplication, no
+//!   creation), masking delivery by the round's graph, accounting every
+//!   slot in [`NetworkStats`], and recording a [`RoundTrace`] on request.
 //! * [`Topology`] / [`Adjacency`] — the communication graph: complete,
 //!   ring lattice, random regular, grid, or an explicit validated
 //!   adjacency matrix, with connectivity and degree queries.
@@ -40,23 +40,39 @@
 //! # Example
 //!
 //! ```
-//! use mbaa_net::{DeliveryMatrix, Outbox, SyncNetwork};
-//! use mbaa_types::{ProcessId, Round, Value, ValueMultiset};
+//! use mbaa_net::{
+//!     DeliveryRows, DisconnectionPolicy, LaneSend, LinkFaultPlan, NetworkStats, Outbox,
+//!     SharedRealization, Topology,
+//! };
+//! use mbaa_types::{ProcessId, Round, Value};
 //!
-//! let mut net = SyncNetwork::new(3);
-//! let mut deliveries = DeliveryMatrix::new(3);
-//! let round = Round::ZERO;
-//!
-//! // Every process broadcasts its own index as its vote.
-//! let outboxes: Vec<Outbox> = (0..3)
-//!     .map(|i| Outbox::broadcast(3, ProcessId::new(i), Value::new(i as f64)))
-//!     .collect();
-//!
-//! net.exchange_into(round, &outboxes, &mut deliveries).unwrap();
-//! // Process 0 heard 0.0, 1.0 and 2.0.
-//! let heard: ValueMultiset = deliveries.delivered_to(ProcessId::new(0)).collect();
-//! assert_eq!(heard.len(), 3);
-//! assert_eq!(heard.max(), Some(Value::new(2.0)));
+//! let mut net = SharedRealization::build(
+//!     3,
+//!     &Topology::Complete,
+//!     None,
+//!     &LinkFaultPlan::new(),
+//!     DisconnectionPolicy::Record,
+//!     0,
+//! )?;
+//! let mut lane = net.lane(0);
+//! // p0 and p1 broadcast their index; p2 tells everyone something else.
+//! let sends = [
+//!     LaneSend::Broadcast(Value::new(0.0)),
+//!     LaneSend::Broadcast(Value::new(1.0)),
+//!     LaneSend::PerReceiver,
+//! ];
+//! let liar = Outbox::per_receiver(
+//!     ProcessId::new(2),
+//!     vec![Some(Value::new(9.0)), Some(Value::new(-9.0)), None],
+//! );
+//! let (mut rows, mut stats) = (DeliveryRows::new(3), NetworkStats::new());
+//! net.exchange_rows(&mut lane, Round::ZERO, &sends, |_| &liar, &[true; 3], &mut rows, &mut stats)?;
+//! // Process 0 heard 0.0, 1.0 and 9.0, ascending; p2 heard no lie.
+//! assert_eq!(rows.row(0), &[0.0, 1.0, 9.0].map(Value::new));
+//! assert_eq!(rows.row(1), &[-9.0, 0.0, 1.0].map(Value::new));
+//! assert_eq!(rows.row(2), &[0.0, 1.0].map(Value::new));
+//! assert_eq!((stats.messages_delivered, stats.omissions), (8, 1));
+//! # Ok::<(), mbaa_types::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -64,7 +80,6 @@
 #![warn(missing_debug_implementations)]
 
 mod batch;
-mod delivery;
 pub mod faults;
 mod network;
 mod outbox;
@@ -72,14 +87,13 @@ mod stats;
 mod topology;
 mod trace;
 
-pub use batch::{DeliveryRows, LaneDelivery, LaneSend, SharedRealization};
-pub use delivery::DeliveryMatrix;
+pub use batch::{DeliveryRows, LaneSend};
 pub use faults::{
     CompiledLinkFaults, DirectedAdjacency, DisconnectionPolicy, LinkFaultPlan, LinkFaultRule,
     RealizedSchedule, TopologySchedule,
 };
-pub use network::SyncNetwork;
+pub use network::{LaneDelivery, SharedRealization};
 pub use outbox::Outbox;
 pub use stats::NetworkStats;
 pub use topology::{Adjacency, Topology};
-pub use trace::{NetworkTrace, ObservedBehavior, RoundTrace, SenderObservation};
+pub use trace::{NetworkTrace, ObservedBehavior, RoundTrace, SenderObservation, TraceSlot};

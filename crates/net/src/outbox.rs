@@ -112,23 +112,6 @@ impl Outbox {
         self.slots.fill(None);
     }
 
-    /// Overwrites this outbox with `other`'s sender and slots, reusing the
-    /// existing allocation — the zero-allocation counterpart of
-    /// `*self = other.clone()` for same-universe outboxes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    pub fn copy_from(&mut self, other: &Outbox) {
-        assert_eq!(
-            self.slots.len(),
-            other.slots.len(),
-            "outbox universe mismatch"
-        );
-        self.sender = other.sender;
-        self.slots.copy_from_slice(&other.slots);
-    }
-
     /// Reassigns the sender of this (reused) outbox.
     pub fn set_sender(&mut self, sender: ProcessId) {
         self.sender = sender;

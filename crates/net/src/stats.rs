@@ -4,25 +4,30 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// Counters describing the traffic handled by a [`SyncNetwork`](crate::SyncNetwork).
+/// Counters describing the traffic of one run's exchanges
+/// ([`SharedRealization::exchange_rows`](crate::SharedRealization::exchange_rows)).
 ///
 /// # Example
 ///
 /// ```
-/// use mbaa_net::{DeliveryMatrix, Outbox, SyncNetwork};
-/// use mbaa_types::{ProcessId, Round, Value};
+/// use mbaa_net::{
+///     DeliveryRows, DisconnectionPolicy, LaneSend, LinkFaultPlan, NetworkStats, Outbox,
+///     SharedRealization, Topology,
+/// };
+/// use mbaa_types::{Round, Value};
 ///
-/// let mut net = SyncNetwork::new(2);
-/// let outboxes = vec![
-///     Outbox::broadcast(2, ProcessId::new(0), Value::new(1.0)),
-///     Outbox::silent(2, ProcessId::new(1)),
-/// ];
-/// net.exchange_into(Round::ZERO, &outboxes, &mut DeliveryMatrix::new(2))
-///     .unwrap();
-/// let stats = net.stats();
+/// let plan = LinkFaultPlan::new();
+/// let mut net =
+///     SharedRealization::build(2, &Topology::Complete, None, &plan, DisconnectionPolicy::Record, 0)?;
+/// let mut lane = net.lane(0);
+/// let sends = [LaneSend::Broadcast(Value::new(1.0)), LaneSend::Silent];
+/// let (mut rows, mut stats) = (DeliveryRows::new(2), NetworkStats::new());
+/// let no_outbox = |_: usize| -> &Outbox { unreachable!("no per-receiver sender") };
+/// net.exchange_rows(&mut lane, Round::ZERO, &sends, no_outbox, &[true; 2], &mut rows, &mut stats)?;
 /// assert_eq!(stats.rounds, 1);
 /// assert_eq!(stats.messages_delivered, 2);
 /// assert_eq!(stats.omissions, 2);
+/// # Ok::<(), mbaa_types::Error>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetworkStats {

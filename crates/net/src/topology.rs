@@ -14,10 +14,9 @@
 //!   on (every process hears its own broadcast), matching the paper's
 //!   all-to-all exchange on the complete graph.
 //!
-//! A [`SyncNetwork`](crate::SyncNetwork) built
-//! [`with_topology`](crate::SyncNetwork::with_topology) masks delivery by
-//! adjacency: slots between non-neighbours become *structural* `None`s,
-//! counted separately from omission faults in
+//! The exchange ([`SharedRealization`](crate::SharedRealization)) masks
+//! delivery by adjacency: slots between non-neighbours become
+//! *structural* non-deliveries, counted separately from omission faults in
 //! [`NetworkStats`](crate::NetworkStats) and flagged in the trace.
 //!
 //! # Example

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use mbaa_types::{ProcessId, Round, Value};
 
-use crate::{Adjacency, DirectedAdjacency, Outbox};
+use crate::Outbox;
 
 /// The behaviour of a sender in one round, as perceived by the receivers.
 ///
@@ -88,55 +88,11 @@ impl SenderObservation {
         }
     }
 
-    /// Builds the observation of a sender whose delivery was masked by a
-    /// partial adjacency: non-neighbour slots become structural `None`s and
-    /// are flagged unreachable.
-    #[must_use]
-    pub fn from_outbox_masked(outbox: &Outbox, adjacency: &Adjacency) -> Self {
-        let sender = outbox.sender();
-        let reachable: Vec<bool> = (0..outbox.universe())
-            .map(|i| adjacency.connected(sender, ProcessId::new(i)))
-            .collect();
-        Self::from_reachability(outbox, reachable)
-    }
-
-    /// Builds the observation of a sender whose delivery was masked by a
-    /// **directed** graph: slots to receivers outside the sender's
-    /// out-neighbourhood become structural `None`s and are flagged
-    /// unreachable.
-    #[must_use]
-    pub fn from_outbox_directed(outbox: &Outbox, directed: &DirectedAdjacency) -> Self {
-        let sender = outbox.sender();
-        let reachable: Vec<bool> = (0..outbox.universe())
-            .map(|i| directed.delivers(sender, ProcessId::new(i)))
-            .collect();
-        Self::from_reachability(outbox, reachable)
-    }
-
-    fn from_reachability(outbox: &Outbox, reachable: Vec<bool>) -> Self {
-        SenderObservation {
-            sender: outbox.sender(),
-            delivered: reachable
-                .iter()
-                .enumerate()
-                .map(|(i, &linked)| {
-                    if linked {
-                        outbox.get(ProcessId::new(i))
-                    } else {
-                        None
-                    }
-                })
-                .collect(),
-            reachable,
-            link_faulted: vec![false; outbox.universe()],
-        }
-    }
-
-    /// Builds the observation of a sender on a dynamic, link-faulted
-    /// network: `reachable` is the structural mask of the round's realized
-    /// graph, and `link_faulted` flags the slots whose outcome was decided
-    /// by a per-link fault (omission draw or delay buffer) rather than by
-    /// the sender — those slots read as `None` and are excluded from
+    /// Builds the observation of a sender on a masked or link-faulted
+    /// network: `reachable` is the structural mask of the round's graph,
+    /// and `link_faulted` flags the slots whose outcome was decided by a
+    /// per-link fault (omission draw or delay buffer) rather than by the
+    /// sender — both kinds of slot read as `None` and are excluded from
     /// [`classify`](SenderObservation::classify).
     ///
     /// # Panics
@@ -285,142 +241,54 @@ pub struct RoundTrace {
     link_faulted: Vec<bool>,
 }
 
+/// One slot of a [`RoundTrace`]: what a sender put on its link to one
+/// receiver, and the state of that link in the round.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TraceSlot {
+    /// What the sender's send phase put on the link (`None` for an
+    /// omission).
+    pub sent: Option<Value>,
+    /// Whether the pair shared a link in the round's graph.
+    pub reachable: bool,
+    /// Whether a per-link fault governed the slot (the link omitted the
+    /// message, or a delay buffer shifted it to another round).
+    pub link_faulted: bool,
+}
+
 impl RoundTrace {
-    /// Allocates the flat slot arrays for `outboxes.len()` senders — the
-    /// only allocations a recorded round performs, regardless of `n` —
-    /// initialized to the fully connected, fault-free defaults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an outbox does not cover the sender universe.
-    fn with_dimensions(round: Round, outboxes: &[Outbox]) -> Self {
-        let n = outboxes.len();
-        assert!(
-            outboxes.iter().all(|o| o.universe() == n),
-            "every outbox must cover the sender universe"
-        );
-        RoundTrace {
+    /// Records a round of `n` senders from `slot(sender, receiver)`. A slot
+    /// is delivered only when it is reachable and not link-faulted; the
+    /// flat grids are the only allocations, whatever `n` is.
+    #[must_use]
+    pub fn from_slots(
+        round: Round,
+        n: usize,
+        mut slot: impl FnMut(usize, usize) -> TraceSlot,
+    ) -> Self {
+        let mut trace = RoundTrace {
             round,
             universe: n,
-            senders: outboxes.iter().map(Outbox::sender).collect(),
+            senders: (0..n).map(ProcessId::new).collect(),
             delivered: vec![None; n * n],
             reachable: vec![true; n * n],
             link_faulted: vec![false; n * n],
-        }
-    }
-
-    /// Builds the round trace from every outbox handed to the network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an outbox does not cover the sender universe.
-    #[must_use]
-    pub fn from_outboxes(round: Round, outboxes: &[Outbox]) -> Self {
-        let mut trace = Self::with_dimensions(round, outboxes);
-        let n = trace.universe;
+        };
         // mbaa: alloc-free
-        {
-            for (s, outbox) in outboxes.iter().enumerate() {
-                let row = &mut trace.delivered[s * n..(s + 1) * n];
-                for (r, slot) in row.iter_mut().enumerate() {
-                    *slot = outbox.get(ProcessId::new(r));
-                }
-            }
-        }
-        trace
-    }
-
-    /// Builds the round trace of a topology-mediated exchange: every
-    /// observation is masked by the adjacency and flags its unreachable
-    /// receivers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an outbox does not cover the sender universe.
-    #[must_use]
-    pub fn from_outboxes_masked(round: Round, outboxes: &[Outbox], adjacency: &Adjacency) -> Self {
-        let mut trace = Self::with_dimensions(round, outboxes);
-        let n = trace.universe;
-        // mbaa: alloc-free
-        {
-            for (s, outbox) in outboxes.iter().enumerate() {
-                let sender = outbox.sender();
-                for r in 0..n {
-                    let receiver = ProcessId::new(r);
-                    let linked = adjacency.connected(sender, receiver);
-                    trace.reachable[s * n + r] = linked;
-                    trace.delivered[s * n + r] = if linked { outbox.get(receiver) } else { None };
-                }
-            }
-        }
-        trace
-    }
-
-    /// Builds the round trace of a **directed**-topology exchange.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an outbox does not cover the sender universe.
-    #[must_use]
-    pub fn from_outboxes_directed(
-        round: Round,
-        outboxes: &[Outbox],
-        directed: &DirectedAdjacency,
-    ) -> Self {
-        let mut trace = Self::with_dimensions(round, outboxes);
-        let n = trace.universe;
-        // mbaa: alloc-free
-        {
-            for (s, outbox) in outboxes.iter().enumerate() {
-                let sender = outbox.sender();
-                for r in 0..n {
-                    let receiver = ProcessId::new(r);
-                    let delivers = directed.delivers(sender, receiver);
-                    trace.reachable[s * n + r] = delivers;
-                    trace.delivered[s * n + r] = if delivers { outbox.get(receiver) } else { None };
-                }
-            }
-        }
-        trace
-    }
-
-    /// Builds the round trace of a dynamic, link-faulted exchange from the
-    /// network's flat per-round flag scratch: `reach_flags[s * n + r]` is
-    /// the round's realized adjacency and `link_flags[s * n + r]` marks
-    /// slots governed by a per-link fault (omission draw or delay buffer).
-    /// The flags are copied wholesale into the trace's slot grids — no
-    /// per-sender buffers are ever materialized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an outbox does not cover the sender universe, or if a flag
-    /// slice does not cover the `n × n` slot grid.
-    #[must_use]
-    pub fn from_outboxes_with_flags(
-        round: Round,
-        outboxes: &[Outbox],
-        reach_flags: &[bool],
-        link_flags: &[bool],
-    ) -> Self {
-        let mut trace = Self::with_dimensions(round, outboxes);
-        let n = trace.universe;
-        assert!(
-            reach_flags.len() == n * n && link_flags.len() == n * n,
-            "flag slices must cover the n × n slot grid"
-        );
-        // mbaa: alloc-free
-        {
-            trace.reachable.copy_from_slice(reach_flags);
-            trace.link_faulted.copy_from_slice(link_flags);
-            for (s, outbox) in outboxes.iter().enumerate() {
-                for r in 0..n {
-                    let slot = s * n + r;
-                    trace.delivered[slot] = if reach_flags[slot] && !link_flags[slot] {
-                        outbox.get(ProcessId::new(r))
-                    } else {
-                        None
-                    };
-                }
+        for s in 0..n {
+            for r in 0..n {
+                let TraceSlot {
+                    sent,
+                    reachable,
+                    link_faulted,
+                } = slot(s, r);
+                let i = s * n + r;
+                trace.reachable[i] = reachable;
+                trace.link_faulted[i] = link_faulted;
+                trace.delivered[i] = if reachable && !link_faulted {
+                    sent
+                } else {
+                    None
+                };
             }
         }
         trace
@@ -516,9 +384,34 @@ impl NetworkTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Adjacency, DirectedAdjacency};
 
     fn pid(i: usize) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    /// The observation of `outbox` whose slot to `r` crosses a link only
+    /// when `linked(r)`.
+    fn masked(outbox: &Outbox, linked: impl Fn(usize) -> bool) -> SenderObservation {
+        let n = outbox.universe();
+        SenderObservation::from_outbox_with_faults(
+            outbox,
+            (0..n).map(linked).collect(),
+            vec![false; n],
+        )
+    }
+
+    /// The fault-free round trace of `outboxes`, masked by `linked(s, r)`.
+    fn trace_of(
+        round: Round,
+        outboxes: &[Outbox],
+        linked: impl Fn(usize, usize) -> bool,
+    ) -> RoundTrace {
+        RoundTrace::from_slots(round, outboxes.len(), |s, r| TraceSlot {
+            sent: outboxes[s].get(pid(r)),
+            reachable: linked(s, r),
+            link_faulted: false,
+        })
     }
 
     #[test]
@@ -589,7 +482,7 @@ mod tests {
             Outbox::broadcast(2, pid(0), Value::new(1.0)),
             Outbox::silent(2, pid(1)),
         ];
-        let trace = RoundTrace::from_outboxes(Round::new(7), &outboxes);
+        let trace = trace_of(Round::new(7), &outboxes, |_, _| true);
         assert_eq!(trace.round(), Round::new(7));
         assert_eq!(trace.universe(), 2);
         assert_eq!(
@@ -604,8 +497,8 @@ mod tests {
         let mut trace = NetworkTrace::new();
         assert!(trace.is_empty());
         let outboxes = vec![Outbox::broadcast(1, pid(0), Value::new(0.0))];
-        trace.push(RoundTrace::from_outboxes(Round::ZERO, &outboxes));
-        trace.push(RoundTrace::from_outboxes(Round::new(1), &outboxes));
+        trace.push(trace_of(Round::ZERO, &outboxes, |_, _| true));
+        trace.push(trace_of(Round::new(1), &outboxes, |_, _| true));
         assert_eq!(trace.len(), 2);
         assert_eq!(trace.get(0).unwrap().round(), Round::ZERO);
         assert_eq!(trace.last().unwrap().round(), Round::new(1));
@@ -617,7 +510,7 @@ mod tests {
         // 0 — 1 linked, 2 unreachable from 0.
         let adjacency = Adjacency::from_edges(3, [(0, 1)]).unwrap();
         let outbox = Outbox::broadcast(3, pid(0), Value::new(1.0));
-        let obs = SenderObservation::from_outbox_masked(&outbox, &adjacency);
+        let obs = masked(&outbox, |r| adjacency.connected(pid(0), pid(r)));
         // The masked slot reads as None but is flagged structural…
         assert_eq!(obs.delivered_to(pid(2)), None);
         assert!(!obs.reaches(pid(2)));
@@ -638,15 +531,16 @@ mod tests {
     #[test]
     fn masked_silence_is_benign_and_masked_mixture_is_asymmetric() {
         let adjacency = Adjacency::from_edges(3, [(0, 1), (0, 2)]).unwrap();
-        let silent = SenderObservation::from_outbox_masked(&Outbox::silent(3, pid(0)), &adjacency);
+        let linked = |r| adjacency.connected(pid(0), pid(r));
+        let silent = masked(&Outbox::silent(3, pid(0)), linked);
         assert_eq!(silent.classify(None), ObservedBehavior::Benign);
 
-        let mixed = SenderObservation::from_outbox_masked(
+        let mixed = masked(
             &Outbox::per_receiver(
                 pid(0),
                 vec![Some(Value::new(0.0)), Some(Value::new(1.0)), None],
             ),
-            &adjacency,
+            linked,
         );
         assert_eq!(mixed.classify(None), ObservedBehavior::Asymmetric);
     }
@@ -666,9 +560,33 @@ mod tests {
             Outbox::broadcast(2, pid(0), Value::new(1.0)),
             Outbox::broadcast(2, pid(1), Value::new(2.0)),
         ];
-        let trace = RoundTrace::from_outboxes_masked(Round::ZERO, &outboxes, &adjacency);
+        let trace = trace_of(Round::ZERO, &outboxes, |s, r| {
+            adjacency.connected(pid(s), pid(r))
+        });
         assert!(!trace.observation(pid(0)).reaches(pid(1)));
         assert!(trace.observation(pid(0)).reaches(pid(0)));
+    }
+
+    #[test]
+    fn from_slots_delivers_only_reachable_fault_free_slots() {
+        let sent = Some(Value::new(4.0));
+        let trace = RoundTrace::from_slots(Round::new(2), 2, |s, r| TraceSlot {
+            sent,
+            reachable: s == r || s == 0,
+            link_faulted: s == 0 && r == 1,
+        });
+        assert_eq!(trace.round(), Round::new(2));
+        let p0 = trace.observation(pid(0));
+        assert_eq!(p0.sender(), pid(0));
+        assert_eq!(p0.delivered_to(pid(0)), sent);
+        // Reachable but link-faulted: not delivered, flagged as the link's.
+        assert_eq!(p0.delivered_to(pid(1)), None);
+        assert!(p0.reaches(pid(1)) && p0.link_faulted(pid(1)));
+        // Unreachable: not delivered, flagged as structure.
+        let p1 = trace.observation(pid(1));
+        assert_eq!(p1.delivered_to(pid(0)), None);
+        assert!(!p1.reaches(pid(0)) && !p1.link_faulted(pid(0)));
+        assert_eq!(p1.delivered_to(pid(1)), sent);
     }
 
     #[test]
@@ -702,15 +620,14 @@ mod tests {
     fn directed_observation_uses_out_reachability() {
         let directed = DirectedAdjacency::from_arcs(3, [(0, 1)]).unwrap();
         let outbox = Outbox::broadcast(3, pid(0), Value::new(2.0));
-        let obs = SenderObservation::from_outbox_directed(&outbox, &directed);
+        let obs = masked(&outbox, |r| directed.delivers(pid(0), pid(r)));
         assert!(obs.reaches(pid(1)));
         assert!(!obs.reaches(pid(2)));
         assert_eq!(obs.classify(None), ObservedBehavior::CorrectBroadcast);
         // p1 cannot reach anyone but itself.
-        let back = SenderObservation::from_outbox_directed(
-            &Outbox::broadcast(3, pid(1), Value::new(3.0)),
-            &directed,
-        );
+        let back = masked(&Outbox::broadcast(3, pid(1), Value::new(3.0)), |r| {
+            directed.delivers(pid(1), pid(r))
+        });
         assert!(!back.reaches(pid(0)));
         assert_eq!(back.unreachable_receivers(), vec![pid(0), pid(2)]);
     }

@@ -224,11 +224,10 @@ pub trait Observer {
     fn on_run_end(&mut self, _event: &RunEndEvent) {}
 
     /// The events that follow, up to the next `on_lane`, belong to lane
-    /// `lane` (its index in the pack). The batch engine's lockstep loop
-    /// calls this for a pack of more than one lane, when
+    /// `lane` (its index in the pack). The engine's lockstep loop calls
+    /// this for every lane of a pack of more than one lane, when
     /// [`Observer::enabled`], before each live lane's round and before
-    /// each lane's run-level events. A single-lane run and the scalar
-    /// engine never call it; their events arrive one run after another.
+    /// each lane's run-level events. A single run never calls it.
     #[inline]
     fn on_lane(&mut self, _lane: usize) {}
 
@@ -297,7 +296,7 @@ impl Observer for NoopObserver {
 /// In a batched run, round events from different lanes interleave
 /// round-major. The log ignores [`Observer::on_lane`]; [`EventLog::for_seed`]
 /// recovers the per-seed subsequence, which is bit-identical to the same
-/// seed's scalar-engine stream as long as no two lanes share a seed. For
+/// seed's stream when run alone, as long as no two lanes share a seed. For
 /// packs that may repeat a seed, route by lane instead (as the
 /// [`Sinks::events`] sink of the summary executor does).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -649,8 +648,8 @@ pub struct Sinks<'a> {
     /// Folds every run's telemetry (see [`MetricsRegistry::merge`]).
     pub metrics: Option<&'a mut MetricsRegistry>,
     /// Receives every run's events, appended point-major and seed-minor:
-    /// each run's rounds, then its run-level events, as the scalar engine
-    /// emits them for that seed.
+    /// each run's rounds, then its run-level events, as a single run of
+    /// that seed emits them.
     pub events: Option<&'a mut Vec<Event>>,
     /// Accumulates the phase times of every pack, summed over workers
     /// (see [`timing::PhaseProfiler::merge`]).

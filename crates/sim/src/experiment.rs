@@ -231,8 +231,8 @@ pub const BATCH_WIDTH: usize = 32;
 /// The summary-level executor: runs several experiment points as **one**
 /// cross-point packed pool. Every `(point, seed)` pair is lowered up
 /// front (point-major, seed-minor), and consecutive lanes whose lowered
-/// configurations are [`shape_compatible`] — same `n`, `f`, model, and
-/// observe level — are packed into shared [`BatchEngine`] batches of up
+/// configurations are [`shape_compatible`] — same `n`, `f`, and model —
+/// are packed into shared [`BatchEngine`] batches of up
 /// to [`BATCH_WIDTH`] lanes. A point whose seed batch does not fill its
 /// last batch is topped up with the next compatible point's first seeds,
 /// so sweeping many small points does not pay one under-full batch per
@@ -242,8 +242,8 @@ pub const BATCH_WIDTH: usize = 32;
 /// Seeds run in parallel on the ambient rayon pool; results come back
 /// **per point**, aligned with `configs`, each point's runs in its seed
 /// batch order. Per-seed summaries are bit-identical for every worker
-/// count and pack boundary — the packed engine proves per-lane
-/// equivalence with the scalar engine. A point whose lowering or runs
+/// count and pack boundary — a lane's result does not depend on the pack
+/// it rides in. A point whose lowering or runs
 /// fail carries its first failing seed's error (in seed-batch order)
 /// without disturbing its neighbours, so callers keep point-level error
 /// attribution.

@@ -2,7 +2,7 @@
 //! read off the deterministic telemetry stream instead of recorded
 //! snapshots.
 //!
-//! An [`EventLog`] attached to a batch of scalar runs captures every
+//! An [`EventLog`] attached to a batch of single runs captures every
 //! `round` event — diameter, contraction ratio, MSR reduction width,
 //! message traffic — without changing a single bit of the results (the
 //! observability invariant; see `docs/observability.md`). This example

@@ -17,8 +17,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mbaa::{
-    BatchEngine, CorruptionStrategy, MetricsRegistry, MobileEngine, MobileModel, MobilityStrategy,
-    NoopObserver, Observe, Observer, PackedLane, ProtocolConfig, Topology, TopologySchedule, Value,
+    BatchEngine, CorruptionStrategy, MetricsRegistry, MobileModel, MobilityStrategy, NoopObserver,
+    Observe, Observer, PackedLane, ProtocolConfig, Topology, TopologySchedule, Value,
 };
 
 /// Counts every allocation (not bytes — the assertion is about *count*)
@@ -93,14 +93,11 @@ fn run_counting_observed<O: Observer>(
         .observe(observe)
         .build()
         .expect("config");
-    let engine = MobileEngine::new(config);
     // Warm up once: lazily initialized runtime state (thread-locals, the
     // first pool fills) must not be charged to the measured run.
-    engine.run(&inputs).expect("warm-up run");
+    BatchEngine::run(&config, &inputs).expect("warm-up run");
     let before = allocations();
-    let outcome = engine
-        .run_observed(&inputs, observer)
-        .expect("measured run");
+    let outcome = BatchEngine::run_with(&config, &inputs, None, observer).expect("measured run");
     (allocations() - before, outcome.rounds_executed)
 }
 

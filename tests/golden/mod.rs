@@ -47,7 +47,9 @@ impl Golden {
                 .find(|(name, _)| name == case)
                 .map(|(_, d)| d);
             if committed != Some(digest.as_str()) {
-                wrong.push(format!("golden: {case} {digest} (committed: {committed:?})"));
+                wrong.push(format!(
+                    "golden: {case} {digest} (committed: {committed:?})"
+                ));
             }
         }
         assert!(

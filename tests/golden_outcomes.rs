@@ -55,8 +55,12 @@ fn networks(base: &Scenario) -> Vec<(&'static str, Scenario)> {
         ),
         (
             "delayed_link",
-            base.clone()
-                .link_faults(LinkFaultPlan::new().delay(0, 1, 2).delay(3, 2, 1).omit(1, 2, 0.3)),
+            base.clone().link_faults(
+                LinkFaultPlan::new()
+                    .delay(0, 1, 2)
+                    .delay(3, 2, 1)
+                    .omit(1, 2, 0.3),
+            ),
         ),
     ]
 }

@@ -107,7 +107,7 @@ fn scenario_runs_are_bit_identical_to_the_lowered_protocol_path() {
         .inputs(spread_inputs(9));
     let via_scenario = scenario.run(7).unwrap();
     let config = scenario.lower(7).unwrap();
-    let via_protocol = MobileEngine::new(config).run(&spread_inputs(9)).unwrap();
+    let via_protocol = BatchEngine::run(&config, &spread_inputs(9)).unwrap();
     assert_eq!(via_scenario, via_protocol);
 }
 

@@ -5,12 +5,12 @@
 //! Three families of guarantees, all through the public `mbaa` facade:
 //!
 //! * **Inertness** — outcomes with an observer attached are bit-identical
-//!   to detached runs: scalar engine, `BatchEngine` (including a ragged
+//!   to detached runs: single (scalar, one-lane) runs, packs (including a ragged
 //!   33-seed batch that spills one lane past the 32-lane chunk width), all
 //!   `Observe` levels, and `Runner`/`Sweep` streaming at worker counts
 //!   1/2/8.
-//! * **Per-seed determinism** — the event subsequence a seed produces on
-//!   the batched engine equals the scalar engine's stream for that seed,
+//! * **Per-seed determinism** — the event subsequence a seed produces in
+//!   a pack equals the stream of that seed run alone (the scalar run),
 //!   event for event.
 //! * **Order-independent aggregation** — folding per-seed registries in
 //!   any order (and across any worker split) merges to the same registry,
@@ -18,7 +18,7 @@
 
 use mbaa::obs::{Sinks, Tee};
 use mbaa::prelude::*;
-use mbaa::{BatchEngine, Event, MobileEngine, Observe, PackedLane};
+use mbaa::{BatchEngine, Event, Observe, PackedLane};
 
 fn scenario() -> Scenario {
     Scenario::at_bound(MobileModel::Garay, 2)
@@ -239,9 +239,13 @@ fn scalar_engine_event_stream_is_level_independent() {
     for observe in [Observe::Full, Observe::Snapshots, Observe::Summary] {
         let scenario = scenario().observe(observe);
         let mut log = EventLog::new();
-        MobileEngine::new(scenario.lower(3).unwrap())
-            .run_observed(&scenario.initial_values(3), &mut log)
-            .unwrap();
+        BatchEngine::run_with(
+            &scenario.lower(3).unwrap(),
+            &scenario.initial_values(3),
+            None,
+            &mut log,
+        )
+        .unwrap();
         let events = log.events().to_vec();
         match &reference {
             None => reference = Some(events),

@@ -34,7 +34,7 @@ fn single_runs_are_byte_identical_to_the_lowered_protocol_path_for_all_models() 
             "{model}: lowering diverged"
         );
         let inputs = scenario.initial_values(seed);
-        let via_protocol = MobileEngine::new(config).run(&inputs).unwrap();
+        let via_protocol = BatchEngine::run(&config, &inputs).unwrap();
 
         // Structurally identical…
         assert_eq!(via_scenario, via_protocol, "{model}: outcomes diverged");
@@ -62,9 +62,7 @@ fn explicit_function_lowering_is_also_identical() {
         .seed(7)
         .build()
         .unwrap();
-    let via_protocol = MobileEngine::new(config)
-        .run(&scenario.initial_values(7))
-        .unwrap();
+    let via_protocol = BatchEngine::run(&config, &scenario.initial_values(7)).unwrap();
     assert_eq!(via_scenario, via_protocol);
 }
 

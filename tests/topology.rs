@@ -175,9 +175,7 @@ fn masked_engine_runs_agree_with_the_hand_lowered_protocol_path() {
         .seed(7)
         .build()
         .unwrap();
-    let via_protocol = MobileEngine::new(config)
-        .run(&scenario.initial_values(7))
-        .unwrap();
+    let via_protocol = BatchEngine::run(&config, &scenario.initial_values(7)).unwrap();
     assert_eq!(via_scenario, via_protocol);
 }
 
@@ -208,6 +206,6 @@ fn engine_rejects_degenerate_topologies_when_config_bypasses_the_builder() {
         .build()
         .unwrap();
     config.topology = Topology::RandomRegular { degree: 9 };
-    let err = MobileEngine::new(config).run(&inputs(9)).unwrap_err();
+    let err = BatchEngine::run(&config, &inputs(9)).unwrap_err();
     assert!(matches!(err, Error::InvalidParameter(_)));
 }
