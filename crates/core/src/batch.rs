@@ -131,10 +131,7 @@ struct LaneState {
     prev_stats: NetworkStats,
     corrupted_last: u32,
     corruptions: u64,
-    /// The recordings of a lane above [`Observe::Summary`]: one snapshot
-    /// per round, and at [`Observe::Full`] one trace per round.
-    configurations: Vec<RoundSnapshot>,
-    trace: NetworkTrace,
+    recorded: Recording,
 }
 
 impl LaneState {
@@ -161,8 +158,7 @@ impl LaneState {
             prev_stats: NetworkStats::new(),
             corrupted_last: 0,
             corruptions: 0,
-            configurations: Vec::new(),
-            trace: NetworkTrace::new(),
+            recorded: Recording::default(),
         }
     }
 
@@ -378,7 +374,7 @@ fn begin_lane_round<O: Observer>(
             // The run ends before its send phase; its first snapshot is
             // still recorded.
             if cfg.observe.records_snapshots() {
-                ls.configurations.push(snapshot(votes, states));
+                ls.recorded.configurations.push(snapshot(votes, states));
             }
             ls.done = true;
             return false;
@@ -390,6 +386,42 @@ fn begin_lane_round<O: Observer>(
 /// The configuration of one lane at the start of a round.
 fn snapshot(votes: &[Value], states: &[FaultState]) -> RoundSnapshot {
     RoundSnapshot::new(states.iter().copied().zip(votes.iter().copied()).collect())
+}
+
+/// What a lane above [`Observe::Summary`] records: one snapshot per round,
+/// and at [`Observe::Full`] one trace per round.
+#[derive(Default)]
+struct Recording {
+    configurations: Vec<RoundSnapshot>,
+    trace: NetworkTrace,
+}
+
+impl Recording {
+    /// Records one exchanged round. The votes and states are still those
+    /// the adversary phase left, so the snapshot is the round's starting
+    /// configuration; the trace replays the exchange just made. Kept out
+    /// of line so the recording code stays out of the Summary round loop.
+    #[cold]
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn round(
+        &mut self,
+        observe: Observe,
+        votes: &[Value],
+        states: &[FaultState],
+        shared: &SharedRealization,
+        delivery: &LaneDelivery,
+        round: Round,
+        sends: &[LaneSend],
+        plan: &RoundFaultPlan,
+    ) {
+        self.configurations.push(snapshot(votes, states));
+        if observe.records_trace() {
+            let trace =
+                shared.trace_round(delivery, round, sends, |i| per_receiver_outbox(plan, i));
+            self.trace.push(trace);
+        }
+    }
 }
 
 /// The send classification of one process, honouring the model-specific
@@ -585,18 +617,17 @@ fn run_lockstep<O: Observer>(
                 continue;
             }
 
-            // Recording: votes and states are still those the adversary
-            // phase left, so the snapshot is the round's starting
-            // configuration; the trace replays the round just exchanged.
             if cfg.observe != Observe::Summary {
-                // mbaa: allow(hot-path/vec-growth, recording is opt-in observability off the Summary hot path)
-                ls.configurations.push(snapshot(votes_l, states_l));
-                if cfg.observe.records_trace() {
-                    let trace = shared
-                        .trace_round(delivery, round, &sends, |i| per_receiver_outbox(&plan, i));
-                    // mbaa: allow(hot-path/vec-growth, recording is opt-in observability off the Summary hot path)
-                    ls.trace.push(trace);
-                }
+                ls.recorded.round(
+                    cfg.observe,
+                    votes_l,
+                    states_l,
+                    shared,
+                    delivery,
+                    round,
+                    &sends,
+                    &plan,
+                );
             }
 
             // Compute phase over the ascending rows: one k-wide MSR call
@@ -721,8 +752,8 @@ fn collect<O: Observer>(
                 report,
                 validity_envelope,
                 epsilon: lane.config.epsilon,
-                configurations: ls.configurations,
-                trace: ls.trace,
+                configurations: ls.recorded.configurations,
+                trace: ls.recorded.trace,
                 network_stats: ls.stats,
             };
             if telemetry {
