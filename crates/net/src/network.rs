@@ -92,14 +92,6 @@ pub struct LaneDelivery {
     pipes: Vec<VecDeque<SendOutcome>>,
 }
 
-impl LaneDelivery {
-    /// The lane seed driving this lane's churn and omission draws.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-}
-
 /// One static graph with its precomputed closed in-neighbourhood lists:
 /// `neighbors[offsets[r]..offsets[r + 1]]` are the senders receiver `r`
 /// hears (itself included), ascending.

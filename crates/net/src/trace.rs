@@ -73,58 +73,6 @@ pub struct SenderObservation {
 }
 
 impl SenderObservation {
-    /// Builds the observation of a sender from its outbox (what the network
-    /// actually delivered, since the network is reliable) on a fully
-    /// connected network.
-    #[must_use]
-    pub fn from_outbox(outbox: &Outbox) -> Self {
-        SenderObservation {
-            sender: outbox.sender(),
-            delivered: (0..outbox.universe())
-                .map(|i| outbox.get(ProcessId::new(i)))
-                .collect(),
-            reachable: vec![true; outbox.universe()],
-            link_faulted: vec![false; outbox.universe()],
-        }
-    }
-
-    /// Builds the observation of a sender on a masked or link-faulted
-    /// network: `reachable` is the structural mask of the round's graph,
-    /// and `link_faulted` flags the slots whose outcome was decided by a
-    /// per-link fault (omission draw or delay buffer) rather than by the
-    /// sender — both kinds of slot read as `None` and are excluded from
-    /// [`classify`](SenderObservation::classify).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the flag vectors do not cover the outbox's universe.
-    #[must_use]
-    pub fn from_outbox_with_faults(
-        outbox: &Outbox,
-        reachable: Vec<bool>,
-        link_faulted: Vec<bool>,
-    ) -> Self {
-        let n = outbox.universe();
-        assert!(
-            reachable.len() == n && link_faulted.len() == n,
-            "flag vectors must cover the outbox universe"
-        );
-        SenderObservation {
-            sender: outbox.sender(),
-            delivered: (0..n)
-                .map(|i| {
-                    if reachable[i] && !link_faulted[i] {
-                        outbox.get(ProcessId::new(i))
-                    } else {
-                        None
-                    }
-                })
-                .collect(),
-            reachable,
-            link_faulted,
-        }
-    }
-
     /// The observed sender.
     #[must_use]
     pub fn sender(&self) -> ProcessId {
@@ -390,15 +338,33 @@ mod tests {
         ProcessId::new(i)
     }
 
+    /// The observation of `outbox`'s sender in a round where its slot to
+    /// `r` crosses a link when `linked(r)` and is link-faulted when
+    /// `faulted(r)`.
+    fn observe(
+        outbox: &Outbox,
+        linked: impl Fn(usize) -> bool,
+        faulted: impl Fn(usize) -> bool,
+    ) -> SenderObservation {
+        let sender = outbox.sender();
+        let ours = |s: usize| s == sender.index();
+        RoundTrace::from_slots(Round::ZERO, outbox.universe(), |s, r| TraceSlot {
+            sent: if ours(s) { outbox.get(pid(r)) } else { None },
+            reachable: !ours(s) || linked(r),
+            link_faulted: ours(s) && faulted(r),
+        })
+        .observation(sender)
+    }
+
+    /// The observation of `outbox` on a fault-free complete network.
+    fn plain(outbox: &Outbox) -> SenderObservation {
+        observe(outbox, |_| true, |_| false)
+    }
+
     /// The observation of `outbox` whose slot to `r` crosses a link only
     /// when `linked(r)`.
     fn masked(outbox: &Outbox, linked: impl Fn(usize) -> bool) -> SenderObservation {
-        let n = outbox.universe();
-        SenderObservation::from_outbox_with_faults(
-            outbox,
-            (0..n).map(linked).collect(),
-            vec![false; n],
-        )
+        observe(outbox, linked, |_| false)
     }
 
     /// The fault-free round trace of `outboxes`, masked by `linked(s, r)`.
@@ -417,7 +383,7 @@ mod tests {
     #[test]
     fn benign_classification_for_silence() {
         let outbox = Outbox::silent(3, pid(0));
-        let obs = SenderObservation::from_outbox(&outbox);
+        let obs = plain(&outbox);
         assert_eq!(
             obs.classify(Some(Value::new(1.0))),
             ObservedBehavior::Benign
@@ -428,7 +394,7 @@ mod tests {
     #[test]
     fn correct_broadcast_matches_expectation() {
         let outbox = Outbox::broadcast(3, pid(1), Value::new(2.0));
-        let obs = SenderObservation::from_outbox(&outbox);
+        let obs = plain(&outbox);
         assert_eq!(
             obs.classify(Some(Value::new(2.0))),
             ObservedBehavior::CorrectBroadcast
@@ -439,7 +405,7 @@ mod tests {
     #[test]
     fn symmetric_when_uniform_but_wrong() {
         let outbox = Outbox::broadcast(3, pid(1), Value::new(42.0));
-        let obs = SenderObservation::from_outbox(&outbox);
+        let obs = plain(&outbox);
         assert_eq!(
             obs.classify(Some(Value::new(2.0))),
             ObservedBehavior::Symmetric
@@ -456,22 +422,22 @@ mod tests {
                 Some(Value::new(0.0)),
             ],
         );
-        let obs = SenderObservation::from_outbox(&outbox);
+        let obs = plain(&outbox);
         assert_eq!(obs.classify(None), ObservedBehavior::Asymmetric);
     }
 
     #[test]
     fn partial_omission_is_asymmetric() {
         let outbox = Outbox::per_receiver(pid(0), vec![Some(Value::new(0.0)), None]);
-        let obs = SenderObservation::from_outbox(&outbox);
+        let obs = plain(&outbox);
         assert_eq!(obs.classify(None), ObservedBehavior::Asymmetric);
     }
 
     #[test]
     fn observation_delivered_to() {
-        let outbox = Outbox::per_receiver(pid(3), vec![Some(Value::new(5.0)), None]);
-        let obs = SenderObservation::from_outbox(&outbox);
-        assert_eq!(obs.sender(), pid(3));
+        let outbox = Outbox::per_receiver(pid(1), vec![Some(Value::new(5.0)), None]);
+        let obs = plain(&outbox);
+        assert_eq!(obs.sender(), pid(1));
         assert_eq!(obs.delivered_to(pid(0)), Some(Value::new(5.0)));
         assert_eq!(obs.delivered_to(pid(1)), None);
     }
@@ -548,7 +514,7 @@ mod tests {
     #[test]
     fn fully_connected_observation_reaches_everyone() {
         let outbox = Outbox::broadcast(2, pid(0), Value::new(1.0));
-        let obs = SenderObservation::from_outbox(&outbox);
+        let obs = plain(&outbox);
         assert!(obs.reaches(pid(0)) && obs.reaches(pid(1)));
         assert!(obs.unreachable_receivers().is_empty());
     }
@@ -594,11 +560,7 @@ mod tests {
         // A correct broadcast whose slot to p2 was eaten by the link: still
         // a correct broadcast, not an asymmetric fault.
         let outbox = Outbox::broadcast(3, pid(0), Value::new(1.0));
-        let obs = SenderObservation::from_outbox_with_faults(
-            &outbox,
-            vec![true, true, true],
-            vec![false, false, true],
-        );
+        let obs = observe(&outbox, |_| true, |r| r == 2);
         assert!(obs.link_faulted(pid(2)));
         assert!(!obs.link_faulted(pid(1)));
         assert!(obs.reaches(pid(2)));
@@ -608,11 +570,7 @@ mod tests {
             ObservedBehavior::CorrectBroadcast
         );
         // Every judgeable slot gone: nothing observable beyond silence.
-        let dark = SenderObservation::from_outbox_with_faults(
-            &outbox,
-            vec![true, true, true],
-            vec![true, true, true],
-        );
+        let dark = observe(&outbox, |_| true, |_| true);
         assert_eq!(dark.classify(None), ObservedBehavior::Benign);
     }
 
