@@ -552,8 +552,8 @@ fn run_lockstep<O: Observer>(
 
     // The steady-state round loop: `mbaa-analyze` statically rejects
     // allocating idioms in here (the complement of the dynamic
-    // allocator-counter proof in `tests/alloc_regression.rs`); only the
-    // opt-in recordings are waived.
+    // allocator-counter proof in `tests/alloc_regression.rs`); the opt-in
+    // recordings run out of line, in `Recording::round`.
     // mbaa: alloc-free
     for round_idx in 0..max_rounds {
         let mut all_done = true;
@@ -670,8 +670,10 @@ fn run_lockstep<O: Observer>(
             ls.done = ls.reached;
             if telemetry {
                 let stats = ls.stats;
-                let voting: &dyn VotingFunction = function.unwrap_or(&cfg.function);
-                let width = rows.min_len().map_or(0, |len| voting.reduced_width(len));
+                let width = rows.min_len().map_or(0, |len| match function {
+                    Some(function) => function.reduced_width(len),
+                    None => cfg.function.reduced_width(len),
+                });
                 observer.on_round(&RoundEvent {
                     seed: cfg.seed,
                     round: round_idx as u64,

@@ -13,8 +13,6 @@ use serde::{Deserialize, Serialize};
 
 use mbaa_types::{ProcessId, Round, Value};
 
-use crate::Outbox;
-
 /// The behaviour of a sender in one round, as perceived by the receivers.
 ///
 /// This is the *observable* counterpart of
@@ -332,7 +330,7 @@ impl NetworkTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Adjacency, DirectedAdjacency};
+    use crate::{Adjacency, DirectedAdjacency, Outbox};
 
     fn pid(i: usize) -> ProcessId {
         ProcessId::new(i)
