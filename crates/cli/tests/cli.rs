@@ -185,6 +185,87 @@ fn fixed_workload_of_the_wrong_length_fails_cleanly() {
     );
 }
 
+/// A one-point, one-seed document around a `scenario` object.
+fn single_point_doc(scenario: &str) -> String {
+    format!(
+        r#"{{"format": "mbaa-scenario/1", "name": "edge", "scenario": {scenario}, "seeds": [0]}}"#
+    )
+}
+
+#[test]
+fn agents_on_every_process_fail_the_run_cleanly() {
+    // The document is schema-valid; `run` reports the typed parameter
+    // error instead of panicking on an empty correct set.
+    let dir = scratch("all-faulty");
+    for (model, n) in [("garay", 9), ("buhrman", 1)] {
+        let file = dir.join(format!("{model}.scenario.json"));
+        let scenario =
+            format!(r#"{{"model": "{model}", "n": {n}, "f": {n}, "allow_bound_violation": true}}"#);
+        fs::write(&file, single_point_doc(&scenario)).unwrap();
+        let ran = mbaa(&["run", file.to_str().unwrap()], &dir);
+        assert_eq!(ran.status.code(), Some(1), "stderr: {}", stderr(&ran));
+        assert!(
+            stderr(&ran).contains(&format!(
+                "invalid parameter: f={n} agents must leave at least one of the n={n} processes \
+                 non-faulty"
+            )),
+            "{model}: {}",
+            stderr(&ran)
+        );
+    }
+}
+
+#[test]
+fn inverted_parameter_ranges_fail_validation_naming_the_field() {
+    let dir = scratch("ranges");
+    let cases = [
+        (
+            r#""corruption": {"random-noise": {"lo": 5, "hi": -5}}"#,
+            "scenario.corruption.random-noise.hi: range [5.0, -5.0] needs lo <= hi",
+        ),
+        (
+            r#""corruption": {"random-noise": {"lo": -1e308, "hi": 1e308}}"#,
+            "scenario.corruption.random-noise.hi: range [-1e308, 1e308] needs lo <= hi and a \
+             finite width",
+        ),
+        (
+            r#""workload": {"uniform-spread": {"lo": 5, "hi": -5}}"#,
+            "scenario.workload.uniform-spread.hi: range [5.0, -5.0] needs lo <= hi",
+        ),
+        (
+            r#""workload": {"random-uniform": {"lo": 5, "hi": -5}}"#,
+            "scenario.workload.random-uniform.hi: range [5.0, -5.0] needs lo <= hi",
+        ),
+        (
+            r#""workload": {"clustered": {"centers": [0, 1], "jitter": -1}}"#,
+            "scenario.workload.clustered.jitter: jitter must be >= 0",
+        ),
+        (
+            r#""workload": {"clustered": {"centers": [], "jitter": 1}}"#,
+            "scenario.workload.clustered.centers: a clustered workload needs at least one centre",
+        ),
+    ];
+    for (i, (knob, expected)) in cases.into_iter().enumerate() {
+        let file = dir.join(format!("case{i}.scenario.json"));
+        let scenario = format!(r#"{{"model": "garay", "n": 9, "f": 2, {knob}}}"#);
+        fs::write(&file, single_point_doc(&scenario)).unwrap();
+        for command in ["validate", "run"] {
+            let out = mbaa(&[command, file.to_str().unwrap()], &dir);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{command} {knob}: {}",
+                stderr(&out)
+            );
+            assert!(
+                stderr(&out).contains(expected),
+                "{command} {knob}: {}",
+                stderr(&out)
+            );
+        }
+    }
+}
+
 #[test]
 fn explain_shows_bound_and_points() {
     let dir = scratch("explain");

@@ -358,9 +358,11 @@ impl ProtocolConfigBuilder {
     ///
     /// # Errors
     ///
-    /// * [`Error::InvalidParameter`] when `n == 0`, `max_rounds == 0`, `f`
-    ///   exceeds `n`, or the topology cannot be realized over `n` processes
-    ///   (mismatched custom matrix, infeasible random-regular degree).
+    /// * [`Error::InvalidParameter`] when `n == 0`, `max_rounds == 0`,
+    ///   `f >= n` (no process would be non-faulty), a random-noise
+    ///   corruption range is inverted or infinitely wide, or the topology
+    ///   cannot be realized over `n` processes (mismatched custom matrix,
+    ///   infeasible random-regular degree).
     /// * [`Error::InsufficientProcesses`] when `n <= n_Mi` and bound
     ///   violations were not explicitly allowed.
     /// * [`Error::DisconnectedTopology`] when the realized graph is not
@@ -380,11 +382,20 @@ impl ProtocolConfigBuilder {
                 "max_rounds must be at least 1".into(),
             ));
         }
-        if self.f > self.n {
+        if self.f >= self.n {
+            // With every process faulty, validity and ε-agreement range
+            // over an empty correct set.
             return Err(Error::InvalidParameter(format!(
-                "f={} agents cannot occupy more than n={} processes",
+                "f={} agents must leave at least one of the n={} processes non-faulty",
                 self.f, self.n
             )));
+        }
+        if let CorruptionStrategy::RandomNoise { lo, hi } = self.corruption {
+            if !(lo <= hi && (hi - lo).is_finite()) {
+                return Err(Error::InvalidParameter(format!(
+                    "random-noise range [{lo:?}, {hi:?}] needs lo <= hi and a finite width"
+                )));
+            }
         }
         let required = self.model.required_processes(self.f);
         let satisfies = self.n >= required;
@@ -644,6 +655,34 @@ mod tests {
                 .build(),
             Err(Error::InvalidParameter(_))
         ));
+    }
+
+    #[test]
+    fn agents_on_every_process_are_rejected() {
+        for (model, n) in [(MobileModel::Garay, 9), (MobileModel::Buhrman, 1)] {
+            let err = ProtocolConfig::builder(model, n, n)
+                .allow_bound_violation()
+                .build()
+                .unwrap_err();
+            assert!(matches!(err, Error::InvalidParameter(_)), "{model}: {err}");
+        }
+    }
+
+    #[test]
+    fn inverted_or_unbounded_noise_ranges_are_rejected() {
+        let noise = |lo, hi| {
+            ProtocolConfig::builder(MobileModel::Garay, 9, 2)
+                .corruption(CorruptionStrategy::RandomNoise { lo, hi })
+                .build()
+        };
+        assert!(noise(-1.0, 1.0).is_ok());
+        assert!(noise(1.0, 1.0).is_ok());
+        for (lo, hi) in [(1.0, -1.0), (-1e308, 1e308), (f64::NAN, 1.0)] {
+            assert!(
+                matches!(noise(lo, hi), Err(Error::InvalidParameter(_))),
+                "[{lo}, {hi}]"
+            );
+        }
     }
 
     #[test]

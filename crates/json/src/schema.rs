@@ -19,7 +19,7 @@
 use mbaa::prelude::*;
 use mbaa::{Reduction, Selection};
 
-use crate::ctx::Ctx;
+use crate::ctx::{Ctx, ObjCtx};
 use crate::error::SchemaError;
 use crate::value::Json;
 
@@ -149,6 +149,20 @@ pub fn corruption_to_json(corruption: CorruptionStrategy) -> Json {
     }
 }
 
+/// Reads the `lo` and `hi` fields of a sampling range, which must satisfy
+/// `lo <= hi` with a finite width `hi - lo`; the error is anchored at `hi`.
+fn range_from(obj: &mut ObjCtx<'_>) -> Result<(f64, f64), SchemaError> {
+    let lo = obj.req("lo")?.ctx().f64()?;
+    let hi_ctx = obj.req("hi")?;
+    let hi = hi_ctx.ctx().f64()?;
+    if lo > hi || !(hi - lo).is_finite() {
+        return Err(hi_ctx.ctx().err(format!(
+            "range [{lo:?}, {hi:?}] needs lo <= hi and a finite width hi - lo"
+        )));
+    }
+    Ok((lo, hi))
+}
+
 /// Parses a [`CorruptionStrategy`].
 pub fn corruption_from(ctx: Ctx<'_>) -> Result<CorruptionStrategy, SchemaError> {
     let (tag, payload) = ctx.variant()?;
@@ -180,8 +194,7 @@ pub fn corruption_from(ctx: Ctx<'_>) -> Result<CorruptionStrategy, SchemaError> 
         }
         ("random-noise", Some(child)) => {
             let mut obj = child.ctx().object()?;
-            let lo = obj.req("lo")?.ctx().f64()?;
-            let hi = obj.req("hi")?.ctx().f64()?;
+            let (lo, hi) = range_from(&mut obj)?;
             obj.finish()?;
             Ok(CorruptionStrategy::RandomNoise { lo, hi })
         }
@@ -494,28 +507,37 @@ pub fn workload_from(ctx: Ctx<'_>) -> Result<Workload, SchemaError> {
     match (tag, payload) {
         ("uniform-spread", Some(child)) => {
             let mut obj = child.ctx().object()?;
-            let lo = obj.req("lo")?.ctx().f64()?;
-            let hi = obj.req("hi")?.ctx().f64()?;
+            let (lo, hi) = range_from(&mut obj)?;
             obj.finish()?;
             Ok(Workload::UniformSpread { lo, hi })
         }
         ("random-uniform", Some(child)) => {
             let mut obj = child.ctx().object()?;
-            let lo = obj.req("lo")?.ctx().f64()?;
-            let hi = obj.req("hi")?.ctx().f64()?;
+            let (lo, hi) = range_from(&mut obj)?;
             obj.finish()?;
             Ok(Workload::RandomUniform { lo, hi })
         }
         ("clustered", Some(child)) => {
             let mut obj = child.ctx().object()?;
-            let centers = obj
-                .req("centers")?
+            let centers_ctx = obj.req("centers")?;
+            let centers = centers_ctx
                 .ctx()
                 .array()?
                 .iter()
                 .map(|c| c.ctx().f64())
                 .collect::<Result<Vec<_>, _>>()?;
-            let jitter = obj.req("jitter")?.ctx().f64()?;
+            if centers.is_empty() {
+                return Err(centers_ctx
+                    .ctx()
+                    .err("a clustered workload needs at least one centre"));
+            }
+            let jitter_ctx = obj.req("jitter")?;
+            let jitter = jitter_ctx.ctx().f64()?;
+            if jitter < 0.0 {
+                return Err(jitter_ctx
+                    .ctx()
+                    .err(format!("jitter must be >= 0, got {jitter}")));
+            }
             obj.finish()?;
             Ok(Workload::Clustered { centers, jitter })
         }

@@ -368,11 +368,14 @@ mod tests {
 
     #[test]
     fn trace_round_agrees_with_the_delivered_rows() {
-        // On every realization kind without delays, what the trace says a
+        // On every walk input without delays, what the trace says a
         // receiver got from each sender is exactly the row it was handed.
         let churn = TopologySchedule::SeededChurn {
             base: Topology::Complete,
             flip_rate: 0.3,
+        };
+        let periodic = TopologySchedule::Periodic {
+            phases: vec![Topology::Ring { k: 1 }, Topology::Complete],
         };
         let lossy = LinkFaultPlan::new().omit_all(0.3);
         let clean = LinkFaultPlan::new();
@@ -382,6 +385,10 @@ mod tests {
             (Topology::Ring { k: 2 }, None, &clean),
             (Topology::Complete, Some(&churn), &clean),
             (Topology::Ring { k: 3 }, None, &lossy),
+            (Topology::Complete, Some(&periodic), &clean),
+            (Topology::Complete, Some(&churn), &lossy),
+            (Topology::Complete, None, &lossy),
+            (Topology::RandomRegular { degree: 3 }, None, &clean),
         ];
         for (topology, schedule, plan) in cases {
             let mut shared = build(n, &topology, schedule, plan, DisconnectionPolicy::Record, 5);
@@ -432,7 +439,7 @@ mod tests {
     #[test]
     fn complete_delivery_matches_scalar() {
         // The plain complete graph and a ring wide enough to normalize to
-        // it both take the complete kind.
+        // it both take the complete-graph merge.
         for topology in [Topology::Complete, Topology::Ring { k: 6 }] {
             assert_matches_scalar(
                 &topology,
@@ -484,10 +491,35 @@ mod tests {
     #[test]
     fn lossy_and_delayed_links_match_scalar() {
         let plan = LinkFaultPlan::new().omit_all(0.3).delay(0, 1, 2);
+        // A ring buffers unreachable slots on its delayed links; churn
+        // draws its mask and sends the outcomes through the pipes.
+        let ring_delays = LinkFaultPlan::new().delay(0, 1, 2).delay(0, 3, 1);
+        let churn = TopologySchedule::SeededChurn {
+            base: Topology::Complete,
+            flip_rate: 0.3,
+        };
         for seed in [7, 11] {
             assert_matches_scalar(
                 &Topology::Complete,
                 None,
+                &plan,
+                DisconnectionPolicy::Record,
+                6,
+                seed,
+                10,
+            );
+            assert_matches_scalar(
+                &Topology::Ring { k: 1 },
+                None,
+                &ring_delays,
+                DisconnectionPolicy::Record,
+                6,
+                seed,
+                10,
+            );
+            assert_matches_scalar(
+                &Topology::Complete,
+                Some(&churn),
                 &plan,
                 DisconnectionPolicy::Record,
                 6,

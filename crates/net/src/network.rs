@@ -1,56 +1,50 @@
 //! The synchronous exchange: one realized network description serving
 //! every lane (seed) of a pack.
 //!
-//! A network bundles three things per run: the *structure* (realized
-//! graphs, compiled link-fault matrices, connectivity precomputation), the
-//! *per-seed draw streams* (churn and omission draws keyed on the run
-//! seed), and the *per-run delivery state* (delay pipes, round cursor,
-//! statistics). Only the first is shared across the lanes of a pack — and
-//! it is by far the most expensive to build and the only part that costs
-//! per-round allocations on the churn path.
+//! [`SharedRealization`] holds the structure once per pack (realized
+//! graphs, compiled link faults, connectivity) plus reusable round
+//! scratch. Each lane carries only a tiny [`LaneDelivery`]: its seed, which
+//! keys its churn and omission draws, its round cursor and, when the plan
+//! delays, its delay pipes.
 //!
-//! [`SharedRealization`] holds the structure once per pack plus reusable
-//! round scratch, while each lane carries only a tiny [`LaneDelivery`]
-//! (seed, round cursor, delay pipes when the plan needs them). A lane
-//! round is served by [`SharedRealization::exchange_rows`], which
-//! classifies and accounts every slot — delivered values, sender
-//! omissions, structural non-deliveries, link omissions and delays — and
-//! collects each active receiver's delivered values directly into packed,
-//! ascending [`DeliveryRows`], skipping the quadratic outbox
-//! materialization for broadcasting senders via [`LaneSend`]
-//! classification. [`SharedRealization::trace_round`] records the same
-//! round as a [`RoundTrace`] for the runs that ask for one.
+//! Every slot — what sender `s` put on its link to receiver `r` in one
+//! round — is decided by one classifier: a delivered value, a *sender
+//! omission* (charged to the sender), a *structural* non-delivery (no
+//! `s — r` link in the round's graph; counted in
+//! [`NetworkStats::unreachable`], never as an omission fault), or a *link
+//! omission* (the link's seeded draw lost the message).
+//! [`SharedRealization::exchange_rows`] accounts the outcomes and collects
+//! each active receiver's delivered values into ascending
+//! [`DeliveryRows`]; [`SharedRealization::trace_round`] records the same
+//! outcomes as a [`RoundTrace`], so the trace the Table 1 mapping reads
+//! cannot drift from the rows the MSR fold reads. Every non-omitted slot
+//! between neighbours is delivered exactly once (*reliability*), to the
+//! receiver the sender addressed (*authentication*), and nothing is
+//! delivered that was not sent (*no creation*).
 //!
-//! The exchange guarantees that every non-omitted slot between neighbours
-//! is delivered exactly once (*reliability*), to the receiver the sender
-//! addressed (*authentication*), and that nothing is delivered that was
-//! not sent (*no creation*). Nothing crosses a missing link: non-neighbour
-//! slots are *structural* non-deliveries, counted in
-//! [`NetworkStats::unreachable`] and never as omission faults.
+//! The rows come from one of two walks, chosen at build:
 //!
-//! The realization comes in three kinds, chosen at build:
+//! * **The complete-graph merge**, for the unmasked complete graph under a
+//!   clean plan: the broadcast values ([`LaneSend`]) are sorted once per
+//!   lane round, each receiver's row is that buffer merged with its ≤ 2f
+//!   per-receiver slots, and traffic is accounted in closed form.
+//! * **The general receiver walk**, for everything else: partial graphs,
+//!   periodic phases, seeded churn, link omissions and delays. A round's
+//!   graph is a reachability mask with closed in-neighbourhood lists,
+//!   built per phase (a fixed graph is the one-phase case) or redrawn per
+//!   lane round under churn. Without delayed links each receiver visits
+//!   only its in-neighbourhood; when some link delays, it visits all `n`
+//!   senders, and outcomes on delayed links travel the lane's pipes.
 //!
-//! * **complete** — the unmasked complete graph under a clean plan. Every
-//!   receiver hears every broadcaster, so the broadcast values are sorted
-//!   once per lane round and each receiver's row is that common buffer
-//!   merged with its ≤ 2f per-receiver slots; traffic is accounted in
-//!   closed form. This replaces `n` row sorts with one sort and `n` merges.
-//! * **static** — any other fixed graph under a clean plan, walked through
-//!   precomputed closed in-neighbourhood lists.
-//! * **dynamic** — per-round graphs (periodic phases, seeded churn) and/or
-//!   per-link omissions and delays.
-//!
-//! A [`Topology::RandomRegular`] graph realizes differently per seed
-//! (anywhere — as the static graph, a periodic phase, or a churn base), so
+//! A [`Topology::RandomRegular`] graph realizes differently per seed, so
 //! such descriptions are built once per lane seed
-//! ([`SharedRealization::realizes_per_seed`]); every other description is
-//! seed-invariant and built once per pack. Seeded churn is shared: the
-//! base graph is realized once and the per-`(seed, round, link)`
-//! down-draws are replayed per lane against the crate-internal draw
-//! primitive, so the realized per-round graphs match
+//! ([`SharedRealization::realizes_per_seed`]), all others once per pack.
+//! Churn replays each lane's per-`(seed, round, link)` down-draws against
+//! the shared base, so its round graphs match
 //! [`RealizedSchedule::adjacency_at`](crate::RealizedSchedule::adjacency_at)
 //! bit for bit.
 
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 use mbaa_types::{Error, ProcessId, Result, Round, Value};
@@ -61,15 +55,13 @@ use crate::{
     NetworkStats, Outbox, RoundTrace, Topology, TopologySchedule, TraceSlot,
 };
 
-/// What the send phase put on one directed link in one round — classified
-/// at send time, accounted at delivery time, so a delay pipe buffers the
-/// classification rather than the raw slot.
+/// What one slot carried: classified at send time and accounted at
+/// delivery time, so a delay pipe buffers the classification.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum SendOutcome {
     /// A value was sent and survived the link.
     Value(Value),
-    /// The sender omitted (an adversary/benign fault, attributable to the
-    /// sender).
+    /// The sender omitted (an adversary or benign fault).
     SenderOmitted,
     /// The pair shared no link in the send round (structural).
     Unreachable,
@@ -77,196 +69,217 @@ enum SendOutcome {
     LinkOmitted,
 }
 
-/// The per-lane slice of a dynamic exchange: everything keyed on the lane
-/// seed or advancing per lane round. Created by
-/// [`SharedRealization::lane`]; static realizations carry no state at all
-/// beyond the seed.
+impl SendOutcome {
+    /// Accounts the outcome as it arrives — over a delayed link when
+    /// `delayed` — and hands back the delivered value, if any.
+    #[inline(always)]
+    fn account(self, delayed: bool, stats: &mut NetworkStats) -> Option<Value> {
+        match self {
+            SendOutcome::Value(value) => {
+                stats.messages_delivered += 1;
+                stats.link_delayed += u64::from(delayed);
+                return Some(value);
+            }
+            SendOutcome::SenderOmitted => stats.omissions += 1,
+            SendOutcome::Unreachable => stats.unreachable += 1,
+            SendOutcome::LinkOmitted => stats.link_omissions += 1,
+        }
+        None
+    }
+}
+
+/// The per-lane slice of an exchange: everything keyed on the lane seed or
+/// advancing per lane round. Created by [`SharedRealization::lane`]; a
+/// fixed graph under a clean plan carries no state beyond the seed.
 #[derive(Debug, Clone)]
 pub struct LaneDelivery {
     seed: u64,
-    /// The round the next exchange must carry (dynamic realizations only —
-    /// the delay pipes and draw streams advance once per round).
+    /// The round the next exchange must carry (unless the graph is fixed).
     next_round: u64,
     /// In-order delay buffers, indexed `from * n + to`; allocated only when
     /// the compiled plan has a positive maximum delay.
     pipes: Vec<VecDeque<SendOutcome>>,
 }
 
-/// One static graph with its precomputed closed in-neighbourhood lists:
-/// `neighbors[offsets[r]..offsets[r + 1]]` are the senders receiver `r`
-/// hears (itself included), ascending.
+/// One round's graph: who hears whom, the closed in-neighbourhood lists
+/// the walk visits, and the component count the connectivity check reads.
 #[derive(Debug)]
-struct StaticGraph {
+struct RoundGraph {
+    /// `mask[r * n + s]`: receiver `r` hears sender `s` (symmetric, the
+    /// diagonal always set).
+    mask: Vec<bool>,
+    /// `neighbors[offsets[r]..offsets[r + 1]]`: the senders receiver `r`
+    /// hears (itself included), ascending.
     neighbors: Vec<u32>,
     offsets: Vec<u32>,
-}
-
-impl StaticGraph {
-    fn new(adjacency: &Adjacency) -> Self {
-        let n = adjacency.n();
-        let mut neighbors = Vec::new();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        for r in 0..n {
-            for (s, &linked) in adjacency.row(ProcessId::new(r)).iter().enumerate() {
-                if linked {
-                    neighbors.push(s as u32);
-                }
-            }
-            offsets.push(neighbors.len() as u32);
-        }
-        StaticGraph { neighbors, offsets }
-    }
-
-    fn closed_neighborhood(&self, r: usize) -> &[u32] {
-        &self.neighbors[self.offsets[r] as usize..self.offsets[r + 1] as usize]
-    }
-
-    /// Whether receiver `r` hears sender `s` (the lists are ascending).
-    fn hears(&self, r: usize, s: usize) -> bool {
-        self.closed_neighborhood(r)
-            .binary_search(&(s as u32))
-            .is_ok()
-    }
-}
-
-/// One phase of a dynamic schedule, with its connectivity precomputed once
-/// per batch instead of once per lane round.
-#[derive(Debug)]
-struct PhaseGraph {
-    adjacency: Adjacency,
-    graph: StaticGraph,
-    connected: bool,
     components: usize,
-}
-
-impl PhaseGraph {
-    fn new(adjacency: Adjacency) -> Self {
-        let graph = StaticGraph::new(&adjacency);
-        let connected = adjacency.is_connected();
-        let components = adjacency.component_count();
-        PhaseGraph {
-            adjacency,
-            graph,
-            connected,
-            components,
-        }
-    }
-}
-
-/// The per-round graph rule of a shared dynamic realization.
-#[derive(Debug)]
-enum DynGraphs {
-    /// Round `r` uses `phases[r % phases.len()]` — static graphs are the
-    /// single-phase case.
-    Phases(Vec<PhaseGraph>),
-    /// Round-indexed churn over a shared base; the per-`(seed, round,
-    /// link)` down-draws are replayed per lane.
-    Churn { base: Adjacency, flip_rate: f64 },
-}
-
-/// Reusable per-round scratch of the dynamic path (only the churn rule
-/// uses it): the round's realized link mask and the BFS state of its
-/// connectivity check. Shared across lanes — each lane round overwrites it
-/// completely.
-#[derive(Debug)]
-struct DynScratch {
-    /// `mask[a * n + b]`: the churned round graph, diagonal always set.
-    mask: Vec<bool>,
+    /// The component search's scratch.
     visited: Vec<bool>,
     stack: Vec<u32>,
 }
 
-/// Reusable per-round scratch of the complete kind, shared across lanes:
-/// the sorted broadcast values, the per-receiver senders, and one
-/// receiver's slots from them.
+impl RoundGraph {
+    /// The graph over `n` processes linking each pair `a < b` that
+    /// `linked(a, b)` accepts, sized so a refill never grows it.
+    fn new(n: usize, linked: impl Fn(usize, usize) -> bool) -> Self {
+        let mut graph = RoundGraph {
+            mask: vec![false; n * n],
+            neighbors: vec![0; n * n],
+            offsets: vec![0; n + 1],
+            components: 0,
+            visited: vec![false; n],
+            stack: vec![0; n],
+        };
+        graph.fill(linked);
+        graph
+    }
+
+    /// A graph that is never refilled: `adjacency`, its lists trimmed.
+    fn fixed(adjacency: &Adjacency) -> Self {
+        let n = adjacency.n();
+        let mut graph = RoundGraph::new(n, |a, b| {
+            adjacency.connected(ProcessId::new(a), ProcessId::new(b))
+        });
+        graph.neighbors.truncate(graph.offsets[n] as usize);
+        graph.neighbors.shrink_to_fit();
+        graph
+    }
+
+    #[inline]
+    fn hood(&self, r: usize) -> &[u32] {
+        &self.neighbors[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+    }
+
+    /// Refills the graph, asking `linked(a, b)` once per pair `a < b`, and
+    /// counts its components.
+    // mbaa: alloc-free
+    fn fill(&mut self, linked: impl Fn(usize, usize) -> bool) {
+        let n = self.visited.len();
+        let mut len = 0;
+        for r in 0..n {
+            for s in 0..n {
+                let link = match s.cmp(&r) {
+                    // Row `s` is filled already; the graph is symmetric.
+                    Ordering::Less => self.mask[s * n + r],
+                    Ordering::Equal => true,
+                    Ordering::Greater => linked(r, s),
+                };
+                self.mask[r * n + s] = link;
+                if link {
+                    self.neighbors[len] = s as u32;
+                    len += 1;
+                }
+            }
+            self.offsets[r + 1] = len as u32;
+        }
+        // Depth-first search; each node enters the stack once.
+        self.visited.fill(false);
+        self.components = 0;
+        for start in 0..n {
+            if self.visited[start] {
+                continue;
+            }
+            self.components += 1;
+            self.visited[start] = true;
+            self.stack[0] = start as u32;
+            let mut top = 1;
+            while top > 0 {
+                top -= 1;
+                let node = self.stack[top] as usize;
+                for i in self.offsets[node]..self.offsets[node + 1] {
+                    let next = self.neighbors[i as usize];
+                    if !self.visited[next as usize] {
+                        self.visited[next as usize] = true;
+                        self.stack[top] = next;
+                        top += 1;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Reusable scratch of the complete-graph merge, shared across lanes: the
+/// sorted broadcast values, the per-receiver senders, and one receiver's
+/// slots from them.
 #[derive(Debug)]
-struct CompleteScratch {
+struct MergeScratch {
     common: Vec<Value>,
     specials: Vec<usize>,
     extra: Vec<Value>,
 }
 
-#[derive(Debug)]
-enum SharedKind {
-    /// The unmasked complete graph under a clean fault plan: one sort of
-    /// the broadcasters, a merge per receiver, closed-form accounting.
-    Complete(CompleteScratch),
-    /// Any other static graph under a clean fault plan: the closed-form
-    /// static exchange, one accounting line per receiver.
-    Static(StaticGraph),
-    /// The dynamic path: per-round graphs and/or per-link faults.
-    Dynamic {
-        graphs: DynGraphs,
-        faults: CompiledLinkFaults,
-        policy: DisconnectionPolicy,
-        /// The largest compiled delay; 0 skips the pipe machinery entirely.
-        max_delay: usize,
-        scratch: DynScratch,
-    },
-}
-
-impl SharedKind {
-    /// The static kind of a fixed graph: a complete adjacency lowers onto
-    /// the unmasked complete kind.
-    fn fixed(n: usize, adjacency: &Adjacency) -> Self {
-        if adjacency.is_complete() {
-            Self::complete(n)
-        } else {
-            SharedKind::Static(StaticGraph::new(adjacency))
-        }
-    }
-
-    fn complete(n: usize) -> Self {
-        SharedKind::Complete(CompleteScratch {
-            common: vec![Value::new(0.0); n],
-            specials: vec![0; n],
-            extra: vec![Value::new(0.0); n],
-        })
-    }
-}
-
-/// The seed-invariant structure of one network description — or, for a
-/// description that [realizes per seed](SharedRealization::realizes_per_seed),
-/// the structure of one lane seed — realized once and shared by every lane
-/// of its group. The module documentation above spells out what is shared
-/// and what stays lane-local.
-#[derive(Debug)]
-pub struct SharedRealization {
-    n: usize,
-    kind: SharedKind,
-}
-
-/// Seed-dependence of a topology description: only
-/// [`Topology::RandomRegular`] realizes to a different graph per seed.
-fn topology_per_seed(topology: &Topology) -> bool {
-    matches!(topology, Topology::RandomRegular { .. })
-}
-
-/// Counts the connected components of a flat link mask (diagonal set), the
-/// allocation-free equivalent of [`Adjacency::component_count`] on the
-/// churned round graph.
-fn mask_components(mask: &[bool], n: usize, visited: &mut [bool], stack: &mut Vec<u32>) -> usize {
-    visited.fill(false);
-    let mut components = 0;
-    for start in 0..n {
-        if visited[start] {
-            continue;
-        }
-        components += 1;
-        visited[start] = true;
-        stack.push(start as u32);
-        while let Some(node) = stack.pop() {
-            let row = &mask[node as usize * n..(node as usize + 1) * n];
-            for (next, &linked) in row.iter().enumerate() {
-                if linked && !visited[next] {
-                    visited[next] = true;
-                    stack.push(next as u32);
+impl MergeScratch {
+    /// The complete-graph merge walk (see the module documentation).
+    // mbaa: alloc-free
+    fn walk<'o>(
+        &mut self,
+        sends: &[LaneSend],
+        outbox_of: &impl Fn(usize) -> &'o Outbox,
+        active: &[bool],
+        rows: &mut DeliveryRows,
+        stats: &mut NetworkStats,
+    ) {
+        let n = sends.len();
+        // Broadcasters feed one common buffer, sorted once; the ≤ 2f
+        // per-receiver senders are kept aside.
+        let mut common_len = 0;
+        let mut specials_len = 0;
+        for (s, &send) in sends.iter().enumerate() {
+            match send {
+                LaneSend::Broadcast(value) => {
+                    self.common[common_len] = value;
+                    common_len += 1;
+                }
+                LaneSend::Silent => {}
+                LaneSend::PerReceiver => {
+                    self.specials[specials_len] = s;
+                    specials_len += 1;
                 }
             }
         }
+        self.common[..common_len].sort_unstable();
+        let common = &self.common[..common_len];
+        let specials = &self.specials[..specials_len];
+
+        // Closed-form traffic accounting: a broadcast delivers to all n
+        // receivers, a per-receiver outbox to its Some slots, and every
+        // other slot is a sender omission — the unmasked complete graph
+        // has no structural drops.
+        let mut delivered = (common_len * n) as u64;
+        for &s in specials {
+            delivered += outbox_of(s)
+                .iter()
+                .filter(|(_, slot)| slot.is_some())
+                .count() as u64;
+        }
+        stats.rounds += 1;
+        stats.messages_delivered += delivered;
+        stats.omissions += (n * n) as u64 - delivered;
+
+        // Each active receiver's row is the common buffer merged with its
+        // special slots — the same ascending array a per-row sort would
+        // produce.
+        for (r, _) in active.iter().enumerate().filter(|(_, &on)| on) {
+            let receiver = ProcessId::new(r);
+            let mut extra_len = 0;
+            for &s in specials {
+                if let Some(value) = outbox_of(s).get(receiver) {
+                    self.extra[extra_len] = value;
+                    extra_len += 1;
+                }
+            }
+            self.extra[..extra_len].sort_unstable();
+            let start = rows.total;
+            let len = common_len + extra_len;
+            merge_sorted(
+                common,
+                &self.extra[..extra_len],
+                &mut rows.merged[start..start + len],
+            );
+            rows.push_row(r, start, len);
+        }
     }
-    components
 }
 
 /// Merges two ascending slices into `out` (exactly `a.len() + b.len()`
@@ -288,6 +301,88 @@ fn merge_sorted(a: &[Value], b: &[Value], out: &mut [Value]) {
     }
 }
 
+/// The round graphs of a realization, which also pick its walk.
+#[derive(Debug)]
+enum Graphs {
+    /// The unmasked complete graph under a clean plan: the merge walk.
+    Complete(MergeScratch),
+    /// Round `r` uses `phases[r % phases.len()]`; a fixed graph is the
+    /// one-phase case.
+    Phases(Vec<RoundGraph>),
+    /// Seeded churn over a shared base, redrawn into `drawn` per lane round.
+    Churn {
+        base: Adjacency,
+        flip_rate: f64,
+        drawn: RoundGraph,
+    },
+}
+
+/// One lane round as the slot classifier sees it.
+struct Slots<'a, F> {
+    seed: u64,
+    round: u64,
+    /// The round graph's mask; `None` on the complete graph.
+    reach: Option<&'a [bool]>,
+    faults: Option<&'a CompiledLinkFaults>,
+    sends: &'a [LaneSend],
+    outbox_of: &'a F,
+}
+
+// Left to the inliner, the classifier stayed an out-of-line call per slot
+// in the walk, costing fixed-graph runs about 10%: hence `inline(always)`.
+impl<'o, F: Fn(usize) -> &'o Outbox> Slots<'_, F> {
+    /// What sender `s` put on its link to receiver `r` this round.
+    #[inline(always)]
+    fn classify(&self, s: usize, r: usize) -> SendOutcome {
+        let n = self.sends.len();
+        if self.reach.is_some_and(|reach| !reach[r * n + s]) {
+            return SendOutcome::Unreachable;
+        }
+        self.classify_linked(s, r)
+    }
+
+    /// [`classify`](Slots::classify) for a pair the round's graph links.
+    #[inline(always)]
+    fn classify_linked(&self, s: usize, r: usize) -> SendOutcome {
+        let Some(value) = self.sends[s].slot(self.outbox_of, s, ProcessId::new(r)) else {
+            return SendOutcome::SenderOmitted;
+        };
+        match self.faults {
+            Some(faults) if omission_lost(self.seed, self.round, s, r, faults.omit_at(s, r)) => {
+                SendOutcome::LinkOmitted
+            }
+            _ => SendOutcome::Value(value),
+        }
+    }
+
+    fn delay(&self, s: usize, r: usize) -> usize {
+        self.faults.map_or(0, |faults| faults.delay_at(s, r))
+    }
+}
+
+/// The seed-invariant structure of one network description — or, for a
+/// description that [realizes per seed](SharedRealization::realizes_per_seed),
+/// the structure of one lane seed — realized once and shared by every lane
+/// of its group.
+#[derive(Debug)]
+pub struct SharedRealization {
+    n: usize,
+    graphs: Graphs,
+    /// The compiled link faults; `None` for a clean plan, which draws no
+    /// omissions.
+    faults: Option<CompiledLinkFaults>,
+    policy: DisconnectionPolicy,
+    /// The largest compiled delay; 0 keeps no pipes and walks only
+    /// in-neighbourhoods.
+    max_delay: usize,
+}
+
+/// Seed-dependence of a topology description: only
+/// [`Topology::RandomRegular`] realizes to a different graph per seed.
+fn topology_per_seed(topology: &Topology) -> bool {
+    matches!(topology, Topology::RandomRegular { .. })
+}
+
 impl SharedRealization {
     /// Whether the description realizes to a different structure per seed
     /// — a [`Topology::RandomRegular`] graph as the static topology, a
@@ -304,14 +399,12 @@ impl SharedRealization {
     }
 
     /// Builds the structure for one network description under one seed:
-    /// no schedule and a clean plan realize a fixed graph (the complete kind
-    /// for the complete graph, the static kind otherwise); a schedule whose
-    /// per-round graphs cannot differ under a clean compiled plan lowers
-    /// onto the same fixed form; everything else takes the dynamic form.
-    ///
-    /// The seed only matters for descriptions that
-    /// [realize per seed](SharedRealization::realizes_per_seed); churn and
-    /// omission draws key on each lane's own seed at exchange time.
+    /// its schedule (or static `topology`) realized, its plan compiled. A
+    /// schedule whose round graphs cannot differ (frozen churn, identical
+    /// phases) lowers onto one fixed graph, and the complete graph under a
+    /// clean plan onto the merge walk. The seed matters only for
+    /// descriptions that [realize per seed](SharedRealization::realizes_per_seed);
+    /// churn and omission draws key on each lane's own seed.
     ///
     /// # Errors
     ///
@@ -330,95 +423,82 @@ impl SharedRealization {
         seed: u64,
     ) -> Result<SharedRealization> {
         assert!(n > 0, "a network needs at least one process");
-        if schedule.is_none() && link_faults.is_clean() {
-            let kind = match topology {
-                Topology::Complete => SharedKind::complete(n),
-                partial => SharedKind::fixed(n, &partial.realize(n, seed)?),
-            };
-            return Ok(SharedRealization { n, kind });
-        }
-        let implied;
-        let schedule = match schedule {
-            Some(schedule) => schedule,
-            None => {
-                implied = TopologySchedule::Static(topology.clone());
-                &implied
-            }
+        let realized = match schedule {
+            Some(schedule) => schedule.realize(n, seed)?,
+            None => TopologySchedule::Static(topology.clone()).realize(n, seed)?,
         };
-        let realized = schedule.realize(n, seed)?;
-        let faults = link_faults.compile(n)?;
-        if faults.is_clean() && !realized.is_dynamic() {
-            return Ok(SharedRealization {
-                n,
-                kind: SharedKind::fixed(n, &realized.adjacency_at(Round::ZERO)),
-            });
-        }
-        let max_delay = faults.compiled_max_delay();
-        let (graphs, churns) = match realized.kind() {
-            RealizedKind::Static(adjacency) => (
-                DynGraphs::Phases(vec![PhaseGraph::new(adjacency.clone())]),
-                false,
-            ),
-            RealizedKind::Periodic(phases) => (
-                DynGraphs::Phases(phases.iter().cloned().map(PhaseGraph::new).collect()),
-                false,
-            ),
-            RealizedKind::Churn { base, flip_rate } => {
-                if *flip_rate == 0.0 {
-                    // Frozen churn realizes the base every round.
-                    (
-                        DynGraphs::Phases(vec![PhaseGraph::new(base.clone())]),
-                        false,
-                    )
+        let faults = if link_faults.is_clean() {
+            None
+        } else {
+            Some(link_faults.compile(n)?).filter(|faults| !faults.is_clean())
+        };
+        let graphs = match realized.kind() {
+            RealizedKind::Periodic(phases) if realized.is_dynamic() => {
+                Graphs::Phases(phases.iter().map(RoundGraph::fixed).collect())
+            }
+            RealizedKind::Churn { base, flip_rate } if realized.is_dynamic() => Graphs::Churn {
+                base: base.clone(),
+                flip_rate: *flip_rate,
+                drawn: RoundGraph::new(n, |_, _| false),
+            },
+            _ => {
+                let graph = realized.adjacency_at(Round::ZERO);
+                if faults.is_none() && graph.is_complete() {
+                    Graphs::Complete(MergeScratch {
+                        common: vec![Value::new(0.0); n],
+                        specials: vec![0; n],
+                        extra: vec![Value::new(0.0); n],
+                    })
                 } else {
-                    (
-                        DynGraphs::Churn {
-                            base: base.clone(),
-                            flip_rate: *flip_rate,
-                        },
-                        true,
-                    )
+                    Graphs::Phases(vec![RoundGraph::fixed(&graph)])
                 }
             }
         };
-        let scratch = DynScratch {
-            mask: if churns {
-                vec![false; n * n]
-            } else {
-                Vec::new()
-            },
-            visited: if churns { vec![false; n] } else { Vec::new() },
-            stack: if churns {
-                Vec::with_capacity(n)
-            } else {
-                Vec::new()
-            },
-        };
+        let max_delay = faults
+            .as_ref()
+            .map_or(0, CompiledLinkFaults::compiled_max_delay);
         Ok(SharedRealization {
             n,
-            kind: SharedKind::Dynamic {
-                graphs,
-                faults,
-                policy,
-                max_delay,
-                scratch,
-            },
+            graphs,
+            faults,
+            policy,
+            max_delay,
         })
     }
 
     /// Creates the per-lane delivery state for one lane seed.
     #[must_use]
     pub fn lane(&self, seed: u64) -> LaneDelivery {
-        let pipes = match &self.kind {
-            SharedKind::Dynamic { max_delay, .. } if *max_delay > 0 => {
-                vec![VecDeque::new(); self.n * self.n]
-            }
-            _ => Vec::new(),
+        let links = if self.max_delay > 0 {
+            self.n * self.n
+        } else {
+            0
         };
         LaneDelivery {
             seed,
             next_round: 0,
-            pipes,
+            pipes: vec![VecDeque::new(); links],
+        }
+    }
+
+    /// Whether every round exchanges the same graph under a clean plan:
+    /// such a realization keeps no round cursor and never fails.
+    fn is_fixed(&self) -> bool {
+        self.faults.is_none()
+            && match &self.graphs {
+                Graphs::Complete(_) => true,
+                Graphs::Phases(phases) => phases.len() == 1,
+                Graphs::Churn { .. } => false,
+            }
+    }
+
+    /// The graph of `round` — under churn, as the lane's latest exchange
+    /// drew it — or `None` for the complete graph.
+    fn graph_at(&self, round: Round) -> Option<&RoundGraph> {
+        match &self.graphs {
+            Graphs::Complete(_) => None,
+            Graphs::Phases(phases) => Some(&phases[(round.index() % phases.len() as u64) as usize]),
+            Graphs::Churn { drawn, .. } => Some(drawn),
         }
     }
 
@@ -436,19 +516,16 @@ impl SharedRealization {
     ///
     /// # Errors
     ///
-    /// Dynamic realizations exchange rounds in order from
-    /// [`Round::ZERO`] — the delay pipes advance once per round — so
-    /// out-of-order rounds are rejected ([`Error::InvalidParameter`]) and a disconnected round
-    /// under [`DisconnectionPolicy::Reject`] fails with
-    /// [`Error::DisconnectedRound`]. Fixed-graph realizations never fail.
+    /// Realizations with per-round graphs or link faults take rounds in
+    /// order from [`Round::ZERO`] and reject others
+    /// ([`Error::InvalidParameter`]); under [`DisconnectionPolicy::Reject`]
+    /// they fail a disconnected round with [`Error::DisconnectedRound`]. A
+    /// fixed graph under a clean plan never fails.
     ///
     /// # Panics
     ///
     /// Panics if `sends` or `active` do not cover the universe.
-    // The loops below walk receiver/sender indices into several parallel
-    // flat n²-strided arrays at once; iterator zips would obscure which
-    // slot each counter accounts.
-    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+    #[allow(clippy::too_many_arguments)]
     // mbaa: alloc-free
     pub fn exchange_rows<'o>(
         &mut self,
@@ -464,307 +541,113 @@ impl SharedRealization {
         assert_eq!(sends.len(), n, "one send classification per process");
         assert_eq!(active.len(), n, "one active flag per process");
         rows.reset();
-        match &mut self.kind {
-            SharedKind::Complete(CompleteScratch {
-                common,
-                specials,
-                extra,
-            }) => {
-                // Broadcasters feed one common buffer, sorted once; the
-                // ≤ 2f per-receiver senders are kept aside.
-                let mut common_len = 0;
-                let mut specials_len = 0;
-                for (s, &send) in sends.iter().enumerate() {
-                    match send {
-                        LaneSend::Broadcast(value) => {
-                            common[common_len] = value;
-                            common_len += 1;
-                        }
-                        LaneSend::Silent => {}
-                        LaneSend::PerReceiver => {
-                            specials[specials_len] = s;
-                            specials_len += 1;
-                        }
-                    }
-                }
-                common[..common_len].sort_unstable();
-                let common = &common[..common_len];
-                let specials = &specials[..specials_len];
-
-                // Closed-form traffic accounting: a broadcast delivers to
-                // all n receivers, a per-receiver outbox to its Some slots,
-                // and every other slot is a sender omission — the unmasked
-                // complete graph has no structural drops.
-                let mut delivered = (common_len * n) as u64;
-                for &s in specials {
-                    delivered += outbox_of(s)
-                        .iter()
-                        .filter(|(_, slot)| slot.is_some())
-                        .count() as u64;
-                }
-                stats.rounds += 1;
-                stats.messages_delivered += delivered;
-                stats.omissions += (n * n) as u64 - delivered;
-
-                // Each active receiver's row is the common buffer merged
-                // with its special slots — the same ascending array the
-                // per-row sort would produce.
-                for r in 0..n {
-                    if !active[r] {
-                        continue;
-                    }
-                    let receiver = ProcessId::new(r);
-                    let mut extra_len = 0;
-                    for &s in specials {
-                        if let Some(value) = outbox_of(s).get(receiver) {
-                            extra[extra_len] = value;
-                            extra_len += 1;
-                        }
-                    }
-                    extra[..extra_len].sort_unstable();
-                    let start = rows.total;
-                    let len = common_len + extra_len;
-                    merge_sorted(
-                        common,
-                        &extra[..extra_len],
-                        &mut rows.merged[start..start + len],
-                    );
-                    rows.push_row(r, start, len);
-                }
-                Ok(())
+        let fixed = self.is_fixed();
+        if !fixed {
+            if round.index() != lane.next_round {
+                // mbaa: allow(hot-path/allocation, cold misuse error path)
+                return Err(Error::InvalidParameter(format!(
+                    "a dynamic network exchanges rounds in order: expected r{}, got {round} \
+                     (delay buffers advance once per round)",
+                    lane.next_round
+                )));
             }
-            SharedKind::Static(graph) => {
-                stats.rounds += 1;
-                for r in 0..n {
-                    let receiver = ProcessId::new(r);
-                    let hood = graph.closed_neighborhood(r);
-                    let reachable = hood.len() as u64;
-                    let mut delivered = 0u64;
-                    if active[r] {
-                        let start = rows.total;
-                        let mut len = 0usize;
-                        for &s in hood {
-                            let s = s as usize;
-                            if let Some(value) = sends[s].slot(&outbox_of, s, receiver) {
-                                rows.merged[start + len] = value;
-                                len += 1;
-                            }
-                        }
-                        delivered = len as u64;
-                        rows.sort_and_push_row(r, start, len);
-                    } else {
-                        for &s in hood {
-                            let s = s as usize;
-                            delivered +=
-                                u64::from(sends[s].slot(&outbox_of, s, receiver).is_some());
-                        }
-                    }
-                    stats.messages_delivered += delivered;
-                    stats.omissions += reachable - delivered;
-                    stats.unreachable += n as u64 - reachable;
-                }
-                Ok(())
+            lane.next_round += 1;
+        }
+        match &mut self.graphs {
+            Graphs::Complete(merge) => {
+                merge.walk(sends, &outbox_of, active, rows, stats);
+                return Ok(());
             }
-            SharedKind::Dynamic {
-                graphs,
-                faults,
-                policy,
-                max_delay,
-                scratch,
+            Graphs::Phases(_) => {}
+            Graphs::Churn {
+                base,
+                flip_rate,
+                drawn,
             } => {
-                if round.index() != lane.next_round {
-                    // mbaa: allow(hot-path/allocation, cold misuse error path)
-                    return Err(Error::InvalidParameter(format!(
-                        "a dynamic network exchanges rounds in order: expected r{}, got {round} \
-                         (delay buffers advance once per round)",
-                        lane.next_round
-                    )));
-                }
-                lane.next_round += 1;
-                let seed = lane.seed;
-
-                // Resolve the round's graph and its connectivity. Phases
-                // were precomputed at build; churn redraws its mask from
-                // the lane seed, the same draws `adjacency_at` makes.
-                let phase: Option<&PhaseGraph> = match graphs {
-                    DynGraphs::Phases(phases) => {
-                        Some(&phases[(round.index() % phases.len() as u64) as usize])
-                    }
-                    DynGraphs::Churn { base, flip_rate } => {
-                        let mask = &mut scratch.mask;
-                        mask.fill(false);
-                        for a in 0..n {
-                            mask[a * n + a] = true;
-                            for b in a + 1..n {
-                                if base.connected(ProcessId::new(a), ProcessId::new(b))
-                                    && !churn_link_down(seed, round.index(), a, b, *flip_rate)
-                                {
-                                    mask[a * n + b] = true;
-                                    mask[b * n + a] = true;
-                                }
-                            }
-                        }
-                        None
-                    }
-                };
-                let (connected, components) = match phase {
-                    Some(phase) => (phase.connected, phase.components),
-                    None => {
-                        let components = mask_components(
-                            &scratch.mask,
-                            n,
-                            &mut scratch.visited,
-                            &mut scratch.stack,
-                        );
-                        (components == 1, components)
-                    }
-                };
-                if !connected {
-                    match policy {
-                        DisconnectionPolicy::Reject => {
-                            return Err(Error::DisconnectedRound { round, components });
-                        }
-                        DisconnectionPolicy::Record => stats.disconnected_rounds += 1,
-                    }
-                }
-
-                if *max_delay == 0 {
-                    // No link ever buffers: classify and account each slot
-                    // immediately, walking only the reachable senders.
-                    for r in 0..n {
-                        let receiver = ProcessId::new(r);
-                        let row_active = active[r];
-                        let start = rows.total;
-                        let mut len = 0usize;
-                        let mut deliver =
-                            |s: usize, rows: &mut DeliveryRows, stats: &mut NetworkStats| {
-                                match sends[s].slot(&outbox_of, s, receiver) {
-                                    None => stats.omissions += 1,
-                                    Some(value) => {
-                                        if omission_lost(
-                                            seed,
-                                            round.index(),
-                                            s,
-                                            r,
-                                            faults.omit_at(s, r),
-                                        ) {
-                                            stats.link_omissions += 1;
-                                        } else {
-                                            stats.messages_delivered += 1;
-                                            if row_active {
-                                                rows.merged[start + len] = value;
-                                                len += 1;
-                                            }
-                                        }
-                                    }
-                                }
-                            };
-                        match phase {
-                            Some(phase) => {
-                                let hood = phase.graph.closed_neighborhood(r);
-                                stats.unreachable += (n - hood.len()) as u64;
-                                for &s in hood {
-                                    deliver(s as usize, rows, stats);
-                                }
-                            }
-                            None => {
-                                let mask_row = &scratch.mask[r * n..(r + 1) * n];
-                                for (s, &reachable) in mask_row.iter().enumerate() {
-                                    if reachable {
-                                        deliver(s, rows, stats);
-                                    } else {
-                                        stats.unreachable += 1;
-                                    }
-                                }
-                            }
-                        }
-                        if row_active {
-                            rows.sort_and_push_row(r, start, len);
-                        }
-                    }
-                } else {
-                    // Delayed links buffer every outcome — even structural
-                    // ones — so all n² slots must be visited.
-                    for r in 0..n {
-                        let receiver = ProcessId::new(r);
-                        let row_active = active[r];
-                        let start = rows.total;
-                        let mut len = 0usize;
-                        for s in 0..n {
-                            let delay = faults.delay_at(s, r);
-                            let reachable = match phase {
-                                Some(phase) => {
-                                    phase.adjacency.connected(ProcessId::new(s), receiver)
-                                }
-                                None => scratch.mask[s * n + r],
-                            };
-                            let sent = if !reachable {
-                                SendOutcome::Unreachable
-                            } else {
-                                match sends[s].slot(&outbox_of, s, receiver) {
-                                    None => SendOutcome::SenderOmitted,
-                                    Some(value) => {
-                                        if omission_lost(
-                                            seed,
-                                            round.index(),
-                                            s,
-                                            r,
-                                            faults.omit_at(s, r),
-                                        ) {
-                                            SendOutcome::LinkOmitted
-                                        } else {
-                                            SendOutcome::Value(value)
-                                        }
-                                    }
-                                }
-                            };
-                            let arrived = if delay == 0 {
-                                Some(sent)
-                            } else {
-                                let pipe = &mut lane.pipes[s * n + r];
-                                // mbaa: allow(hot-path/vec-growth, the pipe is popped whenever len > delay, so it holds at most delay + 1 entries after the first delay rounds)
-                                pipe.push_back(sent);
-                                if pipe.len() > delay {
-                                    Some(pipe.pop_front().expect("pipe holds > delay entries"))
-                                } else {
-                                    None
-                                }
-                            };
-                            match arrived {
-                                Some(SendOutcome::Value(value)) => {
-                                    stats.messages_delivered += 1;
-                                    if delay > 0 {
-                                        stats.link_delayed += 1;
-                                    }
-                                    if row_active {
-                                        rows.merged[start + len] = value;
-                                        len += 1;
-                                    }
-                                }
-                                Some(SendOutcome::SenderOmitted) => stats.omissions += 1,
-                                Some(SendOutcome::Unreachable) => stats.unreachable += 1,
-                                Some(SendOutcome::LinkOmitted) => stats.link_omissions += 1,
-                                None => stats.link_pending += 1,
-                            }
-                        }
-                        if row_active {
-                            rows.sort_and_push_row(r, start, len);
-                        }
-                    }
-                }
-                stats.rounds += 1;
-                Ok(())
+                // The draws `RealizedSchedule::adjacency_at` makes.
+                drawn.fill(|a, b| {
+                    base.connected(ProcessId::new(a), ProcessId::new(b))
+                        && !churn_link_down(lane.seed, round.index(), a, b, *flip_rate)
+                });
             }
         }
+        let graph = self
+            .graph_at(round)
+            .expect("only the complete graph has none");
+        if !fixed && graph.components != 1 {
+            match self.policy {
+                DisconnectionPolicy::Reject => {
+                    return Err(Error::DisconnectedRound {
+                        round,
+                        components: graph.components,
+                    });
+                }
+                DisconnectionPolicy::Record => stats.disconnected_rounds += 1,
+            }
+        }
+        stats.rounds += 1;
+
+        // The general walk. Rows of inactive receivers are written but
+        // never pushed, so the next row overwrites them.
+        let slots = Slots {
+            seed: lane.seed,
+            round: round.index(),
+            reach: Some(&graph.mask[..]),
+            faults: self.faults.as_ref(),
+            sends,
+            outbox_of: &outbox_of,
+        };
+        for (r, &row_active) in active.iter().enumerate() {
+            let start = rows.total;
+            let mut len = 0;
+            if self.max_delay == 0 {
+                // No link buffers: only the in-neighbourhood can deliver.
+                let hood = graph.hood(r);
+                stats.unreachable += (n - hood.len()) as u64;
+                for &s in hood {
+                    if let Some(value) = slots.classify_linked(s as usize, r).account(false, stats)
+                    {
+                        rows.merged[start + len] = value;
+                        len += 1;
+                    }
+                }
+            } else {
+                // Delayed links buffer every outcome, even structural
+                // ones, so all n senders are visited.
+                for s in 0..n {
+                    let sent = slots.classify(s, r);
+                    let delay = slots.delay(s, r);
+                    let arrived = if delay == 0 {
+                        sent
+                    } else {
+                        let pipe = &mut lane.pipes[s * n + r];
+                        // mbaa: allow(hot-path/vec-growth, the pipe is popped whenever len > delay, so it holds at most delay + 1 entries after the first delay rounds)
+                        pipe.push_back(sent);
+                        if pipe.len() <= delay {
+                            stats.link_pending += 1;
+                            continue;
+                        }
+                        pipe.pop_front().expect("pipe holds > delay entries")
+                    };
+                    if let Some(value) = arrived.account(delay > 0, stats) {
+                        rows.merged[start + len] = value;
+                        len += 1;
+                    }
+                }
+            }
+            if row_active {
+                rows.sort_and_push_row(r, start, len);
+            }
+        }
+        Ok(())
     }
 
-    /// Records one lane's round as a [`RoundTrace`]: what every sender put
-    /// on every link, which links the round's graph had, and which slots a
-    /// link fault governed (an omission draw lost the message, or the link
-    /// delays). Call it right after the lane's
-    /// [`exchange_rows`](SharedRealization::exchange_rows) for `round`,
-    /// with the same `sends`: churn reads the round's mask from the shared
-    /// scratch, which the next lane's exchange overwrites.
+    /// Records one lane's round as a [`RoundTrace`] through the classifier
+    /// [`exchange_rows`](SharedRealization::exchange_rows) uses: what every
+    /// sender put on every link, which links the round's graph had, and
+    /// which slots a link fault governed (lost or delayed). Call it right
+    /// after the lane's exchange for `round`, with the same `sends`: churn
+    /// reads the graph that exchange drew into the shared scratch.
     #[must_use]
     pub fn trace_round<'o>(
         &self,
@@ -773,35 +656,23 @@ impl SharedRealization {
         sends: &[LaneSend],
         outbox_of: impl Fn(usize) -> &'o Outbox,
     ) -> RoundTrace {
-        let n = self.n;
-        RoundTrace::from_slots(round, n, |s, r| {
-            let sent = sends[s].slot(&outbox_of, s, ProcessId::new(r));
-            let (reachable, link_faulted) = match &self.kind {
-                SharedKind::Complete(_) => (true, false),
-                SharedKind::Static(graph) => (graph.hears(r, s), false),
-                SharedKind::Dynamic {
-                    graphs,
-                    faults,
-                    scratch,
-                    ..
-                } => {
-                    let reachable = match graphs {
-                        DynGraphs::Phases(phases) => phases
-                            [(round.index() % phases.len() as u64) as usize]
-                            .graph
-                            .hears(r, s),
-                        DynGraphs::Churn { .. } => scratch.mask[s * n + r],
-                    };
-                    let lost = reachable
-                        && sent.is_some()
-                        && omission_lost(lane.seed, round.index(), s, r, faults.omit_at(s, r));
-                    (reachable, lost || faults.delay_at(s, r) > 0)
-                }
-            };
+        let slots = Slots {
+            seed: lane.seed,
+            round: round.index(),
+            reach: self.graph_at(round).map(|graph| &graph.mask[..]),
+            faults: self.faults.as_ref(),
+            sends,
+            outbox_of: &outbox_of,
+        };
+        RoundTrace::from_slots(round, self.n, |s, r| {
+            let outcome = slots.classify(s, r);
             TraceSlot {
-                sent,
-                reachable,
-                link_faulted,
+                sent: match outcome {
+                    SendOutcome::Value(value) => Some(value),
+                    _ => None,
+                },
+                reachable: outcome != SendOutcome::Unreachable,
+                link_faulted: outcome == SendOutcome::LinkOmitted || slots.delay(s, r) > 0,
             }
         })
     }
@@ -890,6 +761,17 @@ mod tests {
         }
     }
 
+    /// Whether the realization takes the complete-graph merge.
+    fn merges(shared: &SharedRealization) -> bool {
+        matches!(shared.graphs, Graphs::Complete(_))
+    }
+
+    /// Whether the realization walks one fixed partial graph under a
+    /// clean plan.
+    fn walks_fixed_graph(shared: &SharedRealization) -> bool {
+        shared.is_fixed() && matches!(&shared.graphs, Graphs::Phases(phases) if phases.len() == 1)
+    }
+
     fn broadcasts() -> Vec<Outbox> {
         (0..3)
             .map(|i| Outbox::broadcast(3, pid(i), Value::new(i as f64)))
@@ -954,7 +836,7 @@ mod tests {
     fn partial_topology_masks_non_neighbour_slots() {
         // A path 0 — 1 — 2: the ends share no link.
         let mut net = Net::fixed(3, &path());
-        assert!(matches!(net.shared.kind, SharedKind::Static(_)));
+        assert!(walks_fixed_graph(&net.shared));
         let rows = net.exchange(Round::ZERO, &broadcasts()).unwrap();
         // The middle hears everyone; the ends hear themselves and the
         // middle, never each other.
@@ -984,7 +866,7 @@ mod tests {
     #[test]
     fn complete_topology_lowers_to_the_unmasked_fast_path() {
         let mut custom = Net::fixed(3, &Topology::Custom(Adjacency::complete(3)));
-        assert!(matches!(custom.shared.kind, SharedKind::Complete(_)));
+        assert!(merges(&custom.shared));
         let mut plain = Net::complete(3);
         let outboxes = vec![
             Outbox::broadcast(3, pid(0), Value::new(0.5)),
@@ -1030,7 +912,7 @@ mod tests {
             DisconnectionPolicy::Record,
             0,
         );
-        assert!(matches!(complete.shared.kind, SharedKind::Complete(_)));
+        assert!(merges(&complete.shared));
         let ringed = Net::new(
             5,
             &Topology::Complete,
@@ -1039,13 +921,14 @@ mod tests {
             DisconnectionPolicy::Record,
             0,
         );
-        assert!(matches!(ringed.shared.kind, SharedKind::Static(_)));
+        assert!(walks_fixed_graph(&ringed.shared));
     }
 
     #[test]
     fn deterministic_link_cut_is_a_link_omission_not_an_adversary_omission() {
         let mut net = Net::faulty(&LinkFaultPlan::new().cut(0, 1), 9);
-        assert!(matches!(net.shared.kind, SharedKind::Dynamic { .. }));
+        // The general walk over the complete graph, drawing link omissions.
+        assert!(net.shared.faults.is_some() && !merges(&net.shared));
         let rows = net.exchange(Round::ZERO, &broadcasts()).unwrap();
         // Receiver 1 lost p0's value to the link, nothing else.
         assert_eq!(rows[1], values(&[1.0, 2.0]));
@@ -1129,7 +1012,7 @@ mod tests {
     #[test]
     fn non_dynamic_schedules_lower_to_the_static_paths() {
         // Frozen churn and constant periodic schedules realize the same
-        // graph every round: they take the fixed kinds, agreeing with
+        // graph every round: they lower to one fixed graph, agreeing with
         // RealizedSchedule::is_dynamic.
         let clean = LinkFaultPlan::new();
         let frozen = Net::new(
@@ -1143,7 +1026,7 @@ mod tests {
             DisconnectionPolicy::Record,
             0,
         );
-        assert!(matches!(frozen.shared.kind, SharedKind::Static(_)));
+        assert!(walks_fixed_graph(&frozen.shared));
         let constant = Net::new(
             4,
             &Topology::Complete,
@@ -1154,7 +1037,7 @@ mod tests {
             DisconnectionPolicy::Record,
             0,
         );
-        assert!(matches!(constant.shared.kind, SharedKind::Complete(_)));
+        assert!(merges(&constant.shared));
     }
 
     #[test]
