@@ -14,9 +14,11 @@
 //! Partial topologies and dynamic/lossy fabrics, which cannot use the
 //! complete graph's sort-once-and-merge exchange, get their own rows on a
 //! reduced n ∈ {64, 256} × k ∈ {1, 32} grid: `…/ring` runs a
-//! `Ring {{ k: 2 }}` mask and `…/churn` a seeded-churn schedule over the
-//! complete base. These guard the shared-realization batch delivery (one
-//! adjacency + one compiled fault plan per pack instead of one per lane).
+//! `Ring {{ k: 4 }}` mask, `…/churn` a seeded-churn schedule over the
+//! complete base, and `…/delay` the complete graph with every link
+//! delayed by one round. These guard the shared-realization batch delivery
+//! (one adjacency + one compiled fault plan per pack instead of one per
+//! lane) and the buffering of delayed links.
 //!
 //! A `packed_lane_occupancy` row reports the mean lane occupancy of the
 //! cross-point packing scheduler over a shape-homogeneous multi-point
@@ -51,12 +53,13 @@ fn repetitions(n: usize) -> usize {
 }
 
 /// Network variant of a measured point: the complete graph, a static
-/// partial mask (ring), or a dynamic churned fabric.
+/// partial mask (ring), a dynamic churned fabric, or delayed links.
 #[derive(Clone, Copy)]
 enum Variant {
     Complete,
     Ring,
     Churn,
+    Delay,
 }
 
 impl Variant {
@@ -65,6 +68,7 @@ impl Variant {
             Variant::Complete => "",
             Variant::Ring => "/ring",
             Variant::Churn => "/churn",
+            Variant::Delay => "/delay",
         }
     }
 }
@@ -86,6 +90,9 @@ fn measure(n: usize, k: usize, variant: Variant) {
             base: Topology::Complete,
             flip_rate: 0.15,
         }),
+        // Every link of the complete graph delivers one round late, so
+        // every slot is buffered for a round.
+        Variant::Delay => builder.link_faults(LinkFaultPlan::new().delay_all(1)),
     };
     let config = builder.build().expect("config");
     // Distinct seeds per lane, shared inputs: the adversary streams
@@ -169,12 +176,13 @@ fn main() {
             measure(n, k, Variant::Complete);
         }
     }
-    // Reduced grid, both a static partial mask and a
-    // dynamic churned fabric.
+    // Reduced grid: a static partial mask, a dynamic churned fabric and
+    // delayed links.
     for &n in &[64usize, 256] {
         for &k in &[1usize, 32] {
             measure(n, k, Variant::Ring);
             measure(n, k, Variant::Churn);
+            measure(n, k, Variant::Delay);
         }
     }
     measure_occupancy();
