@@ -267,6 +267,49 @@ fn inverted_parameter_ranges_fail_validation_naming_the_field() {
 }
 
 #[test]
+fn overflowing_workloads_fail_validation_naming_the_field() {
+    // Each workload is finite value by value but spans a range wider than
+    // an f64 can hold; `run` used to panic on it after `validate` passed.
+    let dir = scratch("overflow");
+    let cases = [
+        (
+            r#""n": 3, "f": 0, "workload": {"fixed": {"values": [1.7e308, -1.7e308, 0]}}"#,
+            "scenario.workload.fixed.values: fixed values' span [-1.7e308, 1.7e308] needs lo \
+             <= hi and a finite width",
+        ),
+        (
+            r#""n": 9, "f": 2, "workload": {"clustered": {"centers": [0], "jitter": 1e308}}"#,
+            "scenario.workload.clustered.jitter: clustered range (centres ± jitter) [-1e308, \
+             1e308] needs lo <= hi and a finite width",
+        ),
+        (
+            r#""n": 9, "f": 2, "workload": {"clustered": {"centers": [-9e307, 9e307], "jitter": 0}}"#,
+            "scenario.workload.clustered.jitter: clustered range (centres ± jitter) [-9e307, \
+             9e307] needs lo <= hi and a finite width",
+        ),
+    ];
+    for (i, (knobs, expected)) in cases.into_iter().enumerate() {
+        let file = dir.join(format!("case{i}.scenario.json"));
+        let scenario = format!(r#"{{"model": "garay", {knobs}}}"#);
+        fs::write(&file, single_point_doc(&scenario)).unwrap();
+        for command in ["validate", "run"] {
+            let out = mbaa(&[command, file.to_str().unwrap()], &dir);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{command} {knobs}: {}",
+                stderr(&out)
+            );
+            assert!(
+                stderr(&out).contains(expected),
+                "{command} {knobs}: {}",
+                stderr(&out)
+            );
+        }
+    }
+}
+
+#[test]
 fn explain_shows_bound_and_points() {
     let dir = scratch("explain");
     let file = dir.join("sweep.scenario.json");

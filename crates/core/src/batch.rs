@@ -37,11 +37,13 @@
 //! A lane stops as soon as its non-faulty values are within ε of each
 //! other or its round budget is exhausted.
 //!
-//! The network differences live in the realization kinds: the complete
+//! The network differences live in the exchange's two walks: the complete
 //! graph sorts its broadcasters once and merges each receiver's few
-//! per-receiver slots into that buffer with closed-form statistics; other
-//! fixed graphs walk precomputed neighbourhood lists; schedules and link
-//! faults replay the lane's seeded churn/omission draws and delay pipes.
+//! per-receiver slots into that buffer with closed-form statistics; the
+//! general walk serves every other graph through precomputed
+//! neighbourhood lists, emitting rows in rank order, and replays the
+//! lane's seeded churn/omission draws and delay ring for schedules and
+//! link faults.
 //! Lanes are grouped by network description, and each group's realization
 //! is built **once** per pack — or once per lane seed for descriptions that
 //! realize per seed ([`Topology::RandomRegular`](mbaa_net::Topology)
@@ -111,7 +113,7 @@ pub fn shape_compatible(a: &ProtocolConfig, b: &ProtocolConfig) -> bool {
 struct LaneState {
     adversary: MobileAdversary,
     /// The lane's slice of its group's [`SharedRealization`]: seed-keyed
-    /// draw streams and delay pipes. `None` only for lanes born failed.
+    /// draw streams and delay ring. `None` only for lanes born failed.
     delivery: Option<LaneDelivery>,
     /// Index of the lane's network group.
     group: usize,

@@ -7,7 +7,7 @@ use mbaa_msr::MsrFunction;
 use mbaa_net::{
     Adjacency, DirectedAdjacency, DisconnectionPolicy, LinkFaultPlan, Topology, TopologySchedule,
 };
-use mbaa_types::{Epsilon, Error, MobileModel, ProcessId, Result};
+use mbaa_types::{check_range, Epsilon, Error, MobileModel, ProcessId, Result};
 
 /// The single source of truth for every default the workspace fills in when
 /// a knob is left unspecified. The `Scenario` entry point in the `mbaa`
@@ -391,11 +391,7 @@ impl ProtocolConfigBuilder {
             )));
         }
         if let CorruptionStrategy::RandomNoise { lo, hi } = self.corruption {
-            if !(lo <= hi && (hi - lo).is_finite()) {
-                return Err(Error::InvalidParameter(format!(
-                    "random-noise range [{lo:?}, {hi:?}] needs lo <= hi and a finite width"
-                )));
-            }
+            check_range("random-noise range", lo, hi)?;
         }
         let required = self.model.required_processes(self.f);
         let satisfies = self.n >= required;

@@ -311,8 +311,11 @@ impl Scenario {
     ///
     /// Propagates the builder's validation errors (zero-sized system, `f`
     /// exceeding `n`, or `n` below the bound without
-    /// [`allow_bound_violation`](Scenario::allow_bound_violation)).
+    /// [`allow_bound_violation`](Scenario::allow_bound_violation)) and the
+    /// workload's ([`Workload::validate`]: values spanning an infinitely
+    /// wide range).
     pub fn lower(&self, seed: u64) -> Result<ProtocolConfig> {
+        self.workload.validate()?;
         let mut builder = ProtocolConfig::builder(self.model, self.n, self.f)
             .epsilon(self.epsilon)
             .max_rounds(self.max_rounds)
@@ -549,6 +552,8 @@ impl Scenario {
 
 #[cfg(test)]
 mod tests {
+    use mbaa_types::Error;
+
     use super::*;
 
     #[test]
@@ -611,6 +616,22 @@ mod tests {
         assert_eq!(exp.epsilon, 1e-4);
         assert_eq!(exp.seeds, vec![0, 1, 2, 3, 4]);
         assert_eq!(exp.workload, Workload::default());
+    }
+
+    #[test]
+    fn overflowing_inputs_fail_to_lower_instead_of_panicking() {
+        let s = Scenario::new(MobileModel::Garay, 3, 0).inputs([
+            Value::new(1.7e308),
+            Value::new(-1.7e308),
+            Value::ZERO,
+        ]);
+        assert!(matches!(s.lower(0), Err(Error::InvalidParameter(_))));
+        assert!(matches!(s.run(0), Err(Error::InvalidParameter(_))));
+        let sweep = s.to_experiment([0]);
+        assert!(matches!(
+            sweep.protocol_config(0),
+            Err(Error::InvalidParameter(_))
+        ));
     }
 
     #[test]

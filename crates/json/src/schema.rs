@@ -149,17 +149,28 @@ pub fn corruption_to_json(corruption: CorruptionStrategy) -> Json {
     }
 }
 
-/// Reads the `lo` and `hi` fields of a sampling range, which must satisfy
-/// `lo <= hi` with a finite width `hi - lo`; the error is anchored at `hi`.
+/// `error` anchored at `field`, an invalid parameter by its bare message.
+fn anchored(field: Ctx<'_>, error: Error) -> SchemaError {
+    match error {
+        Error::InvalidParameter(message) => field.err(message),
+        other => field.err(other.to_string()),
+    }
+}
+
+/// `workload` once [`Workload::validate`] accepts its span, or the
+/// rejection anchored at `field`.
+fn validated(workload: Workload, field: Ctx<'_>) -> Result<Workload, SchemaError> {
+    workload.validate().map_err(|e| anchored(field, e))?;
+    Ok(workload)
+}
+
+/// Reads the `lo` and `hi` fields of a sampling range, which must pass
+/// [`check_range`](mbaa::types::check_range); the error is anchored at `hi`.
 fn range_from(obj: &mut ObjCtx<'_>) -> Result<(f64, f64), SchemaError> {
     let lo = obj.req("lo")?.ctx().f64()?;
     let hi_ctx = obj.req("hi")?;
     let hi = hi_ctx.ctx().f64()?;
-    if lo > hi || !(hi - lo).is_finite() {
-        return Err(hi_ctx.ctx().err(format!(
-            "range [{lo:?}, {hi:?}] needs lo <= hi and a finite width hi - lo"
-        )));
-    }
+    mbaa::types::check_range("range", lo, hi).map_err(|e| anchored(hi_ctx.ctx(), e))?;
     Ok((lo, hi))
 }
 
@@ -539,7 +550,7 @@ pub fn workload_from(ctx: Ctx<'_>) -> Result<Workload, SchemaError> {
                     .err(format!("jitter must be >= 0, got {jitter}")));
             }
             obj.finish()?;
-            Ok(Workload::Clustered { centers, jitter })
+            validated(Workload::Clustered { centers, jitter }, jitter_ctx.ctx())
         }
         ("fixed", Some(child)) => {
             let mut obj = child.ctx().object()?;
@@ -553,7 +564,7 @@ pub fn workload_from(ctx: Ctx<'_>) -> Result<Workload, SchemaError> {
                 );
             }
             obj.finish()?;
-            Ok(Workload::Fixed { values })
+            validated(Workload::Fixed { values }, values_ctx.ctx())
         }
         (other, _) => Err(ctx.err(format!("unknown workload {other:?}"))),
     }

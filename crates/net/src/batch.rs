@@ -101,12 +101,6 @@ impl DeliveryRows {
         self.total = start + len;
     }
 
-    /// Sorts a row collected in ascending-sender order and records it.
-    pub(crate) fn sort_and_push_row(&mut self, receiver: usize, start: usize, len: usize) {
-        self.merged[start..start + len].sort_unstable();
-        self.push_row(receiver, start, len);
-    }
-
     /// The number of active receivers collected this round.
     #[must_use]
     pub fn rows(&self) -> usize {
@@ -168,11 +162,12 @@ mod tests {
     /// genuinely per-receiver outboxes (sender 0 reaches even receivers
     /// only, sender 2 sends a value that falls as the receiver index
     /// rises, so the two slots arrive in either order), sender 1 is
-    /// silent, and every other sender broadcasts a value that collides
-    /// with the per-receiver slots, so rows need real merging. Returns the
-    /// classified sends and the equivalent outboxes.
+    /// silent, and every other sender broadcasts a value in −2..=2 that
+    /// collides with the per-receiver slots, so rows need real merging and
+    /// ranks span both signs. Returns the classified sends and the
+    /// equivalent outboxes.
     fn mixed_send_phase(n: usize) -> (Vec<LaneSend>, Vec<Outbox>) {
-        let value = |i: usize| Value::new((i % 4) as f64);
+        let value = |i: usize| Value::new((i % 5) as f64 - 2.0);
         let sends = (0..n)
             .map(|i| match i {
                 0 | 2 => LaneSend::PerReceiver,
@@ -197,6 +192,47 @@ mod tests {
             })
             .collect();
         (sends, outboxes)
+    }
+
+    /// A send phase in which every value compares equal: broadcasters send
+    /// −0.0 and 0.0 alternately, the per-receiver senders 0 and 2 send the
+    /// same zeros, and every sender `i ≡ 1 (mod 5)` is silent, so silent
+    /// senders sit inside every ring neighbourhood. Ties are all the walk
+    /// has to order.
+    fn zero_send_phase(n: usize) -> (Vec<LaneSend>, Vec<Outbox>) {
+        let zero = |i: usize| Value::new(if i.is_multiple_of(2) { -0.0 } else { 0.0 });
+        let sends = (0..n)
+            .map(|i| match i {
+                0 | 2 => LaneSend::PerReceiver,
+                _ if i % 5 == 1 => LaneSend::Silent,
+                _ => LaneSend::Broadcast(zero(i)),
+            })
+            .collect();
+        let outboxes = (0..n)
+            .map(|i| match i {
+                0 => Outbox::per_receiver(
+                    pid(0),
+                    (0..n).map(|r| (r % 2 == 0).then(|| zero(r / 2))).collect(),
+                ),
+                2 => Outbox::per_receiver(pid(2), (0..n).map(|r| Some(zero(r + 1))).collect()),
+                _ if i % 5 == 1 => Outbox::silent(n, pid(i)),
+                _ => Outbox::broadcast(n, pid(i), zero(i)),
+            })
+            .collect();
+        (sends, outboxes)
+    }
+
+    /// The send phases every comparison runs.
+    fn send_phases(n: usize) -> [(Vec<LaneSend>, Vec<Outbox>); 2] {
+        [mixed_send_phase(n), zero_send_phase(n)]
+    }
+
+    /// A row's values as bit patterns, sorted: equal for two rows only
+    /// when they hold the same values with the same signs of zero.
+    fn row_bits(row: &[Value]) -> Vec<u64> {
+        let mut bits: Vec<u64> = row.iter().map(|v| v.get().to_bits()).collect();
+        bits.sort_unstable();
+        bits
     }
 
     fn build(
@@ -320,9 +356,9 @@ mod tests {
         }
     }
 
-    /// Runs `rounds` rounds through both the scalar reference and the
-    /// shared realization and asserts identical per-receiver multisets and
-    /// stats.
+    /// Runs `rounds` rounds of each send phase through both the scalar
+    /// reference and the shared realization and asserts identical
+    /// per-receiver multisets (down to the sign of zero) and stats.
     fn assert_matches_scalar(
         topology: &Topology,
         schedule: Option<&TopologySchedule>,
@@ -332,38 +368,41 @@ mod tests {
         seed: u64,
         rounds: u64,
     ) {
-        let mut scalar = ScalarReference::new(topology, schedule, plan, policy, n, seed);
-        let mut shared = build(n, topology, schedule, plan, policy, seed);
-        let mut lane = shared.lane(seed);
-        let mut rows = DeliveryRows::new(n);
-        let mut stats = NetworkStats::new();
-        let (sends, outboxes) = mixed_send_phase(n);
-        let active = vec![true; n];
-        for round in 0..rounds {
-            let round = Round::new(round);
-            let scalar_rows = scalar.exchange(round, &outboxes).unwrap();
-            shared
-                .exchange_rows(
-                    &mut lane,
-                    round,
-                    &sends,
-                    |s| &outboxes[s],
-                    &active,
-                    &mut rows,
-                    &mut stats,
-                )
-                .unwrap();
-            assert_eq!(rows.rows(), n);
-            for row in 0..rows.rows() {
-                let r = rows.receiver(row);
-                assert_eq!(
-                    rows.row(row),
-                    &scalar_rows[r][..],
-                    "round {round} receiver {r}"
-                );
+        for (sends, outboxes) in send_phases(n) {
+            let mut scalar = ScalarReference::new(topology, schedule, plan, policy, n, seed);
+            let mut shared = build(n, topology, schedule, plan, policy, seed);
+            let mut lane = shared.lane(seed);
+            let mut rows = DeliveryRows::new(n);
+            let mut stats = NetworkStats::new();
+            let active = vec![true; n];
+            for round in 0..rounds {
+                let round = Round::new(round);
+                let scalar_rows = scalar.exchange(round, &outboxes).unwrap();
+                shared
+                    .exchange_rows(
+                        &mut lane,
+                        round,
+                        &sends,
+                        |s| &outboxes[s],
+                        &active,
+                        &mut rows,
+                        &mut stats,
+                    )
+                    .unwrap();
+                assert_eq!(rows.rows(), n);
+                for row in 0..rows.rows() {
+                    let r = rows.receiver(row);
+                    let label = format!("{topology} n={n} round {round} receiver {r}");
+                    assert_eq!(rows.row(row), &scalar_rows[r][..], "{label}");
+                    assert_eq!(
+                        row_bits(rows.row(row)),
+                        row_bits(&scalar_rows[r]),
+                        "{label}"
+                    );
+                }
             }
+            assert_eq!(stats, scalar.stats);
         }
-        assert_eq!(stats, scalar.stats);
     }
 
     #[test]
@@ -379,45 +418,53 @@ mod tests {
         };
         let lossy = LinkFaultPlan::new().omit_all(0.3);
         let clean = LinkFaultPlan::new();
-        let n = 8;
-        let cases = [
-            (Topology::Complete, None, &clean),
-            (Topology::Ring { k: 2 }, None, &clean),
-            (Topology::Complete, Some(&churn), &clean),
-            (Topology::Ring { k: 3 }, None, &lossy),
-            (Topology::Complete, Some(&periodic), &clean),
-            (Topology::Complete, Some(&churn), &lossy),
-            (Topology::Complete, None, &lossy),
-            (Topology::RandomRegular { degree: 3 }, None, &clean),
-        ];
-        for (topology, schedule, plan) in cases {
-            let mut shared = build(n, &topology, schedule, plan, DisconnectionPolicy::Record, 5);
-            let mut lane = shared.lane(5);
-            let mut rows = DeliveryRows::new(n);
-            let mut stats = NetworkStats::new();
-            let (sends, outboxes) = mixed_send_phase(n);
-            for round in 0..6 {
-                let round = Round::new(round);
-                shared
-                    .exchange_rows(
-                        &mut lane,
-                        round,
-                        &sends,
-                        |s| &outboxes[s],
-                        &[true; 8],
-                        &mut rows,
-                        &mut stats,
-                    )
-                    .unwrap();
-                let trace = shared.trace_round(&lane, round, &sends, |s| &outboxes[s]);
-                assert_eq!(trace.round(), round);
-                for r in 0..n {
-                    let mut heard: Vec<Value> = trace
-                        .iter()
-                        .filter_map(|obs| obs.delivered_to(pid(r)))
-                        .collect();
-                    heard.sort_unstable();
-                    assert_eq!(rows.row(r), &heard[..], "{topology} {round} receiver {r}");
+        // n = 8, and both sides of the heard sets' 64-bit word boundaries.
+        for n in [8, 63, 64, 65, 129] {
+            let cases = [
+                (Topology::Complete, None, &clean),
+                (Topology::Ring { k: 2 }, None, &clean),
+                (Topology::Complete, Some(&churn), &clean),
+                (Topology::Ring { k: 3 }, None, &lossy),
+                (Topology::Complete, Some(&periodic), &clean),
+                (Topology::Complete, Some(&churn), &lossy),
+                (Topology::Complete, None, &lossy),
+                // An odd degree needs an even universe.
+                (Topology::RandomRegular { degree: 3 + n % 2 }, None, &clean),
+            ];
+            for (topology, schedule, plan) in &cases {
+                for (sends, outboxes) in send_phases(n) {
+                    let policy = DisconnectionPolicy::Record;
+                    let mut shared = build(n, topology, *schedule, plan, policy, 5);
+                    let mut lane = shared.lane(5);
+                    let mut rows = DeliveryRows::new(n);
+                    let mut stats = NetworkStats::new();
+                    for round in 0..6 {
+                        let round = Round::new(round);
+                        shared
+                            .exchange_rows(
+                                &mut lane,
+                                round,
+                                &sends,
+                                |s| &outboxes[s],
+                                &vec![true; n],
+                                &mut rows,
+                                &mut stats,
+                            )
+                            .unwrap();
+                        let trace = shared.trace_round(&lane, round, &sends, |s| &outboxes[s]);
+                        assert_eq!(trace.round(), round);
+                        for r in 0..n {
+                            let heard: Vec<Value> = trace
+                                .iter()
+                                .filter_map(|obs| obs.delivered_to(pid(r)))
+                                .collect();
+                            let mut sorted = heard.clone();
+                            sorted.sort_unstable();
+                            let label = format!("{topology} n={n} {round} receiver {r}");
+                            assert_eq!(rows.row(r), &sorted[..], "{label}");
+                            assert_eq!(row_bits(rows.row(r)), row_bits(&heard), "{label}");
+                        }
+                    }
                 }
             }
         }
@@ -425,15 +472,18 @@ mod tests {
 
     #[test]
     fn static_masked_delivery_matches_scalar() {
-        assert_matches_scalar(
-            &Topology::Ring { k: 2 },
-            None,
-            &LinkFaultPlan::new(),
-            DisconnectionPolicy::Record,
-            9,
-            3,
-            5,
-        );
+        // n = 9, and both sides of the heard sets' 64-bit word boundaries.
+        for n in [9, 63, 64, 65, 129] {
+            assert_matches_scalar(
+                &Topology::Ring { k: 2 },
+                None,
+                &LinkFaultPlan::new(),
+                DisconnectionPolicy::Record,
+                n,
+                3,
+                5,
+            );
+        }
     }
 
     #[test]
@@ -459,13 +509,21 @@ mod tests {
             base: Topology::Complete,
             flip_rate: 0.4,
         };
-        for seed in [2, 9, 40] {
+        for (n, seed) in [
+            (8, 2),
+            (8, 9),
+            (8, 40),
+            (63, 2),
+            (64, 9),
+            (65, 40),
+            (129, 2),
+        ] {
             assert_matches_scalar(
                 &Topology::Complete,
                 Some(&schedule),
                 &LinkFaultPlan::new(),
                 DisconnectionPolicy::Record,
-                8,
+                n,
                 seed,
                 12,
             );
@@ -491,9 +549,14 @@ mod tests {
     #[test]
     fn lossy_and_delayed_links_match_scalar() {
         let plan = LinkFaultPlan::new().omit_all(0.3).delay(0, 1, 2);
-        // A ring buffers unreachable slots on its delayed links; churn
-        // draws its mask and sends the outcomes through the pipes.
-        let ring_delays = LinkFaultPlan::new().delay(0, 1, 2).delay(0, 3, 1);
+        // A ring buffers unreachable slots on its delayed links, and its
+        // per-receiver senders 0 and 2 send over delays of 1, 2 and 3;
+        // churn draws its mask and sends the outcomes through the ring.
+        let ring_delays = LinkFaultPlan::new()
+            .delay(0, 1, 2)
+            .delay(0, 3, 1)
+            .delay(2, 3, 3)
+            .delay(2, 1, 1);
         let churn = TopologySchedule::SeededChurn {
             base: Topology::Complete,
             flip_rate: 0.3,
@@ -527,6 +590,31 @@ mod tests {
                 10,
             );
         }
+        // Delays across the heard sets' word boundaries.
+        for n in [63, 64, 65, 129] {
+            assert_matches_scalar(
+                &Topology::Ring { k: 3 },
+                None,
+                &ring_delays.clone().delay(n - 1, 0, 3),
+                DisconnectionPolicy::Record,
+                n,
+                5,
+                8,
+            );
+        }
+        // One link outlasts the run while two others deliver within it.
+        assert_matches_scalar(
+            &Topology::Ring { k: 2 },
+            None,
+            &LinkFaultPlan::new()
+                .delay(0, 1, 1000)
+                .delay(2, 1, 1)
+                .delay(255, 0, 3),
+            DisconnectionPolicy::Record,
+            256,
+            3,
+            6,
+        );
     }
 
     #[test]
@@ -658,45 +746,54 @@ mod tests {
 
     #[test]
     fn inactive_receivers_are_accounted_but_not_collected() {
-        for topology in [Topology::Complete, Topology::Ring { k: 1 }] {
-            let mut shared = build(
-                4,
-                &topology,
-                None,
-                &LinkFaultPlan::new(),
-                DisconnectionPolicy::Record,
-                0,
-            );
+        let (sends, outboxes) = mixed_send_phase(4);
+        let exchange = |topology: &Topology, active: &[bool]| {
+            let policy = DisconnectionPolicy::Record;
+            let mut shared = build(4, topology, None, &LinkFaultPlan::new(), policy, 0);
             let mut lane = shared.lane(0);
             let mut rows = DeliveryRows::new(4);
             let mut stats = NetworkStats::new();
-            let (sends, outboxes) = mixed_send_phase(4);
-            let mut active = vec![true; 4];
-            active[1] = false;
             shared
                 .exchange_rows(
                     &mut lane,
                     Round::ZERO,
                     &sends,
                     |s| &outboxes[s],
-                    &active,
+                    active,
                     &mut rows,
                     &mut stats,
                 )
                 .unwrap();
-            assert_eq!(
-                (0..rows.rows())
-                    .map(|i| rows.receiver(i))
-                    .collect::<Vec<_>>(),
-                vec![0, 2, 3],
-                "{topology}"
-            );
-            // All 16 slots are accounted regardless of who computes.
-            assert_eq!(
-                stats.messages_delivered + stats.omissions + stats.unreachable,
-                16,
-                "{topology}"
-            );
+            (rows, stats)
+        };
+        for topology in [Topology::Complete, Topology::Ring { k: 1 }] {
+            let (everyone, _) = exchange(&topology, &[true; 4]);
+            // Receiver 1 hears no broadcaster on the ring; receiver 0
+            // hears broadcaster 3.
+            for idle in [1, 0] {
+                let mut active = [true; 4];
+                active[idle] = false;
+                let (rows, stats) = exchange(&topology, &active);
+                assert_eq!(
+                    (0..rows.rows())
+                        .map(|i| rows.receiver(i))
+                        .collect::<Vec<_>>(),
+                    (0..4).filter(|&r| r != idle).collect::<Vec<_>>(),
+                    "{topology}"
+                );
+                // The collected rows are what an all-active round hands
+                // the same receivers.
+                for i in 0..rows.rows() {
+                    let r = rows.receiver(i);
+                    assert_eq!(rows.row(i), everyone.row(r), "{topology} receiver {r}");
+                }
+                // All 16 slots are accounted regardless of who computes.
+                assert_eq!(
+                    stats.messages_delivered + stats.omissions + stats.unreachable,
+                    16,
+                    "{topology}"
+                );
+            }
         }
     }
 }

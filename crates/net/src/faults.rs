@@ -385,7 +385,7 @@ impl DirectedAdjacency {
     /// separated halves leaves the graph weakly but not strongly connected.
     #[must_use]
     pub fn is_strongly_connected(&self) -> bool {
-        self.reachable_from(0).iter().all(|&r| r) && self.reaching(0).iter().all(|&r| r)
+        self.search(0, true).iter().all(|&r| r) && self.search(0, false).iter().all(|&r| r)
     }
 
     /// The number of strongly connected components — the directed analogue
@@ -402,8 +402,8 @@ impl DirectedAdjacency {
             components += 1;
             // v's strong component is exactly the processes both reachable
             // from v and reaching v.
-            let forward = self.reachable_from(v);
-            let backward = self.reaching(v);
+            let forward = self.search(v, true);
+            let backward = self.search(v, false);
             for (slot, both) in assigned
                 .iter_mut()
                 .zip(forward.iter().zip(&backward).map(|(&fwd, &bwd)| fwd && bwd))
@@ -434,38 +434,21 @@ impl DirectedAdjacency {
         pruned
     }
 
-    /// Which processes are reachable from `start` along arcs (including
-    /// `start`).
-    fn reachable_from(&self, start: usize) -> Vec<bool> {
-        let mut visited = vec![false; self.n];
+    /// Which processes `start` reaches along arcs (`forward`), or which
+    /// reach it (`!forward`); `start` included.
+    fn search(&self, start: usize, forward: bool) -> Vec<bool> {
+        let n = self.n;
+        let mut visited = vec![false; n];
         let mut stack = vec![start];
         visited[start] = true;
+        let (node_stride, next_stride) = if forward { (n, 1) } else { (1, n) };
         while let Some(node) = stack.pop() {
-            let row = &self.bits[node * self.n..(node + 1) * self.n];
-            for (next, &linked) in row.iter().enumerate() {
-                if linked && !visited[next] {
-                    visited[next] = true;
+            for (next, seen) in visited.iter_mut().enumerate() {
+                if self.bits[node * node_stride + next * next_stride] && !*seen {
+                    *seen = true;
                     stack.push(next);
                 }
             }
-        }
-        visited
-    }
-
-    /// Which processes can reach `target` along arcs (including `target`).
-    fn reaching(&self, target: usize) -> Vec<bool> {
-        let mut visited = vec![false; self.n];
-        let mut stack = vec![target];
-        visited[target] = true;
-        while let Some(node) = stack.pop() {
-            let mut discovered = Vec::new();
-            for (prev, was_visited) in visited.iter_mut().enumerate() {
-                if self.bits[prev * self.n + node] && !*was_visited {
-                    *was_visited = true;
-                    discovered.push(prev);
-                }
-            }
-            stack.extend(discovered);
         }
         visited
     }
@@ -777,7 +760,8 @@ impl LinkFaultPlan {
     ///
     /// # Errors
     ///
-    /// Propagates [`validate`](LinkFaultPlan::validate).
+    /// Propagates [`validate`](LinkFaultPlan::validate); [`Error::InvalidParameter`]
+    /// when the links' delays sum past 2^24 rounds, more than a run buffers.
     pub fn compile(&self, n: usize) -> Result<CompiledLinkFaults> {
         self.validate(n)?;
         let mut omit = vec![0.0f64; n * n];
@@ -796,6 +780,14 @@ impl LinkFaultPlan {
                     }
                 }
             }
+        }
+        // Each lane's delay ring holds one message per link and round of delay.
+        const MAX_BUFFERED: usize = 1 << 24;
+        let buffered = delay.iter().try_fold(0usize, |sum, &d| sum.checked_add(d));
+        if buffered.is_none_or(|sum| sum > MAX_BUFFERED) {
+            return Err(Error::InvalidParameter(format!(
+                "link delays must sum to at most {MAX_BUFFERED} rounds over all links"
+            )));
         }
         Ok(CompiledLinkFaults { n, omit, delay })
     }
@@ -884,10 +876,17 @@ impl CompiledLinkFaults {
         self.delay[from * self.n + to]
     }
 
-    /// The largest delay any compiled link carries — 0 means no exchange
-    /// ever buffers, so the delay pipes can be skipped wholesale.
-    pub(crate) fn compiled_max_delay(&self) -> usize {
-        self.delay.iter().copied().max().unwrap_or(0)
+    /// Where each link's delay-ring slots start, receiver-major, then the
+    /// ring's length: a link of delay `d` owns `d` slots. Empty without delays.
+    pub(crate) fn delay_ring(&self) -> Vec<u32> {
+        if self.delay.iter().all(|&d| d == 0) {
+            return Vec::new();
+        }
+        let mut ring_at = vec![0];
+        for k in 0..self.n * self.n {
+            ring_at.push(ring_at[k] + self.delay_at(k % self.n, k / self.n) as u32);
+        }
+        ring_at
     }
 }
 
@@ -1214,6 +1213,28 @@ mod tests {
             Err(Error::UnknownProcess { n: 3, .. })
         ));
         assert!(LinkFaultPlan::new().cut(0, 1).validate(2).is_ok());
+    }
+
+    #[test]
+    fn delays_beyond_what_a_run_buffers_fail_to_compile() {
+        let compiled = |plan: LinkFaultPlan, n| plan.compile(n).map(|faults| faults.delay_ring());
+        // Receiver-major: link 0 -> 1 is slot 2 of 4; up to 2^24 slots in all.
+        let ring = compiled(LinkFaultPlan::new().delay(0, 1, 1 << 24), 2).unwrap();
+        assert_eq!(ring, vec![0, 0, 0, 1 << 24, 1 << 24]);
+        for (plan, n) in [
+            (LinkFaultPlan::new().delay(0, 1, (1 << 24) + 1), 2),
+            (LinkFaultPlan::new().delay_all(1 << 23), 3),
+            // The sum overflows usize.
+            (
+                LinkFaultPlan::new().delay(0, 1, usize::MAX).delay(1, 0, 1),
+                2,
+            ),
+        ] {
+            assert!(
+                matches!(compiled(plan, n), Err(Error::InvalidParameter(_))),
+                "n={n}"
+            );
+        }
     }
 
     #[test]

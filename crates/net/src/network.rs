@@ -5,7 +5,7 @@
 //! graphs, compiled link faults, connectivity) plus reusable round
 //! scratch. Each lane carries only a tiny [`LaneDelivery`]: its seed, which
 //! keys its churn and omission draws, its round cursor and, when the plan
-//! delays, its delay pipes.
+//! delays, its delay ring.
 //!
 //! Every slot — what sender `s` put on its link to receiver `r` in one
 //! round — is decided by one classifier: a delivered value, a *sender
@@ -32,9 +32,12 @@
 //!   periodic phases, seeded churn, link omissions and delays. A round's
 //!   graph is a reachability mask with closed in-neighbourhood lists,
 //!   built per phase (a fixed graph is the one-phase case) or redrawn per
-//!   lane round under churn. Without delayed links each receiver visits
-//!   only its in-neighbourhood; when some link delays, it visits all `n`
-//!   senders, and outcomes on delayed links travel the lane's pipes.
+//!   lane round under churn. Each receiver visits its in-neighbourhood, or
+//!   all `n` senders when some link delays: a link of delay `d` delivers
+//!   in round `t` what was sent in round `t − d`, kept in the lane's delay
+//!   ring, where the link owns `d` slots. Rows come out in *rank order*: the broadcasters are
+//!   sorted once per lane round, a receiver marks the ranks it heard in an
+//!   `n`-bit set, and only its other arrivals are sorted and merged in.
 //!
 //! A [`Topology::RandomRegular`] graph realizes differently per seed, so
 //! such descriptions are built once per lane seed
@@ -45,7 +48,6 @@
 //! bit for bit.
 
 use std::cmp::Ordering;
-use std::collections::VecDeque;
 
 use mbaa_types::{Error, ProcessId, Result, Round, Value};
 
@@ -56,7 +58,7 @@ use crate::{
 };
 
 /// What one slot carried: classified at send time and accounted at
-/// delivery time, so a delay pipe buffers the classification.
+/// delivery time, so the delay ring buffers the classification.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum SendOutcome {
     /// A value was sent and survived the link.
@@ -67,6 +69,8 @@ enum SendOutcome {
     Unreachable,
     /// The link's omission draw lost the message (a link fault).
     LinkOmitted,
+    /// A delay-ring slot whose link's delay has not elapsed yet.
+    Pending,
 }
 
 impl SendOutcome {
@@ -83,6 +87,7 @@ impl SendOutcome {
             SendOutcome::SenderOmitted => stats.omissions += 1,
             SendOutcome::Unreachable => stats.unreachable += 1,
             SendOutcome::LinkOmitted => stats.link_omissions += 1,
+            SendOutcome::Pending => stats.link_pending += 1,
         }
         None
     }
@@ -96,9 +101,9 @@ pub struct LaneDelivery {
     seed: u64,
     /// The round the next exchange must carry (unless the graph is fixed).
     next_round: u64,
-    /// In-order delay buffers, indexed `from * n + to`; allocated only when
-    /// the compiled plan has a positive maximum delay.
-    pipes: Vec<VecDeque<SendOutcome>>,
+    /// The delay ring: a link of delay `d` owns `d` slots, slot `t % d` holding
+    /// what it carried in round `t`; empty unless the plan delays.
+    ring: Vec<SendOutcome>,
 }
 
 /// One round's graph: who hears whom, the closed in-neighbourhood lists
@@ -301,6 +306,61 @@ fn merge_sorted(a: &[Value], b: &[Value], out: &mut [Value]) {
     }
 }
 
+/// Reusable scratch of the general walk, shared across lanes: the lane
+/// round's broadcasters in ascending `order`, each one's `rank` there, and
+/// one receiver's `heard` ranks and `extra` (per-receiver or delayed) arrivals.
+#[derive(Debug)]
+struct RankScratch {
+    order: Vec<(u128, Value)>,
+    rank: Vec<u32>,
+    heard: Vec<u64>,
+    extra: Vec<Value>,
+}
+
+impl RankScratch {
+    /// Sorts the lane round's broadcasters once by `bits << 32 | sender`, where `bits` orders like
+    /// the value (−0.0 folded into 0.0, so equal values go by sender), and records their ranks.
+    // mbaa: alloc-free
+    fn rank(&mut self, sends: &[LaneSend]) {
+        let mut len = 0;
+        for (s, &send) in sends.iter().enumerate() {
+            if let LaneSend::Broadcast(value) = send {
+                let bits = (value.get() + 0.0).to_bits();
+                let bits = bits ^ ((bits as i64 >> 63) as u64 | 1 << 63);
+                self.order[len] = (u128::from(bits) << 32 | s as u128, value);
+                len += 1;
+            }
+        }
+        self.order[..len].sort_unstable_by_key(|&(key, _)| key);
+        for (k, &(key, _)) in self.order[..len].iter().enumerate() {
+            self.rank[key as u32 as usize] = k as u32;
+        }
+    }
+
+    /// Emits the row into `out`: heard values merged with the sorted extras, clearing `heard`.
+    // mbaa: alloc-free
+    fn emit(&mut self, extra_len: usize, out: &mut [Value]) -> usize {
+        let extra = &mut self.extra[..extra_len];
+        extra.sort_unstable();
+        let (mut h, mut j) = (0, 0);
+        for (w, word) in self.heard.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let value = self.order[w * 64 + bits.trailing_zeros() as usize].1;
+                bits &= bits - 1;
+                while j < extra_len && extra[j] < value {
+                    out[h + j] = extra[j];
+                    j += 1;
+                }
+                out[h + j] = value;
+                h += 1;
+            }
+        }
+        out[h + j..h + extra_len].copy_from_slice(&extra[j..]);
+        h + extra_len
+    }
+}
+
 /// The round graphs of a realization, which also pick its walk.
 #[derive(Debug)]
 enum Graphs {
@@ -321,7 +381,7 @@ enum Graphs {
 struct Slots<'a, F> {
     seed: u64,
     round: u64,
-    /// The round graph's mask; `None` on the complete graph.
+    /// The round graph's mask; `None` when every pair asked about is linked.
     reach: Option<&'a [bool]>,
     faults: Option<&'a CompiledLinkFaults>,
     sends: &'a [LaneSend],
@@ -338,12 +398,6 @@ impl<'o, F: Fn(usize) -> &'o Outbox> Slots<'_, F> {
         if self.reach.is_some_and(|reach| !reach[r * n + s]) {
             return SendOutcome::Unreachable;
         }
-        self.classify_linked(s, r)
-    }
-
-    /// [`classify`](Slots::classify) for a pair the round's graph links.
-    #[inline(always)]
-    fn classify_linked(&self, s: usize, r: usize) -> SendOutcome {
         let Some(value) = self.sends[s].slot(self.outbox_of, s, ProcessId::new(r)) else {
             return SendOutcome::SenderOmitted;
         };
@@ -372,9 +426,10 @@ pub struct SharedRealization {
     /// omissions.
     faults: Option<CompiledLinkFaults>,
     policy: DisconnectionPolicy,
-    /// The largest compiled delay; 0 keeps no pipes and walks only
-    /// in-neighbourhoods.
-    max_delay: usize,
+    /// A lane's delay-ring layout ([`CompiledLinkFaults::delay_ring`]); empty
+    /// when nothing delays, which walks only in-neighbourhoods.
+    ring_at: Vec<u32>,
+    ranks: RankScratch,
 }
 
 /// Seed-dependence of a topology description: only
@@ -454,30 +509,33 @@ impl SharedRealization {
                 }
             }
         };
-        let max_delay = faults
+        let ring_at = faults
             .as_ref()
-            .map_or(0, CompiledLinkFaults::compiled_max_delay);
+            .map_or_else(Vec::new, CompiledLinkFaults::delay_ring);
+        let merges = matches!(graphs, Graphs::Complete(_));
+        let walked = if merges { 0 } else { n };
         Ok(SharedRealization {
             n,
             graphs,
             faults,
             policy,
-            max_delay,
+            ring_at,
+            ranks: RankScratch {
+                order: vec![(0, Value::new(0.0)); walked],
+                rank: vec![0; walked],
+                heard: vec![0; walked.div_ceil(64)],
+                extra: vec![Value::new(0.0); walked],
+            },
         })
     }
 
     /// Creates the per-lane delivery state for one lane seed.
     #[must_use]
     pub fn lane(&self, seed: u64) -> LaneDelivery {
-        let links = if self.max_delay > 0 {
-            self.n * self.n
-        } else {
-            0
-        };
         LaneDelivery {
             seed,
             next_round: 0,
-            pipes: vec![VecDeque::new(); links],
+            ring: vec![SendOutcome::Pending; self.ring_at.last().map_or(0, |&len| len as usize)],
         }
     }
 
@@ -494,8 +552,8 @@ impl SharedRealization {
 
     /// The graph of `round` — under churn, as the lane's latest exchange
     /// drew it — or `None` for the complete graph.
-    fn graph_at(&self, round: Round) -> Option<&RoundGraph> {
-        match &self.graphs {
+    fn graph_at(graphs: &Graphs, round: Round) -> Option<&RoundGraph> {
+        match graphs {
             Graphs::Complete(_) => None,
             Graphs::Phases(phases) => Some(&phases[(round.index() % phases.len() as u64) as usize]),
             Graphs::Churn { drawn, .. } => Some(drawn),
@@ -571,9 +629,7 @@ impl SharedRealization {
                 });
             }
         }
-        let graph = self
-            .graph_at(round)
-            .expect("only the complete graph has none");
+        let graph = Self::graph_at(&self.graphs, round).expect("only the complete graph has none");
         if !fixed && graph.components != 1 {
             match self.policy {
                 DisconnectionPolicy::Reject => {
@@ -587,56 +643,64 @@ impl SharedRealization {
         }
         stats.rounds += 1;
 
-        // The general walk. Rows of inactive receivers are written but
-        // never pushed, so the next row overwrites them.
+        // The general walk, in rank order (see the module documentation).
+        let (t, delays) = (round.index() as usize, !self.ring_at.is_empty());
         let slots = Slots {
             seed: lane.seed,
             round: round.index(),
-            reach: Some(&graph.mask[..]),
+            reach: delays.then_some(&graph.mask[..]),
             faults: self.faults.as_ref(),
             sends,
             outbox_of: &outbox_of,
         };
+        let ranks = &mut self.ranks;
+        ranks.rank(sends);
         for (r, &row_active) in active.iter().enumerate() {
-            let start = rows.total;
-            let mut len = 0;
-            if self.max_delay == 0 {
-                // No link buffers: only the in-neighbourhood can deliver.
+            let mut extra = 0;
+            // Files an undelayed broadcast by its rank, anything else as extra.
+            let mut arrive = |s: usize, value: Value, delayed: bool| match sends[s] {
+                LaneSend::Broadcast(_) if !delayed => {
+                    let k = ranks.rank[s] as usize;
+                    ranks.heard[k / 64] |= 1 << (k % 64);
+                }
+                _ => {
+                    ranks.extra[extra] = value;
+                    extra += 1;
+                }
+            };
+            if !delays {
+                // No delay ring: only the in-neighbourhood can deliver.
                 let hood = graph.hood(r);
                 stats.unreachable += (n - hood.len()) as u64;
-                for &s in hood {
-                    if let Some(value) = slots.classify_linked(s as usize, r).account(false, stats)
-                    {
-                        rows.merged[start + len] = value;
-                        len += 1;
+                for s in hood.iter().map(|&s| s as usize) {
+                    if let Some(value) = slots.classify(s, r).account(false, stats) {
+                        arrive(s, value, false);
                     }
                 }
             } else {
-                // Delayed links buffer every outcome, even structural
-                // ones, so all n senders are visited.
+                // The delay ring buffers every outcome, so visit all n senders.
                 for s in 0..n {
                     let sent = slots.classify(s, r);
                     let delay = slots.delay(s, r);
                     let arrived = if delay == 0 {
                         sent
                     } else {
-                        let pipe = &mut lane.pipes[s * n + r];
-                        // mbaa: allow(hot-path/vec-growth, the pipe is popped whenever len > delay, so it holds at most delay + 1 entries after the first delay rounds)
-                        pipe.push_back(sent);
-                        if pipe.len() <= delay {
-                            stats.link_pending += 1;
-                            continue;
-                        }
-                        pipe.pop_front().expect("pipe holds > delay entries")
+                        // The link's slot for round t holds round t − delay's
+                        // outcome (pending before round `delay`) until now.
+                        let at = self.ring_at[r * n + s] as usize + t % delay;
+                        std::mem::replace(&mut lane.ring[at], sent)
                     };
                     if let Some(value) = arrived.account(delay > 0, stats) {
-                        rows.merged[start + len] = value;
-                        len += 1;
+                        arrive(s, value, delay > 0);
                     }
                 }
             }
             if row_active {
-                rows.sort_and_push_row(r, start, len);
+                let start = rows.total;
+                let len = ranks.emit(extra, &mut rows.merged[start..]);
+                rows.push_row(r, start, len);
+            } else {
+                ranks.heard.fill(0);
             }
         }
         Ok(())
@@ -659,7 +723,7 @@ impl SharedRealization {
         let slots = Slots {
             seed: lane.seed,
             round: round.index(),
-            reach: self.graph_at(round).map(|graph| &graph.mask[..]),
+            reach: Self::graph_at(&self.graphs, round).map(|graph| &graph.mask[..]),
             faults: self.faults.as_ref(),
             sends,
             outbox_of: &outbox_of,
@@ -976,6 +1040,26 @@ mod tests {
         // A delayed link is link-faulted in every round of the trace.
         let obs = net.trace(Round::new(3), &send(3.5)).observation(pid(0));
         assert!(obs.link_faulted(pid(1)) && !obs.link_faulted(pid(2)));
+    }
+
+    #[test]
+    fn the_delay_ring_holds_only_the_delayed_links_slots() {
+        let ring_len = |plan: &LinkFaultPlan, n| {
+            let net = Net::new(
+                n,
+                &Topology::Complete,
+                None,
+                plan,
+                DisconnectionPolicy::Record,
+                0,
+            );
+            net.lane.ring.len()
+        };
+        // One slow link costs its own delay, however large the universe.
+        assert_eq!(ring_len(&LinkFaultPlan::new().delay(0, 1, 1000), 256), 1000);
+        let all_but_one = LinkFaultPlan::new().delay_all(1).delay(0, 1, 1000);
+        assert_eq!(ring_len(&all_but_one, 256), 256 * 255 - 1 + 1000);
+        assert_eq!(ring_len(&LinkFaultPlan::new().omit_all(0.5), 256), 0);
     }
 
     #[test]

@@ -78,8 +78,10 @@ impl ExperimentConfig {
     ///
     /// # Errors
     ///
-    /// Propagates the builder's validation errors.
+    /// Propagates the workload's and the builder's validation errors
+    /// ([`Workload::validate`]).
     pub fn protocol_config(&self, seed: u64) -> Result<ProtocolConfig> {
+        self.workload.validate()?;
         let mut builder = ProtocolConfig::builder(self.model, self.n, self.f)
             .epsilon(self.epsilon)
             .max_rounds(self.max_rounds)

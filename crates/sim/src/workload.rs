@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use mbaa_types::Value;
+use mbaa_types::{check_range, Error, Result, Value};
 
 /// How the initial values of an experiment are generated.
 ///
@@ -107,6 +107,47 @@ impl Workload {
             Workload::Fixed { values } => values.clone(),
         }
     }
+
+    /// Checks that the values the workload generates span a range of
+    /// finite width, which a run's convergence report needs: `[lo, hi]`
+    /// with `lo <= hi`, every centre ± `jitter`, or the fixed values.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidParameter`] naming the range, for an inverted or
+    /// infinitely wide range, or a clustered workload without centres.
+    pub fn validate(&self) -> Result<()> {
+        let (what, lo, hi) = match self {
+            Workload::UniformSpread { lo, hi } => ("uniform-spread range", *lo, *hi),
+            Workload::RandomUniform { lo, hi } => ("random-uniform range", *lo, *hi),
+            Workload::Clustered { jitter, .. } if *jitter < 0.0 || jitter.is_nan() => {
+                return Err(Error::InvalidParameter(format!(
+                    "clustered jitter {jitter:?} must be >= 0"
+                )));
+            }
+            Workload::Clustered { centers, jitter } => {
+                let (lo, hi) = hull(centers.iter().copied());
+                (
+                    "clustered range (centres ± jitter)",
+                    lo - jitter,
+                    hi + jitter,
+                )
+            }
+            Workload::Fixed { values } if values.is_empty() => return Ok(()),
+            Workload::Fixed { values } => {
+                let (lo, hi) = hull(values.iter().map(|v| v.get()));
+                ("fixed values' span", lo, hi)
+            }
+        };
+        check_range(what, lo, hi)
+    }
+}
+
+/// The smallest and largest of `values` (`(inf, -inf)` when empty).
+fn hull(values: impl Iterator<Item = f64>) -> (f64, f64) {
+    values.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+        (lo.min(v), hi.max(v))
+    })
 }
 
 impl Default for Workload {
@@ -190,6 +231,47 @@ mod tests {
         assert_eq!(w.generate(4, 0), values);
         assert_eq!(w.generate(4, 99), values);
         assert_eq!(w.to_string(), "fixed(4 values)");
+    }
+
+    #[test]
+    fn validate_rejects_spans_of_infinite_width() {
+        let too_wide = [
+            Workload::Fixed {
+                values: vec![Value::new(1.7e308), Value::new(-1.7e308), Value::ZERO],
+            },
+            Workload::Clustered {
+                centers: vec![0.0],
+                jitter: 1e308,
+            },
+            Workload::UniformSpread {
+                lo: -1e308,
+                hi: 1e308,
+            },
+            Workload::RandomUniform { lo: 1.0, hi: 0.0 },
+            // A negative jitter that does not invert the hull, and NaN.
+            Workload::Clustered {
+                centers: vec![0.0, 10.0],
+                jitter: -1.0,
+            },
+            Workload::Clustered {
+                centers: vec![0.0],
+                jitter: f64::NAN,
+            },
+        ];
+        for workload in too_wide {
+            let err = workload.validate().unwrap_err();
+            assert!(matches!(err, Error::InvalidParameter(_)), "{workload}");
+        }
+        for workload in [
+            Workload::default(),
+            Workload::Fixed { values: vec![] },
+            Workload::Clustered {
+                centers: vec![1e308],
+                jitter: 0.0,
+            },
+        ] {
+            assert_eq!(workload.validate(), Ok(()), "{workload}");
+        }
     }
 
     #[test]

@@ -4,7 +4,34 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::Value;
+use crate::{Error, Result, Value};
+
+/// Checks that `[lo, hi]` is a range values can be drawn from and measured
+/// in: `lo <= hi` with a finite width `hi - lo` (a NaN or infinite end
+/// fails both).
+///
+/// # Errors
+///
+/// [`Error::InvalidParameter`] naming `what` and the range.
+///
+/// # Example
+///
+/// ```
+/// use mbaa_types::check_range;
+///
+/// assert!(check_range("range", -1.0, 1.0).is_ok());
+/// assert!(check_range("range", 1.0, -1.0).is_err());
+/// assert!(check_range("range", -1e308, 1e308).is_err()); // the width overflows
+/// ```
+pub fn check_range(what: &str, lo: f64, hi: f64) -> Result<()> {
+    if lo <= hi && (hi - lo).is_finite() {
+        Ok(())
+    } else {
+        Err(Error::InvalidParameter(format!(
+            "{what} [{lo:?}, {hi:?}] needs lo <= hi and a finite width"
+        )))
+    }
+}
 
 /// A closed interval `[lo, hi]` of real values.
 ///

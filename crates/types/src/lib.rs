@@ -9,7 +9,8 @@
 //! * [`ValueMultiset`] — the multiset `N` of values a process gathers in a
 //!   round, together with the range/diameter operators `ρ(V)` and `δ(V)`
 //!   used throughout the paper.
-//! * [`Interval`] — a closed real interval, the range of a multiset.
+//! * [`Interval`] — a closed real interval, the range of a multiset, and
+//!   [`check_range`], the rule every configured sampling range obeys.
 //! * [`ProcessId`] / [`ProcessSet`] — process identities `p_1 … p_n`.
 //! * [`Round`] and [`Phase`] — the synchronous round structure
 //!   (send / receive / compute).
@@ -48,7 +49,7 @@ mod value;
 
 pub use error::{Error, Result};
 pub use fault::{FaultCounts, FaultState, MixedFaultClass, MobileModel};
-pub use interval::Interval;
+pub use interval::{check_range, Interval};
 pub use multiset::ValueMultiset;
 pub use process::{ProcessId, ProcessSet};
 pub use round::{Phase, Round};

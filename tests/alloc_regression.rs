@@ -17,8 +17,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mbaa::{
-    BatchEngine, CorruptionStrategy, MetricsRegistry, MobileModel, MobilityStrategy, NoopObserver,
-    Observe, Observer, PackedLane, ProtocolConfig, Topology, TopologySchedule, Value,
+    BatchEngine, CorruptionStrategy, LinkFaultPlan, MetricsRegistry, MobileModel, MobilityStrategy,
+    NoopObserver, Observe, Observer, PackedLane, ProtocolConfig, Topology, TopologySchedule, Value,
 };
 
 /// Counts every allocation (not bytes — the assertion is about *count*)
@@ -174,6 +174,7 @@ fn steady_state_rounds_allocate_nothing_under_observe_summary() {
 fn run_batch_counting(
     topology: Topology,
     schedule: Option<TopologySchedule>,
+    link_faults: LinkFaultPlan,
     rounds: usize,
 ) -> (u64, Vec<usize>) {
     let n = 16;
@@ -183,7 +184,8 @@ fn run_batch_counting(
         .mobility(MobilityStrategy::TargetExtremes)
         .corruption(CorruptionStrategy::split_attack())
         .observe(Observe::Summary)
-        .topology(topology);
+        .topology(topology)
+        .link_faults(link_faults);
     if let Some(schedule) = schedule {
         builder = builder.topology_schedule(schedule);
     }
@@ -216,30 +218,42 @@ fn run_batch_counting(
 fn batch_rounds_allocate_nothing_under_observe_summary() {
     // Every kind of network the batch loop exchanges against — the
     // complete graph, a static ring mask, a random-regular graph realized
-    // per lane seed, and a churned dynamic realization rebuilt every round
-    // — with four lanes in lockstep. Same differential design as the
+    // per lane seed, a churned dynamic realization rebuilt every round
+    // (also with lossy links), and delayed links travelling the delay
+    // ring — with four lanes in lockstep. Same differential design as the
     // scalar test: both runs share identical setup, so the 20 extra
     // steady-state rounds of the long run must not have allocated at all.
-    for (label, topology, schedule) in [
-        ("complete", Topology::Complete, None),
-        ("ring", Topology::Ring { k: 4 }, None),
+    let churn = TopologySchedule::SeededChurn {
+        base: Topology::Complete,
+        flip_rate: 0.15,
+    };
+    let clean = LinkFaultPlan::new;
+    for (label, topology, schedule, link_faults) in [
+        ("complete", Topology::Complete, None, clean()),
+        ("ring", Topology::Ring { k: 4 }, None, clean()),
         (
             "random-regular",
             Topology::RandomRegular { degree: 8 },
             None,
+            clean(),
+        ),
+        ("churn", Topology::Complete, Some(churn.clone()), clean()),
+        (
+            "churn + omission",
+            Topology::Complete,
+            Some(churn),
+            LinkFaultPlan::new().omit_all(0.05),
         ),
         (
-            "churn",
+            "delayed links",
             Topology::Complete,
-            Some(TopologySchedule::SeededChurn {
-                base: Topology::Complete,
-                flip_rate: 0.15,
-            }),
+            None,
+            LinkFaultPlan::new().delay_all(1).delay(0, 1, 3),
         ),
     ] {
         let (allocs_short, rounds_short) =
-            run_batch_counting(topology.clone(), schedule.clone(), 6);
-        let (allocs_long, rounds_long) = run_batch_counting(topology, schedule, 26);
+            run_batch_counting(topology.clone(), schedule.clone(), link_faults.clone(), 6);
+        let (allocs_long, rounds_long) = run_batch_counting(topology, schedule, link_faults, 26);
         assert!(
             rounds_short.iter().all(|&r| r == 6),
             "{label}: every short lane must exhaust its budget, got {rounds_short:?}"
