@@ -139,7 +139,7 @@ impl CorruptionStrategy {
             CorruptionStrategy::Silent => out.fill_silent(),
             CorruptionStrategy::Fixed { value } => out.fill_broadcast(*value),
             CorruptionStrategy::OutOfRange { magnitude } => {
-                out.fill_broadcast(Value::new(hi + magnitude.max(f64::MIN_POSITIVE)));
+                out.fill_broadcast(far(hi + magnitude.max(f64::MIN_POSITIVE)));
             }
             CorruptionStrategy::Split { magnitude } => {
                 let margin = magnitude.max(f64::MIN_POSITIVE);
@@ -147,9 +147,9 @@ impl CorruptionStrategy {
                     out.set(
                         ProcessId::new(receiver),
                         Some(if receiver < n / 2 {
-                            Value::new(lo - margin)
+                            far(lo - margin)
                         } else {
-                            Value::new(hi + margin)
+                            far(hi + margin)
                         }),
                     );
                 }
@@ -190,11 +190,9 @@ impl CorruptionStrategy {
             CorruptionStrategy::Silent => Value::new(hi + 1.0),
             CorruptionStrategy::Fixed { value } => *value,
             CorruptionStrategy::OutOfRange { magnitude } => {
-                Value::new(hi + magnitude.max(f64::MIN_POSITIVE))
+                far(hi + magnitude.max(f64::MIN_POSITIVE))
             }
-            CorruptionStrategy::Split { magnitude } => {
-                Value::new(lo - magnitude.max(f64::MIN_POSITIVE))
-            }
+            CorruptionStrategy::Split { magnitude } => far(lo - magnitude.max(f64::MIN_POSITIVE)),
             CorruptionStrategy::RandomNoise { lo, hi } => Value::new(rng.random_range(*lo..=*hi)),
             CorruptionStrategy::BoundaryDrag => Value::new(lo),
             CorruptionStrategy::Stealth => Value::new(if hi > lo {
@@ -236,6 +234,12 @@ impl CorruptionStrategy {
     ) {
         self.fill_faulty_outbox(sender, view, rng, out);
     }
+}
+
+/// A value planted outside the correct range, clamped to `±f64::MAX`: a
+/// magnitude near the float limit would otherwise overflow to infinity.
+fn far(v: f64) -> Value {
+    Value::new(v.clamp(-f64::MAX, f64::MAX))
 }
 
 impl Default for CorruptionStrategy {

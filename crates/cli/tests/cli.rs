@@ -310,6 +310,34 @@ fn overflowing_workloads_fail_validation_naming_the_field() {
 }
 
 #[test]
+fn values_near_the_float_limit_run_cleanly() {
+    // Every value here is finite and every range has a finite width, but
+    // `hi - lo` times a process index, or a magnitude added to the correct
+    // range, overflows an f64: the run must keep its values finite.
+    let dir = scratch("float-limit");
+    let wide = r#""workload": {"uniform-spread": {"lo": -1e307, "hi": 1e307}}"#;
+    let cases = [
+        r#""workload": {"uniform-spread": {"lo": 0, "hi": 1e308}}"#.to_string(),
+        format!(r#"{wide}, "corruption": {{"out-of-range": {{"magnitude": 1.7e308}}}}"#),
+        format!(r#"{wide}, "corruption": {{"split": {{"magnitude": 1.7e308}}}}"#),
+    ];
+    for (i, knobs) in cases.iter().enumerate() {
+        let file = dir.join(format!("case{i}.scenario.json"));
+        let scenario = format!(r#"{{"model": "garay", "n": 9, "f": 2, {knobs}}}"#);
+        fs::write(&file, single_point_doc(&scenario)).unwrap();
+        for command in ["validate", "run"] {
+            let out = mbaa(&[command, file.to_str().unwrap()], &dir);
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "{command} {knobs}: {}",
+                stderr(&out)
+            );
+        }
+    }
+}
+
+#[test]
 fn explain_shows_bound_and_points() {
     let dir = scratch("explain");
     let file = dir.join("sweep.scenario.json");

@@ -83,7 +83,8 @@ use mbaa_net::{
 };
 use mbaa_obs::{NoopObserver, Observer, Phase, RoundEvent};
 use mbaa_types::{
-    Error, FaultState, Interval, MobileModel, ProcessId, Result, Round, Value, ValueMultiset,
+    check_range, Error, FaultState, Interval, MobileModel, ProcessId, Result, Round, Value,
+    ValueMultiset,
 };
 
 use crate::engine::{emit_run_events, non_faulty_diameter};
@@ -222,7 +223,8 @@ impl BatchEngine {
     /// # Errors
     ///
     /// Returns [`Error::WrongInputCount`] when `inputs` does not hold
-    /// exactly `n` values, and propagates network build and exchange
+    /// exactly `n` values, [`Error::InvalidParameter`] when they span an
+    /// infinitely wide range, and propagates network build and exchange
     /// errors (e.g. [`Error::DisconnectedRound`] under the rejecting
     /// disconnection policy).
     pub fn run(config: &ProtocolConfig, inputs: &[Value]) -> Result<MobileRunOutcome> {
@@ -483,11 +485,23 @@ fn init_lanes<'a>(
     for (l, lane) in lanes.iter().enumerate() {
         let cfg = &lane.config;
         let mut ls = LaneState::new(cfg);
-        if lane.inputs.len() != n {
-            ls.fail(Error::WrongInputCount {
+        let checked = if lane.inputs.len() == n {
+            // The convergence report needs a finite initial diameter.
+            let (lo, hi) = lane
+                .inputs
+                .iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+                    (lo.min(v.get()), hi.max(v.get()))
+                });
+            check_range("input values' span", lo, hi)
+        } else {
+            Err(Error::WrongInputCount {
                 provided: lane.inputs.len(),
                 expected: n,
-            });
+            })
+        };
+        if let Err(e) = checked {
+            ls.fail(e);
             lane_states.push(ls);
             continue;
         }
@@ -909,6 +923,24 @@ mod tests {
             })
         ));
         assert!(results[2].is_ok());
+    }
+
+    #[test]
+    fn inputs_of_infinite_span_fail_only_that_lane() {
+        let n = 9;
+        let config = base_config(MobileModel::Garay, n, 2);
+        let mut lanes = pack(&config, &[1, 2]);
+        // Wherever the agents start, the correct values span ±f64::MAX.
+        for (i, input) in lanes[0].inputs.iter_mut().enumerate() {
+            *input = Value::new(if i % 2 == 0 { f64::MAX } else { -f64::MAX });
+        }
+        let results = BatchEngine::run_packed_observed(&lanes, &mut NoopObserver);
+        assert!(matches!(results[0], Err(Error::InvalidParameter(_))));
+        assert!(results[1].is_ok());
+        assert!(matches!(
+            BatchEngine::run(&config, &lanes[0].inputs),
+            Err(Error::InvalidParameter(_))
+        ));
     }
 
     #[test]

@@ -4,9 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use mbaa_adversary::{CorruptionStrategy, MobilityStrategy};
 use mbaa_msr::MsrFunction;
-use mbaa_net::{
-    Adjacency, DirectedAdjacency, DisconnectionPolicy, LinkFaultPlan, Topology, TopologySchedule,
-};
+use mbaa_net::{Adjacency, DisconnectionPolicy, LinkFaultPlan, Topology, TopologySchedule};
 use mbaa_types::{check_range, Epsilon, Error, MobileModel, ProcessId, Result};
 
 /// The single source of truth for every default the workspace fills in when
@@ -404,17 +402,13 @@ impl ProtocolConfigBuilder {
             });
         }
         // Link-fault rules are validated against the universe exactly once,
-        // at build time, by the compilation below (a clean plan has no
-        // rules to check); the engine re-compiles the same plan infallibly.
+        // at build time, by `severed_arcs` (a clean plan has no rules to
+        // check); the engine re-compiles the same plan infallibly.
         // Deterministic p = 1 cuts are structure in disguise, so they are
         // subtracted from the realized graph before the connectivity and
         // resilience checks below — a plan cannot smuggle in a partition
         // that the equivalent Topology::Custom would be rejected for.
-        let severed = if self.link_faults.is_clean() {
-            Vec::new()
-        } else {
-            self.link_faults.compile(self.n)?.severed_arcs()
-        };
+        let severed = self.link_faults.severed_arcs(self.n)?;
         let validator = GraphValidator {
             model: self.model,
             f: self.f,
@@ -505,44 +499,25 @@ struct GraphValidator {
 
 impl GraphValidator {
     /// Validates `graph` with the plan's deterministically severed arcs
-    /// subtracted: connectivity is never waived (strong connectivity once
-    /// cuts make the effective graph directed), and — when
-    /// `enforce_resilience` — every process must hear at least the replica
-    /// requirement per round unless bound violations are allowed.
+    /// removed: connectivity is never waived (strong connectivity, since
+    /// cuts make the graph directed), and — when `enforce_resilience` —
+    /// every process must hear at least the replica requirement per round
+    /// unless bound violations are allowed. A complete graph hears all `n`,
+    /// which the process bound already covers.
     fn check(
         &self,
         graph: &Adjacency,
         severed: &[(usize, usize)],
         enforce_resilience: bool,
     ) -> Result<()> {
-        if severed.is_empty() {
-            if !graph.is_connected() {
-                return Err(Error::DisconnectedTopology {
-                    n: self.n,
-                    components: graph.component_count(),
-                });
-            }
-            if enforce_resilience && !graph.is_complete() {
-                self.check_neighborhood(graph.min_closed_neighborhood())?;
-            }
-            return Ok(());
-        }
-        let effective =
-            DirectedAdjacency::from_symmetric(graph).without_arcs(severed.iter().copied());
-        if !effective.is_strongly_connected() {
+        let (components, min_neighborhood) = graph.cut_connectivity(severed);
+        if components > 1 {
             return Err(Error::DisconnectedTopology {
                 n: self.n,
-                components: effective.strong_component_count(),
+                components,
             });
         }
-        if enforce_resilience && !effective.is_complete() {
-            self.check_neighborhood(effective.min_in_closed_neighborhood())?;
-        }
-        Ok(())
-    }
-
-    fn check_neighborhood(&self, min_neighborhood: usize) -> Result<()> {
-        if min_neighborhood < self.required && !self.allow_bound_violation {
+        if enforce_resilience && min_neighborhood < self.required && !self.allow_bound_violation {
             return Err(Error::InsufficientConnectivity {
                 model: self.model,
                 f: self.f,
@@ -865,7 +840,7 @@ mod tests {
         let path =
             Topology::Custom(mbaa_net::Adjacency::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap());
         let err = ProtocolConfig::builder(MobileModel::Buhrman, 4, 0)
-            .topology(path)
+            .topology(path.clone())
             .link_faults(LinkFaultPlan::new().cut(1, 2).cut(2, 1))
             .allow_bound_violation()
             .build()
@@ -874,6 +849,24 @@ mod tests {
             err,
             Error::DisconnectedTopology { components: 2, .. }
         ));
+        // Cutting it one way is enough: {2, 3} still hears {0, 1} but never
+        // answers, so the path is connected but not strongly connected.
+        let err = ProtocolConfig::builder(MobileModel::Buhrman, 4, 0)
+            .topology(path)
+            .link_faults(LinkFaultPlan::new().cut(1, 2))
+            .allow_bound_violation()
+            .build()
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            Error::DisconnectedTopology { components: 2, .. }
+        ));
+        // Self-links are never cut: a lone process survives any plan.
+        assert!(ProtocolConfig::builder(MobileModel::Buhrman, 1, 0)
+            .topology(Topology::Ring { k: 0 })
+            .link_faults(LinkFaultPlan::new().omit_all(1.0))
+            .build()
+            .is_ok());
         // Cuts also count against the degree-dependent resilience bound: a
         // k = 2 ring sits exactly at Garay's requirement of 5, and one
         // inbound cut drops a closed in-neighbourhood to 4.

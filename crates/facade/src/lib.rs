@@ -143,8 +143,7 @@ pub use mbaa_core::{
 };
 pub use mbaa_msr::{MedianVoting, MsrFunction, Reduction, Selection, VotingFunction};
 pub use mbaa_net::{
-    Adjacency, DirectedAdjacency, DisconnectionPolicy, LinkFaultPlan, Outbox, Topology,
-    TopologySchedule,
+    Adjacency, DisconnectionPolicy, LinkFaultPlan, Outbox, Topology, TopologySchedule,
 };
 pub use mbaa_obs::{
     ConvergenceEvent, Event, EventLog, Histogram, MetricsRegistry, NoopObserver, Observer, Phase,

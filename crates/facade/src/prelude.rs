@@ -24,8 +24,7 @@ pub use mbaa_adversary::{CorruptionStrategy, MobilityStrategy};
 pub use mbaa_core::{BatchEngine, MobileRunOutcome, Observe, ProtocolConfig, RoundSnapshot};
 pub use mbaa_msr::{MedianVoting, MsrFunction, VotingFunction};
 pub use mbaa_net::{
-    Adjacency, DirectedAdjacency, DisconnectionPolicy, LinkFaultPlan, LinkFaultRule, Topology,
-    TopologySchedule,
+    Adjacency, DisconnectionPolicy, LinkFaultPlan, LinkFaultRule, Topology, TopologySchedule,
 };
 pub use mbaa_obs::{EventLog, MetricsRegistry, NoopObserver, Observer};
 pub use mbaa_sim::{ExperimentConfig, ExperimentResult, RunSummary, Workload};

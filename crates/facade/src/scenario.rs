@@ -305,7 +305,8 @@ impl Scenario {
     }
 
     /// Lowers this scenario to the validated [`ProtocolConfig`] of one
-    /// seeded run.
+    /// seeded run, through the one lowering every path shares
+    /// ([`ExperimentConfig::protocol_config`]).
     ///
     /// # Errors
     ///
@@ -315,27 +316,7 @@ impl Scenario {
     /// workload's ([`Workload::validate`]: values spanning an infinitely
     /// wide range).
     pub fn lower(&self, seed: u64) -> Result<ProtocolConfig> {
-        self.workload.validate()?;
-        let mut builder = ProtocolConfig::builder(self.model, self.n, self.f)
-            .epsilon(self.epsilon)
-            .max_rounds(self.max_rounds)
-            .mobility(self.mobility)
-            .corruption(self.corruption)
-            .topology(self.topology.clone())
-            .link_faults(self.link_faults.clone())
-            .disconnection(self.disconnection)
-            .observe(self.observe)
-            .seed(seed);
-        if let Some(schedule) = &self.schedule {
-            builder = builder.topology_schedule(schedule.clone());
-        }
-        if let Some(function) = self.function {
-            builder = builder.function(function);
-        }
-        if self.allow_bound_violation {
-            builder = builder.allow_bound_violation();
-        }
-        builder.build()
+        self.to_experiment([]).protocol_config(seed)
     }
 
     /// Lowers this scenario to the [`ExperimentConfig`] of a seed batch —

@@ -12,9 +12,8 @@
 //!   uninterrupted run" invariant is asserted as byte-equality of this
 //!   output.
 //! * [`schema`] — (de)serializers for the scenario vocabulary
-//!   ([`mbaa::Scenario`](mbaa::prelude::Scenario), `ExperimentConfig`,
-//!   topologies, schedules, link-fault plans, …). Numbers round-trip
-//!   losslessly: `u64` seeds must be plain integer literals (never routed
+//!   ([`mbaa::Scenario`](mbaa::prelude::Scenario), topologies, schedules,
+//!   link-fault plans, …). Numbers round-trip losslessly: `u64` seeds must be plain integer literals (never routed
 //!   through a lossy `f64`) and `f64`s are written in Rust's shortest
 //!   round-trip form.
 //! * [`metrics`] — the `mbaa-metrics/1` aggregated-telemetry document and

@@ -571,7 +571,7 @@ pub fn workload_from(ctx: Ctx<'_>) -> Result<Workload, SchemaError> {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario and ExperimentConfig.
+// Scenarios.
 // ---------------------------------------------------------------------------
 
 /// Serializes a [`Scenario`] in canonical form: every non-optional knob is
@@ -656,51 +656,6 @@ pub fn scenario_from(ctx: Ctx<'_>) -> Result<Scenario, SchemaError> {
     }
     obj.finish()?;
     Ok(scenario)
-}
-
-/// Serializes an [`ExperimentConfig`] — the lowered batch form — as its
-/// scenario description plus the explicit seed list.
-#[must_use]
-pub fn experiment_to_json(config: &ExperimentConfig) -> Json {
-    let scenario = Scenario {
-        model: config.model,
-        n: config.n,
-        f: config.f,
-        epsilon: config.epsilon,
-        max_rounds: config.max_rounds,
-        mobility: config.mobility,
-        corruption: config.corruption,
-        topology: config.topology.clone(),
-        schedule: config.schedule.clone(),
-        link_faults: config.link_faults.clone(),
-        disconnection: config.disconnection,
-        function: config.function,
-        workload: config.workload.clone(),
-        allow_bound_violation: config.allow_bound_violation,
-        observe: config.observe,
-    };
-    Json::object(vec![
-        ("scenario", scenario_to_json(&scenario)),
-        (
-            "seeds",
-            Json::array(config.seeds.iter().map(|&s| Json::u64(s)).collect()),
-        ),
-    ])
-}
-
-/// Parses an [`ExperimentConfig`].
-pub fn experiment_from(ctx: Ctx<'_>) -> Result<ExperimentConfig, SchemaError> {
-    let mut obj = ctx.object()?;
-    let scenario = scenario_from(obj.req("scenario")?.ctx())?;
-    let seeds = obj
-        .req("seeds")?
-        .ctx()
-        .array()?
-        .iter()
-        .map(|s| s.ctx().u64())
-        .collect::<Result<Vec<_>, _>>()?;
-    obj.finish()?;
-    Ok(scenario.to_experiment(seeds))
 }
 
 // ---------------------------------------------------------------------------

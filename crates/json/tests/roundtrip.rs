@@ -1,16 +1,13 @@
 //! Property batteries: every scenario the generator can produce survives
-//! `write → parse → from-json` bit-identically, and the canonical writer
-//! is a fixed point under reparsing.
+//! `write → parse → from-json` bit-identically, the canonical writer is a
+//! fixed point under reparsing, and running it never panics.
 //!
 //! The generator is a hand-rolled splitmix64 walk (the vendored `rand` is
 //! a shim), so the battery is deterministic: the same seeds exercise the
 //! same scenarios on every run and every machine.
 
 use mbaa::prelude::*;
-use mbaa_json::schema::{
-    experiment_from, experiment_to_json, run_summary_from, run_summary_to_json, scenario_from,
-    scenario_to_json,
-};
+use mbaa_json::schema::{run_summary_from, run_summary_to_json, scenario_from, scenario_to_json};
 use mbaa_json::{parse, write_string, Ctx, ScenarioFile, SeedSpec, SweepSpec};
 
 /// splitmix64: a tiny, well-mixed generator good enough to drive variant
@@ -180,11 +177,15 @@ fn random_scenario(g: &mut Gen) -> Scenario {
     s
 }
 
+/// The battery's 300 generated scenarios, the same on every run.
+fn random_scenarios() -> impl Iterator<Item = Scenario> {
+    let mut g = Gen(0x1cdc_5201_6000);
+    (0..300).map(move |_| random_scenario(&mut g))
+}
+
 #[test]
 fn random_scenarios_round_trip_exactly() {
-    let mut g = Gen(0x1cdc_5201_6000);
-    for case in 0..300 {
-        let scenario = random_scenario(&mut g);
+    for (case, scenario) in random_scenarios().enumerate() {
         let text = write_string(&scenario_to_json(&scenario));
         let tree = parse(&text).unwrap_or_else(|e| panic!("case {case}: unparseable: {e}\n{text}"));
         let back = scenario_from(Ctx::root(&tree))
@@ -196,17 +197,18 @@ fn random_scenarios_round_trip_exactly() {
 }
 
 #[test]
-fn random_experiments_round_trip_exactly() {
-    let mut g = Gen(7);
-    for case in 0..100 {
-        let scenario = random_scenario(&mut g);
-        let seeds: Vec<u64> = (0..1 + g.pick(8)).map(|_| g.next()).collect();
-        let config = scenario.to_experiment(seeds);
-        let text = write_string(&experiment_to_json(&config));
-        let tree = parse(&text).unwrap();
-        let back = experiment_from(Ctx::root(&tree))
-            .unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
-        assert_eq!(back, config, "case {case}:\n{text}");
+fn random_scenarios_run_or_fail_cleanly() {
+    // Every schema-valid scenario either runs or returns a typed error;
+    // none may panic.
+    for (case, scenario) in random_scenarios().enumerate() {
+        for seed in [0, 1] {
+            let run = std::panic::catch_unwind(|| scenario.run(seed).map(|_| ()));
+            assert!(
+                run.is_ok(),
+                "case {case} seed {seed} panicked:\n{}",
+                write_string(&scenario_to_json(&scenario))
+            );
+        }
     }
 }
 

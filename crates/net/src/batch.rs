@@ -148,10 +148,10 @@ mod tests {
     use mbaa_types::{Error, Result, Round};
 
     use super::*;
-    use crate::faults::omission_lost;
+    use crate::faults::{omission_lost, CompiledLinkFaults};
     use crate::{
-        CompiledLinkFaults, DisconnectionPolicy, LinkFaultPlan, NetworkStats, RealizedSchedule,
-        SharedRealization, Topology, TopologySchedule,
+        DisconnectionPolicy, LinkFaultPlan, NetworkStats, RealizedSchedule, SharedRealization,
+        Topology, TopologySchedule,
     };
 
     fn pid(i: usize) -> ProcessId {

@@ -1,18 +1,18 @@
-//! Link faults and dynamic topologies: directed links, per-link omission
-//! and delay, and round-indexed churn.
+//! Link faults and dynamic topologies: per-link omission and delay, and
+//! round-indexed churn.
 //!
 //! The paper's mobile Byzantine adversary moves between *processes*; this
 //! module makes the *network itself* mobile, in the style of Li–Hurfin–Wang
 //! (arXiv:1206.0089) and of agreement on evolving graphs (arXiv:1706.06789):
 //!
-//! * [`DirectedAdjacency`] — an asymmetric link matrix with the same
-//!   validation and connectivity queries as [`Adjacency`], which becomes
-//!   the symmetric special case ([`DirectedAdjacency::from_symmetric`] /
-//!   [`DirectedAdjacency::to_symmetric`] round-trip it losslessly).
 //! * [`LinkFaultPlan`] — per-link behaviours layered on the structural
 //!   mask: deterministic or seeded-random omission probability, and fixed
 //!   delays in rounds served by an in-order delivery buffer inside
 //!   [`SharedRealization::exchange_rows`](crate::SharedRealization::exchange_rows).
+//!   An omission of probability 1 is a one-way cut; the configuration
+//!   layer removes [`severed_arcs`](LinkFaultPlan::severed_arcs) from the
+//!   realized graph before checking it
+//!   ([`Adjacency::cut_connectivity`](crate::Adjacency::cut_connectivity)).
 //! * [`TopologySchedule`] — a (possibly different) realized communication
 //!   graph per round: [`Static`](TopologySchedule::Static),
 //!   [`Periodic`](TopologySchedule::Periodic) (rotating graph phases), and
@@ -30,14 +30,8 @@
 //! # Example
 //!
 //! ```
-//! use mbaa_net::{DirectedAdjacency, LinkFaultPlan, Topology, TopologySchedule};
-//! use mbaa_types::{ProcessId, Round};
-//!
-//! // A directed graph where p0 -> p1 exists but p1 -> p0 does not.
-//! let one_way = DirectedAdjacency::from_arcs(2, [(0, 1)])?;
-//! assert!(one_way.delivers(ProcessId::new(0), ProcessId::new(1)));
-//! assert!(!one_way.delivers(ProcessId::new(1), ProcessId::new(0)));
-//! assert!(!one_way.is_symmetric());
+//! use mbaa_net::{LinkFaultPlan, Topology, TopologySchedule};
+//! use mbaa_types::Round;
 //!
 //! // A churn schedule: each link of the complete graph is down 30% of the
 //! // time, deterministically per (seed, round, link).
@@ -51,11 +45,11 @@
 //!     realized.adjacency_at(Round::new(3)),
 //! );
 //!
-//! // A link-fault plan: drop p0 -> p1 half the time, delay p2 -> p3 by two
-//! // rounds.
-//! let plan = LinkFaultPlan::new().omit(0, 1, 0.5).delay(2, 3, 2);
+//! // A link-fault plan: cut p1 -> p0 one way, drop p0 -> p1 half the time,
+//! // delay p2 -> p3 by two rounds.
+//! let plan = LinkFaultPlan::new().cut(1, 0).omit(0, 1, 0.5).delay(2, 3, 2);
 //! assert!(!plan.is_clean());
-//! assert_eq!(plan.max_delay(), 2);
+//! assert_eq!(plan.severed_arcs(4)?, vec![(1, 0)]);
 //! # Ok::<(), mbaa_types::Error>(())
 //! ```
 
@@ -122,367 +116,6 @@ pub(crate) fn omission_lost(
     unit(h) < probability
 }
 
-/// A realized, validated **directed** communication graph: an `n × n`
-/// boolean matrix whose diagonal is always set (self-delivery is
-/// structural), with no symmetry requirement — `a -> b` may exist without
-/// `b -> a`.
-///
-/// [`Adjacency`] is the symmetric special case:
-/// [`from_symmetric`](DirectedAdjacency::from_symmetric) and
-/// [`to_symmetric`](DirectedAdjacency::to_symmetric) round-trip it exactly.
-///
-/// # Example
-///
-/// ```
-/// use mbaa_net::{Adjacency, DirectedAdjacency};
-/// use mbaa_types::ProcessId;
-///
-/// let symmetric = Adjacency::from_edges(3, [(0, 1), (1, 2)])?;
-/// let directed = DirectedAdjacency::from_symmetric(&symmetric);
-/// assert!(directed.is_symmetric());
-/// assert_eq!(directed.to_symmetric()?, symmetric);
-/// assert_eq!(directed.out_degree(ProcessId::new(1)), 2);
-/// # Ok::<(), mbaa_types::Error>(())
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DirectedAdjacency {
-    n: usize,
-    /// Row-major `n * n` arc matrix; `bits[from * n + to]` means messages
-    /// from `from` reach `to`. Diagonal always `true`.
-    bits: Vec<bool>,
-}
-
-impl DirectedAdjacency {
-    /// The all-to-all graph over `n` processes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn complete(n: usize) -> Self {
-        assert!(n > 0, "a graph needs at least one process");
-        DirectedAdjacency {
-            n,
-            bits: vec![true; n * n],
-        }
-    }
-
-    /// The arcless graph (diagonal only).
-    fn empty(n: usize) -> Self {
-        let mut bits = vec![false; n * n];
-        for i in 0..n {
-            bits[i * n + i] = true;
-        }
-        DirectedAdjacency { n, bits }
-    }
-
-    /// Lifts a symmetric graph into the directed representation: every
-    /// undirected link becomes a pair of opposite arcs.
-    #[must_use]
-    pub fn from_symmetric(adjacency: &Adjacency) -> Self {
-        let n = adjacency.n();
-        let mut directed = DirectedAdjacency::empty(n);
-        for a in 0..n {
-            for (b, &linked) in adjacency.row(ProcessId::new(a)).iter().enumerate() {
-                if linked {
-                    directed.bits[a * n + b] = true;
-                }
-            }
-        }
-        directed
-    }
-
-    /// Builds a graph from an explicit boolean matrix, one row per sender.
-    /// Unlike [`Adjacency::from_matrix`] there is **no** symmetry
-    /// requirement; the diagonal is forced on either way.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidParameter`] when the matrix is empty or not square.
-    pub fn from_matrix(matrix: Vec<Vec<bool>>) -> Result<Self> {
-        let n = matrix.len();
-        if n == 0 {
-            return Err(Error::InvalidParameter(
-                "adjacency matrix must cover at least one process".into(),
-            ));
-        }
-        if let Some(row) = matrix.iter().find(|row| row.len() != n) {
-            return Err(Error::InvalidParameter(format!(
-                "adjacency matrix must be square: a row covers {} of {n} processes",
-                row.len()
-            )));
-        }
-        let mut directed = DirectedAdjacency::empty(n);
-        for (a, row) in matrix.iter().enumerate() {
-            for (b, &linked) in row.iter().enumerate() {
-                if linked && a != b {
-                    directed.bits[a * n + b] = true;
-                }
-            }
-        }
-        Ok(directed)
-    }
-
-    /// Builds a graph over `n` processes from an explicit directed arc
-    /// list (`(from, to)` pairs). Self-arcs are ignored (self-delivery is
-    /// structural anyway).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidParameter`] when `n == 0`, and
-    /// [`Error::UnknownProcess`] when an endpoint is outside `[0, n)`.
-    pub fn from_arcs<I: IntoIterator<Item = (usize, usize)>>(n: usize, arcs: I) -> Result<Self> {
-        if n == 0 {
-            return Err(Error::InvalidParameter(
-                "a graph needs at least one process".into(),
-            ));
-        }
-        let mut directed = DirectedAdjacency::empty(n);
-        for (from, to) in arcs {
-            for endpoint in [from, to] {
-                if endpoint >= n {
-                    return Err(Error::UnknownProcess {
-                        process: ProcessId::new(endpoint),
-                        n,
-                    });
-                }
-            }
-            if from != to {
-                directed.bits[from * n + to] = true;
-            }
-        }
-        Ok(directed)
-    }
-
-    /// The number of processes this graph covers.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Returns `true` when messages from `from` reach `to` (always `true`
-    /// for `from == to`: self-delivery is structural).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either process is outside the universe.
-    #[must_use]
-    pub fn delivers(&self, from: ProcessId, to: ProcessId) -> bool {
-        assert!(
-            from.index() < self.n && to.index() < self.n,
-            "process outside the universe"
-        );
-        self.bits[from.index() * self.n + to.index()]
-    }
-
-    /// The receivers `p` can reach, excluding `p` itself, in ascending
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside the universe.
-    #[must_use]
-    pub fn out_neighbors(&self, p: ProcessId) -> Vec<ProcessId> {
-        let row = &self.bits[p.index() * self.n..(p.index() + 1) * self.n];
-        row.iter()
-            .enumerate()
-            .filter_map(|(i, &linked)| (linked && i != p.index()).then_some(ProcessId::new(i)))
-            .collect()
-    }
-
-    /// The senders `p` hears, excluding `p` itself, in ascending order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside the universe.
-    #[must_use]
-    pub fn in_neighbors(&self, p: ProcessId) -> Vec<ProcessId> {
-        (0..self.n)
-            .filter(|&i| i != p.index() && self.bits[i * self.n + p.index()])
-            .map(ProcessId::new)
-            .collect()
-    }
-
-    /// The number of receivers `p` can reach (itself excluded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside the universe.
-    #[must_use]
-    pub fn out_degree(&self, p: ProcessId) -> usize {
-        let row = &self.bits[p.index() * self.n..(p.index() + 1) * self.n];
-        row.iter().filter(|&&linked| linked).count() - 1
-    }
-
-    /// The number of senders `p` hears (itself excluded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside the universe.
-    #[must_use]
-    pub fn in_degree(&self, p: ProcessId) -> usize {
-        (0..self.n)
-            .filter(|&i| i != p.index() && self.bits[i * self.n + p.index()])
-            .count()
-    }
-
-    /// The smallest *closed in-neighbourhood* size (`in_degree + 1`): the
-    /// number of processes the worst-placed receiver hears each round,
-    /// itself included — the quantity the degree-dependent resilience
-    /// checks compare against the model's replica requirement.
-    #[must_use]
-    pub fn min_in_closed_neighborhood(&self) -> usize {
-        (0..self.n)
-            .map(|i| self.in_degree(ProcessId::new(i)) + 1)
-            .min()
-            .expect("a graph covers at least one process")
-    }
-
-    /// The number of directed arcs (self-arcs excluded).
-    #[must_use]
-    pub fn arc_count(&self) -> usize {
-        (0..self.n)
-            .map(|i| self.out_degree(ProcessId::new(i)))
-            .sum()
-    }
-
-    /// Returns `true` when every ordered pair shares an arc.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.bits.iter().all(|&linked| linked)
-    }
-
-    /// Returns `true` when every arc has its reverse — the graph is an
-    /// [`Adjacency`] in directed clothing.
-    #[must_use]
-    pub fn is_symmetric(&self) -> bool {
-        (0..self.n).all(|a| {
-            (a + 1..self.n).all(|b| self.bits[a * self.n + b] == self.bits[b * self.n + a])
-        })
-    }
-
-    /// Projects a symmetric directed graph back onto [`Adjacency`] — the
-    /// inverse of [`from_symmetric`](DirectedAdjacency::from_symmetric).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidParameter`] when some arc lacks its reverse.
-    pub fn to_symmetric(&self) -> Result<Adjacency> {
-        if !self.is_symmetric() {
-            return Err(Error::InvalidParameter(
-                "directed graph has one-way arcs; no symmetric projection exists".into(),
-            ));
-        }
-        let edges = (0..self.n).flat_map(|a| {
-            (a + 1..self.n).filter_map(move |b| self.bits[a * self.n + b].then_some((a, b)))
-        });
-        Adjacency::from_edges(self.n, edges)
-    }
-
-    /// Returns `true` when every process can reach every other along
-    /// directed arcs (strong connectivity) — the directed analogue of
-    /// [`Adjacency::is_connected`]. A one-way link between two otherwise
-    /// separated halves leaves the graph weakly but not strongly connected.
-    #[must_use]
-    pub fn is_strongly_connected(&self) -> bool {
-        self.search(0, true).iter().all(|&r| r) && self.search(0, false).iter().all(|&r| r)
-    }
-
-    /// The number of strongly connected components — the directed analogue
-    /// of [`Adjacency::component_count`]. `1` iff
-    /// [`is_strongly_connected`](DirectedAdjacency::is_strongly_connected).
-    #[must_use]
-    pub fn strong_component_count(&self) -> usize {
-        let mut assigned = vec![false; self.n];
-        let mut components = 0;
-        for v in 0..self.n {
-            if assigned[v] {
-                continue;
-            }
-            components += 1;
-            // v's strong component is exactly the processes both reachable
-            // from v and reaching v.
-            let forward = self.search(v, true);
-            let backward = self.search(v, false);
-            for (slot, both) in assigned
-                .iter_mut()
-                .zip(forward.iter().zip(&backward).map(|(&fwd, &bwd)| fwd && bwd))
-            {
-                *slot |= both;
-            }
-        }
-        components
-    }
-
-    /// Returns a copy with the given directed arcs removed. Self-arcs are
-    /// untouchable (self-delivery is structural) and arcs already absent
-    /// are no-ops — this is how a deterministic one-way cut of a
-    /// [`LinkFaultPlan`] projects onto the structural graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is outside the universe.
-    #[must_use]
-    pub fn without_arcs<I: IntoIterator<Item = (usize, usize)>>(&self, arcs: I) -> Self {
-        let mut pruned = self.clone();
-        for (from, to) in arcs {
-            assert!(from < self.n && to < self.n, "process outside the universe");
-            if from != to {
-                pruned.bits[from * self.n + to] = false;
-            }
-        }
-        pruned
-    }
-
-    /// Which processes `start` reaches along arcs (`forward`), or which
-    /// reach it (`!forward`); `start` included.
-    fn search(&self, start: usize, forward: bool) -> Vec<bool> {
-        let n = self.n;
-        let mut visited = vec![false; n];
-        let mut stack = vec![start];
-        visited[start] = true;
-        let (node_stride, next_stride) = if forward { (n, 1) } else { (1, n) };
-        while let Some(node) = stack.pop() {
-            for (next, seen) in visited.iter_mut().enumerate() {
-                if self.bits[node * node_stride + next * next_stride] && !*seen {
-                    *seen = true;
-                    stack.push(next);
-                }
-            }
-        }
-        visited
-    }
-
-    /// One row of the matrix as reachability flags: `row(p)[q]` is `true`
-    /// when messages from `p` reach `q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside the universe.
-    #[must_use]
-    pub fn row(&self, p: ProcessId) -> &[bool] {
-        &self.bits[p.index() * self.n..(p.index() + 1) * self.n]
-    }
-}
-
-impl From<Adjacency> for DirectedAdjacency {
-    fn from(adjacency: Adjacency) -> Self {
-        DirectedAdjacency::from_symmetric(&adjacency)
-    }
-}
-
-impl fmt::Display for DirectedAdjacency {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} processes, {} arcs, min in-neighbourhood {}",
-            self.n,
-            self.arc_count(),
-            self.min_in_closed_neighborhood()
-        )
-    }
-}
-
 /// What a dynamic exchange does when the realized communication graph of a
 /// round is disconnected.
 ///
@@ -513,29 +146,8 @@ impl fmt::Display for DisconnectionPolicy {
     }
 }
 
-/// One rule of a [`LinkFaultPlan`]: a (possibly wildcarded) directed link
-/// selector together with the behaviour it sets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-struct LinkRule {
-    /// Sending endpoint, or `None` for every sender.
-    from: Option<usize>,
-    /// Receiving endpoint, or `None` for every receiver.
-    to: Option<usize>,
-    /// Omission probability to set, if any.
-    omit: Option<f64>,
-    /// Delivery delay (in rounds) to set, if any.
-    delay: Option<usize>,
-}
-
-impl LinkRule {
-    fn matches(&self, from: usize, to: usize) -> bool {
-        self.from.is_none_or(|f| f == from) && self.to.is_none_or(|t| t == to)
-    }
-}
-
-/// The public inspection form of one [`LinkFaultPlan`] rule: a (possibly
-/// wildcarded) directed-link selector together with the omission
-/// probability and/or delay it sets.
+/// One rule of a [`LinkFaultPlan`]: a (possibly wildcarded) directed-link
+/// selector together with the omission probability and/or delay it sets.
 ///
 /// Rules are ordered: later rules override the fields they set on the
 /// links they match. [`LinkFaultPlan::rules`] walks a plan's rules in
@@ -571,6 +183,12 @@ pub struct LinkFaultRule {
     pub delay: Option<usize>,
 }
 
+impl LinkFaultRule {
+    fn matches(&self, from: usize, to: usize) -> bool {
+        self.from.is_none_or(|f| f == from) && self.to.is_none_or(|t| t == to)
+    }
+}
+
 /// Per-link fault behaviours layered on the structural topology mask:
 /// seeded-random (or, at probability 1, deterministic) message omission and
 /// fixed delivery delays with in-order buffering.
@@ -599,13 +217,13 @@ pub struct LinkFaultRule {
 ///     .cut(0, 3)           // p0 -> p3 severed outright (one-way cut)
 ///     .delay(1, 2, 3);     // p1 -> p2 delivers three rounds late
 /// assert!(!plan.is_clean());
-/// assert_eq!(plan.max_delay(), 3);
-/// assert!(plan.validate(5).is_ok());
+/// assert_eq!(plan.severed_arcs(5)?, vec![(0, 3)]);
 /// assert!(plan.validate(2).is_err()); // p3 is outside a 2-process universe
+/// # Ok::<(), mbaa_types::Error>(())
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LinkFaultPlan {
-    rules: Vec<LinkRule>,
+    rules: Vec<LinkFaultRule>,
 }
 
 impl LinkFaultPlan {
@@ -619,26 +237,22 @@ impl LinkFaultPlan {
     /// `1.0` severs the link deterministically; values in `(0, 1)` lose
     /// each message independently with that probability, seeded by the run.
     #[must_use]
-    pub fn omit(mut self, from: usize, to: usize, probability: f64) -> Self {
-        self.rules.push(LinkRule {
+    pub fn omit(self, from: usize, to: usize, probability: f64) -> Self {
+        self.with_rule(LinkFaultRule {
             from: Some(from),
             to: Some(to),
             omit: Some(probability),
             delay: None,
-        });
-        self
+        })
     }
 
     /// Sets the omission probability of **every** link at once.
     #[must_use]
-    pub fn omit_all(mut self, probability: f64) -> Self {
-        self.rules.push(LinkRule {
-            from: None,
-            to: None,
+    pub fn omit_all(self, probability: f64) -> Self {
+        self.with_rule(LinkFaultRule {
             omit: Some(probability),
-            delay: None,
-        });
-        self
+            ..LinkFaultRule::default()
+        })
     }
 
     /// Severs the directed link `from -> to` outright (sugar for
@@ -660,26 +274,22 @@ impl LinkFaultPlan {
     /// across rounds). Keep the links feeding a Table 1-style
     /// classification delay-free.
     #[must_use]
-    pub fn delay(mut self, from: usize, to: usize, rounds: usize) -> Self {
-        self.rules.push(LinkRule {
+    pub fn delay(self, from: usize, to: usize, rounds: usize) -> Self {
+        self.with_rule(LinkFaultRule {
             from: Some(from),
             to: Some(to),
             omit: None,
             delay: Some(rounds),
-        });
-        self
+        })
     }
 
     /// Sets the fixed delivery delay of **every** link at once.
     #[must_use]
-    pub fn delay_all(mut self, rounds: usize) -> Self {
-        self.rules.push(LinkRule {
-            from: None,
-            to: None,
-            omit: None,
+    pub fn delay_all(self, rounds: usize) -> Self {
+        self.with_rule(LinkFaultRule {
             delay: Some(rounds),
-        });
-        self
+            ..LinkFaultRule::default()
+        })
     }
 
     /// Returns `true` when the plan holds no rules at all — the network
@@ -689,41 +299,22 @@ impl LinkFaultPlan {
         self.rules.is_empty()
     }
 
-    /// Walks the plan's rules in application order, in the public
-    /// [`LinkFaultRule`] form. Together with
+    /// Walks the plan's rules in application order. Together with
     /// [`with_rule`](LinkFaultPlan::with_rule) this makes a plan
     /// losslessly inspectable and reconstructible — the scenario-file
     /// serializer relies on it.
     pub fn rules(&self) -> impl Iterator<Item = LinkFaultRule> + '_ {
-        self.rules.iter().map(|r| LinkFaultRule {
-            from: r.from,
-            to: r.to,
-            omit: r.omit,
-            delay: r.delay,
-        })
+        self.rules.iter().copied()
     }
 
-    /// Appends one rule in the public [`LinkFaultRule`] form — the general
-    /// constructor behind [`omit`](LinkFaultPlan::omit) /
-    /// [`omit_all`](LinkFaultPlan::omit_all) /
-    /// [`delay`](LinkFaultPlan::delay) /
-    /// [`delay_all`](LinkFaultPlan::delay_all), used to rebuild a plan
-    /// from its serialized rules.
+    /// Appends one rule — the general constructor behind
+    /// [`omit`](LinkFaultPlan::omit) / [`omit_all`](LinkFaultPlan::omit_all) /
+    /// [`delay`](LinkFaultPlan::delay) / [`delay_all`](LinkFaultPlan::delay_all),
+    /// used to rebuild a plan from its serialized rules.
     #[must_use]
     pub fn with_rule(mut self, rule: LinkFaultRule) -> Self {
-        self.rules.push(LinkRule {
-            from: rule.from,
-            to: rule.to,
-            omit: rule.omit,
-            delay: rule.delay,
-        });
+        self.rules.push(rule);
         self
-    }
-
-    /// The largest delay any rule sets (0 for a clean plan).
-    #[must_use]
-    pub fn max_delay(&self) -> usize {
-        self.rules.iter().filter_map(|r| r.delay).max().unwrap_or(0)
     }
 
     /// Checks every rule against a universe of `n` processes.
@@ -755,6 +346,31 @@ impl LinkFaultPlan {
         Ok(())
     }
 
+    /// The directed links this plan severs outright over `n` processes —
+    /// omission probability 1 once every rule applies — as `(from, to)`
+    /// pairs in ascending order. These are structural one-way cuts in
+    /// link-fault clothing: the configuration layer removes them from the
+    /// realized graph before its connectivity and resilience checks
+    /// ([`Adjacency::cut_connectivity`]), so a plan cannot smuggle in a
+    /// permanent partition that an equivalent [`Topology::Custom`] would be
+    /// rejected for.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`validate`](LinkFaultPlan::validate);
+    /// [`Error::InvalidParameter`] when the links' delays sum past 2^24
+    /// rounds, more than a run buffers.
+    pub fn severed_arcs(&self, n: usize) -> Result<Vec<(usize, usize)>> {
+        if self.is_clean() {
+            return Ok(Vec::new());
+        }
+        let faults = self.compile(n)?;
+        Ok((0..n)
+            .flat_map(|from| (0..n).map(move |to| (from, to)))
+            .filter(|&(from, to)| from != to && faults.omit_at(from, to) >= 1.0)
+            .collect())
+    }
+
     /// Compiles the plan into per-link omission/delay matrices over `n`
     /// processes. Self-links stay clean regardless of wildcards.
     ///
@@ -762,7 +378,7 @@ impl LinkFaultPlan {
     ///
     /// Propagates [`validate`](LinkFaultPlan::validate); [`Error::InvalidParameter`]
     /// when the links' delays sum past 2^24 rounds, more than a run buffers.
-    pub fn compile(&self, n: usize) -> Result<CompiledLinkFaults> {
+    pub(crate) fn compile(&self, n: usize) -> Result<CompiledLinkFaults> {
         self.validate(n)?;
         let mut omit = vec![0.0f64; n * n];
         let mut delay = vec![0usize; n * n];
@@ -804,68 +420,18 @@ impl fmt::Display for LinkFaultPlan {
 
 /// A [`LinkFaultPlan`] compiled against a concrete universe: one omission
 /// probability and one delay per directed link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CompiledLinkFaults {
+#[derive(Debug, Clone)]
+pub(crate) struct CompiledLinkFaults {
     n: usize,
     omit: Vec<f64>,
     delay: Vec<usize>,
 }
 
 impl CompiledLinkFaults {
-    /// The universe size the plan was compiled against.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The omission probability of the directed link `from -> to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either process is outside the universe.
-    #[must_use]
-    pub fn omit_probability(&self, from: ProcessId, to: ProcessId) -> f64 {
-        assert!(
-            from.index() < self.n && to.index() < self.n,
-            "process outside the universe"
-        );
-        self.omit[from.index() * self.n + to.index()]
-    }
-
-    /// The fixed delivery delay (in rounds) of the directed link
-    /// `from -> to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either process is outside the universe.
-    #[must_use]
-    pub fn delay(&self, from: ProcessId, to: ProcessId) -> usize {
-        assert!(
-            from.index() < self.n && to.index() < self.n,
-            "process outside the universe"
-        );
-        self.delay[from.index() * self.n + to.index()]
-    }
-
     /// Returns `true` when no link carries any fault — the compiled form of
     /// an (effectively) clean plan.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.omit.iter().all(|&p| p == 0.0) && self.delay.iter().all(|&d| d == 0)
-    }
-
-    /// The directed links whose omission probability is 1 — severed
-    /// deterministically, i.e. structural one-way cuts in link-fault
-    /// clothing. The configuration layer subtracts these from the realized
-    /// graph before its connectivity and resilience checks, so a plan
-    /// cannot smuggle in a permanent partition that an equivalent
-    /// [`Topology::Custom`] would be rejected for.
-    #[must_use]
-    pub fn severed_arcs(&self) -> Vec<(usize, usize)> {
-        (0..self.n)
-            .flat_map(|from| (0..self.n).map(move |to| (from, to)))
-            .filter(|&(from, to)| from != to && self.omit[from * self.n + to] >= 1.0)
-            .collect()
     }
 
     pub(crate) fn omit_at(&self, from: usize, to: usize) -> f64 {
@@ -973,14 +539,6 @@ impl fmt::Display for TopologySchedule {
 }
 
 impl TopologySchedule {
-    /// Returns `true` for the static complete schedule — the description
-    /// that lowers onto the unmasked fast path, bit-identical to no
-    /// schedule at all.
-    #[must_use]
-    pub fn is_static_complete(&self) -> bool {
-        matches!(self, TopologySchedule::Static(t) if t.is_complete())
-    }
-
     /// Realizes the schedule over `n` processes. Every phase (and the churn
     /// base) is realized exactly once;
     /// [`SeededChurn`](TopologySchedule::SeededChurn) derives its per-round
@@ -1047,12 +605,6 @@ pub struct RealizedSchedule {
 }
 
 impl RealizedSchedule {
-    /// The number of processes every per-round graph covers.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// The communication graph of `round`. Static and periodic schedules
     /// hand back their pre-realized phases; churn builds the round's
     /// subgraph of the base on demand (borrowed vs. owned is an
@@ -1080,16 +632,6 @@ impl RealizedSchedule {
                         .expect("surviving edges stay inside the universe"),
                 )
             }
-        }
-    }
-
-    /// The single graph of a static schedule, or `None` for a genuinely
-    /// dynamic one.
-    #[must_use]
-    pub fn static_adjacency(&self) -> Option<&Adjacency> {
-        match &self.kind {
-            RealizedKind::Static(adjacency) => Some(adjacency),
-            _ => None,
         }
     }
 
@@ -1131,50 +673,26 @@ mod tests {
     }
 
     #[test]
-    fn directed_complete_and_symmetric_roundtrip() {
-        let symmetric = Adjacency::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-        let directed = DirectedAdjacency::from_symmetric(&symmetric);
-        assert!(directed.is_symmetric());
-        assert!(directed.is_strongly_connected());
-        assert_eq!(directed.to_symmetric().unwrap(), symmetric);
-        assert_eq!(directed.arc_count(), 2 * symmetric.edge_count());
-        assert!(DirectedAdjacency::complete(3).is_complete());
-        assert_eq!(
-            DirectedAdjacency::from(Adjacency::complete(3)),
-            DirectedAdjacency::complete(3)
-        );
-    }
-
-    #[test]
     fn one_way_arcs_break_symmetry_and_strong_connectivity() {
-        let one_way = DirectedAdjacency::from_arcs(3, [(0, 1), (1, 2), (2, 1), (1, 0)]).unwrap();
-        // 2 hears 1 and 1 hears 2, but nothing reaches 0 except via 1.
-        assert!(one_way.is_strongly_connected());
-        let severed = DirectedAdjacency::from_arcs(3, [(0, 1), (1, 2)]).unwrap();
-        assert!(!severed.is_symmetric());
-        assert!(!severed.is_strongly_connected());
-        assert!(severed.to_symmetric().is_err());
-        assert_eq!(severed.out_neighbors(pid(0)), vec![pid(1)]);
-        assert_eq!(severed.in_neighbors(pid(0)), vec![]);
-        assert_eq!(severed.in_degree(pid(2)), 1);
-        assert_eq!(severed.out_degree(pid(2)), 0);
-        assert_eq!(severed.min_in_closed_neighborhood(), 1);
-    }
-
-    #[test]
-    fn directed_from_matrix_accepts_asymmetry_but_validates_shape() {
-        let asym =
-            DirectedAdjacency::from_matrix(vec![vec![false, true], vec![false, false]]).unwrap();
-        assert!(asym.delivers(pid(0), pid(1)));
-        assert!(!asym.delivers(pid(1), pid(0)));
-        // Diagonal forced on.
-        assert!(asym.delivers(pid(0), pid(0)));
-        assert!(DirectedAdjacency::from_matrix(vec![]).is_err());
-        assert!(DirectedAdjacency::from_matrix(vec![vec![true], vec![true]]).is_err());
-        assert!(matches!(
-            DirectedAdjacency::from_arcs(2, [(0, 5)]),
-            Err(Error::UnknownProcess { n: 2, .. })
-        ));
+        // The path 0 — 1 — 2 is one strong component whose ends hear one
+        // neighbour each.
+        let path = Adjacency::from_edges(3, [(0, 1), (1, 2)]).unwrap();
+        assert_eq!(path.cut_connectivity(&[]), (1, 2));
+        // Cutting 1 -> 0 and 2 -> 1 leaves only 0 -> 1 -> 2: nothing
+        // reaches 0, and every process is its own strong component.
+        let severed = LinkFaultPlan::new()
+            .cut(2, 1)
+            .cut(1, 0)
+            .omit(0, 1, 0.5)
+            .severed_arcs(3)
+            .unwrap();
+        assert_eq!(severed, vec![(1, 0), (2, 1)]);
+        assert_eq!(path.cut_connectivity(&severed), (3, 1));
+        // One cut keeps a triangle strongly connected (0 -> 2 -> 1 -> 0).
+        assert_eq!(Adjacency::complete(3).cut_connectivity(&[(0, 1)]), (1, 2));
+        // A later rule restores a cut link.
+        let restored = LinkFaultPlan::new().cut(0, 1).omit(0, 1, 0.5);
+        assert_eq!(restored.severed_arcs(3).unwrap(), vec![]);
     }
 
     #[test]
@@ -1184,21 +702,14 @@ mod tests {
             .omit(0, 1, 0.9)
             .delay(1, 0, 2);
         let compiled = plan.compile(3).unwrap();
-        assert_eq!(compiled.omit_probability(pid(0), pid(1)), 0.9);
-        assert_eq!(compiled.omit_probability(pid(0), pid(2)), 0.1);
-        assert_eq!(compiled.delay(pid(1), pid(0)), 2);
-        assert_eq!(compiled.delay(pid(0), pid(1)), 0);
+        assert_eq!(compiled.omit_at(0, 1), 0.9);
+        assert_eq!(compiled.omit_at(0, 2), 0.1);
+        assert_eq!(compiled.delay_at(1, 0), 2);
+        assert_eq!(compiled.delay_at(0, 1), 0);
         // Self-links are never faulted, wildcards notwithstanding.
-        assert_eq!(compiled.omit_probability(pid(1), pid(1)), 0.0);
+        assert_eq!(compiled.omit_at(1, 1), 0.0);
         assert!(!compiled.is_clean());
         assert!(LinkFaultPlan::new().compile(3).unwrap().is_clean());
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the universe")]
-    fn compiled_faults_panic_on_out_of_universe_lookups() {
-        let compiled = LinkFaultPlan::new().compile(3).unwrap();
-        let _ = compiled.omit_probability(pid(0), pid(5));
     }
 
     #[test]
@@ -1264,8 +775,6 @@ mod tests {
         let r0 = realized.adjacency_at(Round::ZERO);
         let r9 = realized.adjacency_at(Round::new(9));
         assert_eq!(r0, r9);
-        assert_eq!(realized.static_adjacency(), Some(&*r0));
-        assert!(TopologySchedule::default().is_static_complete());
     }
 
     #[test]
@@ -1275,7 +784,6 @@ mod tests {
         };
         let realized = schedule.realize(6, 3).unwrap();
         assert!(realized.is_dynamic());
-        assert!(realized.static_adjacency().is_none());
         assert!(!realized.adjacency_at(Round::ZERO).is_complete());
         assert!(realized.adjacency_at(Round::new(1)).is_complete());
         assert_eq!(
@@ -1419,18 +927,14 @@ mod tests {
         );
         assert_eq!(DisconnectionPolicy::Record.to_string(), "record");
         assert_eq!(DisconnectionPolicy::Reject.to_string(), "reject");
-        assert_eq!(
-            DirectedAdjacency::complete(3).to_string(),
-            "3 processes, 6 arcs, min in-neighbourhood 3"
-        );
     }
 
     #[test]
     fn singleton_universe_is_strongly_connected() {
-        let one = DirectedAdjacency::complete(1);
-        assert!(one.is_strongly_connected());
-        assert!(one.is_symmetric());
-        assert_eq!(one.min_in_closed_neighborhood(), 1);
-        assert_eq!(one.arc_count(), 0);
+        // Self-links are never cut, so severing every link still leaves
+        // the lone process hearing itself.
+        let severed = LinkFaultPlan::new().omit_all(1.0).severed_arcs(1).unwrap();
+        assert_eq!(severed, vec![]);
+        assert_eq!(Adjacency::complete(1).cut_connectivity(&severed), (1, 1));
     }
 }

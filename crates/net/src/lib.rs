@@ -24,13 +24,14 @@
 //!   slot in [`NetworkStats`], and recording a [`RoundTrace`] on request.
 //! * [`Topology`] / [`Adjacency`] — the communication graph: complete,
 //!   ring lattice, random regular, grid, or an explicit validated
-//!   adjacency matrix, with connectivity and degree queries.
+//!   adjacency matrix, with connectivity and degree queries (also with
+//!   one-way links cut: [`Adjacency::cut_connectivity`]).
 //! * [`faults`] — the link-fault & dynamic-topology subsystem:
-//!   [`DirectedAdjacency`] (one-way links), [`LinkFaultPlan`] (per-link
-//!   omission probability and fixed delays with in-order buffering), and
-//!   [`TopologySchedule`] (a possibly different realized graph per round —
-//!   static, periodic, or seeded churn), with link-attributable
-//!   non-deliveries accounted separately from adversary omissions.
+//!   [`LinkFaultPlan`] (per-link omission probability, one-way cuts and
+//!   fixed delays with in-order buffering), and [`TopologySchedule`] (a
+//!   possibly different realized graph per round — static, periodic, or
+//!   seeded churn), with link-attributable non-deliveries accounted
+//!   separately from adversary omissions.
 //! * [`RoundTrace`] / [`NetworkTrace`] — per-round observation records used
 //!   to classify the behaviour of each sender (benign / symmetric /
 //!   asymmetric), which is how the Table 1 mapping is validated
@@ -89,8 +90,7 @@ mod trace;
 
 pub use batch::{DeliveryRows, LaneSend};
 pub use faults::{
-    CompiledLinkFaults, DirectedAdjacency, DisconnectionPolicy, LinkFaultPlan, LinkFaultRule,
-    RealizedSchedule, TopologySchedule,
+    DisconnectionPolicy, LinkFaultPlan, LinkFaultRule, RealizedSchedule, TopologySchedule,
 };
 pub use network::{LaneDelivery, SharedRealization};
 pub use outbox::Outbox;

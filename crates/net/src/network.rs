@@ -51,10 +51,10 @@ use std::cmp::Ordering;
 
 use mbaa_types::{Error, ProcessId, Result, Round, Value};
 
-use crate::faults::{churn_link_down, omission_lost, RealizedKind};
+use crate::faults::{churn_link_down, omission_lost, CompiledLinkFaults, RealizedKind};
 use crate::{
-    Adjacency, CompiledLinkFaults, DeliveryRows, DisconnectionPolicy, LaneSend, LinkFaultPlan,
-    NetworkStats, Outbox, RoundTrace, Topology, TopologySchedule, TraceSlot,
+    Adjacency, DeliveryRows, DisconnectionPolicy, LaneSend, LinkFaultPlan, NetworkStats, Outbox,
+    RoundTrace, Topology, TopologySchedule, TraceSlot,
 };
 
 /// What one slot carried: classified at send time and accounted at

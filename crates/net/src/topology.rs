@@ -463,27 +463,86 @@ impl Adjacency {
     /// The number of connected components.
     #[must_use]
     pub fn component_count(&self) -> usize {
-        let mut visited = vec![false; self.n];
-        let mut components = 0;
-        let mut stack = Vec::new();
-        for start in 0..self.n {
-            if visited[start] {
-                continue;
+        self.cut_connectivity(&[]).0
+    }
+
+    /// This graph with the directed links `cut` (`(from, to)` pairs)
+    /// removed, as `(strong components, smallest closed in-neighbourhood)`:
+    /// how many groups of processes still reach one another both ways, and
+    /// how many processes the worst-placed receiver hears each round,
+    /// itself included. Self-links are never cut. Without cuts the pair is
+    /// ([`component_count`](Adjacency::component_count),
+    /// [`min_closed_neighborhood`](Adjacency::min_closed_neighborhood)); a
+    /// one-way cut can leave a graph connected but not strongly connected.
+    /// This is how the configuration layer checks a link-fault plan's
+    /// [`severed_arcs`](crate::LinkFaultPlan::severed_arcs).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use mbaa_net::Adjacency;
+    ///
+    /// // On the path 0 — 1 — 2 — 3, cutting 2 -> 1 strands {2, 3}
+    /// // downstream of {0, 1}: two strong components.
+    /// let path = Adjacency::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
+    /// assert_eq!(path.cut_connectivity(&[]), (1, 2));
+    /// assert_eq!(path.cut_connectivity(&[(2, 1)]), (2, 2));
+    /// # Ok::<(), mbaa_types::Error>(())
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is outside the universe.
+    #[must_use]
+    pub fn cut_connectivity(&self, cut: &[(usize, usize)]) -> (usize, usize) {
+        let n = self.n;
+        let mut arcs = self.bits.clone();
+        for &(from, to) in cut {
+            assert!(from < n && to < n, "process outside the universe");
+            if from != to {
+                arcs[from * n + to] = false;
             }
-            components += 1;
-            visited[start] = true;
-            stack.push(start);
+        }
+        // Which processes `start` reaches along arcs (`forward`), or which
+        // reach it; `start` included.
+        let search = |start: usize, forward: bool| {
+            let mut seen = vec![false; n];
+            let mut stack = vec![start];
+            seen[start] = true;
             while let Some(node) = stack.pop() {
-                let row = &self.bits[node * self.n..(node + 1) * self.n];
-                for (next, &linked) in row.iter().enumerate() {
-                    if linked && !visited[next] {
-                        visited[next] = true;
+                for next in 0..n {
+                    let arc = if forward {
+                        arcs[node * n + next]
+                    } else {
+                        arcs[next * n + node]
+                    };
+                    if arc && !seen[next] {
+                        seen[next] = true;
                         stack.push(next);
                     }
                 }
             }
+            seen
+        };
+        let mut assigned = vec![false; n];
+        let mut components = 0;
+        for v in 0..n {
+            if assigned[v] {
+                continue;
+            }
+            components += 1;
+            // v's strong component is exactly the processes both reachable
+            // from v and reaching v.
+            let (reached, reaching) = (search(v, true), search(v, false));
+            for (u, slot) in assigned.iter_mut().enumerate() {
+                *slot |= reached[u] && reaching[u];
+            }
         }
-        components
+        let min_heard = (0..n)
+            .map(|to| (0..n).filter(|&from| arcs[from * n + to]).count())
+            .min()
+            .expect("a graph covers at least one process");
+        (components, min_heard)
     }
 
     /// One row of the matrix as reachability flags: `row(p)[q]` is `true`

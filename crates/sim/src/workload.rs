@@ -70,8 +70,19 @@ impl Workload {
                 if n == 1 {
                     return vec![Value::new(*lo)];
                 }
+                let last = (n - 1) as f64;
                 (0..n)
-                    .map(|i| Value::new(lo + (hi - lo) * i as f64 / (n - 1) as f64))
+                    .map(|i| {
+                        let scaled = (hi - lo) * i as f64;
+                        // Near f64::MAX the product overflows before the
+                        // division; the fraction first keeps it finite.
+                        let step = if scaled.is_finite() {
+                            scaled / last
+                        } else {
+                            (hi - lo) * (i as f64 / last)
+                        };
+                        Value::new(lo + step)
+                    })
                     .collect()
             }
             Workload::RandomUniform { lo, hi } => {

@@ -1,5 +1,5 @@
 //! Integration tests of the link-fault & dynamic-topology subsystem: the
-//! mobile-network axes (directed links, per-link omission/delay faults,
+//! mobile-network axes (one-way cuts, per-link omission/delay faults,
 //! round-indexed topology schedules) must compose with the Scenario API
 //! without perturbing the static engine, and must be deterministic across
 //! every execution path and worker budget.
@@ -236,24 +236,4 @@ fn periodic_matchings_agree_through_their_union() {
         outcome.network_stats.disconnected_rounds as usize,
         outcome.rounds_executed
     );
-}
-
-#[test]
-fn directed_adjacency_round_trips_and_detects_one_way_disconnection() {
-    // The symmetric case is exactly Adjacency: lifting and projecting
-    // round-trips the graph.
-    let ring = Topology::Ring { k: 2 }.realize(7, 0).unwrap();
-    let lifted = DirectedAdjacency::from_symmetric(&ring);
-    assert!(lifted.is_symmetric());
-    assert_eq!(lifted.to_symmetric().unwrap(), ring);
-    assert_eq!(lifted.min_in_closed_neighborhood(), 5);
-
-    // One-way links: reachable in one direction only, and strong
-    // connectivity sees through it.
-    let one_way = DirectedAdjacency::from_arcs(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-    assert!(!one_way.is_symmetric());
-    assert!(!one_way.is_strongly_connected());
-    let cycle = DirectedAdjacency::from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-    assert!(cycle.is_strongly_connected());
-    assert!(cycle.to_symmetric().is_err());
 }
