@@ -8,7 +8,7 @@
 //! `tests/scenario_api.rs` and `tests/alloc_regression.rs`; this crate
 //! enforces them *statically*, at the source level, before a single run
 //! executes. It is a hand-rolled lexer (the container is offline, so no
-//! `syn`) feeding six token-level lints:
+//! `syn`) feeding eight token-level lints:
 //!
 //! | lint | scope | forbids |
 //! |------|-------|---------|
@@ -18,6 +18,8 @@
 //! | `hot-path/allocation` | `mbaa: alloc-free` regions | `Vec::new`, `vec![]`, `.to_vec()`, `.clone()`, `.collect()`, `format!`, `Box::new`, `String::from`, … |
 //! | `hot-path/vec-growth` | `mbaa: alloc-free` regions | `.push()`, `.extend()`, `.resize()`, … — growth that reallocates once the capacity bound breaks |
 //! | `determinism/stable-sort` | result-affecting crates | `.sort()`/`.sort_by()` and `partial_cmp(..).unwrap()` |
+//! | `determinism/iter-order` | result-affecting crates | `.retain()`/`.dedup()` on data not provably sorted |
+//! | `determinism/global-alloc-counter` | files declaring `#[global_allocator]` | `static` atomics outside `thread_local!` |
 //!
 //! The *result-affecting crates* are `types`, `msr`, `net`, `adversary`,
 //! `mixed`, `core`, `sim`, and `facade`. **Bench exemption rule:** the

@@ -8,6 +8,7 @@
 
 mod allocation;
 mod ambient_rng;
+mod global_alloc_counter;
 mod hash_collections;
 mod iter_order;
 mod stable_sort;
@@ -92,6 +93,15 @@ pub const STABLE_SORT: LintSpec = LintSpec {
               sort_unstable with a total comparator",
 };
 
+/// `determinism/global-alloc-counter` — a process-global atomic `static`
+/// beside a `#[global_allocator]`.
+pub const GLOBAL_ALLOC_COUNTER: LintSpec = LintSpec {
+    name: "determinism/global-alloc-counter",
+    severity: Severity::Error,
+    summary: "an atomic static in a file that declares #[global_allocator] \
+              counts every test thread together; count in a thread_local!",
+};
+
 /// `analyzer/bad-directive` — a malformed `mbaa:` comment. A typo in a
 /// suppression or marker must not be silently ignored.
 pub const BAD_DIRECTIVE: LintSpec = LintSpec {
@@ -110,6 +120,7 @@ pub const LINTS: &[LintSpec] = &[
     VEC_GROWTH,
     STABLE_SORT,
     ITER_ORDER,
+    GLOBAL_ALLOC_COUNTER,
     BAD_DIRECTIVE,
 ];
 
@@ -245,6 +256,7 @@ pub fn analyze_tokens(ctx: &FileContext, tokens: &[Token]) -> (Vec<Diagnostic>, 
     vec_growth::run(ctx, &code, &regions, &mut findings);
     stable_sort::run(ctx, &code, &mut findings);
     iter_order::run(ctx, &code, &mut findings);
+    global_alloc_counter::run(ctx, &code, &mut findings);
 
     // Report in source order regardless of which lint found what.
     findings.sort_by_key(|f| (f.line, f.col));

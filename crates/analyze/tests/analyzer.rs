@@ -20,6 +20,7 @@ const VEC_GROWTH: &str = include_str!("fixtures/vec_growth.rs");
 const STABLE_SORT: &str = include_str!("fixtures/stable_sort.rs");
 const ITER_ORDER: &str = include_str!("fixtures/iter_order.rs");
 const BAD_DIRECTIVES: &str = include_str!("fixtures/bad_directives.rs");
+const GLOBAL_ALLOC_COUNTER: &str = include_str!("fixtures/global_alloc_counter.rs");
 
 /// Analyzes fixture source as if it lived at `virtual_path`.
 fn analyze_at(virtual_path: &str, source: &str) -> Report {
@@ -275,6 +276,23 @@ fn stable_sort_positives_and_suppressed() {
 }
 
 #[test]
+fn global_alloc_counter_fires_only_beside_a_global_allocator() {
+    // Test binaries live outside the result-affecting crates; the lint
+    // applies everywhere.
+    let report = analyze_at("tests/fixture.rs", GLOBAL_ALLOC_COUNTER);
+    assert_eq!(
+        lints_and_lines(&report),
+        vec![("determinism/global-alloc-counter", 7)],
+        "{}",
+        report.to_text()
+    );
+    // Without the allocator declaration an atomic static is just a static.
+    let plain = GLOBAL_ALLOC_COUNTER.replace("#[global_allocator]", "");
+    let report = analyze_at("tests/fixture.rs", &plain);
+    assert!(report.diagnostics.is_empty(), "{}", report.to_text());
+}
+
+#[test]
 fn malformed_directives_are_errors_in_any_scope() {
     let report = analyze_at("crates/bench/src/fixture.rs", BAD_DIRECTIVES);
     assert_eq!(
@@ -338,6 +356,8 @@ fn binary_fails_on_seeded_violations_of_every_lint() {
         "fn hot(xs: &[u64]) -> Vec<u64> { xs.to_vec() }\n",
         "// mbaa: alloc-free\n",
         "fn grow(xs: &mut Vec<u64>) { xs.push(1); }\n",
+        "#[global_allocator]\n",
+        "static COUNT: AtomicU64 = AtomicU64::new(0);\n",
     );
     std::fs::write(bad.join("bad.rs"), source).expect("write fixture");
 
@@ -351,6 +371,7 @@ fn binary_fails_on_seeded_violations_of_every_lint() {
         "determinism/stable-sort",
         "hot-path/allocation",
         "hot-path/vec-growth",
+        "determinism/global-alloc-counter",
     ] {
         assert!(stdout.contains(lint), "missing {lint} in:\n{stdout}");
     }

@@ -1,15 +1,15 @@
 //! Experiment **P3**: seed-batched engine throughput — aggregate rounds
-//! per second when k seeds of one scenario point advance in lockstep
-//! through the structure-of-arrays `BatchEngine`.
+//! per second when a pack of k seeds of one scenario point runs through
+//! `BatchEngine`, one lane after another.
 //!
 //! The grid is n ∈ {16, 64, 256} × k ∈ {1, 8, 32}. The k = 1 column is the
-//! baseline: a one-lane pack through the same lockstep loop, so the k = 8 /
-//! k = 32 rows measure exactly what sharing the loop across lanes buys
-//! (one realization and round scratch per pack, the k-wide MSR fold) over
-//! running the same seeds one pack at a time.
+//! baseline: a one-lane pack through the same round loop, so the k = 8 /
+//! k = 32 rows measure what a pack shares across its lanes (one
+//! realization and one round scratch) over running the same seeds one
+//! pack at a time.
 //! Throughput is *aggregate*: total rounds summed over all lanes divided
-//! by wall time, so perfect lane-sharing shows up as a multiple of the
-//! k = 1 row rather than parity with it.
+//! by wall time; lanes share no round work, so the rows sit near the
+//! k = 1 row.
 //!
 //! Partial topologies and dynamic/lossy fabrics, which cannot use the
 //! complete graph's sort-once-and-merge exchange, get their own rows on a

@@ -71,13 +71,13 @@ fn profile(n: usize) {
     }
 }
 
-/// An 8-lane pack on a ring under the profiler: the lanes advance in
-/// lockstep over a ring mask shared across the pack. The loop emits the
+/// An 8-lane pack on a ring under the profiler: the lanes run one after
+/// another over a ring mask shared across the pack. The loop emits the
 /// four phase hooks (adversary planning, the masked exchange against the
-/// shared realization, the lane-major MSR fold, and per-lane recording),
-/// so the
-/// `phase_share/batch_ring/{n}/{phase}` rows show where the batched
-/// round's time goes — the evidence behind the vectorized-fold work.
+/// shared realization, the k-wide MSR fold over the round's rows, and
+/// recording), so the `phase_share/batch_ring/{n}/{phase}` rows show where
+/// the batched round's time goes — the evidence behind the vectorized-fold
+/// work.
 fn profile_batch(n: usize) {
     const K: usize = 8;
     let config = ProtocolConfig::builder(MobileModel::Garay, n, 2)

@@ -800,7 +800,7 @@ fn cmd_validate(args: &[String]) -> Result<(), CliError> {
                         path.display(),
                         doc.name,
                         points.len(),
-                        doc.seeds.seeds().len()
+                        doc.seeds.count()
                     );
                 }
                 Err(e) => {
@@ -877,8 +877,8 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     );
     println!(
         "seeds:       {} ({} after normalization)",
-        doc.seeds.seeds().len(),
-        doc.seeds.normalized().len()
+        doc.seeds.count(),
+        doc.seeds.normalized_count()
     );
     let points = doc.points();
     println!("points:      {}", points.len());
@@ -947,7 +947,7 @@ fn cmd_gallery(args: &[String]) -> Result<(), CliError> {
     for path in &paths {
         let mut doc = load_doc(path)?;
         let points = doc.points();
-        let seeds = doc.seeds.seeds().len();
+        let seeds = doc.seeds.count();
         println!();
         println!("  {} ({})", doc.name, path.display());
         if let Some(title) = &doc.title {

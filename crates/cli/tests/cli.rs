@@ -338,6 +338,44 @@ fn values_near_the_float_limit_run_cleanly() {
 }
 
 #[test]
+fn seed_ranges_are_counted_without_expanding_them() {
+    // Validating or explaining a range must not materialize its seeds; a
+    // range larger than any seed vector can hold is a schema error at the
+    // count.
+    let dir = scratch("seed-range");
+    let cases = [
+        ("100000000000", 0, "100000000000"),
+        (
+            "4611686018427387904",
+            1,
+            "schema error at 1:127: seeds.count: 4611686018427387904 seeds exceed the largest range",
+        ),
+    ];
+    for (i, (count, code, expected)) in cases.into_iter().enumerate() {
+        let file = dir.join(format!("case{i}.scenario.json"));
+        let doc = format!(
+            r#"{{"format": "mbaa-scenario/1", "name": "range", "scenario": {{"model": "garay", "n": 9, "f": 2}}, "seeds": {{"start": 0, "count": {count}}}}}"#
+        );
+        fs::write(&file, doc).unwrap();
+        for command in ["validate", "explain"] {
+            let out = mbaa(&[command, file.to_str().unwrap()], &dir);
+            assert_eq!(
+                out.status.code(),
+                Some(code),
+                "{command} {count}: {}",
+                stderr(&out)
+            );
+            let text = if code == 0 {
+                stdout(&out)
+            } else {
+                stderr(&out)
+            };
+            assert!(text.contains(expected), "{command} {count}: {text}");
+        }
+    }
+}
+
+#[test]
 fn explain_shows_bound_and_points() {
     let dir = scratch("explain");
     let file = dir.join("sweep.scenario.json");

@@ -1,18 +1,19 @@
-//! The round loop: every protocol run — one seed alone, or a pack of k
-//! seeds — advances through [`BatchEngine`]'s single lockstep loop, which
-//! runs round `r` of every lane before any lane sees round `r + 1`.
+//! The round loop: every protocol run — one seed alone, or each lane of a
+//! pack of seeds — goes through [`BatchEngine`]'s one round loop, which
+//! takes a lane from its input checks through its rounds to its outcome
+//! and run-level events. A pack runs its lanes one after another: in the
+//! synchronous round model no seed reads another seed's state, so nothing
+//! needs the lanes to advance together.
 //!
-//! # Structure-of-arrays layout
+//! # Shared state
 //!
-//! Per-process state is stored **lane-major** in flat arrays: lane `l`'s
-//! votes occupy `votes[l * n .. (l + 1) * n]`, and likewise for the fault
-//! states. Per-lane control state (the adversary with its RNG stream, the
-//! convergence report, the traffic statistics, the recordings) lives in
-//! one flat `Vec` of lane records. All lanes share a single round scratch
-//! — one [`RoundFaultPlan`], one send classification, one packed
-//! delivery-row arena — because the scratch is fully overwritten per lane
-//! per round; only the RNG streams and the accumulated per-lane results
-//! differ.
+//! The lanes of a pack share what each lane fully rewrites: one round
+//! scratch — one [`RoundFaultPlan`], one send classification, the active
+//! flags, one packed delivery-row arena, the votes and fault states —
+//! rebuilt only when the universe size changes, and the pack's network
+//! realizations. A lane owns its adversary (with its RNG stream), its
+//! delivery state (seed-keyed draw streams and delay ring), its traffic
+//! statistics and its outcome.
 //!
 //! # One round loop
 //!
@@ -32,7 +33,7 @@
 //! 4. every non-faulty process (under Buhrman's model, every process)
 //!    applies the voting function to its row: the k-wide
 //!    [`mbaa_msr::MsrFunction::apply_sorted_lanes`] folds
-//!    `mean(Sel(Red(N)))` over all rows of the lane in one pass.
+//!    `mean(Sel(Red(N)))` over all rows of the round in one pass.
 //!
 //! A lane stops as soon as its non-faulty values are within ε of each
 //! other or its round budget is exhausted.
@@ -64,17 +65,13 @@
 //!
 //! Lanes need not come from one configuration: [`PackedLane`] pairs each
 //! lane with its *own* full `ProtocolConfig` (whose `seed` field is the
-//! lane seed), and a mixed pack advances in one lockstep loop as long as
-//! every lane shares the batch **shape** — same `n`, `f` and model
-//! (checked by [`shape_compatible`]). Everything else — ε, round budget,
-//! voting function, mobility, corruption, topology, schedule, link faults,
-//! observe level — may differ per lane: the loop runs to the largest round
-//! budget and each lane consults its own configuration, so a sweep can top
-//! up a draining point's tail chunk with seeds from the next compatible
-//! point instead of running it under-full.
-//! [`BatchEngine::run_packed_observed`] splits a pack that mixes shapes
-//! into consecutive compatible sub-packs, so any pack runs. A lane's
-//! result does not depend on the pack it rides in.
+//! lane seed), and every knob — size, model, ε, round budget, voting
+//! function, mobility, corruption, topology, schedule, link faults,
+//! observe level — may differ per lane. A lane's result and its event
+//! stream do not depend on the pack it rides in, so a sweep can top up a
+//! draining point's tail chunk with seeds from the next point instead of
+//! running it under-full. The sweep planner packs only
+//! [`shape_compatible`] lanes, so a pack keeps one scratch size.
 
 use mbaa_adversary::{AdversaryView, MobileAdversary, RoundFaultPlan};
 use mbaa_msr::{ConvergenceReport, VotingFunction};
@@ -101,73 +98,51 @@ pub struct PackedLane {
     pub inputs: Vec<Value>,
 }
 
-/// Whether two configurations share a batch **shape** and may therefore
-/// advance in one lockstep loop: same universe size, fault bound, and
-/// mobile model. All other knobs, the observe level included, are
-/// per-lane.
+/// Whether two configurations share a batch **shape**: same universe
+/// size, fault bound, and mobile model. The sweep planner packs only
+/// shape-compatible lanes together, so a pack's lanes share one round
+/// scratch; the engine itself runs any pack.
 #[must_use]
 pub fn shape_compatible(a: &ProtocolConfig, b: &ProtocolConfig) -> bool {
     a.n == b.n && a.f == b.f && a.model == b.model
 }
 
-/// Per-lane control state: everything that is *not* shared across lanes.
-struct LaneState {
-    adversary: MobileAdversary,
-    /// The lane's slice of its group's [`SharedRealization`]: seed-keyed
-    /// draw streams and delay ring. `None` only for lanes born failed.
-    delivery: Option<LaneDelivery>,
-    /// Index of the lane's network group.
-    group: usize,
-    stats: NetworkStats,
-    validity_envelope: Option<Interval>,
-    report: Option<ConvergenceReport>,
-    reached: bool,
-    rounds_executed: usize,
-    error: Option<Error>,
-    done: bool,
-    /// Telemetry bookkeeping (only read when an enabled observer is
-    /// attached): the previous round's diameter (contraction ratios), the
-    /// previous stats snapshot (per-round traffic deltas), the
-    /// cured-corruption count of the current round, and the run total of
-    /// corruptions.
-    prev_diameter: f64,
-    prev_stats: NetworkStats,
-    corrupted_last: u32,
-    corruptions: u64,
-    recorded: Recording,
+/// The round scratch the lanes of a pack share, sized for one universe. A
+/// lane copies in its inputs and resets the states, and every round
+/// overwrites the rest, so one lane's leftovers never reach the next
+/// lane's results.
+struct Scratch {
+    plan: RoundFaultPlan,
+    received: ValueMultiset,
+    sends: Vec<LaneSend>,
+    active: Vec<bool>,
+    rows: DeliveryRows,
+    lane_votes: Vec<Option<Value>>,
+    votes: Vec<Value>,
+    states: Vec<FaultState>,
 }
 
-impl LaneState {
-    fn new(cfg: &ProtocolConfig) -> Self {
-        LaneState {
-            adversary: MobileAdversary::new(
-                cfg.model,
-                cfg.n,
-                cfg.f,
-                cfg.mobility,
-                cfg.corruption,
-                cfg.seed,
-            ),
-            delivery: None,
-            group: 0,
-            stats: NetworkStats::new(),
-            validity_envelope: None,
-            report: None,
-            reached: false,
-            rounds_executed: 0,
-            error: None,
-            done: false,
-            prev_diameter: 0.0,
-            prev_stats: NetworkStats::new(),
-            corrupted_last: 0,
-            corruptions: 0,
-            recorded: Recording::default(),
+impl Scratch {
+    fn new(n: usize) -> Self {
+        Scratch {
+            plan: RoundFaultPlan::empty(n),
+            received: ValueMultiset::with_capacity(n),
+            sends: vec![LaneSend::Silent; n],
+            active: vec![false; n],
+            rows: DeliveryRows::new(n),
+            lane_votes: vec![None; n],
+            votes: vec![Value::new(0.0); n],
+            states: vec![FaultState::Correct; n],
         }
     }
 
-    fn fail(&mut self, error: Error) {
-        self.error = Some(error);
-        self.done = true;
+    /// The scratch for a universe of `n` processes, rebuilt when the
+    /// previous lane had another size.
+    fn sized(&mut self, n: usize) -> &mut Self {
+        if self.votes.len() != n {
+            *self = Scratch::new(n);
+        }
+        self
     }
 }
 
@@ -181,10 +156,12 @@ struct NetGroup<'a> {
 
 impl NetGroup<'_> {
     /// Whether a lane with configuration `cfg` exchanges against this
-    /// group's realization: the same network description, realized under
-    /// the same seed when the description realizes per seed.
+    /// group's realization: the same universe size and network
+    /// description, realized under the same seed when the description
+    /// realizes per seed.
     fn serves(&self, cfg: &ProtocolConfig) -> bool {
-        self.cfg.topology == cfg.topology
+        self.cfg.n == cfg.n
+            && self.cfg.topology == cfg.topology
             && self.cfg.schedule == cfg.schedule
             && self.cfg.link_faults == cfg.link_faults
             && self.cfg.disconnection == cfg.disconnection
@@ -193,9 +170,9 @@ impl NetGroup<'_> {
     }
 }
 
-/// Runs the protocol: one seed alone, or packs of seeds in lockstep,
+/// Runs the protocol: one seed alone, or a pack of seeds lane by lane,
 /// through one round loop. See the [module documentation](crate::batch)
-/// for the loop and the layout.
+/// for the loop and what a pack shares.
 ///
 /// # Example
 ///
@@ -218,7 +195,7 @@ pub enum BatchEngine {}
 
 impl BatchEngine {
     /// Runs one configuration from the given initial values (one per
-    /// process) as a one-lane pack.
+    /// process).
     ///
     /// # Errors
     ///
@@ -248,72 +225,296 @@ impl BatchEngine {
         function: Option<&dyn VotingFunction>,
         observer: &mut O,
     ) -> Result<MobileRunOutcome> {
-        let lane = PackedLane {
-            config: config.clone(),
-            inputs: inputs.to_vec(),
-        };
-        run_lockstep(std::slice::from_ref(&lane), function, 0, false, observer)
-            .pop()
-            .expect("one lane, one result")
+        let mut scratch = Scratch::new(config.n);
+        run_lane(
+            config,
+            inputs,
+            function,
+            &mut scratch,
+            &mut Vec::new(),
+            observer,
+        )
     }
 
     /// Runs a pack with an [`Observer`] attached: every lane carries its
-    /// own configuration (its `seed` field is the lane seed). Results are
-    /// returned in lane order, and each lane's result — outcome or error —
-    /// is what [`BatchEngine::run`] returns for its configuration alone.
-    /// Pass [`NoopObserver`] to run unobserved.
+    /// own configuration (its `seed` field is the lane seed), and the lanes
+    /// run one after another on the pack's shared scratch and network
+    /// realizations. Results are returned in lane order, and each lane's
+    /// result — outcome or error — is what [`BatchEngine::run`] returns for
+    /// its configuration alone. Pass [`NoopObserver`] to run unobserved.
     ///
-    /// Consecutive lanes that share a batch shape (see [`shape_compatible`])
-    /// advance in one lockstep loop; a pack that mixes shapes runs as
-    /// consecutive compatible sub-packs, so the call is total.
-    ///
-    /// Round events from different lanes interleave round-major (the
-    /// lockstep schedule), and run-level events are emitted in lane order
-    /// at collection. Every lane of a multi-lane pack is announced with
-    /// [`Observer::on_lane`] (its index in `lanes`) before its events, and
-    /// each lane's event subsequence is the stream a one-lane run of its
-    /// configuration emits.
+    /// The observer sees the lanes' event streams one after another, in
+    /// lane order; each is the stream a one-lane run of its configuration
+    /// emits.
     #[must_use]
     pub fn run_packed_observed<O: Observer>(
         lanes: &[PackedLane],
         observer: &mut O,
     ) -> Vec<Result<MobileRunOutcome>> {
-        let announce = observer.enabled() && lanes.len() > 1;
-        let mut results = Vec::with_capacity(lanes.len());
-        let mut start = 0;
-        for end in 1..=lanes.len() {
-            if end == lanes.len() || !shape_compatible(&lanes[start].config, &lanes[end].config) {
-                results.extend(run_lockstep(
-                    &lanes[start..end],
+        let mut scratch = Scratch::new(lanes.first().map_or(0, |lane| lane.config.n));
+        // A linear scan over the groups is fine: packs are ≤ the sweep
+        // chunk width and most hold one or two descriptions.
+        let mut groups = Vec::new();
+        lanes
+            .iter()
+            .map(|lane| {
+                run_lane(
+                    &lane.config,
+                    &lane.inputs,
                     None,
-                    start,
-                    announce,
+                    &mut scratch,
+                    &mut groups,
                     observer,
-                ));
-                start = end;
-            }
-        }
-        results
+                )
+            })
+            .collect()
     }
 }
 
+/// One lane from its input checks through its rounds to its outcome and
+/// run-level events, on the pack's `scratch` and exchanging against its
+/// group in `groups` (built on first use). `function` replaces the
+/// configured MSR instance.
+fn run_lane<'a, O: Observer>(
+    cfg: &'a ProtocolConfig,
+    inputs: &[Value],
+    function: Option<&dyn VotingFunction>,
+    scratch: &mut Scratch,
+    groups: &mut Vec<NetGroup<'a>>,
+    observer: &mut O,
+) -> Result<MobileRunOutcome> {
+    let n = cfg.n;
+    if inputs.len() != n {
+        return Err(Error::WrongInputCount {
+            provided: inputs.len(),
+            expected: n,
+        });
+    }
+    // The convergence report needs a finite initial diameter.
+    let hull = Interval::hull(inputs.iter().copied());
+    let (lo, hi) = hull.map_or((f64::INFINITY, f64::NEG_INFINITY), |h| {
+        (h.lo().get(), h.hi().get())
+    });
+    check_range("input values' span", lo, hi)?;
+    let hull = hull.expect("a checked span holds values");
+    let g = match groups.iter().position(|group| group.serves(cfg)) {
+        Some(g) => g,
+        None => {
+            groups.push(NetGroup {
+                cfg,
+                realization: SharedRealization::build(
+                    n,
+                    &cfg.topology,
+                    cfg.schedule.as_ref(),
+                    &cfg.link_faults,
+                    cfg.disconnection,
+                    cfg.seed,
+                ),
+            });
+            groups.len() - 1
+        }
+    };
+    let shared = groups[g].realization.as_mut().map_err(|e| e.clone())?;
+    let mut delivery = shared.lane(cfg.seed);
+    let mut adversary =
+        MobileAdversary::new(cfg.model, n, cfg.f, cfg.mobility, cfg.corruption, cfg.seed);
+    let Scratch {
+        plan,
+        received,
+        sends,
+        active,
+        rows,
+        lane_votes,
+        votes,
+        states,
+    } = scratch.sized(n);
+    votes.copy_from_slice(inputs);
+    states.fill(FaultState::Correct);
+    let telemetry = observer.enabled();
+    let compute_even_if_faulty = cfg.model.agents_move_with_messages();
+    let mut stats = NetworkStats::new();
+    let mut recorded = Recording::default();
+    // Until round 0 places the agents these describe all processes; a
+    // lane with no round keeps them.
+    let mut validity_envelope = hull;
+    let mut report = ConvergenceReport::new(hull.diameter());
+    let mut reached = false;
+    let mut rounds_executed = 0;
+    // Telemetry bookkeeping (only read when an enabled observer is
+    // attached): the previous round's diameter (contraction ratios), the
+    // previous stats snapshot (per-round traffic deltas), and the run total
+    // of corruptions.
+    let mut prev_diameter = 0.0;
+    let mut prev_stats = NetworkStats::new();
+    let mut corruptions = 0;
+
+    // The steady-state round loop: `mbaa-analyze` statically rejects
+    // allocating idioms in here (the complement of the dynamic
+    // allocator-counter proof in `tests/alloc_regression.rs`); the opt-in
+    // recordings run out of line, in `Recording::round`.
+    // mbaa: alloc-free
+    for round_idx in 0..cfg.max_rounds {
+        let round = Round::new(round_idx as u64);
+        observer.phase_start(Phase::AdversaryPlan);
+        let corrupted = place_agents(&mut adversary, round, votes, states, plan);
+        observer.phase_end(Phase::AdversaryPlan);
+        if round_idx == 0 {
+            // Now that the faulty set is known, freeze the validity
+            // envelope and the initial diameter, and size the report to
+            // the round budget so later records never reallocate.
+            received.refill(
+                votes
+                    .iter()
+                    .zip(&*states)
+                    .filter_map(|(v, s)| s.is_non_faulty().then_some(*v)),
+            );
+            validity_envelope = received
+                .range()
+                .expect("at least one process is non-faulty");
+            prev_diameter = received.diameter();
+            report = ConvergenceReport::with_capacity(prev_diameter, cfg.max_rounds);
+            if cfg.epsilon.covers_diameter(prev_diameter) {
+                // The run ends before its send phase.
+                reached = true;
+                break;
+            }
+        }
+
+        // Send phase: classify senders. Under Buhrman's model the agent
+        // leaves its host together with the outgoing message, so the host
+        // still receives and computes this round.
+        observer.phase_start(Phase::Exchange);
+        for (i, &vote) in votes.iter().enumerate() {
+            sends[i] = classify_send(cfg.model, plan, ProcessId::new(i), vote);
+            active[i] = states[i].is_non_faulty() || compute_even_if_faulty;
+        }
+
+        // Receive phase, straight into the packed row arena. A network
+        // error (e.g. a rejected disconnected round) fails this lane.
+        let exchanged = shared.exchange_rows(
+            &mut delivery,
+            round,
+            sends,
+            |i| per_receiver_outbox(plan, i),
+            active,
+            rows,
+            &mut stats,
+        );
+        observer.phase_end(Phase::Exchange);
+        exchanged?;
+
+        if cfg.observe != Observe::Summary {
+            recorded.round(
+                cfg.observe,
+                votes,
+                states,
+                shared,
+                &delivery,
+                round,
+                sends,
+                plan,
+            );
+        }
+
+        // Compute phase over the ascending rows: one k-wide MSR call when
+        // every row has the same width, per-row applies otherwise; a
+        // replacement function sees each row as a multiset.
+        observer.phase_start(Phase::MsrApply);
+        let active_rows = &mut lane_votes[..rows.rows()];
+        match (function, rows.uniform_len()) {
+            (Some(function), _) => {
+                for (row, vote) in active_rows.iter_mut().enumerate() {
+                    received.refill(rows.row(row).iter().copied());
+                    *vote = function.apply(received);
+                }
+            }
+            (None, Some(lane_len)) => {
+                cfg.function
+                    .apply_sorted_lanes(rows.flat(), lane_len, active_rows);
+            }
+            (None, None) => {
+                for (row, vote) in active_rows.iter_mut().enumerate() {
+                    *vote = cfg.function.apply_sorted(rows.row(row));
+                }
+            }
+        }
+        for row in 0..rows.rows() {
+            if let Some(next) = lane_votes[row] {
+                votes[rows.receiver(row)] = next;
+            }
+        }
+        observer.phase_end(Phase::MsrApply);
+
+        observer.phase_start(Phase::Record);
+        rounds_executed = round_idx + 1;
+        let diameter = non_faulty_diameter(votes, states);
+        report.record_round(diameter);
+        reached = cfg.epsilon.covers_diameter(diameter);
+        if telemetry {
+            let width = rows.min_len().map_or(0, |len| match function {
+                Some(function) => function.reduced_width(len),
+                None => cfg.function.reduced_width(len),
+            });
+            observer.on_round(&RoundEvent {
+                seed: cfg.seed,
+                round: round_idx as u64,
+                diameter,
+                contraction: if prev_diameter > 0.0 {
+                    diameter / prev_diameter
+                } else {
+                    1.0
+                },
+                faulty: plan.faulty.len() as u32,
+                cured: plan.cured.len() as u32,
+                corrupted,
+                delivered: stats.messages_delivered - prev_stats.messages_delivered,
+                omissions: stats.omissions - prev_stats.omissions,
+                link_omissions: stats.link_omissions - prev_stats.link_omissions,
+                msr_width: width as u32,
+            });
+            prev_stats = stats;
+            prev_diameter = diameter;
+            corruptions += u64::from(corrupted);
+        }
+        observer.phase_end(Phase::Record);
+        if reached {
+            break;
+        }
+    }
+
+    if reached && rounds_executed == 0 && cfg.observe.records_snapshots() {
+        // A lane that agrees before its first send phase still records its
+        // first snapshot.
+        recorded.configurations.push(snapshot(votes, states));
+    }
+    let outcome = MobileRunOutcome {
+        reached_agreement: reached,
+        rounds_executed,
+        final_votes: votes.to_vec(),
+        final_states: states.to_vec(),
+        report,
+        validity_envelope,
+        epsilon: cfg.epsilon,
+        configurations: recorded.configurations,
+        trace: recorded.trace,
+        network_stats: stats,
+    };
+    if telemetry {
+        emit_run_events(observer, cfg.seed, &outcome, corruptions);
+    }
+    Ok(outcome)
+}
+
 /// The adversary phase of one lane's round: places the agents into the
-/// shared plan, applies the corruption left on cured processes, tracks
-/// fault states, and performs the first-round initialization (validity
-/// envelope, initial diameter, pre-sized report, trivial-agreement early
-/// exit). Returns `false` when the lane terminated before its send phase.
-#[allow(clippy::too_many_arguments)]
-fn begin_lane_round<O: Observer>(
-    cfg: &ProtocolConfig,
-    ls: &mut LaneState,
+/// shared plan, applies the corruption left on cured processes, and tracks
+/// fault states. Returns how many cured processes were corrupted.
+fn place_agents(
+    adversary: &mut MobileAdversary,
     round: Round,
     votes: &mut [Value],
     states: &mut [FaultState],
     plan: &mut RoundFaultPlan,
-    received: &mut ValueMultiset,
-    observer: &mut O,
-) -> bool {
-    observer.phase_start(Phase::AdversaryPlan);
+) -> u32 {
     // The adversary sees everything; the "correct range" it reasons
     // about is the range of the currently non-faulty processes' values
     // (all values before the first placement).
@@ -329,14 +530,14 @@ fn begin_lane_round<O: Observer>(
         votes,
         correct_range: visible_range,
     };
-    ls.adversary.begin_round_into(&view, plan);
+    adversary.begin_round_into(&view, plan);
 
     // Agents that left a process corrupted the state behind them.
-    ls.corrupted_last = 0;
+    let mut corrupted = 0;
     for p in plan.cured.iter() {
-        if let Some(corrupted) = plan.corrupted_states[p.index()] {
-            votes[p.index()] = corrupted;
-            ls.corrupted_last += 1;
+        if let Some(state) = plan.corrupted_states[p.index()] {
+            votes[p.index()] = state;
+            corrupted += 1;
         }
     }
     for (i, state) in states.iter_mut().enumerate() {
@@ -349,42 +550,7 @@ fn begin_lane_round<O: Observer>(
             FaultState::Correct
         };
     }
-    observer.phase_end(Phase::AdversaryPlan);
-
-    // First round: now that the faulty set is known, freeze the
-    // validity envelope and the initial diameter, and size the report
-    // to the round budget so later records never reallocate.
-    if ls.validity_envelope.is_none() {
-        received.refill(
-            votes
-                .iter()
-                .zip(&*states)
-                .filter_map(|(v, s)| s.is_non_faulty().then_some(*v)),
-        );
-        let envelope = received
-            .range()
-            .expect("at least one process is non-faulty");
-        ls.validity_envelope = Some(envelope);
-        let initial_diameter = received.diameter();
-        ls.prev_diameter = initial_diameter;
-        if cfg.epsilon.covers_diameter(initial_diameter) {
-            ls.reached = true;
-        }
-        ls.report = Some(ConvergenceReport::with_capacity(
-            initial_diameter,
-            cfg.max_rounds,
-        ));
-        if ls.reached {
-            // The run ends before its send phase; its first snapshot is
-            // still recorded.
-            if cfg.observe.records_snapshots() {
-                ls.recorded.configurations.push(snapshot(votes, states));
-            }
-            ls.done = true;
-            return false;
-        }
-    }
-    true
+    corrupted
 }
 
 /// The configuration of one lane at the start of a round.
@@ -463,337 +629,16 @@ fn per_receiver_outbox(plan: &RoundFaultPlan, i: usize) -> &Outbox {
     }
 }
 
-/// Initializes the SoA state: lane-major flat `votes` / `states` arrays,
-/// one control record per lane, and the pack's network groups. Lanes with
-/// the wrong input count, or whose group fails to build, are born `done`
-/// with their error; their state slices stay untouched placeholders.
-fn init_lanes<'a>(
-    lanes: &'a [PackedLane],
-    n: usize,
-) -> (
-    Vec<Value>,
-    Vec<FaultState>,
-    Vec<LaneState>,
-    Vec<NetGroup<'a>>,
-) {
-    let mut votes = vec![Value::new(0.0); lanes.len() * n];
-    let states = vec![FaultState::Correct; lanes.len() * n];
-    let mut lane_states = Vec::with_capacity(lanes.len());
-    // A linear scan is fine: packs are ≤ the sweep chunk width and most
-    // hold one or two descriptions.
-    let mut groups: Vec<NetGroup<'a>> = Vec::new();
-    for (l, lane) in lanes.iter().enumerate() {
-        let cfg = &lane.config;
-        let mut ls = LaneState::new(cfg);
-        let checked = if lane.inputs.len() == n {
-            // The convergence report needs a finite initial diameter.
-            let (lo, hi) = lane
-                .inputs
-                .iter()
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
-                    (lo.min(v.get()), hi.max(v.get()))
-                });
-            check_range("input values' span", lo, hi)
-        } else {
-            Err(Error::WrongInputCount {
-                provided: lane.inputs.len(),
-                expected: n,
-            })
-        };
-        if let Err(e) = checked {
-            ls.fail(e);
-            lane_states.push(ls);
-            continue;
-        }
-        votes[l * n..(l + 1) * n].copy_from_slice(&lane.inputs);
-        let g = match groups.iter().position(|group| group.serves(cfg)) {
-            Some(g) => g,
-            None => {
-                groups.push(NetGroup {
-                    cfg,
-                    realization: SharedRealization::build(
-                        n,
-                        &cfg.topology,
-                        cfg.schedule.as_ref(),
-                        &cfg.link_faults,
-                        cfg.disconnection,
-                        cfg.seed,
-                    ),
-                });
-                groups.len() - 1
-            }
-        };
-        match &groups[g].realization {
-            Ok(shared) => {
-                ls.delivery = Some(shared.lane(cfg.seed));
-                ls.group = g;
-            }
-            Err(e) => ls.fail(e.clone()),
-        }
-        lane_states.push(ls);
-    }
-    (votes, states, lane_states, groups)
-}
-
-/// The lockstep loop over one shape-compatible pack: round `r` of every
-/// live lane runs before round `r + 1` of any, each lane exchanging
-/// against its group's realization. `function` replaces every lane's
-/// configured MSR instance. With `announce`, lane `l` is announced to the
-/// observer as `first_lane + l`, so lane-routing sinks can tell apart
-/// lanes that share a seed.
-fn run_lockstep<O: Observer>(
-    lanes: &[PackedLane],
-    function: Option<&dyn VotingFunction>,
-    first_lane: usize,
-    announce: bool,
-    observer: &mut O,
-) -> Vec<Result<MobileRunOutcome>> {
-    let Some(first) = lanes.first() else {
-        return Vec::new();
-    };
-    let n = first.config.n;
-    let telemetry = observer.enabled();
-    let (mut votes, mut states, mut lane_states, mut groups) = init_lanes(lanes, n);
-    let mut plan = RoundFaultPlan::empty(n);
-    let mut received = ValueMultiset::with_capacity(n);
-    let mut sends: Vec<LaneSend> = vec![LaneSend::Silent; n];
-    let mut active: Vec<bool> = vec![false; n];
-    let mut rows = DeliveryRows::new(n);
-    let mut lane_votes: Vec<Option<Value>> = vec![None; n];
-    let max_rounds = lanes
-        .iter()
-        .map(|lane| lane.config.max_rounds)
-        .max()
-        .unwrap_or(0);
-
-    // The steady-state round loop: `mbaa-analyze` statically rejects
-    // allocating idioms in here (the complement of the dynamic
-    // allocator-counter proof in `tests/alloc_regression.rs`); the opt-in
-    // recordings run out of line, in `Recording::round`.
-    // mbaa: alloc-free
-    for round_idx in 0..max_rounds {
-        let mut all_done = true;
-        for (l, lane) in lanes.iter().enumerate() {
-            let cfg = &lane.config;
-            let ls = &mut lane_states[l];
-            if ls.done || round_idx >= cfg.max_rounds {
-                continue;
-            }
-            all_done = false;
-            if announce {
-                observer.on_lane(first_lane + l);
-            }
-            let round = Round::new(round_idx as u64);
-            let votes_l = &mut votes[l * n..(l + 1) * n];
-            let states_l = &mut states[l * n..(l + 1) * n];
-            if !begin_lane_round(
-                cfg,
-                ls,
-                round,
-                votes_l,
-                states_l,
-                &mut plan,
-                &mut received,
-                observer,
-            ) {
-                continue;
-            }
-
-            // Send phase: classify senders. Under Buhrman's model the agent
-            // leaves its host together with the outgoing message, so the
-            // host still receives and computes this round.
-            observer.phase_start(Phase::Exchange);
-            let compute_even_if_faulty = cfg.model.agents_move_with_messages();
-            for (i, &vote) in votes_l.iter().enumerate() {
-                sends[i] = classify_send(cfg.model, &plan, ProcessId::new(i), vote);
-                active[i] = states_l[i].is_non_faulty() || compute_even_if_faulty;
-            }
-
-            // Receive phase, straight into the packed row arena. A network
-            // error (e.g. a rejected disconnected round) fails this lane
-            // alone — other lanes (and the shared structure) are
-            // unaffected.
-            let shared = groups[ls.group]
-                .realization
-                .as_mut()
-                .expect("live lanes belong to a realized group");
-            let delivery = ls.delivery.as_mut().expect("live lanes carry a delivery");
-            let exchanged = shared.exchange_rows(
-                delivery,
-                round,
-                &sends,
-                |i| per_receiver_outbox(&plan, i),
-                &active,
-                &mut rows,
-                &mut ls.stats,
-            );
-            observer.phase_end(Phase::Exchange);
-            if let Err(e) = exchanged {
-                ls.fail(e);
-                continue;
-            }
-
-            if cfg.observe != Observe::Summary {
-                ls.recorded.round(
-                    cfg.observe,
-                    votes_l,
-                    states_l,
-                    shared,
-                    delivery,
-                    round,
-                    &sends,
-                    &plan,
-                );
-            }
-
-            // Compute phase over the ascending rows: one k-wide MSR call
-            // when every row has the same width, per-row applies otherwise;
-            // a replacement function sees each row as a multiset.
-            observer.phase_start(Phase::MsrApply);
-            let active_rows = &mut lane_votes[..rows.rows()];
-            match (function, rows.uniform_len()) {
-                (Some(function), _) => {
-                    for (row, vote) in active_rows.iter_mut().enumerate() {
-                        received.refill(rows.row(row).iter().copied());
-                        *vote = function.apply(&received);
-                    }
-                }
-                (None, Some(lane_len)) => {
-                    cfg.function
-                        .apply_sorted_lanes(rows.flat(), lane_len, active_rows);
-                }
-                (None, None) => {
-                    for (row, vote) in active_rows.iter_mut().enumerate() {
-                        *vote = cfg.function.apply_sorted(rows.row(row));
-                    }
-                }
-            }
-            for row in 0..rows.rows() {
-                if let Some(next) = lane_votes[row] {
-                    votes_l[rows.receiver(row)] = next;
-                }
-            }
-            observer.phase_end(Phase::MsrApply);
-
-            observer.phase_start(Phase::Record);
-            ls.rounds_executed = round_idx + 1;
-            let diameter = non_faulty_diameter(votes_l, states_l);
-            ls.report
-                .as_mut()
-                .expect("report initialised in first round")
-                .record_round(diameter);
-            ls.reached = cfg.epsilon.covers_diameter(diameter);
-            ls.done = ls.reached;
-            if telemetry {
-                let stats = ls.stats;
-                let width = rows.min_len().map_or(0, |len| match function {
-                    Some(function) => function.reduced_width(len),
-                    None => cfg.function.reduced_width(len),
-                });
-                observer.on_round(&RoundEvent {
-                    seed: cfg.seed,
-                    round: round_idx as u64,
-                    diameter,
-                    contraction: if ls.prev_diameter > 0.0 {
-                        diameter / ls.prev_diameter
-                    } else {
-                        1.0
-                    },
-                    faulty: plan.faulty.len() as u32,
-                    cured: plan.cured.len() as u32,
-                    corrupted: ls.corrupted_last,
-                    delivered: stats.messages_delivered - ls.prev_stats.messages_delivered,
-                    omissions: stats.omissions - ls.prev_stats.omissions,
-                    link_omissions: stats.link_omissions - ls.prev_stats.link_omissions,
-                    msr_width: width as u32,
-                });
-                ls.prev_stats = stats;
-                ls.prev_diameter = diameter;
-                ls.corruptions += u64::from(ls.corrupted_last);
-            }
-            observer.phase_end(Phase::Record);
-        }
-        if all_done {
-            break;
-        }
-    }
-
-    collect(
-        lanes,
-        &votes,
-        &states,
-        lane_states,
-        first_lane,
-        announce,
-        observer,
-    )
-}
-
-/// Assembles each lane's outcome, emitting each lane's run-level telemetry
-/// in lane order.
-fn collect<O: Observer>(
-    lanes: &[PackedLane],
-    votes: &[Value],
-    states: &[FaultState],
-    lane_states: Vec<LaneState>,
-    first_lane: usize,
-    announce: bool,
-    observer: &mut O,
-) -> Vec<Result<MobileRunOutcome>> {
-    let telemetry = observer.enabled();
-    lanes
-        .iter()
-        .zip(lane_states)
-        .enumerate()
-        .map(|(l, (lane, mut ls))| {
-            if let Some(error) = ls.error.take() {
-                return Err(error);
-            }
-            let n = lane.config.n;
-            let votes = &votes[l * n..(l + 1) * n];
-            let states = &states[l * n..(l + 1) * n];
-            let validity_envelope = ls.validity_envelope.unwrap_or_else(|| {
-                Interval::hull(votes.iter().copied()).expect("at least one process")
-            });
-            let report = ls.report.unwrap_or_else(|| {
-                ConvergenceReport::new(
-                    Interval::hull(votes.iter().copied())
-                        .map(|i| i.diameter())
-                        .unwrap_or(0.0),
-                )
-            });
-            let outcome = MobileRunOutcome {
-                reached_agreement: ls.reached,
-                rounds_executed: ls.rounds_executed,
-                final_votes: votes.to_vec(),
-                final_states: states.to_vec(),
-                report,
-                validity_envelope,
-                epsilon: lane.config.epsilon,
-                configurations: ls.recorded.configurations,
-                trace: ls.recorded.trace,
-                network_stats: ls.stats,
-            };
-            if telemetry {
-                if announce {
-                    observer.on_lane(first_lane + l);
-                }
-                emit_run_events(observer, lane.config.seed, &outcome, ls.corruptions);
-            }
-            Ok(outcome)
-        })
-        .collect()
-}
-
 // The recorded outcomes and per-seed summaries are pinned by the golden
 // digests in `tests/golden_outcomes.rs` and `tests/batch_engine.rs`. The
 // tests here pin pack independence: a lane's result is the *scalar*
 // (k = 1) result of its configuration run alone, whatever pack it rides
-// in.
+// in and whatever the lanes before it left in the shared scratch.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbaa_net::{Topology, TopologySchedule};
+    use mbaa_adversary::{CorruptionStrategy, MobilityStrategy};
+    use mbaa_net::{DisconnectionPolicy, Topology, TopologySchedule};
     use mbaa_obs::EventLog;
 
     fn inputs(n: usize, salt: u64) -> Vec<Value> {
@@ -887,6 +732,58 @@ mod tests {
         assert_matches_scalar(&pack(&churned, &[4, 5]));
     }
 
+    /// Garay n = 9 lanes on a complete graph churned at `flip_rate` under
+    /// the rejecting policy: a lane fails with the first round its draws
+    /// disconnect (0.9 fails round 0, 0.5 a later round).
+    fn rejecting_churn(flip_rate: f64, seeds: &[u64]) -> Vec<PackedLane> {
+        let config = ProtocolConfig::builder(MobileModel::Garay, 9, 2)
+            .epsilon(1e-6)
+            .max_rounds(80)
+            .topology_schedule(TopologySchedule::SeededChurn {
+                base: Topology::Complete,
+                flip_rate,
+            })
+            .disconnection(DisconnectionPolicy::Reject)
+            .allow_bound_violation()
+            .build()
+            .unwrap();
+        pack(&config, seeds)
+    }
+
+    /// The four models at n = 13, f = 2 (above every model's bound), cycled
+    /// twice, then Garay and Buhrman lanes at n = 9: every lane starts on
+    /// scratch the previous lane left under another model or size.
+    /// Stationary agents end the first n = 9 lane on processes 0 and 1,
+    /// where the second holds its extremes: its first correct range (all
+    /// values, before the first placement) and so its median-pull values
+    /// depend on every state starting correct.
+    fn model_cycle() -> Vec<PackedLane> {
+        let mut lanes = Vec::new();
+        for cycle in 0..2 {
+            for (i, model) in [
+                MobileModel::Sasaki,
+                MobileModel::Garay,
+                MobileModel::Buhrman,
+                MobileModel::Bonnet,
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let seed = (cycle * 4 + i) as u64;
+                lanes.extend(pack(&base_config(model, 13, 2), &[seed]));
+            }
+        }
+        let mut stationary = base_config(MobileModel::Garay, 9, 2);
+        stationary.mobility = MobilityStrategy::Stationary;
+        stationary.corruption = CorruptionStrategy::MedianPull;
+        lanes.extend(pack(&stationary, &[8, 9]));
+        let extremes = &mut lanes.last_mut().unwrap().inputs;
+        extremes[0] = Value::new(-1.0);
+        extremes[1] = Value::new(2.0);
+        lanes.extend(pack(&base_config(MobileModel::Buhrman, 9, 2), &[10]));
+        lanes
+    }
+
     #[test]
     fn failing_realizations_fail_only_their_lanes_with_the_scalar_error() {
         // 9 processes of odd degree 3 have no regular realization under
@@ -901,9 +798,19 @@ mod tests {
         infeasible.topology = Topology::RandomRegular { degree: 3 };
         let mut lanes = pack(&ring, &[1, 2]);
         lanes.extend(pack(&infeasible, &[3, 4]));
+        // Lanes that fail mid-run, each between healthy lanes.
+        lanes.extend(rejecting_churn(0.5, &[2]));
+        lanes.extend(pack(&ring, &[5]));
+        lanes.extend(rejecting_churn(0.9, &[3]));
+        lanes.extend(pack(&ring, &[6]));
         let results = BatchEngine::run_packed_observed(&lanes, &mut NoopObserver);
         assert!(results[0].is_ok() && results[1].is_ok());
         assert!(matches!(results[2], Err(Error::InvalidParameter(_))));
+        assert!(
+            matches!(results[4], Err(Error::DisconnectedRound { round, .. }) if round.index() > 0)
+        );
+        assert!(matches!(results[6], Err(Error::DisconnectedRound { .. })));
+        assert!(results[5].is_ok() && results[7].is_ok());
         assert_matches_scalar(&lanes);
     }
 
@@ -923,6 +830,7 @@ mod tests {
             })
         ));
         assert!(results[2].is_ok());
+        assert_matches_scalar(&lanes);
     }
 
     #[test]
@@ -1017,93 +925,10 @@ mod tests {
         assert_matches_scalar(&lanes);
     }
 
-    /// Routes events into one log per lane through `on_lane`.
-    #[derive(Default)]
-    struct LaneRouter {
-        lane: usize,
-        logs: Vec<EventLog>,
-    }
-
-    impl LaneRouter {
-        fn log(&mut self) -> &mut EventLog {
-            if self.logs.len() <= self.lane {
-                self.logs.resize_with(self.lane + 1, EventLog::new);
-            }
-            &mut self.logs[self.lane]
-        }
-    }
-
-    impl Observer for LaneRouter {
-        fn on_lane(&mut self, lane: usize) {
-            self.lane = lane;
-        }
-
-        fn on_round(&mut self, event: &RoundEvent) {
-            self.log().on_round(event);
-        }
-
-        fn on_convergence(&mut self, event: &mbaa_obs::ConvergenceEvent) {
-            self.log().on_convergence(event);
-        }
-
-        fn on_run_end(&mut self, event: &mbaa_obs::RunEndEvent) {
-            self.log().on_run_end(event);
-        }
-    }
-
-    #[test]
-    fn lane_routed_events_match_each_lanes_scalar_stream() {
-        // Two points run the same seeds (and so the same inputs) in one
-        // pack: seeds cannot tell their lanes apart, `on_lane` can.
-        let n = 9;
-        let ring = ProtocolConfig::builder(MobileModel::Garay, n, 1)
-            .epsilon(1e-4)
-            .max_rounds(200)
-            .topology(Topology::Ring { k: 2 })
-            .build()
-            .unwrap();
-        let complete = base_config(MobileModel::Garay, n, 1);
-        let mut lanes = pack(&ring, &[1, 2, 3]);
-        lanes.extend(pack(&complete, &[1, 2, 3]));
-        let mut router = LaneRouter::default();
-        let mut log = EventLog::new();
-        let results =
-            BatchEngine::run_packed_observed(&lanes, &mut mbaa_obs::Tee(&mut router, &mut log));
-        assert!(results.iter().all(Result::is_ok));
-        assert_eq!(router.logs.len(), lanes.len());
-        for (l, lane) in lanes.iter().enumerate() {
-            let mut scalar = EventLog::new();
-            BatchEngine::run_with(&lane.config, &lane.inputs, None, &mut scalar).unwrap();
-            assert_eq!(router.logs[l], scalar, "lane {l}");
-        }
-        // The seed filter mixes both points' lanes of seed 1.
-        assert_eq!(
-            log.for_seed(1).len(),
-            router.logs[0].len() + router.logs[3].len()
-        );
-        assert_ne!(router.logs[0], router.logs[3]);
-    }
-
-    #[test]
-    fn only_multi_lane_packs_announce_lanes() {
-        struct Announcements(usize);
-        impl Observer for Announcements {
-            fn on_lane(&mut self, _lane: usize) {
-                self.0 += 1;
-            }
-        }
-        let config = base_config(MobileModel::Garay, 9, 2);
-        let mut seen = Announcements(0);
-        let _ = BatchEngine::run_packed_observed(&pack(&config, &[5]), &mut seen);
-        assert_eq!(seen.0, 0);
-        let _ = BatchEngine::run_packed_observed(&pack(&config, &[5, 6]), &mut seen);
-        assert!(seen.0 > 0);
-    }
-
     #[test]
     fn shape_incompatible_packs_fall_back_to_scalar() {
-        // Lanes of different sizes cannot share flat state arrays: the pack
-        // runs as consecutive compatible sub-packs — here one lane each.
+        // Lanes of different sizes and models run in one pack; the
+        // scratch is rebuilt whenever the size changes.
         let a = base_config(MobileModel::Garay, 9, 1);
         let b = base_config(MobileModel::Garay, 13, 2);
         assert!(!shape_compatible(&a, &b));
@@ -1111,6 +936,7 @@ mod tests {
         lanes.extend(pack(&b, &[2]));
         lanes.extend(pack(&a, &[3, 4]));
         assert_matches_scalar(&lanes);
+        assert_matches_scalar(&model_cycle());
     }
 
     #[test]
@@ -1153,9 +979,104 @@ mod tests {
     }
 
     #[test]
+    fn pack_events_are_each_lanes_events_in_lane_order() {
+        // Lanes of every model and two sizes, lanes that fail mid-run, a
+        // lane with the wrong input count, and two points that share seeds
+        // (and so inputs): the pack's log is the lanes' one-lane logs, one
+        // after another.
+        let ring = ProtocolConfig::builder(MobileModel::Garay, 9, 1)
+            .epsilon(1e-4)
+            .max_rounds(200)
+            .topology(Topology::Ring { k: 2 })
+            .build()
+            .unwrap();
+        let mut lanes = model_cycle();
+        lanes.extend(rejecting_churn(0.5, &[2]));
+        lanes.extend(pack(&ring, &[1, 2]));
+        lanes.extend(rejecting_churn(0.9, &[3]));
+        lanes.extend(pack(&base_config(MobileModel::Garay, 9, 1), &[1, 2]));
+        lanes[1].inputs.truncate(4);
+        let mut packed = EventLog::new();
+        let results = BatchEngine::run_packed_observed(&lanes, &mut packed);
+        assert_eq!(results.iter().filter(|r| r.is_err()).count(), 3);
+        let mut alone = EventLog::new();
+        for lane in &lanes {
+            let _ = BatchEngine::run_with(&lane.config, &lane.inputs, None, &mut alone);
+        }
+        assert!(!alone.is_empty());
+        assert_eq!(packed, alone);
+    }
+
+    /// Files events into one log per lane: a pack runs its lanes one after
+    /// another, and a lane that runs ends with its run-end event.
+    #[derive(Default)]
+    struct LaneRouter {
+        lane: usize,
+        logs: Vec<EventLog>,
+    }
+
+    impl LaneRouter {
+        fn log(&mut self) -> &mut EventLog {
+            if self.logs.len() <= self.lane {
+                self.logs.resize_with(self.lane + 1, EventLog::new);
+            }
+            &mut self.logs[self.lane]
+        }
+    }
+
+    impl Observer for LaneRouter {
+        fn on_round(&mut self, event: &RoundEvent) {
+            self.log().on_round(event);
+        }
+
+        fn on_convergence(&mut self, event: &mbaa_obs::ConvergenceEvent) {
+            self.log().on_convergence(event);
+        }
+
+        fn on_run_end(&mut self, event: &mbaa_obs::RunEndEvent) {
+            self.log().on_run_end(event);
+            self.lane += 1;
+        }
+    }
+
+    #[test]
+    fn lane_routed_events_match_each_lanes_scalar_stream() {
+        // Two points run the same seeds (and so the same inputs) in one
+        // pack: seeds cannot tell their lanes apart, lane order can.
+        let n = 9;
+        let ring = ProtocolConfig::builder(MobileModel::Garay, n, 1)
+            .epsilon(1e-4)
+            .max_rounds(200)
+            .topology(Topology::Ring { k: 2 })
+            .build()
+            .unwrap();
+        let complete = base_config(MobileModel::Garay, n, 1);
+        let mut lanes = pack(&ring, &[1, 2, 3]);
+        lanes.extend(pack(&complete, &[1, 2, 3]));
+        let mut router = LaneRouter::default();
+        let mut log = EventLog::new();
+        let results =
+            BatchEngine::run_packed_observed(&lanes, &mut mbaa_obs::Tee(&mut router, &mut log));
+        assert!(results.iter().all(Result::is_ok));
+        assert_eq!(router.logs.len(), lanes.len());
+        for (l, lane) in lanes.iter().enumerate() {
+            let mut scalar = EventLog::new();
+            BatchEngine::run_with(&lane.config, &lane.inputs, None, &mut scalar).unwrap();
+            assert_eq!(router.logs[l], scalar, "lane {l}");
+        }
+        // The seed filter mixes both points' lanes of seed 1.
+        assert_eq!(
+            log.for_seed(1).len(),
+            router.logs[0].len() + router.logs[3].len()
+        );
+        assert_ne!(router.logs[0], router.logs[3]);
+    }
+
+    #[test]
     fn mixed_size_packs_announce_every_lane() {
-        // A lane-routing sink files each lane's events under the lane's
-        // index in the pack, across sub-pack boundaries.
+        // Lanes of different sizes and models share one pack's scratch;
+        // each still emits its own one-lane stream, ending in its run end,
+        // at its index in the pack.
         let small = base_config(MobileModel::Garay, 9, 1);
         let large = base_config(MobileModel::Bonnet, 13, 2);
         let mut lanes = pack(&small, &[1, 2]);
@@ -1175,8 +1096,9 @@ mod tests {
 
     #[test]
     fn recording_lanes_ride_the_lockstep_loop() {
-        // Lanes at every observe level share one pack; each records at its
-        // own level and computes what the Summary lanes compute.
+        // Lanes at every observe level share one pack and its scratch; each
+        // records at its own level and computes what the Summary lanes
+        // compute.
         let mut lanes = pack(&base_config(MobileModel::Bonnet, 11, 2), &[1, 2, 3]);
         lanes[0].config.observe = Observe::Full;
         lanes[1].config.observe = Observe::Snapshots;

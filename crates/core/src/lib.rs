@@ -9,9 +9,10 @@
 //!   particular any MSR instance) under any of the four mobile Byzantine
 //!   models, enforcing each model's cured-process semantics
 //!   (Garay: aware and silent; Bonnet: unaware, symmetric; Sasaki: unaware,
-//!   poisoned queue; Buhrman: agents move with messages). One run and a
-//!   pack of seeds advance through the same lockstep round loop
-//!   ([`batch`]).
+//!   poisoned queue; Buhrman: agents move with messages). One run and
+//!   every lane of a pack of seeds go through the same round loop
+//!   ([`batch`]); a pack runs its lanes one after another on shared
+//!   scratch and network realizations.
 //! * [`RoundSnapshot`] and the equivalence machinery of Definitions 5–10,
 //!   used to compare a mobile computation with its static mixed-mode image.
 //! * [`mapping`] — Table 1 as an executable classification: run instrumented

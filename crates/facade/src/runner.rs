@@ -210,58 +210,27 @@ impl BatchOutcome {
     /// Fraction of runs that reached ε-agreement *and* preserved validity.
     #[must_use]
     pub fn success_rate(&self) -> f64 {
-        if self.runs.is_empty() {
-            return 0.0;
-        }
-        let ok = self
-            .runs
-            .iter()
-            .filter(|r| r.outcome.reached_agreement && r.outcome.validity_holds())
-            .count();
-        ok as f64 / self.runs.len() as f64
+        self.to_experiment_result().success_rate()
     }
 
     /// `true` when every run reached ε-agreement with validity.
     #[must_use]
     pub fn all_succeeded(&self) -> bool {
-        !self.runs.is_empty()
-            && self
-                .runs
-                .iter()
-                .all(|r| r.outcome.reached_agreement && r.outcome.validity_holds())
+        self.to_experiment_result().all_succeeded()
     }
 
     /// Mean rounds-to-agreement over the successful runs, or `None` when no
     /// run succeeded.
     #[must_use]
     pub fn mean_rounds(&self) -> Option<f64> {
-        let rounds: Vec<f64> = self
-            .runs
-            .iter()
-            .filter(|r| r.outcome.reached_agreement)
-            .map(|r| r.outcome.rounds_executed as f64)
-            .collect();
-        if rounds.is_empty() {
-            None
-        } else {
-            Some(rounds.iter().sum::<f64>() / rounds.len() as f64)
-        }
+        self.to_experiment_result().mean_rounds()
     }
 
     /// Mean per-round contraction factor over the runs where one was
     /// measurable.
     #[must_use]
     pub fn mean_contraction(&self) -> Option<f64> {
-        let factors: Vec<f64> = self
-            .runs
-            .iter()
-            .filter_map(|r| r.outcome.report.mean_contraction_factor())
-            .collect();
-        if factors.is_empty() {
-            None
-        } else {
-            Some(factors.iter().sum::<f64>() / factors.len() as f64)
-        }
+        self.to_experiment_result().mean_contraction()
     }
 
     /// Condenses the batch into the summary-level [`ExperimentResult`] the

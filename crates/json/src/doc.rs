@@ -70,6 +70,25 @@ impl SeedSpec {
         mbaa::sim::normalize_seeds(self.seeds())
     }
 
+    /// The number of seeds as written, counted without expanding a range.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        match self {
+            SeedSpec::List(seeds) => seeds.len() as u64,
+            SeedSpec::Range { count, .. } => *count,
+        }
+    }
+
+    /// The number of seeds in the [`normalized`](SeedSpec::normalized)
+    /// batch; a range normalizes to itself, so it is not expanded.
+    #[must_use]
+    pub fn normalized_count(&self) -> u64 {
+        match self {
+            SeedSpec::List(_) => self.normalized().len() as u64,
+            SeedSpec::Range { count, .. } => *count,
+        }
+    }
+
     fn to_json(&self) -> Json {
         match self {
             SeedSpec::List(seeds) => Json::array(seeds.iter().map(|&s| Json::u64(s)).collect()),
@@ -90,10 +109,18 @@ impl SeedSpec {
         }
         let mut obj = ctx.object()?;
         let start = obj.req("start")?.ctx().u64()?;
-        let count = obj.req("count")?.ctx().u64()?;
+        let count_field = obj.req("count")?;
+        let count = count_field.ctx().u64()?;
         obj.finish()?;
         if start.checked_add(count).is_none() {
             return Err(ctx.err("seed range overflows u64"));
+        }
+        // The largest batch a `Vec<u64>` can hold.
+        let max = isize::MAX as u64 / 8;
+        if count > max {
+            return Err(count_field
+                .ctx()
+                .err(format!("{count} seeds exceed the largest range, {max}")));
         }
         Ok(SeedSpec::Range { start, count })
     }
@@ -378,7 +405,7 @@ impl ScenarioFile {
         let scenario = scenario_from(obj.req("scenario")?.ctx())?;
         let seeds_ctx = obj.req("seeds")?;
         let seeds = SeedSpec::from_ctx(seeds_ctx.ctx())?;
-        if seeds.seeds().is_empty() {
+        if seeds.count() == 0 {
             return Err(seeds_ctx.ctx().err("the seed batch is empty"));
         }
         let sweep = match obj.opt("sweep") {

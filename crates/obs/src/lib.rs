@@ -200,9 +200,8 @@ impl Event {
 /// exchange error), so implementations must tolerate a `phase_start`
 /// without a matching `phase_end`.
 ///
-/// [`Observer::on_lane`] says which lane of a batched pack the following
-/// events belong to, so a sink can keep one stream per lane where seeds
-/// alone are ambiguous (a cross-point pack may hold the same seed twice).
+/// A batched pack runs its lanes one after another, so the events of one
+/// lane arrive together: its round events, then its run-level events.
 pub trait Observer {
     /// Whether the engine should assemble events at all. Hot loops skip
     /// stats snapshots and event construction when this is `false`.
@@ -222,14 +221,6 @@ pub trait Observer {
     /// A run finished (always emitted, converged or not).
     #[inline]
     fn on_run_end(&mut self, _event: &RunEndEvent) {}
-
-    /// The events that follow, up to the next `on_lane`, belong to lane
-    /// `lane` (its index in the pack). The engine's lockstep loop calls
-    /// this for every lane of a pack of more than one lane, when
-    /// [`Observer::enabled`], before each live lane's round and before
-    /// each lane's run-level events. A single run never calls it.
-    #[inline]
-    fn on_lane(&mut self, _lane: usize) {}
 
     /// A round phase is starting.
     #[inline]
@@ -264,11 +255,6 @@ impl<O: Observer + ?Sized> Observer for &mut O {
     }
 
     #[inline]
-    fn on_lane(&mut self, lane: usize) {
-        (**self).on_lane(lane);
-    }
-
-    #[inline]
     fn phase_start(&mut self, phase: Phase) {
         (**self).phase_start(phase);
     }
@@ -293,12 +279,9 @@ impl Observer for NoopObserver {
 
 /// A recording observer that stores every event in order.
 ///
-/// In a batched run, round events from different lanes interleave
-/// round-major. The log ignores [`Observer::on_lane`]; [`EventLog::for_seed`]
-/// recovers the per-seed subsequence, which is bit-identical to the same
-/// seed's stream when run alone, as long as no two lanes share a seed. For
-/// packs that may repeat a seed, route by lane instead (as the
-/// [`Sinks::events`] sink of the summary executor does).
+/// A batched pack emits its lanes' streams one after another, so the log
+/// of a pack is the concatenation, in lane order, of each lane's log when
+/// run alone. [`EventLog::for_seed`] picks out one seed's events.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventLog {
     events: Vec<Event>,
@@ -619,11 +602,6 @@ impl<A: Observer, B: Observer> Observer for Tee<A, B> {
     fn on_run_end(&mut self, event: &RunEndEvent) {
         self.0.on_run_end(event);
         self.1.on_run_end(event);
-    }
-
-    fn on_lane(&mut self, lane: usize) {
-        self.0.on_lane(lane);
-        self.1.on_lane(lane);
     }
 
     fn phase_start(&mut self, phase: Phase) {

@@ -224,10 +224,10 @@ impl ExperimentResult {
     }
 }
 
-/// How many seeds one [`BatchEngine`] pack advances in lockstep. Packing
-/// keeps the flat state arrays cache-resident (32 lanes × n values) and
-/// leaves enough independent packs for the rayon pool to spread across
-/// workers.
+/// How many seeds one [`BatchEngine`] pack runs, one lane after another, on
+/// one round scratch and one set of network realizations. 32 lanes share
+/// the per-pack setup and still leave enough independent packs for the
+/// rayon pool to spread across workers.
 pub const BATCH_WIDTH: usize = 32;
 
 /// The summary-level executor: runs several experiment points as **one**
@@ -251,11 +251,11 @@ pub const BATCH_WIDTH: usize = 32;
 /// attribution.
 ///
 /// Each pack runs with pack-local copies of the attached [`Sinks`]: a
-/// [`MetricsRegistry`], one event buffer per lane (routed by
-/// [`Observer::on_lane`]), and a [`PhaseProfiler`]. After every pack has
-/// run they are folded into `sinks` in pack order: registries and
-/// profilers merge by `u64` addition, and each pack's buffers are appended
-/// lane by lane, so events arrive point-major and seed-minor. The
+/// [`MetricsRegistry`], an event buffer, and a [`PhaseProfiler`]. A pack
+/// emits its lanes' events lane by lane. After every pack has run the
+/// copies are folded into `sinks` in pack order: registries and profilers
+/// merge by `u64` addition, and each pack's buffer is appended whole, so
+/// events arrive point-major and seed-minor. The
 /// registry and the events are the same for every worker count and pack
 /// boundary (the profile sums wall time over the workers), and the
 /// summaries are the same with or without any sink. A point whose
@@ -298,8 +298,7 @@ pub fn run_packed_experiments(
             let pack = &lanes[range.clone()];
             let mut local = (metrics || events || profile).then(|| PackSinks {
                 metrics: metrics.then(MetricsRegistry::new),
-                events: events.then(|| vec![Vec::new(); pack.len()]),
-                lane: 0,
+                events: events.then(Vec::new),
                 profile: profile.then(PhaseProfiler::new),
             });
             let outcomes = match &mut local {
@@ -349,17 +348,14 @@ pub fn run_packed_experiments(
 /// The pack-local side of [`Sinks`]: the observer one pack runs under.
 struct PackSinks {
     metrics: Option<MetricsRegistry>,
-    /// One event buffer per lane of the pack.
-    events: Option<Vec<Vec<Event>>>,
-    /// The lane the engine last announced through [`Observer::on_lane`].
-    lane: usize,
+    events: Option<Vec<Event>>,
     profile: Option<PhaseProfiler>,
 }
 
 impl PackSinks {
     fn record(&mut self, event: Event) {
         if let Some(events) = &mut self.events {
-            events[self.lane].push(event);
+            events.push(event);
         }
     }
 
@@ -369,7 +365,7 @@ impl PackSinks {
             sink.merge(&local);
         }
         if let (Some(local), Some(sink)) = (self.events, sinks.events.as_deref_mut()) {
-            sink.extend(local.into_iter().flatten());
+            sink.extend(local);
         }
         if let (Some(local), Some(sink)) = (self.profile, sinks.profile.as_deref_mut()) {
             sink.merge(&local);
@@ -381,10 +377,6 @@ impl Observer for PackSinks {
     // The profiler alone leaves event assembly off, as on its own.
     fn enabled(&self) -> bool {
         self.metrics.is_some() || self.events.is_some()
-    }
-
-    fn on_lane(&mut self, lane: usize) {
-        self.lane = lane;
     }
 
     fn on_round(&mut self, event: &RoundEvent) {

@@ -166,9 +166,11 @@ fn steady_state_rounds_allocate_nothing_under_observe_summary() {
     }
 }
 
-/// The batch analogue of [`run_counting`]: four lanes advance in lockstep
-/// through the seed-batched engine, over a network realization shared
-/// across the pack (or one per lane seed, for random-regular graphs).
+/// The batch analogue of [`run_counting`]: a pack of four lanes runs
+/// through the seed-batched engine, lane after lane on one round scratch
+/// and a network realization shared across the pack (or one per lane
+/// seed, for random-regular graphs). Each lane's set-up (adversary, delay
+/// ring, outcome) allocates the same in both runs.
 /// Returns the allocation delta of the measured run and every lane's
 /// executed round count.
 fn run_batch_counting(
@@ -220,7 +222,7 @@ fn batch_rounds_allocate_nothing_under_observe_summary() {
     // complete graph, a static ring mask, a random-regular graph realized
     // per lane seed, a churned dynamic realization rebuilt every round
     // (also with lossy links), and delayed links travelling the delay
-    // ring — with four lanes in lockstep. Same differential design as the
+    // ring — with four lanes in one pack. Same differential design as the
     // scalar test: both runs share identical setup, so the 20 extra
     // steady-state rounds of the long run must not have allocated at all.
     let churn = TopologySchedule::SeededChurn {

@@ -16,8 +16,8 @@ mod golden;
 use golden::Golden;
 use mbaa::prelude::*;
 
-/// The packed path: the streaming executor advances all seeds of each
-/// chunk in lockstep.
+/// The packed path: the streaming executor runs all seeds of each chunk
+/// as one pack.
 fn batched_summaries(scenario: &Scenario, seeds: &[u64]) -> Vec<RunSummary> {
     scenario
         .batch(seeds.iter().copied())
@@ -140,7 +140,7 @@ fn worker_counts_leave_batched_results_bit_identical() {
 fn ragged_batches_match_scalar_per_seed() {
     // 33 seeds: one full 32-lane chunk plus a ragged single-lane tail, and
     // a Random adversary so lanes within a chunk finish after different
-    // round counts — the lockstep loop must retire each lane independently.
+    // round counts — no lane may inherit another lane's rounds or state.
     let seeds: Vec<u64> = (0..33).collect();
     let scenario = Scenario::at_bound(MobileModel::Garay, 2)
         .epsilon(1e-6)
