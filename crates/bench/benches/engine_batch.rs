@@ -18,7 +18,10 @@
 //! complete base, and `…/delay` the complete graph with every link
 //! delayed by one round. These guard the shared-realization batch delivery
 //! (one adjacency + one compiled fault plan per pack instead of one per
-//! lane) and the buffering of delayed links.
+//! lane) and the buffering of delayed links. `…/stealth` runs the complete
+//! graph under `CorruptionStrategy::Stealth`, whose agents send every
+//! receiver its own value: the complete-graph rows without any receivers
+//! that share a row.
 //!
 //! A `packed_lane_occupancy` row reports the mean lane occupancy of the
 //! cross-point packing scheduler over a shape-homogeneous multi-point
@@ -52,14 +55,16 @@ fn repetitions(n: usize) -> usize {
         .map_or(base, |samples| samples.max(1))
 }
 
-/// Network variant of a measured point: the complete graph, a static
-/// partial mask (ring), a dynamic churned fabric, or delayed links.
+/// Variant of a measured point: the complete graph, a static partial mask
+/// (ring), a dynamic churned fabric, delayed links, or the complete graph
+/// under per-receiver stealth corruption.
 #[derive(Clone, Copy)]
 enum Variant {
     Complete,
     Ring,
     Churn,
     Delay,
+    Stealth,
 }
 
 impl Variant {
@@ -69,6 +74,7 @@ impl Variant {
             Variant::Ring => "/ring",
             Variant::Churn => "/churn",
             Variant::Delay => "/delay",
+            Variant::Stealth => "/stealth",
         }
     }
 }
@@ -93,6 +99,9 @@ fn measure(n: usize, k: usize, variant: Variant) {
         // Every link of the complete graph delivers one round late, so
         // every slot is buffered for a round.
         Variant::Delay => builder.link_faults(LinkFaultPlan::new().delay_all(1)),
+        // The complete graph, each agent sending every receiver its own
+        // value drawn from the correct range.
+        Variant::Stealth => builder.corruption(CorruptionStrategy::Stealth),
     };
     let config = builder.build().expect("config");
     // Distinct seeds per lane, shared inputs: the adversary streams
@@ -176,13 +185,14 @@ fn main() {
             measure(n, k, Variant::Complete);
         }
     }
-    // Reduced grid: a static partial mask, a dynamic churned fabric and
-    // delayed links.
+    // Reduced grid: a static partial mask, a dynamic churned fabric,
+    // delayed links and stealth corruption.
     for &n in &[64usize, 256] {
         for &k in &[1usize, 32] {
             measure(n, k, Variant::Ring);
             measure(n, k, Variant::Churn);
             measure(n, k, Variant::Delay);
+            measure(n, k, Variant::Stealth);
         }
     }
     measure_occupancy();

@@ -177,6 +177,7 @@ fn run_batch_counting(
     topology: Topology,
     schedule: Option<TopologySchedule>,
     link_faults: LinkFaultPlan,
+    corruption: CorruptionStrategy,
     rounds: usize,
 ) -> (u64, Vec<usize>) {
     let n = 16;
@@ -184,7 +185,7 @@ fn run_batch_counting(
         .epsilon(1e-300)
         .max_rounds(rounds)
         .mobility(MobilityStrategy::TargetExtremes)
-        .corruption(CorruptionStrategy::split_attack())
+        .corruption(corruption)
         .observe(Observe::Summary)
         .topology(topology)
         .link_faults(link_faults);
@@ -219,56 +220,89 @@ fn run_batch_counting(
 #[test]
 fn batch_rounds_allocate_nothing_under_observe_summary() {
     // Every kind of network the batch loop exchanges against — the
-    // complete graph, a static ring mask, a random-regular graph realized
-    // per lane seed, a churned dynamic realization rebuilt every round
-    // (also with lossy links), and delayed links travelling the delay
-    // ring — with four lanes in one pack. Same differential design as the
-    // scalar test: both runs share identical setup, so the 20 extra
-    // steady-state rounds of the long run must not have allocated at all.
+    // complete graph (under the split attack, whose receivers share rows,
+    // and under stealth corruption, which gives every receiver its own),
+    // a static ring mask, a random-regular graph realized per lane seed, a
+    // churned dynamic realization rebuilt every round (also with lossy
+    // links), and delayed links travelling the delay ring — with four
+    // lanes in one pack. Same differential design as the scalar test: both
+    // runs share identical setup, so the 20 extra steady-state rounds of
+    // the long run must not have allocated at all.
     let churn = TopologySchedule::SeededChurn {
         base: Topology::Complete,
         flip_rate: 0.15,
     };
     let clean = LinkFaultPlan::new;
-    for (label, topology, schedule, link_faults) in [
-        ("complete", Topology::Complete, None, clean()),
-        ("ring", Topology::Ring { k: 4 }, None, clean()),
+    let split = CorruptionStrategy::split_attack();
+    for (label, topology, schedule, link_faults, corruption) in [
+        ("complete", Topology::Complete, None, clean(), split),
+        (
+            "complete + stealth",
+            Topology::Complete,
+            None,
+            clean(),
+            CorruptionStrategy::Stealth,
+        ),
+        ("ring", Topology::Ring { k: 4 }, None, clean(), split),
         (
             "random-regular",
             Topology::RandomRegular { degree: 8 },
             None,
             clean(),
+            split,
         ),
-        ("churn", Topology::Complete, Some(churn.clone()), clean()),
+        (
+            "churn",
+            Topology::Complete,
+            Some(churn.clone()),
+            clean(),
+            split,
+        ),
         (
             "churn + omission",
             Topology::Complete,
             Some(churn),
             LinkFaultPlan::new().omit_all(0.05),
+            split,
         ),
         (
             "delayed links",
             Topology::Complete,
             None,
             LinkFaultPlan::new().delay_all(1).delay(0, 1, 3),
+            split,
         ),
     ] {
-        let (allocs_short, rounds_short) =
-            run_batch_counting(topology.clone(), schedule.clone(), link_faults.clone(), 6);
-        let (allocs_long, rounds_long) = run_batch_counting(topology, schedule, link_faults, 26);
+        // Stealth values stay inside the correct range, so its lanes agree
+        // to the last bit after 17 rounds: its long run adds 10 rounds.
+        let long = if corruption == CorruptionStrategy::Stealth {
+            16
+        } else {
+            26
+        };
+        let (allocs_short, rounds_short) = run_batch_counting(
+            topology.clone(),
+            schedule.clone(),
+            link_faults.clone(),
+            corruption,
+            6,
+        );
+        let (allocs_long, rounds_long) =
+            run_batch_counting(topology, schedule, link_faults, corruption, long);
         assert!(
             rounds_short.iter().all(|&r| r == 6),
             "{label}: every short lane must exhaust its budget, got {rounds_short:?}"
         );
         assert!(
-            rounds_long.iter().all(|&r| r == 26),
+            rounds_long.iter().all(|&r| r == long),
             "{label}: every long lane must exhaust its budget, got {rounds_long:?}"
         );
         assert_eq!(
             allocs_long,
             allocs_short,
-            "{label}: {} extra allocations across 20 extra batch rounds",
-            allocs_long.saturating_sub(allocs_short)
+            "{label}: {} extra allocations across {} extra batch rounds",
+            allocs_long.saturating_sub(allocs_short),
+            long - 6
         );
     }
 }
