@@ -143,16 +143,8 @@ impl CorruptionStrategy {
             }
             CorruptionStrategy::Split { magnitude } => {
                 let margin = magnitude.max(f64::MIN_POSITIVE);
-                for receiver in 0..n {
-                    out.set(
-                        ProcessId::new(receiver),
-                        Some(if receiver < n / 2 {
-                            far(lo - margin)
-                        } else {
-                            far(hi + margin)
-                        }),
-                    );
-                }
+                out.fill_range(0..n / 2, Some(far(lo - margin)));
+                out.fill_range(n / 2..n, Some(far(hi + margin)));
             }
             CorruptionStrategy::RandomNoise { lo, hi } => {
                 for receiver in 0..n {
@@ -308,8 +300,8 @@ mod tests {
         let o =
             CorruptionStrategy::split_attack().faulty_outbox(ProcessId::new(0), &view, &mut rng);
         assert!(!o.is_uniform());
-        assert!(o.get(ProcessId::new(0)).unwrap() < Value::new(0.0));
-        assert!(o.get(ProcessId::new(5)).unwrap() > Value::new(1.0));
+        let (low, high) = (Some(Value::new(-1.0)), Some(Value::new(2.0)));
+        assert_eq!(o.slots(), &[low, low, low, high, high, high]);
     }
 
     #[test]

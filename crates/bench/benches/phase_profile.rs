@@ -8,9 +8,10 @@
 //! `BENCH_phase_profile.json` via the criterion shim's `MBAA_BENCH_JSON`
 //! hook, so CI's bench-diff step can flag a phase whose share drifts — an
 //! MSR-apply regression shows up here before it shows up as a raw
-//! rounds/sec drop. A second family of rows
-//! (`phase_share/batch_ring/{n}/{phase}`) profiles an 8-lane pack over a
-//! shared ring realization.
+//! rounds/sec drop. Two more families of rows profile packs over a shared
+//! realization: `phase_share/batch_ring/{n}/{phase}` an 8-lane pack on a
+//! ring, and `phase_share/batch_complete/256/{phase}` a 32-lane pack on the
+//! complete graph under the default adversary.
 //!
 //! Because a profiler reports `enabled() == false`, the engine skips all
 //! telemetry-event assembly while it is attached: the spans measure the
@@ -71,24 +72,26 @@ fn profile(n: usize) {
     }
 }
 
-/// An 8-lane pack on a ring under the profiler: the lanes run one after
-/// another over a ring mask shared across the pack. The loop emits the
-/// four phase hooks (adversary planning, the masked exchange against the
-/// shared realization, the k-wide MSR fold over the round's rows, and
-/// recording), so the `phase_share/batch_ring/{n}/{phase}` rows show where
-/// the batched round's time goes — the evidence behind the vectorized-fold
-/// work.
-fn profile_batch(n: usize) {
-    const K: usize = 8;
+/// A pack of `k` lanes over one shared realization of `topology` under the
+/// profiler: the lanes run one after another, and the loop emits the four
+/// phase hooks (adversary planning, the exchange against the shared
+/// realization, the k-wide MSR fold over the round's rows, and recording),
+/// so the `phase_share/{label}/{n}/{phase}` rows show where the batched
+/// round's time goes. `batch_ring` (8 lanes on a ring mask) is the evidence
+/// behind the vectorized-fold work; `batch_complete` (32 lanes on the
+/// complete graph under the default split adversary) shows what the
+/// complete-graph merge costs once receivers that heard the same values
+/// share one row.
+fn profile_batch(label: &str, n: usize, k: usize, topology: Topology) {
     let config = ProtocolConfig::builder(MobileModel::Garay, n, 2)
         .epsilon(1e-12)
         .max_rounds(200)
         .seed(7)
         .observe(Observe::Summary)
-        .topology(Topology::Ring { k: 4 })
+        .topology(topology)
         .build()
         .expect("config");
-    let lanes: Vec<PackedLane> = (1..=K as u64)
+    let lanes: Vec<PackedLane> = (1..=k as u64)
         .map(|seed| {
             let mut config = config.clone();
             config.seed = seed;
@@ -105,8 +108,8 @@ fn profile_batch(n: usize) {
         }
     }
 
-    // One pack advances K lanes, so divide the one-lane repetition budget.
-    let reps = repetitions(n).div_ceil(K);
+    // One pack advances k lanes, so divide the one-lane repetition budget.
+    let reps = repetitions(n).div_ceil(k);
     let mut profiler = PhaseProfiler::new();
     for _ in 0..reps {
         for outcome in BatchEngine::run_packed_observed(&lanes, &mut profiler) {
@@ -114,14 +117,14 @@ fn profile_batch(n: usize) {
         }
     }
     let breakdown = profiler.breakdown();
-    println!("phase_profile batch_ring n={n} k={K} ({reps} batch(es)):");
+    println!("phase_profile {label} n={n} k={k} ({reps} batch(es)):");
     print!("{}", breakdown.render());
     let total = breakdown.total_nanos().max(1);
     for row in &breakdown.rows {
         let share = 100.0 * row.total_nanos as f64 / total as f64;
         record_metric(
             "phase_profile",
-            &format!("phase_share/batch_ring/{n}/{}", row.phase.name()),
+            &format!("phase_share/{label}/{n}/{}", row.phase.name()),
             share,
             "%",
         );
@@ -135,7 +138,8 @@ fn main() {
     // The batched ring on the reduced grid the engine_batch bench
     // uses for its ring/churn rows.
     for &n in &[64usize, 256] {
-        profile_batch(n);
+        profile_batch("batch_ring", n, 8, Topology::Ring { k: 4 });
     }
+    profile_batch("batch_complete", 256, 32, Topology::Complete);
     write_json_report();
 }

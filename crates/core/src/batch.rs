@@ -28,23 +28,26 @@
 //!    exist) — a broadcaster hands over one value, not `n` slots, and the
 //!    ≤ 2f genuinely per-receiver senders (adversary outboxes, Sasaki
 //!    poisoned queues) are read in place from the plan, never copied;
-//! 3. the lane's [`SharedRealization`] delivers each active receiver's
-//!    values as ascending packed [`DeliveryRows`] and accounts the traffic;
+//! 3. the lane's [`SharedRealization`] delivers the active receivers'
+//!    values as ascending packed [`DeliveryRows`], one row per run of
+//!    receivers that heard the same values, and accounts the traffic;
 //! 4. every non-faulty process (under Buhrman's model, every process)
-//!    applies the voting function to its row: the k-wide
+//!    takes the voting function of its row: the k-wide
 //!    [`mbaa_msr::MsrFunction::apply_sorted_lanes`] folds
-//!    `mean(Sel(Red(N)))` over all rows of the round in one pass.
+//!    `mean(Sel(Red(N)))` over all rows of the round in one pass, each row
+//!    once, and its vote goes to every active receiver the row serves.
 //!
 //! A lane stops as soon as its non-faulty values are within ε of each
 //! other or its round budget is exhausted.
 //!
 //! The network differences live in the exchange's two walks: the complete
-//! graph sorts its broadcasters once and merges each receiver's few
-//! per-receiver slots into that buffer with closed-form statistics; the
-//! general walk serves every other graph through precomputed
-//! neighbourhood lists, emitting rows in rank order, and replays the
-//! lane's seeded churn/omission draws and delay ring for schedules and
-//! link faults.
+//! graph sorts its broadcasters once and merges a receiver's few
+//! per-receiver slots into that buffer with closed-form statistics, once
+//! per run of receivers whose slots agree bit for bit; the general walk
+//! serves every other graph through precomputed neighbourhood lists,
+//! emitting one row per receiver in rank order, and replays the lane's
+//! seeded churn/omission draws and delay ring for schedules and link
+//! faults.
 //! Lanes are grouped by network description, and each group's realization
 //! is built **once** per pack — or once per lane seed for descriptions that
 //! realize per seed ([`Topology::RandomRegular`](mbaa_net::Topology)
@@ -416,9 +419,10 @@ fn run_lane<'a, O: Observer>(
             );
         }
 
-        // Compute phase over the ascending rows: one k-wide MSR call when
-        // every row has the same width, per-row applies otherwise; a
-        // replacement function sees each row as a multiset.
+        // Compute phase over the ascending rows, each folded once for all
+        // the receivers it serves: one k-wide MSR call when every row has
+        // the same width, per-row applies otherwise; a replacement function
+        // sees each row as a multiset.
         observer.phase_start(Phase::MsrApply);
         let active_rows = &mut lane_votes[..rows.rows()];
         match (function, rows.uniform_len()) {
@@ -438,9 +442,11 @@ fn run_lane<'a, O: Observer>(
                 }
             }
         }
-        for row in 0..rows.rows() {
-            if let Some(next) = lane_votes[row] {
-                votes[rows.receiver(row)] = next;
+        for (row, vote) in active_rows.iter().enumerate() {
+            if let Some(next) = *vote {
+                for r in rows.receivers(row).filter(|&r| active[r]) {
+                    votes[r] = next;
+                }
             }
         }
         observer.phase_end(Phase::MsrApply);

@@ -16,6 +16,11 @@ use crate::{Reduction, Selection};
 pub trait VotingFunction: fmt::Debug + Send + Sync {
     /// Computes the next vote from the multiset of received values, or
     /// `None` when the multiset is too small to produce a value.
+    ///
+    /// The result must be a pure function of the multiset: no state, no
+    /// randomness, no dependence on which process or how many processes
+    /// receive it. The engine calls it once per distinct delivered row and
+    /// hands that vote to every receiver that heard the same values.
     fn apply(&self, received: &ValueMultiset) -> Option<Value>;
 
     /// A short human-readable name used in reports and benchmark labels.

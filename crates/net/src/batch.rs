@@ -2,10 +2,12 @@
 //!
 //! [`LaneSend`] is the send phase in classified form: a broadcasting
 //! sender hands over one value, not `n` outbox slots. [`DeliveryRows`] is
-//! the receive phase in packed form: each active receiver's delivered
-//! values, ascending, back to back in one arena that the k-wide MSR fold
-//! reads directly. The exchange between them is
+//! the receive phase in packed form: the delivered values of each run of
+//! receivers that heard the same values, ascending, back to back in one
+//! arena that the k-wide MSR fold reads directly. The exchange between them is
 //! [`SharedRealization::exchange_rows`](crate::SharedRealization::exchange_rows).
+
+use std::ops::Range;
 
 use mbaa_types::{ProcessId, Value};
 
@@ -47,18 +49,23 @@ impl LaneSend {
     }
 }
 
-/// Packed per-receiver delivery rows of one lane round: row `i` holds the
-/// values delivered to the `i`-th *active* receiver in ascending order,
-/// back to back in one flat buffer sized once at `n²`.
+/// Packed delivery rows of one lane round: each row holds the values
+/// delivered to a run of receivers in ascending order, back to back in one
+/// flat buffer sized once at `n²`.
 ///
-/// Rows are collected in receiver order. When every row has the same
-/// width the engine feeds the whole flat buffer to the k-wide MSR fold in
-/// one call.
+/// Row `i` serves the *active* receivers in [`DeliveryRows::receivers`]`(i)`,
+/// which all heard the same values. The general walk stores one row per
+/// active receiver; the complete-graph merge stores one per run of
+/// receivers whose per-receiver slots agree bit for bit. Rows are collected
+/// in receiver order. When every row has the same width the engine feeds
+/// the whole flat buffer to the k-wide MSR fold in one call.
 #[derive(Debug)]
 pub struct DeliveryRows {
     /// The row arena; rows are written in place by the exchange.
     pub(crate) merged: Vec<Value>,
-    receivers: Vec<usize>,
+    /// `firsts[i]..ends[i]`: the receivers row `i` serves.
+    firsts: Vec<usize>,
+    ends: Vec<usize>,
     offsets: Vec<usize>,
     lens: Vec<usize>,
     rows: usize,
@@ -73,7 +80,8 @@ impl DeliveryRows {
     pub fn new(n: usize) -> Self {
         DeliveryRows {
             merged: vec![Value::new(0.0); n * n],
-            receivers: vec![0; n],
+            firsts: vec![0; n],
+            ends: vec![0; n],
             offsets: vec![0; n],
             lens: vec![0; n],
             rows: 0,
@@ -88,32 +96,40 @@ impl DeliveryRows {
         self.uniform = true;
     }
 
-    /// Records `merged[start..start + len]` as the next row; the slice must
-    /// already be ascending.
+    /// Records `merged[start..start + len]` as the next row, serving
+    /// `receiver`; the slice must already be ascending.
     pub(crate) fn push_row(&mut self, receiver: usize, start: usize, len: usize) {
         if self.rows > 0 && len != self.lens[0] {
             self.uniform = false;
         }
-        self.receivers[self.rows] = receiver;
+        self.firsts[self.rows] = receiver;
+        self.ends[self.rows] = receiver + 1;
         self.offsets[self.rows] = start;
         self.lens[self.rows] = len;
         self.rows += 1;
         self.total = start + len;
     }
 
-    /// The number of active receivers collected this round.
+    /// Lets the last row serve every receiver up to `receiver` too.
+    pub(crate) fn extend_row(&mut self, receiver: usize) {
+        self.ends[self.rows - 1] = receiver + 1;
+    }
+
+    /// The number of rows collected this round.
     #[must_use]
     pub fn rows(&self) -> usize {
         self.rows
     }
 
-    /// The process index of the `row`-th active receiver.
+    /// The receivers the `row`-th row serves: the active ones in this
+    /// range, which starts at an active receiver.
     #[must_use]
-    pub fn receiver(&self, row: usize) -> usize {
-        self.receivers[row]
+    pub fn receivers(&self, row: usize) -> Range<usize> {
+        self.firsts[row]..self.ends[row]
     }
 
-    /// The values delivered to the `row`-th active receiver, ascending.
+    /// The values delivered to the receivers of the `row`-th row,
+    /// ascending.
     #[must_use]
     pub fn row(&self, row: usize) -> &[Value] {
         &self.merged[self.offsets[row]..self.offsets[row] + self.lens[row]]
@@ -138,6 +154,21 @@ impl DeliveryRows {
     #[must_use]
     pub fn min_len(&self) -> Option<usize> {
         self.lens[..self.rows].iter().copied().min()
+    }
+
+    /// Each receiver's row, `None` for receivers that no row serves: the
+    /// rows spread back out over the universe, for comparisons with a
+    /// per-receiver reference.
+    #[cfg(test)]
+    pub(crate) fn by_receiver(&self, active: &[bool]) -> Vec<Option<&[Value]>> {
+        let mut rows = vec![None; active.len()];
+        for row in 0..self.rows {
+            for r in self.receivers(row).filter(|&r| active[r]) {
+                assert!(rows[r].is_none(), "receiver {r} is served twice");
+                rows[r] = Some(self.row(row));
+            }
+        }
+        rows
     }
 }
 
@@ -222,9 +253,53 @@ mod tests {
         (sends, outboxes)
     }
 
+    /// A send phase whose per-receiver senders are constant over blocks of
+    /// receivers, so the complete-graph merge can share rows between
+    /// neighbours. Sender 0 sends −0.0 below `n / 3`, 0.0 up to `n / 2`
+    /// and nothing from there on: the only boundaries at `n / 3` and
+    /// `n / 2` are a sign of zero and `Some` against `None`. Sender 2 sends
+    /// 0.5 to everyone, sender 3 splits its values at `2n / 3`, sender 1 is
+    /// silent, and every other sender broadcasts −1.0, 0.0 or 1.0.
+    fn block_send_phase(n: usize) -> (Vec<LaneSend>, Vec<Outbox>) {
+        let value = |i: usize| Value::new((i % 3) as f64 - 1.0);
+        let sends = (0..n)
+            .map(|i| match i {
+                0 | 2 | 3 => LaneSend::PerReceiver,
+                1 => LaneSend::Silent,
+                _ => LaneSend::Broadcast(value(i)),
+            })
+            .collect();
+        let per_receiver = |s: usize, slot: &dyn Fn(usize) -> Option<f64>| {
+            Outbox::per_receiver(pid(s), (0..n).map(|r| slot(r).map(Value::new)).collect())
+        };
+        let outboxes = (0..n)
+            .map(|i| match i {
+                0 => per_receiver(0, &|r| match r {
+                    _ if r < n / 3 => Some(-0.0),
+                    _ if r < n / 2 => Some(0.0),
+                    _ => None,
+                }),
+                1 => Outbox::silent(n, pid(1)),
+                2 => per_receiver(2, &|_| Some(0.5)),
+                3 => per_receiver(3, &|r| Some(if r < 2 * n / 3 { -3.0 } else { 3.0 })),
+                _ => Outbox::broadcast(n, pid(i), value(i)),
+            })
+            .collect();
+        (sends, outboxes)
+    }
+
     /// The send phases every comparison runs.
-    fn send_phases(n: usize) -> [(Vec<LaneSend>, Vec<Outbox>); 2] {
-        [mixed_send_phase(n), zero_send_phase(n)]
+    fn send_phases(n: usize) -> [(Vec<LaneSend>, Vec<Outbox>); 3] {
+        [mixed_send_phase(n), zero_send_phase(n), block_send_phase(n)]
+    }
+
+    /// The activity patterns every comparison runs: everyone, and everyone
+    /// but receiver 0 and the block boundary at `n / 3`.
+    fn activity_patterns(n: usize) -> [Vec<bool>; 2] {
+        let mut idle = vec![true; n];
+        idle[0] = false;
+        idle[n / 3] = false;
+        [vec![true; n], idle]
     }
 
     /// A row's values as bit patterns, sorted: equal for two rows only
@@ -356,9 +431,10 @@ mod tests {
         }
     }
 
-    /// Runs `rounds` rounds of each send phase through both the scalar
-    /// reference and the shared realization and asserts identical
-    /// per-receiver multisets (down to the sign of zero) and stats.
+    /// Runs `rounds` rounds of each send phase under each activity pattern
+    /// through both the scalar reference and the shared realization and
+    /// asserts that every active receiver, and no other, gets its scalar
+    /// multiset (down to the sign of zero), and identical stats.
     fn assert_matches_scalar(
         topology: &Topology,
         schedule: Option<&TopologySchedule>,
@@ -369,39 +445,39 @@ mod tests {
         rounds: u64,
     ) {
         for (sends, outboxes) in send_phases(n) {
-            let mut scalar = ScalarReference::new(topology, schedule, plan, policy, n, seed);
-            let mut shared = build(n, topology, schedule, plan, policy, seed);
-            let mut lane = shared.lane(seed);
-            let mut rows = DeliveryRows::new(n);
-            let mut stats = NetworkStats::new();
-            let active = vec![true; n];
-            for round in 0..rounds {
-                let round = Round::new(round);
-                let scalar_rows = scalar.exchange(round, &outboxes).unwrap();
-                shared
-                    .exchange_rows(
-                        &mut lane,
-                        round,
-                        &sends,
-                        |s| &outboxes[s],
-                        &active,
-                        &mut rows,
-                        &mut stats,
-                    )
-                    .unwrap();
-                assert_eq!(rows.rows(), n);
-                for row in 0..rows.rows() {
-                    let r = rows.receiver(row);
-                    let label = format!("{topology} n={n} round {round} receiver {r}");
-                    assert_eq!(rows.row(row), &scalar_rows[r][..], "{label}");
-                    assert_eq!(
-                        row_bits(rows.row(row)),
-                        row_bits(&scalar_rows[r]),
-                        "{label}"
-                    );
+            for active in activity_patterns(n) {
+                let mut scalar = ScalarReference::new(topology, schedule, plan, policy, n, seed);
+                let mut shared = build(n, topology, schedule, plan, policy, seed);
+                let mut lane = shared.lane(seed);
+                let mut rows = DeliveryRows::new(n);
+                let mut stats = NetworkStats::new();
+                for round in 0..rounds {
+                    let round = Round::new(round);
+                    let scalar_rows = scalar.exchange(round, &outboxes).unwrap();
+                    shared
+                        .exchange_rows(
+                            &mut lane,
+                            round,
+                            &sends,
+                            |s| &outboxes[s],
+                            &active,
+                            &mut rows,
+                            &mut stats,
+                        )
+                        .unwrap();
+                    for (r, row) in rows.by_receiver(&active).into_iter().enumerate() {
+                        let label = format!("{topology} n={n} round {round} receiver {r}");
+                        let Some(row) = row else {
+                            assert!(!active[r], "{label} got no row");
+                            continue;
+                        };
+                        assert!(active[r], "{label} is inactive but got a row");
+                        assert_eq!(row, &scalar_rows[r][..], "{label}");
+                        assert_eq!(row_bits(row), row_bits(&scalar_rows[r]), "{label}");
+                    }
                 }
+                assert_eq!(stats, scalar.stats);
             }
-            assert_eq!(stats, scalar.stats);
         }
     }
 
@@ -438,6 +514,7 @@ mod tests {
                     let mut lane = shared.lane(5);
                     let mut rows = DeliveryRows::new(n);
                     let mut stats = NetworkStats::new();
+                    let active = vec![true; n];
                     for round in 0..6 {
                         let round = Round::new(round);
                         shared
@@ -446,14 +523,16 @@ mod tests {
                                 round,
                                 &sends,
                                 |s| &outboxes[s],
-                                &vec![true; n],
+                                &active,
                                 &mut rows,
                                 &mut stats,
                             )
                             .unwrap();
                         let trace = shared.trace_round(&lane, round, &sends, |s| &outboxes[s]);
                         assert_eq!(trace.round(), round);
-                        for r in 0..n {
+                        let rows = rows.by_receiver(&active);
+                        for (r, row) in rows.into_iter().enumerate() {
+                            let row = row.expect("every receiver is active");
                             let heard: Vec<Value> = trace
                                 .iter()
                                 .filter_map(|obs| obs.delivered_to(pid(r)))
@@ -461,8 +540,8 @@ mod tests {
                             let mut sorted = heard.clone();
                             sorted.sort_unstable();
                             let label = format!("{topology} n={n} {round} receiver {r}");
-                            assert_eq!(rows.row(r), &sorted[..], "{label}");
-                            assert_eq!(row_bits(rows.row(r)), row_bits(&heard), "{label}");
+                            assert_eq!(row, &sorted[..], "{label}");
+                            assert_eq!(row_bits(row), row_bits(&heard), "{label}");
                         }
                     }
                 }
@@ -488,19 +567,79 @@ mod tests {
 
     #[test]
     fn complete_delivery_matches_scalar() {
-        // The plain complete graph and a ring wide enough to normalize to
-        // it both take the complete-graph merge.
-        for topology in [Topology::Complete, Topology::Ring { k: 6 }] {
+        // The plain complete graph and rings wide enough to normalize to it
+        // all take the complete-graph merge; from n = 10 on, the receiver
+        // after the idle block boundary shares its block with an active one.
+        for (topology, n) in [
+            (Topology::Complete, 7),
+            (Topology::Ring { k: 6 }, 7),
+            (Topology::Complete, 12),
+            (Topology::Ring { k: 6 }, 12),
+            (Topology::Complete, 65),
+        ] {
             assert_matches_scalar(
                 &topology,
                 None,
                 &LinkFaultPlan::new(),
                 DisconnectionPolicy::Record,
-                7,
+                n,
                 1,
                 4,
             );
         }
+    }
+
+    #[test]
+    fn complete_merge_stores_one_row_per_run_of_equal_slots() {
+        // Two agents split the receivers at n / 2 (−1.0 below, 1.0 above).
+        let n = 10;
+        let split = Outbox::per_receiver(
+            pid(0),
+            (0..n)
+                .map(|r| Some(Value::new(if r < n / 2 { -1.0 } else { 1.0 })))
+                .collect(),
+        );
+        let sends: Vec<LaneSend> = (0..n)
+            .map(|i| match i {
+                0 | 1 => LaneSend::PerReceiver,
+                _ => LaneSend::Broadcast(Value::new(i as f64 / 10.0)),
+            })
+            .collect();
+        let mut shared = build(
+            n,
+            &Topology::Complete,
+            None,
+            &LinkFaultPlan::new(),
+            DisconnectionPolicy::Record,
+            0,
+        );
+        let mut lane = shared.lane(0);
+        let mut rows = DeliveryRows::new(n);
+        let mut stats = NetworkStats::new();
+        let mut receivers_of = |active: &[bool]| {
+            shared
+                .exchange_rows(
+                    &mut lane,
+                    Round::ZERO,
+                    &sends,
+                    |_| &split,
+                    active,
+                    &mut rows,
+                    &mut stats,
+                )
+                .unwrap();
+            (0..rows.rows())
+                .map(|row| rows.receivers(row))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(receivers_of(&[true; 10]), [0..5, 5..10]);
+        // An idle receiver inside a block leaves the row whole; idle ones
+        // at the ends trim it.
+        let mut active = [true; 10];
+        active[2] = false;
+        active[5] = false;
+        active[9] = false;
+        assert_eq!(receivers_of(&active), [0..5, 6..9]);
     }
 
     #[test]
@@ -764,6 +903,11 @@ mod tests {
                     &mut stats,
                 )
                 .unwrap();
+            let rows: Vec<Option<Vec<Value>>> = rows
+                .by_receiver(active)
+                .into_iter()
+                .map(|row| row.map(<[Value]>::to_vec))
+                .collect();
             (rows, stats)
         };
         for topology in [Topology::Complete, Topology::Ring { k: 1 }] {
@@ -774,18 +918,11 @@ mod tests {
                 let mut active = [true; 4];
                 active[idle] = false;
                 let (rows, stats) = exchange(&topology, &active);
-                assert_eq!(
-                    (0..rows.rows())
-                        .map(|i| rows.receiver(i))
-                        .collect::<Vec<_>>(),
-                    (0..4).filter(|&r| r != idle).collect::<Vec<_>>(),
-                    "{topology}"
-                );
-                // The collected rows are what an all-active round hands
-                // the same receivers.
-                for i in 0..rows.rows() {
-                    let r = rows.receiver(i);
-                    assert_eq!(rows.row(i), everyone.row(r), "{topology} receiver {r}");
+                // The idle receiver gets no row; the others get what an
+                // all-active round hands them.
+                for (r, row) in rows.iter().enumerate() {
+                    let expected = (r != idle).then(|| everyone[r].clone().unwrap());
+                    assert_eq!(row, &expected, "{topology} receiver {r}");
                 }
                 // All 16 slots are accounted regardless of who computes.
                 assert_eq!(

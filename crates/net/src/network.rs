@@ -14,7 +14,7 @@
 //! [`NetworkStats::unreachable`], never as an omission fault), or a *link
 //! omission* (the link's seeded draw lost the message).
 //! [`SharedRealization::exchange_rows`] accounts the outcomes and collects
-//! each active receiver's delivered values into ascending
+//! the active receivers' delivered values into ascending
 //! [`DeliveryRows`]; [`SharedRealization::trace_round`] records the same
 //! outcomes as a [`RoundTrace`], so the trace the Table 1 mapping reads
 //! cannot drift from the rows the MSR fold reads. Every non-omitted slot
@@ -26,8 +26,15 @@
 //!
 //! * **The complete-graph merge**, for the unmasked complete graph under a
 //!   clean plan: the broadcast values ([`LaneSend`]) are sorted once per
-//!   lane round, each receiver's row is that buffer merged with its ≤ 2f
-//!   per-receiver slots, and traffic is accounted in closed form.
+//!   lane round, and a receiver's row is that buffer merged with its ≤ 2f
+//!   per-receiver slots. One pass over each per-receiver outbox counts its
+//!   deliveries (traffic is accounted in closed form) and marks a *cut*
+//!   before every receiver whose slot differs from its predecessor's bit
+//!   for bit (`None` from `Some`, −0.0 from 0.0). Receivers between two
+//!   cuts heard the same values, so only the first active one after a cut
+//!   builds a row, which every later active receiver up to the next cut
+//!   shares: an adversary that splits the receivers into a few groups, like
+//!   the split attack, costs a few rows per round, not `n`.
 //! * **The general receiver walk**, for everything else: partial graphs,
 //!   periodic phases, seeded churn, link omissions and delays. A round's
 //!   graph is a reachability mask with closed in-neighbourhood lists,
@@ -205,13 +212,22 @@ impl RoundGraph {
 }
 
 /// Reusable scratch of the complete-graph merge, shared across lanes: the
-/// sorted broadcast values, the per-receiver senders, and one receiver's
-/// slots from them.
+/// sorted broadcast values, the per-receiver senders, one receiver's slots
+/// from them, and the receivers whose slots differ from their
+/// predecessor's.
 #[derive(Debug)]
 struct MergeScratch {
     common: Vec<Value>,
     specials: Vec<usize>,
     extra: Vec<Value>,
+    cuts: Vec<bool>,
+}
+
+/// A slot as its bit pattern: `None` differs from every `Some`, and −0.0
+/// from 0.0.
+#[inline]
+fn slot_bits(slot: Option<Value>) -> Option<u64> {
+    slot.map(|value| value.get().to_bits())
 }
 
 impl MergeScratch {
@@ -247,25 +263,41 @@ impl MergeScratch {
         let common = &self.common[..common_len];
         let specials = &self.specials[..specials_len];
 
-        // Closed-form traffic accounting: a broadcast delivers to all n
-        // receivers, a per-receiver outbox to its Some slots, and every
-        // other slot is a sender omission — the unmasked complete graph
-        // has no structural drops.
+        // One pass over each per-receiver outbox counts its Some slots and
+        // cuts before every receiver whose slot differs, bit for bit, from
+        // its predecessor's. Traffic is accounted in closed form: a
+        // broadcast delivers to all n receivers, a per-receiver outbox to
+        // its Some slots, and every other slot is a sender omission — the
+        // unmasked complete graph has no structural drops.
+        let cuts = &mut self.cuts[..n];
+        cuts.fill(false);
         let mut delivered = (common_len * n) as u64;
         for &s in specials {
-            delivered += outbox_of(s)
-                .iter()
-                .filter(|(_, slot)| slot.is_some())
-                .count() as u64;
+            let slots = outbox_of(s).slots();
+            delivered += u64::from(slots[0].is_some());
+            for (r, pair) in slots.windows(2).enumerate() {
+                delivered += u64::from(pair[1].is_some());
+                cuts[r + 1] |= slot_bits(pair[0]) != slot_bits(pair[1]);
+            }
         }
         stats.rounds += 1;
         stats.messages_delivered += delivered;
         stats.omissions += (n * n) as u64 - delivered;
 
-        // Each active receiver's row is the common buffer merged with its
-        // special slots — the same ascending array a per-row sort would
-        // produce.
-        for (r, _) in active.iter().enumerate().filter(|(_, &on)| on) {
+        // Between cuts every receiver hears the same values, so only the
+        // first active receiver after a cut builds a row: the common buffer
+        // merged with its special slots, the same ascending array a per-row
+        // sort would produce. Later active receivers join that row.
+        let mut built = false;
+        for (r, &on) in active.iter().enumerate() {
+            built &= !cuts[r];
+            if !on {
+                continue;
+            }
+            if built {
+                rows.extend_row(r);
+                continue;
+            }
             let receiver = ProcessId::new(r);
             let mut extra_len = 0;
             for &s in specials {
@@ -283,6 +315,7 @@ impl MergeScratch {
                 &mut rows.merged[start..start + len],
             );
             rows.push_row(r, start, len);
+            built = true;
         }
     }
 }
@@ -503,6 +536,7 @@ impl SharedRealization {
                         common: vec![Value::new(0.0); n],
                         specials: vec![0; n],
                         extra: vec![Value::new(0.0); n],
+                        cuts: vec![false; n],
                     })
                 } else {
                     Graphs::Phases(vec![RoundGraph::fixed(&graph)])
@@ -805,16 +839,21 @@ mod tests {
         fn exchange(&mut self, round: Round, outboxes: &[Outbox]) -> Result<Vec<Vec<Value>>> {
             let n = outboxes.len();
             let mut rows = DeliveryRows::new(n);
+            let active = vec![true; n];
             self.shared.exchange_rows(
                 &mut self.lane,
                 round,
                 &vec![LaneSend::PerReceiver; n],
                 |s| &outboxes[s],
-                &vec![true; n],
+                &active,
                 &mut rows,
                 &mut self.stats,
             )?;
-            Ok((0..n).map(|r| rows.row(r).to_vec()).collect())
+            Ok(rows
+                .by_receiver(&active)
+                .into_iter()
+                .map(|row| row.expect("every receiver is active").to_vec())
+                .collect())
         }
 
         /// The trace of the round just exchanged.

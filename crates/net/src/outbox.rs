@@ -1,6 +1,7 @@
 //! The send-phase output of a single process.
 
 use std::fmt;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -112,9 +113,24 @@ impl Outbox {
         self.slots.fill(None);
     }
 
+    /// Overwrites the slots destined to the `receivers` range with `value`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range reaches outside the universe.
+    pub fn fill_range(&mut self, receivers: Range<usize>, value: Option<Value>) {
+        self.slots[receivers].fill(value);
+    }
+
     /// Reassigns the sender of this (reused) outbox.
     pub fn set_sender(&mut self, sender: ProcessId) {
         self.sender = sender;
+    }
+
+    /// Every slot, indexed by receiver.
+    #[must_use]
+    pub fn slots(&self) -> &[Option<Value>] {
+        &self.slots
     }
 
     /// Iterates over `(receiver, slot)` pairs.
@@ -205,6 +221,9 @@ mod tests {
         o.set(ProcessId::new(1), Some(Value::new(0.0)));
         o.set(ProcessId::new(2), Some(Value::new(0.0)));
         assert!(o.is_uniform());
+
+        o.fill_range(1..3, None);
+        assert_eq!(o.slots(), &[Some(Value::new(0.0)), None, None]);
     }
 
     #[test]
