@@ -32,10 +32,10 @@
 //!    values as ascending packed [`DeliveryRows`], one row per run of
 //!    receivers that heard the same values, and accounts the traffic;
 //! 4. every non-faulty process (under Buhrman's model, every process)
-//!    takes the voting function of its row: the k-wide
+//!    takes the vote of its row: the k-wide
 //!    [`mbaa_msr::MsrFunction::apply_sorted_lanes`] folds
 //!    `mean(Sel(Red(N)))` over all rows of the round in one pass, each row
-//!    once, and its vote goes to every active receiver the row serves.
+//!    once, and a row's vote goes to every active receiver it serves.
 //!
 //! A lane stops as soon as its non-faulty values are within ε of each
 //! other or its round budget is exhausted.

@@ -4,7 +4,8 @@
 //! sender hands over one value, not `n` outbox slots. [`DeliveryRows`] is
 //! the receive phase in packed form: the delivered values of each run of
 //! receivers that heard the same values, ascending, back to back in one
-//! arena that the k-wide MSR fold reads directly. The exchange between them is
+//! arena that the k-wide MSR fold reads directly. The exchange between
+//! them is
 //! [`SharedRealization::exchange_rows`](crate::SharedRealization::exchange_rows).
 
 use std::ops::Range;
