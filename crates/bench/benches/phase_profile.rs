@@ -8,10 +8,16 @@
 //! `BENCH_phase_profile.json` via the criterion shim's `MBAA_BENCH_JSON`
 //! hook, so CI's bench-diff step can flag a phase whose share drifts — an
 //! MSR-apply regression shows up here before it shows up as a raw
-//! rounds/sec drop. Two more families of rows profile packs over a shared
-//! realization: `phase_share/batch_ring/{n}/{phase}` an 8-lane pack on a
-//! ring, and `phase_share/batch_complete/256/{phase}` a 32-lane pack on the
-//! complete graph under the default adversary.
+//! rounds/sec drop. Three more families of rows profile packs over a
+//! shared realization: `phase_share/batch_ring/{n}/{phase}` an 8-lane pack
+//! on a ring, `phase_share/batch_complete/256/{phase}` a 32-lane pack on
+//! the complete graph under the default adversary, and
+//! `phase_share/batch_delay/256/{phase}` an 8-lane pack on the complete
+//! graph with every link delayed by one round, whose lanes each run 200
+//! rounds of 256 equal-width rows.
+//!
+//! Every table names the lane rounds it rests on: a share measured over a
+//! few dozen rounds is a few dozen spans per phase, not a steady state.
 //!
 //! Because a profiler reports `enabled() == false`, the engine skips all
 //! telemetry-event assembly while it is attached: the spans measure the
@@ -25,7 +31,8 @@ use criterion::{record_metric, write_json_report};
 
 use mbaa::obs::timing::PhaseProfiler;
 use mbaa::{
-    BatchEngine, MobileModel, NoopObserver, Observe, PackedLane, ProtocolConfig, Topology, Value,
+    BatchEngine, LinkFaultPlan, MobileModel, NoopObserver, Observe, PackedLane, ProtocolConfig,
+    ProtocolConfigBuilder, Topology, Value,
 };
 use mbaa_bench::spread_inputs;
 
@@ -54,11 +61,14 @@ fn profile(n: usize) {
 
     let reps = repetitions(n);
     let mut profiler = PhaseProfiler::new();
+    let mut rounds = 0;
     for _ in 0..reps {
-        BatchEngine::run_with(&config, &inputs, None, &mut profiler).expect("profiled run");
+        rounds += BatchEngine::run_with(&config, &inputs, None, &mut profiler)
+            .expect("profiled run")
+            .rounds_executed;
     }
     let breakdown = profiler.breakdown();
-    println!("phase_profile n={n} ({reps} run(s)):");
+    println!("phase_profile n={n} ({reps} run(s), {rounds} rounds):");
     print!("{}", breakdown.render());
     let total = breakdown.total_nanos().max(1);
     for row in &breakdown.rows {
@@ -72,25 +82,30 @@ fn profile(n: usize) {
     }
 }
 
-/// A pack of `k` lanes over one shared realization of `topology` under the
-/// profiler: the lanes run one after another, and the loop emits the four
-/// phase hooks (adversary planning, the exchange against the shared
-/// realization, the k-wide MSR fold over the round's rows, and recording),
-/// so the `phase_share/{label}/{n}/{phase}` rows show where the batched
-/// round's time goes. `batch_ring` (8 lanes on a ring mask) is the evidence
-/// behind the vectorized-fold work; `batch_complete` (32 lanes on the
-/// complete graph under the default split adversary) shows what the
-/// complete-graph merge costs once receivers that heard the same values
-/// share one row.
-fn profile_batch(label: &str, n: usize, k: usize, topology: Topology) {
-    let config = ProtocolConfig::builder(MobileModel::Garay, n, 2)
+/// A pack of `k` lanes over one shared realization of the network that
+/// `network` adds to the base configuration, under the profiler: the lanes
+/// run one after another, and the loop emits the four phase hooks
+/// (adversary planning, the exchange against the shared realization, the
+/// MSR fold over the round's rows, and recording), so the
+/// `phase_share/{label}/{n}/{phase}` rows show where the batched round's
+/// time goes. `batch_ring` runs 8 lanes on a ring mask; `batch_complete`
+/// (32 lanes on the complete graph under the default split adversary)
+/// shows what the complete-graph merge costs once receivers that heard the
+/// same values share one row; `batch_delay` (8 lanes on the complete graph
+/// with every link one round late) folds one row per receiver, all of one
+/// width, in every round.
+fn profile_batch(
+    label: &str,
+    n: usize,
+    k: usize,
+    network: impl FnOnce(ProtocolConfigBuilder) -> ProtocolConfigBuilder,
+) {
+    let base = ProtocolConfig::builder(MobileModel::Garay, n, 2)
         .epsilon(1e-12)
         .max_rounds(200)
         .seed(7)
-        .observe(Observe::Summary)
-        .topology(topology)
-        .build()
-        .expect("config");
+        .observe(Observe::Summary);
+    let config = network(base).build().expect("config");
     let lanes: Vec<PackedLane> = (1..=k as u64)
         .map(|seed| {
             let mut config = config.clone();
@@ -111,13 +126,14 @@ fn profile_batch(label: &str, n: usize, k: usize, topology: Topology) {
     // One pack advances k lanes, so divide the one-lane repetition budget.
     let reps = repetitions(n).div_ceil(k);
     let mut profiler = PhaseProfiler::new();
+    let mut rounds = 0;
     for _ in 0..reps {
         for outcome in BatchEngine::run_packed_observed(&lanes, &mut profiler) {
-            outcome.expect("profiled run");
+            rounds += outcome.expect("profiled run").rounds_executed;
         }
     }
     let breakdown = profiler.breakdown();
-    println!("phase_profile {label} n={n} k={k} ({reps} batch(es)):");
+    println!("phase_profile {label} n={n} k={k} ({reps} batch(es), {rounds} lane rounds):");
     print!("{}", breakdown.render());
     let total = breakdown.total_nanos().max(1);
     for row in &breakdown.rows {
@@ -138,8 +154,11 @@ fn main() {
     // The batched ring on the reduced grid the engine_batch bench
     // uses for its ring/churn rows.
     for &n in &[64usize, 256] {
-        profile_batch("batch_ring", n, 8, Topology::Ring { k: 4 });
+        profile_batch("batch_ring", n, 8, |b| b.topology(Topology::Ring { k: 4 }));
     }
-    profile_batch("batch_complete", 256, 32, Topology::Complete);
+    profile_batch("batch_complete", 256, 32, |b| b);
+    profile_batch("batch_delay", 256, 8, |b| {
+        b.link_faults(LinkFaultPlan::new().delay_all(1))
+    });
     write_json_report();
 }
