@@ -32,10 +32,10 @@
 //!    values as ascending packed [`DeliveryRows`], one row per run of
 //!    receivers that heard the same values, and accounts the traffic;
 //! 4. every non-faulty process (under Buhrman's model, every process)
-//!    takes the vote of its row: the k-wide
-//!    [`mbaa_msr::MsrFunction::apply_sorted_lanes`] folds
-//!    `mean(Sel(Red(N)))` over all rows of the round in one pass, each row
-//!    once, and a row's vote goes to every active receiver it serves.
+//!    takes the vote of its row: one
+//!    [`VotingFunction::apply_sorted`] call per stored row evaluates
+//!    `mean(Sel(Red(N)))` (or a replacement function), and the row's vote
+//!    goes to every active receiver it serves.
 //!
 //! A lane stops as soon as its non-faulty values are within ε of each
 //! other or its round budget is exhausted.
@@ -84,10 +84,9 @@ use mbaa_net::{
 use mbaa_obs::{NoopObserver, Observer, Phase, RoundEvent};
 use mbaa_types::{
     check_range, Error, FaultState, Interval, MobileModel, ProcessId, Result, Round, Value,
-    ValueMultiset,
 };
 
-use crate::engine::{emit_run_events, non_faulty_diameter};
+use crate::engine::{emit_run_events, non_faulty_diameter, non_faulty_hull};
 use crate::{MobileRunOutcome, Observe, ProtocolConfig, RoundSnapshot};
 
 /// One lane of a pack: a full configuration (whose `seed` field is the
@@ -116,11 +115,9 @@ pub fn shape_compatible(a: &ProtocolConfig, b: &ProtocolConfig) -> bool {
 /// lane's results.
 struct Scratch {
     plan: RoundFaultPlan,
-    received: ValueMultiset,
     sends: Vec<LaneSend>,
     active: Vec<bool>,
     rows: DeliveryRows,
-    lane_votes: Vec<Option<Value>>,
     votes: Vec<Value>,
     states: Vec<FaultState>,
 }
@@ -129,11 +126,9 @@ impl Scratch {
     fn new(n: usize) -> Self {
         Scratch {
             plan: RoundFaultPlan::empty(n),
-            received: ValueMultiset::with_capacity(n),
             sends: vec![LaneSend::Silent; n],
             active: vec![false; n],
             rows: DeliveryRows::new(n),
-            lane_votes: vec![None; n],
             votes: vec![Value::new(0.0); n],
             states: vec![FaultState::Correct; n],
         }
@@ -323,11 +318,9 @@ fn run_lane<'a, O: Observer>(
         MobileAdversary::new(cfg.model, n, cfg.f, cfg.mobility, cfg.corruption, cfg.seed);
     let Scratch {
         plan,
-        received,
         sends,
         active,
         rows,
-        lane_votes,
         votes,
         states,
     } = scratch.sized(n);
@@ -365,16 +358,9 @@ fn run_lane<'a, O: Observer>(
             // Now that the faulty set is known, freeze the validity
             // envelope and the initial diameter, and size the report to
             // the round budget so later records never reallocate.
-            received.refill(
-                votes
-                    .iter()
-                    .zip(&*states)
-                    .filter_map(|(v, s)| s.is_non_faulty().then_some(*v)),
-            );
-            validity_envelope = received
-                .range()
-                .expect("at least one process is non-faulty");
-            prev_diameter = received.diameter();
+            validity_envelope =
+                non_faulty_hull(votes, states).expect("at least one process is non-faulty");
+            prev_diameter = validity_envelope.diameter();
             report = ConvergenceReport::with_capacity(prev_diameter, cfg.max_rounds);
             if cfg.epsilon.covers_diameter(prev_diameter) {
                 // The run ends before its send phase.
@@ -419,35 +405,12 @@ fn run_lane<'a, O: Observer>(
             );
         }
 
-        // Compute phase over the ascending rows, each folded once for all
-        // the receivers it serves: one k-wide MSR call when every row has
-        // the same width, per-row applies otherwise; a replacement function
-        // sees each row as a multiset.
+        // Compute phase over the ascending rows, each evaluated once for
+        // all the receivers it serves.
         observer.phase_start(Phase::MsrApply);
-        let active_rows = &mut lane_votes[..rows.rows()];
-        match (function, rows.uniform_len()) {
-            (Some(function), _) => {
-                for (row, vote) in active_rows.iter_mut().enumerate() {
-                    received.refill(rows.row(row).iter().copied());
-                    *vote = function.apply(received);
-                }
-            }
-            (None, Some(lane_len)) => {
-                cfg.function
-                    .apply_sorted_lanes(rows.flat(), lane_len, active_rows);
-            }
-            (None, None) => {
-                for (row, vote) in active_rows.iter_mut().enumerate() {
-                    *vote = cfg.function.apply_sorted(rows.row(row));
-                }
-            }
-        }
-        for (row, vote) in active_rows.iter().enumerate() {
-            if let Some(next) = *vote {
-                for r in rows.receivers(row).filter(|&r| active[r]) {
-                    votes[r] = next;
-                }
-            }
+        match function {
+            Some(function) => vote_rows(function, rows, active, votes),
+            None => vote_rows(&cfg.function, rows, active, votes),
         }
         observer.phase_end(Phase::MsrApply);
 
@@ -524,13 +487,7 @@ fn place_agents(
     // The adversary sees everything; the "correct range" it reasons
     // about is the range of the currently non-faulty processes' values
     // (all values before the first placement).
-    let visible_range = Interval::hull(
-        votes
-            .iter()
-            .zip(&*states)
-            .filter_map(|(v, s)| s.is_non_faulty().then_some(*v)),
-    )
-    .unwrap_or_else(|| Interval::point(votes[0]));
+    let visible_range = non_faulty_hull(votes, states).unwrap_or_else(|| Interval::point(votes[0]));
     let view = AdversaryView {
         round,
         votes,
@@ -557,6 +514,26 @@ fn place_agents(
         };
     }
     corrupted
+}
+
+/// The compute phase of one lane round: evaluates `function` once per
+/// stored row and hands the vote to every active receiver the row serves.
+/// A row too small for the function leaves its receivers' votes as they
+/// were.
+// mbaa: alloc-free
+fn vote_rows<F: VotingFunction + ?Sized>(
+    function: &F,
+    rows: &DeliveryRows,
+    active: &[bool],
+    votes: &mut [Value],
+) {
+    for row in 0..rows.rows() {
+        if let Some(next) = function.apply_sorted(rows.row(row)) {
+            for r in rows.receivers(row).filter(|&r| active[r]) {
+                votes[r] = next;
+            }
+        }
+    }
 }
 
 /// The configuration of one lane at the start of a round.
@@ -644,7 +621,7 @@ fn per_receiver_outbox(plan: &RoundFaultPlan, i: usize) -> &Outbox {
 mod tests {
     use super::*;
     use mbaa_adversary::{CorruptionStrategy, MobilityStrategy};
-    use mbaa_net::{DisconnectionPolicy, Topology, TopologySchedule};
+    use mbaa_net::{DisconnectionPolicy, LinkFaultPlan, Topology, TopologySchedule};
     use mbaa_obs::EventLog;
 
     fn inputs(n: usize, salt: u64) -> Vec<Value> {
@@ -947,9 +924,9 @@ mod tests {
 
     #[test]
     fn overriding_with_the_configured_function_changes_nothing() {
-        // The replacement path (per-row multisets through the trait) and
-        // the k-wide fold compute the same bits, on uniform (complete) and
-        // ragged (ring, churn) rows alike.
+        // A replacement function goes through the same per-row loop as
+        // the configured one, on rows of one width (complete, delayed,
+        // stealth) and of several (ring, churn) alike.
         let ring = ProtocolConfig::builder(MobileModel::Garay, 9, 1)
             .epsilon(1e-4)
             .max_rounds(200)
@@ -961,7 +938,15 @@ mod tests {
             base: Topology::Complete,
             flip_rate: 0.2,
         });
-        let mut configs = vec![ring, churn];
+        let delayed = ProtocolConfig::builder(MobileModel::Garay, 9, 2)
+            .epsilon(1e-4)
+            .max_rounds(200)
+            .link_faults(LinkFaultPlan::new().delay_all(1))
+            .build()
+            .unwrap();
+        let mut stealth = base_config(MobileModel::Garay, 9, 2);
+        stealth.corruption = CorruptionStrategy::Stealth;
+        let mut configs = vec![ring, churn, delayed, stealth];
         for model in MobileModel::ALL {
             configs.push(base_config(model, model.required_processes(2), 2));
         }

@@ -122,37 +122,23 @@ pub(crate) fn emit_run_events<O: Observer>(
     });
 }
 
-/// The diameter of the non-faulty processes' votes, computed by a min/max
-/// fold — no multiset materialization. Numerically identical to collecting
-/// the non-faulty values and taking [`ValueMultiset::diameter`].
-///
-/// The fold runs eight independent accumulator pairs abreast (seeded with
-/// the first non-faulty value, which is idempotent under min/max), so the
-/// per-round reduction is not serialized on one compare chain. `Value`'s
-/// min/max are total-order based, hence associative and commutative — the
-/// chunked reduction picks exactly the values the sequential fold picks.
+/// The range of the non-faulty processes' votes, or `None` when every
+/// process is faulty.
+pub(crate) fn non_faulty_hull(votes: &[Value], states: &[FaultState]) -> Option<Interval> {
+    Interval::hull(
+        votes
+            .iter()
+            .zip(states)
+            .filter_map(|(v, s)| s.is_non_faulty().then_some(*v)),
+    )
+}
+
+/// The diameter of the non-faulty processes' votes, `0.0` when every
+/// process is faulty: one min/max fold, no multiset materialization.
+/// Numerically identical to collecting the non-faulty values and taking
+/// [`ValueMultiset::diameter`].
 pub(crate) fn non_faulty_diameter(votes: &[Value], states: &[FaultState]) -> f64 {
-    const LANES: usize = 8;
-    let Some(seed) = votes
-        .iter()
-        .zip(states)
-        .find_map(|(v, s)| s.is_non_faulty().then_some(*v))
-    else {
-        return 0.0;
-    };
-    let mut lo = [seed; LANES];
-    let mut hi = [seed; LANES];
-    for (chunk_v, chunk_s) in votes.chunks(LANES).zip(states.chunks(LANES)) {
-        for (j, (v, s)) in chunk_v.iter().zip(chunk_s).enumerate() {
-            if s.is_non_faulty() {
-                lo[j] = lo[j].min(*v);
-                hi[j] = hi[j].max(*v);
-            }
-        }
-    }
-    let lo = lo.into_iter().min().expect("LANES > 0");
-    let hi = hi.into_iter().max().expect("LANES > 0");
-    hi.get() - lo.get()
+    non_faulty_hull(votes, states).map_or(0.0, |hull| hull.diameter())
 }
 
 #[cfg(test)]
@@ -176,6 +162,42 @@ mod tests {
             .seed(11)
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn non_faulty_diameter_matches_the_multiset_diameter() {
+        let mut state = 5_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let kinds = [FaultState::Correct, FaultState::Cured, FaultState::Faulty];
+        for case in 0..300 {
+            let n = 1 + (next() % 16) as usize;
+            let votes: Vec<Value> = (0..n)
+                .map(|_| Value::new((next() % 2001) as f64 / 100.0 - 10.0))
+                .collect();
+            // Every fifth case has every process faulty.
+            let states: Vec<FaultState> = (0..n)
+                .map(|_| match case % 5 {
+                    0 => FaultState::Faulty,
+                    _ => kinds[(next() % 3) as usize],
+                })
+                .collect();
+            let non_faulty: ValueMultiset = votes
+                .iter()
+                .zip(&states)
+                .filter_map(|(v, s)| s.is_non_faulty().then_some(*v))
+                .collect();
+            assert_eq!(
+                non_faulty_diameter(&votes, &states).to_bits(),
+                non_faulty.diameter().to_bits(),
+                "case {case}: {votes:?} {states:?}"
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use mbaa_types::{Value, ValueMultiset};
+use mbaa_types::{median_of_sorted, Value};
 
 use crate::VotingFunction;
 
@@ -35,8 +35,8 @@ impl MedianVoting {
 }
 
 impl VotingFunction for MedianVoting {
-    fn apply(&self, received: &ValueMultiset) -> Option<Value> {
-        received.median()
+    fn apply_sorted(&self, sorted: &[Value]) -> Option<Value> {
+        median_of_sorted(sorted)
     }
 
     fn name(&self) -> String {
@@ -47,6 +47,7 @@ impl VotingFunction for MedianVoting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbaa_types::ValueMultiset;
 
     fn ms(vals: &[f64]) -> ValueMultiset {
         vals.iter().copied().map(Value::new).collect()

@@ -4,7 +4,7 @@
 //! sender hands over one value, not `n` outbox slots. [`DeliveryRows`] is
 //! the receive phase in packed form: the delivered values of each run of
 //! receivers that heard the same values, ascending, back to back in one
-//! arena that the k-wide MSR fold reads directly. The exchange between
+//! arena that the MSR phase reads row by row. The exchange between
 //! them is
 //! [`SharedRealization::exchange_rows`](crate::SharedRealization::exchange_rows).
 
@@ -58,8 +58,8 @@ impl LaneSend {
 /// which all heard the same values. The general walk stores one row per
 /// active receiver; the complete-graph merge stores one per run of
 /// receivers whose per-receiver slots agree bit for bit. Rows are collected
-/// in receiver order. When every row has the same width the engine feeds
-/// the whole flat buffer to the k-wide MSR fold in one call.
+/// in receiver order, and the engine evaluates its voting function once
+/// per row.
 #[derive(Debug)]
 pub struct DeliveryRows {
     /// The row arena; rows are written in place by the exchange.
@@ -72,7 +72,6 @@ pub struct DeliveryRows {
     rows: usize,
     /// Where the next row starts in `merged`.
     pub(crate) total: usize,
-    uniform: bool,
 }
 
 impl DeliveryRows {
@@ -87,22 +86,17 @@ impl DeliveryRows {
             lens: vec![0; n],
             rows: 0,
             total: 0,
-            uniform: true,
         }
     }
 
     pub(crate) fn reset(&mut self) {
         self.rows = 0;
         self.total = 0;
-        self.uniform = true;
     }
 
     /// Records `merged[start..start + len]` as the next row, serving
     /// `receiver`; the slice must already be ascending.
     pub(crate) fn push_row(&mut self, receiver: usize, start: usize, len: usize) {
-        if self.rows > 0 && len != self.lens[0] {
-            self.uniform = false;
-        }
         self.firsts[self.rows] = receiver;
         self.ends[self.rows] = receiver + 1;
         self.offsets[self.rows] = start;
@@ -134,20 +128,6 @@ impl DeliveryRows {
     #[must_use]
     pub fn row(&self, row: usize) -> &[Value] {
         &self.merged[self.offsets[row]..self.offsets[row] + self.lens[row]]
-    }
-
-    /// `Some(len)` when at least one row was collected and every row has
-    /// the same width — the precondition of the k-wide MSR fold over
-    /// [`DeliveryRows::flat`].
-    #[must_use]
-    pub fn uniform_len(&self) -> Option<usize> {
-        (self.uniform && self.rows > 0).then(|| self.lens[0])
-    }
-
-    /// The packed flat buffer holding every collected row back to back.
-    #[must_use]
-    pub fn flat(&self) -> &[Value] {
-        &self.merged[..self.total]
     }
 
     /// The width of the smallest collected row (the round's minimum

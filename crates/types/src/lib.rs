@@ -50,7 +50,7 @@ mod value;
 pub use error::{Error, Result};
 pub use fault::{FaultCounts, FaultState, MixedFaultClass, MobileModel};
 pub use interval::{check_range, Interval};
-pub use multiset::ValueMultiset;
+pub use multiset::{median_of_sorted, ValueMultiset};
 pub use process::{ProcessId, ProcessSet};
 pub use round::{Phase, Round};
 pub use value::{Epsilon, Value};

@@ -160,31 +160,25 @@ impl ValueMultiset {
         }
     }
 
-    /// The arithmetic mean, or `None` when empty.
+    /// The arithmetic mean, or `None` when empty. Each term is divided by
+    /// the count (to stay finite even for very large magnitudes), and the
+    /// quotients are summed in ascending order from an explicit `+0.0`, so
+    /// a multiset of `-0.0`s has mean `+0.0`.
     #[must_use]
     pub fn mean(&self) -> Option<Value> {
         if self.values.is_empty() {
             return None;
         }
         let n = self.values.len() as f64;
-        // Divide each term to stay finite even for very large magnitudes.
-        let mean = self.values.iter().map(|v| v.get() / n).sum::<f64>();
+        let mean = self.values.iter().fold(0.0, |sum, v| sum + v.get() / n);
         Some(Value::new(mean))
     }
 
     /// The median (midpoint of the two central elements for even sizes), or
-    /// `None` when empty.
+    /// `None` when empty. See [`median_of_sorted`].
     #[must_use]
     pub fn median(&self) -> Option<Value> {
-        if self.values.is_empty() {
-            return None;
-        }
-        let n = self.values.len();
-        if n % 2 == 1 {
-            Some(self.values[n / 2])
-        } else {
-            Some(self.values[n / 2 - 1].midpoint(self.values[n / 2]))
-        }
+        median_of_sorted(&self.values)
     }
 
     /// The `k`-th smallest value (0-based), or `None` when out of range.
@@ -241,6 +235,20 @@ impl ValueMultiset {
         values.extend_from_slice(&self.values);
         values.extend_from_slice(&other.values);
         ValueMultiset::from_values(values)
+    }
+}
+
+/// The median of an **ascending** slice: its central value, or the
+/// midpoint of the two central values for even lengths; `None` when empty.
+#[must_use]
+pub fn median_of_sorted(sorted: &[Value]) -> Option<Value> {
+    let m = sorted.len();
+    if m == 0 {
+        None
+    } else if m % 2 == 1 {
+        Some(sorted[m / 2])
+    } else {
+        Some(sorted[m / 2 - 1].midpoint(sorted[m / 2]))
     }
 }
 
@@ -348,6 +356,16 @@ mod tests {
 
         assert_eq!(ValueMultiset::new().mean(), None);
         assert_eq!(ValueMultiset::new().median(), None);
+    }
+
+    #[test]
+    fn mean_of_negative_zeros_is_positive_zero() {
+        let m = ms(&[-0.0, -0.0, -0.0]);
+        assert_eq!(m.mean().map(|v| v.get().to_bits()), Some(0));
+        assert_eq!(
+            m.median().map(|v| v.get().to_bits()),
+            Some((-0.0f64).to_bits())
+        );
     }
 
     #[test]
