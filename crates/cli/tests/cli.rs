@@ -244,6 +244,11 @@ fn inverted_parameter_ranges_fail_validation_naming_the_field() {
             r#""workload": {"clustered": {"centers": [], "jitter": 1}}"#,
             "scenario.workload.clustered.centers: a clustered workload needs at least one centre",
         ),
+        // Not a range, but the same kind of knob: `run` used to panic on it.
+        (
+            r#""function": {"reduction": "identity", "selection": {"every-kth": {"k": 0}}}"#,
+            "scenario.function.selection.every-kth.k: selection step k must be at least 1",
+        ),
     ];
     for (i, (knob, expected)) in cases.into_iter().enumerate() {
         let file = dir.join(format!("case{i}.scenario.json"));

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use mbaa_adversary::{CorruptionStrategy, MobilityStrategy};
-use mbaa_msr::MsrFunction;
+use mbaa_msr::{MsrFunction, Selection};
 use mbaa_net::{Adjacency, DisconnectionPolicy, LinkFaultPlan, Topology, TopologySchedule};
 use mbaa_types::{check_range, Epsilon, Error, MobileModel, ProcessId, Result};
 
@@ -357,7 +357,8 @@ impl ProtocolConfigBuilder {
     /// # Errors
     ///
     /// * [`Error::InvalidParameter`] when `n == 0`, `max_rounds == 0`,
-    ///   `f >= n` (no process would be non-faulty), a random-noise
+    ///   `f >= n` (no process would be non-faulty), the voting function
+    ///   selects every 0th value, a random-noise
     ///   corruption range is inverted or infinitely wide, or the topology
     ///   cannot be realized over `n` processes (mismatched custom matrix,
     ///   infeasible random-regular degree).
@@ -387,6 +388,11 @@ impl ProtocolConfigBuilder {
                 "f={} agents must leave at least one of the n={} processes non-faulty",
                 self.f, self.n
             )));
+        }
+        if let Some(Selection::EveryKth { k: 0 }) = self.function.map(|f| f.selection()) {
+            return Err(Error::InvalidParameter(
+                "selection step k must be at least 1".into(),
+            ));
         }
         if let CorruptionStrategy::RandomNoise { lo, hi } = self.corruption {
             check_range("random-noise range", lo, hi)?;
@@ -637,6 +643,20 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, Error::InvalidParameter(_)), "{model}: {err}");
         }
+    }
+
+    #[test]
+    fn every_zeroth_selection_is_rejected() {
+        let every = |k| {
+            ProtocolConfig::builder(MobileModel::Garay, 9, 2)
+                .function(MsrFunction::new(
+                    mbaa_msr::Reduction::trim(2),
+                    Selection::EveryKth { k },
+                ))
+                .build()
+        };
+        assert!(every(1).is_ok());
+        assert!(matches!(every(0), Err(Error::InvalidParameter(_))));
     }
 
     #[test]

@@ -461,7 +461,11 @@ pub fn function_from(ctx: Ctx<'_>) -> Result<MsrFunction, SchemaError> {
             ("median-only", None) => Selection::MedianOnly,
             ("every-kth", Some(child)) => {
                 let mut every = child.ctx().object()?;
-                let k = every.req("k")?.ctx().usize()?;
+                let k_ctx = every.req("k")?;
+                let k = k_ctx.ctx().usize()?;
+                if k == 0 {
+                    return Err(k_ctx.ctx().err("selection step k must be at least 1"));
+                }
                 every.finish()?;
                 Selection::EveryKth { k }
             }
