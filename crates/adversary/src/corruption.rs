@@ -101,23 +101,11 @@ impl CorruptionStrategy {
         CorruptionStrategy::Split { magnitude: 1.0 }
     }
 
-    /// The outbox an agent-occupied process hands to the network.
-    #[must_use]
-    pub fn faulty_outbox<R: Rng + ?Sized>(
-        &self,
-        sender: ProcessId,
-        view: &AdversaryView<'_>,
-        rng: &mut R,
-    ) -> Outbox {
-        let mut outbox = Outbox::silent(view.universe(), sender);
-        self.fill_faulty_outbox(sender, view, rng, &mut outbox);
-        outbox
-    }
-
-    /// In-place form of [`CorruptionStrategy::faulty_outbox`]: overwrites a
-    /// reused outbox with this round's attack. Slot values and the RNG draw
-    /// sequence are identical to the owned form, so the two paths stay
-    /// bit-compatible; no strategy allocates.
+    /// Writes the outbox an agent-occupied process `sender` hands to the
+    /// network into a reused `out`, drawing from `rng` in receiver order.
+    /// The poisoned queue an agent leaves behind under Sasaki's model is as
+    /// malicious as its own sends, so it is filled the same way. No
+    /// strategy allocates.
     ///
     /// # Panics
     ///
@@ -195,37 +183,6 @@ impl CorruptionStrategy {
             CorruptionStrategy::MedianPull => Value::new(lo + 0.25 * (hi - lo)),
         }
     }
-
-    /// The poisoned outgoing queue an agent prepares in a process it is
-    /// about to leave (Sasaki's model): the cured process will flush this
-    /// queue believing it is its own send, producing asymmetric behaviour
-    /// for one extra round.
-    #[must_use]
-    pub fn poisoned_outbox<R: Rng + ?Sized>(
-        &self,
-        sender: ProcessId,
-        view: &AdversaryView<'_>,
-        rng: &mut R,
-    ) -> Outbox {
-        // The queue the agent leaves behind is as malicious as its own
-        // sends; reuse the faulty outbox construction.
-        self.faulty_outbox(sender, view, rng)
-    }
-
-    /// In-place form of [`CorruptionStrategy::poisoned_outbox`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out`'s universe differs from the view's.
-    pub fn fill_poisoned_outbox<R: Rng + ?Sized>(
-        &self,
-        sender: ProcessId,
-        view: &AdversaryView<'_>,
-        rng: &mut R,
-        out: &mut Outbox,
-    ) {
-        self.fill_faulty_outbox(sender, view, rng, out);
-    }
 }
 
 /// A value planted outside the correct range, clamped to `±f64::MAX`: a
@@ -262,6 +219,18 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The outbox `fill_faulty_outbox` writes into a fresh silent one.
+    fn outbox(
+        strategy: CorruptionStrategy,
+        sender: ProcessId,
+        view: &AdversaryView<'_>,
+        rng: &mut StdRng,
+    ) -> Outbox {
+        let mut out = Outbox::silent(view.universe(), sender);
+        strategy.fill_faulty_outbox(sender, view, rng, &mut out);
+        out
+    }
+
     fn test_view(votes: &[Value]) -> AdversaryView<'_> {
         AdversaryView {
             round: Round::ZERO,
@@ -275,7 +244,12 @@ mod tests {
         let votes = vec![Value::new(0.5); 4];
         let view = test_view(&votes);
         let mut rng = StdRng::seed_from_u64(0);
-        let o = CorruptionStrategy::Silent.faulty_outbox(ProcessId::new(0), &view, &mut rng);
+        let o = outbox(
+            CorruptionStrategy::Silent,
+            ProcessId::new(0),
+            &view,
+            &mut rng,
+        );
         assert!(o.is_silent());
         let state = CorruptionStrategy::Silent.corrupted_state(&view, &mut rng);
         assert!(!view.correct_range.contains(state));
@@ -287,7 +261,7 @@ mod tests {
         let view = test_view(&votes);
         let mut rng = StdRng::seed_from_u64(0);
         let strategy = CorruptionStrategy::OutOfRange { magnitude: 5.0 };
-        let o = strategy.faulty_outbox(ProcessId::new(1), &view, &mut rng);
+        let o = outbox(strategy, ProcessId::new(1), &view, &mut rng);
         assert!(o.is_uniform());
         assert_eq!(o.get(ProcessId::new(0)), Some(Value::new(6.0)));
     }
@@ -297,8 +271,12 @@ mod tests {
         let votes = vec![Value::new(0.5); 6];
         let view = test_view(&votes);
         let mut rng = StdRng::seed_from_u64(0);
-        let o =
-            CorruptionStrategy::split_attack().faulty_outbox(ProcessId::new(0), &view, &mut rng);
+        let o = outbox(
+            CorruptionStrategy::split_attack(),
+            ProcessId::new(0),
+            &view,
+            &mut rng,
+        );
         assert!(!o.is_uniform());
         let (low, high) = (Some(Value::new(-1.0)), Some(Value::new(2.0)));
         assert_eq!(o.slots(), &[low, low, low, high, high, high]);
@@ -311,7 +289,7 @@ mod tests {
         let strategy = CorruptionStrategy::RandomNoise { lo: -3.0, hi: 3.0 };
         let gen_outbox = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            strategy.faulty_outbox(ProcessId::new(2), &view, &mut rng)
+            outbox(strategy, ProcessId::new(2), &view, &mut rng)
         };
         let o = gen_outbox(9);
         assert_eq!(o, gen_outbox(9));
@@ -326,7 +304,12 @@ mod tests {
         let votes = vec![Value::new(0.5); 4];
         let view = test_view(&votes);
         let mut rng = StdRng::seed_from_u64(0);
-        let o = CorruptionStrategy::BoundaryDrag.faulty_outbox(ProcessId::new(0), &view, &mut rng);
+        let o = outbox(
+            CorruptionStrategy::BoundaryDrag,
+            ProcessId::new(0),
+            &view,
+            &mut rng,
+        );
         assert_eq!(o.get(ProcessId::new(3)), Some(Value::new(0.0)));
         assert!(view
             .correct_range
@@ -341,21 +324,37 @@ mod tests {
         let strategy = CorruptionStrategy::Fixed {
             value: Value::new(7.0),
         };
-        let o = strategy.faulty_outbox(ProcessId::new(0), &view, &mut rng);
+        let o = outbox(strategy, ProcessId::new(0), &view, &mut rng);
         assert_eq!(o.get(ProcessId::new(1)), Some(Value::new(7.0)));
         assert_eq!(strategy.corrupted_state(&view, &mut rng), Value::new(7.0));
     }
 
     #[test]
     fn poisoned_outbox_mirrors_faulty_behaviour() {
+        // Round-robin moves the Sasaki agent from p0 to p1, leaving p0 the
+        // split queue it would have sent itself.
         let votes = vec![Value::new(0.5); 4];
         let view = test_view(&votes);
         let strategy = CorruptionStrategy::split_attack();
-        let mut rng_a = StdRng::seed_from_u64(1);
-        let mut rng_b = StdRng::seed_from_u64(1);
+        let mut adversary = crate::MobileAdversary::new(
+            mbaa_types::MobileModel::Sasaki,
+            4,
+            1,
+            crate::MobilityStrategy::RoundRobin,
+            strategy,
+            1,
+        );
+        let mut plan = crate::RoundFaultPlan::empty(4);
+        adversary.begin_round_into(&view, &mut plan);
+        let next = AdversaryView {
+            round: Round::new(1),
+            ..view
+        };
+        adversary.begin_round_into(&next, &mut plan);
+        let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(
-            strategy.poisoned_outbox(ProcessId::new(1), &view, &mut rng_a),
-            strategy.faulty_outbox(ProcessId::new(1), &view, &mut rng_b)
+            plan.poisoned_outboxes[0],
+            Some(outbox(strategy, ProcessId::new(0), &view, &mut rng))
         );
     }
 
@@ -370,7 +369,12 @@ mod tests {
         let votes = vec![Value::new(0.5); 5];
         let view = test_view(&votes);
         let mut rng = StdRng::seed_from_u64(4);
-        let o = CorruptionStrategy::Stealth.faulty_outbox(ProcessId::new(1), &view, &mut rng);
+        let o = outbox(
+            CorruptionStrategy::Stealth,
+            ProcessId::new(1),
+            &view,
+            &mut rng,
+        );
         for (_, v) in o.iter() {
             assert!(view.correct_range.contains(v.unwrap()));
         }
@@ -383,7 +387,12 @@ mod tests {
         let votes = vec![Value::new(0.5); 4];
         let view = test_view(&votes);
         let mut rng = StdRng::seed_from_u64(0);
-        let o = CorruptionStrategy::MedianPull.faulty_outbox(ProcessId::new(0), &view, &mut rng);
+        let o = outbox(
+            CorruptionStrategy::MedianPull,
+            ProcessId::new(0),
+            &view,
+            &mut rng,
+        );
         assert!(o.is_uniform());
         assert_eq!(o.get(ProcessId::new(0)), Some(Value::new(0.25)));
         assert_eq!(

@@ -26,7 +26,9 @@
 //! # Example
 //!
 //! ```
-//! use mbaa_adversary::{AdversaryView, CorruptionStrategy, MobileAdversary, MobilityStrategy};
+//! use mbaa_adversary::{
+//!     AdversaryView, CorruptionStrategy, MobileAdversary, MobilityStrategy, RoundFaultPlan,
+//! };
 //! use mbaa_types::{Interval, MobileModel, Round, Value};
 //!
 //! let mut adversary = MobileAdversary::new(
@@ -44,7 +46,8 @@
 //!     votes: &votes,
 //!     correct_range: Interval::new(Value::new(0.0), Value::new(1.0)),
 //! };
-//! let plan = adversary.begin_round(&view);
+//! let mut plan = RoundFaultPlan::empty(9);
+//! adversary.begin_round_into(&view, &mut plan);
 //! assert_eq!(plan.faulty.len(), 2);
 //! assert!(plan.cured.is_empty()); // no agent has moved before round 0
 //! ```

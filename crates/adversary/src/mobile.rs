@@ -147,29 +147,22 @@ impl MobileAdversary {
     }
 
     /// The processes currently hosting an agent (before the next
-    /// [`MobileAdversary::begin_round`] call), if any round has been planned.
+    /// [`MobileAdversary::begin_round_into`] call), if any round has been
+    /// planned.
     #[must_use]
     pub fn occupied(&self) -> Option<&ProcessSet> {
         self.occupied.as_ref()
     }
 
     /// Plans one round: moves the agents according to the model's movement
-    /// rule and produces the complete fault plan for the round.
-    pub fn begin_round(&mut self, view: &AdversaryView<'_>) -> RoundFaultPlan {
-        let mut plan = RoundFaultPlan::empty(view.universe());
-        self.begin_round_into(view, &mut plan);
-        plan
-    }
-
-    /// In-place form of [`MobileAdversary::begin_round`]: overwrites a
-    /// reused [`RoundFaultPlan`] with this round's decisions, recycling its
-    /// outbox allocations through the adversary's internal pool. The RNG
-    /// draw sequence — placement, then faulty outboxes in ascending process
-    /// order, then per cured process its corrupted state (and, under
-    /// Sasaki, its poisoned queue) — is identical to
-    /// [`begin_round`](MobileAdversary::begin_round), so the two paths plan
-    /// bit-identical rounds. Once the pool is warm (after at most one
-    /// round), planning performs no heap allocation.
+    /// rule and overwrites a reused [`RoundFaultPlan`] with the round's
+    /// decisions, recycling its outbox allocations through the adversary's
+    /// internal pool. The RNG draw sequence is placement, then faulty
+    /// outboxes in ascending process order, then per cured process its
+    /// corrupted state (and, under Sasaki, its poisoned queue), so a reused
+    /// plan and a fresh [`RoundFaultPlan::empty`] plan the same round. Once
+    /// the pool is warm (after at most one round), planning performs no
+    /// heap allocation.
     ///
     /// # Panics
     ///
@@ -244,8 +237,10 @@ impl MobileAdversary {
                     .outbox_pool
                     .pop()
                     .unwrap_or_else(|| Outbox::silent(self.n, p));
+                // The queue the agent leaves behind is as malicious as its
+                // own sends.
                 self.corruption
-                    .fill_poisoned_outbox(p, view, &mut self.rng, &mut outbox);
+                    .fill_faulty_outbox(p, view, &mut self.rng, &mut outbox);
                 plan.poisoned_outboxes[i] = Some(outbox);
             }
         }
@@ -271,6 +266,13 @@ mod tests {
         }
     }
 
+    /// The plan `begin_round_into` writes into a fresh plan.
+    fn plan_round(adversary: &mut MobileAdversary, view: &AdversaryView<'_>) -> RoundFaultPlan {
+        let mut plan = RoundFaultPlan::empty(view.universe());
+        adversary.begin_round_into(view, &mut plan);
+        plan
+    }
+
     fn adversary(model: MobileModel, n: usize, f: usize) -> MobileAdversary {
         MobileAdversary::new(
             model,
@@ -287,7 +289,7 @@ mod tests {
         let votes: Vec<Value> = (0..9).map(|i| Value::new(i as f64)).collect();
         for model in MobileModel::ALL {
             let mut adv = adversary(model, 9, 2);
-            let plan = adv.begin_round(&make_view(0, &votes));
+            let plan = plan_round(&mut adv, &make_view(0, &votes));
             assert_eq!(plan.faulty.len(), 2, "{model}");
             assert!(plan.cured.is_empty(), "{model}");
             assert_eq!(plan.universe(), 9);
@@ -299,8 +301,8 @@ mod tests {
         let votes: Vec<Value> = (0..9).map(|i| Value::new(i as f64)).collect();
         for model in [MobileModel::Garay, MobileModel::Bonnet, MobileModel::Sasaki] {
             let mut adv = adversary(model, 9, 2);
-            adv.begin_round(&make_view(0, &votes));
-            let plan = adv.begin_round(&make_view(1, &votes));
+            plan_round(&mut adv, &make_view(0, &votes));
+            let plan = plan_round(&mut adv, &make_view(1, &votes));
             assert_eq!(plan.faulty.len(), 2, "{model}");
             // Round-robin moved both agents, so both vacated hosts are cured.
             assert_eq!(plan.cured.len(), 2, "{model}");
@@ -313,7 +315,7 @@ mod tests {
         let votes: Vec<Value> = (0..7).map(|i| Value::new(i as f64)).collect();
         let mut adv = adversary(MobileModel::Buhrman, 7, 2);
         for round in 0..5 {
-            let plan = adv.begin_round(&make_view(round, &votes));
+            let plan = plan_round(&mut adv, &make_view(round, &votes));
             assert_eq!(plan.faulty.len(), 2);
             assert!(plan.cured.is_empty());
         }
@@ -323,8 +325,8 @@ mod tests {
     fn faulty_processes_get_outboxes_cured_get_states() {
         let votes: Vec<Value> = (0..9).map(|i| Value::new(i as f64)).collect();
         let mut adv = adversary(MobileModel::Bonnet, 9, 2);
-        adv.begin_round(&make_view(0, &votes));
-        let plan = adv.begin_round(&make_view(1, &votes));
+        plan_round(&mut adv, &make_view(0, &votes));
+        let plan = plan_round(&mut adv, &make_view(1, &votes));
 
         for p in plan.faulty.iter() {
             assert!(plan.faulty_outboxes[p.index()].is_some());
@@ -344,8 +346,8 @@ mod tests {
     fn sasaki_cured_processes_get_poisoned_queues() {
         let votes: Vec<Value> = (0..13).map(|i| Value::new(i as f64)).collect();
         let mut adv = adversary(MobileModel::Sasaki, 13, 2);
-        adv.begin_round(&make_view(0, &votes));
-        let plan = adv.begin_round(&make_view(1, &votes));
+        plan_round(&mut adv, &make_view(0, &votes));
+        let plan = plan_round(&mut adv, &make_view(1, &votes));
         assert!(!plan.cured.is_empty());
         for p in plan.cured.iter() {
             assert!(plan.poisoned_outboxes[p.index()].is_some());
@@ -363,8 +365,8 @@ mod tests {
             CorruptionStrategy::split_attack(),
             3,
         );
-        let first = adv.begin_round(&make_view(0, &votes));
-        let second = adv.begin_round(&make_view(1, &votes));
+        let first = plan_round(&mut adv, &make_view(0, &votes));
+        let second = plan_round(&mut adv, &make_view(1, &votes));
         assert_eq!(first.faulty, second.faulty);
         assert!(second.cured.is_empty());
     }
@@ -374,7 +376,7 @@ mod tests {
         let votes: Vec<Value> = (0..3).map(|i| Value::new(i as f64)).collect();
         let mut adv = adversary(MobileModel::Garay, 3, 10);
         assert_eq!(adv.agents(), 3);
-        let plan = adv.begin_round(&make_view(0, &votes));
+        let plan = plan_round(&mut adv, &make_view(0, &votes));
         assert_eq!(plan.faulty.len(), 3);
     }
 
@@ -383,7 +385,7 @@ mod tests {
         let votes: Vec<Value> = (0..6).map(|i| Value::new(i as f64)).collect();
         let mut adv = adversary(MobileModel::Garay, 6, 1);
         assert!(adv.occupied().is_none());
-        let plan = adv.begin_round(&make_view(0, &votes));
+        let plan = plan_round(&mut adv, &make_view(0, &votes));
         assert_eq!(adv.occupied(), Some(&plan.faulty));
         assert_eq!(adv.model(), MobileModel::Garay);
     }
@@ -402,7 +404,7 @@ mod tests {
             );
             let mut sets = Vec::new();
             for round in 0..4 {
-                let plan = adv.begin_round(&make_view(round, &votes));
+                let plan = plan_round(&mut adv, &make_view(round, &votes));
                 sets.push((plan.faulty, plan.cured));
             }
             sets
@@ -421,36 +423,28 @@ mod tests {
     fn mismatched_view_panics() {
         let votes: Vec<Value> = (0..4).map(|i| Value::new(i as f64)).collect();
         let mut adv = adversary(MobileModel::Garay, 9, 2);
-        let _ = adv.begin_round(&make_view(0, &votes));
+        let _ = plan_round(&mut adv, &make_view(0, &votes));
     }
 
     #[test]
-    fn begin_round_into_plans_identically_to_begin_round() {
+    fn a_reused_plan_plans_what_a_fresh_plan_plans() {
+        // The reused plan recycles last round's outboxes through the pool;
+        // the fresh one starts from `RoundFaultPlan::empty` every round.
         let votes: Vec<Value> = (0..9).map(|i| Value::new(i as f64)).collect();
         for model in MobileModel::ALL {
             for mobility in MobilityStrategy::ALL {
-                let mut owned = MobileAdversary::new(
-                    model,
-                    9,
-                    2,
-                    mobility,
-                    CorruptionStrategy::RandomNoise { lo: -2.0, hi: 2.0 },
-                    13,
-                );
-                let mut reused = MobileAdversary::new(
-                    model,
-                    9,
-                    2,
-                    mobility,
-                    CorruptionStrategy::RandomNoise { lo: -2.0, hi: 2.0 },
-                    13,
-                );
+                let corruption = CorruptionStrategy::RandomNoise { lo: -2.0, hi: 2.0 };
+                let mut fresh = MobileAdversary::new(model, 9, 2, mobility, corruption, 13);
+                let mut reused = MobileAdversary::new(model, 9, 2, mobility, corruption, 13);
                 let mut scratch = RoundFaultPlan::empty(9);
                 for round in 0..6 {
                     let view = make_view(round, &votes);
-                    let plan = owned.begin_round(&view);
                     reused.begin_round_into(&view, &mut scratch);
-                    assert_eq!(plan, scratch, "{model}/{mobility} round {round}");
+                    assert_eq!(
+                        plan_round(&mut fresh, &view),
+                        scratch,
+                        "{model}/{mobility} round {round}"
+                    );
                 }
             }
         }
@@ -473,7 +467,7 @@ mod tests {
             CorruptionStrategy::split_attack(),
             0,
         );
-        let plan = adv.begin_round(&make_view(0, &votes));
+        let plan = plan_round(&mut adv, &make_view(0, &votes));
         assert!(plan.faulty.contains(ProcessId::new(1)));
     }
 }

@@ -59,30 +59,13 @@ impl MobilityStrategy {
         MobilityStrategy::TargetMedian,
     ];
 
-    /// Chooses the set of processes occupied this round.
+    /// Chooses the set of processes occupied this round and writes it into
+    /// `out`, reusing its allocation and the caller's `order` scratch (the
+    /// sort buffer of the vote-targeting strategies). Once the buffers are
+    /// warm, no strategy allocates.
     ///
     /// `previous` is the set occupied in the previous round (`None` before
-    /// the first placement). The result always has `min(f, n)` members.
-    #[must_use]
-    pub fn place<R: Rng + ?Sized>(
-        &self,
-        view: &AdversaryView<'_>,
-        f: usize,
-        previous: Option<&ProcessSet>,
-        rng: &mut R,
-    ) -> ProcessSet {
-        let mut out = ProcessSet::empty(view.universe());
-        let mut order = Vec::new();
-        self.place_into(view, f, previous, rng, &mut out, &mut order);
-        out
-    }
-
-    /// In-place form of [`MobilityStrategy::place`]: overwrites `out` with
-    /// the round's placement, reusing its allocation and the caller's
-    /// `order` scratch (the sort buffer of the vote-targeting strategies).
-    /// Draws, tie-breaking, and the resulting set are identical to
-    /// [`place`](MobilityStrategy::place) — once the buffers are warm, no
-    /// strategy allocates.
+    /// the first placement). The placement always has `min(f, n)` members.
     ///
     /// # Panics
     ///
@@ -215,6 +198,19 @@ mod tests {
         }
     }
 
+    /// The placement `place_into` writes into fresh buffers.
+    fn place(
+        strategy: MobilityStrategy,
+        view: &AdversaryView<'_>,
+        f: usize,
+        previous: Option<&ProcessSet>,
+        rng: &mut StdRng,
+    ) -> ProcessSet {
+        let mut out = ProcessSet::empty(view.universe());
+        strategy.place_into(view, f, previous, rng, &mut out, &mut Vec::new());
+        out
+    }
+
     fn votes(n: usize) -> Vec<Value> {
         (0..n).map(|i| Value::new(i as f64)).collect()
     }
@@ -226,7 +222,7 @@ mod tests {
         for strategy in MobilityStrategy::ALL {
             for round in 0..5 {
                 let v = view(round, &votes);
-                let set = strategy.place(&v, 3, None, &mut rng);
+                let set = place(strategy, &v, 3, None, &mut rng);
                 assert_eq!(set.len(), 3, "{strategy} round {round}");
             }
         }
@@ -237,9 +233,7 @@ mod tests {
         let votes = votes(4);
         let mut rng = StdRng::seed_from_u64(0);
         let v = view(0, &votes);
-        assert!(MobilityStrategy::Random
-            .place(&v, 0, None, &mut rng)
-            .is_empty());
+        assert!(place(MobilityStrategy::Random, &v, 0, None, &mut rng).is_empty());
     }
 
     #[test]
@@ -247,7 +241,7 @@ mod tests {
         let votes = votes(3);
         let mut rng = StdRng::seed_from_u64(0);
         let v = view(0, &votes);
-        let set = MobilityStrategy::RoundRobin.place(&v, 10, None, &mut rng);
+        let set = place(MobilityStrategy::RoundRobin, &v, 10, None, &mut rng);
         assert_eq!(set.len(), 3);
     }
 
@@ -256,9 +250,9 @@ mod tests {
         let votes = votes(6);
         let mut rng = StdRng::seed_from_u64(0);
         let v0 = view(0, &votes);
-        let first = MobilityStrategy::Stationary.place(&v0, 2, None, &mut rng);
+        let first = place(MobilityStrategy::Stationary, &v0, 2, None, &mut rng);
         let v1 = view(1, &votes);
-        let second = MobilityStrategy::Stationary.place(&v1, 2, Some(&first), &mut rng);
+        let second = place(MobilityStrategy::Stationary, &v1, 2, Some(&first), &mut rng);
         assert_eq!(first, second);
     }
 
@@ -267,7 +261,15 @@ mod tests {
         let votes = votes(6);
         let mut rng = StdRng::seed_from_u64(0);
         let placements: Vec<ProcessSet> = (0..3)
-            .map(|r| MobilityStrategy::RoundRobin.place(&view(r, &votes), 2, None, &mut rng))
+            .map(|r| {
+                place(
+                    MobilityStrategy::RoundRobin,
+                    &view(r, &votes),
+                    2,
+                    None,
+                    &mut rng,
+                )
+            })
             .collect();
         assert_eq!(placements[0], ProcessSet::from_indices(6, [0, 1]));
         assert_eq!(placements[1], ProcessSet::from_indices(6, [2, 3]));
@@ -279,7 +281,13 @@ mod tests {
         let votes = votes(9);
         let place = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            MobilityStrategy::Random.place(&view(4, &votes), 3, None, &mut rng)
+            place(
+                MobilityStrategy::Random,
+                &view(4, &votes),
+                3,
+                None,
+                &mut rng,
+            )
         };
         assert_eq!(place(5), place(5));
     }
@@ -294,7 +302,13 @@ mod tests {
             Value::new(1.0),
         ];
         let mut rng = StdRng::seed_from_u64(0);
-        let set = MobilityStrategy::TargetExtremes.place(&view(0, &votes), 2, None, &mut rng);
+        let set = place(
+            MobilityStrategy::TargetExtremes,
+            &view(0, &votes),
+            2,
+            None,
+            &mut rng,
+        );
         // Picks the max (p3, vote 42) first, then the min (p1, vote -10).
         assert!(set.contains(ProcessId::new(3)));
         assert!(set.contains(ProcessId::new(1)));
@@ -316,7 +330,7 @@ mod tests {
         let votes = votes(5);
         let mut rng = StdRng::seed_from_u64(0);
         let placements: Vec<ProcessSet> = (0..3)
-            .map(|r| MobilityStrategy::Sweep.place(&view(r, &votes), 2, None, &mut rng))
+            .map(|r| place(MobilityStrategy::Sweep, &view(r, &votes), 2, None, &mut rng))
             .collect();
         assert_eq!(placements[0], ProcessSet::from_indices(5, [0, 1]));
         assert_eq!(placements[1], ProcessSet::from_indices(5, [1, 2]));
@@ -333,7 +347,13 @@ mod tests {
             Value::new(49.0),
         ];
         let mut rng = StdRng::seed_from_u64(0);
-        let set = MobilityStrategy::TargetMedian.place(&view(0, &votes), 2, None, &mut rng);
+        let set = place(
+            MobilityStrategy::TargetMedian,
+            &view(0, &votes),
+            2,
+            None,
+            &mut rng,
+        );
         // Median-most votes are 49.0 (p4) and 50.0 (p2) — with 0.0 (p1) the
         // next candidate; the extreme holders p0 and p3 must not be chosen.
         assert_eq!(set.len(), 2);
@@ -345,7 +365,13 @@ mod tests {
     fn target_median_handles_f_equal_n() {
         let votes = votes(3);
         let mut rng = StdRng::seed_from_u64(0);
-        let set = MobilityStrategy::TargetMedian.place(&view(0, &votes), 3, None, &mut rng);
+        let set = place(
+            MobilityStrategy::TargetMedian,
+            &view(0, &votes),
+            3,
+            None,
+            &mut rng,
+        );
         assert_eq!(set.len(), 3);
     }
 }
