@@ -72,9 +72,9 @@ impl ValueMultiset {
 
     /// Replaces the contents with the values of `iter`, reusing the existing
     /// allocation: `clear` + `extend` + in-place unstable sort. This is the
-    /// zero-allocation refill path of the protocol engine's per-round
-    /// multiset scratch — once the buffer has grown to the universe size,
-    /// refilling it performs no heap allocation at all.
+    /// zero-allocation refill path of a per-round multiset scratch (the
+    /// static simulator's receive buffer) — once the buffer has grown to
+    /// the universe size, refilling it performs no heap allocation at all.
     ///
     /// The result is bit-identical to building a fresh multiset with
     /// [`ValueMultiset::from_values`] over the same values.
