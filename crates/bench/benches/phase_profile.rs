@@ -14,7 +14,7 @@
 //! the complete graph under the default adversary, and
 //! `phase_share/batch_delay/256/{phase}` an 8-lane pack on the complete
 //! graph with every link delayed by one round, whose lanes each run 200
-//! rounds of 256 equal-width rows.
+//! rounds of equal-width rows, one per active receiver.
 //!
 //! Every table names the lane rounds it rests on: a share measured over a
 //! few dozen rounds is a few dozen spans per phase, not a steady state.
