@@ -23,6 +23,12 @@
 //! receiver its own value: the complete-graph rows without any receivers
 //! that share a row.
 //!
+//! `batch_rounds_per_sec/361/{1,32}/worst` run the paper's own worst case
+//! at the shape of the `complete_large_n` benchmark: Garay at n = 361 with
+//! f = 90 agents (the largest f the bound n > 4f admits) placed by
+//! `TargetExtremes` and sending the split attack. The other complete rows
+//! run f = 2, where adversary planning is a small share of the round.
+//!
 //! A `packed_lane_occupancy` row reports the mean lane occupancy of the
 //! cross-point packing scheduler over a shape-homogeneous multi-point
 //! sweep (unit `occ%`, higher is better — `scripts/bench_diff.py` knows
@@ -56,8 +62,9 @@ fn repetitions(n: usize) -> usize {
 }
 
 /// Variant of a measured point: the complete graph, a static partial mask
-/// (ring), a dynamic churned fabric, delayed links, or the complete graph
-/// under per-receiver stealth corruption.
+/// (ring), a dynamic churned fabric, delayed links, the complete graph
+/// under per-receiver stealth corruption, or the complete graph under the
+/// worst-case adversary at its largest admissible f.
 #[derive(Clone, Copy)]
 enum Variant {
     Complete,
@@ -65,6 +72,7 @@ enum Variant {
     Churn,
     Delay,
     Stealth,
+    Worst,
 }
 
 impl Variant {
@@ -75,12 +83,18 @@ impl Variant {
             Variant::Churn => "/churn",
             Variant::Delay => "/delay",
             Variant::Stealth => "/stealth",
+            Variant::Worst => "/worst",
         }
     }
 }
 
 fn measure(n: usize, k: usize, variant: Variant) {
-    let mut builder = ProtocolConfig::builder(MobileModel::Garay, n, 2)
+    // Garay needs n > 4f; the worst case takes the largest such f.
+    let f = match variant {
+        Variant::Worst => (n - 1) / 4,
+        _ => 2,
+    };
+    let mut builder = ProtocolConfig::builder(MobileModel::Garay, n, f)
         .epsilon(1e-12)
         .max_rounds(200)
         .seed(7)
@@ -102,6 +116,10 @@ fn measure(n: usize, k: usize, variant: Variant) {
         // The complete graph, each agent sending every receiver its own
         // value drawn from the correct range.
         Variant::Stealth => builder.corruption(CorruptionStrategy::Stealth),
+        // The agents occupy the most extreme votes and split the receivers.
+        Variant::Worst => builder
+            .mobility(MobilityStrategy::TargetExtremes)
+            .corruption(CorruptionStrategy::split_attack()),
     };
     let config = builder.build().expect("config");
     // Distinct seeds per lane, shared inputs: the adversary streams
@@ -117,25 +135,24 @@ fn measure(n: usize, k: usize, variant: Variant) {
         })
         .collect();
 
-    // Warm-up: fault the pages, fill the allocator pools.
-    let mut rounds_per_batch = 0usize;
-    for _ in 0..2 {
-        rounds_per_batch = BatchEngine::run_packed_observed(&lanes, &mut NoopObserver)
+    let run = |lanes: &[PackedLane]| -> usize {
+        BatchEngine::run_packed_observed(lanes, &mut NoopObserver)
             .into_iter()
             .map(|outcome| outcome.expect("run").rounds_executed)
-            .sum();
-    }
+            .sum()
+    };
+    // Warm-up: one run of the first lane faults the pages of the shared
+    // round scratch and fills the allocator pools as well as a whole pack.
+    run(&lanes[..1]);
 
     let reps = repetitions(n);
     let start = Instant::now();
     let mut total_rounds = 0usize;
     for _ in 0..reps {
-        total_rounds += BatchEngine::run_packed_observed(&lanes, &mut NoopObserver)
-            .into_iter()
-            .map(|outcome| outcome.expect("run").rounds_executed)
-            .sum::<usize>();
+        total_rounds += run(&lanes);
     }
     let elapsed = start.elapsed().as_secs_f64();
+    let rounds_per_batch = total_rounds / reps;
     let rounds_per_sec = total_rounds as f64 / elapsed;
     let suffix = variant.suffix();
     println!(
@@ -194,6 +211,10 @@ fn main() {
             measure(n, k, Variant::Delay);
             measure(n, k, Variant::Stealth);
         }
+    }
+    // The benchmark's shape: the paper's worst case at n = 361.
+    for &k in &[1usize, 32] {
+        measure(361, k, Variant::Worst);
     }
     measure_occupancy();
     write_json_report();

@@ -14,7 +14,10 @@
 //! the complete graph under the default adversary, and
 //! `phase_share/batch_delay/256/{phase}` an 8-lane pack on the complete
 //! graph with every link delayed by one round, whose lanes each run 200
-//! rounds of equal-width rows, one per active receiver.
+//! rounds of equal-width rows, one per active receiver. The fourth,
+//! `phase_share/batch_worst/361/{phase}`, profiles an 8-lane pack at the
+//! shape of the `complete_large_n` benchmark: Garay at n = 361 with f = 90
+//! agents placed by `TargetExtremes` and sending the split attack.
 //!
 //! Every table names the lane rounds it rests on: a share measured over a
 //! few dozen rounds is a few dozen spans per phase, not a steady state.
@@ -31,8 +34,8 @@ use criterion::{record_metric, write_json_report};
 
 use mbaa::obs::timing::PhaseProfiler;
 use mbaa::{
-    BatchEngine, LinkFaultPlan, MobileModel, NoopObserver, Observe, PackedLane, ProtocolConfig,
-    ProtocolConfigBuilder, Topology, Value,
+    BatchEngine, CorruptionStrategy, LinkFaultPlan, MobileModel, MobilityStrategy, NoopObserver,
+    Observe, PackedLane, ProtocolConfig, ProtocolConfigBuilder, Topology, Value,
 };
 use mbaa_bench::spread_inputs;
 
@@ -82,8 +85,9 @@ fn profile(n: usize) {
     }
 }
 
-/// A pack of `k` lanes over one shared realization of the network that
-/// `network` adds to the base configuration, under the profiler: the lanes
+/// A pack of `k` lanes with `f` agents over one shared realization of the
+/// network that `network` adds to the base configuration, under the
+/// profiler: the lanes
 /// run one after another, and the loop emits the four phase hooks
 /// (adversary planning, the exchange against the shared realization, the
 /// MSR fold over the round's rows, and recording), so the
@@ -93,14 +97,17 @@ fn profile(n: usize) {
 /// shows what the complete-graph merge costs once receivers that heard the
 /// same values share one row; `batch_delay` (8 lanes on the complete graph
 /// with every link one round late) folds one row per receiver, all of one
-/// width, in every round.
+/// width, in every round; `batch_worst` (8 lanes at n = 361, f = 90 under
+/// `TargetExtremes` and the split attack) shows what the agents cost when
+/// there are many of them.
 fn profile_batch(
     label: &str,
     n: usize,
+    f: usize,
     k: usize,
     network: impl FnOnce(ProtocolConfigBuilder) -> ProtocolConfigBuilder,
 ) {
-    let base = ProtocolConfig::builder(MobileModel::Garay, n, 2)
+    let base = ProtocolConfig::builder(MobileModel::Garay, n, f)
         .epsilon(1e-12)
         .max_rounds(200)
         .seed(7)
@@ -116,11 +123,10 @@ fn profile_batch(
             }
         })
         .collect();
-    // Warm-up: fault the pages, fill the allocator pools.
-    for _ in 0..2 {
-        for outcome in BatchEngine::run_packed_observed(&lanes, &mut NoopObserver) {
-            outcome.expect("run");
-        }
+    // Warm-up: one run of the first lane faults the pages of the shared
+    // round scratch and fills the allocator pools.
+    for outcome in BatchEngine::run_packed_observed(&lanes[..1], &mut NoopObserver) {
+        outcome.expect("run");
     }
 
     // One pack advances k lanes, so divide the one-lane repetition budget.
@@ -154,11 +160,18 @@ fn main() {
     // The batched ring on the reduced grid the engine_batch bench
     // uses for its ring/churn rows.
     for &n in &[64usize, 256] {
-        profile_batch("batch_ring", n, 8, |b| b.topology(Topology::Ring { k: 4 }));
+        profile_batch("batch_ring", n, 2, 8, |b| {
+            b.topology(Topology::Ring { k: 4 })
+        });
     }
-    profile_batch("batch_complete", 256, 32, |b| b);
-    profile_batch("batch_delay", 256, 8, |b| {
+    profile_batch("batch_complete", 256, 2, 32, |b| b);
+    profile_batch("batch_delay", 256, 2, 8, |b| {
         b.link_faults(LinkFaultPlan::new().delay_all(1))
+    });
+    // The benchmark's shape: Garay's largest f at n = 361 (n > 4f).
+    profile_batch("batch_worst", 361, 90, 8, |b| {
+        b.mobility(MobilityStrategy::TargetExtremes)
+            .corruption(CorruptionStrategy::split_attack())
     });
     write_json_report();
 }
