@@ -131,28 +131,19 @@ impl CorruptionStrategy {
             }
             CorruptionStrategy::Split { magnitude } => {
                 let margin = magnitude.max(f64::MIN_POSITIVE);
-                out.fill_range(0..n / 2, Some(far(lo - margin)));
-                out.fill_range(n / 2..n, Some(far(hi + margin)));
+                out.fill_runs([(n / 2, Some(far(lo - margin))), (n, Some(far(hi + margin)))]);
             }
             CorruptionStrategy::RandomNoise { lo, hi } => {
-                for receiver in 0..n {
-                    out.set(
-                        ProcessId::new(receiver),
-                        Some(Value::new(rng.random_range(*lo..=*hi))),
-                    );
-                }
+                out.fill_with(|_| Some(Value::new(rng.random_range(*lo..=*hi))));
             }
             CorruptionStrategy::BoundaryDrag => out.fill_broadcast(Value::new(lo)),
-            CorruptionStrategy::Stealth => {
-                for receiver in 0..n {
-                    let v = if hi > lo {
-                        rng.random_range(lo..=hi)
-                    } else {
-                        lo
-                    };
-                    out.set(ProcessId::new(receiver), Some(Value::new(v)));
-                }
-            }
+            CorruptionStrategy::Stealth => out.fill_with(|_| {
+                Some(Value::new(if hi > lo {
+                    rng.random_range(lo..=hi)
+                } else {
+                    lo
+                }))
+            }),
             CorruptionStrategy::MedianPull => {
                 out.fill_broadcast(Value::new(lo + 0.25 * (hi - lo)));
             }
@@ -279,7 +270,8 @@ mod tests {
         );
         assert!(!o.is_uniform());
         let (low, high) = (Some(Value::new(-1.0)), Some(Value::new(2.0)));
-        assert_eq!(o.slots(), &[low, low, low, high, high, high]);
+        let runs: Vec<_> = o.runs().collect();
+        assert_eq!(runs, vec![(0..3, low), (3..6, high)]);
     }
 
     #[test]

@@ -21,7 +21,11 @@ use crate::{AdversaryView, CorruptionStrategy, MobilityStrategy};
 ///
 /// All vectors are indexed by process and hold `Some(_)` exactly for the
 /// processes in the corresponding set.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A plan reused across rounds — and across the lanes of a pack, which
+/// share one — also keeps the outboxes of earlier rounds in a pool, so a
+/// warm plan never allocates an outbox. Equality ignores the pool.
+#[derive(Debug, Clone)]
 pub struct RoundFaultPlan {
     /// Processes occupied by an agent this round.
     pub faulty: ProcessSet,
@@ -33,6 +37,20 @@ pub struct RoundFaultPlan {
     pub corrupted_states: Vec<Option<Value>>,
     /// The poisoned outgoing queue of each cured process (Sasaki only).
     pub poisoned_outboxes: Vec<Option<Outbox>>,
+    /// Recycled outboxes: [`MobileAdversary::begin_round_into`] drains the
+    /// previous round's outboxes into this pool and refills new entries
+    /// from it.
+    pool: Vec<Outbox>,
+}
+
+impl PartialEq for RoundFaultPlan {
+    fn eq(&self, other: &Self) -> bool {
+        self.faulty == other.faulty
+            && self.cured == other.cured
+            && self.faulty_outboxes == other.faulty_outboxes
+            && self.corrupted_states == other.corrupted_states
+            && self.poisoned_outboxes == other.poisoned_outboxes
+    }
 }
 
 impl RoundFaultPlan {
@@ -48,6 +66,7 @@ impl RoundFaultPlan {
             faulty_outboxes: vec![None; n],
             corrupted_states: vec![None; n],
             poisoned_outboxes: vec![None; n],
+            pool: Vec::new(),
         }
     }
 
@@ -57,10 +76,10 @@ impl RoundFaultPlan {
         self.faulty_outboxes.len()
     }
 
-    /// Clears the plan for reuse, recycling every outbox it holds into
-    /// `pool` instead of dropping the allocations.
+    /// Clears the plan for reuse, recycling every outbox it holds into its
+    /// pool instead of dropping the allocations.
     // mbaa: alloc-free
-    fn recycle_into(&mut self, pool: &mut Vec<Outbox>) {
+    fn recycle(&mut self) {
         self.faulty.clear();
         self.cured.clear();
         self.corrupted_states.fill(None);
@@ -71,9 +90,15 @@ impl RoundFaultPlan {
         {
             if let Some(outbox) = slot.take() {
                 // mbaa: allow(hot-path/vec-growth, the pool is drained and refilled with the same <= 2f outboxes each round)
-                pool.push(outbox);
+                self.pool.push(outbox);
             }
         }
+    }
+
+    /// An outbox over `n` receivers from the pool, or a new one while the
+    /// pool is cold.
+    fn pooled_outbox(&mut self, n: usize, sender: ProcessId) -> Outbox {
+        self.pool.pop().unwrap_or_else(|| Outbox::silent(n, sender))
     }
 }
 
@@ -93,13 +118,9 @@ pub struct MobileAdversary {
     corruption: CorruptionStrategy,
     rng: StdRng,
     occupied: Option<ProcessSet>,
-    /// Sort buffer of the vote-targeting mobility strategies, reused every
-    /// round.
+    /// Sort and selection buffer of the vote-targeting mobility
+    /// strategies, reused every round.
     order_scratch: Vec<usize>,
-    /// Recycled outboxes: [`MobileAdversary::begin_round_into`] drains the
-    /// previous round's plan into this pool and refills new entries from
-    /// it, so the steady state never allocates an outbox.
-    outbox_pool: Vec<Outbox>,
 }
 
 impl MobileAdversary {
@@ -130,7 +151,6 @@ impl MobileAdversary {
             rng: StdRng::seed_from_u64(seed),
             occupied: None,
             order_scratch: Vec::new(),
-            outbox_pool: Vec::new(),
         }
     }
 
@@ -156,13 +176,14 @@ impl MobileAdversary {
 
     /// Plans one round: moves the agents according to the model's movement
     /// rule and overwrites a reused [`RoundFaultPlan`] with the round's
-    /// decisions, recycling its outbox allocations through the adversary's
-    /// internal pool. The RNG draw sequence is placement, then faulty
+    /// decisions, recycling its outbox allocations through the plan's
+    /// pool. The RNG draw sequence is placement, then faulty
     /// outboxes in ascending process order, then per cured process its
     /// corrupted state (and, under Sasaki, its poisoned queue), so a reused
     /// plan and a fresh [`RoundFaultPlan::empty`] plan the same round. Once
-    /// the pool is warm (after at most one round), planning performs no
-    /// heap allocation.
+    /// the plan's pool is warm (after at most one round, and for good on a
+    /// plan that earlier lanes of a pack used), planning performs no heap
+    /// allocation.
     ///
     /// # Panics
     ///
@@ -184,7 +205,7 @@ impl MobileAdversary {
             plan.universe(),
             self.n
         );
-        plan.recycle_into(&mut self.outbox_pool);
+        plan.recycle();
 
         // Movement rule: place the agents, then derive the cured set.
         self.mobility.place_into(
@@ -218,10 +239,7 @@ impl MobileAdversary {
             if !plan.faulty.contains(p) {
                 continue;
             }
-            let mut outbox = self
-                .outbox_pool
-                .pop()
-                .unwrap_or_else(|| Outbox::silent(self.n, p));
+            let mut outbox = plan.pooled_outbox(self.n, p);
             self.corruption
                 .fill_faulty_outbox(p, view, &mut self.rng, &mut outbox);
             plan.faulty_outboxes[i] = Some(outbox);
@@ -233,10 +251,7 @@ impl MobileAdversary {
             }
             plan.corrupted_states[i] = Some(self.corruption.corrupted_state(view, &mut self.rng));
             if self.model == MobileModel::Sasaki {
-                let mut outbox = self
-                    .outbox_pool
-                    .pop()
-                    .unwrap_or_else(|| Outbox::silent(self.n, p));
+                let mut outbox = plan.pooled_outbox(self.n, p);
                 // The queue the agent leaves behind is as malicious as its
                 // own sends.
                 self.corruption

@@ -1,5 +1,6 @@
 //! Agent placement strategies: where the `f` agents sit each round.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use rand::seq::index::sample_into;
@@ -61,7 +62,7 @@ impl MobilityStrategy {
 
     /// Chooses the set of processes occupied this round and writes it into
     /// `out`, reusing its allocation and the caller's `order` scratch (the
-    /// sort buffer of the vote-targeting strategies). Once the buffers are
+    /// sort and selection buffer of the vote-targeting strategies). Once the buffers are
     /// warm, no strategy allocates.
     ///
     /// `previous` is the set occupied in the previous round (`None` before
@@ -87,15 +88,25 @@ impl MobilityStrategy {
         if f == 0 {
             return;
         }
-        // Sorting (vote, index) pairs unstably is the same permutation the
-        // historical stable sort by vote produced over the ascending index
-        // array — ties keep index order — without the merge sort's
-        // temporary buffer.
-        let sort_by_vote = |order: &mut Vec<usize>| {
+        // (vote, index) is a total order, so an unstable sort or selection
+        // under it gives the permutation the historical stable sort by vote
+        // produced over the ascending index array — ties keep index order —
+        // without the merge sort's temporary buffer.
+        let by_vote = |&a: &usize, &b: &usize| {
+            let (x, y) = (view.votes[a].get(), view.votes[b].get());
+            // Votes are finite, so this is `Value`'s order (−0.0 equals 0.0).
+            if x < y {
+                Ordering::Less
+            } else if x > y {
+                Ordering::Greater
+            } else {
+                a.cmp(&b)
+            }
+        };
+        let every_process = |order: &mut Vec<usize>| {
             order.clear();
-            // mbaa: allow(hot-path/vec-growth, refills the cleared sort scratch to the fixed universe size n)
+            // mbaa: allow(hot-path/vec-growth, refills the cleared scratch to the fixed universe size n)
             order.extend(0..n);
-            order.sort_unstable_by(|&a, &b| view.votes[a].cmp(&view.votes[b]).then(a.cmp(&b)));
         };
         match self {
             MobilityStrategy::Stationary => match previous {
@@ -117,23 +128,18 @@ impl MobilityStrategy {
                 }
             }
             MobilityStrategy::TargetExtremes => {
-                // Sort processes by vote and alternately pick from the two
-                // ends: the agents swallow the extreme-most *currently
-                // non-faulty* states.
-                sort_by_vote(order);
-                let mut lo = 0usize;
-                let mut hi = n - 1;
-                for k in 0..f {
-                    let idx = if k % 2 == 0 {
-                        let i = order[hi];
-                        hi = hi.saturating_sub(1);
-                        i
-                    } else {
-                        let i = order[lo];
-                        lo += 1;
-                        i
-                    };
-                    out.insert(ProcessId::new(idx));
+                // The agents swallow the extreme-most *currently non-faulty*
+                // states: the ⌈f/2⌉ highest and ⌊f/2⌋ lowest processes by
+                // (vote, index), found by two selections in O(n) — the set
+                // sorting and alternating from both ends picked.
+                every_process(order);
+                let (high, low) = (f.div_ceil(2), f / 2);
+                order.select_nth_unstable_by(n - high, by_vote);
+                if low > 0 {
+                    order[..n - high].select_nth_unstable_by(low - 1, by_vote);
+                }
+                for &i in order[..low].iter().chain(&order[n - high..]) {
+                    out.insert(ProcessId::new(i));
                 }
             }
             MobilityStrategy::Sweep => {
@@ -145,7 +151,8 @@ impl MobilityStrategy {
             MobilityStrategy::TargetMedian => {
                 // Sort processes by vote and occupy the ones closest to the
                 // median, working outwards.
-                sort_by_vote(order);
+                every_process(order);
+                order.sort_unstable_by(by_vote);
                 let mid = n / 2;
                 let mut picked = 0usize;
                 let mut offset = 0usize;
@@ -188,7 +195,7 @@ mod tests {
     use super::*;
     use mbaa_types::{Interval, Round, Value};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
 
     fn view(round: u64, votes: &[Value]) -> AdversaryView<'_> {
         AdversaryView {
@@ -373,5 +380,51 @@ mod tests {
             &mut rng,
         );
         assert_eq!(set.len(), 3);
+    }
+
+    /// The placement `TargetExtremes` made by sorting every process by
+    /// (vote, index) and picking alternately from the high and low ends.
+    fn sorted_extremes(votes: &[Value], f: usize) -> ProcessSet {
+        let n = votes.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by(|&a, &b| votes[a].cmp(&votes[b]).then(a.cmp(&b)));
+        let mut out = ProcessSet::empty(n);
+        let (mut lo, mut hi) = (0, n - 1);
+        for k in 0..f.min(n) {
+            if k % 2 == 0 {
+                out.insert(ProcessId::new(order[hi]));
+                hi = hi.saturating_sub(1);
+            } else {
+                out.insert(ProcessId::new(order[lo]));
+                lo += 1;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn target_extremes_selects_what_sorting_picked() {
+        // Few distinct votes, so ties are common, with both signs of zero.
+        let palette = [-0.0, 0.0, 1.0, -1.0, 0.5, 2.0];
+        let mut rng = StdRng::seed_from_u64(5);
+        for n in 1..=40 {
+            for _ in 0..4 {
+                let votes: Vec<Value> = (0..n)
+                    .map(|_| Value::new(palette[rng.random_range(0..palette.len())]))
+                    .collect();
+                let v = view(0, &votes);
+                let mut order = Vec::new();
+                let mut out = ProcessSet::empty(n);
+                for f in 0..=n {
+                    MobilityStrategy::TargetExtremes
+                        .place_into(&v, f, None, &mut rng, &mut out, &mut order);
+                    assert_eq!(
+                        out,
+                        sorted_extremes(&votes, f),
+                        "n {n}, f {f}, votes {votes:?}"
+                    );
+                }
+            }
+        }
     }
 }

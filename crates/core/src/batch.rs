@@ -20,7 +20,12 @@
 //! Every lane round runs the same four phases whatever the network:
 //!
 //! 1. the lane's adversary places its agents into the shared plan and
-//!    corrupts the states of the processes they abandon;
+//!    corrupts the states of the processes they abandon. Each agent writes
+//!    its outbox as runs of receivers that get the same value (one run for
+//!    a broadcasting strategy, two under the split attack, `n` only for
+//!    per-receiver-random ones) into an outbox recycled through the plan's
+//!    pool, so a warm pack allocates none, and the vote-targeting
+//!    placement selects its extremes in O(n) rather than sorting;
 //! 2. senders are classified into [`LaneSend`]s with the model-specific
 //!    cured behaviour (Garay: aware, stays silent; Bonnet: unaware,
 //!    broadcasts its possibly corrupted state; Sasaki: unaware, flushes the
@@ -43,7 +48,8 @@
 //! The network differences live in the exchange's two walks: the complete
 //! graph sorts its broadcasters once and merges a receiver's few
 //! per-receiver slots into that buffer with closed-form statistics, once
-//! per run of receivers whose slots agree bit for bit; the general walk
+//! per run of receivers whose slots agree bit for bit, taking the runs
+//! from the outboxes' own run boundaries; the general walk
 //! serves every other graph through precomputed neighbourhood lists,
 //! emitting one row per receiver in rank order, and replays the lane's
 //! seeded churn/omission draws and delay ring for schedules and link

@@ -572,13 +572,22 @@ mod tests {
 
     #[test]
     fn complete_merge_stores_one_row_per_run_of_equal_slots() {
-        // Two agents split the receivers at n / 2 (−1.0 below, 1.0 above).
+        // Agent 0 splits the receivers at n / 2 (−1.0 below, 1.0 above);
+        // agent 1 sends one value to all (one run), the same split, or
+        // every receiver its own value (n runs).
         let n = 10;
         let split = Outbox::per_receiver(
             pid(0),
             (0..n)
                 .map(|r| Some(Value::new(if r < n / 2 { -1.0 } else { 1.0 })))
                 .collect(),
+        );
+        let one_run = Outbox::broadcast(n, pid(1), Value::new(7.0));
+        let n_runs =
+            Outbox::per_receiver(pid(1), (0..n).map(|r| Some(Value::new(r as f64))).collect());
+        assert_eq!(
+            [&split, &one_run, &n_runs].map(|outbox| outbox.runs().count()),
+            [2, 1, n]
         );
         let sends: Vec<LaneSend> = (0..n)
             .map(|i| match i {
@@ -597,30 +606,54 @@ mod tests {
         let mut lane = shared.lane(0);
         let mut rows = DeliveryRows::new(n);
         let mut stats = NetworkStats::new();
-        let mut receivers_of = |active: &[bool]| {
+        let mut receivers_of = |second: &Outbox, active: &[bool]| {
             shared
                 .exchange_rows(
                     &mut lane,
                     Round::ZERO,
                     &sends,
-                    |_| &split,
+                    |s| if s == 0 { &split } else { second },
                     active,
                     &mut rows,
                     &mut stats,
                 )
                 .unwrap();
             (0..rows.rows())
-                .map(|row| rows.receivers(row))
+                .map(|row| {
+                    // Each row holds what its first receiver was sent.
+                    let first = rows.receivers(row).start;
+                    let mut expected: Vec<Value> = (0..n)
+                        .filter_map(|s| {
+                            sends[s].slot(&|s| if s == 0 { &split } else { second }, s, pid(first))
+                        })
+                        .collect();
+                    expected.sort_unstable();
+                    assert_eq!(rows.row(row), &expected[..], "row {row}");
+                    rows.receivers(row)
+                })
                 .collect::<Vec<_>>()
         };
-        assert_eq!(receivers_of(&[true; 10]), [0..5, 5..10]);
+        assert_eq!(receivers_of(&split, &[true; 10]), [0..5, 5..10]);
+        assert_eq!(receivers_of(&one_run, &[true; 10]), [0..5, 5..10]);
+        assert_eq!(
+            receivers_of(&n_runs, &[true; 10]),
+            (0..n).map(|r| r..r + 1).collect::<Vec<_>>()
+        );
         // An idle receiver inside a block leaves the row whole; idle ones
         // at the ends trim it.
         let mut active = [true; 10];
         active[2] = false;
         active[5] = false;
         active[9] = false;
-        assert_eq!(receivers_of(&active), [0..5, 6..9]);
+        assert_eq!(receivers_of(&split, &active), [0..5, 6..9]);
+        assert_eq!(receivers_of(&one_run, &active), [0..5, 6..9]);
+        assert_eq!(
+            receivers_of(&n_runs, &active),
+            [0..1, 1..2, 3..4, 4..5, 6..7, 7..8, 8..9]
+        );
+        // Every slot of the six rounds was delivered: all n² per round.
+        assert_eq!(stats.messages_delivered, 6 * (n * n) as u64);
+        assert_eq!(stats.omissions, 0);
     }
 
     #[test]

@@ -27,14 +27,17 @@
 //! * **The complete-graph merge**, for the unmasked complete graph under a
 //!   clean plan: the broadcast values ([`LaneSend`]) are sorted once per
 //!   lane round, and a receiver's row is that buffer merged with its ≤ 2f
-//!   per-receiver slots. One pass over each per-receiver outbox counts its
-//!   deliveries (traffic is accounted in closed form) and marks a *cut*
-//!   before every receiver whose slot differs from its predecessor's bit
-//!   for bit (`None` from `Some`, −0.0 from 0.0). Receivers between two
-//!   cuts heard the same values, so only the first active one after a cut
+//!   per-receiver slots. A per-receiver [`Outbox`] is stored as runs of
+//!   receivers that get the same slot, so its deliveries are counted per
+//!   run (traffic is accounted in closed form), and each run boundary marks
+//!   a *cut*: a receiver whose slot differs from its predecessor's bit for
+//!   bit (`None` from `Some`, −0.0 from 0.0). Receivers between two cuts
+//!   heard the same values, so only the first active one after a cut
 //!   builds a row, which every later active receiver up to the next cut
-//!   shares: an adversary that splits the receivers into a few groups, like
-//!   the split attack, costs a few rows per round, not `n`.
+//!   shares; it gathers its special slots with one forward run cursor per
+//!   sender. An adversary that splits the receivers into a few groups, like
+//!   the split attack, costs O(runs) per sender and a few rows per round,
+//!   not O(n) and `n` rows.
 //! * **The general receiver walk**, for everything else: partial graphs,
 //!   periodic phases, seeded churn, link omissions and delays. A round's
 //!   graph is a reachability mask with closed in-neighbourhood lists,
@@ -212,22 +215,16 @@ impl RoundGraph {
 }
 
 /// Reusable scratch of the complete-graph merge, shared across lanes: the
-/// sorted broadcast values, the per-receiver senders, one receiver's slots
-/// from them, and the receivers whose slots differ from their
-/// predecessor's.
+/// sorted broadcast values, the per-receiver senders with a run cursor
+/// each, one receiver's slots from them, and the receivers whose slots
+/// differ from their predecessor's.
 #[derive(Debug)]
 struct MergeScratch {
     common: Vec<Value>,
     specials: Vec<usize>,
+    cursors: Vec<usize>,
     extra: Vec<Value>,
     cuts: Vec<bool>,
-}
-
-/// A slot as its bit pattern: `None` differs from every `Some`, and −0.0
-/// from 0.0.
-#[inline]
-fn slot_bits(slot: Option<Value>) -> Option<u64> {
-    slot.map(|value| value.get().to_bits())
 }
 
 impl MergeScratch {
@@ -263,21 +260,23 @@ impl MergeScratch {
         let common = &self.common[..common_len];
         let specials = &self.specials[..specials_len];
 
-        // One pass over each per-receiver outbox counts its Some slots and
-        // cuts before every receiver whose slot differs, bit for bit, from
-        // its predecessor's. Traffic is accounted in closed form: a
-        // broadcast delivers to all n receivers, a per-receiver outbox to
-        // its Some slots, and every other slot is a sender omission — the
-        // unmasked complete graph has no structural drops.
+        // Each per-receiver outbox's runs count its Some slots and cut
+        // before every receiver whose slot differs, bit for bit, from its
+        // predecessor's: a run boundary. Traffic is accounted in closed
+        // form: a broadcast delivers to all n receivers, a per-receiver
+        // outbox to its Some slots, and every other slot is a sender
+        // omission — the unmasked complete graph has no structural drops.
         let cuts = &mut self.cuts[..n];
         cuts.fill(false);
         let mut delivered = (common_len * n) as u64;
         for &s in specials {
-            let slots = outbox_of(s).slots();
-            delivered += u64::from(slots[0].is_some());
-            for (r, pair) in slots.windows(2).enumerate() {
-                delivered += u64::from(pair[1].is_some());
-                cuts[r + 1] |= slot_bits(pair[0]) != slot_bits(pair[1]);
+            for (receivers, value) in outbox_of(s).runs() {
+                delivered += if value.is_some() {
+                    receivers.len() as u64
+                } else {
+                    0
+                };
+                cuts[receivers.start] = true;
             }
         }
         stats.rounds += 1;
@@ -287,7 +286,11 @@ impl MergeScratch {
         // Between cuts every receiver hears the same values, so only the
         // first active receiver after a cut builds a row: the common buffer
         // merged with its special slots, the same ascending array a per-row
-        // sort would produce. Later active receivers join that row.
+        // sort would produce. Later active receivers join that row. Rows
+        // are built in ascending receiver order, so each special's run
+        // cursor only moves forward.
+        let cursors = &mut self.cursors[..specials_len];
+        cursors.fill(0);
         let mut built = false;
         for (r, &on) in active.iter().enumerate() {
             built &= !cuts[r];
@@ -298,10 +301,13 @@ impl MergeScratch {
                 rows.extend_row(r);
                 continue;
             }
-            let receiver = ProcessId::new(r);
             let mut extra_len = 0;
-            for &s in specials {
-                if let Some(value) = outbox_of(s).get(receiver) {
+            for (&s, cursor) in specials.iter().zip(cursors.iter_mut()) {
+                let runs = outbox_of(s).run_slice();
+                while runs[*cursor].end <= r {
+                    *cursor += 1;
+                }
+                if let Some(value) = runs[*cursor].value {
                     self.extra[extra_len] = value;
                     extra_len += 1;
                 }
@@ -535,6 +541,7 @@ impl SharedRealization {
                     Graphs::Complete(MergeScratch {
                         common: vec![Value::new(0.0); n],
                         specials: vec![0; n],
+                        cursors: vec![0; n],
                         extra: vec![Value::new(0.0); n],
                         cuts: vec![false; n],
                     })

@@ -20,6 +20,19 @@ use mbaa_types::{ProcessId, Value};
 /// * A **Byzantine** process may fill the slots arbitrarily
 ///   ([`Outbox::per_receiver`] or the slot mutators).
 ///
+/// The slots are stored as *runs*: ranges of receivers in ascending order
+/// that get the same slot, where neighbouring runs differ bit for bit
+/// (`None` from `Some`, −0.0 from 0.0). A broadcast or a silent outbox is
+/// one run and the split attack two, so writing and reading them costs
+/// O(runs), not O(n); an outbox that gives every receiver its own value is
+/// `n` runs. [`Outbox::fill_runs`] writes them in order and
+/// [`Outbox::runs`] walks them; [`Outbox::get`] reads a receiver's slot
+/// directly from one, two or `n` runs and by binary search otherwise.
+/// Capacity for `n + 2` runs is reserved when an outbox is made, so
+/// rewriting a reused outbox never allocates.
+/// Equality compares slot by slot, so −0.0 equals 0.0 as it does for
+/// [`Value`].
+///
 /// # Example
 ///
 /// ```
@@ -30,35 +43,56 @@ use mbaa_types::{ProcessId, Value};
 /// let mut outbox = Outbox::broadcast(4, sender, Value::new(0.5));
 /// outbox.set(ProcessId::new(3), Some(Value::new(99.0)));
 /// assert!(!outbox.is_uniform());
+/// assert_eq!(outbox.runs().count(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Outbox {
     sender: ProcessId,
-    slots: Vec<Option<Value>>,
+    runs: Vec<Run>,
+}
+
+/// One run of an [`Outbox`]: the receivers from the previous run's `end`
+/// (0 for the first run) up to `end`, all sent `value`.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+pub(crate) struct Run {
+    pub(crate) end: usize,
+    pub(crate) value: Option<Value>,
+}
+
+/// Whether two slots are the same bit for bit: `None` differs from every
+/// `Some`, and −0.0 from 0.0.
+#[inline]
+fn same_bits(a: Option<Value>, b: Option<Value>) -> bool {
+    a.map(|v| v.get().to_bits()) == b.map(|v| v.get().to_bits())
 }
 
 impl Outbox {
+    /// An outbox over `n` receivers that sends `value` to every one of
+    /// them, with room for `n + 2` runs.
+    fn uniform(n: usize, sender: ProcessId, value: Option<Value>) -> Self {
+        let mut runs = Vec::with_capacity(n + 2);
+        if n > 0 {
+            runs.push(Run { end: n, value });
+        }
+        Outbox { sender, runs }
+    }
+
     /// Creates an outbox that sends `value` to all `n` processes
     /// (including the sender itself, as in the paper's all-to-all exchange).
     #[must_use]
     pub fn broadcast(n: usize, sender: ProcessId, value: Value) -> Self {
-        Outbox {
-            sender,
-            slots: vec![Some(value); n],
-        }
+        Outbox::uniform(n, sender, Some(value))
     }
 
     /// Creates an outbox that sends nothing to anyone (Garay-style cured
     /// silence, or a crashed process).
     #[must_use]
     pub fn silent(n: usize, sender: ProcessId) -> Self {
-        Outbox {
-            sender,
-            slots: vec![None; n],
-        }
+        Outbox::uniform(n, sender, None)
     }
 
-    /// Creates an outbox with an explicit per-receiver slot vector.
+    /// Creates an outbox with an explicit per-receiver slot vector, stored
+    /// as its runs.
     ///
     /// # Panics
     ///
@@ -66,7 +100,9 @@ impl Outbox {
     #[must_use]
     pub fn per_receiver(sender: ProcessId, slots: Vec<Option<Value>>) -> Self {
         assert!(!slots.is_empty(), "outbox must cover at least one receiver");
-        Outbox { sender, slots }
+        let mut outbox = Outbox::silent(slots.len(), sender);
+        outbox.fill_with(|receiver| slots[receiver]);
+        outbox
     }
 
     /// The sending process.
@@ -78,7 +114,7 @@ impl Outbox {
     /// The number of destination slots (the system size `n`).
     #[must_use]
     pub fn universe(&self) -> usize {
-        self.slots.len()
+        self.runs.last().map_or(0, |run| run.end)
     }
 
     /// The value destined to `receiver`, or `None` for an omission.
@@ -87,8 +123,20 @@ impl Outbox {
     ///
     /// Panics if `receiver` is outside the universe.
     #[must_use]
+    #[inline]
     pub fn get(&self, receiver: ProcessId) -> Option<Value> {
-        self.slots[receiver.index()]
+        let r = receiver.index();
+        let runs = &self.runs[..];
+        let i = match runs.len() {
+            // A broadcast, silence or the split attack.
+            1 | 2 => usize::from(r >= runs[0].end),
+            // `n` runs over `n` receivers are one run per receiver.
+            len if len == self.universe() => r,
+            _ => runs.partition_point(|run| run.end <= r),
+        };
+        let run = runs[i];
+        assert!(r < run.end, "receiver {r} outside the universe");
+        run.value
     }
 
     /// Overwrites the slot destined to `receiver`.
@@ -97,29 +145,145 @@ impl Outbox {
     ///
     /// Panics if `receiver` is outside the universe.
     pub fn set(&mut self, receiver: ProcessId, value: Option<Value>) {
-        self.slots[receiver.index()] = value;
+        let r = receiver.index();
+        self.fill_range(r..r + 1, value);
     }
 
     /// Rewrites this outbox in place into the broadcast of `value` — the
     /// zero-allocation counterpart of [`Outbox::broadcast`] for a reused
     /// send buffer. The universe is unchanged.
     pub fn fill_broadcast(&mut self, value: Value) {
-        self.slots.fill(Some(value));
+        self.fill_runs([(self.universe(), Some(value))]);
     }
 
     /// Rewrites this outbox in place into silence — the zero-allocation
     /// counterpart of [`Outbox::silent`]. The universe is unchanged.
     pub fn fill_silent(&mut self) {
-        self.slots.fill(None);
+        self.fill_runs([(self.universe(), None)]);
     }
 
-    /// Overwrites the slots destined to the `receivers` range with `value`.
+    /// Overwrites the slots destined to the `receivers` range with `value`,
+    /// splitting the runs it cuts and merging it with neighbours that hold
+    /// the same bits. Costs O(runs); never allocates.
     ///
     /// # Panics
     ///
-    /// Panics if the range reaches outside the universe.
+    /// Panics if the range is reversed or reaches outside the universe.
+    // mbaa: alloc-free
     pub fn fill_range(&mut self, receivers: Range<usize>, value: Option<Value>) {
-        self.slots[receivers].fill(value);
+        let Range { start, end } = receivers;
+        let n = self.universe();
+        assert!(
+            start <= end && end <= n,
+            "receivers {start}..{end} outside the universe of {n}"
+        );
+        if start == end {
+            return;
+        }
+        // Runs `first..=last` meet the range; they are replaced by at most
+        // a left remnant, the new run and a right remnant.
+        let first = self.runs.partition_point(|run| run.end <= start);
+        let last = first + self.runs[first..].partition_point(|run| run.end < end);
+        let (mut lo, mut hi) = (first, last + 1);
+        let mut pieces = [Run { end: 0, value }; 3];
+        let mut len = 0;
+        let first_start = first.checked_sub(1).map_or(0, |i| self.runs[i].end);
+        let left = self.runs[first].value;
+        if first_start < start {
+            if !same_bits(left, value) {
+                pieces[0] = Run {
+                    end: start,
+                    value: left,
+                };
+                len = 1;
+            }
+        } else if first > 0 && same_bits(self.runs[first - 1].value, value) {
+            lo -= 1;
+        }
+        let Run {
+            end: last_end,
+            value: right,
+        } = self.runs[last];
+        let mut tail = None;
+        let mut new_end = end;
+        if last_end > end {
+            if same_bits(right, value) {
+                new_end = last_end;
+            } else {
+                tail = Some(Run {
+                    end: last_end,
+                    value: right,
+                });
+            }
+        } else if let Some(next) = self
+            .runs
+            .get(hi)
+            .filter(|next| same_bits(next.value, value))
+        {
+            new_end = next.end;
+            hi += 1;
+        }
+        pieces[len] = Run {
+            end: new_end,
+            value,
+        };
+        len += 1;
+        if let Some(tail) = tail {
+            pieces[len] = tail;
+            len += 1;
+        }
+        // Shift the runs after `hi` into place, then write the pieces. A
+        // reused outbox rewritten in the same shape shifts nothing.
+        let old_len = self.runs.len();
+        let new_len = old_len - (hi - lo) + len;
+        if new_len != old_len {
+            if new_len > old_len {
+                // mbaa: allow(hot-path/vec-growth, at most n runs, within the n + 2 reserved at construction)
+                self.runs.resize(new_len, pieces[0]);
+            }
+            self.runs.copy_within(hi..old_len, lo + len);
+            self.runs.truncate(new_len);
+        }
+        for (run, piece) in self.runs[lo..].iter_mut().zip(&pieces[..len]) {
+            *run = *piece;
+        }
+    }
+
+    /// Rewrites every slot in place from `(end, slot)` pairs in ascending
+    /// order: each sends `slot` to the receivers from the previous pair's
+    /// `end` (0 for the first) up to its own. Empty ranges are skipped and
+    /// equal neighbours merged, so any cover of the universe is accepted;
+    /// this never allocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ends decrease or do not finish at the universe.
+    // mbaa: alloc-free
+    pub fn fill_runs(&mut self, runs: impl IntoIterator<Item = (usize, Option<Value>)>) {
+        let n = self.universe();
+        self.runs.clear();
+        let mut start = 0;
+        for (end, value) in runs {
+            assert!(start <= end, "run ends must ascend: {end} after {start}");
+            if start == end {
+                continue;
+            }
+            match self.runs.last_mut() {
+                Some(run) if same_bits(run.value, value) => run.end = end,
+                // mbaa: allow(hot-path/vec-growth, at most n runs, within the n + 2 reserved at construction)
+                _ => self.runs.push(Run { end, value }),
+            }
+            start = end;
+        }
+        assert_eq!(start, n, "runs must cover the universe of {n} receivers");
+    }
+
+    /// Rewrites every slot in place, receiver by receiver in ascending
+    /// order, with `slot(receiver)`: a strategy drawing a value per
+    /// receiver draws in receiver order. Never allocates.
+    pub fn fill_with(&mut self, mut slot: impl FnMut(usize) -> Option<Value>) {
+        let n = self.universe();
+        self.fill_runs((0..n).map(|receiver| (receiver + 1, slot(receiver))));
     }
 
     /// Reassigns the sender of this (reused) outbox.
@@ -127,24 +291,33 @@ impl Outbox {
         self.sender = sender;
     }
 
-    /// Every slot, indexed by receiver.
-    #[must_use]
-    pub fn slots(&self) -> &[Option<Value>] {
-        &self.slots
+    /// The runs in receiver order: each range of receivers with the slot
+    /// all of them get. Neighbouring runs differ bit for bit.
+    pub fn runs(&self) -> impl Iterator<Item = (Range<usize>, Option<Value>)> + '_ {
+        let mut start = 0;
+        self.runs.iter().map(move |run| {
+            let receivers = start..run.end;
+            start = run.end;
+            (receivers, run.value)
+        })
+    }
+
+    /// The runs as stored, for the exchange's walks.
+    pub(crate) fn run_slice(&self) -> &[Run] {
+        &self.runs
     }
 
     /// Iterates over `(receiver, slot)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, Option<Value>)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (ProcessId::new(i), *v))
+        self.runs().flat_map(|(receivers, value)| {
+            receivers.map(move |receiver| (ProcessId::new(receiver), value))
+        })
     }
 
     /// Returns `true` when every slot is an omission.
     #[must_use]
     pub fn is_silent(&self) -> bool {
-        self.slots.iter().all(Option::is_none)
+        self.runs.iter().all(|run| run.value.is_none())
     }
 
     /// Returns `true` when every slot carries the *same* value (no
@@ -152,26 +325,34 @@ impl Outbox {
     /// behaviour.
     #[must_use]
     pub fn is_uniform(&self) -> bool {
-        match self.slots.first().copied().flatten() {
+        match self.runs.first().and_then(|run| run.value) {
             None => false,
-            Some(first) => self.slots.iter().all(|s| *s == Some(first)),
+            Some(first) => self.runs.iter().all(|run| run.value == Some(first)),
         }
     }
 
     /// The set of distinct values present in the slots (omissions excluded).
     #[must_use]
     pub fn distinct_values(&self) -> Vec<Value> {
-        let mut vals: Vec<Value> = self.slots.iter().filter_map(|s| *s).collect();
+        let mut vals: Vec<Value> = self.runs.iter().filter_map(|run| run.value).collect();
         vals.sort_unstable();
         vals.dedup();
         vals
     }
 }
 
+impl PartialEq for Outbox {
+    fn eq(&self, other: &Self) -> bool {
+        self.sender == other.sender
+            && self.universe() == other.universe()
+            && self.iter().zip(other.iter()).all(|(a, b)| a.1 == b.1)
+    }
+}
+
 impl fmt::Display for Outbox {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} -> [", self.sender)?;
-        for (i, slot) in self.slots.iter().enumerate() {
+        for (i, (_, slot)) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -186,6 +367,9 @@ impl fmt::Display for Outbox {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
     use super::*;
 
     #[test]
@@ -223,7 +407,8 @@ mod tests {
         assert!(o.is_uniform());
 
         o.fill_range(1..3, None);
-        assert_eq!(o.slots(), &[Some(Value::new(0.0)), None, None]);
+        let runs: Vec<_> = o.runs().collect();
+        assert_eq!(runs, vec![(0..1, Some(Value::new(0.0))), (1..3, None)]);
     }
 
     #[test]
@@ -249,5 +434,178 @@ mod tests {
         assert_eq!(pairs[0], (ProcessId::new(0), Some(Value::new(2.0))));
         assert_eq!(pairs[1], (ProcessId::new(1), None));
         assert_eq!(o.to_string(), "p0 -> [2, -]");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the universe")]
+    fn fill_range_past_the_universe_panics() {
+        Outbox::silent(3, ProcessId::new(0)).fill_range(2..4, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the universe")]
+    fn get_past_the_universe_panics() {
+        let split = Outbox::per_receiver(ProcessId::new(0), vec![None, Some(Value::ONE)]);
+        let _ = split.get(ProcessId::new(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "cover the universe")]
+    fn fill_runs_short_of_the_universe_panics() {
+        Outbox::silent(3, ProcessId::new(0)).fill_runs([(2, None)]);
+    }
+
+    /// The slot palette of the property battery: zeros of both signs next
+    /// to each other, `None` next to `Some`, and two other values.
+    const PALETTE: [Option<f64>; 5] = [Some(-0.0), Some(0.0), None, Some(1.0), Some(-2.5)];
+
+    fn draw_slot(rng: &mut StdRng) -> Option<Value> {
+        PALETTE[rng.random_range(0..PALETTE.len())].map(Value::new)
+    }
+
+    fn bits(slot: Option<Value>) -> Option<u64> {
+        slot.map(|v| v.get().to_bits())
+    }
+
+    /// One random mutation, applied to the outbox and its dense reference.
+    fn mutate(rng: &mut StdRng, outbox: &mut Outbox, dense: &mut [Option<Value>]) {
+        let n = dense.len();
+        match rng.random_range(0..6usize) {
+            0 => {
+                let value = Value::new(PALETTE[rng.random_range(0..2usize)].unwrap());
+                outbox.fill_broadcast(value);
+                dense.fill(Some(value));
+            }
+            1 => {
+                outbox.fill_silent();
+                dense.fill(None);
+            }
+            2 => {
+                let a = rng.random_range(0..=n);
+                let b = rng.random_range(0..=n);
+                let slot = draw_slot(rng);
+                outbox.fill_range(a.min(b)..a.max(b), slot);
+                dense[a.min(b)..a.max(b)].fill(slot);
+            }
+            3 => {
+                let r = rng.random_range(0..n);
+                let slot = draw_slot(rng);
+                outbox.set(ProcessId::new(r), slot);
+                dense[r] = slot;
+            }
+            4 => {
+                // Ascending ends, some repeated (empty runs), the last at n.
+                let mut ends: Vec<usize> = (0..rng.random_range(0..4usize))
+                    .map(|_| rng.random_range(0..=n))
+                    .collect();
+                ends.sort_unstable();
+                ends.push(n);
+                let runs: Vec<(usize, Option<Value>)> =
+                    ends.iter().map(|&end| (end, draw_slot(rng))).collect();
+                outbox.fill_runs(runs.iter().copied());
+                let mut start = 0;
+                for (end, slot) in runs {
+                    dense[start..end].fill(slot);
+                    start = end;
+                }
+            }
+            _ => {
+                let drawn: Vec<Option<Value>> = (0..n).map(|_| draw_slot(rng)).collect();
+                let mut seen = 0;
+                outbox.fill_with(|r| {
+                    assert_eq!(r, seen, "fill_with visits receivers in order");
+                    seen += 1;
+                    drawn[r]
+                });
+                dense.copy_from_slice(&drawn);
+            }
+        }
+    }
+
+    /// Every accessor of `outbox` agrees with the dense slot vector the
+    /// same steps produced, as the dense representation computed it.
+    fn assert_agrees(outbox: &Outbox, dense: &[Option<Value>]) {
+        let n = dense.len();
+        assert_eq!(outbox.universe(), n);
+        for (r, &slot) in dense.iter().enumerate() {
+            assert_eq!(bits(outbox.get(ProcessId::new(r))), bits(slot), "get({r})");
+        }
+        let iterated: Vec<Option<u64>> = outbox.iter().map(|(_, slot)| bits(slot)).collect();
+        assert_eq!(iterated, dense.iter().map(|&s| bits(s)).collect::<Vec<_>>());
+        // The runs tile 0..n, and a boundary falls exactly where two
+        // neighbouring slots differ in bits.
+        let mut next = 0;
+        for (receivers, slot) in outbox.runs() {
+            assert_eq!(receivers.start, next, "runs are contiguous");
+            assert!(receivers.end > receivers.start, "runs are never empty");
+            for r in receivers.clone() {
+                assert_eq!(bits(dense[r]), bits(slot), "slot {r} of its run");
+            }
+            next = receivers.end;
+        }
+        assert_eq!(next, n);
+        let boundaries = dense
+            .windows(2)
+            .filter(|pair| bits(pair[0]) != bits(pair[1]))
+            .count();
+        assert_eq!(outbox.runs().count(), boundaries + 1);
+        assert_eq!(outbox.is_silent(), dense.iter().all(Option::is_none));
+        let uniform = match dense[0] {
+            None => false,
+            Some(first) => dense.iter().all(|s| *s == Some(first)),
+        };
+        assert_eq!(outbox.is_uniform(), uniform);
+        let mut distinct: Vec<Value> = dense.iter().filter_map(|s| *s).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(outbox.distinct_values(), distinct);
+        let shown: Vec<String> = dense
+            .iter()
+            .map(|slot| slot.map_or_else(|| "-".to_string(), |v| v.to_string()))
+            .collect();
+        assert_eq!(
+            outbox.to_string(),
+            format!("{} -> [{}]", outbox.sender(), shown.join(", "))
+        );
+        assert_eq!(
+            *outbox,
+            Outbox::per_receiver(outbox.sender(), dense.to_vec()),
+            "compression keeps every slot"
+        );
+    }
+
+    #[test]
+    fn runs_agree_with_a_dense_slot_vector() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for n in 1..=12 {
+            for _ in 0..40 {
+                let sender = ProcessId::new(0);
+                let (mut a, mut b) = (Outbox::silent(n, sender), Outbox::silent(n, sender));
+                let (mut dense_a, mut dense_b) = (vec![None; n], vec![None; n]);
+                for _ in 0..30 {
+                    mutate(&mut rng, &mut a, &mut dense_a);
+                    assert_agrees(&a, &dense_a);
+                    // A second outbox steps less often, so the two are
+                    // sometimes equal and sometimes not.
+                    if rng.random_range(0..3usize) == 0 {
+                        mutate(&mut rng, &mut b, &mut dense_b);
+                        assert_agrees(&b, &dense_b);
+                    }
+                    assert_eq!(a == b, dense_a == dense_b);
+                    // Equality compares values, so −0.0 equals 0.0.
+                    let flipped: Vec<Option<Value>> = dense_a
+                        .iter()
+                        .map(|slot| {
+                            slot.map(|v| {
+                                Value::new(if v.get() == 0.0 { -v.get() } else { v.get() })
+                            })
+                        })
+                        .collect();
+                    assert_eq!(a, Outbox::per_receiver(sender, flipped));
+                    // The runs never outgrow the reserved capacity.
+                    assert!(a.runs.capacity() <= n + 2);
+                }
+            }
+        }
     }
 }
