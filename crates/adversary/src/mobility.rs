@@ -62,8 +62,8 @@ impl MobilityStrategy {
 
     /// Chooses the set of processes occupied this round and writes it into
     /// `out`, reusing its allocation and the caller's `order` scratch (the
-    /// sort and selection buffer of the vote-targeting strategies). Once the buffers are
-    /// warm, no strategy allocates.
+    /// sort and selection buffer of the vote-targeting strategies). Once
+    /// the buffers are warm, no strategy allocates.
     ///
     /// `previous` is the set occupied in the previous round (`None` before
     /// the first placement). The placement always has `min(f, n)` members.

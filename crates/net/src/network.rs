@@ -271,11 +271,9 @@ impl MergeScratch {
         let mut delivered = (common_len * n) as u64;
         for &s in specials {
             for (receivers, value) in outbox_of(s).runs() {
-                delivered += if value.is_some() {
-                    receivers.len() as u64
-                } else {
-                    0
-                };
+                if value.is_some() {
+                    delivered += receivers.len() as u64;
+                }
                 cuts[receivers.start] = true;
             }
         }

@@ -180,73 +180,36 @@ impl Outbox {
         if start == end {
             return;
         }
-        // Runs `first..=last` meet the range; they are replaced by at most
-        // a left remnant, the new run and a right remnant.
-        let first = self.runs.partition_point(|run| run.end <= start);
-        let last = first + self.runs[first..].partition_point(|run| run.end < end);
-        let (mut lo, mut hi) = (first, last + 1);
-        let mut pieces = [Run { end: 0, value }; 3];
-        let mut len = 0;
-        let first_start = first.checked_sub(1).map_or(0, |i| self.runs[i].end);
-        let left = self.runs[first].value;
-        if first_start < start {
-            if !same_bits(left, value) {
-                pieces[0] = Run {
-                    end: start,
-                    value: left,
-                };
-                len = 1;
-            }
-        } else if first > 0 && same_bits(self.runs[first - 1].value, value) {
-            lo -= 1;
-        }
-        let Run {
-            end: last_end,
-            value: right,
-        } = self.runs[last];
-        let mut tail = None;
-        let mut new_end = end;
-        if last_end > end {
-            if same_bits(right, value) {
-                new_end = last_end;
-            } else {
-                tail = Some(Run {
-                    end: last_end,
-                    value: right,
-                });
-            }
-        } else if let Some(next) = self
+        // Runs `first..last` now cover exactly the range: make them one.
+        let first = self.split_at(start);
+        let last = self.split_at(end);
+        self.runs.drain(first + 1..last);
+        self.runs[first] = Run { end, value };
+        if self
             .runs
-            .get(hi)
-            .filter(|next| same_bits(next.value, value))
+            .get(first + 1)
+            .is_some_and(|next| same_bits(next.value, value))
         {
-            new_end = next.end;
-            hi += 1;
+            self.runs[first].end = self.runs.remove(first + 1).end;
         }
-        pieces[len] = Run {
-            end: new_end,
-            value,
-        };
-        len += 1;
-        if let Some(tail) = tail {
-            pieces[len] = tail;
-            len += 1;
+        if first > 0 && same_bits(self.runs[first - 1].value, value) {
+            self.runs[first - 1].end = self.runs.remove(first).end;
         }
-        // Shift the runs after `hi` into place, then write the pieces. A
-        // reused outbox rewritten in the same shape shifts nothing.
-        let old_len = self.runs.len();
-        let new_len = old_len - (hi - lo) + len;
-        if new_len != old_len {
-            if new_len > old_len {
-                // mbaa: allow(hot-path/vec-growth, at most n runs, within the n + 2 reserved at construction)
-                self.runs.resize(new_len, pieces[0]);
-            }
-            self.runs.copy_within(hi..old_len, lo + len);
-            self.runs.truncate(new_len);
+    }
+
+    /// Splits the run holding receiver `at`, unless a run starts there, and
+    /// returns the index of the run that starts at `at` (the run count for
+    /// `at == n`). Two splits of a canonical list of at most `n` runs stay
+    /// within the `n + 2` reserved.
+    fn split_at(&mut self, at: usize) -> usize {
+        let i = self.runs.partition_point(|run| run.end <= at);
+        let start = i.checked_sub(1).map_or(0, |before| self.runs[before].end);
+        if start == at {
+            return i;
         }
-        for (run, piece) in self.runs[lo..].iter_mut().zip(&pieces[..len]) {
-            *run = *piece;
-        }
+        let value = self.runs[i].value;
+        self.runs.insert(i, Run { end: at, value });
+        i + 1
     }
 
     /// Rewrites every slot in place from `(end, slot)` pairs in ascending
