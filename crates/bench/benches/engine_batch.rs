@@ -23,6 +23,11 @@
 //! receiver its own value: the complete-graph rows without any receivers
 //! that share a row.
 //!
+//! `batch_rounds_per_sec/128/{1,32}/delay_mix` run the shape of
+//! `perfbench`'s delayed points: the complete graph at n = 128 with every
+//! link one round late and four senders two rounds late, so each row
+//! merges broadcasts of three send rounds. Each lane runs 50 rounds.
+//!
 //! `batch_rounds_per_sec/361/{1,32}/worst` run the paper's own worst case
 //! at the shape of the `complete_large_n` benchmark: Garay at n = 361 with
 //! f = 90 agents (the largest f the bound n > 4f admits) placed by
@@ -62,15 +67,17 @@ fn repetitions(n: usize) -> usize {
 }
 
 /// Variant of a measured point: the complete graph, a static partial mask
-/// (ring), a dynamic churned fabric, delayed links, the complete graph
-/// under per-receiver stealth corruption, or the complete graph under the
-/// worst-case adversary at its largest admissible f.
+/// (ring), a dynamic churned fabric, delayed links (all one round, or
+/// mixed one and two rounds), the complete graph under per-receiver
+/// stealth corruption, or the complete graph under the worst-case
+/// adversary at its largest admissible f.
 #[derive(Clone, Copy)]
 enum Variant {
     Complete,
     Ring,
     Churn,
     Delay,
+    DelayMix,
     Stealth,
     Worst,
 }
@@ -82,6 +89,7 @@ impl Variant {
             Variant::Ring => "/ring",
             Variant::Churn => "/churn",
             Variant::Delay => "/delay",
+            Variant::DelayMix => "/delay_mix",
             Variant::Stealth => "/stealth",
             Variant::Worst => "/worst",
         }
@@ -94,9 +102,15 @@ fn measure(n: usize, k: usize, variant: Variant) {
         Variant::Worst => (n - 1) / 4,
         _ => 2,
     };
+    // Delayed lanes do not reach ε = 1e-12 within 200 rounds; the mixed
+    // delays run 50, which keeps their k = 32 row short.
+    let max_rounds = match variant {
+        Variant::DelayMix => 50,
+        _ => 200,
+    };
     let mut builder = ProtocolConfig::builder(MobileModel::Garay, n, f)
         .epsilon(1e-12)
-        .max_rounds(200)
+        .max_rounds(max_rounds)
         .seed(7)
         .observe(Observe::Summary);
     builder = match variant {
@@ -113,6 +127,18 @@ fn measure(n: usize, k: usize, variant: Variant) {
         // Every link of the complete graph delivers one round late, so
         // every slot is buffered for a round.
         Variant::Delay => builder.link_faults(LinkFaultPlan::new().delay_all(1)),
+        // Every link one round late, and the links from four senders
+        // spread over the universe two rounds late.
+        Variant::DelayMix => builder.link_faults((1..8).step_by(2).fold(
+            LinkFaultPlan::new().delay_all(1),
+            |plan, eighth| {
+                plan.with_rule(LinkFaultRule {
+                    from: Some(eighth * n / 8),
+                    delay: Some(2),
+                    ..LinkFaultRule::default()
+                })
+            },
+        )),
         // The complete graph, each agent sending every receiver its own
         // value drawn from the correct range.
         Variant::Stealth => builder.corruption(CorruptionStrategy::Stealth),
@@ -211,6 +237,10 @@ fn main() {
             measure(n, k, Variant::Delay);
             measure(n, k, Variant::Stealth);
         }
+    }
+    // The shape of perfbench's delayed points.
+    for &k in &[1usize, 32] {
+        measure(128, k, Variant::DelayMix);
     }
     // The benchmark's shape: the paper's worst case at n = 361.
     for &k in &[1usize, 32] {

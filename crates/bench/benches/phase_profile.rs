@@ -19,8 +19,11 @@
 //! shape of the `complete_large_n` benchmark: Garay at n = 361 with f = 90
 //! agents placed by `TargetExtremes` and sending the split attack.
 //!
-//! Every table names the lane rounds it rests on: a share measured over a
-//! few dozen rounds is a few dozen spans per phase, not a steady state.
+//! Every table names the lane rounds it rests on, and runs until there are
+//! at least [`MIN_LANE_ROUNDS`]: a share measured over a few dozen rounds
+//! is a few dozen spans per phase, not a steady state. The complete
+//! one-lane runs agree within 6–8 rounds, so they repeat well past their
+//! run count.
 //!
 //! Because a profiler reports `enabled() == false`, the engine skips all
 //! telemetry-event assembly while it is attached: the spans measure the
@@ -39,7 +42,11 @@ use mbaa::{
 };
 use mbaa_bench::spread_inputs;
 
-/// Profiled runs per system size (n = 256 is ~15× costlier per round).
+/// The fewest lane rounds a table rests on.
+const MIN_LANE_ROUNDS: usize = 200;
+
+/// Profiled runs per system size (n = 256 is ~15× costlier per round); a
+/// table repeats its runs further until it has [`MIN_LANE_ROUNDS`].
 fn repetitions(n: usize) -> usize {
     let base = if n >= 256 { 10 } else { 100 };
     std::env::var("MBAA_BENCH_SAMPLES")
@@ -64,14 +71,15 @@ fn profile(n: usize) {
 
     let reps = repetitions(n);
     let mut profiler = PhaseProfiler::new();
-    let mut rounds = 0;
-    for _ in 0..reps {
+    let (mut runs, mut rounds) = (0, 0);
+    while runs < reps || rounds < MIN_LANE_ROUNDS {
         rounds += BatchEngine::run_with(&config, &inputs, None, &mut profiler)
             .expect("profiled run")
             .rounds_executed;
+        runs += 1;
     }
     let breakdown = profiler.breakdown();
-    println!("phase_profile n={n} ({reps} run(s), {rounds} rounds):");
+    println!("phase_profile n={n} ({runs} run(s), {rounds} lane rounds):");
     print!("{}", breakdown.render());
     let total = breakdown.total_nanos().max(1);
     for row in &breakdown.rows {
@@ -132,14 +140,15 @@ fn profile_batch(
     // One pack advances k lanes, so divide the one-lane repetition budget.
     let reps = repetitions(n).div_ceil(k);
     let mut profiler = PhaseProfiler::new();
-    let mut rounds = 0;
-    for _ in 0..reps {
+    let (mut batches, mut rounds) = (0, 0);
+    while batches < reps || rounds < MIN_LANE_ROUNDS {
         for outcome in BatchEngine::run_packed_observed(&lanes, &mut profiler) {
             rounds += outcome.expect("profiled run").rounds_executed;
         }
+        batches += 1;
     }
     let breakdown = profiler.breakdown();
-    println!("phase_profile {label} n={n} k={k} ({reps} batch(es), {rounds} lane rounds):");
+    println!("phase_profile {label} n={n} k={k} ({batches} batch(es), {rounds} lane rounds):");
     print!("{}", breakdown.render());
     let total = breakdown.total_nanos().max(1);
     for row in &breakdown.rows {

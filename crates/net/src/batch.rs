@@ -161,9 +161,10 @@ mod tests {
 
     use super::*;
     use crate::faults::{omission_lost, CompiledLinkFaults};
+    use crate::network::RANKED_DELAYS;
     use crate::{
-        DisconnectionPolicy, LinkFaultPlan, NetworkStats, RealizedSchedule, SharedRealization,
-        Topology, TopologySchedule,
+        DisconnectionPolicy, LinkFaultPlan, LinkFaultRule, NetworkStats, RealizedSchedule,
+        SharedRealization, Topology, TopologySchedule,
     };
 
     fn pid(i: usize) -> ProcessId {
@@ -412,10 +413,12 @@ mod tests {
         }
     }
 
-    /// Runs `rounds` rounds of each send phase under each activity pattern
-    /// through both the scalar reference and the shared realization and
-    /// asserts that every active receiver, and no other, gets its scalar
-    /// multiset (down to the sign of zero), and identical stats.
+    /// Runs `rounds` rounds under each activity pattern through both the
+    /// scalar reference and the shared realization, round `t` sending send
+    /// phase `(t + first) mod 3` for each `first`, and asserts that every
+    /// active receiver, and no other, gets its scalar multiset (down to the
+    /// sign of zero), and identical stats. The phase changes every round, so
+    /// a delayed arrival filed against another round's send phase differs.
     fn assert_matches_scalar(
         topology: &Topology,
         schedule: Option<&TopologySchedule>,
@@ -425,7 +428,8 @@ mod tests {
         seed: u64,
         rounds: u64,
     ) {
-        for (sends, outboxes) in send_phases(n) {
+        let phases = send_phases(n);
+        for first in 0..phases.len() {
             for active in activity_patterns(n) {
                 let mut scalar = ScalarReference::new(topology, schedule, plan, policy, n, seed);
                 let mut shared = build(n, topology, schedule, plan, policy, seed);
@@ -433,13 +437,14 @@ mod tests {
                 let mut rows = DeliveryRows::new(n);
                 let mut stats = NetworkStats::new();
                 for round in 0..rounds {
+                    let (sends, outboxes) = &phases[(round as usize + first) % phases.len()];
                     let round = Round::new(round);
-                    let scalar_rows = scalar.exchange(round, &outboxes).unwrap();
+                    let scalar_rows = scalar.exchange(round, outboxes).unwrap();
                     shared
                         .exchange_rows(
                             &mut lane,
                             round,
-                            &sends,
+                            sends,
                             |s| &outboxes[s],
                             &active,
                             &mut rows,
@@ -447,7 +452,7 @@ mod tests {
                         )
                         .unwrap();
                     for (r, row) in rows.by_receiver(&active).into_iter().enumerate() {
-                        let label = format!("{topology} n={n} round {round} receiver {r}");
+                        let label = format!("{topology} n={n} {round} receiver {r} from {first}");
                         let Some(row) = row else {
                             assert!(!active[r], "{label} got no row");
                             continue;
@@ -755,19 +760,73 @@ mod tests {
                 8,
             );
         }
-        // One link outlasts the run while two others deliver within it.
+        // One link outlasts the run while others deliver within it: one at
+        // the longest delay the rank history keeps, and one just past it,
+        // whose broadcasts arrive as values.
         assert_matches_scalar(
             &Topology::Ring { k: 2 },
             None,
             &LinkFaultPlan::new()
                 .delay(0, 1, 1000)
                 .delay(2, 1, 1)
-                .delay(255, 0, 3),
+                .delay(255, 0, 3)
+                .delay(4, 3, RANKED_DELAYS)
+                .delay(5, 4, RANKED_DELAYS + 1),
             DisconnectionPolicy::Record,
             256,
             3,
-            6,
+            RANKED_DELAYS as u64 + 3,
         );
+    }
+
+    /// Every link of `plan` from one of `senders` set to `delay`.
+    fn slow_senders(plan: LinkFaultPlan, senders: &[usize], delay: usize) -> LinkFaultPlan {
+        senders.iter().fold(plan, |plan, &from| {
+            plan.with_rule(LinkFaultRule {
+                from: Some(from),
+                delay: Some(delay),
+                ..LinkFaultRule::default()
+            })
+        })
+    }
+
+    #[test]
+    fn mixed_delays_match_scalar() {
+        // Delays 1–3 with 5% omissions under churn: every link one round
+        // late, senders 2 and 4 two rounds, links into receiver 3 three
+        // rounds and one link on time, so a row merges up to four streams.
+        let churn = TopologySchedule::SeededChurn {
+            base: Topology::Complete,
+            flip_rate: 0.2,
+        };
+        let mixed = slow_senders(LinkFaultPlan::new().omit_all(0.05).delay_all(1), &[2, 4], 2)
+            .with_rule(LinkFaultRule {
+                to: Some(3),
+                delay: Some(3),
+                ..LinkFaultRule::default()
+            })
+            .delay(5, 6, 0);
+        for (n, seed) in [(9, 2), (9, 13), (65, 2)] {
+            assert_matches_scalar(
+                &Topology::Complete,
+                Some(&churn),
+                &mixed,
+                DisconnectionPolicy::Record,
+                n,
+                seed,
+                12,
+            );
+        }
+        // The shape of the benchmark's delayed points: every link one round
+        // late and four senders (a silent, a per-receiver and two
+        // broadcasting ones) two rounds late, on the complete graph and on
+        // a wide ring.
+        for n in [65, 129] {
+            let plan = slow_senders(LinkFaultPlan::new().delay_all(1), &[1, 2, n / 2, n - 1], 2);
+            for topology in [Topology::Complete, Topology::Ring { k: 3 * n / 8 }] {
+                assert_matches_scalar(&topology, None, &plan, DisconnectionPolicy::Record, n, 4, 7);
+            }
+        }
     }
 
     #[test]

@@ -383,16 +383,16 @@ impl LinkFaultPlan {
         let mut omit = vec![0.0f64; n * n];
         let mut delay = vec![0usize; n * n];
         for rule in &self.rules {
-            for from in 0..n {
-                for to in 0..n {
+            for to in 0..n {
+                for from in 0..n {
                     if from == to || !rule.matches(from, to) {
                         continue;
                     }
                     if let Some(p) = rule.omit {
-                        omit[from * n + to] = p;
+                        omit[to * n + from] = p;
                     }
                     if let Some(d) = rule.delay {
-                        delay[from * n + to] = d;
+                        delay[to * n + from] = d;
                     }
                 }
             }
@@ -405,7 +405,13 @@ impl LinkFaultPlan {
                 "link delays must sum to at most {MAX_BUFFERED} rounds over all links"
             )));
         }
-        Ok(CompiledLinkFaults { n, omit, delay })
+        let omits = omit.iter().any(|&p| p > 0.0);
+        Ok(CompiledLinkFaults {
+            n,
+            omit,
+            omits,
+            delay,
+        })
     }
 }
 
@@ -419,11 +425,14 @@ impl fmt::Display for LinkFaultPlan {
 }
 
 /// A [`LinkFaultPlan`] compiled against a concrete universe: one omission
-/// probability and one delay per directed link.
+/// probability and one delay per directed link, stored receiver-major as
+/// the exchange walks them.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledLinkFaults {
     n: usize,
     omit: Vec<f64>,
+    /// Whether some link may lose messages.
+    omits: bool,
     delay: Vec<usize>,
 }
 
@@ -431,15 +440,20 @@ impl CompiledLinkFaults {
     /// Returns `true` when no link carries any fault — the compiled form of
     /// an (effectively) clean plan.
     pub(crate) fn is_clean(&self) -> bool {
-        self.omit.iter().all(|&p| p == 0.0) && self.delay.iter().all(|&d| d == 0)
+        !self.omits && self.delay.iter().all(|&d| d == 0)
+    }
+
+    /// Whether some link may lose messages.
+    pub(crate) fn omits(&self) -> bool {
+        self.omits
     }
 
     pub(crate) fn omit_at(&self, from: usize, to: usize) -> f64 {
-        self.omit[from * self.n + to]
+        self.omit[to * self.n + from]
     }
 
     pub(crate) fn delay_at(&self, from: usize, to: usize) -> usize {
-        self.delay[from * self.n + to]
+        self.delay[to * self.n + from]
     }
 
     /// Where each link's delay-ring slots start, receiver-major, then the
@@ -448,10 +462,15 @@ impl CompiledLinkFaults {
         if self.delay.iter().all(|&d| d == 0) {
             return Vec::new();
         }
-        let mut ring_at = vec![0];
-        for k in 0..self.n * self.n {
-            ring_at.push(ring_at[k] + self.delay_at(k % self.n, k / self.n) as u32);
+        let mut ring_at = Vec::with_capacity(self.n * self.n + 1);
+        let mut len = 0;
+        for to in 0..self.n {
+            for from in 0..self.n {
+                ring_at.push(len);
+                len += self.delay_at(from, to) as u32;
+            }
         }
+        ring_at.push(len);
         ring_at
     }
 }

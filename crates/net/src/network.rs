@@ -4,8 +4,8 @@
 //! [`SharedRealization`] holds the structure once per pack (realized
 //! graphs, compiled link faults, connectivity) plus reusable round
 //! scratch. Each lane carries only a tiny [`LaneDelivery`]: its seed, which
-//! keys its churn and omission draws, its round cursor and, when the plan
-//! delays, its delay ring.
+//! keys its churn and omission draws, its round cursor, the general walk's
+//! rank history and, when the plan delays, its delay ring.
 //!
 //! Every slot — what sender `s` put on its link to receiver `r` in one
 //! round — is decided by one classifier: a delivered value, a *sender
@@ -45,9 +45,24 @@
 //!   lane round under churn. Each receiver visits its in-neighbourhood, or
 //!   all `n` senders when some link delays: a link of delay `d` delivers
 //!   in round `t` what was sent in round `t − d`, kept in the lane's delay
-//!   ring, where the link owns `d` slots. Rows come out in *rank order*: the broadcasters are
-//!   sorted once per lane round, a receiver marks the ranks it heard in an
-//!   `n`-bit set, and only its other arrivals are sorted and merged in.
+//!   ring, where the link owns `d` slots. Rows come out in *rank order*:
+//!   the broadcasters are sorted once per lane round into the lane's *rank
+//!   history*, which keeps the sorted broadcasts of the last `H` rounds
+//!   (`H − 1` the longest delay up to `RANKED_DELAYS`, 8). A broadcast
+//!   travels a link of delay `d ≤ RANKED_DELAYS` as its rank in round `t`'s
+//!   order, so when it arrives in round `t + d` the receiver marks that rank
+//!   in an `n`-bit set of the send round, as it marks the undelayed
+//!   broadcasts it hears in the set of round `t + d` itself. A row is the
+//!   merge of these rank-ordered streams, at most one per distinct delay,
+//!   with the receiver's other arrivals (per-receiver slots and links
+//!   delayed longer), which alone are sorted per row. Each delay's ring
+//!   offset and history slot are computed once per lane round.
+//!
+//! Rows are ascending. Values that compare equal differ in bits only as
+//! −0.0 and 0.0, and they come in one fixed order: the undelayed
+//! broadcasts by sender, then each delayed send round's broadcasts by
+//! sender, the shortest delay first, then the other arrivals in the order
+//! an unstable sort leaves them.
 //!
 //! A [`Topology::RandomRegular`] graph realizes differently per seed, so
 //! such descriptions are built once per lane seed
@@ -67,12 +82,20 @@ use crate::{
     RoundTrace, Topology, TopologySchedule, TraceSlot,
 };
 
+/// The longest delay whose broadcasts arrive through the rank history: a
+/// lane keeps the sorted broadcasts of at most `RANKED_DELAYS + 1` rounds.
+/// Broadcasts over longer links arrive as values and are sorted per row.
+pub(crate) const RANKED_DELAYS: usize = 8;
+
 /// What one slot carried: classified at send time and accounted at
 /// delivery time, so the delay ring buffers the classification.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum SendOutcome {
     /// A value was sent and survived the link.
     Value(Value),
+    /// A broadcast that survived a link of delay `1..=RANKED_DELAYS`: its
+    /// rank in the send round's order.
+    Ranked(u32),
     /// The sender omitted (an adversary or benign fault).
     SenderOmitted,
     /// The pair shared no link in the send round (structural).
@@ -84,28 +107,24 @@ enum SendOutcome {
 }
 
 impl SendOutcome {
-    /// Accounts the outcome as it arrives — over a delayed link when
-    /// `delayed` — and hands back the delivered value, if any.
+    /// Accounts an outcome that delivered nothing as it arrives; the walk
+    /// counts the deliveries as it files them.
     #[inline(always)]
-    fn account(self, delayed: bool, stats: &mut NetworkStats) -> Option<Value> {
+    fn account(self, stats: &mut NetworkStats) {
         match self {
-            SendOutcome::Value(value) => {
-                stats.messages_delivered += 1;
-                stats.link_delayed += u64::from(delayed);
-                return Some(value);
-            }
+            SendOutcome::Value(_) | SendOutcome::Ranked(_) => {}
             SendOutcome::SenderOmitted => stats.omissions += 1,
             SendOutcome::Unreachable => stats.unreachable += 1,
             SendOutcome::LinkOmitted => stats.link_omissions += 1,
             SendOutcome::Pending => stats.link_pending += 1,
         }
-        None
     }
 }
 
 /// The per-lane slice of an exchange: everything keyed on the lane seed or
 /// advancing per lane round. Created by [`SharedRealization::lane`]; a
-/// fixed graph under a clean plan carries no state beyond the seed.
+/// fixed graph under a clean plan carries no state beyond the seed and
+/// the general walk's rank history.
 #[derive(Debug, Clone)]
 pub struct LaneDelivery {
     seed: u64,
@@ -114,6 +133,10 @@ pub struct LaneDelivery {
     /// The delay ring: a link of delay `d` owns `d` slots, slot `t % d` holding
     /// what it carried in round `t`; empty unless the plan delays.
     ring: Vec<SendOutcome>,
+    /// The rank history of the general walk: `H` slots of `n` values, slot
+    /// `t % H` holding round `t`'s broadcast values in rank order; empty
+    /// for the complete-graph merge.
+    history: Vec<Value>,
 }
 
 /// One round's graph: who hears whom, the closed in-neighbourhood lists
@@ -345,20 +368,50 @@ fn merge_sorted(a: &[Value], b: &[Value], out: &mut [Value]) {
 
 /// Reusable scratch of the general walk, shared across lanes: the lane
 /// round's broadcasters in ascending `order`, each one's `rank` there, and
-/// one receiver's `heard` ranks and `extra` (per-receiver or delayed) arrivals.
+/// one receiver's arrivals — the ranks it `heard`, one `n`-bit set per
+/// rank-history slot, and its `extra` (per-receiver or long-delayed)
+/// values, which alone are sorted.
 #[derive(Debug)]
 struct RankScratch {
     order: Vec<(u128, Value)>,
     rank: Vec<u32>,
+    /// The rank history's length `H`: the longest ranked delay plus one.
+    depth: usize,
+    /// The lane round's rank-history slot.
+    now: usize,
+    /// 64-bit words per heard set.
+    words: usize,
     heard: Vec<u64>,
     extra: Vec<Value>,
+    extra_len: usize,
+    /// One delayed stream's values, gathered before it is merged in.
+    stream: Vec<Value>,
 }
 
 impl RankScratch {
-    /// Sorts the lane round's broadcasters once by `bits << 32 | sender`, where `bits` orders like
-    /// the value (−0.0 folded into 0.0, so equal values go by sender), and records their ranks.
+    fn new(n: usize, depth: usize) -> Self {
+        let words = n.div_ceil(64);
+        RankScratch {
+            order: vec![(0, Value::new(0.0)); n],
+            rank: vec![0; n],
+            depth,
+            now: 0,
+            words,
+            heard: vec![0; depth * words],
+            extra: vec![Value::new(0.0); n],
+            extra_len: 0,
+            stream: vec![Value::new(0.0); n],
+        }
+    }
+
+    /// Sorts lane round `t`'s broadcasters once by `bits << 32 | sender`, where `bits` orders like
+    /// the value (−0.0 folded into 0.0, so equal values go by sender), records their ranks, and
+    /// writes their values in rank order into the round's slot of the lane's rank `history`.
     // mbaa: alloc-free
-    fn rank(&mut self, sends: &[LaneSend]) {
+    fn rank(&mut self, sends: &[LaneSend], t: usize, history: &mut [Value]) {
+        let n = sends.len();
+        self.now = t % self.depth;
+        let sorted = &mut history[self.now * n..(self.now + 1) * n];
         let mut len = 0;
         for (s, &send) in sends.iter().enumerate() {
             if let LaneSend::Broadcast(value) = send {
@@ -369,23 +422,102 @@ impl RankScratch {
             }
         }
         self.order[..len].sort_unstable_by_key(|&(key, _)| key);
-        for (k, &(key, _)) in self.order[..len].iter().enumerate() {
+        for (k, &(key, value)) in self.order[..len].iter().enumerate() {
             self.rank[key as u32 as usize] = k as u32;
+            sorted[k] = value;
         }
     }
 
-    /// Emits the row into `out`: heard values merged with the sorted extras, clearing `heard`.
+    /// Marks rank `k` of a send round as heard, in that round's set, which
+    /// starts at word `set`.
+    #[inline(always)]
+    fn hear(&mut self, set: usize, k: u32) {
+        let k = k as usize;
+        self.heard[set + k / 64] |= 1 << (k % 64);
+    }
+
+    /// Adds an arrival that is not filed by rank.
+    #[inline(always)]
+    fn add_extra(&mut self, value: Value) {
+        self.extra[self.extra_len] = value;
+        self.extra_len += 1;
+    }
+
+    /// Forgets one receiver's arrivals.
+    fn clear(&mut self) {
+        self.extra_len = 0;
+        self.heard.fill(0);
+    }
+
+    /// Emits the row into `out` and forgets the arrivals: the heard streams
+    /// of the lane's rank `history`, one per send round, merged with the
+    /// sorted extras. Equal values come in stream order, the lane round's
+    /// stream first, then ever older send rounds, then the extras (see the
+    /// module documentation). The fullest stream is gathered first and the
+    /// others merged into it. Returns the row's length.
     // mbaa: alloc-free
-    fn emit(&mut self, extra_len: usize, out: &mut [Value]) -> usize {
-        let extra = &mut self.extra[..extra_len];
+    fn emit(&mut self, history: &[Value], out: &mut [Value]) -> usize {
+        let (n, words, depth) = (self.rank.len(), self.words, self.depth);
+        if depth == 1 {
+            return self.emit_undelayed(history, out);
+        }
+        // Stream `d` (0 for the lane round, `d` for `d` rounds earlier)
+        // lives in rank-history slot `(now − d) mod H`.
+        let slot = |d: usize| {
+            let slot = self.now + depth - d;
+            if slot >= depth {
+                slot - depth
+            } else {
+                slot
+            }
+        };
+        let heard_len = |heard: &[u64], d: usize| -> u32 {
+            let set = slot(d) * words;
+            heard[set..set + words]
+                .iter()
+                .map(|word| word.count_ones())
+                .sum()
+        };
+        let base = (0..depth)
+            .max_by_key(|&d| (heard_len(&self.heard, d), std::cmp::Reverse(d)))
+            .expect("the history has a slot");
+        let mut len = 0;
+        // Each later stream, and then the extras, goes behind the equal
+        // values in the row so far; each earlier one, latest first, ahead.
+        for d in std::iter::once(base)
+            .chain(base + 1..depth)
+            .chain((0..base).rev())
+        {
+            let (set, values) = (slot(d) * words, slot(d) * n);
+            let heard = &mut self.heard[set..set + words];
+            let values = &history[values..values + n];
+            if d == base {
+                len = gather(heard, values, out);
+            } else {
+                let added = gather(heard, values, &mut self.stream);
+                merge_tail(out, len, &self.stream[..added], d < base);
+                len += added;
+            }
+        }
+        let extra = &mut self.extra[..std::mem::take(&mut self.extra_len)];
+        extra.sort_unstable();
+        merge_tail(out, len, extra, false);
+        len + extra.len()
+    }
+
+    /// [`emit`](RankScratch::emit) without delayed streams: one pass merges
+    /// the heard broadcasts with the sorted extras.
+    // mbaa: alloc-free
+    fn emit_undelayed(&mut self, history: &[Value], out: &mut [Value]) -> usize {
+        let extra = &mut self.extra[..std::mem::take(&mut self.extra_len)];
         extra.sort_unstable();
         let (mut h, mut j) = (0, 0);
         for (w, word) in self.heard.iter_mut().enumerate() {
             let mut bits = std::mem::take(word);
             while bits != 0 {
-                let value = self.order[w * 64 + bits.trailing_zeros() as usize].1;
+                let value = history[w * 64 + bits.trailing_zeros() as usize];
                 bits &= bits - 1;
-                while j < extra_len && extra[j] < value {
+                while j < extra.len() && extra[j] < value {
                     out[h + j] = extra[j];
                     j += 1;
                 }
@@ -393,8 +525,125 @@ impl RankScratch {
                 h += 1;
             }
         }
-        out[h + j..h + extra_len].copy_from_slice(&extra[j..]);
-        h + extra_len
+        out[h + j..h + extra.len()].copy_from_slice(&extra[j..]);
+        h + extra.len()
+    }
+}
+
+/// Writes the values whose ranks `heard` marks into `out` in rank order,
+/// clearing `heard`, and returns how many there were.
+// mbaa: alloc-free
+fn gather(heard: &mut [u64], values: &[Value], out: &mut [Value]) -> usize {
+    let mut len = 0;
+    for (w, word) in heard.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            out[len] = values[w * 64 + bits.trailing_zeros() as usize];
+            len += 1;
+            bits &= bits - 1;
+        }
+    }
+    len
+}
+
+/// Merges the ascending `add` into the ascending `out[..len]`, so that
+/// `out[..len + add.len()]` ascends with the added values `ahead` of the
+/// equal values already there, or else behind them. It works from the
+/// back: each added value finds its place by binary search, and the values
+/// above it move up as one block, so a few values merge into a long row in
+/// a few block moves.
+// mbaa: alloc-free
+fn merge_tail(out: &mut [Value], len: usize, add: &[Value], ahead: bool) {
+    let mut end = len;
+    for (j, &value) in add.iter().enumerate().rev() {
+        let at = out[..end].partition_point(|&v| v < value || (!ahead && v == value));
+        out.copy_within(at..end, at + j + 1);
+        out[at + j] = value;
+        end = at;
+    }
+}
+
+/// A delaying plan's links grouped by distinct delay, with the lane ring's
+/// layout. Each delay's ring offset and rank-history slot are taken once
+/// per lane round rather than divided out per slot.
+#[derive(Debug)]
+struct DelayRing {
+    /// Where each link's ring slots start, receiver-major, then the ring's
+    /// length ([`CompiledLinkFaults::delay_ring`]).
+    at: Vec<u32>,
+    /// `class[r * n + s]`: the index in `delays` of link `s → r`'s delay.
+    class: Vec<u16>,
+    /// The distinct delays, ascending; `delays[0] == 0`, the self-links'.
+    delays: Vec<usize>,
+    /// The classes below `ranked` (delays up to `RANKED_DELAYS`) arrive
+    /// through the rank history.
+    ranked: usize,
+    /// This lane round's ring offset `t % d` of each class.
+    offsets: Vec<u32>,
+    /// This lane round's heard set for each ranked class: the word of
+    /// [`RankScratch`]'s `heard` where the set of rank-history slot
+    /// `(t − d) mod H` starts.
+    sets: Vec<u32>,
+}
+
+impl DelayRing {
+    /// The layout of `faults` over `n` processes, or `None` when no link
+    /// delays.
+    fn new(faults: &CompiledLinkFaults, n: usize) -> Option<DelayRing> {
+        let at = faults.delay_ring();
+        if at.is_empty() {
+            return None;
+        }
+        // Receiver-major, like the ring. Self-links never delay, so 0 is
+        // among the delays.
+        let link_delays = || (0..n).flat_map(|r| (0..n).map(move |s| faults.delay_at(s, r)));
+        let mut delays = vec![0];
+        let mut last = 0;
+        for d in link_delays() {
+            if d != last {
+                if let Err(i) = delays.binary_search(&d) {
+                    delays.insert(i, d);
+                }
+                last = d;
+            }
+        }
+        // The 2^24 ring limit admits fewer than 6000 distinct delays.
+        let class_of = |d: usize| delays.binary_search(&d).expect("listed above") as u16;
+        let mut last = (0, 0);
+        let class = link_delays()
+            .map(|d| {
+                if d != last.0 {
+                    last = (d, class_of(d));
+                }
+                last.1
+            })
+            .collect();
+        let ranked = delays.partition_point(|&d| d <= RANKED_DELAYS);
+        Some(DelayRing {
+            at,
+            class,
+            offsets: vec![0; delays.len()],
+            sets: vec![0; ranked],
+            delays,
+            ranked,
+        })
+    }
+
+    /// The rank history's length `H`: the longest ranked delay plus one.
+    fn depth(&self) -> usize {
+        self.delays[self.ranked - 1] + 1
+    }
+
+    /// Takes each class's ring offset and heard set for lane round `t`,
+    /// heard sets being `words` long.
+    // mbaa: alloc-free
+    fn advance(&mut self, t: usize, depth: usize, words: usize) {
+        for (offset, &d) in self.offsets.iter_mut().zip(&self.delays).skip(1) {
+            *offset = (t % d) as u32;
+        }
+        for (set, &d) in self.sets.iter_mut().zip(&self.delays) {
+            *set = ((t + depth - d) % depth * words) as u32;
+        }
     }
 }
 
@@ -463,9 +712,9 @@ pub struct SharedRealization {
     /// omissions.
     faults: Option<CompiledLinkFaults>,
     policy: DisconnectionPolicy,
-    /// A lane's delay-ring layout ([`CompiledLinkFaults::delay_ring`]); empty
-    /// when nothing delays, which walks only in-neighbourhoods.
-    ring_at: Vec<u32>,
+    /// A lane's delay-ring layout; `None` when nothing delays, which walks
+    /// only in-neighbourhoods.
+    ring: Option<DelayRing>,
     ranks: RankScratch,
 }
 
@@ -548,33 +797,35 @@ impl SharedRealization {
                 }
             }
         };
-        let ring_at = faults
-            .as_ref()
-            .map_or_else(Vec::new, CompiledLinkFaults::delay_ring);
-        let merges = matches!(graphs, Graphs::Complete(_));
-        let walked = if merges { 0 } else { n };
+        let ring = faults.as_ref().and_then(|faults| DelayRing::new(faults, n));
+        let walked = if matches!(graphs, Graphs::Complete(_)) {
+            0
+        } else {
+            n
+        };
+        let depth = ring.as_ref().map_or(1, DelayRing::depth);
         Ok(SharedRealization {
             n,
             graphs,
             faults,
             policy,
-            ring_at,
-            ranks: RankScratch {
-                order: vec![(0, Value::new(0.0)); walked],
-                rank: vec![0; walked],
-                heard: vec![0; walked.div_ceil(64)],
-                extra: vec![Value::new(0.0); walked],
-            },
+            ring,
+            ranks: RankScratch::new(walked, depth),
         })
     }
 
     /// Creates the per-lane delivery state for one lane seed.
     #[must_use]
     pub fn lane(&self, seed: u64) -> LaneDelivery {
+        let ring_len = self
+            .ring
+            .as_ref()
+            .map_or(0, |ring| ring.at[self.n * self.n]);
         LaneDelivery {
             seed,
             next_round: 0,
-            ring: vec![SendOutcome::Pending; self.ring_at.last().map_or(0, |&len| len as usize)],
+            ring: vec![SendOutcome::Pending; ring_len as usize],
+            history: vec![Value::new(0.0); self.ranks.depth * self.ranks.rank.len()],
         }
     }
 
@@ -683,65 +934,90 @@ impl SharedRealization {
         stats.rounds += 1;
 
         // The general walk, in rank order (see the module documentation).
-        let (t, delays) = (round.index() as usize, !self.ring_at.is_empty());
+        // The round's counts stay in a local tally until the walk ends.
+        let t = round.index() as usize;
+        let mut tally = NetworkStats::new();
         let slots = Slots {
             seed: lane.seed,
             round: round.index(),
-            reach: delays.then_some(&graph.mask[..]),
-            faults: self.faults.as_ref(),
+            reach: self.ring.is_some().then_some(&graph.mask[..]),
+            faults: self.faults.as_ref().filter(|faults| faults.omits()),
             sends,
             outbox_of: &outbox_of,
         };
         let ranks = &mut self.ranks;
-        ranks.rank(sends);
+        ranks.rank(sends, t, &mut lane.history);
+        if let Some(ring) = &mut self.ring {
+            ring.advance(t, ranks.depth, ranks.words);
+        }
+        // Files an undelayed arrival: a broadcast by its rank, any other
+        // value as extra.
+        let now_set = ranks.now * ranks.words;
+        let arrive = |ranks: &mut RankScratch, s: usize, value: Value| match sends[s] {
+            LaneSend::Broadcast(_) => ranks.hear(now_set, ranks.rank[s]),
+            _ => ranks.add_extra(value),
+        };
         for (r, &row_active) in active.iter().enumerate() {
-            let mut extra = 0;
-            // Files an undelayed broadcast by its rank, anything else as extra.
-            let mut arrive = |s: usize, value: Value, delayed: bool| match sends[s] {
-                LaneSend::Broadcast(_) if !delayed => {
-                    let k = ranks.rank[s] as usize;
-                    ranks.heard[k / 64] |= 1 << (k % 64);
-                }
-                _ => {
-                    ranks.extra[extra] = value;
-                    extra += 1;
-                }
-            };
-            if !delays {
-                // No delay ring: only the in-neighbourhood can deliver.
-                let hood = graph.hood(r);
-                stats.unreachable += (n - hood.len()) as u64;
-                for s in hood.iter().map(|&s| s as usize) {
-                    if let Some(value) = slots.classify(s, r).account(false, stats) {
-                        arrive(s, value, false);
+            match &self.ring {
+                None => {
+                    // No delay ring: only the in-neighbourhood can deliver.
+                    let hood = graph.hood(r);
+                    tally.unreachable += (n - hood.len()) as u64;
+                    for s in hood.iter().map(|&s| s as usize) {
+                        match slots.classify(s, r) {
+                            SendOutcome::Value(value) => {
+                                tally.messages_delivered += 1;
+                                arrive(ranks, s, value);
+                            }
+                            lost => lost.account(&mut tally),
+                        }
                     }
                 }
-            } else {
-                // The delay ring buffers every outcome, so visit all n senders.
-                for s in 0..n {
-                    let sent = slots.classify(s, r);
-                    let delay = slots.delay(s, r);
-                    let arrived = if delay == 0 {
-                        sent
-                    } else {
-                        // The link's slot for round t holds round t − delay's
-                        // outcome (pending before round `delay`) until now.
-                        let at = self.ring_at[r * n + s] as usize + t % delay;
-                        std::mem::replace(&mut lane.ring[at], sent)
-                    };
-                    if let Some(value) = arrived.account(delay > 0, stats) {
-                        arrive(s, value, delay > 0);
+                Some(ring) => {
+                    // The delay ring buffers every outcome, so visit all n senders.
+                    let (classes, ats) = (&ring.class[r * n..], &ring.at[r * n..(r + 1) * n]);
+                    let (offsets, sets, ranked) = (&ring.offsets[..], &ring.sets[..], ring.ranked);
+                    let pipe = &mut lane.ring[..];
+                    for (s, (&class, &at)) in classes.iter().zip(ats).enumerate() {
+                        let class = class as usize;
+                        let mut sent = slots.classify(s, r);
+                        // A broadcast over a ranked link travels as its rank.
+                        if class < ranked
+                            && matches!(sent, SendOutcome::Value(_))
+                            && matches!(sends[s], LaneSend::Broadcast(_))
+                        {
+                            sent = SendOutcome::Ranked(ranks.rank[s]);
+                        }
+                        let arrived = if class == 0 {
+                            sent
+                        } else {
+                            // The link's slot for round t holds round t − delay's
+                            // outcome (pending before round `delay`) until now.
+                            let at = (at + offsets[class]) as usize;
+                            std::mem::replace(&mut pipe[at], sent)
+                        };
+                        match arrived {
+                            SendOutcome::Ranked(k) => ranks.hear(sets[class] as usize, k),
+                            SendOutcome::Value(value) => ranks.add_extra(value),
+                            lost => {
+                                lost.account(&mut tally);
+                                continue;
+                            }
+                        }
+                        tally.messages_delivered += 1;
+                        tally.link_delayed += u64::from(class > 0);
                     }
                 }
             }
             if row_active {
                 let start = rows.total;
-                let len = ranks.emit(extra, &mut rows.merged[start..]);
+                let len = ranks.emit(&lane.history, &mut rows.merged[start..]);
                 rows.push_row(r, start, len);
             } else {
-                ranks.heard.fill(0);
+                ranks.clear();
             }
         }
+        stats.merge(&tally);
         Ok(())
     }
 
@@ -1104,6 +1380,51 @@ mod tests {
         let all_but_one = LinkFaultPlan::new().delay_all(1).delay(0, 1, 1000);
         assert_eq!(ring_len(&all_but_one, 256), 256 * 255 - 1 + 1000);
         assert_eq!(ring_len(&LinkFaultPlan::new().omit_all(0.5), 256), 0);
+    }
+
+    #[test]
+    fn equal_values_keep_the_documented_tie_order() {
+        // Receiver 0 hears zeros of both signs: undelayed broadcasts from
+        // itself (0.0) and p3 (−0.0), p1's broadcast (−0.0) one round late,
+        // p2's (0.0) two rounds late, and p4's per-receiver −0.0 on time.
+        let plan = LinkFaultPlan::new().delay(1, 0, 1).delay(2, 0, 2);
+        let mut net = Net::new(
+            5,
+            &Topology::Complete,
+            None,
+            &plan,
+            DisconnectionPolicy::Record,
+            0,
+        );
+        let zero = |negative: bool| Value::new(if negative { -0.0 } else { 0.0 });
+        let sends: Vec<LaneSend> = [false, true, false, true]
+            .into_iter()
+            .map(|negative| LaneSend::Broadcast(zero(negative)))
+            .chain([LaneSend::PerReceiver])
+            .collect();
+        let special = Outbox::broadcast(5, pid(4), zero(true));
+        let active = [true; 5];
+        let mut rows = DeliveryRows::new(5);
+        for round in 0..3 {
+            net.shared
+                .exchange_rows(
+                    &mut net.lane,
+                    Round::new(round),
+                    &sends,
+                    |_| &special,
+                    &active,
+                    &mut rows,
+                    &mut net.stats,
+                )
+                .unwrap();
+        }
+        // By stream, shortest delay first, each by sender; extras last.
+        let signs: Vec<bool> = rows.by_receiver(&active)[0]
+            .unwrap()
+            .iter()
+            .map(|value| value.get().is_sign_negative())
+            .collect();
+        assert_eq!(signs, [false, true, true, false, true]);
     }
 
     #[test]
