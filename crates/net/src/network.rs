@@ -454,13 +454,18 @@ impl RankScratch {
     /// sorted extras. Equal values come in stream order, the lane round's
     /// stream first, then ever older send rounds, then the extras (see the
     /// module documentation). The fullest stream is gathered first and the
-    /// others merged into it. Returns the row's length.
+    /// others merged into it; the extras merge into it as it is gathered
+    /// unless an older stream follows it. Returns the row's length.
     // mbaa: alloc-free
     fn emit(&mut self, history: &[Value], out: &mut [Value]) -> usize {
-        let (n, words, depth) = (self.rank.len(), self.words, self.depth);
-        if depth == 1 {
-            return self.emit_undelayed(history, out);
+        let extra = &mut self.extra[..std::mem::take(&mut self.extra_len)];
+        extra.sort_unstable();
+        if self.depth == 1 {
+            // The lane round's stream is the only one: skip choosing a base
+            // among streams, which costs small undelayed rows several percent.
+            return gather(&mut self.heard, history, extra, out);
         }
+        let (n, words, depth) = (self.rank.len(), self.words, self.depth);
         // Stream `d` (0 for the lane round, `d` for `d` rounds earlier)
         // lives in rank-history slot `(now − d) mod H`.
         let slot = |d: usize| {
@@ -471,79 +476,66 @@ impl RankScratch {
                 slot
             }
         };
-        let heard_len = |heard: &[u64], d: usize| -> u32 {
+        // The base is the fullest stream.
+        let (mut base, mut fullest, mut oldest) = (0, 0, 0);
+        for d in 0..depth {
             let set = slot(d) * words;
-            heard[set..set + words]
+            let heard: u32 = self.heard[set..set + words]
                 .iter()
                 .map(|word| word.count_ones())
-                .sum()
+                .sum();
+            if heard > fullest {
+                (base, fullest) = (d, heard);
+            }
+            if heard > 0 {
+                oldest = d;
+            }
+        }
+        let (with_base, at_end) = if oldest > base {
+            (&[][..], &extra[..])
+        } else {
+            (&extra[..], &[][..])
         };
-        let base = (0..depth)
-            .max_by_key(|&d| (heard_len(&self.heard, d), std::cmp::Reverse(d)))
-            .expect("the history has a slot");
-        let mut len = 0;
-        // Each later stream, and then the extras, goes behind the equal
-        // values in the row so far; each earlier one, latest first, ahead.
-        for d in std::iter::once(base)
-            .chain(base + 1..depth)
-            .chain((0..base).rev())
-        {
+        let (set, values) = (slot(base) * words, slot(base) * n);
+        let heard = &mut self.heard[set..set + words];
+        let mut len = gather(heard, &history[values..values + n], with_base, out);
+        // Each older stream (`d > base`), and then the extras, goes behind
+        // the equal values in the row so far; each more recent one, from
+        // `base − 1` down to the lane round's, ahead of them.
+        for d in (base + 1..oldest + 1).chain((0..base).rev()) {
             let (set, values) = (slot(d) * words, slot(d) * n);
             let heard = &mut self.heard[set..set + words];
-            let values = &history[values..values + n];
-            if d == base {
-                len = gather(heard, values, out);
-            } else {
-                let added = gather(heard, values, &mut self.stream);
-                merge_tail(out, len, &self.stream[..added], d < base);
-                len += added;
-            }
+            let added = gather(heard, &history[values..values + n], &[], &mut self.stream);
+            merge_tail(out, len, &self.stream[..added], d < base);
+            len += added;
         }
-        let extra = &mut self.extra[..std::mem::take(&mut self.extra_len)];
-        extra.sort_unstable();
-        merge_tail(out, len, extra, false);
-        len + extra.len()
-    }
-
-    /// [`emit`](RankScratch::emit) without delayed streams: one pass merges
-    /// the heard broadcasts with the sorted extras.
-    // mbaa: alloc-free
-    fn emit_undelayed(&mut self, history: &[Value], out: &mut [Value]) -> usize {
-        let extra = &mut self.extra[..std::mem::take(&mut self.extra_len)];
-        extra.sort_unstable();
-        let (mut h, mut j) = (0, 0);
-        for (w, word) in self.heard.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                let value = history[w * 64 + bits.trailing_zeros() as usize];
-                bits &= bits - 1;
-                while j < extra.len() && extra[j] < value {
-                    out[h + j] = extra[j];
-                    j += 1;
-                }
-                out[h + j] = value;
-                h += 1;
-            }
-        }
-        out[h + j..h + extra.len()].copy_from_slice(&extra[j..]);
-        h + extra.len()
+        merge_tail(out, len, at_end, false);
+        len + at_end.len()
     }
 }
 
 /// Writes the values whose ranks `heard` marks into `out` in rank order,
-/// clearing `heard`, and returns how many there were.
+/// merged with the ascending `extra`, each behind the values equal to it;
+/// clears `heard` and returns the length written.
 // mbaa: alloc-free
-fn gather(heard: &mut [u64], values: &[Value], out: &mut [Value]) -> usize {
-    let mut len = 0;
+#[inline(always)]
+fn gather(heard: &mut [u64], values: &[Value], extra: &[Value], out: &mut [Value]) -> usize {
+    let (mut h, mut j) = (0, 0);
     for (w, word) in heard.iter_mut().enumerate() {
         let mut bits = std::mem::take(word);
         while bits != 0 {
-            out[len] = values[w * 64 + bits.trailing_zeros() as usize];
-            len += 1;
+            let value = values[w * 64 + bits.trailing_zeros() as usize];
             bits &= bits - 1;
+            while j < extra.len() && extra[j] < value {
+                out[h + j] = extra[j];
+                j += 1;
+            }
+            out[h + j] = value;
+            h += 1;
         }
     }
-    len
+    out[h + j..h + extra.len()].copy_from_slice(&extra[j..]);
+    h + extra.len()
 }
 
 /// Merges the ascending `add` into the ascending `out[..len]`, so that
@@ -1382,22 +1374,20 @@ mod tests {
         assert_eq!(ring_len(&LinkFaultPlan::new().omit_all(0.5), 256), 0);
     }
 
-    #[test]
-    fn equal_values_keep_the_documented_tie_order() {
-        // Receiver 0 hears zeros of both signs: undelayed broadcasts from
-        // itself (0.0) and p3 (−0.0), p1's broadcast (−0.0) one round late,
-        // p2's (0.0) two rounds late, and p4's per-receiver −0.0 on time.
-        let plan = LinkFaultPlan::new().delay(1, 0, 1).delay(2, 0, 2);
+    /// The signs of receiver 0's row after `rounds` rounds over `plan` at
+    /// n = 5, where p0–p3 broadcast zeros, negative as `negative` says, and
+    /// p4 sends every receiver −0.0 in a per-receiver slot.
+    fn zero_row_signs(plan: &LinkFaultPlan, negative: [bool; 4], rounds: u64) -> Vec<bool> {
         let mut net = Net::new(
             5,
             &Topology::Complete,
             None,
-            &plan,
+            plan,
             DisconnectionPolicy::Record,
             0,
         );
         let zero = |negative: bool| Value::new(if negative { -0.0 } else { 0.0 });
-        let sends: Vec<LaneSend> = [false, true, false, true]
+        let sends: Vec<LaneSend> = negative
             .into_iter()
             .map(|negative| LaneSend::Broadcast(zero(negative)))
             .chain([LaneSend::PerReceiver])
@@ -1405,7 +1395,7 @@ mod tests {
         let special = Outbox::broadcast(5, pid(4), zero(true));
         let active = [true; 5];
         let mut rows = DeliveryRows::new(5);
-        for round in 0..3 {
+        for round in 0..rounds {
             net.shared
                 .exchange_rows(
                     &mut net.lane,
@@ -1418,13 +1408,30 @@ mod tests {
                 )
                 .unwrap();
         }
-        // By stream, shortest delay first, each by sender; extras last.
-        let signs: Vec<bool> = rows.by_receiver(&active)[0]
+        rows.by_receiver(&active)[0]
             .unwrap()
             .iter()
             .map(|value| value.get().is_sign_negative())
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn equal_values_keep_the_documented_tie_order() {
+        // By stream, shortest delay first, each by sender; extras last.
+        // Receiver 0 hears undelayed broadcasts from itself (0.0) and p3
+        // (−0.0), p1's broadcast (−0.0) one round late, p2's (0.0) two
+        // rounds late, and p4's per-receiver −0.0 on time. The undelayed
+        // stream is the fullest, so the delayed ones merge in behind it.
+        let plan = LinkFaultPlan::new().delay(1, 0, 1).delay(2, 0, 2);
+        let signs = zero_row_signs(&plan, [false, true, false, true], 3);
         assert_eq!(signs, [false, true, true, false, true]);
+        // Every other link one round late: receiver 0 hears itself (−0.0)
+        // on time and p1–p3 (0.0, −0.0, 0.0) and p4's −0.0 a round late.
+        // The delayed stream is the fullest, so the undelayed one merges in
+        // ahead of it.
+        let plan = LinkFaultPlan::new().delay_all(1);
+        let signs = zero_row_signs(&plan, [true, false, true, false], 2);
+        assert_eq!(signs, [true, false, true, false, true]);
     }
 
     #[test]
