@@ -39,6 +39,11 @@
 //! sweep (unit `occ%`, higher is better — `scripts/bench_diff.py` knows
 //! the direction).
 //!
+//! Every row names the batches and lane rounds it rests on, and repeats
+//! its batch until there are at least 200 lane rounds: a one-lane complete
+//! row agrees within 6–8 rounds, so a few batches of it are a few dozen
+//! rounds, too few for a steady rate.
+//!
 //! Emits machine-readable `batch_rounds_per_sec/{n}/{k}` metric rows (unit
 //! `rounds/s`) into `BENCH_engine_batch.json` via the criterion shim's
 //! `MBAA_BENCH_JSON` hook; CI's bench-diff step compares the rows across
@@ -56,8 +61,12 @@ use mbaa::prelude::*;
 use mbaa::{BatchEngine, PackedLane, ProtocolConfig};
 use mbaa_bench::spread_inputs;
 
+/// The fewest lane rounds a measured point rests on.
+const MIN_LANE_ROUNDS: usize = 200;
+
 /// Timed batch executions per measured point (n = 256 is ~15× costlier
-/// per round, so it gets fewer).
+/// per round, so it gets fewer); a point repeats its batches further until
+/// it has [`MIN_LANE_ROUNDS`].
 fn repetitions(n: usize) -> usize {
     let base = if n >= 256 { 20 } else { 200 };
     std::env::var("MBAA_BENCH_SAMPLES")
@@ -173,17 +182,18 @@ fn measure(n: usize, k: usize, variant: Variant) {
 
     let reps = repetitions(n);
     let start = Instant::now();
-    let mut total_rounds = 0usize;
-    for _ in 0..reps {
+    let (mut batches, mut total_rounds) = (0, 0);
+    while batches < reps || total_rounds < MIN_LANE_ROUNDS {
         total_rounds += run(&lanes);
+        batches += 1;
     }
     let elapsed = start.elapsed().as_secs_f64();
-    let rounds_per_batch = total_rounds / reps;
+    let rounds_per_batch = total_rounds / batches;
     let rounds_per_sec = total_rounds as f64 / elapsed;
     let suffix = variant.suffix();
     println!(
         "engine_batch n={n} k={k}{suffix}: {rounds_per_batch} rounds/batch, \
-         {rounds_per_sec:.0} aggregate rounds/sec ({reps} batches)"
+         {rounds_per_sec:.0} aggregate rounds/sec ({batches} batches, {total_rounds} lane rounds)"
     );
     record_metric(
         "engine_batch",

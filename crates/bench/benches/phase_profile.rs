@@ -18,6 +18,10 @@
 //! `phase_share/batch_worst/361/{phase}`, profiles an 8-lane pack at the
 //! shape of the `complete_large_n` benchmark: Garay at n = 361 with f = 90
 //! agents placed by `TargetExtremes` and sending the split attack.
+//! `phase_share/batch_churn/{128,256}/{phase}` profile an 8-lane pack at
+//! the shape of `perfbench`'s churn points: seeded churn over the complete
+//! base at flip rate 0.1, with every link losing 5% of its messages, so
+//! each lane round redraws its graph and checks its components.
 //!
 //! Every table names the lane rounds it rests on, and runs until there are
 //! at least [`MIN_LANE_ROUNDS`]: a share measured over a few dozen rounds
@@ -38,7 +42,7 @@ use criterion::{record_metric, write_json_report};
 use mbaa::obs::timing::PhaseProfiler;
 use mbaa::{
     BatchEngine, CorruptionStrategy, LinkFaultPlan, MobileModel, MobilityStrategy, NoopObserver,
-    Observe, PackedLane, ProtocolConfig, ProtocolConfigBuilder, Topology, Value,
+    Observe, PackedLane, ProtocolConfig, ProtocolConfigBuilder, Topology, TopologySchedule, Value,
 };
 use mbaa_bench::spread_inputs;
 
@@ -107,7 +111,8 @@ fn profile(n: usize) {
 /// with every link one round late) folds one row per receiver, all of one
 /// width, in every round; `batch_worst` (8 lanes at n = 361, f = 90 under
 /// `TargetExtremes` and the split attack) shows what the agents cost when
-/// there are many of them.
+/// there are many of them; `batch_churn` (8 lanes under seeded churn with
+/// 5% link omissions) shows what redrawing the graph every round costs.
 fn profile_batch(
     label: &str,
     n: usize,
@@ -177,6 +182,16 @@ fn main() {
     profile_batch("batch_delay", 256, 2, 8, |b| {
         b.link_faults(LinkFaultPlan::new().delay_all(1))
     });
+    // The shape of perfbench's churn points.
+    for &n in &[128usize, 256] {
+        profile_batch("batch_churn", n, 2, 8, |b| {
+            b.topology_schedule(TopologySchedule::SeededChurn {
+                base: Topology::Complete,
+                flip_rate: 0.1,
+            })
+            .link_faults(LinkFaultPlan::new().omit_all(0.05))
+        });
+    }
     // The benchmark's shape: Garay's largest f at n = 361 (n > 4f).
     profile_batch("batch_worst", 361, 90, 8, |b| {
         b.mobility(MobilityStrategy::TargetExtremes)
