@@ -50,10 +50,10 @@
 //! per-receiver slots into that buffer with closed-form statistics, once
 //! per run of receivers whose slots agree bit for bit, taking the runs
 //! from the outboxes' own run boundaries; the general walk
-//! serves every other graph through precomputed neighbourhood lists,
-//! emitting one row per receiver in rank order, and replays the lane's
-//! seeded churn/omission draws and delay ring for schedules and link
-//! faults.
+//! serves every other graph by walking the set bits of each receiver's
+//! word row in the round's [`Adjacency`](mbaa_net::Adjacency), emitting
+//! one row per receiver in rank order, and replays the lane's seeded
+//! churn/omission draws and delay ring for schedules and link faults.
 //! Lanes are grouped by network description, and each group's realization
 //! is built **once** per pack — or once per lane seed for descriptions that
 //! realize per seed ([`Topology::RandomRegular`](mbaa_net::Topology)

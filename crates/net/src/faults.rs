@@ -88,9 +88,9 @@ fn unit(bits: u64) -> f64 {
 }
 
 /// The deterministic churn draw: returns `true` when the base link
-/// `a — b` is *down* in `round` under `flip_rate`. Shared with the
-/// batch-delivery path, which replays the exact per-lane draw stream
-/// without materializing per-round adjacencies.
+/// `a — b` is *down* in `round` under `flip_rate`. One function makes
+/// these draws, for [`RealizedSchedule::adjacency_at`] and the exchange
+/// alike: [`Adjacency::churn_into`].
 pub(crate) fn churn_link_down(seed: u64, round: u64, a: usize, b: usize, flip_rate: f64) -> bool {
     let (lo, hi) = (a.min(b) as u64, a.max(b) as u64);
     let h = mix(mix(mix(seed ^ CHURN_STREAM, round), lo), hi);
@@ -639,17 +639,9 @@ impl RealizedSchedule {
                 if *flip_rate == 0.0 {
                     return Cow::Borrowed(base);
                 }
-                let surviving = (0..self.n).flat_map(|a| {
-                    (a + 1..self.n).filter_map(move |b| {
-                        (base.connected(ProcessId::new(a), ProcessId::new(b))
-                            && !churn_link_down(self.seed, round.index(), a, b, *flip_rate))
-                        .then_some((a, b))
-                    })
-                });
-                Cow::Owned(
-                    Adjacency::from_edges(self.n, surviving)
-                        .expect("surviving edges stay inside the universe"),
-                )
+                let mut drawn = base.clone();
+                base.churn_into(self.seed, round.index(), *flip_rate, &mut drawn);
+                Cow::Owned(drawn)
             }
         }
     }

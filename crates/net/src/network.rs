@@ -40,10 +40,13 @@
 //!   not O(n) and `n` rows.
 //! * **The general receiver walk**, for everything else: partial graphs,
 //!   periodic phases, seeded churn, link omissions and delays. A round's
-//!   graph is a reachability mask with closed in-neighbourhood lists,
-//!   built per phase (a fixed graph is the one-phase case) or redrawn per
-//!   lane round under churn. Each receiver visits its in-neighbourhood, or
-//!   all `n` senders when some link delays: a link of delay `d` delivers
+//!   graph is an [`Adjacency`], one row of `u64` words per receiver: one
+//!   per phase (a fixed graph is the one-phase case), or under churn one
+//!   that [`Adjacency::churn_into`] redraws per lane round before a
+//!   word-parallel search counts its components. Each receiver visits the
+//!   set bits of its row in ascending order, counting the senders it cannot
+//!   hear by popcount, or visits all `n` senders, testing each one's bit,
+//!   when some link delays: a link of delay `d` delivers
 //!   in round `t` what was sent in round `t − d`, kept in the lane's delay
 //!   ring, where the link owns `d` slots. Rows come out in *rank order*:
 //!   the broadcasters are sorted once per lane round into the lane's *rank
@@ -68,15 +71,14 @@
 //! such descriptions are built once per lane seed
 //! ([`SharedRealization::realizes_per_seed`]), all others once per pack.
 //! Churn replays each lane's per-`(seed, round, link)` down-draws against
-//! the shared base, so its round graphs match
+//! the shared base through the draw
 //! [`RealizedSchedule::adjacency_at`](crate::RealizedSchedule::adjacency_at)
-//! bit for bit.
-
-use std::cmp::Ordering;
+//! makes, so its round graphs match that one bit for bit.
 
 use mbaa_types::{Error, ProcessId, Result, Round, Value};
 
-use crate::faults::{churn_link_down, omission_lost, CompiledLinkFaults, RealizedKind};
+use crate::faults::{omission_lost, CompiledLinkFaults, RealizedKind};
+use crate::topology::Reach;
 use crate::{
     Adjacency, DeliveryRows, DisconnectionPolicy, LaneSend, LinkFaultPlan, NetworkStats, Outbox,
     RoundTrace, Topology, TopologySchedule, TraceSlot,
@@ -137,104 +139,6 @@ pub struct LaneDelivery {
     /// `t % H` holding round `t`'s broadcast values in rank order; empty
     /// for the complete-graph merge.
     history: Vec<Value>,
-}
-
-/// One round's graph: who hears whom, the closed in-neighbourhood lists
-/// the walk visits, and the component count the connectivity check reads.
-#[derive(Debug)]
-struct RoundGraph {
-    /// `mask[r * n + s]`: receiver `r` hears sender `s` (symmetric, the
-    /// diagonal always set).
-    mask: Vec<bool>,
-    /// `neighbors[offsets[r]..offsets[r + 1]]`: the senders receiver `r`
-    /// hears (itself included), ascending.
-    neighbors: Vec<u32>,
-    offsets: Vec<u32>,
-    components: usize,
-    /// The component search's scratch.
-    visited: Vec<bool>,
-    stack: Vec<u32>,
-}
-
-impl RoundGraph {
-    /// The graph over `n` processes linking each pair `a < b` that
-    /// `linked(a, b)` accepts, sized so a refill never grows it.
-    fn new(n: usize, linked: impl Fn(usize, usize) -> bool) -> Self {
-        let mut graph = RoundGraph {
-            mask: vec![false; n * n],
-            neighbors: vec![0; n * n],
-            offsets: vec![0; n + 1],
-            components: 0,
-            visited: vec![false; n],
-            stack: vec![0; n],
-        };
-        graph.fill(linked);
-        graph
-    }
-
-    /// A graph that is never refilled: `adjacency`, its lists trimmed.
-    fn fixed(adjacency: &Adjacency) -> Self {
-        let n = adjacency.n();
-        let mut graph = RoundGraph::new(n, |a, b| {
-            adjacency.connected(ProcessId::new(a), ProcessId::new(b))
-        });
-        graph.neighbors.truncate(graph.offsets[n] as usize);
-        graph.neighbors.shrink_to_fit();
-        graph
-    }
-
-    #[inline]
-    fn hood(&self, r: usize) -> &[u32] {
-        &self.neighbors[self.offsets[r] as usize..self.offsets[r + 1] as usize]
-    }
-
-    /// Refills the graph, asking `linked(a, b)` once per pair `a < b`, and
-    /// counts its components.
-    // mbaa: alloc-free
-    fn fill(&mut self, linked: impl Fn(usize, usize) -> bool) {
-        let n = self.visited.len();
-        let mut len = 0;
-        for r in 0..n {
-            for s in 0..n {
-                let link = match s.cmp(&r) {
-                    // Row `s` is filled already; the graph is symmetric.
-                    Ordering::Less => self.mask[s * n + r],
-                    Ordering::Equal => true,
-                    Ordering::Greater => linked(r, s),
-                };
-                self.mask[r * n + s] = link;
-                if link {
-                    self.neighbors[len] = s as u32;
-                    len += 1;
-                }
-            }
-            self.offsets[r + 1] = len as u32;
-        }
-        // Depth-first search; each node enters the stack once.
-        self.visited.fill(false);
-        self.components = 0;
-        for start in 0..n {
-            if self.visited[start] {
-                continue;
-            }
-            self.components += 1;
-            self.visited[start] = true;
-            self.stack[0] = start as u32;
-            let mut top = 1;
-            while top > 0 {
-                top -= 1;
-                let node = self.stack[top] as usize;
-                for i in self.offsets[node]..self.offsets[node + 1] {
-                    let next = self.neighbors[i as usize];
-                    if !self.visited[next as usize] {
-                        self.visited[next as usize] = true;
-                        self.stack[top] = next;
-                        top += 1;
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Reusable scratch of the complete-graph merge, shared across lanes: the
@@ -644,14 +548,16 @@ impl DelayRing {
 enum Graphs {
     /// The unmasked complete graph under a clean plan: the merge walk.
     Complete(MergeScratch),
-    /// Round `r` uses `phases[r % phases.len()]`; a fixed graph is the
-    /// one-phase case.
-    Phases(Vec<RoundGraph>),
-    /// Seeded churn over a shared base, redrawn into `drawn` per lane round.
+    /// Round `r` uses `phases[r % phases.len()]`, each with its component
+    /// count; a fixed graph is the one-phase case.
+    Phases(Vec<(Adjacency, usize)>),
+    /// Seeded churn over a shared base, redrawn into `drawn` per lane round
+    /// and searched for its components.
     Churn {
         base: Adjacency,
         flip_rate: f64,
-        drawn: RoundGraph,
+        drawn: Adjacency,
+        reach: Reach,
     },
 }
 
@@ -659,8 +565,6 @@ enum Graphs {
 struct Slots<'a, F> {
     seed: u64,
     round: u64,
-    /// The round graph's mask; `None` when every pair asked about is linked.
-    reach: Option<&'a [bool]>,
     faults: Option<&'a CompiledLinkFaults>,
     sends: &'a [LaneSend],
     outbox_of: &'a F,
@@ -669,13 +573,10 @@ struct Slots<'a, F> {
 // Left to the inliner, the classifier stayed an out-of-line call per slot
 // in the walk, costing fixed-graph runs about 10%: hence `inline(always)`.
 impl<'o, F: Fn(usize) -> &'o Outbox> Slots<'_, F> {
-    /// What sender `s` put on its link to receiver `r` this round.
+    /// What sender `s` put on its link to receiver `r` this round, if the
+    /// round's graph links them.
     #[inline(always)]
     fn classify(&self, s: usize, r: usize) -> SendOutcome {
-        let n = self.sends.len();
-        if self.reach.is_some_and(|reach| !reach[r * n + s]) {
-            return SendOutcome::Unreachable;
-        }
         let Some(value) = self.sends[s].slot(self.outbox_of, s, ProcessId::new(r)) else {
             return SendOutcome::SenderOmitted;
         };
@@ -766,13 +667,17 @@ impl SharedRealization {
             Some(link_faults.compile(n)?).filter(|faults| !faults.is_clean())
         };
         let graphs = match realized.kind() {
-            RealizedKind::Periodic(phases) if realized.is_dynamic() => {
-                Graphs::Phases(phases.iter().map(RoundGraph::fixed).collect())
-            }
+            RealizedKind::Periodic(phases) if realized.is_dynamic() => Graphs::Phases(
+                phases
+                    .iter()
+                    .map(|phase| (phase.clone(), phase.component_count()))
+                    .collect(),
+            ),
             RealizedKind::Churn { base, flip_rate } if realized.is_dynamic() => Graphs::Churn {
                 base: base.clone(),
                 flip_rate: *flip_rate,
-                drawn: RoundGraph::new(n, |_, _| false),
+                drawn: base.clone(),
+                reach: Reach::new(n),
             },
             _ => {
                 let graph = realized.adjacency_at(Round::ZERO);
@@ -785,7 +690,8 @@ impl SharedRealization {
                         cuts: vec![false; n],
                     })
                 } else {
-                    Graphs::Phases(vec![RoundGraph::fixed(&graph)])
+                    let components = graph.component_count();
+                    Graphs::Phases(vec![(graph.into_owned(), components)])
                 }
             }
         };
@@ -834,10 +740,12 @@ impl SharedRealization {
 
     /// The graph of `round` — under churn, as the lane's latest exchange
     /// drew it — or `None` for the complete graph.
-    fn graph_at(graphs: &Graphs, round: Round) -> Option<&RoundGraph> {
+    fn graph_at(graphs: &Graphs, round: Round) -> Option<&Adjacency> {
         match graphs {
             Graphs::Complete(_) => None,
-            Graphs::Phases(phases) => Some(&phases[(round.index() % phases.len() as u64) as usize]),
+            Graphs::Phases(phases) => {
+                Some(&phases[(round.index() % phases.len() as u64) as usize].0)
+            }
             Graphs::Churn { drawn, .. } => Some(drawn),
         }
     }
@@ -893,32 +801,28 @@ impl SharedRealization {
             }
             lane.next_round += 1;
         }
-        match &mut self.graphs {
+        let components = match &mut self.graphs {
             Graphs::Complete(merge) => {
                 merge.walk(sends, &outbox_of, active, rows, stats);
                 return Ok(());
             }
-            Graphs::Phases(_) => {}
+            Graphs::Phases(phases) => phases[(round.index() % phases.len() as u64) as usize].1,
             Graphs::Churn {
                 base,
                 flip_rate,
                 drawn,
+                reach,
             } => {
                 // The draws `RealizedSchedule::adjacency_at` makes.
-                drawn.fill(|a, b| {
-                    base.connected(ProcessId::new(a), ProcessId::new(b))
-                        && !churn_link_down(lane.seed, round.index(), a, b, *flip_rate)
-                });
+                base.churn_into(lane.seed, round.index(), *flip_rate, drawn);
+                reach.components(drawn)
             }
-        }
+        };
         let graph = Self::graph_at(&self.graphs, round).expect("only the complete graph has none");
-        if !fixed && graph.components != 1 {
+        if !fixed && components != 1 {
             match self.policy {
                 DisconnectionPolicy::Reject => {
-                    return Err(Error::DisconnectedRound {
-                        round,
-                        components: graph.components,
-                    });
+                    return Err(Error::DisconnectedRound { round, components });
                 }
                 DisconnectionPolicy::Record => stats.disconnected_rounds += 1,
             }
@@ -932,7 +836,6 @@ impl SharedRealization {
         let slots = Slots {
             seed: lane.seed,
             round: round.index(),
-            reach: self.ring.is_some().then_some(&graph.mask[..]),
             faults: self.faults.as_ref().filter(|faults| faults.omits()),
             sends,
             outbox_of: &outbox_of,
@@ -952,27 +855,46 @@ impl SharedRealization {
         for (r, &row_active) in active.iter().enumerate() {
             match &self.ring {
                 None => {
-                    // No delay ring: only the in-neighbourhood can deliver.
-                    let hood = graph.hood(r);
-                    tally.unreachable += (n - hood.len()) as u64;
-                    for s in hood.iter().map(|&s| s as usize) {
-                        match slots.classify(s, r) {
-                            SendOutcome::Value(value) => {
-                                tally.messages_delivered += 1;
-                                arrive(ranks, s, value);
+                    // No delay ring: only the in-neighbourhood can deliver,
+                    // and the senders outside it are unreachable. The words
+                    // are walked by hand: through an iterator, sparse rings
+                    // ran about 20% slower.
+                    tally.unreachable += n as u64;
+                    for (w, &word) in graph.row_words(r).iter().enumerate() {
+                        let mut bits = word;
+                        while bits != 0 {
+                            let s = w * 64 + bits.trailing_zeros() as usize;
+                            bits &= bits - 1;
+                            tally.unreachable -= 1;
+                            match slots.classify(s, r) {
+                                SendOutcome::Value(value) => {
+                                    tally.messages_delivered += 1;
+                                    arrive(ranks, s, value);
+                                }
+                                lost => lost.account(&mut tally),
                             }
-                            lost => lost.account(&mut tally),
                         }
                     }
                 }
                 Some(ring) => {
-                    // The delay ring buffers every outcome, so visit all n senders.
+                    // The delay ring buffers every outcome, so visit all n
+                    // senders, testing each one's bit in the receiver's row.
+                    let (row, mut bits) = (graph.row_words(r), 0);
                     let (classes, ats) = (&ring.class[r * n..], &ring.at[r * n..(r + 1) * n]);
                     let (offsets, sets, ranked) = (&ring.offsets[..], &ring.sets[..], ring.ranked);
                     let pipe = &mut lane.ring[..];
                     for (s, (&class, &at)) in classes.iter().zip(ats).enumerate() {
                         let class = class as usize;
-                        let mut sent = slots.classify(s, r);
+                        if s % 64 == 0 {
+                            bits = row[s / 64];
+                        }
+                        let linked = bits & 1 != 0;
+                        bits >>= 1;
+                        let mut sent = if linked {
+                            slots.classify(s, r)
+                        } else {
+                            SendOutcome::Unreachable
+                        };
                         // A broadcast over a ranked link travels as its rank.
                         if class < ranked
                             && matches!(sent, SendOutcome::Value(_))
@@ -1030,13 +952,18 @@ impl SharedRealization {
         let slots = Slots {
             seed: lane.seed,
             round: round.index(),
-            reach: Self::graph_at(&self.graphs, round).map(|graph| &graph.mask[..]),
             faults: self.faults.as_ref(),
             sends,
             outbox_of: &outbox_of,
         };
+        let graph = Self::graph_at(&self.graphs, round);
         RoundTrace::from_slots(round, self.n, |s, r| {
-            let outcome = slots.classify(s, r);
+            let outcome = match graph {
+                Some(graph) if !graph.connected(ProcessId::new(r), ProcessId::new(s)) => {
+                    SendOutcome::Unreachable
+                }
+                _ => slots.classify(s, r),
+            };
             TraceSlot {
                 sent: match outcome {
                     SendOutcome::Value(value) => Some(value),
@@ -1052,6 +979,7 @@ impl SharedRealization {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::churn_link_down;
 
     fn pid(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -1564,34 +1492,62 @@ mod tests {
             base: Topology::Complete,
             flip_rate: 0.5,
         };
-        let realized = schedule.realize(3, 11).unwrap();
-        let mut net = Net::new(
-            3,
-            &Topology::Complete,
-            Some(&schedule),
-            &LinkFaultPlan::new(),
-            DisconnectionPolicy::Record,
-            11,
-        );
-        for round in 0..10 {
-            let round = Round::new(round);
-            let graph = realized.adjacency_at(round).into_owned();
-            let rows = net.exchange(round, &broadcasts()).unwrap();
-            let trace = net.trace(round, &broadcasts());
-            for (r, row) in rows.iter().enumerate() {
-                let expected: Vec<Value> = (0..3)
-                    .filter(|&s| graph.connected(pid(s), pid(r)))
-                    .map(|s| Value::new(s as f64))
-                    .collect();
-                assert_eq!(row, &expected);
-                for s in 0..3 {
-                    assert_eq!(
-                        trace.observation(pid(s)).reaches(pid(r)),
-                        graph.connected(pid(s), pid(r))
-                    );
+        // Word boundaries on both sides; n = 3 falls apart most rounds.
+        for n in [3usize, 64, 65, 129] {
+            let mut net = Net::new(
+                n,
+                &Topology::Complete,
+                Some(&schedule),
+                &LinkFaultPlan::new(),
+                DisconnectionPolicy::Record,
+                11,
+            );
+            let outboxes: Vec<Outbox> = (0..n)
+                .map(|i| Outbox::broadcast(n, pid(i), Value::new(i as f64)))
+                .collect();
+            let mut disconnected = 0;
+            for round in 0..10 {
+                // The round's links, pair by pair from the churn draw itself.
+                let linked = |a: usize, b: usize| {
+                    a == b || !churn_link_down(11, round, a.min(b), a.max(b), 0.5)
+                };
+                let round = Round::new(round);
+                let rows = net.exchange(round, &outboxes).unwrap();
+                let trace = net.trace(round, &outboxes);
+                for (r, row) in rows.iter().enumerate() {
+                    let expected: Vec<Value> = (0..n)
+                        .filter(|&s| linked(s, r))
+                        .map(|s| Value::new(s as f64))
+                        .collect();
+                    assert_eq!(row, &expected, "n={n} {round} receiver {r}");
+                    for s in 0..n {
+                        assert_eq!(trace.observation(pid(s)).reaches(pid(r)), linked(s, r));
+                    }
                 }
+                // Components by flooding from each unlabelled process.
+                let mut label = vec![usize::MAX; n];
+                let mut components = 0;
+                for start in 0..n {
+                    if label[start] != usize::MAX {
+                        continue;
+                    }
+                    let mut stack = vec![start];
+                    label[start] = components;
+                    while let Some(a) = stack.pop() {
+                        for (b, slot) in label.iter_mut().enumerate() {
+                            if *slot == usize::MAX && linked(a, b) {
+                                *slot = components;
+                                stack.push(b);
+                            }
+                        }
+                    }
+                    components += 1;
+                }
+                disconnected += u64::from(components != 1);
             }
+            assert_eq!(net.stats.disconnected_rounds, disconnected, "n={n}");
+            assert!(n > 3 || disconnected > 0, "n = 3 never fell apart");
+            assert!(net.stats.unreachable > 0, "flip 0.5 never dropped a link");
         }
-        assert!(net.stats.unreachable > 0, "flip 0.5 never dropped a link");
     }
 }

@@ -18,7 +18,8 @@ use mbaa_types::{ProcessId, Value};
 /// * A cured process in Garay's model stays **silent**
 ///   ([`Outbox::silent`]).
 /// * A **Byzantine** process may fill the slots arbitrarily
-///   ([`Outbox::per_receiver`] or the slot mutators).
+///   ([`Outbox::per_receiver`], or in place with [`Outbox::fill_runs`] and
+///   [`Outbox::fill_with`]).
 ///
 /// The slots are stored as *runs*: ranges of receivers in ascending order
 /// that get the same slot, where neighbouring runs differ bit for bit
@@ -28,8 +29,8 @@ use mbaa_types::{ProcessId, Value};
 /// `n` runs. [`Outbox::fill_runs`] writes them in order and
 /// [`Outbox::runs`] walks them; [`Outbox::get`] reads a receiver's slot
 /// directly from one, two or `n` runs and by binary search otherwise.
-/// Capacity for `n + 2` runs is reserved when an outbox is made, so
-/// rewriting a reused outbox never allocates.
+/// Capacity for `n` runs is reserved when an outbox is made, so rewriting
+/// a reused outbox never allocates.
 /// Equality compares slot by slot, so −0.0 equals 0.0 as it does for
 /// [`Value`].
 ///
@@ -41,9 +42,11 @@ use mbaa_types::{ProcessId, Value};
 ///
 /// let sender = ProcessId::new(1);
 /// let mut outbox = Outbox::broadcast(4, sender, Value::new(0.5));
-/// outbox.set(ProcessId::new(3), Some(Value::new(99.0)));
+/// // Receivers 0..3 keep 0.5, receiver 3 gets 99.
+/// outbox.fill_runs([(3, Some(Value::new(0.5))), (4, Some(Value::new(99.0)))]);
 /// assert!(!outbox.is_uniform());
 /// assert_eq!(outbox.runs().count(), 2);
+/// assert_eq!(outbox.get(ProcessId::new(3)), Some(Value::new(99.0)));
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Outbox {
@@ -68,9 +71,9 @@ fn same_bits(a: Option<Value>, b: Option<Value>) -> bool {
 
 impl Outbox {
     /// An outbox over `n` receivers that sends `value` to every one of
-    /// them, with room for `n + 2` runs.
+    /// them, with room for `n` runs.
     fn uniform(n: usize, sender: ProcessId, value: Option<Value>) -> Self {
-        let mut runs = Vec::with_capacity(n + 2);
+        let mut runs = Vec::with_capacity(n);
         if n > 0 {
             runs.push(Run { end: n, value });
         }
@@ -139,16 +142,6 @@ impl Outbox {
         run.value
     }
 
-    /// Overwrites the slot destined to `receiver`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `receiver` is outside the universe.
-    pub fn set(&mut self, receiver: ProcessId, value: Option<Value>) {
-        let r = receiver.index();
-        self.fill_range(r..r + 1, value);
-    }
-
     /// Rewrites this outbox in place into the broadcast of `value` — the
     /// zero-allocation counterpart of [`Outbox::broadcast`] for a reused
     /// send buffer. The universe is unchanged.
@@ -160,56 +153,6 @@ impl Outbox {
     /// counterpart of [`Outbox::silent`]. The universe is unchanged.
     pub fn fill_silent(&mut self) {
         self.fill_runs([(self.universe(), None)]);
-    }
-
-    /// Overwrites the slots destined to the `receivers` range with `value`,
-    /// splitting the runs it cuts and merging it with neighbours that hold
-    /// the same bits. Costs O(runs); never allocates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is reversed or reaches outside the universe.
-    // mbaa: alloc-free
-    pub fn fill_range(&mut self, receivers: Range<usize>, value: Option<Value>) {
-        let Range { start, end } = receivers;
-        let n = self.universe();
-        assert!(
-            start <= end && end <= n,
-            "receivers {start}..{end} outside the universe of {n}"
-        );
-        if start == end {
-            return;
-        }
-        // Runs `first..last` now cover exactly the range: make them one.
-        let first = self.split_at(start);
-        let last = self.split_at(end);
-        self.runs.drain(first + 1..last);
-        self.runs[first] = Run { end, value };
-        if self
-            .runs
-            .get(first + 1)
-            .is_some_and(|next| same_bits(next.value, value))
-        {
-            self.runs[first].end = self.runs.remove(first + 1).end;
-        }
-        if first > 0 && same_bits(self.runs[first - 1].value, value) {
-            self.runs[first - 1].end = self.runs.remove(first).end;
-        }
-    }
-
-    /// Splits the run holding receiver `at`, unless a run starts there, and
-    /// returns the index of the run that starts at `at` (the run count for
-    /// `at == n`). Two splits of a canonical list of at most `n` runs stay
-    /// within the `n + 2` reserved.
-    fn split_at(&mut self, at: usize) -> usize {
-        let i = self.runs.partition_point(|run| run.end <= at);
-        let start = i.checked_sub(1).map_or(0, |before| self.runs[before].end);
-        if start == at {
-            return i;
-        }
-        let value = self.runs[i].value;
-        self.runs.insert(i, Run { end: at, value });
-        i + 1
     }
 
     /// Rewrites every slot in place from `(end, slot)` pairs in ascending
@@ -233,7 +176,7 @@ impl Outbox {
             }
             match self.runs.last_mut() {
                 Some(run) if same_bits(run.value, value) => run.end = end,
-                // mbaa: allow(hot-path/vec-growth, at most n runs, within the n + 2 reserved at construction)
+                // mbaa: allow(hot-path/vec-growth, at most n runs, within the n reserved at construction)
                 _ => self.runs.push(Run { end, value }),
             }
             start = end;
@@ -293,15 +236,6 @@ impl Outbox {
             Some(first) => self.runs.iter().all(|run| run.value == Some(first)),
         }
     }
-
-    /// The set of distinct values present in the slots (omissions excluded).
-    #[must_use]
-    pub fn distinct_values(&self) -> Vec<Value> {
-        let mut vals: Vec<Value> = self.runs.iter().filter_map(|run| run.value).collect();
-        vals.sort_unstable();
-        vals.dedup();
-        vals
-    }
 }
 
 impl PartialEq for Outbox {
@@ -351,7 +285,6 @@ mod tests {
         let o = Outbox::silent(4, ProcessId::new(2));
         assert!(o.is_silent());
         assert!(!o.is_uniform());
-        assert!(o.distinct_values().is_empty());
     }
 
     #[test]
@@ -363,13 +296,12 @@ mod tests {
         assert_eq!(o.sender(), ProcessId::new(1));
         assert_eq!(o.get(ProcessId::new(1)), None);
         assert!(!o.is_uniform());
-        assert_eq!(o.distinct_values(), vec![Value::new(0.0), Value::new(1.0)]);
 
-        o.set(ProcessId::new(1), Some(Value::new(0.0)));
-        o.set(ProcessId::new(2), Some(Value::new(0.0)));
+        o.fill_with(|_| Some(Value::new(0.0)));
         assert!(o.is_uniform());
+        assert_eq!(o.runs().count(), 1);
 
-        o.fill_range(1..3, None);
+        o.fill_runs([(1, Some(Value::new(0.0))), (2, None), (3, None)]);
         let runs: Vec<_> = o.runs().collect();
         assert_eq!(runs, vec![(0..1, Some(Value::new(0.0))), (1..3, None)]);
     }
@@ -400,9 +332,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outside the universe")]
-    fn fill_range_past_the_universe_panics() {
-        Outbox::silent(3, ProcessId::new(0)).fill_range(2..4, None);
+    #[should_panic(expected = "cover the universe")]
+    fn fill_runs_past_the_universe_panics() {
+        Outbox::silent(3, ProcessId::new(0)).fill_runs([(2, None), (4, None)]);
     }
 
     #[test]
@@ -433,7 +365,7 @@ mod tests {
     /// One random mutation, applied to the outbox and its dense reference.
     fn mutate(rng: &mut StdRng, outbox: &mut Outbox, dense: &mut [Option<Value>]) {
         let n = dense.len();
-        match rng.random_range(0..6usize) {
+        match rng.random_range(0..4usize) {
             0 => {
                 let value = Value::new(PALETTE[rng.random_range(0..2usize)].unwrap());
                 outbox.fill_broadcast(value);
@@ -444,19 +376,6 @@ mod tests {
                 dense.fill(None);
             }
             2 => {
-                let a = rng.random_range(0..=n);
-                let b = rng.random_range(0..=n);
-                let slot = draw_slot(rng);
-                outbox.fill_range(a.min(b)..a.max(b), slot);
-                dense[a.min(b)..a.max(b)].fill(slot);
-            }
-            3 => {
-                let r = rng.random_range(0..n);
-                let slot = draw_slot(rng);
-                outbox.set(ProcessId::new(r), slot);
-                dense[r] = slot;
-            }
-            4 => {
                 // Ascending ends, some repeated (empty runs), the last at n.
                 let mut ends: Vec<usize> = (0..rng.random_range(0..4usize))
                     .map(|_| rng.random_range(0..=n))
@@ -518,10 +437,6 @@ mod tests {
             Some(first) => dense.iter().all(|s| *s == Some(first)),
         };
         assert_eq!(outbox.is_uniform(), uniform);
-        let mut distinct: Vec<Value> = dense.iter().filter_map(|s| *s).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        assert_eq!(outbox.distinct_values(), distinct);
         let shown: Vec<String> = dense
             .iter()
             .map(|slot| slot.map_or_else(|| "-".to_string(), |v| v.to_string()))
@@ -566,7 +481,7 @@ mod tests {
                         .collect();
                     assert_eq!(a, Outbox::per_receiver(sender, flipped));
                     // The runs never outgrow the reserved capacity.
-                    assert!(a.runs.capacity() <= n + 2);
+                    assert!(a.runs.capacity() <= n);
                 }
             }
         }

@@ -9,13 +9,13 @@
 //!   lattice, random regular, grid, or an explicit adjacency matrix) that
 //!   [`realize`](Topology::realize)s into a concrete graph for a given
 //!   system size and seed.
-//! * [`Adjacency`] — the realized, validated graph: a symmetric boolean
-//!   matrix with connectivity and degree queries. Self-delivery is always
-//!   on (every process hears its own broadcast), matching the paper's
+//! * [`Adjacency`] — the realized, validated graph: a symmetric bit matrix
+//!   with connectivity and degree queries. Self-delivery is always on
+//!   (every process hears its own broadcast), matching the paper's
 //!   all-to-all exchange on the complete graph.
 //!
-//! The exchange ([`SharedRealization`](crate::SharedRealization)) masks
-//! delivery by adjacency: slots between non-neighbours become
+//! The exchange ([`SharedRealization`](crate::SharedRealization)) walks
+//! the set bits of each receiver's row: slots between non-neighbours become
 //! *structural* non-deliveries, counted separately from omission faults in
 //! [`NetworkStats`](crate::NetworkStats) and flagged in the trace.
 //!
@@ -42,6 +42,8 @@ use rand::{rngs::StdRng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use mbaa_types::{Error, ProcessId, Result};
+
+use crate::faults::churn_link_down;
 
 /// How many stub-matching attempts [`Topology::RandomRegular`] makes before
 /// giving up on realizing a connected simple regular graph.
@@ -141,17 +143,19 @@ impl Topology {
     }
 }
 
-/// A realized, validated communication graph: a symmetric `n × n` boolean
-/// matrix whose diagonal is always set (self-delivery is structural).
+/// A realized, validated communication graph over `n` processes: one row
+/// of `⌈n / 64⌉` words per process, bit `b % 64` of word `b / 64` of row
+/// `a` set when `a` and `b` share a link. The rows are symmetric, the
+/// diagonal is always set (self-delivery is structural) and the bits past
+/// `n` are zero, so equal graphs hold equal words.
 ///
 /// Constructed by [`Topology::realize`] or directly from
 /// [`Adjacency::from_matrix`] / [`Adjacency::from_edges`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Adjacency {
     n: usize,
-    /// Row-major `n * n` link matrix; `bits[a * n + b]` means `a` and `b`
-    /// share a link. Symmetric, diagonal always `true`.
-    bits: Vec<bool>,
+    /// The rows back to back, [`width`](Adjacency::width) words each.
+    rows: Vec<u64>,
 }
 
 impl Adjacency {
@@ -163,9 +167,13 @@ impl Adjacency {
     #[must_use]
     pub fn complete(n: usize) -> Self {
         assert!(n > 0, "a graph needs at least one process");
+        let mut row = vec![u64::MAX; n.div_ceil(64)];
+        if !n.is_multiple_of(64) {
+            row[n / 64] = (1 << (n % 64)) - 1;
+        }
         Adjacency {
             n,
-            bits: vec![true; n * n],
+            rows: row.repeat(n),
         }
     }
 
@@ -362,17 +370,64 @@ impl Adjacency {
 
     /// The edgeless graph (diagonal only).
     fn empty(n: usize) -> Self {
-        let mut bits = vec![false; n * n];
+        let mut adjacency = Adjacency {
+            n,
+            rows: vec![0; n * n.div_ceil(64)],
+        };
         for i in 0..n {
-            bits[i * n + i] = true;
+            adjacency.link(i, i);
         }
-        Adjacency { n, bits }
+        adjacency
     }
 
     /// Sets the undirected link `a — b`.
     fn link(&mut self, a: usize, b: usize) {
-        self.bits[a * self.n + b] = true;
-        self.bits[b * self.n + a] = true;
+        for (from, to) in [(a, b), (b, a)] {
+            let (word, bit) = self.arc(from, to);
+            self.rows[word] |= bit;
+        }
+    }
+
+    /// Clears the one arc `a -> b`.
+    fn cut(&mut self, a: usize, b: usize) {
+        let (word, bit) = self.arc(a, b);
+        self.rows[word] &= !bit;
+    }
+
+    /// Where the arc `a -> b` lives: its word in `rows`, and its bit there.
+    #[inline]
+    fn arc(&self, a: usize, b: usize) -> (usize, u64) {
+        (a * self.width() + b / 64, 1 << (b % 64))
+    }
+
+    /// Words per row.
+    #[inline]
+    fn width(&self) -> usize {
+        self.n.div_ceil(64)
+    }
+
+    /// Row `a`: bit `b % 64` of word `b / 64` is set when `a` and `b`
+    /// share a link.
+    #[inline]
+    pub(crate) fn row_words(&self, a: usize) -> &[u64] {
+        let width = self.width();
+        &self.rows[a * width..(a + 1) * width]
+    }
+
+    /// Redraws `into`, a graph over the same universe, as this base graph
+    /// in `round` of the lane seeded `seed` under churn at `flip_rate`:
+    /// each base link `a — b`, `a < b`, survives its [`churn_link_down`].
+    // mbaa: alloc-free
+    pub(crate) fn churn_into(&self, seed: u64, round: u64, flip_rate: f64, into: &mut Adjacency) {
+        into.rows.copy_from_slice(&self.rows);
+        for a in 0..self.n {
+            for b in ones(self.row_words(a)).filter(|&b| b > a) {
+                if churn_link_down(seed, round, a, b, flip_rate) {
+                    into.cut(a, b);
+                    into.cut(b, a);
+                }
+            }
+        }
     }
 
     /// The number of processes this graph covers.
@@ -393,7 +448,8 @@ impl Adjacency {
             a.index() < self.n && b.index() < self.n,
             "process outside the universe"
         );
-        self.bits[a.index() * self.n + b.index()]
+        let (word, bit) = self.arc(a.index(), b.index());
+        self.rows[word] & bit != 0
     }
 
     /// The neighbours of `p`, excluding `p` itself, in ascending order.
@@ -403,10 +459,9 @@ impl Adjacency {
     /// Panics if `p` is outside the universe.
     #[must_use]
     pub fn neighbors(&self, p: ProcessId) -> Vec<ProcessId> {
-        let row = &self.bits[p.index() * self.n..(p.index() + 1) * self.n];
-        row.iter()
-            .enumerate()
-            .filter_map(|(i, &linked)| (linked && i != p.index()).then_some(ProcessId::new(i)))
+        ones(self.row_words(p.index()))
+            .filter(|&i| i != p.index())
+            .map(ProcessId::new)
             .collect()
     }
 
@@ -417,8 +472,7 @@ impl Adjacency {
     /// Panics if `p` is outside the universe.
     #[must_use]
     pub fn degree(&self, p: ProcessId) -> usize {
-        let row = &self.bits[p.index() * self.n..(p.index() + 1) * self.n];
-        row.iter().filter(|&&linked| linked).count() - 1
+        count_ones(self.row_words(p.index())) - 1
     }
 
     /// The smallest degree over all processes.
@@ -442,16 +496,13 @@ impl Adjacency {
     /// The number of undirected links (self-links excluded).
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        (0..self.n)
-            .map(|i| self.degree(ProcessId::new(i)))
-            .sum::<usize>()
-            / 2
+        (count_ones(&self.rows) - self.n) / 2
     }
 
     /// Returns `true` when every pair of processes shares a link.
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        self.bits.iter().all(|&linked| linked)
+        count_ones(&self.rows) == self.n * self.n
     }
 
     /// Returns `true` when the graph has a single connected component.
@@ -463,7 +514,7 @@ impl Adjacency {
     /// The number of connected components.
     #[must_use]
     pub fn component_count(&self) -> usize {
-        self.cut_connectivity(&[]).0
+        Reach::new(self.n).components(self)
     }
 
     /// This graph with the directed links `cut` (`(from, to)` pairs)
@@ -496,64 +547,38 @@ impl Adjacency {
     #[must_use]
     pub fn cut_connectivity(&self, cut: &[(usize, usize)]) -> (usize, usize) {
         let n = self.n;
-        let mut arcs = self.bits.clone();
+        // The arcs, and their transpose: the graph is symmetric, so row
+        // `to` of `heard` lists the processes `to` hears once each cut
+        // is reversed.
+        let (mut arcs, mut heard) = (self.clone(), self.clone());
         for &(from, to) in cut {
             assert!(from < n && to < n, "process outside the universe");
             if from != to {
-                arcs[from * n + to] = false;
+                arcs.cut(from, to);
+                heard.cut(to, from);
             }
         }
-        // Which processes `start` reaches along arcs (`forward`), or which
-        // reach it; `start` included.
-        let search = |start: usize, forward: bool| {
-            let mut seen = vec![false; n];
-            let mut stack = vec![start];
-            seen[start] = true;
-            while let Some(node) = stack.pop() {
-                for next in 0..n {
-                    let arc = if forward {
-                        arcs[node * n + next]
-                    } else {
-                        arcs[next * n + node]
-                    };
-                    if arc && !seen[next] {
-                        seen[next] = true;
-                        stack.push(next);
-                    }
-                }
-            }
-            seen
-        };
-        let mut assigned = vec![false; n];
+        let mut assigned = vec![0u64; self.width()];
         let mut components = 0;
         for v in 0..n {
-            if assigned[v] {
+            if assigned[v / 64] >> (v % 64) & 1 != 0 {
                 continue;
             }
             components += 1;
             // v's strong component is exactly the processes both reachable
             // from v and reaching v.
-            let (reached, reaching) = (search(v, true), search(v, false));
-            for (u, slot) in assigned.iter_mut().enumerate() {
-                *slot |= reached[u] && reaching[u];
+            let (mut reached, mut reaching) = (Reach::new(n), Reach::new(n));
+            reached.from(&arcs, v);
+            reaching.from(&heard, v);
+            for ((slot, &to), &from) in assigned.iter_mut().zip(&reached.seen).zip(&reaching.seen) {
+                *slot |= to & from;
             }
         }
         let min_heard = (0..n)
-            .map(|to| (0..n).filter(|&from| arcs[from * n + to]).count())
+            .map(|to| count_ones(heard.row_words(to)))
             .min()
             .expect("a graph covers at least one process");
         (components, min_heard)
-    }
-
-    /// One row of the matrix as reachability flags: `row(p)[q]` is `true`
-    /// when `q` hears (equivalently, is heard by) `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside the universe.
-    #[must_use]
-    pub fn row(&self, p: ProcessId) -> &[bool] {
-        &self.bits[p.index() * self.n..(p.index() + 1) * self.n]
     }
 }
 
@@ -566,6 +591,76 @@ impl fmt::Display for Adjacency {
             self.edge_count(),
             self.min_degree()
         )
+    }
+}
+
+/// The number of set bits in `words`.
+#[inline]
+pub(crate) fn count_ones(words: &[u64]) -> usize {
+    words.iter().map(|word| word.count_ones() as usize).sum()
+}
+
+/// The set bits of a word row, ascending.
+pub(crate) fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            let bit = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+            bits &= bits - 1;
+            Some(w * 64 + bit)
+        })
+    })
+}
+
+/// The word-parallel reachability search, with its scratch sized once for
+/// one universe: the processes `seen` so far, and those of them whose
+/// rows are still `todo`.
+#[derive(Debug)]
+pub(crate) struct Reach {
+    seen: Vec<u64>,
+    todo: Vec<u64>,
+}
+
+impl Reach {
+    pub(crate) fn new(n: usize) -> Self {
+        Reach {
+            seen: vec![0; n.div_ceil(64)],
+            todo: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    /// Adds to `seen` every process that `start` reaches along `graph`'s
+    /// rows, `start` included, not searching on from processes seen
+    /// already. Each reached row is read once, one word at a time.
+    // mbaa: alloc-free
+    fn from(&mut self, graph: &Adjacency, start: usize) {
+        let (seen, todo) = (&mut self.seen, &mut self.todo);
+        todo[start / 64] |= 1 << (start % 64);
+        seen[start / 64] |= 1 << (start % 64);
+        while let Some(w) = todo.iter().position(|&word| word != 0) {
+            let v = w * 64 + todo[w].trailing_zeros() as usize;
+            todo[w] &= todo[w] - 1;
+            for ((todo, seen), &linked) in
+                todo.iter_mut().zip(seen.iter_mut()).zip(graph.row_words(v))
+            {
+                *todo |= linked & !*seen;
+                *seen |= linked;
+            }
+        }
+    }
+
+    /// The number of connected components of the symmetric `graph`.
+    // mbaa: alloc-free
+    pub(crate) fn components(&mut self, graph: &Adjacency) -> usize {
+        self.seen.fill(0);
+        let mut components = 0;
+        for v in 0..graph.n {
+            if self.seen[v / 64] >> (v % 64) & 1 == 0 {
+                components += 1;
+                self.from(graph, v);
+            }
+        }
+        components
     }
 }
 
@@ -790,5 +885,109 @@ mod tests {
         let two_islands = Adjacency::from_edges(4, [(0, 1), (2, 3)]).unwrap();
         assert_eq!(two_islands.component_count(), 2);
         assert!(!two_islands.is_connected());
+    }
+
+    /// Strong components and the smallest closed in-neighbourhood of the
+    /// `bool` matrix with the arcs `cut` removed, searched cell by cell.
+    fn naive_cut_connectivity(matrix: &[Vec<bool>], cut: &[(usize, usize)]) -> (usize, usize) {
+        let n = matrix.len();
+        let mut arcs = matrix.to_vec();
+        for &(from, to) in cut {
+            if from != to {
+                arcs[from][to] = false;
+            }
+        }
+        let reach = |start: usize, forward: bool| {
+            let mut seen = vec![false; n];
+            seen[start] = true;
+            let mut stack = vec![start];
+            while let Some(v) = stack.pop() {
+                for w in 0..n {
+                    let arc = if forward { arcs[v][w] } else { arcs[w][v] };
+                    if arc && !seen[w] {
+                        seen[w] = true;
+                        stack.push(w);
+                    }
+                }
+            }
+            seen
+        };
+        let mut assigned = vec![false; n];
+        let mut components = 0;
+        for v in 0..n {
+            if !assigned[v] {
+                components += 1;
+                let (reached, reaching) = (reach(v, true), reach(v, false));
+                for u in 0..n {
+                    assigned[u] |= reached[u] && reaching[u];
+                }
+            }
+        }
+        let min_heard = (0..n)
+            .map(|to| (0..n).filter(|&from| arcs[from][to]).count())
+            .min()
+            .unwrap();
+        (components, min_heard)
+    }
+
+    #[test]
+    fn word_rows_agree_with_a_bool_matrix_at_word_boundaries() {
+        use rand::RngExt;
+
+        let mut rng = StdRng::seed_from_u64(5);
+        for n in [1usize, 63, 64, 65, 128, 129] {
+            // Sparse draws fall apart into components; 1.0 is complete.
+            for density in [0.0, 1.0 / n as f64, 3.0 / n as f64, 0.5, 1.0] {
+                let mut edges = Vec::new();
+                for a in 0..n {
+                    for b in a + 1..n {
+                        if rng.random_range(0.0..1.0) < density {
+                            edges.push((a, b));
+                        }
+                    }
+                }
+                let mut matrix = vec![vec![false; n]; n];
+                for (a, row) in matrix.iter_mut().enumerate() {
+                    row[a] = true;
+                }
+                for &(a, b) in &edges {
+                    matrix[a][b] = true;
+                    matrix[b][a] = true;
+                }
+                let graph = Adjacency::from_edges(n, edges.iter().copied()).unwrap();
+                assert_eq!(graph, Adjacency::from_matrix(matrix.clone()).unwrap());
+                let complete = matrix.iter().flatten().all(|&linked| linked);
+                assert_eq!(graph.is_complete(), complete, "n={n} p={density}");
+                assert_eq!(graph == Adjacency::complete(n), complete);
+                assert_eq!(graph.edge_count(), edges.len());
+                for (a, row) in matrix.iter().enumerate() {
+                    let expected: Vec<ProcessId> =
+                        (0..n).filter(|&b| b != a && row[b]).map(pid).collect();
+                    assert_eq!(graph.degree(pid(a)), expected.len());
+                    assert_eq!(graph.neighbors(pid(a)), expected);
+                    for (b, &linked) in row.iter().enumerate() {
+                        assert_eq!(graph.connected(pid(a), pid(b)), linked);
+                    }
+                }
+                let whole = naive_cut_connectivity(&matrix, &[]);
+                assert_eq!(graph.component_count(), whole.0, "n={n} p={density}");
+                assert_eq!(graph.cut_connectivity(&[]), whole);
+                // Cut arcs of both directions, and a self-link that stays.
+                let mut cut = Vec::new();
+                for &(a, b) in &edges {
+                    match rng.random_range(0..8usize) {
+                        0 => cut.push((a, b)),
+                        1 => cut.push((b, a)),
+                        _ => {}
+                    }
+                }
+                cut.push((n - 1, n - 1));
+                assert_eq!(
+                    graph.cut_connectivity(&cut),
+                    naive_cut_connectivity(&matrix, &cut),
+                    "n={n} p={density} cut {cut:?}"
+                );
+            }
+        }
     }
 }
