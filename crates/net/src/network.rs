@@ -44,9 +44,9 @@
 //!   per phase (a fixed graph is the one-phase case), or under churn one
 //!   that [`Adjacency::churn_into`] redraws per lane round before a
 //!   word-parallel search counts its components. Each receiver visits the
-//!   set bits of its row in ascending order, counting the senders it cannot
-//!   hear by popcount, or visits all `n` senders, testing each one's bit,
-//!   when some link delays: a link of delay `d` delivers
+//!   set bits of its row in ascending order, and every other sender is
+//!   unreachable; when some link delays, it visits all `n` senders, testing
+//!   each one's bit, since a link of delay `d` delivers
 //!   in round `t` what was sent in round `t − d`, kept in the lane's delay
 //!   ring, where the link owns `d` slots. Rows come out in *rank order*:
 //!   the broadcasters are sorted once per lane round into the lane's *rank
