@@ -25,7 +25,7 @@
 //! `mixed`, `core`, `sim`, and `facade`. **Bench exemption rule:** the
 //! sole crate allowed to read the wall clock is `crates/bench` — its
 //! `benches/` targets included, e.g. the `Instant::now()` loop in
-//! `crates/bench/benches/engine_hot_path.rs` — because it measures the
+//! `crates/bench/benches/engine_batch.rs` — because it measures the
 //! engine rather than feeding results; it remains fully subject to the
 //! ambient-RNG lint, since even throughput numbers must be reproducible
 //! from seeds.

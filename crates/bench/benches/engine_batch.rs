@@ -34,10 +34,12 @@
 //! `TargetExtremes` and sending the split attack. The other complete rows
 //! run f = 2, where adversary planning is a small share of the round.
 //!
-//! A `packed_lane_occupancy` row reports the mean lane occupancy of the
-//! cross-point packing scheduler over a shape-homogeneous multi-point
-//! sweep (unit `occ%`, higher is better — `scripts/bench_diff.py` knows
-//! the direction).
+//! `batch_rounds_per_sec/{16,64,256}/1/full` run the one-lane complete
+//! rows at `Observe::Full`, which records a snapshot and a trace every
+//! round, against the `Observe::Summary` rows beside them.
+//!
+//! `msr_function/{n}` times one `MsrFunction::apply` (trim n/8 from each
+//! end, mean of the rest) over n ∈ {16, 64, 256, 1024} values, in ns.
 //!
 //! Every row names the batches and lane rounds it rests on, and repeats
 //! its batch until there are at least 200 lane rounds: a one-lane complete
@@ -53,6 +55,7 @@
 //! `MBAA_BENCH_SAMPLES` environment variable overrides the per-point run
 //! count (CI smoke mode).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use criterion::{record_metric, write_json_report};
@@ -75,14 +78,16 @@ fn repetitions(n: usize) -> usize {
         .map_or(base, |samples| samples.max(1))
 }
 
-/// Variant of a measured point: the complete graph, a static partial mask
-/// (ring), a dynamic churned fabric, delayed links (all one round, or
-/// mixed one and two rounds), the complete graph under per-receiver
-/// stealth corruption, or the complete graph under the worst-case
-/// adversary at its largest admissible f.
+/// Variant of a measured point: the complete graph (recording a summary,
+/// or every snapshot and trace), a static partial mask (ring), a dynamic
+/// churned fabric, delayed links (all one round, or mixed one and two
+/// rounds), the complete graph under per-receiver stealth corruption, or
+/// the complete graph under the worst-case adversary at its largest
+/// admissible f.
 #[derive(Clone, Copy)]
 enum Variant {
     Complete,
+    Full,
     Ring,
     Churn,
     Delay,
@@ -95,6 +100,7 @@ impl Variant {
     fn suffix(self) -> &'static str {
         match self {
             Variant::Complete => "",
+            Variant::Full => "/full",
             Variant::Ring => "/ring",
             Variant::Churn => "/churn",
             Variant::Delay => "/delay",
@@ -121,9 +127,12 @@ fn measure(n: usize, k: usize, variant: Variant) {
         .epsilon(1e-12)
         .max_rounds(max_rounds)
         .seed(7)
-        .observe(Observe::Summary);
+        .observe(match variant {
+            Variant::Full => Observe::Full,
+            _ => Observe::Summary,
+        });
     builder = match variant {
-        Variant::Complete => builder,
+        Variant::Complete | Variant::Full => builder,
         // k = 4 ring: 8 neighbors + self, the smallest ring neighborhood
         // that satisfies the Garay connectivity bound at f = 2.
         Variant::Ring => builder.topology(Topology::Ring { k: 4 }),
@@ -203,33 +212,19 @@ fn measure(n: usize, k: usize, variant: Variant) {
     );
 }
 
-/// Mean lane occupancy of the cross-point packing scheduler over a
-/// shape-homogeneous sweep: 21 points × 7 seeds. Per-point chunking would
-/// launch 21 batches at 7/32 occupancy (21.9%); the packing planner merges
-/// consecutive shape-compatible points into ⌈147/32⌉ = 5 packs (91.9%).
-/// The plan is deterministic, so the row measures the scheduler, not the
-/// machine.
-fn measure_occupancy() {
-    let seeds: Vec<u64> = (0..7).collect();
-    let configs: Vec<ExperimentConfig> = (0..21)
-        .map(|i| {
-            // Distinct points (an ε axis), one batch shape (n, f, model).
-            Scenario::new(MobileModel::Garay, 16, 2)
-                .epsilon(1e-6 * (i + 1) as f64)
-                .to_experiment(seeds.iter().copied())
-        })
-        .collect();
-    let occupancy = mbaa::sim::mean_pack_occupancy(&configs).expect("pack plan");
-    println!(
-        "engine_batch packed sweep (21 points x 7 seeds): {:.1}% mean lane occupancy",
-        occupancy * 100.0
-    );
-    record_metric(
-        "engine_batch",
-        "packed_lane_occupancy",
-        occupancy * 100.0,
-        "occ%",
-    );
+/// One evaluation of the MSR function (trim n/8 from each end, mean of the
+/// rest) over a multiset of `n` votes, in ns per evaluation.
+fn measure_msr(n: usize) {
+    let votes: ValueMultiset = (0..n).map(|i| Value::new(i as f64)).collect();
+    let function = MsrFunction::dolev_mean(n / 8);
+    let reps = 200 * repetitions(n);
+    let start = Instant::now();
+    for _ in 0..reps {
+        black_box(function.apply(black_box(&votes)));
+    }
+    let ns = start.elapsed().as_nanos() as f64 / reps as f64;
+    println!("engine_batch msr_function n={n}: {ns:.0} ns/apply ({reps} applies)");
+    record_metric("engine_batch", &format!("msr_function/{n}"), ns, "ns");
 }
 
 fn main() {
@@ -237,6 +232,7 @@ fn main() {
         for &k in &[1usize, 8, 32] {
             measure(n, k, Variant::Complete);
         }
+        measure(n, 1, Variant::Full);
     }
     // Reduced grid: a static partial mask, a dynamic churned fabric,
     // delayed links and stealth corruption.
@@ -256,6 +252,8 @@ fn main() {
     for &k in &[1usize, 32] {
         measure(361, k, Variant::Worst);
     }
-    measure_occupancy();
+    for &n in &[16usize, 64, 256, 1024] {
+        measure_msr(n);
+    }
     write_json_report();
 }

@@ -341,12 +341,11 @@ pub fn chunk_path(dir: &Path, index: usize) -> PathBuf {
 /// Executes the runs of one chunk on the work-stealing pool and returns
 /// the entries in grid order. Consecutive runs of the same point form one
 /// seed segment, and all of a chunk's segments execute as **one**
-/// cross-point packed pool (`mbaa::stream_segments`): shape-compatible
-/// neighbouring points share seed-batched engine launches, so a chunk
-/// spanning a point boundary no longer pays one under-full launch per
-/// point. Chunk bytes depend only on the summaries, which are
-/// bit-identical to the per-point path, so resumable checkpoints stay
-/// byte-identical.
+/// cross-point packed pool (`mbaa::stream_segments`): neighbouring points
+/// share fixed-width packs whatever their shapes, so a chunk spanning a
+/// point boundary pays no under-full pack per point. Chunk bytes depend
+/// only on the summaries, which are bit-identical to the per-point path,
+/// so resumable checkpoints stay byte-identical.
 pub fn execute_chunk(
     plan: &SweepPlan,
     index: usize,

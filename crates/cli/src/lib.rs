@@ -493,8 +493,8 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         )?;
     }
     if let Some(profile) = &profile {
-        // Every point runs as its own chunk, and a point's lanes share one
-        // shape, so each point fills ceil(seeds / BATCH_WIDTH) packs.
+        // Every point runs as its own chunk, cut into packs of
+        // BATCH_WIDTH lanes, so each point fills ceil(seeds / BATCH_WIDTH).
         let seeds = doc.seeds.normalized().len();
         let packs = points.len() * seeds.div_ceil(mbaa::sim::BATCH_WIDTH);
         print_profile(points.len() * seeds, packs, opts.workers, profile);

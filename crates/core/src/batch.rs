@@ -7,13 +7,13 @@
 //!
 //! # Shared state
 //!
-//! The lanes of a pack share what each lane fully rewrites: one round
+//! The lanes of a pack share what each lane fully rewrites, one round
 //! scratch — one [`RoundFaultPlan`], one send classification, the active
 //! flags, one packed delivery-row arena, the votes and fault states —
-//! rebuilt only when the universe size changes, and the pack's network
-//! realizations. A lane owns its adversary (with its RNG stream), its
-//! delivery state (seed-keyed draw streams and delay ring), its traffic
-//! statistics and its outcome.
+//! rebuilt only when the universe size changes, and what no lane writes,
+//! the pack's network realizations. A lane owns its adversary (with its
+//! RNG stream), its delivery state (seed-keyed draw streams, the exchange
+//! walk's scratch and delay ring), its traffic statistics and its outcome.
 //!
 //! # One round loop
 //!
@@ -66,7 +66,7 @@
 //! one [`RoundSnapshot`] per round (the configuration after agent
 //! movement and state corruption) and, at [`Observe::Full`], one
 //! [`RoundTrace`](mbaa_net::RoundTrace) per round, rebuilt by
-//! [`SharedRealization::trace_round`] right after the lane's exchange. A
+//! [`SharedRealization::trace_round`] from the lane's own exchange. A
 //! [`Observe::Summary`] lane pays one branch per round for all of this, so
 //! its steady-state rounds stay allocation-free.
 //!
@@ -77,10 +77,9 @@
 //! lane seed), and every knob — size, model, ε, round budget, voting
 //! function, mobility, corruption, topology, schedule, link faults,
 //! observe level — may differ per lane. A lane's result and its event
-//! stream do not depend on the pack it rides in, so a sweep can top up a
-//! draining point's tail chunk with seeds from the next point instead of
-//! running it under-full. The sweep planner packs only
-//! [`shape_compatible`] lanes, so a pack keeps one scratch size.
+//! stream do not depend on the pack it rides in, so a sweep runs plain
+//! fixed-width chunks of its point-major lane list, whatever shapes a
+//! chunk mixes; the round scratch is rebuilt when the size changes.
 
 use mbaa_adversary::{AdversaryView, MobileAdversary, RoundFaultPlan};
 use mbaa_msr::{ConvergenceReport, VotingFunction};
@@ -107,9 +106,9 @@ pub struct PackedLane {
 }
 
 /// Whether two configurations share a batch **shape**: same universe
-/// size, fault bound, and mobile model. The sweep planner packs only
-/// shape-compatible lanes together, so a pack's lanes share one round
-/// scratch; the engine itself runs any pack.
+/// size, fault bound, and mobile model. No executor splits packs by shape,
+/// since the engine runs any pack; this stays public because the
+/// benchmark's trace helper (`perfbench/trace`) still plans packs with it.
 #[must_use]
 pub fn shape_compatible(a: &ProtocolConfig, b: &ProtocolConfig) -> bool {
     a.n == b.n && a.f == b.f && a.model == b.model
@@ -151,8 +150,9 @@ impl Scratch {
 }
 
 /// One network group inside a pack: the exemplar configuration that
-/// introduced it (whose seed realized it) and the realization every lane
-/// of the group shares — or the error every lane of the group fails with.
+/// introduced it (whose seed realized it) and the read-only realization
+/// every lane of the group exchanges against by shared reference — or the
+/// error every lane of the group fails with.
 struct NetGroup<'a> {
     cfg: &'a ProtocolConfig,
     realization: Result<SharedRealization>,
@@ -318,7 +318,7 @@ fn run_lane<'a, O: Observer>(
             groups.len() - 1
         }
     };
-    let shared = groups[g].realization.as_mut().map_err(|e| e.clone())?;
+    let shared = groups[g].realization.as_ref().map_err(Error::clone)?;
     let mut delivery = shared.lane(cfg.seed);
     let mut adversary =
         MobileAdversary::new(cfg.model, n, cfg.f, cfg.mobility, cfg.corruption, cfg.seed);

@@ -85,8 +85,9 @@ impl Runner {
     }
 
     /// Runs every seed in parallel and aggregates the full outcomes into a
-    /// [`BatchOutcome`], sorted by seed. Supplying the same seeds in any
-    /// order produces an identical result.
+    /// [`BatchOutcome`], sorted by seed: the one point of a [`Sweep`] over
+    /// this scenario and seed batch, under this runner's worker budget.
+    /// Supplying the same seeds in any order produces an identical result.
     ///
     /// # Errors
     ///
@@ -94,25 +95,12 @@ impl Runner {
     /// surface like this deterministically; engine errors cannot occur for
     /// workload-generated inputs).
     pub fn run(&self) -> Result<BatchOutcome> {
-        let seeds = normalize_seeds(self.seeds.iter().copied());
-        let scenario = &self.scenario;
-        let results: Vec<(u64, Result<MobileRunOutcome>)> = with_pool(self.workers, || {
-            seeds
-                .into_par_iter()
-                .map(|seed| (seed, scenario.run(seed)))
-                .collect()
-        });
-        let mut runs = Vec::with_capacity(results.len());
-        for (seed, outcome) in results {
-            runs.push(SeededRun {
-                seed,
-                outcome: outcome?,
-            });
-        }
-        Ok(BatchOutcome {
-            scenario: self.scenario.clone(),
-            runs,
-        })
+        let sweep = Sweep {
+            points: vec![self.scenario.clone()],
+            seeds: self.seeds.clone(),
+            workers: self.workers,
+        };
+        Ok(sweep.run()?.pop().expect("one point per scenario").outcome)
     }
 
     /// Streams the batch through the summary-level packed executor: every
@@ -364,13 +352,12 @@ impl Sweep {
     }
 
     /// Streaming variant of [`Sweep::run`]: the same flattened global pool,
-    /// but every point is a seed segment of [`stream_segments`], so
-    /// consecutive shape-compatible lanes — **across point boundaries** —
-    /// share seed-batched engine launches of up to
-    /// [`mbaa_sim::BATCH_WIDTH`] lanes, and each completed run is folded
+    /// but every point is a seed segment of [`stream_segments`], so the
+    /// point-major lane list runs in packs of [`mbaa_sim::BATCH_WIDTH`]
+    /// lanes **across point boundaries**, and each completed run is folded
     /// into its [`RunSummary`] on the worker with the trajectory never
     /// materialized. A sweep of many small points therefore neither pays
-    /// one under-full batch per point nor holds its trajectories. Each
+    /// one under-full pack per point nor holds its trajectories. Each
     /// point's [`ExperimentResult`] equals
     /// `point.batch(seeds).run()?.to_experiment_result()` bit for bit.
     ///
@@ -414,10 +401,10 @@ impl Sweep {
 /// with the input. [`Runner::stream`] is the one-segment case,
 /// [`Sweep::stream`] one segment per point, and the CLI's resumable
 /// checkpoint chunks slice a sweep grid into runs of consecutive
-/// `(point, seed)` pairs. Segments whose lowered configurations share a
-/// batch shape (same `n`, `f`, model) ride in shared seed-batched engine
-/// launches, so a segment too small to fill a batch is topped up by its
-/// neighbour instead of paying an under-full launch.
+/// `(point, seed)` pairs. The segments' lanes run in consecutive packs of
+/// [`mbaa_sim::BATCH_WIDTH`], whatever sizes and models they mix, so a
+/// segment too small to fill a pack is topped up by its neighbour instead
+/// of paying an under-full one.
 ///
 /// Seeds are normalized (sorted, deduplicated) per segment exactly as
 /// [`Runner::run`] normalizes, and each segment's result is bit-identical

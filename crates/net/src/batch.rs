@@ -432,7 +432,7 @@ mod tests {
         for first in 0..phases.len() {
             for active in activity_patterns(n) {
                 let mut scalar = ScalarReference::new(topology, schedule, plan, policy, n, seed);
-                let mut shared = build(n, topology, schedule, plan, policy, seed);
+                let shared = build(n, topology, schedule, plan, policy, seed);
                 let mut lane = shared.lane(seed);
                 let mut rows = DeliveryRows::new(n);
                 let mut stats = NetworkStats::new();
@@ -496,7 +496,7 @@ mod tests {
             for (topology, schedule, plan) in &cases {
                 for (sends, outboxes) in send_phases(n) {
                     let policy = DisconnectionPolicy::Record;
-                    let mut shared = build(n, topology, *schedule, plan, policy, 5);
+                    let shared = build(n, topology, *schedule, plan, policy, 5);
                     let mut lane = shared.lane(5);
                     let mut rows = DeliveryRows::new(n);
                     let mut stats = NetworkStats::new();
@@ -600,7 +600,7 @@ mod tests {
                 _ => LaneSend::Broadcast(Value::new(i as f64 / 10.0)),
             })
             .collect();
-        let mut shared = build(
+        let shared = build(
             n,
             &Topology::Complete,
             None,
@@ -898,7 +898,7 @@ mod tests {
             base: Topology::Complete,
             flip_rate: 1.0,
         };
-        let mut shared = build(
+        let shared = build(
             3,
             &Topology::Complete,
             Some(&schedule),
@@ -930,7 +930,7 @@ mod tests {
     #[test]
     fn dynamic_rounds_must_arrive_in_order() {
         let plan = LinkFaultPlan::new().delay(0, 1, 1);
-        let mut shared = build(
+        let shared = build(
             3,
             &Topology::Complete,
             None,
@@ -961,7 +961,7 @@ mod tests {
         let (sends, outboxes) = mixed_send_phase(4);
         let exchange = |topology: &Topology, active: &[bool]| {
             let policy = DisconnectionPolicy::Record;
-            let mut shared = build(4, topology, None, &LinkFaultPlan::new(), policy, 0);
+            let shared = build(4, topology, None, &LinkFaultPlan::new(), policy, 0);
             let mut lane = shared.lane(0);
             let mut rows = DeliveryRows::new(4);
             let mut stats = NetworkStats::new();

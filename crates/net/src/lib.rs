@@ -47,7 +47,7 @@
 //! };
 //! use mbaa_types::{ProcessId, Round, Value};
 //!
-//! let mut net = SharedRealization::build(
+//! let net = SharedRealization::build(
 //!     3,
 //!     &Topology::Complete,
 //!     None,

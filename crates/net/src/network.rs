@@ -1,11 +1,14 @@
 //! The synchronous exchange: one realized network description serving
 //! every lane (seed) of a pack.
 //!
-//! [`SharedRealization`] holds the structure once per pack (realized
-//! graphs, compiled link faults, connectivity) plus reusable round
-//! scratch. Each lane carries only a tiny [`LaneDelivery`]: its seed, which
-//! keys its churn and omission draws, its round cursor, the general walk's
-//! rank history and, when the plan delays, its delay ring.
+//! [`SharedRealization`] is read-only structure, built once per pack
+//! (realized graphs, compiled link faults, connectivity, delay classes).
+//! Everything a walk writes lives in the lane's [`LaneDelivery`]: its seed,
+//! which keys its churn and omission draws, its round cursor, the walk's
+//! scratch (the merge's buffers, or the general walk's rank history and,
+//! under churn, the lane's drawn round graph) and, when the plan delays,
+//! its delay ring. Lanes of one realization may therefore exchange and
+//! trace in any order.
 //!
 //! Every slot — what sender `s` put on its link to receiver `r` in one
 //! round — is decided by one classifier: a delivered value, a *sender
@@ -123,11 +126,10 @@ impl SendOutcome {
     }
 }
 
-/// The per-lane slice of an exchange: everything keyed on the lane seed or
-/// advancing per lane round. Created by [`SharedRealization::lane`]; a
-/// fixed graph under a clean plan carries no state beyond the seed and
-/// the general walk's rank history.
-#[derive(Debug, Clone)]
+/// The per-lane slice of an exchange: everything keyed on the lane seed,
+/// advancing per lane round, or written by a walk. Created by
+/// [`SharedRealization::lane`], sized for that realization's walk.
+#[derive(Debug)]
 pub struct LaneDelivery {
     seed: u64,
     /// The round the next exchange must carry (unless the graph is fixed).
@@ -135,16 +137,25 @@ pub struct LaneDelivery {
     /// The delay ring: a link of delay `d` owns `d` slots, slot `t % d` holding
     /// what it carried in round `t`; empty unless the plan delays.
     ring: Vec<SendOutcome>,
-    /// The rank history of the general walk: `H` slots of `n` values, slot
-    /// `t % H` holding round `t`'s broadcast values in rank order; empty
-    /// for the complete-graph merge.
-    history: Vec<Value>,
+    /// This lane round's ring offset `t % d` of each delay class.
+    offsets: Vec<u32>,
+    /// This lane round's heard set for each ranked delay class: the word of
+    /// [`RankScratch`]'s `heard` where the set of rank-history slot
+    /// `(t − d) mod H` starts.
+    sets: Vec<u32>,
+    /// The complete-graph merge's scratch; empty for the general walk.
+    merge: MergeScratch,
+    /// The general walk's scratch and rank history; empty for the merge.
+    ranks: RankScratch,
+    /// Under churn, the graph the lane's latest exchange drew and the
+    /// search that counts its components.
+    churn: Option<(Adjacency, Reach)>,
 }
 
-/// Reusable scratch of the complete-graph merge, shared across lanes: the
-/// sorted broadcast values, the per-receiver senders with a run cursor
-/// each, one receiver's slots from them, and the receivers whose slots
-/// differ from their predecessor's.
+/// The scratch of the complete-graph merge: the sorted broadcast values,
+/// the per-receiver senders with a run cursor each, one receiver's slots
+/// from them, and the receivers whose slots differ from their
+/// predecessor's.
 #[derive(Debug)]
 struct MergeScratch {
     common: Vec<Value>,
@@ -155,6 +166,16 @@ struct MergeScratch {
 }
 
 impl MergeScratch {
+    fn new(n: usize) -> Self {
+        MergeScratch {
+            common: vec![Value::new(0.0); n],
+            specials: vec![0; n],
+            cursors: vec![0; n],
+            extra: vec![Value::new(0.0); n],
+            cuts: vec![false; n],
+        }
+    }
+
     /// The complete-graph merge walk (see the module documentation).
     // mbaa: alloc-free
     fn walk<'o>(
@@ -270,9 +291,9 @@ fn merge_sorted(a: &[Value], b: &[Value], out: &mut [Value]) {
     }
 }
 
-/// Reusable scratch of the general walk, shared across lanes: the lane
-/// round's broadcasters in ascending `order`, each one's `rank` there, and
-/// one receiver's arrivals — the ranks it `heard`, one `n`-bit set per
+/// The scratch of the general walk: the lane round's broadcasters in
+/// ascending `order`, each one's `rank` there, the lane's rank `history`,
+/// and one receiver's arrivals — the ranks it `heard`, one `n`-bit set per
 /// rank-history slot, and its `extra` (per-receiver or long-delayed)
 /// values, which alone are sorted.
 #[derive(Debug)]
@@ -283,6 +304,9 @@ struct RankScratch {
     depth: usize,
     /// The lane round's rank-history slot.
     now: usize,
+    /// `H` slots of `n` values, slot `t % H` holding round `t`'s broadcast
+    /// values in rank order.
+    history: Vec<Value>,
     /// 64-bit words per heard set.
     words: usize,
     heard: Vec<u64>,
@@ -300,6 +324,7 @@ impl RankScratch {
             rank: vec![0; n],
             depth,
             now: 0,
+            history: vec![Value::new(0.0); depth * n],
             words,
             heard: vec![0; depth * words],
             extra: vec![Value::new(0.0); n],
@@ -310,12 +335,12 @@ impl RankScratch {
 
     /// Sorts lane round `t`'s broadcasters once by `bits << 32 | sender`, where `bits` orders like
     /// the value (−0.0 folded into 0.0, so equal values go by sender), records their ranks, and
-    /// writes their values in rank order into the round's slot of the lane's rank `history`.
+    /// writes their values in rank order into the round's slot of the rank `history`.
     // mbaa: alloc-free
-    fn rank(&mut self, sends: &[LaneSend], t: usize, history: &mut [Value]) {
+    fn rank(&mut self, sends: &[LaneSend], t: usize) {
         let n = sends.len();
         self.now = t % self.depth;
-        let sorted = &mut history[self.now * n..(self.now + 1) * n];
+        let sorted = &mut self.history[self.now * n..(self.now + 1) * n];
         let mut len = 0;
         for (s, &send) in sends.iter().enumerate() {
             if let LaneSend::Broadcast(value) = send {
@@ -354,16 +379,17 @@ impl RankScratch {
     }
 
     /// Emits the row into `out` and forgets the arrivals: the heard streams
-    /// of the lane's rank `history`, one per send round, merged with the
+    /// of the rank `history`, one per send round, merged with the
     /// sorted extras. Equal values come in stream order, the lane round's
     /// stream first, then ever older send rounds, then the extras (see the
     /// module documentation). The fullest stream is gathered first and the
     /// others merged into it; the extras merge into it as it is gathered
     /// unless an older stream follows it. Returns the row's length.
     // mbaa: alloc-free
-    fn emit(&mut self, history: &[Value], out: &mut [Value]) -> usize {
+    fn emit(&mut self, out: &mut [Value]) -> usize {
         let extra = &mut self.extra[..std::mem::take(&mut self.extra_len)];
         extra.sort_unstable();
+        let history = &self.history;
         if self.depth == 1 {
             // The lane round's stream is the only one: skip choosing a base
             // among streams, which costs small undelayed rows several percent.
@@ -474,12 +500,6 @@ struct DelayRing {
     /// The classes below `ranked` (delays up to `RANKED_DELAYS`) arrive
     /// through the rank history.
     ranked: usize,
-    /// This lane round's ring offset `t % d` of each class.
-    offsets: Vec<u32>,
-    /// This lane round's heard set for each ranked class: the word of
-    /// [`RankScratch`]'s `heard` where the set of rank-history slot
-    /// `(t − d) mod H` starts.
-    sets: Vec<u32>,
 }
 
 impl DelayRing {
@@ -518,8 +538,6 @@ impl DelayRing {
         Some(DelayRing {
             at,
             class,
-            offsets: vec![0; delays.len()],
-            sets: vec![0; ranked],
             delays,
             ranked,
         })
@@ -530,14 +548,14 @@ impl DelayRing {
         self.delays[self.ranked - 1] + 1
     }
 
-    /// Takes each class's ring offset and heard set for lane round `t`,
-    /// heard sets being `words` long.
+    /// Writes each class's ring offset and heard set for lane round `t`
+    /// into a lane's `offsets` and `sets`, heard sets being `words` long.
     // mbaa: alloc-free
-    fn advance(&mut self, t: usize, depth: usize, words: usize) {
-        for (offset, &d) in self.offsets.iter_mut().zip(&self.delays).skip(1) {
+    fn advance(&self, t: usize, depth: usize, words: usize, offsets: &mut [u32], sets: &mut [u32]) {
+        for (offset, &d) in offsets.iter_mut().zip(&self.delays).skip(1) {
             *offset = (t % d) as u32;
         }
-        for (set, &d) in self.sets.iter_mut().zip(&self.delays) {
+        for (set, &d) in sets.iter_mut().zip(&self.delays) {
             *set = ((t + depth - d) % depth * words) as u32;
         }
     }
@@ -547,18 +565,18 @@ impl DelayRing {
 #[derive(Debug)]
 enum Graphs {
     /// The unmasked complete graph under a clean plan: the merge walk.
-    Complete(MergeScratch),
+    Complete,
     /// Round `r` uses `phases[r % phases.len()]`, each with its component
     /// count; a fixed graph is the one-phase case.
     Phases(Vec<(Adjacency, usize)>),
-    /// Seeded churn over a shared base, redrawn into `drawn` per lane round
-    /// and searched for its components.
-    Churn {
-        base: Adjacency,
-        flip_rate: f64,
-        drawn: Adjacency,
-        reach: Reach,
-    },
+    /// Seeded churn over a shared base, which each lane redraws per lane
+    /// round and searches for its components.
+    Churn { base: Adjacency, flip_rate: f64 },
+}
+
+/// The phase, graph and component count, that `round` uses.
+fn phase_at(phases: &[(Adjacency, usize)], round: Round) -> &(Adjacency, usize) {
+    &phases[(round.index() % phases.len() as u64) as usize]
 }
 
 /// One lane round as the slot classifier sees it.
@@ -595,8 +613,8 @@ impl<'o, F: Fn(usize) -> &'o Outbox> Slots<'_, F> {
 
 /// The seed-invariant structure of one network description — or, for a
 /// description that [realizes per seed](SharedRealization::realizes_per_seed),
-/// the structure of one lane seed — realized once and shared by every lane
-/// of its group.
+/// the structure of one lane seed — realized once and shared, read-only, by
+/// every lane of its group.
 #[derive(Debug)]
 pub struct SharedRealization {
     n: usize,
@@ -608,7 +626,6 @@ pub struct SharedRealization {
     /// A lane's delay-ring layout; `None` when nothing delays, which walks
     /// only in-neighbourhoods.
     ring: Option<DelayRing>,
-    ranks: RankScratch,
 }
 
 /// Seed-dependence of a topology description: only
@@ -676,19 +693,11 @@ impl SharedRealization {
             RealizedKind::Churn { base, flip_rate } if realized.is_dynamic() => Graphs::Churn {
                 base: base.clone(),
                 flip_rate: *flip_rate,
-                drawn: base.clone(),
-                reach: Reach::new(n),
             },
             _ => {
                 let graph = realized.adjacency_at(Round::ZERO);
                 if faults.is_none() && graph.is_complete() {
-                    Graphs::Complete(MergeScratch {
-                        common: vec![Value::new(0.0); n],
-                        specials: vec![0; n],
-                        cursors: vec![0; n],
-                        extra: vec![Value::new(0.0); n],
-                        cuts: vec![false; n],
-                    })
+                    Graphs::Complete
                 } else {
                     let components = graph.component_count();
                     Graphs::Phases(vec![(graph.into_owned(), components)])
@@ -696,34 +705,37 @@ impl SharedRealization {
             }
         };
         let ring = faults.as_ref().and_then(|faults| DelayRing::new(faults, n));
-        let walked = if matches!(graphs, Graphs::Complete(_)) {
-            0
-        } else {
-            n
-        };
-        let depth = ring.as_ref().map_or(1, DelayRing::depth);
         Ok(SharedRealization {
             n,
             graphs,
             faults,
             policy,
             ring,
-            ranks: RankScratch::new(walked, depth),
         })
     }
 
-    /// Creates the per-lane delivery state for one lane seed.
+    /// Creates the per-lane delivery state for one lane seed, with the
+    /// scratch of this realization's walk.
     #[must_use]
     pub fn lane(&self, seed: u64) -> LaneDelivery {
-        let ring_len = self
-            .ring
-            .as_ref()
-            .map_or(0, |ring| ring.at[self.n * self.n]);
+        let n = self.n;
+        let (merged, walked) = match self.graphs {
+            Graphs::Complete => (n, 0),
+            _ => (0, n),
+        };
+        let ring = self.ring.as_ref();
         LaneDelivery {
             seed,
             next_round: 0,
-            ring: vec![SendOutcome::Pending; ring_len as usize],
-            history: vec![Value::new(0.0); self.ranks.depth * self.ranks.rank.len()],
+            ring: vec![SendOutcome::Pending; ring.map_or(0, |ring| ring.at[n * n]) as usize],
+            offsets: vec![0; ring.map_or(0, |ring| ring.delays.len())],
+            sets: vec![0; ring.map_or(0, |ring| ring.ranked)],
+            merge: MergeScratch::new(merged),
+            ranks: RankScratch::new(walked, ring.map_or(1, DelayRing::depth)),
+            churn: match &self.graphs {
+                Graphs::Churn { base, .. } => Some((base.clone(), Reach::new(n))),
+                _ => None,
+            },
         }
     }
 
@@ -732,22 +744,10 @@ impl SharedRealization {
     fn is_fixed(&self) -> bool {
         self.faults.is_none()
             && match &self.graphs {
-                Graphs::Complete(_) => true,
+                Graphs::Complete => true,
                 Graphs::Phases(phases) => phases.len() == 1,
                 Graphs::Churn { .. } => false,
             }
-    }
-
-    /// The graph of `round` — under churn, as the lane's latest exchange
-    /// drew it — or `None` for the complete graph.
-    fn graph_at(graphs: &Graphs, round: Round) -> Option<&Adjacency> {
-        match graphs {
-            Graphs::Complete(_) => None,
-            Graphs::Phases(phases) => {
-                Some(&phases[(round.index() % phases.len() as u64) as usize].0)
-            }
-            Graphs::Churn { drawn, .. } => Some(drawn),
-        }
     }
 
     /// Performs the send + receive phases of one lane's round, collecting
@@ -776,7 +776,7 @@ impl SharedRealization {
     #[allow(clippy::too_many_arguments)]
     // mbaa: alloc-free
     pub fn exchange_rows<'o>(
-        &mut self,
+        &self,
         lane: &mut LaneDelivery,
         round: Round,
         sends: &[LaneSend],
@@ -801,24 +801,33 @@ impl SharedRealization {
             }
             lane.next_round += 1;
         }
-        let components = match &mut self.graphs {
-            Graphs::Complete(merge) => {
+        let LaneDelivery {
+            seed,
+            ring: pipe,
+            offsets,
+            sets,
+            merge,
+            ranks,
+            churn,
+            ..
+        } = lane;
+        let (graph, components) = match &self.graphs {
+            Graphs::Complete => {
                 merge.walk(sends, &outbox_of, active, rows, stats);
                 return Ok(());
             }
-            Graphs::Phases(phases) => phases[(round.index() % phases.len() as u64) as usize].1,
-            Graphs::Churn {
-                base,
-                flip_rate,
-                drawn,
-                reach,
-            } => {
+            Graphs::Phases(phases) => {
+                let (graph, components) = phase_at(phases, round);
+                (graph, *components)
+            }
+            Graphs::Churn { base, flip_rate } => {
+                let (drawn, reach) = churn.as_mut().expect("a churn lane draws its graphs");
                 // The draws `RealizedSchedule::adjacency_at` makes.
-                base.churn_into(lane.seed, round.index(), *flip_rate, drawn);
-                reach.components(drawn)
+                base.churn_into(*seed, round.index(), *flip_rate, drawn);
+                let components = reach.components(drawn);
+                (&*drawn, components)
             }
         };
-        let graph = Self::graph_at(&self.graphs, round).expect("only the complete graph has none");
         if !fixed && components != 1 {
             match self.policy {
                 DisconnectionPolicy::Reject => {
@@ -834,16 +843,15 @@ impl SharedRealization {
         let t = round.index() as usize;
         let mut tally = NetworkStats::new();
         let slots = Slots {
-            seed: lane.seed,
+            seed: *seed,
             round: round.index(),
             faults: self.faults.as_ref().filter(|faults| faults.omits()),
             sends,
             outbox_of: &outbox_of,
         };
-        let ranks = &mut self.ranks;
-        ranks.rank(sends, t, &mut lane.history);
-        if let Some(ring) = &mut self.ring {
-            ring.advance(t, ranks.depth, ranks.words);
+        ranks.rank(sends, t);
+        if let Some(ring) = &self.ring {
+            ring.advance(t, ranks.depth, ranks.words, offsets, sets);
         }
         // Files an undelayed arrival: a broadcast by its rank, any other
         // value as extra.
@@ -881,8 +889,6 @@ impl SharedRealization {
                     // senders, testing each one's bit in the receiver's row.
                     let (row, mut bits) = (graph.row_words(r), 0);
                     let (classes, ats) = (&ring.class[r * n..], &ring.at[r * n..(r + 1) * n]);
-                    let (offsets, sets, ranked) = (&ring.offsets[..], &ring.sets[..], ring.ranked);
-                    let pipe = &mut lane.ring[..];
                     for (s, (&class, &at)) in classes.iter().zip(ats).enumerate() {
                         let class = class as usize;
                         if s % 64 == 0 {
@@ -896,7 +902,7 @@ impl SharedRealization {
                             SendOutcome::Unreachable
                         };
                         // A broadcast over a ranked link travels as its rank.
-                        if class < ranked
+                        if class < ring.ranked
                             && matches!(sent, SendOutcome::Value(_))
                             && matches!(sends[s], LaneSend::Broadcast(_))
                         {
@@ -925,7 +931,7 @@ impl SharedRealization {
             }
             if row_active {
                 let start = rows.total;
-                let len = ranks.emit(&lane.history, &mut rows.merged[start..]);
+                let len = ranks.emit(&mut rows.merged[start..]);
                 rows.push_row(r, start, len);
             } else {
                 ranks.clear();
@@ -938,9 +944,10 @@ impl SharedRealization {
     /// Records one lane's round as a [`RoundTrace`] through the classifier
     /// [`exchange_rows`](SharedRealization::exchange_rows) uses: what every
     /// sender put on every link, which links the round's graph had, and
-    /// which slots a link fault governed (lost or delayed). Call it right
-    /// after the lane's exchange for `round`, with the same `sends`: churn
-    /// reads the graph that exchange drew into the shared scratch.
+    /// which slots a link fault governed (lost or delayed). Call it after
+    /// the lane's exchange for `round` and before its next one, with the
+    /// same `sends`: under churn it reads the graph that exchange drew into
+    /// the lane, whatever other lanes exchanged since.
     #[must_use]
     pub fn trace_round<'o>(
         &self,
@@ -956,7 +963,11 @@ impl SharedRealization {
             sends,
             outbox_of: &outbox_of,
         };
-        let graph = Self::graph_at(&self.graphs, round);
+        let graph = match &self.graphs {
+            Graphs::Complete => None,
+            Graphs::Phases(phases) => Some(&phase_at(phases, round).0),
+            Graphs::Churn { .. } => lane.churn.as_ref().map(|(drawn, _)| drawn),
+        };
         RoundTrace::from_slots(round, self.n, |s, r| {
             let outcome = match graph {
                 Some(graph) if !graph.connected(ProcessId::new(r), ProcessId::new(s)) => {
@@ -1067,7 +1078,7 @@ mod tests {
 
     /// Whether the realization takes the complete-graph merge.
     fn merges(shared: &SharedRealization) -> bool {
-        matches!(shared.graphs, Graphs::Complete(_))
+        matches!(shared.graphs, Graphs::Complete)
     }
 
     /// Whether the realization walks one fixed partial graph under a
@@ -1549,5 +1560,74 @@ mod tests {
             assert!(n > 3 || disconnected > 0, "n = 3 never fell apart");
             assert!(net.stats.unreachable > 0, "flip 0.5 never dropped a link");
         }
+    }
+
+    #[test]
+    fn a_lanes_trace_keeps_its_churned_graph_while_another_lane_exchanges() {
+        // Two lanes of one churn realization whose round-0 graphs differ.
+        let (n, seeds) = (16, [1, 2]);
+        let schedule = TopologySchedule::SeededChurn {
+            base: Topology::Complete,
+            flip_rate: 0.3,
+        };
+        let [graph_a, graph_b] = seeds.map(|seed| {
+            let realized = schedule.realize(n, seed).unwrap();
+            realized.adjacency_at(Round::ZERO).into_owned()
+        });
+        assert_ne!(graph_a, graph_b, "the seeds drew the same round-0 graph");
+        let plan = LinkFaultPlan::new();
+        let policy = DisconnectionPolicy::Record;
+        let shared =
+            SharedRealization::build(n, &Topology::Complete, Some(&schedule), &plan, policy, 1)
+                .unwrap();
+        let [mut lane_a, mut lane_b] = seeds.map(|seed| shared.lane(seed));
+        let outboxes: Vec<Outbox> = (0..n)
+            .map(|i| Outbox::broadcast(n, pid(i), Value::new(i as f64)))
+            .collect();
+        let sends = vec![LaneSend::PerReceiver; n];
+        let (active, mut rows, mut stats) =
+            (vec![true; n], DeliveryRows::new(n), NetworkStats::new());
+        let round = Round::ZERO;
+
+        // Lane A's trace straight after its own exchange follows its graph.
+        shared
+            .exchange_rows(
+                &mut lane_a,
+                round,
+                &sends,
+                |s| &outboxes[s],
+                &active,
+                &mut rows,
+                &mut stats,
+            )
+            .unwrap();
+        let own = shared.trace_round(&lane_a, round, &sends, |s| &outboxes[s]);
+        for (s, r) in (0..n).flat_map(|s| (0..n).map(move |r| (s, r))) {
+            assert_eq!(
+                own.observation(pid(s)).reaches(pid(r)),
+                graph_a.connected(pid(s), pid(r))
+            );
+        }
+        // Lane B exchanges the same round over its own graph; lane A's
+        // trace of that round does not change.
+        shared
+            .exchange_rows(
+                &mut lane_b,
+                round,
+                &sends,
+                |s| &outboxes[s],
+                &active,
+                &mut rows,
+                &mut stats,
+            )
+            .unwrap();
+        assert_eq!(
+            shared.trace_round(&lane_a, round, &sends, |s| &outboxes[s]),
+            own
+        );
+        assert_ne!(
+            shared.trace_round(&lane_b, round, &sends, |s| &outboxes[s]),
+            own
+        );
     }
 }

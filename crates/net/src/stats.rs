@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// use mbaa_types::{Round, Value};
 ///
 /// let plan = LinkFaultPlan::new();
-/// let mut net =
+/// let net =
 ///     SharedRealization::build(2, &Topology::Complete, None, &plan, DisconnectionPolicy::Record, 0)?;
 /// let mut lane = net.lane(0);
 /// let sends = [LaneSend::Broadcast(Value::new(1.0)), LaneSend::Silent];

@@ -108,10 +108,8 @@ def main() -> int:
             continue
         change = (cur["mean_ns"] - base_mean) / base_mean * 100.0
         # Timings and counts regress upward; throughput units (anything
-        # per second, e.g. the hot-path bench's "rounds/s") and lane
-        # occupancy ("occ%", the packing scheduler's fill rate) regress
-        # downward.
-        higher_is_better = unit.endswith("/s") or unit == "occ%"
+        # per second, e.g. engine_batch's "rounds/s") regress downward.
+        higher_is_better = unit.endswith("/s")
         regressed = change < -args.threshold if higher_is_better else change > args.threshold
         improved = change > args.threshold if higher_is_better else change < -args.threshold
         flag = ""
