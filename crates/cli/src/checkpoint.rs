@@ -343,9 +343,10 @@ pub fn chunk_path(dir: &Path, index: usize) -> PathBuf {
 /// seed segment, and all of a chunk's segments execute as **one**
 /// cross-point packed pool (`mbaa::stream_segments`): neighbouring points
 /// share fixed-width packs whatever their shapes, so a chunk spanning a
-/// point boundary pays no under-full pack per point. Chunk bytes depend
-/// only on the summaries, which are bit-identical to the per-point path,
-/// so resumable checkpoints stay byte-identical.
+/// point boundary pays no under-full pack per point. A failing seed fails
+/// the chunk, whether it failed lowering or in its rounds. Chunk bytes
+/// depend only on the summaries, which are bit-identical to the per-point
+/// path, so resumable checkpoints stay byte-identical.
 pub fn execute_chunk(
     plan: &SweepPlan,
     index: usize,

@@ -104,10 +104,10 @@ impl Runner {
     }
 
     /// Streams the batch through the summary-level packed executor: every
-    /// seed still runs in parallel, but each completed run is folded into
-    /// its [`RunSummary`] *on the worker* and the full trajectory is never
-    /// materialized, so memory stays flat even for very large seed
-    /// batches. Seeds are sorted and deduplicated exactly as in
+    /// seed still runs in parallel, but runs are lowered only when their
+    /// chunk is about to run and each is folded into its [`RunSummary`] on
+    /// the worker, so memory stays flat even for very large seed batches.
+    /// Seeds are sorted and deduplicated exactly as in
     /// [`Runner::run`], and the result equals
     /// [`Runner::run`]`()?.to_experiment_result()` bit for bit, for every
     /// worker count.
@@ -410,14 +410,15 @@ impl Sweep {
 /// [`Runner::run`] normalizes, and each segment's result is bit-identical
 /// to `scenario.batch(seeds).run()?.to_experiment_result()`, for every
 /// worker count. A failing segment carries its first failing seed's error
-/// (in seed order) without disturbing its neighbours.
+/// (in seed order, whether that seed failed lowering or in its rounds)
+/// without disturbing its neighbours.
 ///
 /// The attached [`Sinks`] observe the packed run itself: the registry
 /// folds every run's telemetry, the event stream receives every run's
 /// events segment-major and seed-minor, and the profiler sums every
-/// pack's phase times. The registry and the events are bit-identical for
-/// every worker count and pack boundary (see
-/// `mbaa_sim::run_packed_experiments`).
+/// pack's phase times; a failing segment emits what its runs that ran
+/// emit. The registry and the events are bit-identical for every worker
+/// count and pack boundary (see `mbaa_sim::run_packed_experiments`).
 pub fn stream_segments(
     segments: &[(Scenario, Vec<u64>)],
     workers: Option<usize>,

@@ -229,34 +229,31 @@ impl ExperimentResult {
 pub const BATCH_WIDTH: usize = 32;
 
 /// The summary-level executor: runs several experiment points as **one**
-/// cross-point packed pool. Every `(point, seed)` pair is lowered up
-/// front (point-major, seed-minor), and the lane list runs in plain
-/// chunks of [`BATCH_WIDTH`] lanes, each one [`BatchEngine`] pack,
-/// whatever sizes, fault bounds and models a chunk mixes. A point whose
-/// seed batch does not fill its last chunk shares it with the next
-/// point's first seeds, so sweeping many small points does not pay one
-/// under-full pack per point. A single point is the one-element case.
+/// cross-point packed pool. Its run list holds every `(point, seed)` pair,
+/// point-major and seed-minor, in plain chunks of [`BATCH_WIDTH`] whatever
+/// sizes, fault bounds and models a chunk mixes. The calling thread lowers
+/// one wave of chunks at a time, as many as the pool runs at once, and each
+/// chunk's runs that lowered run as one [`BatchEngine`] pack. No lowered
+/// lane exists outside the running chunks, so memory holds one summary
+/// per run.
 ///
-/// Seeds run in parallel on the ambient rayon pool; results come back
-/// **per point**, aligned with `configs`, each point's runs in its seed
-/// batch order. Per-seed summaries are bit-identical for every worker
-/// count and pack boundary — a lane's result does not depend on the pack
-/// it rides in. A point whose lowering or runs
-/// fail carries its first failing seed's error (in seed-batch order)
-/// without disturbing its neighbours, so callers keep point-level error
-/// attribution.
+/// Results come back **per point**, aligned with `configs`, each point's
+/// runs in its seed batch order. Per-seed summaries are bit-identical for
+/// every worker count and pack boundary. A run that fails lowering is one
+/// more failing run: a point carries its first failing seed's error (in
+/// seed-batch order), whether it came from lowering or from the run,
+/// without disturbing its neighbours.
 ///
 /// Each pack runs with pack-local copies of the attached [`Sinks`]: a
 /// [`MetricsRegistry`], an event buffer, and a [`PhaseProfiler`]. A pack
 /// emits its lanes' events lane by lane. After every pack has run the
 /// copies are folded into `sinks` in pack order: registries and profilers
 /// merge by `u64` addition, and each pack's buffer is appended whole, so
-/// events arrive point-major and seed-minor. The
-/// registry and the events are the same for every worker count and pack
-/// boundary (the profile sums wall time over the workers), and the
-/// summaries are the same with or without any sink. A point whose
-/// lowering fails contributes nothing to them. With nothing attached the
-/// packs run under [`NoopObserver`].
+/// events arrive point-major and seed-minor. The registry and the events
+/// are the same for every worker count and pack boundary (the profile
+/// sums wall time over the workers), and the summaries are the same with
+/// or without any sink. A failing point emits what its runs that ran
+/// emit. With nothing attached the packs run under [`NoopObserver`].
 ///
 /// Only summaries leave this function, and summaries are bit-identical
 /// across observability levels, so the engine always runs at
@@ -266,77 +263,98 @@ pub fn run_packed_experiments(
     configs: &[ExperimentConfig],
     mut sinks: Sinks<'_>,
 ) -> Vec<Result<ExperimentResult>> {
-    let mut lowered: Vec<Option<mbaa_types::Error>> = Vec::with_capacity(configs.len());
-    let mut lanes: Vec<PackedLane> = Vec::new();
-    // `points[i]` is the point index of `lanes[i]` — kept as a parallel
-    // vector so packs can borrow `lanes` as contiguous chunks.
-    let mut points: Vec<usize> = Vec::new();
-    for (point, config) in configs.iter().enumerate() {
-        // A point whose lowering fails contributes no lanes; its
-        // neighbours still execute.
-        match lower_point(config) {
-            Ok(point_lanes) => {
-                lowered.push(None);
-                points.extend(std::iter::repeat_n(point, point_lanes.len()));
-                lanes.extend(point_lanes);
-            }
-            Err(e) => lowered.push(Some(e)),
-        }
-    }
+    let runs: Vec<(usize, u64)> = configs
+        .iter()
+        .enumerate()
+        .flat_map(|(point, config)| config.seeds.iter().map(move |&seed| (point, seed)))
+        .collect();
     let (metrics, events, profile) = (
         sinks.metrics.is_some(),
         sinks.events.is_some(),
         sinks.profile.is_some(),
     );
-    let chunks: Vec<&[PackedLane]> = lanes.chunks(BATCH_WIDTH).collect();
-    let packs: Vec<(Vec<Result<RunSummary>>, Option<PackSinks>)> = chunks
-        .into_par_iter()
-        .map(|pack| {
-            let mut local = (metrics || events || profile).then(|| PackSinks {
-                metrics: metrics.then(MetricsRegistry::new),
-                events: events.then(Vec::new),
-                profile: profile.then(PhaseProfiler::new),
-            });
-            let outcomes = match &mut local {
-                Some(local) => BatchEngine::run_packed_observed(pack, local),
-                None => BatchEngine::run_packed_observed(pack, &mut NoopObserver),
-            };
-            let runs = outcomes
-                .into_iter()
-                .zip(pack)
-                .map(|(outcome, lane)| Ok(RunSummary::from_outcome(lane.config.seed, &outcome?)))
-                .collect();
-            (runs, local)
-        })
-        .collect();
-    // The pack-local sinks fold in pack order, whatever order the packs
-    // completed in. Packs are consecutive chunks of the point-major lane
-    // list, so the flattened pack results scatter back per point in
-    // seed-batch order; the first failing seed of a point wins its slot.
-    let (pack_runs, locals): (Vec<_>, Vec<_>) = packs.into_iter().unzip();
-    for local in locals.into_iter().flatten() {
-        local.fold_into(&mut sinks);
+    // A wave is as many chunks as the pool runs at once, lowered on this
+    // thread: workers lowering their own chunks read 13-17% fewer runs/s
+    // on perfbench's complete graphs (CHANGES.md).
+    let wave = BATCH_WIDTH * rayon::current_num_threads();
+    let mut results: Vec<Result<RunSummary>> = Vec::with_capacity(runs.len());
+    for wave in runs.chunks(wave) {
+        let packs: Vec<_> = wave
+            .chunks(BATCH_WIDTH)
+            .map(|chunk| {
+                // A run whose lowering fails keeps its error in its slot;
+                // the runs that lowered form the pack.
+                let mut lanes = Vec::with_capacity(chunk.len());
+                let lowered: Vec<Result<()>> = chunk
+                    .iter()
+                    .map(|&(point, seed)| {
+                        let config = &configs[point];
+                        let mut lane = config.protocol_config(seed)?;
+                        lane.observe = Observe::Summary;
+                        lanes.push(PackedLane {
+                            config: lane,
+                            inputs: config.workload.generate(config.n, seed),
+                        });
+                        Ok(())
+                    })
+                    .collect();
+                (chunk, lowered, lanes)
+            })
+            .collect();
+        let ran: Vec<(Vec<Result<RunSummary>>, Option<PackSinks>)> = packs
+            .into_par_iter()
+            .map(|(chunk, lowered, lanes)| {
+                let mut local = (metrics || events || profile).then(|| PackSinks {
+                    metrics: metrics.then(MetricsRegistry::new),
+                    events: events.then(Vec::new),
+                    profile: profile.then(PhaseProfiler::new),
+                });
+                let mut outcomes = match &mut local {
+                    Some(local) => BatchEngine::run_packed_observed(&lanes, local),
+                    None => BatchEngine::run_packed_observed(&lanes, &mut NoopObserver),
+                }
+                .into_iter();
+                let runs = lowered
+                    .into_iter()
+                    .zip(chunk)
+                    .map(|(lowered, &(_, seed))| {
+                        lowered?;
+                        let outcome = outcomes.next().expect("one outcome per lowered run")?;
+                        Ok(RunSummary::from_outcome(seed, &outcome))
+                    })
+                    .collect();
+                (runs, local)
+            })
+            .collect();
+        // The pack-local sinks fold in pack order, whatever order the
+        // packs completed in.
+        for (runs, local) in ran {
+            results.extend(runs);
+            if let Some(local) = local {
+                local.fold_into(&mut sinks);
+            }
+        }
     }
+    // The results follow the run list, so they scatter back per point in
+    // seed-batch order; the first failing seed of a point wins its slot.
     let mut per_point: Vec<Result<Vec<RunSummary>>> =
         configs.iter().map(|_| Ok(Vec::new())).collect();
-    for (&point, run) in points.iter().zip(pack_runs.into_iter().flatten()) {
-        if let Ok(runs) = per_point[point].as_mut() {
+    for (&(point, _), run) in runs.iter().zip(results) {
+        if let Ok(summaries) = per_point[point].as_mut() {
             match run {
-                Ok(summary) => runs.push(summary),
+                Ok(summary) => summaries.push(summary),
                 Err(e) => per_point[point] = Err(e),
             }
         }
     }
     configs
         .iter()
-        .zip(lowered)
         .zip(per_point)
-        .map(|((config, lowering_error), runs)| match lowering_error {
-            Some(e) => Err(e),
-            None => Ok(ExperimentResult {
+        .map(|(config, runs)| {
+            Ok(ExperimentResult {
                 config: config.clone(),
                 runs: runs?,
-            }),
+            })
         })
         .collect()
 }
@@ -410,42 +428,17 @@ impl Observer for PackSinks {
 }
 
 /// Mean lane occupancy of the packs [`run_packed_experiments`] would
-/// execute for `configs`: total lanes over `packs × BATCH_WIDTH` slots,
-/// where a plan of `L` lanes runs `⌈L / BATCH_WIDTH⌉` packs. The
-/// experiment itself is not run, and an empty plan (no seeds anywhere) is
-/// vacuously full. This stays public because the benchmark's trace helper
-/// (`perfbench/trace`) reports it.
-///
-/// # Errors
-///
-/// Propagates the first lowering error in point-major, seed-minor order.
+/// execute for `configs`: total runs over `packs × BATCH_WIDTH` slots,
+/// where a run list of `L` runs is `⌈L / BATCH_WIDTH⌉` chunks. Runs that
+/// would fail still take their chunk slots, so nothing is lowered and no
+/// error is returned. An empty run list is vacuously full. This stays
+/// public, with its `Result`, because `perfbench/trace` reports it.
 pub fn mean_pack_occupancy(configs: &[ExperimentConfig]) -> Result<f64> {
-    let mut lanes = 0;
-    for config in configs {
-        lanes += lower_point(config)?.len();
-    }
-    if lanes == 0 {
+    let runs: usize = configs.iter().map(|config| config.seeds.len()).sum();
+    if runs == 0 {
         return Ok(1.0);
     }
-    Ok(lanes as f64 / (lanes.div_ceil(BATCH_WIDTH) * BATCH_WIDTH) as f64)
-}
-
-/// Lowers every seed of one point to its [`PackedLane`], run at
-/// [`Observe::Summary`]; the first failing seed's error wins.
-fn lower_point(config: &ExperimentConfig) -> Result<Vec<PackedLane>> {
-    config
-        .seeds
-        .iter()
-        .map(|&seed| {
-            config.protocol_config(seed).map(|mut p| {
-                p.observe = Observe::Summary;
-                PackedLane {
-                    config: p,
-                    inputs: config.workload.generate(config.n, seed),
-                }
-            })
-        })
-        .collect()
+    Ok(runs as f64 / (runs.div_ceil(BATCH_WIDTH) * BATCH_WIDTH) as f64)
 }
 
 #[cfg(test)]
@@ -675,6 +668,9 @@ mod tests {
             point(MobileModel::Garay, 9, 1, 0..12),
         ];
         assert_eq!(mean_pack_occupancy(&mixed).unwrap(), 36.0 / 64.0);
+        // Runs that fail lowering still take their chunk slots.
+        let failing = point(MobileModel::Garay, 8, 2, 0..12);
+        assert_eq!(mean_pack_occupancy(&[failing]).unwrap(), 12.0 / 32.0);
         // No seeds anywhere: vacuously full.
         assert_eq!(
             mean_pack_occupancy(&[point(MobileModel::Garay, 9, 1, 0..0)]).unwrap(),

@@ -9,12 +9,13 @@
 //!   clustered sensors, seeded uniform noise, or explicit values).
 //! * [`ExperimentConfig`] — one (model, n, f, adversary, algorithm) point
 //!   over a batch of seeds.
-//! * [`run_packed_experiments`] — the one summary-level executor: packs the
-//!   seeds of any number of points into shared seed-batched engine
-//!   launches on the work-stealing rayon pool, folds each completed run
-//!   into its [`RunSummary`] on the worker (memory stays flat for very
-//!   large seed batches), optionally merges every run's telemetry into a
-//!   `MetricsRegistry`, and returns one [`ExperimentResult`] per point.
+//! * [`run_packed_experiments`] — the one summary-level executor: runs
+//!   the seeds of any number of points in shared engine packs on the
+//!   work-stealing rayon pool, lowering each chunk just before it runs
+//!   and folding each run into its [`RunSummary`] (memory stays flat for
+//!   very large seed batches), optionally merges every run's telemetry
+//!   into a `MetricsRegistry`, and returns one [`ExperimentResult`] per
+//!   point.
 //! * [`stats`] — small summary-statistics helpers.
 //! * [`report`] — Markdown / CSV table emission used by the benches.
 //!

@@ -140,3 +140,61 @@ fn streaming_errors_deterministically_on_the_smallest_failing_seed() {
     let streamed = scenario.batch(0..4).stream(None).unwrap_err();
     assert_eq!(format!("{eager}"), format!("{streamed}"));
 }
+
+/// Both directions of the links 0–1 and 2–3 cut, so a sparse graph that
+/// relies on one of them does not pass validation.
+fn cuts() -> LinkFaultPlan {
+    LinkFaultPlan::new().cut(0, 1).cut(1, 0).cut(2, 3).cut(3, 2)
+}
+
+#[test]
+fn the_smallest_failing_seed_wins_whether_it_fails_lowering_or_running() {
+    // Every seed realizes its own random-regular base graph, so some seeds
+    // fail validation and others fail only when a churned round
+    // disconnects.
+    let scenario = Scenario::new(MobileModel::Garay, 10, 0)
+        .topology_schedule(TopologySchedule::SeededChurn {
+            base: Topology::RandomRegular { degree: 2 },
+            flip_rate: 0.5,
+        })
+        .link_faults(cuts())
+        .disconnection(DisconnectionPolicy::Reject);
+    assert!(scenario.lower(0).is_ok());
+    assert!(matches!(
+        scenario.lower(4),
+        Err(Error::DisconnectedTopology { .. })
+    ));
+    let first = format!("{}", scenario.run(0).unwrap_err());
+    let streamed = scenario.batch(0..8).stream(None).unwrap_err();
+    assert_eq!(format!("{streamed}"), first);
+    let swept = Sweep::over([scenario.clone()])
+        .seeds(0..8)
+        .stream(None)
+        .unwrap_err();
+    assert_eq!(format!("{swept}"), first);
+    assert_eq!(
+        format!("{}", scenario.batch(0..8).run().unwrap_err()),
+        first
+    );
+}
+
+#[test]
+fn a_point_that_fails_lowering_partway_emits_the_lanes_that_ran() {
+    let scenario = Scenario::new(MobileModel::Garay, 10, 0)
+        .topology(Topology::RandomRegular { degree: 2 })
+        .link_faults(cuts());
+    let lowered = (0..8u64)
+        .filter(|&seed| scenario.lower(seed).is_ok())
+        .count();
+    let first_failing = (0..8u64)
+        .find(|&seed| scenario.lower(seed).is_err())
+        .expect("some seed's graph needs a cut link");
+    assert!(lowered > 0, "every seed failed lowering");
+    let mut metrics = MetricsRegistry::new();
+    let err = scenario.batch(0..8).stream(Some(&mut metrics)).unwrap_err();
+    assert_eq!(
+        format!("{err}"),
+        format!("{}", scenario.run(first_failing).unwrap_err())
+    );
+    assert_eq!(metrics.runs, lowered as u64);
+}
