@@ -18,6 +18,10 @@
 //! `phase_share/batch_worst/361/{phase}`, profiles an 8-lane pack at the
 //! shape of the `complete_large_n` benchmark: Garay at n = 361 with f = 90
 //! agents placed by `TargetExtremes` and sending the split attack.
+//! `phase_share/batch_roundrobin/301/{phase}` profiles an 8-lane pack at
+//! the shape of the benchmark's Sasaki points: n = 301, f = 50 agents
+//! under the default `RoundRobin` mobility and the split attack, so `f`
+//! hosts are vacated and `f` entered every round.
 //! `phase_share/batch_churn/{128,256}/{phase}` profile an 8-lane pack at
 //! the shape of `perfbench`'s churn points: seeded churn over the complete
 //! base at flip rate 0.1, with every link losing 5% of its messages, so
@@ -111,16 +115,19 @@ fn profile(n: usize) {
 /// with every link one round late) folds one row per receiver, all of one
 /// width, in every round; `batch_worst` (8 lanes at n = 361, f = 90 under
 /// `TargetExtremes` and the split attack) shows what the agents cost when
-/// there are many of them; `batch_churn` (8 lanes under seeded churn with
-/// 5% link omissions) shows what redrawing the graph every round costs.
+/// there are many of them; `batch_roundrobin` (8 Sasaki lanes at n = 301,
+/// f = 50 under `RoundRobin`) shows what moving every agent every round
+/// costs; `batch_churn` (8 lanes under seeded churn with 5% link
+/// omissions) shows what redrawing the graph every round costs.
 fn profile_batch(
     label: &str,
+    model: MobileModel,
     n: usize,
     f: usize,
     k: usize,
     network: impl FnOnce(ProtocolConfigBuilder) -> ProtocolConfigBuilder,
 ) {
-    let base = ProtocolConfig::builder(MobileModel::Garay, n, f)
+    let base = ProtocolConfig::builder(model, n, f)
         .epsilon(1e-12)
         .max_rounds(200)
         .seed(7)
@@ -174,17 +181,17 @@ fn main() {
     // The batched ring on the reduced grid the engine_batch bench
     // uses for its ring/churn rows.
     for &n in &[64usize, 256] {
-        profile_batch("batch_ring", n, 2, 8, |b| {
+        profile_batch("batch_ring", MobileModel::Garay, n, 2, 8, |b| {
             b.topology(Topology::Ring { k: 4 })
         });
     }
-    profile_batch("batch_complete", 256, 2, 32, |b| b);
-    profile_batch("batch_delay", 256, 2, 8, |b| {
+    profile_batch("batch_complete", MobileModel::Garay, 256, 2, 32, |b| b);
+    profile_batch("batch_delay", MobileModel::Garay, 256, 2, 8, |b| {
         b.link_faults(LinkFaultPlan::new().delay_all(1))
     });
     // The shape of perfbench's churn points.
     for &n in &[128usize, 256] {
-        profile_batch("batch_churn", n, 2, 8, |b| {
+        profile_batch("batch_churn", MobileModel::Garay, n, 2, 8, |b| {
             b.topology_schedule(TopologySchedule::SeededChurn {
                 base: Topology::Complete,
                 flip_rate: 0.1,
@@ -193,9 +200,11 @@ fn main() {
         });
     }
     // The benchmark's shape: Garay's largest f at n = 361 (n > 4f).
-    profile_batch("batch_worst", 361, 90, 8, |b| {
+    profile_batch("batch_worst", MobileModel::Garay, 361, 90, 8, |b| {
         b.mobility(MobilityStrategy::TargetExtremes)
             .corruption(CorruptionStrategy::split_attack())
     });
+    // The benchmark's Sasaki shape (n > 6f) under the default adversary.
+    profile_batch("batch_roundrobin", MobileModel::Sasaki, 301, 50, 8, |b| b);
     write_json_report();
 }
