@@ -104,7 +104,9 @@ impl CorruptionStrategy {
     /// Writes the outbox an agent-occupied process `sender` hands to the
     /// network into a reused `out`, drawing from `rng` in receiver order.
     /// The poisoned queue an agent leaves behind under Sasaki's model is as
-    /// malicious as its own sends, so it is filled the same way. No
+    /// malicious as its own sends, so it is filled the same way. Every
+    /// value sent is one [`CorruptionStrategy::corrupted_state`] would
+    /// plant, except the split attack's upper half and silence. No
     /// strategy allocates.
     ///
     /// # Panics
@@ -121,32 +123,17 @@ impl CorruptionStrategy {
         let n = view.universe();
         assert_eq!(out.universe(), n, "outbox universe mismatch");
         out.set_sender(sender);
-        let lo = view.correct_range.lo().get();
-        let hi = view.correct_range.hi().get();
         match self {
             CorruptionStrategy::Silent => out.fill_silent(),
-            CorruptionStrategy::Fixed { value } => out.fill_broadcast(*value),
-            CorruptionStrategy::OutOfRange { magnitude } => {
-                out.fill_broadcast(far(hi + magnitude.max(f64::MIN_POSITIVE)));
-            }
             CorruptionStrategy::Split { magnitude } => {
-                let margin = magnitude.max(f64::MIN_POSITIVE);
-                out.fill_runs([(n / 2, Some(far(lo - margin))), (n, Some(far(hi + margin)))]);
+                let low = self.corrupted_state(view, rng);
+                let high = far(view.correct_range.hi().get() + magnitude.max(f64::MIN_POSITIVE));
+                out.fill_runs([(n / 2, Some(low)), (n, Some(high))]);
             }
-            CorruptionStrategy::RandomNoise { lo, hi } => {
-                out.fill_with(|_| Some(Value::new(rng.random_range(*lo..=*hi))));
+            CorruptionStrategy::RandomNoise { .. } | CorruptionStrategy::Stealth => {
+                out.fill_with(|_| Some(self.corrupted_state(view, rng)));
             }
-            CorruptionStrategy::BoundaryDrag => out.fill_broadcast(Value::new(lo)),
-            CorruptionStrategy::Stealth => out.fill_with(|_| {
-                Some(Value::new(if hi > lo {
-                    rng.random_range(lo..=hi)
-                } else {
-                    lo
-                }))
-            }),
-            CorruptionStrategy::MedianPull => {
-                out.fill_broadcast(Value::new(lo + 0.25 * (hi - lo)));
-            }
+            _ => out.fill_broadcast(self.corrupted_state(view, rng)),
         }
     }
 
@@ -345,8 +332,8 @@ mod tests {
         adversary.begin_round_into(&next, &mut plan);
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(
-            plan.poisoned_outboxes[0],
-            Some(outbox(strategy, ProcessId::new(0), &view, &mut rng))
+            plan.poisoned_outbox(ProcessId::new(0)),
+            Some(&outbox(strategy, ProcessId::new(0), &view, &mut rng))
         );
     }
 

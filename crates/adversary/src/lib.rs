@@ -23,6 +23,11 @@
 //!   in cured processes, and (for Sasaki's model) the poisoned outgoing
 //!   queues cured processes unknowingly flush.
 //!
+//! In every model a round touches only the at most `f` processes the
+//! agents leave or enter, and a plan is sized by them: the faulty and cured
+//! sets are word bitsets, and the outboxes and states are keyed by agent
+//! slot, so past the placement a round's plan costs O(f + n/64), not O(n).
+//!
 //! # Example
 //!
 //! ```
@@ -48,8 +53,8 @@
 //! };
 //! let mut plan = RoundFaultPlan::empty(9);
 //! adversary.begin_round_into(&view, &mut plan);
-//! assert_eq!(plan.faulty.len(), 2);
-//! assert!(plan.cured.is_empty()); // no agent has moved before round 0
+//! assert_eq!(plan.faulty().len(), 2);
+//! assert!(plan.cured().is_empty()); // no agent has moved before round 0
 //! ```
 
 #![forbid(unsafe_code)]

@@ -10,33 +10,27 @@ use mbaa_types::{MobileModel, ProcessId, ProcessSet, Value};
 use crate::{AdversaryView, CorruptionStrategy, MobilityStrategy};
 
 /// Everything the adversary decides for one round, consumed by the protocol
-/// engine.
-///
-/// * `faulty` — processes occupied by an agent during this round's send
-///   phase; their outgoing messages are in `faulty_outboxes`.
-/// * `cured` — processes an agent left at the beginning of this round; the
-///   state value the agent left behind is in `corrupted_states`, and under
-///   Sasaki's model the poisoned outgoing queue they will unknowingly flush
-///   is in `poisoned_outboxes`.
-///
-/// All vectors are indexed by process and hold `Some(_)` exactly for the
-/// processes in the corresponding set.
+/// engine: the faulty processes (occupied by an agent during this round's
+/// send phase) with their outboxes, and the cured ones (left by an agent at
+/// the beginning of this round) with the state value the agent left behind
+/// and, under Sasaki's model, the poisoned queue they unknowingly flush.
+/// Both sets hold at most `f` processes, and what goes with them is kept by
+/// *agent slot*, a process' position in its set's ascending order: O(f)
+/// entries whatever `n` is, each looked up by process in O(1).
 ///
 /// A plan reused across rounds — and across the lanes of a pack, which
 /// share one — also keeps the outboxes of earlier rounds in a pool, so a
 /// warm plan never allocates an outbox. Equality ignores the pool.
 #[derive(Debug, Clone)]
 pub struct RoundFaultPlan {
-    /// Processes occupied by an agent this round.
-    pub faulty: ProcessSet,
-    /// Processes an agent just left (empty under Buhrman's model).
-    pub cured: ProcessSet,
-    /// Outbox of every faulty process.
-    pub faulty_outboxes: Vec<Option<Outbox>>,
-    /// The state value the departing agent wrote into each cured process.
-    pub corrupted_states: Vec<Option<Value>>,
-    /// The poisoned outgoing queue of each cured process (Sasaki only).
-    pub poisoned_outboxes: Vec<Option<Outbox>>,
+    faulty: ProcessSet,
+    cured: ProcessSet,
+    faulty_outboxes: Vec<Outbox>,
+    corrupted_states: Vec<Value>,
+    /// Sasaki only.
+    poisoned_outboxes: Vec<Outbox>,
+    /// Each host's agent slot; the entries of other processes are stale.
+    slots: Vec<u32>,
     /// Recycled outboxes: [`MobileAdversary::begin_round_into`] drains the
     /// previous round's outboxes into this pool and refills new entries
     /// from it.
@@ -63,9 +57,10 @@ impl RoundFaultPlan {
         RoundFaultPlan {
             faulty: ProcessSet::empty(n),
             cured: ProcessSet::empty(n),
-            faulty_outboxes: vec![None; n],
-            corrupted_states: vec![None; n],
-            poisoned_outboxes: vec![None; n],
+            faulty_outboxes: Vec::with_capacity(n),
+            corrupted_states: Vec::with_capacity(n),
+            poisoned_outboxes: Vec::with_capacity(n),
+            slots: vec![0; n],
             pool: Vec::new(),
         }
     }
@@ -73,32 +68,55 @@ impl RoundFaultPlan {
     /// The number of processes covered by this plan.
     #[must_use]
     pub fn universe(&self) -> usize {
-        self.faulty_outboxes.len()
+        self.faulty.universe()
     }
 
-    /// Clears the plan for reuse, recycling every outbox it holds into its
-    /// pool instead of dropping the allocations.
+    /// Processes occupied by an agent this round.
+    #[must_use]
+    pub fn faulty(&self) -> &ProcessSet {
+        &self.faulty
+    }
+
+    /// Processes an agent just left (empty under Buhrman's model).
+    #[must_use]
+    pub fn cured(&self) -> &ProcessSet {
+        &self.cured
+    }
+
+    /// Each cured process, ascending, with the state value the departing
+    /// agent wrote into it.
+    pub fn cured_states(&self) -> impl Iterator<Item = (ProcessId, Value)> + '_ {
+        self.cured.iter().zip(self.corrupted_states.iter().copied())
+    }
+
+    /// The agent slot of `p` in `set`, if it is a member.
+    fn slot(&self, set: &ProcessSet, p: ProcessId) -> Option<usize> {
+        set.contains(p).then(|| self.slots[p.index()] as usize)
+    }
+
+    /// The outbox of `p`, if it is faulty.
+    #[must_use]
+    pub fn faulty_outbox(&self, p: ProcessId) -> Option<&Outbox> {
+        self.slot(&self.faulty, p).map(|k| &self.faulty_outboxes[k])
+    }
+
+    /// The poisoned queue of `p`, if it is cured under Sasaki's model.
+    #[must_use]
+    pub fn poisoned_outbox(&self, p: ProcessId) -> Option<&Outbox> {
+        self.poisoned_outboxes.get(self.slot(&self.cured, p)?)
+    }
+
+    /// Clears the plan in O(f + n/64), recycling every outbox it holds
+    /// into its pool instead of dropping the allocations.
     // mbaa: alloc-free
     fn recycle(&mut self) {
         self.faulty.clear();
         self.cured.clear();
-        self.corrupted_states.fill(None);
-        for slot in self
-            .faulty_outboxes
-            .iter_mut()
-            .chain(self.poisoned_outboxes.iter_mut())
-        {
-            if let Some(outbox) = slot.take() {
-                // mbaa: allow(hot-path/vec-growth, the pool is drained and refilled with the same <= 2f outboxes each round)
-                self.pool.push(outbox);
-            }
+        self.corrupted_states.clear();
+        for outboxes in [&mut self.faulty_outboxes, &mut self.poisoned_outboxes] {
+            // mbaa: allow(hot-path/vec-growth, the pool is drained and refilled with the same <= 2f outboxes each round)
+            self.pool.append(outboxes);
         }
-    }
-
-    /// An outbox over `n` receivers from the pool, or a new one while the
-    /// pool is cold.
-    fn pooled_outbox(&mut self, n: usize, sender: ProcessId) -> Outbox {
-        self.pool.pop().unwrap_or_else(|| Outbox::silent(n, sender))
     }
 }
 
@@ -178,11 +196,13 @@ impl MobileAdversary {
     /// rule and overwrites a reused [`RoundFaultPlan`] with the round's
     /// decisions, recycling its outbox allocations through the plan's
     /// pool. The RNG draw sequence is placement, then faulty
-    /// outboxes in ascending process order, then per cured process its
-    /// corrupted state (and, under Sasaki, its poisoned queue), so a reused
-    /// plan and a fresh [`RoundFaultPlan::empty`] plan the same round. Once
-    /// the plan's pool is warm (after at most one round, and for good on a
-    /// plan that earlier lanes of a pack used), planning performs no heap
+    /// outboxes in ascending process order, then per cured process in
+    /// ascending order its corrupted state (and, under Sasaki, its
+    /// poisoned queue), so a reused plan and a fresh
+    /// [`RoundFaultPlan::empty`] plan the same round. Past the placement,
+    /// planning costs O(f + n/64) plus the outboxes' writes. Once the
+    /// plan's pool is warm (after at most one round, and for good on a plan
+    /// that earlier lanes of a pack used), planning performs no heap
     /// allocation.
     ///
     /// # Panics
@@ -216,47 +236,40 @@ impl MobileAdversary {
             &mut plan.faulty,
             &mut self.order_scratch,
         );
-        match self.model {
-            // Agents ride the messages: by the time anyone sends, the host
-            // the agent left has already recovered, so the send phase sees
-            // exactly `f` faulty processes and no cured ones (Lemma 4).
-            MobileModel::Buhrman => {}
-            // Agents move between rounds: whoever hosted an agent last round
-            // and no longer does is cured this round.
-            MobileModel::Garay | MobileModel::Bonnet | MobileModel::Sasaki => {
-                if let Some(previous) = &self.occupied {
-                    for p in previous.iter() {
-                        if !plan.faulty.contains(p) {
-                            plan.cured.insert(p);
-                        }
-                    }
+        // Agents moving between rounds cure the hosts they leave. Under
+        // Buhrman's model they ride the messages, so the send phase sees no
+        // cured process (Lemma 4).
+        let cures = self.model != MobileModel::Buhrman;
+        if let Some(previous) = self.occupied.as_ref().filter(|_| cures) {
+            for p in previous.iter() {
+                if !plan.faulty.contains(p) {
+                    plan.cured.insert(p);
                 }
             }
         }
 
-        for i in 0..self.n {
-            let p = ProcessId::new(i);
-            if !plan.faulty.contains(p) {
-                continue;
-            }
-            let mut outbox = plan.pooled_outbox(self.n, p);
+        let mut pooled = |p| plan.pool.pop().unwrap_or_else(|| Outbox::silent(self.n, p));
+        for (k, p) in plan.faulty.iter().enumerate() {
+            plan.slots[p.index()] = k as u32;
+            let mut outbox = pooled(p);
             self.corruption
                 .fill_faulty_outbox(p, view, &mut self.rng, &mut outbox);
-            plan.faulty_outboxes[i] = Some(outbox);
+            // mbaa: allow(hot-path/vec-growth, at most f outboxes, within the capacity `empty` reserved)
+            plan.faulty_outboxes.push(outbox);
         }
-        for i in 0..self.n {
-            let p = ProcessId::new(i);
-            if !plan.cured.contains(p) {
-                continue;
-            }
-            plan.corrupted_states[i] = Some(self.corruption.corrupted_state(view, &mut self.rng));
+        for (k, p) in plan.cured.iter().enumerate() {
+            plan.slots[p.index()] = k as u32;
+            let state = self.corruption.corrupted_state(view, &mut self.rng);
+            // mbaa: allow(hot-path/vec-growth, at most f states, within the capacity `empty` reserved)
+            plan.corrupted_states.push(state);
             if self.model == MobileModel::Sasaki {
-                let mut outbox = plan.pooled_outbox(self.n, p);
+                let mut outbox = pooled(p);
                 // The queue the agent leaves behind is as malicious as its
                 // own sends.
                 self.corruption
                     .fill_faulty_outbox(p, view, &mut self.rng, &mut outbox);
-                plan.poisoned_outboxes[i] = Some(outbox);
+                // mbaa: allow(hot-path/vec-growth, at most f queues, within the capacity `empty` reserved)
+                plan.poisoned_outboxes.push(outbox);
             }
         }
 
@@ -271,7 +284,7 @@ impl MobileAdversary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbaa_types::{Interval, ProcessId, Round};
+    use mbaa_types::{Interval, Round};
 
     fn make_view(round: u64, votes: &[Value]) -> AdversaryView<'_> {
         AdversaryView {
@@ -305,8 +318,8 @@ mod tests {
         for model in MobileModel::ALL {
             let mut adv = adversary(model, 9, 2);
             let plan = plan_round(&mut adv, &make_view(0, &votes));
-            assert_eq!(plan.faulty.len(), 2, "{model}");
-            assert!(plan.cured.is_empty(), "{model}");
+            assert_eq!(plan.faulty().len(), 2, "{model}");
+            assert!(plan.cured().is_empty(), "{model}");
             assert_eq!(plan.universe(), 9);
         }
     }
@@ -318,10 +331,10 @@ mod tests {
             let mut adv = adversary(model, 9, 2);
             plan_round(&mut adv, &make_view(0, &votes));
             let plan = plan_round(&mut adv, &make_view(1, &votes));
-            assert_eq!(plan.faulty.len(), 2, "{model}");
+            assert_eq!(plan.faulty().len(), 2, "{model}");
             // Round-robin moved both agents, so both vacated hosts are cured.
-            assert_eq!(plan.cured.len(), 2, "{model}");
-            assert!(plan.faulty.is_disjoint(&plan.cured), "{model}");
+            assert_eq!(plan.cured().len(), 2, "{model}");
+            assert!(plan.faulty().is_disjoint(plan.cured()), "{model}");
         }
     }
 
@@ -331,8 +344,8 @@ mod tests {
         let mut adv = adversary(MobileModel::Buhrman, 7, 2);
         for round in 0..5 {
             let plan = plan_round(&mut adv, &make_view(round, &votes));
-            assert_eq!(plan.faulty.len(), 2);
-            assert!(plan.cured.is_empty());
+            assert_eq!(plan.faulty().len(), 2);
+            assert!(plan.cured().is_empty());
         }
     }
 
@@ -343,17 +356,18 @@ mod tests {
         plan_round(&mut adv, &make_view(0, &votes));
         let plan = plan_round(&mut adv, &make_view(1, &votes));
 
-        for p in plan.faulty.iter() {
-            assert!(plan.faulty_outboxes[p.index()].is_some());
+        for p in plan.faulty().iter() {
+            assert!(plan.faulty_outbox(p).is_some());
         }
-        for p in plan.cured.iter() {
-            assert!(plan.corrupted_states[p.index()].is_some());
+        assert_eq!(plan.faulty_outboxes.len(), 2);
+        assert_eq!(plan.cured_states().count(), plan.cured().len());
+        for p in plan.cured().iter() {
             // Bonnet cured processes have no poisoned queue.
-            assert!(plan.poisoned_outboxes[p.index()].is_none());
+            assert!(plan.poisoned_outbox(p).is_none());
         }
         // Non-faulty processes have no adversary-made outbox.
-        for p in plan.faulty.complement().iter() {
-            assert!(plan.faulty_outboxes[p.index()].is_none());
+        for p in (0..9).map(ProcessId::new) {
+            assert_eq!(plan.faulty_outbox(p).is_some(), plan.faulty().contains(p));
         }
     }
 
@@ -363,9 +377,9 @@ mod tests {
         let mut adv = adversary(MobileModel::Sasaki, 13, 2);
         plan_round(&mut adv, &make_view(0, &votes));
         let plan = plan_round(&mut adv, &make_view(1, &votes));
-        assert!(!plan.cured.is_empty());
-        for p in plan.cured.iter() {
-            assert!(plan.poisoned_outboxes[p.index()].is_some());
+        assert!(!plan.cured().is_empty());
+        for p in plan.cured().iter() {
+            assert!(plan.poisoned_outbox(p).is_some());
         }
     }
 
@@ -392,7 +406,7 @@ mod tests {
         let mut adv = adversary(MobileModel::Garay, 3, 10);
         assert_eq!(adv.agents(), 3);
         let plan = plan_round(&mut adv, &make_view(0, &votes));
-        assert_eq!(plan.faulty.len(), 3);
+        assert_eq!(plan.faulty().len(), 3);
     }
 
     #[test]
@@ -401,7 +415,7 @@ mod tests {
         let mut adv = adversary(MobileModel::Garay, 6, 1);
         assert!(adv.occupied().is_none());
         let plan = plan_round(&mut adv, &make_view(0, &votes));
-        assert_eq!(adv.occupied(), Some(&plan.faulty));
+        assert_eq!(adv.occupied(), Some(plan.faulty()));
         assert_eq!(adv.model(), MobileModel::Garay);
     }
 
@@ -420,7 +434,7 @@ mod tests {
             let mut sets = Vec::new();
             for round in 0..4 {
                 let plan = plan_round(&mut adv, &make_view(round, &votes));
-                sets.push((plan.faulty, plan.cured));
+                sets.push((plan.faulty().clone(), plan.cured().clone()));
             }
             sets
         };
@@ -465,6 +479,113 @@ mod tests {
         }
     }
 
+    /// An outbox's slots as bits, so −0.0 and 0.0 differ.
+    fn slot_bits(outbox: Option<&Outbox>) -> Option<Vec<Option<u64>>> {
+        outbox.map(|o| {
+            o.iter()
+                .map(|(_, v)| v.map(|v| v.get().to_bits()))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn wrapped_round_robin_draws_in_ascending_process_order() {
+        // The reference plans as the process-keyed loop did: place, then
+        // visit all n processes for the faulty outboxes, then all n again
+        // for each cured state and (Sasaki) queue, drawing in that order.
+        // RoundRobin at n = 9, f = 4 wraps past n in rounds 2, 4 and 6.
+        let (n, f) = (9, 4);
+        let votes: Vec<Value> = (0..n).map(|i| Value::new(i as f64 - 4.0)).collect();
+        let corruptions = [
+            CorruptionStrategy::RandomNoise { lo: -2.0, hi: 2.0 },
+            CorruptionStrategy::Stealth,
+        ];
+        for model in MobileModel::ALL {
+            for mobility in [MobilityStrategy::RoundRobin, MobilityStrategy::Random] {
+                for corruption in corruptions {
+                    let mut adv = MobileAdversary::new(model, n, f, mobility, corruption, 21);
+                    let mut rng = StdRng::seed_from_u64(21);
+                    let mut plan = RoundFaultPlan::empty(n);
+                    let mut previous: Option<Vec<bool>> = None;
+                    for round in 0..8 {
+                        let view = make_view(round, &votes);
+                        adv.begin_round_into(&view, &mut plan);
+                        let mut faulty = vec![false; n];
+                        match mobility {
+                            MobilityStrategy::RoundRobin => {
+                                (0..f).for_each(|i| faulty[(round as usize * f + i) % n] = true);
+                            }
+                            _ => {
+                                let mut order = Vec::new();
+                                rand::seq::index::sample_into(&mut rng, n, f, &mut order);
+                                order.iter().for_each(|&i| faulty[i] = true);
+                            }
+                        }
+                        let cured: Vec<bool> = (0..n)
+                            .map(|i| {
+                                model != MobileModel::Buhrman
+                                    && previous.as_ref().is_some_and(|prev| prev[i])
+                                    && !faulty[i]
+                            })
+                            .collect();
+                        let mut outboxes = vec![None; n];
+                        for i in (0..n).filter(|&i| faulty[i]) {
+                            let mut outbox = Outbox::silent(n, ProcessId::new(i));
+                            corruption.fill_faulty_outbox(
+                                ProcessId::new(i),
+                                &view,
+                                &mut rng,
+                                &mut outbox,
+                            );
+                            outboxes[i] = Some(outbox);
+                        }
+                        let mut states = vec![None; n];
+                        let mut queues = vec![None; n];
+                        for i in (0..n).filter(|&i| cured[i]) {
+                            states[i] = Some(corruption.corrupted_state(&view, &mut rng));
+                            if model == MobileModel::Sasaki {
+                                let mut queue = Outbox::silent(n, ProcessId::new(i));
+                                corruption.fill_faulty_outbox(
+                                    ProcessId::new(i),
+                                    &view,
+                                    &mut rng,
+                                    &mut queue,
+                                );
+                                queues[i] = Some(queue);
+                            }
+                        }
+                        let at = format!("{model}/{mobility}/{corruption} round {round}");
+                        let mut planted = vec![None; n];
+                        for (p, state) in plan.cured_states() {
+                            planted[p.index()] = Some(state.get().to_bits());
+                        }
+                        for i in 0..n {
+                            let p = ProcessId::new(i);
+                            assert_eq!(plan.faulty().contains(p), faulty[i], "{at}");
+                            assert_eq!(plan.cured().contains(p), cured[i], "{at}");
+                            assert_eq!(
+                                slot_bits(plan.faulty_outbox(p)),
+                                slot_bits(outboxes[i].as_ref()),
+                                "{at}, p{i}"
+                            );
+                            assert_eq!(
+                                planted[i],
+                                states[i].map(|v: Value| v.get().to_bits()),
+                                "{at}, p{i}"
+                            );
+                            assert_eq!(
+                                slot_bits(plan.poisoned_outbox(p)),
+                                slot_bits(queues[i].as_ref()),
+                                "{at}, p{i}"
+                            );
+                        }
+                        previous = Some(faulty);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn targeted_mobility_hits_extreme_processes() {
         let votes = vec![
@@ -483,6 +604,6 @@ mod tests {
             0,
         );
         let plan = plan_round(&mut adv, &make_view(0, &votes));
-        assert!(plan.faulty.contains(ProcessId::new(1)));
+        assert!(plan.faulty().contains(ProcessId::new(1)));
     }
 }

@@ -150,26 +150,17 @@ impl MobilityStrategy {
             }
             MobilityStrategy::TargetMedian => {
                 // Sort processes by vote and occupy the ones closest to the
-                // median, working outwards.
+                // median, working outwards: the median, then one below and
+                // one above it at each distance.
                 every_process(order);
                 order.sort_unstable_by(by_vote);
                 let mid = n / 2;
-                let mut picked = 0usize;
-                let mut offset = 0usize;
-                while picked < f {
-                    let below = mid.checked_sub(offset);
-                    let above = mid + offset;
-                    if offset > 0 {
-                        if let Some(b) = below {
-                            if picked < f && out.insert(ProcessId::new(order[b])) {
-                                picked += 1;
-                            }
-                        }
-                    }
-                    if above < n && picked < f && out.insert(ProcessId::new(order[above])) {
-                        picked += 1;
-                    }
-                    offset += 1;
+                let picks = (0..n).flat_map(|k| {
+                    let below = mid.checked_sub(k).filter(|_| k > 0);
+                    [below, Some(mid + k).filter(|&i| i < n)]
+                });
+                for i in picks.flatten().take(f) {
+                    out.insert(ProcessId::new(order[i]));
                 }
             }
         }

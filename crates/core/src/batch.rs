@@ -19,13 +19,13 @@
 //!
 //! Every lane round runs the same four phases whatever the network:
 //!
-//! 1. the lane's adversary places its agents into the shared plan and
-//!    corrupts the states of the processes they abandon. Each agent writes
-//!    its outbox as runs of receivers that get the same value (one run for
-//!    a broadcasting strategy, two under the split attack, `n` only for
-//!    per-receiver-random ones) into an outbox recycled through the plan's
-//!    pool, so a warm pack allocates none, and the vote-targeting
-//!    placement selects its extremes in O(n) rather than sorting;
+//! 1. the lane's adversary, seeing the non-faulty hull the previous record
+//!    phase folded, places its agents into the shared plan (keyed by agent
+//!    slot) and corrupts the states of the processes they abandon; only
+//!    those and the new hosts change state. Each agent writes its outbox as
+//!    runs of receivers that get the same value (one run for a broadcasting
+//!    strategy, two under the split attack, `n` only for per-receiver-random
+//!    ones), recycled through the plan's pool so a warm pack allocates none;
 //! 2. senders are classified into [`LaneSend`]s with the model-specific
 //!    cured behaviour (Garay: aware, stays silent; Bonnet: unaware,
 //!    broadcasts its possibly corrupted state; Sasaki: unaware, flushes the
@@ -91,7 +91,7 @@ use mbaa_types::{
     check_range, Error, FaultState, Interval, MobileModel, ProcessId, Result, Round, Value,
 };
 
-use crate::engine::{emit_run_events, non_faulty_diameter, non_faulty_hull};
+use crate::engine::{emit_run_events, non_faulty_hull};
 use crate::{MobileRunOutcome, Observe, ProtocolConfig, RoundSnapshot};
 
 /// One lane of a pack: a full configuration (whose `seed` field is the
@@ -339,6 +339,9 @@ fn run_lane<'a, O: Observer>(
     // Until round 0 places the agents these describe all processes; a
     // lane with no round keeps them.
     let mut validity_envelope = hull;
+    // The non-faulty hull before the next placement: the inputs' before
+    // round 0, then the one each round's record phase folds.
+    let mut range = Some(hull);
     let mut report = ConvergenceReport::new(hull.diameter());
     let mut reached = false;
     let mut rounds_executed = 0;
@@ -358,7 +361,7 @@ fn run_lane<'a, O: Observer>(
     for round_idx in 0..cfg.max_rounds {
         let round = Round::new(round_idx as u64);
         observer.phase_start(Phase::AdversaryPlan);
-        let corrupted = place_agents(&mut adversary, round, votes, states, plan);
+        let corrupted = place_agents(&mut adversary, round, range, votes, states, plan);
         observer.phase_end(Phase::AdversaryPlan);
         if round_idx == 0 {
             // Now that the faulty set is known, freeze the validity
@@ -380,7 +383,7 @@ fn run_lane<'a, O: Observer>(
         // still receives and computes this round.
         observer.phase_start(Phase::Exchange);
         for (i, &vote) in votes.iter().enumerate() {
-            sends[i] = classify_send(cfg.model, plan, ProcessId::new(i), vote);
+            sends[i] = classify_send(cfg.model, states[i], vote);
             active[i] = states[i].is_non_faulty() || compute_even_if_faulty;
         }
 
@@ -422,7 +425,8 @@ fn run_lane<'a, O: Observer>(
 
         observer.phase_start(Phase::Record);
         rounds_executed = round_idx + 1;
-        let diameter = non_faulty_diameter(votes, states);
+        range = non_faulty_hull(votes, states);
+        let diameter = range.map_or(0.0, |range| range.diameter());
         report.record_round(diameter);
         reached = cfg.epsilon.covers_diameter(diameter);
         if telemetry {
@@ -439,8 +443,8 @@ fn run_lane<'a, O: Observer>(
                 } else {
                     1.0
                 },
-                faulty: plan.faulty.len() as u32,
-                cured: plan.cured.len() as u32,
+                faulty: plan.faulty().len() as u32,
+                cured: plan.cured().len() as u32,
                 corrupted,
                 delivered: stats.messages_delivered - prev_stats.messages_delivered,
                 omissions: stats.omissions - prev_stats.omissions,
@@ -482,44 +486,43 @@ fn run_lane<'a, O: Observer>(
 
 /// The adversary phase of one lane's round: places the agents into the
 /// shared plan, applies the corruption left on cured processes, and tracks
-/// fault states. Returns how many cured processes were corrupted.
+/// fault states. `range` is the non-faulty hull (`None` when every process
+/// is faulty). Only the previous and the current hosts' states and votes
+/// are written: O(f + n/64). Returns how many cured processes were
+/// corrupted.
+// mbaa: alloc-free
 fn place_agents(
     adversary: &mut MobileAdversary,
     round: Round,
+    range: Option<Interval>,
     votes: &mut [Value],
     states: &mut [FaultState],
     plan: &mut RoundFaultPlan,
 ) -> u32 {
+    debug_assert_eq!(range, non_faulty_hull(votes, states), "a stale hull");
+    // The previous round's hosts (or, on a lane's first round, those of
+    // the lane before it, whose states the lane has already reset).
+    for p in plan.faulty().iter().chain(plan.cured().iter()) {
+        states[p.index()] = FaultState::Correct;
+    }
     // The adversary sees everything; the "correct range" it reasons
-    // about is the range of the currently non-faulty processes' values
-    // (all values before the first placement).
-    let visible_range = non_faulty_hull(votes, states).unwrap_or_else(|| Interval::point(votes[0]));
+    // about is the range of the currently non-faulty processes' values.
     let view = AdversaryView {
         round,
         votes,
-        correct_range: visible_range,
+        correct_range: range.unwrap_or_else(|| Interval::point(votes[0])),
     };
     adversary.begin_round_into(&view, plan);
 
     // Agents that left a process corrupted the state behind them.
-    let mut corrupted = 0;
-    for p in plan.cured.iter() {
-        if let Some(state) = plan.corrupted_states[p.index()] {
-            votes[p.index()] = state;
-            corrupted += 1;
-        }
+    for (p, state) in plan.cured_states() {
+        votes[p.index()] = state;
+        states[p.index()] = FaultState::Cured;
     }
-    for (i, state) in states.iter_mut().enumerate() {
-        let p = ProcessId::new(i);
-        *state = if plan.faulty.contains(p) {
-            FaultState::Faulty
-        } else if plan.cured.contains(p) {
-            FaultState::Cured
-        } else {
-            FaultState::Correct
-        };
+    for p in plan.faulty().iter() {
+        states[p.index()] = FaultState::Faulty;
     }
-    corrupted
+    plan.cured().len() as u32
 }
 
 /// The compute phase of one lane round: evaluates `function` once per
@@ -583,39 +586,32 @@ impl Recording {
     }
 }
 
-/// The send classification of one process, honouring the model-specific
-/// behaviour of faulty and cured senders: a non-faulty, non-cured process
-/// broadcasts its vote;
-/// cured behaviour is the model's (Garay silent, Bonnet broadcast, Sasaki
-/// poisoned queue); faulty senders use the adversary's outbox.
-fn classify_send(model: MobileModel, plan: &RoundFaultPlan, p: ProcessId, vote: Value) -> LaneSend {
-    if plan.faulty.contains(p) {
-        LaneSend::PerReceiver
-    } else if plan.cured.contains(p) {
-        match model {
-            MobileModel::Garay => LaneSend::Silent,
-            MobileModel::Bonnet => LaneSend::Broadcast(vote),
-            MobileModel::Sasaki => LaneSend::PerReceiver,
-            MobileModel::Buhrman => unreachable!("Buhrman's model has no cured senders"),
+/// The send classification of one process in fault state `state`,
+/// honouring the model-specific behaviour of faulty and cured senders: a
+/// correct process broadcasts its vote; cured behaviour is the model's
+/// (Garay silent, Bonnet broadcast, Sasaki poisoned queue); faulty senders
+/// use the adversary's outbox.
+fn classify_send(model: MobileModel, state: FaultState, vote: Value) -> LaneSend {
+    match (state, model) {
+        (FaultState::Correct, _) | (FaultState::Cured, MobileModel::Bonnet) => {
+            LaneSend::Broadcast(vote)
         }
-    } else {
-        LaneSend::Broadcast(vote)
+        (FaultState::Faulty, _) | (FaultState::Cured, MobileModel::Sasaki) => LaneSend::PerReceiver,
+        (FaultState::Cured, MobileModel::Garay) => LaneSend::Silent,
+        (FaultState::Cured, MobileModel::Buhrman) => {
+            unreachable!("Buhrman's model has no cured senders")
+        }
     }
 }
 
 /// The outbox of a [`LaneSend::PerReceiver`] sender, read in place from
-/// the round's plan: the adversary's outbox for a faulty process, the
-/// poisoned queue for a Sasaki-cured one.
+/// the round's plan through the sender's agent slot: the adversary's
+/// outbox for a faulty process, the poisoned queue for a Sasaki-cured one.
 fn per_receiver_outbox(plan: &RoundFaultPlan, i: usize) -> &Outbox {
-    if plan.faulty.contains(ProcessId::new(i)) {
-        plan.faulty_outboxes[i]
-            .as_ref()
-            .expect("adversary provides an outbox for every faulty process")
-    } else {
-        plan.poisoned_outboxes[i]
-            .as_ref()
-            .expect("Sasaki adversary provides a poisoned queue for every cured process")
-    }
+    let p = ProcessId::new(i);
+    plan.faulty_outbox(p)
+        .or_else(|| plan.poisoned_outbox(p))
+        .expect("the plan holds an outbox for every per-receiver sender")
 }
 
 // The recorded outcomes and per-seed summaries are pinned by the golden
@@ -629,6 +625,7 @@ mod tests {
     use mbaa_adversary::{CorruptionStrategy, MobilityStrategy};
     use mbaa_net::{DisconnectionPolicy, LinkFaultPlan, Topology, TopologySchedule};
     use mbaa_obs::EventLog;
+    use mbaa_types::Epsilon;
 
     fn inputs(n: usize, salt: u64) -> Vec<Value> {
         (0..n)
@@ -675,6 +672,84 @@ mod tests {
                 (b, s) => panic!("seed {seed}: batch {b:?} vs scalar {s:?}"),
             }
         }
+    }
+
+    #[test]
+    fn placing_agents_at_their_hosts_matches_a_full_recomputation() {
+        let (n, f) = (13, 3);
+        let stealth = CorruptionStrategy::Stealth;
+        for model in MobileModel::ALL {
+            for mobility in MobilityStrategy::ALL {
+                let mut adversary = MobileAdversary::new(model, n, f, mobility, stealth, 5);
+                let mut votes = inputs(n, 1);
+                let mut states = vec![FaultState::Correct; n];
+                // A plan that another lane of the pack left behind.
+                let mut plan = RoundFaultPlan::empty(n);
+                let view = AdversaryView {
+                    round: Round::new(3),
+                    votes: &votes,
+                    correct_range: Interval::point(votes[0]),
+                };
+                MobileAdversary::new(model, n, f, MobilityStrategy::Random, stealth, 9)
+                    .begin_round_into(&view, &mut plan);
+                let mut range = Interval::hull(votes.iter().copied());
+                for round in 0..50 {
+                    let at = format!("{model}/{mobility} round {round}");
+                    assert_eq!(range, non_faulty_hull(&votes, &states), "{at}");
+                    let before = votes.clone();
+                    let corrupted = place_agents(
+                        &mut adversary,
+                        Round::new(round),
+                        range,
+                        &mut votes,
+                        &mut states,
+                        &mut plan,
+                    );
+                    assert_eq!(corrupted as usize, plan.cured().len(), "{at}");
+                    let mut planted = before.clone();
+                    for (p, state) in plan.cured_states() {
+                        planted[p.index()] = state;
+                    }
+                    for i in 0..n {
+                        let p = ProcessId::new(i);
+                        let state = if plan.faulty().contains(p) {
+                            FaultState::Faulty
+                        } else if plan.cured().contains(p) {
+                            FaultState::Cured
+                        } else {
+                            FaultState::Correct
+                        };
+                        assert_eq!(states[i], state, "{at}, p{i}");
+                        let vote = planted[i].get().to_bits();
+                        assert_eq!(votes[i].get().to_bits(), vote, "{at}, p{i}");
+                    }
+                    // A compute phase moves the non-faulty votes, and the
+                    // record phase folds the hull the next round reuses.
+                    for (i, vote) in votes.iter_mut().enumerate() {
+                        if states[i].is_non_faulty() {
+                            *vote = Value::new(vote.get() * 0.75 + i as f64 / 64.0);
+                        }
+                    }
+                    range = non_faulty_hull(&votes, &states);
+                }
+            }
+        }
+        // The round loop reuses the record phase's hull, which
+        // `place_agents` checks against a fresh fold in debug builds, on
+        // every model and mobility in one pack sharing one plan.
+        let lanes: Vec<PackedLane> = MobileModel::ALL
+            .into_iter()
+            .flat_map(|model| MobilityStrategy::ALL.map(move |mobility| (model, mobility)))
+            .flat_map(|(model, mobility)| {
+                let mut config = base_config(model, 61, 10);
+                config.mobility = mobility;
+                config.corruption = stealth;
+                config.epsilon = Epsilon::new(1e-12);
+                config.max_rounds = 50;
+                pack(&config, &[3])
+            })
+            .collect();
+        assert_matches_scalar(&lanes);
     }
 
     #[test]

@@ -123,7 +123,9 @@ pub(crate) fn emit_run_events<O: Observer>(
 }
 
 /// The range of the non-faulty processes' votes, or `None` when every
-/// process is faulty.
+/// process is faulty: one min/max fold, no multiset materialization. Its
+/// diameter is numerically identical to collecting the non-faulty values
+/// and taking [`ValueMultiset::diameter`].
 pub(crate) fn non_faulty_hull(votes: &[Value], states: &[FaultState]) -> Option<Interval> {
     Interval::hull(
         votes
@@ -131,14 +133,6 @@ pub(crate) fn non_faulty_hull(votes: &[Value], states: &[FaultState]) -> Option<
             .zip(states)
             .filter_map(|(v, s)| s.is_non_faulty().then_some(*v)),
     )
-}
-
-/// The diameter of the non-faulty processes' votes, `0.0` when every
-/// process is faulty: one min/max fold, no multiset materialization.
-/// Numerically identical to collecting the non-faulty values and taking
-/// [`ValueMultiset::diameter`].
-pub(crate) fn non_faulty_diameter(votes: &[Value], states: &[FaultState]) -> f64 {
-    non_faulty_hull(votes, states).map_or(0.0, |hull| hull.diameter())
 }
 
 #[cfg(test)]
@@ -193,7 +187,9 @@ mod tests {
                 .filter_map(|(v, s)| s.is_non_faulty().then_some(*v))
                 .collect();
             assert_eq!(
-                non_faulty_diameter(&votes, &states).to_bits(),
+                non_faulty_hull(&votes, &states)
+                    .map_or(0.0, |hull| hull.diameter())
+                    .to_bits(),
                 non_faulty.diameter().to_bits(),
                 "case {case}: {votes:?} {states:?}"
             );

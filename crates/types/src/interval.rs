@@ -74,14 +74,18 @@ impl Interval {
 
     /// Creates the smallest interval containing every value of the iterator,
     /// or `None` when the iterator is empty.
+    ///
+    /// One pass of branch-free selects: `lo` moves only to a strictly
+    /// smaller value and `hi` only to a strictly larger one, so among equal
+    /// values (`-0.0` and `0.0`) each endpoint keeps the earliest, bit for
+    /// bit, as a fold of [`Value::min`] and [`Value::max`] does.
     pub fn hull<I: IntoIterator<Item = Value>>(values: I) -> Option<Self> {
         let mut it = values.into_iter();
         let first = it.next()?;
-        let mut lo = first;
-        let mut hi = first;
+        let (mut lo, mut hi) = (first, first);
         for v in it {
-            lo = lo.min(v);
-            hi = hi.max(v);
+            lo = if v.get() < lo.get() { v } else { lo };
+            hi = if v.get() > hi.get() { v } else { hi };
         }
         Some(Interval { lo, hi })
     }
@@ -179,6 +183,54 @@ mod tests {
         assert_eq!(i.hi(), Value::new(3.0));
         assert_eq!(i.diameter(), 4.0);
         assert_eq!(i.midpoint(), Value::new(1.0));
+    }
+
+    #[test]
+    fn hull_keeps_the_min_max_fold_bit_for_bit() {
+        // The fold the one-pass hull replaced.
+        let fold = |values: &[f64]| {
+            let mut it = values.iter().map(|&v| Value::new(v));
+            let first = it.next()?;
+            let (mut lo, mut hi) = (first, first);
+            for v in it {
+                lo = lo.min(v);
+                hi = hi.max(v);
+            }
+            Some((lo.get().to_bits(), hi.get().to_bits()))
+        };
+        let hull = |values: &[f64]| {
+            Interval::hull(values.iter().map(|&v| Value::new(v)))
+                .map(|h| (h.lo().get().to_bits(), h.hi().get().to_bits()))
+        };
+        let zeros: (u64, u64) = (0.0f64.to_bits(), (-0.0f64).to_bits());
+        // Of equal endpoints, both keep the earliest.
+        assert_eq!(hull(&[0.0, -0.0]), Some((zeros.0, zeros.0)));
+        assert_eq!(hull(&[-0.0, 0.0]), Some((zeros.1, zeros.1)));
+        assert_eq!(
+            hull(&[1.0, -0.0, 0.0, -1.0]),
+            Some(((-1.0f64).to_bits(), 1.0f64.to_bits()))
+        );
+        let cases: &[&[f64]] = &[
+            &[],
+            &[-0.0],
+            &[0.0, -0.0, 0.0],
+            &[-0.0, 0.0, -0.0],
+            &[-0.0, 1.0, 0.0, -1.0, -0.0],
+            &[2.0, -0.0, 0.0, 2.0],
+            &[-3.5, 0.0, 3.5, -0.0, -3.5, 3.5],
+            &[-1.0, -2.0, -0.0, 0.0, -2.0],
+            &[0.0, 1e-308, -1e-308, -0.0],
+            &[f64::MAX, -f64::MAX, 0.0, -0.0],
+        ];
+        for values in cases {
+            assert_eq!(hull(values), fold(values), "{values:?}");
+        }
+        // Every ordering of a small signed palette.
+        let palette = [-0.0, 0.0, 1.0, -1.0, 0.0, -0.0];
+        for code in 0..6usize.pow(5) {
+            let values: Vec<f64> = (0..5).map(|k| palette[code / 6usize.pow(k) % 6]).collect();
+            assert_eq!(hull(&values), fold(&values), "{values:?}");
+        }
     }
 
     #[test]

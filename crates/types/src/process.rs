@@ -54,8 +54,9 @@ impl fmt::Display for ProcessId {
     }
 }
 
-/// A set of processes out of a universe of `n`, stored as a membership
-/// bit-vector.
+/// A set of processes out of a universe of `n`, stored as a bitset of
+/// `⌈n/64⌉` words: a membership test costs O(1), and clearing, copying,
+/// counting and iterating (in ascending order) cost O(n/64 + members).
 ///
 /// Used for the faulty set `B`, the cured set `T*`, and the correct set `C`
 /// of each round.
@@ -73,7 +74,9 @@ impl fmt::Display for ProcessId {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ProcessSet {
-    members: Vec<bool>,
+    /// Member `i` is bit `i % 64` of word `i / 64`; bits past `n` are 0.
+    words: Vec<u64>,
+    n: usize,
 }
 
 impl ProcessSet {
@@ -81,16 +84,15 @@ impl ProcessSet {
     #[must_use]
     pub fn empty(n: usize) -> Self {
         ProcessSet {
-            members: vec![false; n],
+            words: vec![0; n.div_ceil(64)],
+            n,
         }
     }
 
     /// Creates the full set over a universe of `n` processes.
     #[must_use]
     pub fn full(n: usize) -> Self {
-        ProcessSet {
-            members: vec![true; n],
-        }
+        Self::from_indices(n, 0..n)
     }
 
     /// Creates a set from the given member indices over a universe of `n`.
@@ -110,19 +112,26 @@ impl ProcessSet {
     /// Size of the universe `n`.
     #[must_use]
     pub fn universe(&self) -> usize {
-        self.members.len()
+        self.n
     }
 
     /// Number of members of the set.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.members.iter().filter(|&&m| m).count()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Returns `true` when the set has no members.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        !self.members.iter().any(|&m| m)
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The word holding `p`'s bit and the bit's mask.
+    fn bit(&self, p: ProcessId) -> (usize, u64) {
+        let i = p.index();
+        assert!(i < self.n, "{p} is outside a universe of {}", self.n);
+        (i / 64, 1 << (i % 64))
     }
 
     /// Returns `true` when `p` belongs to the set.
@@ -132,7 +141,8 @@ impl ProcessSet {
     /// Panics if `p` is outside the universe.
     #[must_use]
     pub fn contains(&self, p: ProcessId) -> bool {
-        self.members[p.index()]
+        let (w, bit) = self.bit(p);
+        self.words[w] & bit != 0
     }
 
     /// Adds `p` to the set. Returns `true` when `p` was not already a member.
@@ -141,8 +151,9 @@ impl ProcessSet {
     ///
     /// Panics if `p` is outside the universe.
     pub fn insert(&mut self, p: ProcessId) -> bool {
-        let was = self.members[p.index()];
-        self.members[p.index()] = true;
+        let (w, bit) = self.bit(p);
+        let was = self.words[w] & bit != 0;
+        self.words[w] |= bit;
         !was
     }
 
@@ -152,14 +163,15 @@ impl ProcessSet {
     ///
     /// Panics if `p` is outside the universe.
     pub fn remove(&mut self, p: ProcessId) -> bool {
-        let was = self.members[p.index()];
-        self.members[p.index()] = false;
+        let (w, bit) = self.bit(p);
+        let was = self.words[w] & bit != 0;
+        self.words[w] &= !bit;
         was
     }
 
     /// Removes every member.
     pub fn clear(&mut self) {
-        self.members.iter_mut().for_each(|m| *m = false);
+        self.words.fill(0);
     }
 
     /// Overwrites this set with the membership of `other`, reusing the
@@ -171,23 +183,25 @@ impl ProcessSet {
     /// Panics if the universes differ.
     pub fn copy_from(&mut self, other: &ProcessSet) {
         assert_eq!(self.universe(), other.universe(), "universe mismatch");
-        self.members.copy_from_slice(&other.members);
+        self.words.copy_from_slice(&other.words);
     }
 
     /// Iterates over the members in increasing index order.
     pub fn iter(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.members
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &m)| m.then_some(ProcessId::new(i)))
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest.wrapping_sub(1);
+                (bit < 64).then(|| ProcessId::new(w * 64 + bit))
+            })
+        })
     }
 
     /// The complement of the set within its universe.
     #[must_use]
     pub fn complement(&self) -> ProcessSet {
-        ProcessSet {
-            members: self.members.iter().map(|&m| !m).collect(),
-        }
+        ProcessSet::full(self.n).zip_words(self, |all, member| all & !member)
     }
 
     /// The union of two sets over the same universe.
@@ -197,15 +211,7 @@ impl ProcessSet {
     /// Panics if the universes differ.
     #[must_use]
     pub fn union(&self, other: &ProcessSet) -> ProcessSet {
-        assert_eq!(self.universe(), other.universe(), "universe mismatch");
-        ProcessSet {
-            members: self
-                .members
-                .iter()
-                .zip(&other.members)
-                .map(|(&a, &b)| a || b)
-                .collect(),
-        }
+        self.zip_words(other, |a, b| a | b)
     }
 
     /// The intersection of two sets over the same universe.
@@ -215,15 +221,15 @@ impl ProcessSet {
     /// Panics if the universes differ.
     #[must_use]
     pub fn intersection(&self, other: &ProcessSet) -> ProcessSet {
+        self.zip_words(other, |a, b| a & b)
+    }
+
+    /// The set whose words are `op` of the two sets' words.
+    fn zip_words(&self, other: &ProcessSet, op: impl Fn(u64, u64) -> u64) -> ProcessSet {
         assert_eq!(self.universe(), other.universe(), "universe mismatch");
-        ProcessSet {
-            members: self
-                .members
-                .iter()
-                .zip(&other.members)
-                .map(|(&a, &b)| a && b)
-                .collect(),
-        }
+        let words = self.words.iter().zip(&other.words);
+        let words = words.map(|(&a, &b)| op(a, b)).collect();
+        ProcessSet { words, n: self.n }
     }
 
     /// Returns `true` when the two sets share no member.
