@@ -38,6 +38,13 @@
 //! rows at `Observe::Full`, which records a snapshot and a trace every
 //! round, against the `Observe::Summary` rows beside them.
 //!
+//! `runner_runs_per_sec/128/{run,stream}/delay` time the facade's seed
+//! batches rather than one pack: 64 seeds of Garay at n = 128, f = 2 with
+//! every link one round late and 5% of them lost, 3 rounds per run at
+//! `Observe::Summary` on one worker, through `batch(..).run()` (full
+//! outcomes) and `batch(..).stream(None)` (summaries), in runs/s. The two
+//! rows measure whatever one executor path costs over the other.
+//!
 //! `msr_function/{n}` times one `MsrFunction::apply` (trim n/8 from each
 //! end, mean of the rest) over n ∈ {16, 64, 256, 1024} values, in ns.
 //!
@@ -47,7 +54,7 @@
 //! rounds, too few for a steady rate.
 //!
 //! Emits machine-readable `batch_rounds_per_sec/{n}/{k}` metric rows (unit
-//! `rounds/s`) into `BENCH_engine_batch.json` via the criterion shim's
+//! `rounds/s`; the runner rows `runs/s`) into `BENCH_engine_batch.json` via the criterion shim's
 //! `MBAA_BENCH_JSON` hook; CI's bench-diff step compares the rows across
 //! commits, so a batching regression shows up as a drop in rounds/sec.
 //!
@@ -71,7 +78,11 @@ const MIN_LANE_ROUNDS: usize = 200;
 /// per round, so it gets fewer); a point repeats its batches further until
 /// it has [`MIN_LANE_ROUNDS`].
 fn repetitions(n: usize) -> usize {
-    let base = if n >= 256 { 20 } else { 200 };
+    samples_or(if n >= 256 { 20 } else { 200 })
+}
+
+/// `MBAA_BENCH_SAMPLES` when set, else `base`.
+fn samples_or(base: usize) -> usize {
     std::env::var("MBAA_BENCH_SAMPLES")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -212,6 +223,68 @@ fn measure(n: usize, k: usize, variant: Variant) {
     );
 }
 
+/// How a runner row executes its seed batch.
+#[derive(Clone, Copy)]
+enum RunnerPath {
+    /// `batch(..).run()`: one full outcome per seed.
+    Run,
+    /// `batch(..).stream(None)`: one summary per seed.
+    Stream,
+}
+
+/// Runs/s of a 64-seed batch of Garay at n = 128, f = 2 over delayed,
+/// lossy links, 3 rounds per run, on one worker through `path`.
+fn measure_runner(path: RunnerPath) {
+    let n = 128;
+    let scenario = Scenario::new(MobileModel::Garay, n, 2)
+        .link_faults(LinkFaultPlan::new().delay_all(1).omit_all(0.05))
+        .max_rounds(3)
+        .observe(Observe::Summary);
+    let runner = scenario.batch(0..64).workers(1);
+    let run = || -> (usize, usize) {
+        match path {
+            RunnerPath::Run => {
+                let batch = runner.run().expect("run");
+                let rounds = batch.iter().map(|(_, o)| o.rounds_executed).sum();
+                (batch.len(), rounds)
+            }
+            RunnerPath::Stream => {
+                let result = runner.stream(None).expect("stream");
+                (
+                    result.runs.len(),
+                    result.runs.iter().map(|r| r.rounds).sum(),
+                )
+            }
+        }
+    };
+    run();
+
+    let reps = samples_or(20);
+    let start = Instant::now();
+    let (mut batches, mut runs, mut total_rounds) = (0, 0, 0);
+    while batches < reps || total_rounds < MIN_LANE_ROUNDS {
+        let (batch_runs, rounds) = black_box(run());
+        runs += batch_runs;
+        total_rounds += rounds;
+        batches += 1;
+    }
+    let runs_per_sec = runs as f64 / start.elapsed().as_secs_f64();
+    let name = match path {
+        RunnerPath::Run => "run",
+        RunnerPath::Stream => "stream",
+    };
+    println!(
+        "engine_batch runner n={n} {name}/delay: {runs_per_sec:.0} runs/sec \
+         ({batches} batches, {total_rounds} lane rounds)"
+    );
+    record_metric(
+        "engine_batch",
+        &format!("runner_runs_per_sec/{n}/{name}/delay"),
+        runs_per_sec,
+        "runs/s",
+    );
+}
+
 /// One evaluation of the MSR function (trim n/8 from each end, mean of the
 /// rest) over a multiset of `n` votes, in ns per evaluation.
 fn measure_msr(n: usize) {
@@ -252,6 +325,9 @@ fn main() {
     for &k in &[1usize, 32] {
         measure(361, k, Variant::Worst);
     }
+    // The facade's seed batches over the same delayed, lossy links.
+    measure_runner(RunnerPath::Run);
+    measure_runner(RunnerPath::Stream);
     for &n in &[16usize, 64, 256, 1024] {
         measure_msr(n);
     }
