@@ -18,21 +18,18 @@
 //! * a single seeded run: [`Scenario::run`] (lowers to [`ProtocolConfig`] +
 //!   [`BatchEngine::run`], bit-for-bit identical to driving them by hand;
 //!   every run, single or batched, goes through the same round loop),
-//! * a parallel seed batch: [`Scenario::batch`] → [`Runner::run`] fans the
-//!   seeds out on the work-stealing rayon pool and aggregates into a
-//!   [`BatchOutcome`] keyed and sorted by seed,
-//! * a streaming seed batch: [`Runner::stream`] folds each completed run
-//!   into its [`RunSummary`] on the worker — flat memory for very large
-//!   batches, bit-identical summaries,
-//! * parameter sweeps: [`Scenario::sweep_n`], [`Scenario::sweep_f`],
-//!   [`Scenario::sweep_connectivity`], [`adversary_ablation`], and
-//!   [`mobile_vs_static`]. [`Sweep::run`] and [`Sweep::stream`] flatten
-//!   all `(point, seed)` pairs into one global work pool under a single
-//!   concurrency budget, so uneven points no longer serialize the sweep.
-//! * summary-level execution with telemetry: [`Runner::stream`] and
-//!   [`Sweep::stream`] take an optional [`MetricsRegistry`] that folds every
-//!   run's telemetry, bit-identically for every worker count, and
-//!   [`stream_segments`] (the one packed executor they both call) takes
+//! * seed batches and parameter sweeps: [`Scenario::batch`] gives a
+//!   [`Runner`], and [`Scenario::sweep_n`], [`Scenario::sweep_f`],
+//!   [`Scenario::sweep_connectivity`] a [`Sweep`]; [`adversary_ablation`]
+//!   and [`mobile_vs_static`] are sweeps too. All of them run through one
+//!   packed executor, whose packs span point boundaries on the
+//!   work-stealing rayon pool. [`Runner::run`] and [`Sweep::run`] keep
+//!   every full outcome in a [`BatchOutcome`] sorted by seed, while
+//!   [`Runner::stream`], [`Sweep::stream`] and [`stream_segments`] fold
+//!   each run into its [`RunSummary`] on the worker, which keeps memory
+//!   flat for very large batches,
+//! * telemetry: the summary calls take an optional [`MetricsRegistry`],
+//!   bit-identical for every worker count, and [`stream_segments`] takes
 //!   [`obs::Sinks`], which add the event stream and phase profile of the
 //!   packed run itself; a single run feeds any [`Observer`] through
 //!   [`Scenario::run_observed`].

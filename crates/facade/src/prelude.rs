@@ -2,9 +2,9 @@
 //! [`Scenario`] entry point, its runners and outcomes, the telemetry sinks
 //! ([`MetricsRegistry`], [`EventLog`], [`NoopObserver`]) the executors
 //! take, and the vocabulary types every experiment description needs.
-//! Summary-level execution has one entry point per layer:
-//! [`Runner::stream`] for a seed batch, [`Sweep::stream`] for a sweep, and
-//! [`stream_segments`] underneath both.
+//! Every seed batch runs through one packed executor: [`Runner`] for a
+//! seed batch, [`Sweep`] for a sweep, and [`stream_segments`] for
+//! summary-level segments with telemetry.
 //!
 //! ```
 //! use mbaa::prelude::*;

@@ -1,45 +1,54 @@
-//! Batch and sweep execution for [`Scenario`]s: parallel seed fan-out,
-//! seed-keyed aggregation, and the experiment grids the paper's figures are
-//! built from.
+//! Batch and sweep execution for [`Scenario`]s: seed batches, seed-keyed
+//! aggregation, and the experiment grids the paper's figures are built
+//! from.
 //!
-//! Runs are fully seeded and independent, so the [`Runner`] fans them out
-//! on the work-stealing `rayon` pool and reassembles the outcomes sorted by
-//! seed — the result is deterministic and independent of thread scheduling,
-//! steal order, worker count, and the order seeds were supplied in.
-//! [`Sweep::run`] flattens all of its `(point, seed)` pairs into **one**
-//! global work pool under a single concurrency budget, so cheap points
-//! drain while a near-threshold point is still converging. For very large
-//! seed batches, [`Runner::stream`] / [`Sweep::stream`] fold each completed
-//! run into its [`RunSummary`] on the worker instead of materializing full
-//! trajectories. Both are thin calls into [`stream_segments`], the one
-//! summary-level entry point, which hands every lowered point to
-//! `mbaa_sim`'s cross-point packed executor and optionally feeds every
-//! run's telemetry to the attached [`Sinks`]: a [`MetricsRegistry`], an
-//! event stream, and a phase profiler.
+//! Every seed batch runs through **one** executor, `mbaa_sim`'s packed
+//! one: each call lowers its points with their seeds sorted and
+//! deduplicated, and the executor runs all `(point, seed)` pairs in
+//! engine packs of [`mbaa_sim::BATCH_WIDTH`] across point boundaries on
+//! the work-stealing `rayon` pool, under one concurrency budget, so cheap
+//! points drain while a near-threshold point is still converging. Results
+//! come back sorted by seed, deterministic and independent of thread
+//! scheduling, worker count, and the order seeds were supplied in. Only
+//! what is kept of each run differs: [`Runner::run`] and [`Sweep::run`]
+//! keep every full outcome, at each scenario's own [`Observe`] level,
+//! while [`Runner::stream`], [`Sweep::stream`] and [`stream_segments`]
+//! fold each run into its [`RunSummary`] on the worker, which keeps memory
+//! flat for very large seed batches, and optionally feed every run's
+//! telemetry to the attached [`Sinks`]: a [`MetricsRegistry`], an event
+//! stream, and a phase profiler.
 
 use serde::{Deserialize, Serialize};
-
-use rayon::prelude::*;
 
 use mbaa_adversary::{CorruptionStrategy, MobilityStrategy};
 use mbaa_core::{defaults, MobileRunOutcome, Observe};
 use mbaa_mixed::{FaultAssignment, StaticBehavior, StaticSimulator};
 use mbaa_obs::{MetricsRegistry, Sinks};
-use mbaa_sim::{normalize_seeds, ExperimentResult, RunSummary};
+use mbaa_sim::{normalize_seeds, ExperimentConfig, ExperimentResult, RunSummary};
 use mbaa_types::{Epsilon, Error, MobileModel, Result};
 
 use crate::Scenario;
 
-/// Runs `op` with an explicit worker budget installed, or on the ambient
-/// pool when none was requested.
-fn with_pool<R>(workers: Option<usize>, op: impl FnOnce() -> R) -> R {
+/// The facade's one way into `mbaa_sim`'s packed executor: lowers every
+/// `(scenario, seeds)` segment, its seeds sorted and deduplicated, and
+/// hands the lowered points to `execute` with the worker budget installed
+/// (or on the ambient pool when none was requested).
+fn packed<'a, R>(
+    segments: impl IntoIterator<Item = (&'a Scenario, &'a [u64])>,
+    workers: Option<usize>,
+    execute: impl FnOnce(&[ExperimentConfig]) -> R,
+) -> R {
+    let configs: Vec<ExperimentConfig> = segments
+        .into_iter()
+        .map(|(scenario, seeds)| scenario.to_experiment(normalize_seeds(seeds.iter().copied())))
+        .collect();
     match workers {
         Some(width) => rayon::ThreadPoolBuilder::new()
             .num_threads(width)
             .build()
             .expect("the vendored pool builder cannot fail")
-            .install(op),
-        None => op(),
+            .install(|| execute(&configs)),
+        None => execute(&configs),
     }
 }
 
@@ -84,38 +93,35 @@ impl Runner {
         &self.seeds
     }
 
-    /// Runs every seed in parallel and aggregates the full outcomes into a
-    /// [`BatchOutcome`], sorted by seed: the one point of a [`Sweep`] over
-    /// this scenario and seed batch, under this runner's worker budget.
-    /// Supplying the same seeds in any order produces an identical result.
+    /// Runs every seed through the packed executor and aggregates the full
+    /// outcomes, at the scenario's own [`Observe`] level, into a
+    /// [`BatchOutcome`] sorted by seed: [`Sweep::run`] with this batch as
+    /// its one point. Each outcome equals `scenario.run(seed)` bit for bit,
+    /// and supplying the same seeds in any order produces an identical
+    /// result.
     ///
     /// # Errors
     ///
-    /// Returns the error of the smallest failing seed (configuration errors
-    /// surface like this deterministically; engine errors cannot occur for
-    /// workload-generated inputs).
+    /// Returns the error of the smallest failing seed, whether the seed
+    /// failed lowering (an invalid configuration or a realized graph that
+    /// fails validation) or in its rounds (under
+    /// [`DisconnectionPolicy::Reject`](mbaa_net::DisconnectionPolicy::Reject),
+    /// a churned round that disconnects returns
+    /// [`Error::DisconnectedRound`]).
     pub fn run(&self) -> Result<BatchOutcome> {
-        let sweep = Sweep {
-            points: vec![self.scenario.clone()],
-            seeds: self.seeds.clone(),
-            workers: self.workers,
-        };
-        Ok(sweep.run()?.pop().expect("one point per scenario").outcome)
+        Ok(self.sweep().run()?.pop().expect("one point").outcome)
     }
 
-    /// Streams the batch through the summary-level packed executor: every
-    /// seed still runs in parallel, but runs are lowered only when their
-    /// chunk is about to run and each is folded into its [`RunSummary`] on
-    /// the worker, so memory stays flat even for very large seed batches.
-    /// Seeds are sorted and deduplicated exactly as in
-    /// [`Runner::run`], and the result equals
+    /// Streams the batch through the packed executor at the summary level,
+    /// as [`Sweep::stream`] with this batch as its one point: runs are
+    /// lowered only when their chunk is about to run and each is folded
+    /// into its [`RunSummary`] on the worker, so memory stays flat even for
+    /// very large seed batches. The result equals
     /// [`Runner::run`]`()?.to_experiment_result()` bit for bit, for every
     /// worker count.
     ///
-    /// When `metrics` is supplied, every run's telemetry is folded into it.
-    /// The per-pack registries merge by elementwise counter addition —
-    /// commutative and associative — so the registry is bit-identical for
-    /// every worker count and completion order, and the summaries are the
+    /// When `metrics` is supplied, every run's telemetry is folded into it,
+    /// bit-identically for every worker count, and the summaries are the
     /// same either way.
     ///
     /// # Example
@@ -138,14 +144,21 @@ impl Runner {
     /// Propagates configuration and engine errors, deterministically (the
     /// smallest failing seed wins).
     pub fn stream(&self, metrics: Option<&mut MetricsRegistry>) -> Result<ExperimentResult> {
-        let segment = (self.scenario.clone(), self.seeds.clone());
-        let sinks = Sinks {
-            metrics,
-            ..Sinks::default()
-        };
-        stream_segments(std::slice::from_ref(&segment), self.workers, sinks)
+        Ok(self
+            .sweep()
+            .stream(metrics)?
             .pop()
-            .expect("one result per segment")
+            .expect("one point")
+            .result)
+    }
+
+    /// This batch as the one point of a [`Sweep`].
+    fn sweep(&self) -> Sweep {
+        Sweep {
+            points: vec![self.scenario.clone()],
+            seeds: self.seeds.clone(),
+            workers: self.workers,
+        }
     }
 }
 
@@ -287,14 +300,11 @@ impl Sweep {
         &self.points
     }
 
-    /// Runs the whole sweep through **one** global work-stealing pool: all
-    /// `(point, seed)` pairs are flattened into a single task list and
-    /// workers steal across point boundaries, so a near-threshold point
-    /// that needs many rounds no longer serializes the points behind it.
-    /// Outcomes are regrouped per point afterwards; every
-    /// [`SweepPoint::outcome`] is bit-identical to running
-    /// `point.batch(seeds).run()` on its own, for every worker count and
-    /// steal order.
+    /// Runs the whole sweep through the packed executor, whose packs span
+    /// point boundaries on one work-stealing pool, so a slow point does not
+    /// serialize the points behind it. Every run keeps its full outcome at
+    /// its point's own [`Observe`] level, bit-identical to
+    /// `point.run(seed)` for every worker count.
     ///
     /// # Example
     ///
@@ -314,77 +324,56 @@ impl Sweep {
     /// # Errors
     ///
     /// Propagates the first failing `(point, seed)` pair's error in
-    /// point-major, seed-minor order — the same error the old sequential
-    /// point loop surfaced.
+    /// point-major, seed-minor order.
     pub fn run(&self) -> Result<Vec<SweepPoint>> {
-        let seeds = normalize_seeds(self.seeds.iter().copied());
-        let tasks: Vec<(usize, u64)> = (0..self.points.len())
-            .flat_map(|point| seeds.iter().map(move |&seed| (point, seed)))
-            .collect();
-        let results: Vec<Result<MobileRunOutcome>> = with_pool(self.workers, || {
-            tasks
-                .into_par_iter()
-                .map(|(point, seed)| self.points[point].run(seed))
-                .collect()
+        let runs = packed(self.segments(), self.workers, |configs| {
+            let fold = |seed, outcome| SeededRun { seed, outcome };
+            mbaa_sim::run_packed(configs, None, Sinks::default(), fold)
         });
-        let mut results = results.into_iter();
         self.points
             .iter()
-            .map(|scenario| {
-                let runs = seeds
-                    .iter()
-                    .map(|&seed| {
-                        Ok(SeededRun {
-                            seed,
-                            outcome: results.next().expect("one result per task")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>>>()?;
+            .zip(runs)
+            .map(|(scenario, runs)| {
                 Ok(SweepPoint {
                     scenario: scenario.clone(),
                     outcome: BatchOutcome {
                         scenario: scenario.clone(),
-                        runs,
+                        runs: runs?,
                     },
                 })
             })
             .collect()
     }
 
-    /// Streaming variant of [`Sweep::run`]: the same flattened global pool,
-    /// but every point is a seed segment of [`stream_segments`], so the
-    /// point-major lane list runs in packs of [`mbaa_sim::BATCH_WIDTH`]
-    /// lanes **across point boundaries**, and each completed run is folded
-    /// into its [`RunSummary`] on the worker with the trajectory never
-    /// materialized. A sweep of many small points therefore neither pays
-    /// one under-full pack per point nor holds its trajectories. Each
-    /// point's [`ExperimentResult`] equals
-    /// `point.batch(seeds).run()?.to_experiment_result()` bit for bit.
-    ///
-    /// When `metrics` is supplied, the telemetry of every `(point, seed)`
-    /// run is folded into it, bit-identically for every worker count,
-    /// steal order, and completion order.
+    /// Every point with the sweep's seed batch.
+    fn segments(&self) -> impl Iterator<Item = (&Scenario, &[u64])> {
+        self.points
+            .iter()
+            .map(|scenario| (scenario, &self.seeds[..]))
+    }
+
+    /// Summary variant of [`Sweep::run`]: the same packs, but each run is
+    /// folded into its [`RunSummary`] on the worker, its trajectory never
+    /// held. Each point's [`ExperimentResult`] equals
+    /// `point.batch(seeds).run()?.to_experiment_result()` bit for bit, and
+    /// `metrics`, when supplied, folds every run's telemetry,
+    /// bit-identically for every worker count.
     ///
     /// # Errors
     ///
     /// Propagates the first failing `(point, seed)` pair's error in
     /// point-major, seed-minor order.
     pub fn stream(&self, metrics: Option<&mut MetricsRegistry>) -> Result<Vec<SweepSummary>> {
-        let segments: Vec<(Scenario, Vec<u64>)> = self
-            .points
-            .iter()
-            .map(|scenario| (scenario.clone(), self.seeds.clone()))
-            .collect();
         let sinks = Sinks {
             metrics,
             ..Sinks::default()
         };
-        // Each point's result carries its first failing seed's error (in
-        // seed order), and results are consumed point-major — the
-        // deterministic point-major / seed-minor error order.
+        let results = packed(self.segments(), self.workers, |configs| {
+            mbaa_sim::run_packed_experiments(configs, sinks)
+        });
         self.points
             .iter()
-            .zip(stream_segments(&segments, self.workers, sinks))
+            .zip(results)
             .map(|(scenario, result)| {
                 Ok(SweepSummary {
                     scenario: scenario.clone(),
@@ -395,41 +384,31 @@ impl Sweep {
     }
 }
 
-/// The summary-level executor of the facade: runs several scenario
-/// seed-segments as **one** cross-point packed pool under the requested
-/// worker budget and returns one [`ExperimentResult`] per segment, aligned
-/// with the input. [`Runner::stream`] is the one-segment case,
-/// [`Sweep::stream`] one segment per point, and the CLI's resumable
-/// checkpoint chunks slice a sweep grid into runs of consecutive
-/// `(point, seed)` pairs. The segments' lanes run in consecutive packs of
-/// [`mbaa_sim::BATCH_WIDTH`], whatever sizes and models they mix, so a
-/// segment too small to fill a pack is topped up by its neighbour instead
-/// of paying an under-full one.
-///
-/// Seeds are normalized (sorted, deduplicated) per segment exactly as
-/// [`Runner::run`] normalizes, and each segment's result is bit-identical
-/// to `scenario.batch(seeds).run()?.to_experiment_result()`, for every
-/// worker count. A failing segment carries its first failing seed's error
-/// (in seed order, whether that seed failed lowering or in its rounds)
+/// The summary level of the packed executor over scenario seed-segments:
+/// one [`ExperimentResult`] per segment, aligned with the input, as
+/// [`Sweep::stream`] computes for its points; the CLI's resumable
+/// checkpoint chunks slice a sweep grid into such segments. The segments'
+/// lanes share packs of [`mbaa_sim::BATCH_WIDTH`], whatever sizes and
+/// models they mix, so a small segment is topped up by its neighbour. Each
+/// segment's result is bit-identical to
+/// `scenario.batch(seeds).run()?.to_experiment_result()` for every worker
+/// count, and a failing segment carries its first failing seed's error
 /// without disturbing its neighbours.
 ///
 /// The attached [`Sinks`] observe the packed run itself: the registry
 /// folds every run's telemetry, the event stream receives every run's
-/// events segment-major and seed-minor, and the profiler sums every
-/// pack's phase times; a failing segment emits what its runs that ran
-/// emit. The registry and the events are bit-identical for every worker
-/// count and pack boundary (see `mbaa_sim::run_packed_experiments`).
+/// events segment-major and seed-minor, and the profiler sums every pack's
+/// phase times (see `mbaa_sim::run_packed`).
 pub fn stream_segments(
     segments: &[(Scenario, Vec<u64>)],
     workers: Option<usize>,
     sinks: Sinks<'_>,
 ) -> Vec<Result<ExperimentResult>> {
-    let configs: Vec<mbaa_sim::ExperimentConfig> = segments
+    let segments = segments
         .iter()
-        .map(|(scenario, seeds)| scenario.to_experiment(normalize_seeds(seeds.iter().copied())))
-        .collect();
-    with_pool(workers, || {
-        mbaa_sim::run_packed_experiments(&configs, sinks)
+        .map(|(scenario, seeds)| (scenario, &seeds[..]));
+    packed(segments, workers, |configs| {
+        mbaa_sim::run_packed_experiments(configs, sinks)
     })
 }
 
@@ -471,16 +450,15 @@ pub struct AblationPoint {
 /// instance — an explicit `template.function` is ignored, since a single
 /// instance cannot be correctly parameterised for all four models at once.
 ///
-/// All `(cell, seed)` pairs of the grid are flattened onto **one** global
-/// work-stealing pool — the same scheduling [`Sweep::run`] uses — so a slow
-/// cell (a worst-case adversary near the bound) no longer serializes the
-/// cells behind it. Each cell's [`BatchOutcome`] is bit-identical to
-/// running `scenario.batch(seeds).run()` on its own.
+/// The grid is one [`Sweep::run`] over its cells, so a slow cell (a
+/// worst-case adversary near the bound) does not serialize the cells
+/// behind it. Each cell's [`BatchOutcome`] is bit-identical to running
+/// `scenario.batch(seeds).run()` on its own.
 ///
 /// # Errors
 ///
 /// Propagates the first failing `(cell, seed)` pair's error in grid-major,
-/// seed-minor order — the same error the old sequential cell loop surfaced.
+/// seed-minor order.
 pub fn adversary_ablation<I: IntoIterator<Item = u64>>(
     template: &Scenario,
     seeds: I,
@@ -489,31 +467,26 @@ pub fn adversary_ablation<I: IntoIterator<Item = u64>>(
     for model in MobileModel::ALL {
         for mobility in MobilityStrategy::ALL {
             for corruption in CorruptionStrategy::all_representative() {
-                let scenario = Scenario {
+                cells.push(Scenario {
                     model,
                     n: model.required_processes(template.f),
                     mobility,
                     corruption,
                     function: None,
                     ..template.clone()
-                };
-                cells.push((model, mobility, corruption, scenario));
+                });
             }
         }
     }
-
-    // The grid *is* a sweep over adversary cells: reuse its flattened pool,
-    // seed normalization, regrouping, and error ordering wholesale.
-    let points = Sweep::over(cells.iter().map(|(_, _, _, scenario)| scenario.clone()))
-        .seeds(seeds)
-        .run()?;
-    Ok(cells
-        .iter()
-        .zip(points)
-        .map(|((model, mobility, corruption, _), point)| AblationPoint {
-            model: *model,
-            mobility: *mobility,
-            corruption: *corruption,
+    // The grid *is* a sweep over adversary cells: reuse its executor, seed
+    // normalization and error ordering wholesale.
+    let points = Sweep::over(cells).seeds(seeds).run()?;
+    Ok(points
+        .into_iter()
+        .map(|point| AblationPoint {
+            model: point.scenario.model,
+            mobility: point.scenario.mobility,
+            corruption: point.scenario.corruption,
             outcome: point.outcome,
         })
         .collect())
@@ -588,12 +561,16 @@ pub fn mobile_vs_static<I: IntoIterator<Item = u64>>(
         .function
         .unwrap_or_else(|| defaults::model_default_function(scenario.model, scenario.f));
 
-    // Only the diameters are read, so the mobile side records nothing.
-    let mobile_side = scenario.clone().observe(Observe::Summary);
+    // Only the diameters are read, so the mobile side records nothing. Each
+    // point reads its seed back, keeping the caller's order and duplicates.
+    let seeds: Vec<u64> = seeds.into_iter().collect();
+    let mobile_runs = (scenario.clone().observe(Observe::Summary))
+        .batch(seeds.iter().copied())
+        .run()?;
     seeds
         .into_iter()
         .map(|seed| {
-            let mobile = mobile_side.run(seed)?;
+            let mobile = mobile_runs.get(seed).expect("the batch ran every seed");
             let inputs = scenario.initial_values(seed);
 
             let assignment = FaultAssignment::with_first_processes_faulty(scenario.n, counts)?;

@@ -8,9 +8,9 @@
 //! * [`Scenario::run`] lowers to a [`ProtocolConfig`] and executes one
 //!   seeded run as a one-lane pack of the [`BatchEngine`] round loop —
 //!   bit-identical to building the `ProtocolConfig` by hand.
-//! * [`Scenario::batch`] produces a [`Runner`](crate::Runner) that fans a
-//!   seed batch out on rayon and aggregates full outcomes into a
-//!   [`BatchOutcome`](crate::BatchOutcome).
+//! * [`Scenario::batch`] produces a [`Runner`](crate::Runner) that runs a
+//!   seed batch through the packed executor and aggregates full outcomes
+//!   into a [`BatchOutcome`](crate::BatchOutcome).
 //! * [`Scenario::sweep_n`] / [`Scenario::sweep_f`] produce
 //!   [`Sweep`](crate::Sweep)s over system size or agent count.
 //!
@@ -86,11 +86,11 @@ pub struct Scenario {
     /// Whether `n` below the model's replica bound is permitted.
     pub allow_bound_violation: bool,
     /// How much of each run the engine records
-    /// ([`Observe::Full`] by default, so single runs stay inspectable;
-    /// summary-level batch and stream paths always execute at
-    /// [`Observe::Summary`] — the allocation-free steady state — since
-    /// summaries are bit-identical across levels). Defaults on
-    /// deserialization so pre-`Observe` documents still load.
+    /// ([`Observe::Full`] by default, so single runs stay inspectable).
+    /// Single runs and full-outcome batches run at this level; summary
+    /// paths always run at [`Observe::Summary`] — the allocation-free
+    /// steady state — since summaries are bit-identical across levels.
+    /// Defaults on deserialization so pre-`Observe` documents still load.
     #[serde(default)]
     pub observe: Observe,
 }
@@ -400,11 +400,12 @@ impl Scenario {
         BatchEngine::run_with(&config, &inputs, Some(function), &mut NoopObserver)
     }
 
-    /// A [`Runner`] over this scenario and a seed batch; `run()` fans the
-    /// seeds out on the work-stealing pool and aggregates full outcomes
-    /// into a [`BatchOutcome`](crate::BatchOutcome), while `stream(None)` folds
-    /// each run into its summary on the worker — flat memory for very
-    /// large batches. Both are deterministic for every worker count.
+    /// A [`Runner`] over this scenario and a seed batch. Both its calls run
+    /// the seeds through the one packed executor: `run()` keeps every full
+    /// outcome in a [`BatchOutcome`](crate::BatchOutcome), while
+    /// `stream(None)` folds each run into its summary on the worker — flat
+    /// memory for very large batches. Both are deterministic for every
+    /// worker count.
     #[must_use]
     pub fn batch<I: IntoIterator<Item = u64>>(&self, seeds: I) -> Runner {
         Runner::new(self.clone(), seeds)

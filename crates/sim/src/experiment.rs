@@ -61,10 +61,10 @@ pub struct ExperimentConfig {
     pub workload: Workload,
     /// Whether to allow `n` below the model's bound (threshold sweeps).
     pub allow_bound_violation: bool,
-    /// The observability level the description was lowered from. Recorded
-    /// for self-description; the summary-level executors always run the
-    /// engine at [`Observe::Summary`], since only [`RunSummary`] fields
-    /// survive anyway and summaries are bit-identical across levels.
+    /// The observability level the description was lowered from. Runs
+    /// whose full outcome is kept run at it; [`run_packed_experiments`]
+    /// runs the engine at [`Observe::Summary`], since only [`RunSummary`]
+    /// fields survive and summaries are bit-identical across levels.
     /// Defaults on deserialization so pre-`Observe` documents still load.
     #[serde(default)]
     pub observe: Observe,
@@ -228,21 +228,43 @@ impl ExperimentResult {
 /// pool to spread across workers.
 pub const BATCH_WIDTH: usize = 32;
 
-/// The summary-level executor: runs several experiment points as **one**
-/// cross-point packed pool. Its run list holds every `(point, seed)` pair,
-/// point-major and seed-minor, in plain chunks of [`BATCH_WIDTH`] whatever
-/// sizes, fault bounds and models a chunk mixes. The calling thread lowers
-/// one wave of chunks at a time, as many as the pool runs at once, and each
-/// chunk's runs that lowered run as one [`BatchEngine`] pack. No lowered
-/// lane exists outside the running chunks, so memory holds one summary
-/// per run.
+/// The summary level of [`run_packed`]: each run is folded into its
+/// [`RunSummary`], and one [`ExperimentResult`] comes back per point. Only
+/// summaries leave, and they are bit-identical across observability
+/// levels, so every lane runs at [`Observe::Summary`] — the
+/// allocation-free steady state — whatever its description's level.
+pub fn run_packed_experiments(
+    configs: &[ExperimentConfig],
+    sinks: Sinks<'_>,
+) -> Vec<Result<ExperimentResult>> {
+    let fold = |seed, outcome: MobileRunOutcome| RunSummary::from_outcome(seed, &outcome);
+    run_packed(configs, Some(Observe::Summary), sinks, fold)
+        .into_iter()
+        .zip(configs)
+        .map(|(runs, config)| {
+            Ok(ExperimentResult {
+                config: config.clone(),
+                runs: runs?,
+            })
+        })
+        .collect()
+}
+
+/// The packed executor every seed batch runs through: runs several
+/// experiment points as **one** cross-point packed pool. Its run list
+/// holds every `(point, seed)` pair, point-major and seed-minor, in plain
+/// chunks of [`BATCH_WIDTH`] whatever sizes, fault bounds and models a
+/// chunk mixes. The calling thread lowers one wave of chunks at a time, as
+/// many as the pool runs at once, and each chunk's runs that lowered run
+/// as one [`BatchEngine`] pack, each lane at `observe` or, when that is
+/// `None`, at its point's own level. `fold` turns each outcome into what
+/// is kept of it on the worker, so no unfolded outcome outlives its chunk.
 ///
 /// Results come back **per point**, aligned with `configs`, each point's
-/// runs in its seed batch order. Per-seed summaries are bit-identical for
-/// every worker count and pack boundary. A run that fails lowering is one
-/// more failing run: a point carries its first failing seed's error (in
-/// seed-batch order), whether it came from lowering or from the run,
-/// without disturbing its neighbours.
+/// folded runs in seed-batch order, bit-identical for every worker count
+/// and pack boundary. A point carries its first failing seed's error,
+/// whether that seed failed lowering or in its rounds, without disturbing
+/// its neighbours.
 ///
 /// Each pack runs with pack-local copies of the attached [`Sinks`]: a
 /// [`MetricsRegistry`], an event buffer, and a [`PhaseProfiler`]. A pack
@@ -251,18 +273,15 @@ pub const BATCH_WIDTH: usize = 32;
 /// merge by `u64` addition, and each pack's buffer is appended whole, so
 /// events arrive point-major and seed-minor. The registry and the events
 /// are the same for every worker count and pack boundary (the profile
-/// sums wall time over the workers), and the summaries are the same with
+/// sums wall time over the workers), and the results are the same with
 /// or without any sink. A failing point emits what its runs that ran
 /// emit. With nothing attached the packs run under [`NoopObserver`].
-///
-/// Only summaries leave this function, and summaries are bit-identical
-/// across observability levels, so the engine always runs at
-/// [`Observe::Summary`] — the allocation-free steady state — whatever each
-/// description's level.
-pub fn run_packed_experiments(
+pub fn run_packed<T: Send>(
     configs: &[ExperimentConfig],
+    observe: Option<Observe>,
     mut sinks: Sinks<'_>,
-) -> Vec<Result<ExperimentResult>> {
+    fold: impl Fn(u64, MobileRunOutcome) -> T + Sync,
+) -> Vec<Result<Vec<T>>> {
     let runs: Vec<(usize, u64)> = configs
         .iter()
         .enumerate()
@@ -277,7 +296,7 @@ pub fn run_packed_experiments(
     // thread: workers lowering their own chunks read 13-17% fewer runs/s
     // on perfbench's complete graphs (CHANGES.md).
     let wave = BATCH_WIDTH * rayon::current_num_threads();
-    let mut results: Vec<Result<RunSummary>> = Vec::with_capacity(runs.len());
+    let mut results: Vec<Result<T>> = Vec::with_capacity(runs.len());
     for wave in runs.chunks(wave) {
         let packs: Vec<_> = wave
             .chunks(BATCH_WIDTH)
@@ -290,7 +309,7 @@ pub fn run_packed_experiments(
                     .map(|&(point, seed)| {
                         let config = &configs[point];
                         let mut lane = config.protocol_config(seed)?;
-                        lane.observe = Observe::Summary;
+                        lane.observe = observe.unwrap_or(lane.observe);
                         lanes.push(PackedLane {
                             config: lane,
                             inputs: config.workload.generate(config.n, seed),
@@ -301,7 +320,7 @@ pub fn run_packed_experiments(
                 (chunk, lowered, lanes)
             })
             .collect();
-        let ran: Vec<(Vec<Result<RunSummary>>, Option<PackSinks>)> = packs
+        let ran: Vec<(Vec<Result<T>>, Option<PackSinks>)> = packs
             .into_par_iter()
             .map(|(chunk, lowered, lanes)| {
                 let mut local = (metrics || events || profile).then(|| PackSinks {
@@ -320,7 +339,7 @@ pub fn run_packed_experiments(
                     .map(|(lowered, &(_, seed))| {
                         lowered?;
                         let outcome = outcomes.next().expect("one outcome per lowered run")?;
-                        Ok(RunSummary::from_outcome(seed, &outcome))
+                        Ok(fold(seed, outcome))
                     })
                     .collect();
                 (runs, local)
@@ -337,26 +356,16 @@ pub fn run_packed_experiments(
     }
     // The results follow the run list, so they scatter back per point in
     // seed-batch order; the first failing seed of a point wins its slot.
-    let mut per_point: Vec<Result<Vec<RunSummary>>> =
-        configs.iter().map(|_| Ok(Vec::new())).collect();
+    let mut per_point: Vec<Result<Vec<T>>> = configs.iter().map(|_| Ok(Vec::new())).collect();
     for (&(point, _), run) in runs.iter().zip(results) {
-        if let Ok(summaries) = per_point[point].as_mut() {
+        if let Ok(folded) = per_point[point].as_mut() {
             match run {
-                Ok(summary) => summaries.push(summary),
+                Ok(run) => folded.push(run),
                 Err(e) => per_point[point] = Err(e),
             }
         }
     }
-    configs
-        .iter()
-        .zip(per_point)
-        .map(|(config, runs)| {
-            Ok(ExperimentResult {
-                config: config.clone(),
-                runs: runs?,
-            })
-        })
-        .collect()
+    per_point
 }
 
 /// The pack-local side of [`Sinks`]: the observer one pack runs under.

@@ -9,13 +9,13 @@
 //!   clustered sensors, seeded uniform noise, or explicit values).
 //! * [`ExperimentConfig`] — one (model, n, f, adversary, algorithm) point
 //!   over a batch of seeds.
-//! * [`run_packed_experiments`] — the one summary-level executor: runs
-//!   the seeds of any number of points in shared engine packs on the
-//!   work-stealing rayon pool, lowering each chunk just before it runs
-//!   and folding each run into its [`RunSummary`] (memory stays flat for
-//!   very large seed batches), optionally merges every run's telemetry
-//!   into a `MetricsRegistry`, and returns one [`ExperimentResult`] per
-//!   point.
+//! * [`run_packed`] — the one executor every seed batch runs through:
+//!   runs the seeds of any number of points in shared engine packs on the
+//!   work-stealing rayon pool, lowering each chunk just before it runs,
+//!   folds each run on the worker into what its caller keeps (a full
+//!   outcome or a summary), and optionally feeds every run's telemetry to
+//!   attached sinks. [`run_packed_experiments`] is its summary fold, one
+//!   [`ExperimentResult`] per point, with memory flat for any batch.
 //! * [`stats`] — small summary-statistics helpers.
 //! * [`report`] — Markdown / CSV table emission used by the benches.
 //!
@@ -68,7 +68,7 @@ pub mod stats;
 mod workload;
 
 pub use experiment::{
-    mean_pack_occupancy, normalize_seeds, run_packed_experiments, ExperimentConfig,
+    mean_pack_occupancy, normalize_seeds, run_packed, run_packed_experiments, ExperimentConfig,
     ExperimentResult, RunSummary, BATCH_WIDTH,
 };
 pub use workload::Workload;

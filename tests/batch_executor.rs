@@ -198,3 +198,83 @@ fn a_point_that_fails_lowering_partway_emits_the_lanes_that_ran() {
     );
     assert_eq!(metrics.runs, lowered as u64);
 }
+
+/// Points that differ in model, size, observability level and network,
+/// twelve seeds each, so the first 32-run chunk spans three points and the
+/// second four: a per-seed random-regular graph, delayed and lossy links,
+/// and the complete graph, at `Full`, `Snapshots` and `Summary`.
+fn mixed_points() -> Vec<Scenario> {
+    vec![
+        Scenario::new(MobileModel::Garay, 9, 1).observe(Observe::Full),
+        Scenario::new(MobileModel::Bonnet, 14, 1)
+            .topology(Topology::RandomRegular { degree: 8 })
+            .observe(Observe::Snapshots),
+        Scenario::new(MobileModel::Sasaki, 13, 1)
+            .link_faults(LinkFaultPlan::new().delay_all(1).omit_all(0.05))
+            .max_rounds(40)
+            .observe(Observe::Full),
+        Scenario::new(MobileModel::Buhrman, 7, 2).observe(Observe::Summary),
+        Scenario::new(MobileModel::Garay, 16, 2)
+            .topology(Topology::RandomRegular { degree: 12 })
+            .observe(Observe::Full),
+    ]
+}
+
+#[test]
+fn packed_full_outcomes_equal_single_runs_for_every_worker_count() {
+    let seeds = 0..12u64;
+    for workers in [1usize, 2, 3] {
+        let points = Sweep::over(mixed_points())
+            .seeds(seeds.clone())
+            .workers(workers)
+            .run()
+            .unwrap();
+        assert_eq!(points.len(), mixed_points().len());
+        for (point, scenario) in points.iter().zip(mixed_points()) {
+            assert_eq!(point.scenario, scenario);
+            assert_eq!(point.outcome.len(), 12);
+            for (seed, outcome) in point.outcome.iter() {
+                let alone = scenario.run(seed).unwrap();
+                assert_eq!(
+                    outcome, &alone,
+                    "{workers} workers: seed {seed} of {} n={} diverged from its single run",
+                    scenario.model, scenario.n
+                );
+                // The lanes really ran at their point's level.
+                assert_eq!(
+                    outcome.configurations.is_empty(),
+                    scenario.observe == Observe::Summary
+                );
+                assert_eq!(outcome.trace.is_empty(), scenario.observe != Observe::Full);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_packed_sweep_returns_the_single_run_error_of_a_point_sharing_a_chunk() {
+    // Seeds 0–3 of this churned point run, and seed 4 disconnects a round,
+    // which `Reject` turns into an error. With twelve seeds per point it
+    // shares its first chunk with the point before it.
+    let failing = Scenario::new(MobileModel::Garay, 12, 0)
+        .topology_schedule(TopologySchedule::SeededChurn {
+            base: Topology::RandomRegular { degree: 4 },
+            flip_rate: 0.2,
+        })
+        .link_faults(cuts())
+        .disconnection(DisconnectionPolicy::Reject);
+    for seed in 0..4 {
+        assert!(failing.run(seed).is_ok(), "seed {seed} should run");
+    }
+    let expected = format!("{}", failing.run(4).unwrap_err());
+    let mut points = mixed_points();
+    points.push(failing);
+    for workers in [1usize, 2, 3] {
+        let err = Sweep::over(points.clone())
+            .seeds(0..12)
+            .workers(workers)
+            .run()
+            .unwrap_err();
+        assert_eq!(format!("{err}"), expected, "{workers} workers");
+    }
+}
