@@ -42,8 +42,9 @@
 //! batches rather than one pack: 64 seeds of Garay at n = 128, f = 2 with
 //! every link one round late and 5% of them lost, 3 rounds per run at
 //! `Observe::Summary` on one worker, through `batch(..).run()` (full
-//! outcomes) and `batch(..).stream(None)` (summaries), in runs/s. The two
-//! rows measure whatever one executor path costs over the other.
+//! outcomes) and `batch(..).stream(None)` (summaries), in runs/s. Both
+//! run through the one packed executor, so the rows should read alike; a
+//! gap between them is a cost that only one of the two folds pays.
 //!
 //! `msr_function/{n}` times one `MsrFunction::apply` (trim n/8 from each
 //! end, mean of the rest) over n ∈ {16, 64, 256, 1024} values, in ns.

@@ -21,7 +21,8 @@
 //! * seed batches and parameter sweeps: [`Scenario::batch`] gives a
 //!   [`Runner`], and [`Scenario::sweep_n`], [`Scenario::sweep_f`],
 //!   [`Scenario::sweep_connectivity`] a [`Sweep`]; [`adversary_ablation`]
-//!   and [`mobile_vs_static`] are sweeps too. All of them run through one
+//!   is a sweep too, and [`mobile_vs_static`] runs its mobile side as a
+//!   seed batch. All of them run through one
 //!   packed executor, whose packs span point boundaries on the
 //!   work-stealing rayon pool. [`Runner::run`] and [`Sweep::run`] keep
 //!   every full outcome in a [`BatchOutcome`] sorted by seed, while

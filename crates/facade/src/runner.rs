@@ -564,9 +564,8 @@ pub fn mobile_vs_static<I: IntoIterator<Item = u64>>(
     // Only the diameters are read, so the mobile side records nothing. Each
     // point reads its seed back, keeping the caller's order and duplicates.
     let seeds: Vec<u64> = seeds.into_iter().collect();
-    let mobile_runs = (scenario.clone().observe(Observe::Summary))
-        .batch(seeds.iter().copied())
-        .run()?;
+    let mobile_side = scenario.clone().observe(Observe::Summary);
+    let mobile_runs = mobile_side.batch(seeds.clone()).run()?;
     seeds
         .into_iter()
         .map(|seed| {
