@@ -22,13 +22,14 @@
 //!   [`Runner`], and [`Scenario::sweep_n`], [`Scenario::sweep_f`],
 //!   [`Scenario::sweep_connectivity`] a [`Sweep`]; [`adversary_ablation`]
 //!   is a sweep too, and [`mobile_vs_static`] runs its mobile side as a
-//!   seed batch. All of them run through one
-//!   packed executor, whose packs span point boundaries on the
-//!   work-stealing rayon pool. [`Runner::run`] and [`Sweep::run`] keep
-//!   every full outcome in a [`BatchOutcome`] sorted by seed, while
-//!   [`Runner::stream`], [`Sweep::stream`] and [`stream_segments`] fold
-//!   each run into its [`RunSummary`] on the worker, which keeps memory
-//!   flat for very large batches,
+//!   seed batch. All of them run through one packed executor, whose packs
+//!   span point boundaries on the work-stealing rayon pool. [`Runner::run`]
+//!   and [`Sweep::run`] keep every full outcome, at the scenario's own
+//!   [`Observe`] level, in a [`BatchOutcome`] sorted by seed, their packs
+//!   cut so that every worker has one, while [`Runner::stream`],
+//!   [`Sweep::stream`] and [`stream_segments`] fold each run into its
+//!   [`RunSummary`] on the worker, which keeps memory flat for very large
+//!   batches,
 //! * telemetry: the summary calls take an optional [`MetricsRegistry`],
 //!   bit-identical for every worker count, and [`stream_segments`] takes
 //!   [`obs::Sinks`], which add the event stream and phase profile of the

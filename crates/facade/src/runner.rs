@@ -1,22 +1,9 @@
-//! Batch and sweep execution for [`Scenario`]s: seed batches, seed-keyed
-//! aggregation, and the experiment grids the paper's figures are built
-//! from.
-//!
-//! Every seed batch runs through **one** executor, `mbaa_sim`'s packed
-//! one: each call lowers its points with their seeds sorted and
-//! deduplicated, and the executor runs all `(point, seed)` pairs in
-//! engine packs of [`mbaa_sim::BATCH_WIDTH`] across point boundaries on
-//! the work-stealing `rayon` pool, under one concurrency budget, so cheap
-//! points drain while a near-threshold point is still converging. Results
-//! come back sorted by seed, deterministic and independent of thread
-//! scheduling, worker count, and the order seeds were supplied in. Only
-//! what is kept of each run differs: [`Runner::run`] and [`Sweep::run`]
-//! keep every full outcome, at each scenario's own [`Observe`] level,
-//! while [`Runner::stream`], [`Sweep::stream`] and [`stream_segments`]
-//! fold each run into its [`RunSummary`] on the worker, which keeps memory
-//! flat for very large seed batches, and optionally feed every run's
-//! telemetry to the attached [`Sinks`]: a [`MetricsRegistry`], an event
-//! stream, and a phase profiler.
+//! Batch and sweep execution for [`Scenario`]s, the experiment grids the
+//! paper's figures are built from (see the crate docs). Every call lowers
+//! its points with their seeds sorted and deduplicated and runs them
+//! through `mbaa_sim::run_packed` under one worker budget, so results come
+//! back sorted by seed, independent of thread scheduling, worker count and
+//! the order seeds were supplied in.
 
 use serde::{Deserialize, Serialize};
 
@@ -328,7 +315,7 @@ impl Sweep {
     pub fn run(&self) -> Result<Vec<SweepPoint>> {
         let runs = packed(self.segments(), self.workers, |configs| {
             let fold = |seed, outcome| SeededRun { seed, outcome };
-            mbaa_sim::run_packed(configs, None, Sinks::default(), fold)
+            mbaa_sim::run_packed(configs, true, Sinks::default(), fold)
         });
         self.points
             .iter()

@@ -238,7 +238,7 @@ pub fn run_packed_experiments(
     sinks: Sinks<'_>,
 ) -> Vec<Result<ExperimentResult>> {
     let fold = |seed, outcome: MobileRunOutcome| RunSummary::from_outcome(seed, &outcome);
-    run_packed(configs, Some(Observe::Summary), sinks, fold)
+    run_packed(configs, false, sinks, fold)
         .into_iter()
         .zip(configs)
         .map(|(runs, config)| {
@@ -252,13 +252,18 @@ pub fn run_packed_experiments(
 
 /// The packed executor every seed batch runs through: runs several
 /// experiment points as **one** cross-point packed pool. Its run list
-/// holds every `(point, seed)` pair, point-major and seed-minor, in plain
-/// chunks of [`BATCH_WIDTH`] whatever sizes, fault bounds and models a
-/// chunk mixes. The calling thread lowers one wave of chunks at a time, as
-/// many as the pool runs at once, and each chunk's runs that lowered run
-/// as one [`BatchEngine`] pack, each lane at `observe` or, when that is
-/// `None`, at its point's own level. `fold` turns each outcome into what
-/// is kept of it on the worker, so no unfolded outcome outlives its chunk.
+/// holds every `(point, seed)` pair, point-major and seed-minor, cut into
+/// chunks whatever sizes, fault bounds and models a chunk mixes. The
+/// calling thread lowers the chunks, and each chunk's runs that lowered
+/// run as one [`BatchEngine`] pack. `fold` turns each outcome into what is
+/// kept of it on the worker, so no unfolded outcome outlives its chunk.
+///
+/// With `keep_outcomes`, lanes run at their point's own level, and the run
+/// list is one wave of equal chunks, as many as [`BATCH_WIDTH`]-wide ones
+/// would be, rounded up to a multiple of the workers, so a few dozen seeds
+/// still spread over the pool. Without it, lanes run at
+/// [`Observe::Summary`] in [`BATCH_WIDTH`] chunks, lowered one wave at a
+/// time, as many as the pool runs at once, so memory stays flat.
 ///
 /// Results come back **per point**, aligned with `configs`, each point's
 /// folded runs in seed-batch order, bit-identical for every worker count
@@ -266,19 +271,19 @@ pub fn run_packed_experiments(
 /// whether that seed failed lowering or in its rounds, without disturbing
 /// its neighbours.
 ///
-/// Each pack runs with pack-local copies of the attached [`Sinks`]: a
-/// [`MetricsRegistry`], an event buffer, and a [`PhaseProfiler`]. A pack
-/// emits its lanes' events lane by lane. After every pack has run the
-/// copies are folded into `sinks` in pack order: registries and profilers
-/// merge by `u64` addition, and each pack's buffer is appended whole, so
-/// events arrive point-major and seed-minor. The registry and the events
-/// are the same for every worker count and pack boundary (the profile
-/// sums wall time over the workers), and the results are the same with
-/// or without any sink. A failing point emits what its runs that ran
-/// emit. With nothing attached the packs run under [`NoopObserver`].
+/// Each pack runs with pack-local copies of the attached [`Sinks`] (a
+/// [`MetricsRegistry`], an event buffer, a [`PhaseProfiler`]), emitting
+/// its lanes' events lane by lane, and the copies fold into `sinks` in
+/// pack order: registries and profilers merge by `u64` addition and each
+/// buffer is appended whole, so events arrive point-major and seed-minor.
+/// The registry and the events are the same for every worker count and
+/// pack boundary (the profile sums wall time over the workers), and the
+/// results are the same with or without any sink. A failing point emits
+/// what its runs that ran emit. With nothing attached the packs run under
+/// [`NoopObserver`].
 pub fn run_packed<T: Send>(
     configs: &[ExperimentConfig],
-    observe: Option<Observe>,
+    keep_outcomes: bool,
     mut sinks: Sinks<'_>,
     fold: impl Fn(u64, MobileRunOutcome) -> T + Sync,
 ) -> Vec<Result<Vec<T>>> {
@@ -292,14 +297,21 @@ pub fn run_packed<T: Send>(
         sinks.events.is_some(),
         sinks.profile.is_some(),
     );
-    // A wave is as many chunks as the pool runs at once, lowered on this
-    // thread: workers lowering their own chunks read 13-17% fewer runs/s
-    // on perfbench's complete graphs (CHANGES.md).
-    let wave = BATCH_WIDTH * rayon::current_num_threads();
+    // A summary wave is as many full packs as the pool runs at once,
+    // lowered on this thread: workers lowering their own chunks read
+    // 13-17% fewer runs/s on perfbench's complete graphs (CHANGES.md).
+    let threads = rayon::current_num_threads();
+    let summary = (!keep_outcomes).then_some(Observe::Summary);
+    let (wave, width) = if keep_outcomes {
+        let packs = runs.len().div_ceil(BATCH_WIDTH).next_multiple_of(threads);
+        (runs.len().max(1), runs.len().div_ceil(packs.max(1)).max(1))
+    } else {
+        (BATCH_WIDTH * threads, BATCH_WIDTH)
+    };
     let mut results: Vec<Result<T>> = Vec::with_capacity(runs.len());
     for wave in runs.chunks(wave) {
         let packs: Vec<_> = wave
-            .chunks(BATCH_WIDTH)
+            .chunks(width)
             .map(|chunk| {
                 // A run whose lowering fails keeps its error in its slot;
                 // the runs that lowered form the pack.
@@ -309,7 +321,7 @@ pub fn run_packed<T: Send>(
                     .map(|&(point, seed)| {
                         let config = &configs[point];
                         let mut lane = config.protocol_config(seed)?;
-                        lane.observe = observe.unwrap_or(lane.observe);
+                        lane.observe = summary.unwrap_or(lane.observe);
                         lanes.push(PackedLane {
                             config: lane,
                             inputs: config.workload.generate(config.n, seed),
