@@ -45,6 +45,9 @@
 //! outcomes) and `batch(..).stream(None)` (summaries), in runs/s. Both
 //! run through the one packed executor, so the rows should read alike; a
 //! gap between them is a cost that only one of the two folds pays.
+//! `runner_runs_per_sec/128/run/delay/w2` runs 16 seeds of the same point
+//! through `batch(..).run()` on two workers: a batch too short for two
+//! full packs, which the executor cuts into one pack per worker.
 //!
 //! `msr_function/{n}` times one `MsrFunction::apply` (trim n/8 from each
 //! end, mean of the rest) over n ∈ {16, 64, 256, 1024} values, in ns.
@@ -233,15 +236,16 @@ enum RunnerPath {
     Stream,
 }
 
-/// Runs/s of a 64-seed batch of Garay at n = 128, f = 2 over delayed,
-/// lossy links, 3 rounds per run, on one worker through `path`.
-fn measure_runner(path: RunnerPath) {
+/// Runs/s of a `seeds`-seed batch of Garay at n = 128, f = 2 over
+/// delayed, lossy links, 3 rounds per run, on `workers` workers through
+/// `path`.
+fn measure_runner(path: RunnerPath, seeds: u64, workers: usize) {
     let n = 128;
     let scenario = Scenario::new(MobileModel::Garay, n, 2)
         .link_faults(LinkFaultPlan::new().delay_all(1).omit_all(0.05))
         .max_rounds(3)
         .observe(Observe::Summary);
-    let runner = scenario.batch(0..64).workers(1);
+    let runner = scenario.batch(0..seeds).workers(workers);
     let run = || -> (usize, usize) {
         match path {
             RunnerPath::Run => {
@@ -274,13 +278,19 @@ fn measure_runner(path: RunnerPath) {
         RunnerPath::Run => "run",
         RunnerPath::Stream => "stream",
     };
+    // The one-worker rows keep their original ids.
+    let suffix = if workers == 1 {
+        String::new()
+    } else {
+        format!("/w{workers}")
+    };
     println!(
-        "engine_batch runner n={n} {name}/delay: {runs_per_sec:.0} runs/sec \
-         ({batches} batches, {total_rounds} lane rounds)"
+        "engine_batch runner n={n} {name}/delay{suffix}: {runs_per_sec:.0} runs/sec \
+         ({seeds} seeds, {batches} batches, {total_rounds} lane rounds)"
     );
     record_metric(
         "engine_batch",
-        &format!("runner_runs_per_sec/{n}/{name}/delay"),
+        &format!("runner_runs_per_sec/{n}/{name}/delay{suffix}"),
         runs_per_sec,
         "runs/s",
     );
@@ -327,8 +337,9 @@ fn main() {
         measure(361, k, Variant::Worst);
     }
     // The facade's seed batches over the same delayed, lossy links.
-    measure_runner(RunnerPath::Run);
-    measure_runner(RunnerPath::Stream);
+    measure_runner(RunnerPath::Run, 64, 1);
+    measure_runner(RunnerPath::Stream, 64, 1);
+    measure_runner(RunnerPath::Run, 16, 2);
     for &n in &[16usize, 64, 256, 1024] {
         measure_msr(n);
     }
